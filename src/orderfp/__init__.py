@@ -9,7 +9,6 @@ minimization, and campaign-style verification suites with a CLI front end.
 from orderfp.space import (
     SpaceSpec,
     ConvexityProfile,
-    ModulusConfig,
     as_vector,
     norm,
     modulus_of_convexity,

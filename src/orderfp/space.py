@@ -1,23 +1,17 @@
 """Finite-dimensional lp spaces: norm evaluation and convexity geometry.
 
-The modulus of convexity is computed by constrained minimization over pairs
-of unit-ball vectors; the characteristic of convexity is estimated on an
-epsilon grid. Both are desk-scale numerical surrogates for quantities that
-are defined as infima/suprema over the whole ball.
+The modulus of convexity comes from its closed form (Clarkson for p >= 2,
+Hanner's equation for 1 < p < 2); the characteristic of convexity is
+estimated on an epsilon grid, a desk-scale surrogate for a supremum over
+the whole interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
-
-
-class SolverError(RuntimeError):
-    """Convexity minimizer failed to converge from every start point."""
 
 
 def as_vector(coords, dim: int | None = None) -> np.ndarray:
@@ -59,155 +53,55 @@ def _norm_raw(p: float, v: np.ndarray) -> float:
     return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
 
 
-def _ppow(u: np.ndarray, p: float) -> float:
-    return float(np.sum(np.abs(u) ** p))
+def modulus_of_convexity(space: SpaceSpec, eps: float) -> float:
+    """Modulus of convexity of the space at ``eps``, in closed form.
 
+    delta(eps) = inf { 1 - ||x+y||/2 : ||x|| <= 1, ||y|| <= 1, ||x-y|| >= eps }.
 
-def _ppow_grad(u: np.ndarray, p: float) -> np.ndarray:
-    return p * np.sign(u) * np.abs(u) ** (p - 1.0)
+    - dim = 1: delta = eps/2.
+    - dim >= 2, p >= 2 (Clarkson 1936): delta = 1 - (1 - (eps/2)^p)^(1/p).
+    - dim >= 2, 1 < p < 2 (Hanner 1956): delta solves
+      (1 - delta + eps/2)^p + |1 - delta - eps/2|^p = 2. The left side falls
+      as delta rises, so the root in [0, 1] is unique and bisection finds it
+      to full precision. At eps = 2 it is a double root, delta = 1, which
+      bisection would only find to about 1e-8, so it is returned directly.
 
-
-@dataclass(frozen=True)
-class ModulusConfig:
-    """Settings for the constrained modulus-of-convexity minimization."""
-
-    section_dim: int | None = None  # ambient dim for the search; None = min(space.dim, 2)
-    n_starts: int = 4
-    maxiter: int = 300
-    ftol: float = 1e-14
-    seed: int = 0
-
-
-def _lp_normalize(v: np.ndarray, p: float) -> np.ndarray:
-    n = _ppow(v, p) ** (1.0 / p)
-    return v / n if n > 0 else v
-
-
-def _modulus_starts(p: float, eps: float, dim: int, cfg: ModulusConfig) -> list[np.ndarray]:
-    """Structured starts: axis-aligned section (optimal for p >= 2) and the
-    diagonal section where the p < 2 ball is flattest, plus random jitter."""
-    starts = []
-    half = min(eps / 2.0, 1.0)
-    a = max(1.0 - half ** p, 0.0) ** (1.0 / p)
-    x0 = np.zeros(dim)
-    y0 = np.zeros(dim)
-    if dim == 1:
-        x0[0] = 1.0
-        y0[0] = 1.0 - eps
-    else:
-        x0[0] = a
-        x0[1] = half
-        y0[0] = a
-        y0[1] = -half
-    starts.append(np.concatenate([x0, y0]))
-
-    if dim >= 2:
-        c = _lp_normalize(np.ones(dim), p)
-        d = np.zeros(dim)
-        d[0], d[1] = 1.0, -1.0
-        lo_t, hi_t = 0.0, 2.0
-        t = eps / (2.0 * _ppow(d, p) ** (1.0 / p))
-        for _ in range(40):
-            x = _lp_normalize(c + t * d, p)
-            y = _lp_normalize(c - t * d, p)
-            if _ppow(x - y, p) ** (1.0 / p) < eps:
-                lo_t = t
-            else:
-                hi_t = t
-            t = 0.5 * (lo_t + hi_t)
-        x1 = _lp_normalize(c + hi_t * d, p)
-        y1 = _lp_normalize(c - hi_t * d, p)
-        starts.append(np.concatenate([x1, y1]))
-
-    rng = np.random.default_rng(cfg.seed)
-    while len(starts) < cfg.n_starts:
-        starts.append(starts[0] + rng.normal(scale=0.05, size=2 * dim))
-    return starts
-
-
-def modulus_of_convexity(space: SpaceSpec, eps: float, cfg: ModulusConfig | None = None) -> float:
-    """Numerically approximate the modulus of convexity at ``eps``.
-
-    Minimizes 1 - ||x+y||/2 over pairs with ||x|| <= 1, ||y|| <= 1 and
-    ||x-y|| >= eps. The search runs in a low-dimensional section (default 2,
-    where the lp infimum is attained) using the smooth p-th power form of all
-    norms, multi-started to avoid the local optimum of the wrong section.
+    For dim >= 2 the infimum is attained in a 2-dimensional section, so the
+    value does not depend on dim.
 
     Raises
     ------
     ValueError
         If ``eps`` lies outside [0, 2].
-    SolverError
-        If no start converges; never silently returns a bad value.
     """
-    cfg = cfg or ModulusConfig()
     if not (0.0 <= eps <= 2.0):
         raise ValueError(f"eps must lie in [0, 2], got {eps}")
-    if eps <= 1e-14:
-        return 0.0  # attained by x = y
+    half = eps / 2.0
+    if space.dim == 1:
+        return half
     p = space.p
-    dim = cfg.section_dim if cfg.section_dim is not None else min(space.dim, 2)
-    epsp = eps ** p
-
-    def objective(z):
-        return -_ppow(z[:dim] + z[dim:], p)
-
-    def objective_grad(z):
-        g = _ppow_grad(z[:dim] + z[dim:], p)
-        return -np.concatenate([g, g])
-
-    constraints = [
-        {
-            "type": "ineq",
-            "fun": lambda z: 1.0 - _ppow(z[:dim], p),
-            "jac": lambda z: np.concatenate([-_ppow_grad(z[:dim], p), np.zeros(dim)]),
-        },
-        {
-            "type": "ineq",
-            "fun": lambda z: 1.0 - _ppow(z[dim:], p),
-            "jac": lambda z: np.concatenate([np.zeros(dim), -_ppow_grad(z[dim:], p)]),
-        },
-        {
-            "type": "ineq",
-            "fun": lambda z: _ppow(z[:dim] - z[dim:], p) - epsp,
-            "jac": lambda z: (lambda g: np.concatenate([g, -g]))(
-                _ppow_grad(z[:dim] - z[dim:], p)
-            ),
-        },
-    ]
-
-    best = None
-    for start in _modulus_starts(p, eps, dim, cfg):
-        res = minimize(
-            objective,
-            start,
-            jac=objective_grad,
-            method="SLSQP",
-            constraints=constraints,
-            options={"maxiter": cfg.maxiter, "ftol": cfg.ftol},
-        )
-        if res.success:
-            val = -res.fun
-            if best is None or val > best:
-                best = val
-    if best is None:
-        raise SolverError(f"modulus minimization failed for p={p}, eps={eps}")
-    delta = 1.0 - 0.5 * max(best, 0.0) ** (1.0 / p)
-    return min(max(delta, 0.0), 1.0)
-
-
-@lru_cache(maxsize=4096)
-def _cached_modulus(p: float, eps_key: float) -> float:
-    return modulus_of_convexity(SpaceSpec(dim=2, p=p), eps_key)
+    if p >= 2.0:
+        return 1.0 - (1.0 - half**p) ** (1.0 / p)
+    if eps == 2.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(64):  # 2^-64 is below the spacing of doubles near 1
+        mid = 0.5 * (lo + hi)
+        if (1.0 - mid + half) ** p + abs(1.0 - mid - half) ** p > 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo  # never above the root, so convexity bounds built on it stay sound
 
 
 @dataclass
 class ConvexityProfile:
     """Modulus values on an epsilon grid plus the estimated characteristic.
 
-    ``eps0`` is the largest grid epsilon whose delta sits below ``zero_tol``
-    (ten times the optimizer noise floor by default); for uniformly convex
-    spaces it must come out at most one grid step.
+    ``eps0`` is the largest grid epsilon whose delta sits below ``zero_tol``.
+    The characteristic of lp is 0, but for p >= 2 delta grows like
+    (eps/2)^p / p near 0, so with the default tolerance and the 101-point
+    grid the estimate is at most one grid step only up to about p = 4.
     """
 
     p: float
@@ -216,7 +110,7 @@ class ConvexityProfile:
     eps0: float
     zero_tol: float
 
-    MONOTONE_DIP_TOL = 1e-7  # permitted optimizer jitter between adjacent nodes
+    MONOTONE_DIP_TOL = 1e-7  # permitted jitter in deltas computed elsewhere
 
     def __post_init__(self):
         if self.epsilons.size == 0:
@@ -224,10 +118,10 @@ class ConvexityProfile:
         if np.any(self.deltas < -self.MONOTONE_DIP_TOL) or np.any(
             self.deltas > 1.0 + self.MONOTONE_DIP_TOL
         ):
-            raise SolverError("profile deltas escaped [0, 1]")
+            raise ValueError("profile deltas escaped [0, 1]")
         dips = np.diff(self.deltas)
         if np.any(dips < -self.MONOTONE_DIP_TOL):
-            raise SolverError("profile deltas are not non-decreasing along the grid")
+            raise ValueError("profile deltas are not non-decreasing along the grid")
 
     def delta_at(self, eps: float) -> float:
         """Delta at the largest grid node <= eps (a conservative lower value,
@@ -240,7 +134,6 @@ class ConvexityProfile:
 def convexity_profile(
     space: SpaceSpec,
     n_grid: int = 101,
-    cfg: ModulusConfig | None = None,
     zero_tol: float = 1e-8,
 ) -> ConvexityProfile:
     """Evaluate the modulus on a uniform grid over [0, 2].
@@ -250,7 +143,7 @@ def convexity_profile(
     if n_grid < 2:
         raise ValueError(f"epsilon grid needs at least 2 points, got {n_grid}")
     epsilons = np.linspace(0.0, 2.0, n_grid)
-    deltas = np.array([modulus_of_convexity(space, float(e), cfg) for e in epsilons])
+    deltas = np.array([modulus_of_convexity(space, float(e)) for e in epsilons])
     below = np.nonzero(deltas <= zero_tol)[0]
     eps0 = float(epsilons[below[-1]]) if below.size else 0.0
     return ConvexityProfile(
@@ -261,11 +154,10 @@ def convexity_profile(
 def characteristic_of_convexity(
     space: SpaceSpec,
     n_grid: int = 101,
-    cfg: ModulusConfig | None = None,
     zero_tol: float = 1e-8,
 ) -> float:
     """Estimated characteristic of convexity: sup of the grid zero set of delta."""
-    return convexity_profile(space, n_grid=n_grid, cfg=cfg, zero_tol=zero_tol).eps0
+    return convexity_profile(space, n_grid=n_grid, zero_tol=zero_tol).eps0
 
 
 def check_convexity_inequality(
@@ -285,8 +177,8 @@ def check_convexity_inequality(
     midpoint bound is the lam = 1/2 instance.
 
     ``delta_fn`` maps epsilon to a modulus value; by default deltas come from
-    cached direct minimization. Precondition violations raise ``ValueError``
-    naming the failing bound.
+    the closed form. Precondition violations raise ``ValueError`` naming the
+    failing bound.
     """
     xv = as_vector(x, dim=space.dim)
     yv = as_vector(y, dim=space.dim)
@@ -294,18 +186,19 @@ def check_convexity_inequality(
         raise ValueError(f"radius precondition failed: r={r} is not positive")
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda precondition failed: lam={lam} outside [0, 1]")
+    p = space.p
+    stacked = np.stack([xv, yv, xv - yv, lam * xv + (1.0 - lam) * yv])
+    nx, ny, nd, lhs = (np.sum(np.abs(stacked) ** p, axis=1) ** (1.0 / p)).tolist()
     guard = 1e-12
-    nx, ny = norm(space, xv), norm(space, yv)
     if nx > r * (1.0 + guard) + guard:
         raise ValueError(f"ball precondition failed: ||x||={nx} exceeds r={r}")
     if ny > r * (1.0 + guard) + guard:
         raise ValueError(f"ball precondition failed: ||y||={ny} exceeds r={r}")
 
-    eps_arg = min(norm(space, xv - yv) / r, 2.0)
-    if delta_fn is not None:
-        delta = delta_fn(eps_arg)
+    eps_arg = min(nd / r, 2.0)
+    if delta_fn is None:
+        delta = modulus_of_convexity(space, eps_arg)
     else:
-        delta = _cached_modulus(space.p, round(eps_arg, 12))
-    lhs = norm(space, lam * xv + (1.0 - lam) * yv)
+        delta = delta_fn(eps_arg)
     rhs = r * (1.0 - 2.0 * min(lam, 1.0 - lam) * delta)
     return lhs <= rhs + atol + rtol * abs(rhs)

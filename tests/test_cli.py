@@ -37,6 +37,24 @@ def test_modulus_stdout(capsys):
     assert out.startswith("epsilon,delta")
 
 
+@pytest.mark.parametrize("p", ["4", "10"])
+def test_modulus_large_p(tmp_path, p):
+    out = tmp_path / "modulus.csv"
+    assert main(["modulus", "--p", p, "--out", str(out)]) == 0
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 101
+    assert float(rows[-1]["delta"]) == 1.0
+
+
+def test_modulus_dim1_is_half_eps(tmp_path):
+    out = tmp_path / "modulus.csv"
+    assert main(["modulus", "--p", "3", "--dim", "1", "--eps-grid", "11", "--out", str(out)]) == 0
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["delta"]) for r in rows] == [float(r["epsilon"]) / 2.0 for r in rows]
+
+
 def test_order_check_orthant(capsys):
     assert main(["order", "check", "--cone", "orthant", "--dim", "3",
                  "--samples", "200", "--seed", "1"]) == 0

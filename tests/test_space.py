@@ -1,13 +1,18 @@
 """lp norms and convexity geometry."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize
 
+import orderfp
 from orderfp.space import (
     ConvexityProfile,
-    ModulusConfig,
     SpaceSpec,
     as_vector,
     characteristic_of_convexity,
@@ -25,21 +30,94 @@ def closed_form_delta2(eps: float) -> float:
     return 1.0 - math.sqrt(max(1.0 - eps * eps / 4.0, 0.0))
 
 
-def grid_search_delta(p: float, eps: float, n: int = 3000) -> float:
+def grid_search_delta(p: float, eps, n: int = 3000):
     """Brute-force oracle: minimize 1 - ||x+y||/2 over pairs on the lp unit
-    circle at lp distance >= eps (upper bound of the true infimum)."""
+    circle at lp distance >= eps (upper bound of the true infimum).
+
+    ``eps`` may be a scalar or an array; the result has the same shape."""
+    eps = np.asarray(eps, dtype=float)
     thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     scale = np.sum(np.abs(dirs) ** p, axis=1) ** (1.0 / p)
     pts = dirs / scale[:, None]
-    best = 1.0
+    best = np.ones(eps.shape)
     for i in range(n):
         diff = np.sum(np.abs(pts - pts[i]) ** p, axis=1) ** (1.0 / p)
-        mask = diff >= eps
-        if np.any(mask):
-            sums = np.sum(np.abs(pts[mask] + pts[i]) ** p, axis=1) ** (1.0 / p)
-            best = min(best, float(np.min(1.0 - 0.5 * sums)))
-    return best
+        gap = 1.0 - 0.5 * np.sum(np.abs(pts + pts[i]) ** p, axis=1) ** (1.0 / p)
+        order = np.argsort(diff)
+        # tail_min[k]: smallest gap among partners at the k-th smallest distance or more
+        tail_min = np.minimum.accumulate(gap[order][::-1])[::-1]
+        k = np.searchsorted(diff[order], eps, side="left")
+        best = np.where(k < n, np.minimum(best, tail_min[np.minimum(k, n - 1)]), best)
+    return float(best) if best.ndim == 0 else best
+
+
+def slsqp_delta(p: float, eps: float, dim: int) -> float:
+    """Independent oracle for p <= 3: minimize 1 - ||x+y||/2 over pairs in the
+    unit ball of R^dim with ||x-y|| >= eps by multi-start SLSQP on the smooth
+    p-th-power forms. Starts: the axis-aligned pair (optimal for p >= 2), the
+    diagonal pair where the p < 2 ball is flattest, and random jitter."""
+
+    def ppow(u):
+        return float(np.sum(np.abs(u) ** p))
+
+    def grad(u):
+        return p * np.sign(u) * np.abs(u) ** (p - 1.0)
+
+    def unit(v):
+        return v / ppow(v) ** (1.0 / p)
+
+    half = eps / 2.0
+    x0, y0 = np.zeros(dim), np.zeros(dim)
+    x0[:2] = (max(1.0 - half**p, 0.0) ** (1.0 / p), half)
+    y0[:2] = (x0[0], -half)
+    starts = [np.concatenate([x0, y0])]
+    c = unit(np.ones(dim))
+    d = np.zeros(dim)
+    d[:2] = (1.0, -1.0)
+    lo, hi = 0.0, 2.0  # bisect the offset t so that the diagonal pair sits at distance eps
+    for _ in range(40):
+        t = 0.5 * (lo + hi)
+        if ppow(unit(c + t * d) - unit(c - t * d)) ** (1.0 / p) < eps:
+            lo = t
+        else:
+            hi = t
+    starts.append(np.concatenate([unit(c + hi * d), unit(c - hi * d)]))
+    rng = np.random.default_rng(0)
+    starts += [starts[0] + rng.normal(scale=0.05, size=2 * dim) for _ in range(2)]
+
+    zero = np.zeros(dim)
+    constraints = [
+        {"type": "ineq", "fun": lambda z: 1.0 - ppow(z[:dim]),
+         "jac": lambda z: np.concatenate([-grad(z[:dim]), zero])},
+        {"type": "ineq", "fun": lambda z: 1.0 - ppow(z[dim:]),
+         "jac": lambda z: np.concatenate([zero, -grad(z[dim:])])},
+        {"type": "ineq", "fun": lambda z: ppow(z[:dim] - z[dim:]) - eps**p,
+         "jac": lambda z: np.concatenate([grad(z[:dim] - z[dim:]), -grad(z[:dim] - z[dim:])])},
+    ]
+    best = None
+    for start in starts:
+        res = minimize(lambda z: -ppow(z[:dim] + z[dim:]), start,
+                       jac=lambda z: -np.tile(grad(z[:dim] + z[dim:]), 2),
+                       method="SLSQP", constraints=constraints,
+                       options={"maxiter": 300, "ftol": 1e-14})
+        if res.success and (best is None or -res.fun > best):
+            best = -res.fun
+    assert best is not None, f"SLSQP failed from every start at p={p}, eps={eps}"
+    return 1.0 - 0.5 * max(best, 0.0) ** (1.0 / p)
+
+
+def hanner_delta(p: float, eps: float) -> float:
+    """1 < p < 2: the root of (1-d+e/2)^p + |1-d-e/2|^p = 2 by brentq."""
+    if eps == 2.0:
+        return 1.0  # double root, where brentq needs a sign change
+    return brentq(lambda d: (1 - d + eps / 2) ** p + abs(1 - d - eps / 2) ** p - 2.0,
+                  0.0, 1.0, xtol=1e-15)
+
+
+def clarkson_delta(p: float, eps: float) -> float:
+    """p >= 2: 1 - (1 - (eps/2)^p)^(1/p)."""
+    return 1.0 - (1.0 - (eps / 2.0) ** p) ** (1.0 / p)
 
 
 class TestVectorsAndNorm:
@@ -117,18 +195,10 @@ class TestModulus:
 
     def test_p_below_2_two_point_equation(self):
         # independent oracle: delta solves (1-d+e/2)^p + |1-d-e/2|^p = 2
-        from scipy.optimize import brentq
-
         for p in (1.5, 1.8):
             for eps in (0.5, 1.0, 1.5):
-                implicit = brentq(
-                    lambda d: (1 - d + eps / 2) ** p + abs(1 - d - eps / 2) ** p - 2.0,
-                    0.0,
-                    1.0,
-                    xtol=1e-15,
-                )
                 got = modulus_of_convexity(SpaceSpec(dim=2, p=p), eps)
-                assert abs(got - implicit) < 1e-9
+                assert abs(got - hanner_delta(p, eps)) < 1e-9
 
     def test_eps_out_of_range(self):
         with pytest.raises(ValueError):
@@ -137,12 +207,28 @@ class TestModulus:
             modulus_of_convexity(P2, 2.1)
 
     def test_dim3_section_agrees(self):
-        for p in (1.5, 2.0):
+        # the SLSQP oracle in 2- and 3-dimensional sections finds the closed form
+        for p in (1.5, 2.0, 3.0):
             space = SpaceSpec(dim=3, p=p)
             for eps in (0.5, 1.5):
-                d2 = modulus_of_convexity(space, eps, ModulusConfig(section_dim=2))
-                d3 = modulus_of_convexity(space, eps, ModulusConfig(section_dim=3))
-                assert abs(d2 - d3) < 1e-8
+                closed = modulus_of_convexity(space, eps)
+                for section in (2, 3):
+                    assert abs(slsqp_delta(p, eps, section) - closed) < 1e-8
+
+    @pytest.mark.parametrize("p", [1.1, 1.3, 1.5, 1.9, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0])
+    def test_closed_form_sweep(self, p):
+        grid = np.linspace(0.0, 2.0, 101)
+        space = SpaceSpec(dim=2, p=p)
+        got = np.array([modulus_of_convexity(space, float(e)) for e in grid])
+        oracle = hanner_delta if p < 2.0 else clarkson_delta
+        expected = np.array([oracle(p, float(e)) for e in grid])
+        assert np.max(np.abs(got - expected)) < 1e-12
+        # at eps = 2 only antipodal pairs are feasible, so delta = 1; the grid
+        # oracle cannot vouch for it, as at p = 10 a pair 1e-15 short of
+        # distance 2 rounds to 2 and has a gap of only 0.97
+        assert got[-1] == 1.0
+        assert np.all(got[:-1] <= grid_search_delta(p, grid[:-1], n=600) + 1e-12)
+        assert np.all(np.diff(got) >= 0.0)
 
     def test_deterministic(self):
         a = modulus_of_convexity(SpaceSpec(dim=2, p=1.7), 0.9)
@@ -192,8 +278,11 @@ class TestProfileAndCharacteristic:
 
     def test_bad_profile_rejected(self):
         eps = np.array([0.0, 1.0, 2.0])
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="non-decreasing"):
             ConvexityProfile(p=2.0, epsilons=eps, deltas=np.array([0.0, 0.5, 0.1]),
+                             eps0=0.0, zero_tol=1e-8)
+        with pytest.raises(ValueError, match=r"escaped \[0, 1\]"):
+            ConvexityProfile(p=2.0, epsilons=eps, deltas=np.array([0.0, 0.5, 1.5]),
                              eps0=0.0, zero_tol=1e-8)
         with pytest.raises(ValueError):
             ConvexityProfile(p=2.0, epsilons=np.array([]), deltas=np.array([]),
@@ -254,3 +343,12 @@ class TestKadecKleeDeskScale:
         assert coord_gap[-1] < 1e-7 and norm_gap[-1] < 1e-7
         assert dist[-1] < 1e-6
         assert dist[-1] <= dist[0]
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; importing the package must not pull it in
+    code = "import sys, orderfp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env_path = str(Path(orderfp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=env_path),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
