@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from orderfp.mapping import DomainError, MappingSpec, _domain_contains_raw
-from orderfp.order import MEMBERSHIP_TOL, ConeSpec, leq, _member_raw
+from orderfp.order import MEMBERSHIP_TOL, ConeSpec, _member_raw
 from orderfp.space import SpaceSpec, as_vector, _norm_raw
 
 CONVERGED = "converged"
@@ -59,6 +59,12 @@ class OrbitRecord:
         return self.points.shape[0]
 
 
+def _step_flags(points: np.ndarray, cone: ConeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step order flags x_n <= x_{n+1} (up) and x_{n+1} <= x_n (down)."""
+    steps = points[1:] - points[:-1]
+    return _member_raw(cone, steps, MEMBERSHIP_TOL), _member_raw(cone, -steps, MEMBERSHIP_TOL)
+
+
 def _orbit(
     spec: MappingSpec,
     x0,
@@ -69,20 +75,20 @@ def _orbit(
     scheme: str,
 ) -> OrbitRecord:
     x = as_vector(x0, dim=spec.dim)
-    if not _domain_contains_raw(spec.domain, x, MEMBERSHIP_TOL):
+    domain, evaluate = spec.domain, spec.op.evaluate
+    if not _domain_contains_raw(domain, x, MEMBERSHIP_TOL):
         raise DomainError(f"starting point {x} lies outside the mapping domain")
     p = space.p
     points = [x]
     residuals: list[float] = []
     norms = [_norm_raw(p, x)]
-    up: list[bool] = []
-    down: list[bool] = []
     verdict = MAX_ITER_REACHED
 
+    # only what a stopping rule reads is computed per step; the order flags
+    # are derived once from the recorded points after the loop
     for n in range(cfg.max_iter):
-        x = points[-1]
-        tx = spec.op.evaluate(x)
-        if not _domain_contains_raw(spec.domain, tx, 1e-9):
+        tx = evaluate(x)
+        if not _domain_contains_raw(domain, tx, 1e-9):
             raise DomainError(f"map escaped its domain at step {n}: image {tx}")
         res = _norm_raw(p, tx - x)
         residuals.append(res)
@@ -90,36 +96,32 @@ def _orbit(
             verdict = CONVERGED
             break
         if beta_fn is None:
-            x_next = tx
+            x = tx
         else:
             beta = float(beta_fn(n))
             if not (0.0 <= beta <= 1.0):
                 raise ValueError(f"invalid Mann schedule: beta_{n}={beta} outside [0, 1]")
-            x_next = beta * x + (1.0 - beta) * tx
-        step = x_next - x
-        up.append(_member_raw(cone, step, MEMBERSHIP_TOL))
-        down.append(_member_raw(cone, -step, MEMBERSHIP_TOL))
-        points.append(x_next)
-        norms.append(_norm_raw(p, x_next))
+            x = beta * x + (1.0 - beta) * tx
+        points.append(x)
+        norms.append(_norm_raw(p, x))
         if norms[-1] > cfg.bound_threshold and len(norms) > cfg.window:
             if norms[-1] > norms[-1 - cfg.window]:
                 verdict = UNBOUNDED_SUSPECTED
                 break
 
     if len(residuals) < len(points):
-        tail = points[-1]
-        residuals.append(_norm_raw(p, spec.op.evaluate(tail) - tail))
+        residuals.append(_norm_raw(p, evaluate(x) - x))
 
-    up_arr = np.asarray(up, dtype=bool)
-    down_arr = np.asarray(down, dtype=bool)
-    if up_arr.size == 0 or bool(np.all(up_arr)):
+    pts = np.asarray(points)
+    up_arr, down_arr = _step_flags(pts, cone)
+    if up_arr.all():
         order = INCREASING
-    elif bool(np.all(down_arr)):
+    elif down_arr.all():
         order = DECREASING
     else:
         order = NEITHER
     return OrbitRecord(
-        points=np.asarray(points),
+        points=pts,
         residuals=np.asarray(residuals),
         norms=np.asarray(norms),
         leq_up=up_arr,
@@ -165,6 +167,13 @@ def mann_orbit(
     return _orbit(spec, x0, cone, space, cfg or IterationConfig(), beta_fn, "mann")
 
 
+def _checked_points(record: OrbitRecord, cone: ConeSpec) -> np.ndarray:
+    # validated once for the whole record, with the errors leq gives a bad point
+    as_vector(record.points[0], dim=cone.dim)
+    as_vector(record.points.ravel())
+    return record.points
+
+
 @dataclass
 class ChainVerdict:
     increasing: bool
@@ -181,15 +190,9 @@ def check_orbit_monotone(record: OrbitRecord, cone: ConeSpec) -> ChainVerdict:
     """
     if len(record) == 0:
         raise ValueError("empty orbit record")
-    first_up = None
-    first_down = None
-    for n in range(len(record) - 1):
-        if first_up is None and not leq(cone, record.points[n], record.points[n + 1]):
-            first_up = n
-        if first_down is None and not leq(cone, record.points[n + 1], record.points[n]):
-            first_down = n
-        if first_up is not None and first_down is not None:
-            break
+    up, down = _step_flags(_checked_points(record, cone), cone)
+    first_up = int(np.argmin(up)) if not up.all() else None
+    first_down = int(np.argmin(down)) if not down.all() else None
     return ChainVerdict(
         increasing=first_up is None,
         decreasing=first_down is None,
@@ -210,15 +213,12 @@ def monotone_limit(record: OrbitRecord, cone: ConeSpec, order_tol: float = 1e-9)
         raise ValueError("orbit is not order-monotone; no monotone limit")
     if record.verdict == UNBOUNDED_SUSPECTED:
         raise ValueError("orbit flagged unbounded; no limit to report")
-    limit = record.points[-1]
-    for n in range(len(record)):
-        ok = (
-            leq(cone, record.points[n], limit, tol=order_tol)
-            if record.order_monotone == INCREASING
-            else leq(cone, limit, record.points[n], tol=order_tol)
-        )
-        if not ok:
-            raise ValueError(f"order bound violated at index {n}: orbit point vs limit")
+    points = _checked_points(record, cone)
+    limit = points[-1]
+    gaps = limit - points if record.order_monotone == INCREASING else points - limit
+    ok = _member_raw(cone, gaps, order_tol)
+    if not ok.all():
+        raise ValueError(f"order bound violated at index {int(np.argmin(ok))}: orbit point vs limit")
     return limit.copy()
 
 

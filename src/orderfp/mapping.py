@@ -238,18 +238,19 @@ class Domain:
 
 
 def domain_contains(domain: Domain, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    return _domain_contains_raw(domain, as_vector(x, dim=domain.dim), tol)
+    return bool(_domain_contains_raw(domain, as_vector(x, dim=domain.dim), tol))
 
 
-def _domain_contains_raw(domain: Domain, v: np.ndarray, tol: float) -> bool:
-    # hot-loop path: assumes a validated 1-D float array
+def _domain_contains_raw(domain: Domain, v: np.ndarray, tol: float):
+    # hot-loop path: assumes validated float rows, coordinates on the last
+    # axis; one flag per row
     if domain.kind == DOMAIN_CONE:
         return _member_raw(domain.cone, v, tol)
     if domain.kind == DOMAIN_INTERVAL:
-        return _member_raw(domain.cone, v - domain.lo, tol) and _member_raw(
+        return _member_raw(domain.cone, v - domain.lo, tol) & _member_raw(
             domain.cone, domain.hi - v, tol
         )
-    return bool(np.all(v >= domain.lo - tol) and np.all(v <= domain.hi + tol))
+    return ((v >= domain.lo - tol) & (v <= domain.hi + tol)).all(axis=-1)
 
 
 @dataclass
@@ -281,13 +282,15 @@ def apply_map(spec: MappingSpec, x, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
 def validate_self_map(spec: MappingSpec, n_samples: int = 64, seed: int = 0) -> None:
     """Reject specs whose operation escapes the declared domain on samples."""
     rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        x = sample_domain_point(spec, rng)
-        y = spec.op.evaluate(x)
-        if not domain_contains(spec.domain, y, tol=1e-9):
-            raise DomainError(
-                f"not a self-map: image {y} of sample {x} escapes the domain"
-            )
+    xs = [sample_domain_point(spec, rng) for _ in range(n_samples)]
+    ys = np.asarray([spec.op.evaluate(x) for x in xs], dtype=float).reshape(len(xs), spec.dim)
+    ok = np.isfinite(ys).all(axis=-1) & _domain_contains_raw(spec.domain, ys, 1e-9)
+    if not ok.all():
+        k = int(np.argmin(ok))  # the first failing sample
+        as_vector(ys[k])  # a non-finite image raises ValueError here
+        raise DomainError(
+            f"not a self-map: image {ys[k]} of sample {xs[k]} escapes the domain"
+        )
 
 
 def make_mapping(op, domain: Domain, n_check_samples: int = 64, seed: int = 0) -> MappingSpec:

@@ -39,13 +39,17 @@ class ConeSpec:
 
 def contains(cone: ConeSpec, x, tol: float = MEMBERSHIP_TOL) -> bool:
     """Cone membership, tolerance-aware on the boundary."""
-    return _member_raw(cone, as_vector(x, dim=cone.dim), tol)
+    return bool(_member_raw(cone, as_vector(x, dim=cone.dim), tol))
 
 
-def _member_raw(cone: ConeSpec, v: np.ndarray, tol: float) -> bool:
-    # hot-loop path: assumes a validated 1-D float array
+def _member_raw(cone: ConeSpec, v: np.ndarray, tol: float):
+    # hot-loop path: assumes validated float rows, coordinates on the last
+    # axis; one flag per row. Lorentz rows go one at a time through the 1-D
+    # rule, so the head norm is computed exactly as for a single vector.
     if cone.kind == ORTHANT:
-        return bool(np.all(v >= -tol))
+        return v.min(axis=-1) >= -tol
+    if v.ndim > 1:
+        return np.array([_member_raw(cone, row, tol) for row in v], dtype=bool)
     return float(v[-1]) >= float(np.linalg.norm(v[:-1])) - tol
 
 

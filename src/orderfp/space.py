@@ -50,7 +50,7 @@ def norm(space: SpaceSpec, x) -> float:
 
 def _norm_raw(p: float, v: np.ndarray) -> float:
     # hot-loop path: assumes a validated 1-D float array
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+    return float((np.abs(v) ** p).sum() ** (1.0 / p))
 
 
 def modulus_of_convexity(space: SpaceSpec, eps: float) -> float:

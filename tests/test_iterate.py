@@ -11,7 +11,9 @@ from orderfp.iterate import (
     IterationConfig,
     MAX_ITER_REACHED,
     NEITHER,
+    OrbitRecord,
     UNBOUNDED_SUSPECTED,
+    ChainVerdict,
     check_orbit_monotone,
     mann_orbit,
     monotone_limit,
@@ -19,8 +21,17 @@ from orderfp.iterate import (
     read_orbit_points,
     write_orbit_csv,
 )
-from orderfp.mapping import AffineMap, Domain, DomainError, MappingSpec, make_mapping, TranslationMap
-from orderfp.order import ConeSpec
+from orderfp.mapping import (
+    AffineMap,
+    Domain,
+    DomainError,
+    MappingSpec,
+    TranslationMap,
+    _domain_contains_raw,
+    make_mapping,
+    sample_domain_point,
+)
+from orderfp.order import MEMBERSHIP_TOL, ConeSpec, _member_raw, leq
 from orderfp.space import SpaceSpec, norm
 
 ORTH2 = ConeSpec(kind="orthant", dim=2)
@@ -200,3 +211,336 @@ class TestCsvRoundTrip:
         path.write_text("n,x0,x1,residual,norm,leq_up,leq_down\n")
         with pytest.raises(ValueError):
             read_orbit_points(path)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the scalar per-step engine and the pair-by-pair chain
+# checks, kept verbatim so the row-wise engine can be held to the same bits
+
+
+def _ref_member(cone, v, tol):
+    if cone.kind == "orthant":
+        return bool(np.all(v >= -tol))
+    return float(v[-1]) >= float(np.linalg.norm(v[:-1])) - tol
+
+
+def _ref_domain_contains(domain, v, tol):
+    if domain.kind == "cone":
+        return _ref_member(domain.cone, v, tol)
+    if domain.kind == "interval":
+        return _ref_member(domain.cone, v - domain.lo, tol) and _ref_member(
+            domain.cone, domain.hi - v, tol
+        )
+    return bool(np.all(v >= domain.lo - tol) and np.all(v <= domain.hi + tol))
+
+
+def _ref_norm(p, v):
+    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+
+
+def reference_orbit(spec, x0, cone, space, cfg, beta_fn=None):
+    """The scalar engine: order flags computed inside the loop, step by step."""
+    x = np.asarray(x0, dtype=float)
+    if not _ref_domain_contains(spec.domain, x, MEMBERSHIP_TOL):
+        raise DomainError(f"starting point {x} lies outside the mapping domain")
+    p = space.p
+    points, residuals, norms, up, down = [x], [], [_ref_norm(p, x)], [], []
+    verdict = MAX_ITER_REACHED
+    for n in range(cfg.max_iter):
+        x = points[-1]
+        tx = spec.op.evaluate(x)
+        if not _ref_domain_contains(spec.domain, tx, 1e-9):
+            raise DomainError(f"map escaped its domain at step {n}: image {tx}")
+        res = _ref_norm(p, tx - x)
+        residuals.append(res)
+        if res <= cfg.residual_tol:
+            verdict = CONVERGED
+            break
+        if beta_fn is None:
+            x_next = tx
+        else:
+            beta = float(beta_fn(n))
+            if not (0.0 <= beta <= 1.0):
+                raise ValueError(f"invalid Mann schedule: beta_{n}={beta} outside [0, 1]")
+            x_next = beta * x + (1.0 - beta) * tx
+        step = x_next - x
+        up.append(_ref_member(cone, step, MEMBERSHIP_TOL))
+        down.append(_ref_member(cone, -step, MEMBERSHIP_TOL))
+        points.append(x_next)
+        norms.append(_ref_norm(p, x_next))
+        if norms[-1] > cfg.bound_threshold and len(norms) > cfg.window:
+            if norms[-1] > norms[-1 - cfg.window]:
+                verdict = UNBOUNDED_SUSPECTED
+                break
+    if len(residuals) < len(points):
+        tail = points[-1]
+        residuals.append(_ref_norm(p, spec.op.evaluate(tail) - tail))
+    up_arr = np.asarray(up, dtype=bool)
+    down_arr = np.asarray(down, dtype=bool)
+    if up_arr.size == 0 or bool(np.all(up_arr)):
+        order = INCREASING
+    elif bool(np.all(down_arr)):
+        order = DECREASING
+    else:
+        order = NEITHER
+    return OrbitRecord(
+        points=np.asarray(points),
+        residuals=np.asarray(residuals),
+        norms=np.asarray(norms),
+        leq_up=up_arr,
+        leq_down=down_arr,
+        order_monotone=order,
+        verdict=verdict,
+        scheme="picard" if beta_fn is None else "mann",
+    )
+
+
+def reference_chain(record, cone):
+    first_up = first_down = None
+    for n in range(len(record) - 1):
+        if first_up is None and not leq(cone, record.points[n], record.points[n + 1]):
+            first_up = n
+        if first_down is None and not leq(cone, record.points[n + 1], record.points[n]):
+            first_down = n
+        if first_up is not None and first_down is not None:
+            break
+    return ChainVerdict(first_up is None, first_down is None, first_up, first_down)
+
+
+def reference_limit(record, cone, order_tol=1e-9):
+    limit = record.points[-1]
+    for n in range(len(record)):
+        ok = (
+            leq(cone, record.points[n], limit, tol=order_tol)
+            if record.order_monotone == INCREASING
+            else leq(cone, limit, record.points[n], tol=order_tol)
+        )
+        if not ok:
+            raise ValueError(f"order bound violated at index {n}: orbit point vs limit")
+    return limit.copy()
+
+
+def outcome(fn, *args):
+    """What a call returns or raises, in a form two engines can be compared by."""
+    try:
+        return ("returned", fn(*args))
+    except ValueError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def assert_same_record(rec, ref):
+    for name in ("points", "residuals", "norms", "leq_up", "leq_down"):
+        got, want = getattr(rec, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    assert (rec.order_monotone, rec.verdict, rec.scheme) == (
+        ref.order_monotone, ref.verdict, ref.scheme
+    )
+
+
+LOR3 = ConeSpec(kind="lorentz", dim=3)
+
+
+def lorentz_rotation_map():
+    """Self-map of the Lorentz cone in R^3: rotate the head and shrink it faster
+    than the axis, so the order flags of one orbit can switch."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    matrix = np.array([[0.5 * c, -0.5 * s, 0.0], [0.5 * s, 0.5 * c, 0.0], [0.0, 0.0, 0.9]])
+    return make_mapping(AffineMap(matrix, np.array([0.0, 0.0, 1.0])), Domain(kind="cone", cone=LOR3))
+
+
+def interval_map(cone):
+    """x -> x/2 + hi/4, a self-map of the order interval [0, hi] under ``cone``."""
+    hi = np.zeros(cone.dim)
+    hi[-1] = 8.0
+    domain = Domain(kind="interval", cone=cone, lo=np.zeros(cone.dim), hi=hi)
+    return make_mapping(AffineMap(0.5 * np.eye(cone.dim), hi / 4.0), domain)
+
+
+def _random_map(dim, rho):
+    return corpus.random_nonneg_affine(dim, rho, np.random.default_rng(1000 * dim + int(100 * rho)))
+
+
+class TestReferenceEngine:
+    @pytest.mark.parametrize("name", [e.name for e in corpus.alpha_corpus()])
+    @pytest.mark.parametrize("start", ["zero", "sampled"])
+    def test_alpha_corpus(self, name, start):
+        entry = next(e for e in corpus.alpha_corpus() if e.name == name)
+        spec = entry.spec
+        x0 = np.zeros(spec.dim)
+        if start == "sampled":
+            x0 = sample_domain_point(spec, np.random.default_rng(7))
+        cone = spec.domain.cone
+        assert_same_record(
+            picard_orbit(spec, x0, cone, entry.space, SMALL),
+            reference_orbit(spec, x0, cone, entry.space, SMALL),
+        )
+
+    @pytest.mark.parametrize("dim", [2, 5, 20])
+    @pytest.mark.parametrize("rho", [0.5, 0.95])
+    def test_random_nonneg_affine(self, dim, rho):
+        spec = _random_map(dim, rho)
+        cone = ConeSpec(kind="orthant", dim=dim)
+        space = SpaceSpec(dim=dim, p=3.0)
+        # from zero the orbit rises; from a random start the flags are mixed
+        for x0 in (np.zeros(dim), np.random.default_rng(dim).uniform(0.0, 5.0, size=dim)):
+            assert_same_record(
+                picard_orbit(spec, x0, cone, space, SMALL),
+                reference_orbit(spec, x0, cone, space, SMALL),
+            )
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0], [3.0, 0.0, 3.5], [1.0, 0.0, 20.0]])
+    def test_lorentz_cone_map(self, x0):
+        spec = lorentz_rotation_map()
+        space = SpaceSpec(dim=3, p=1.5)
+        rec = picard_orbit(spec, x0, LOR3, space, SMALL)
+        assert_same_record(rec, reference_orbit(spec, x0, LOR3, space, SMALL))
+
+    @pytest.mark.parametrize("cone", [ConeSpec(kind="orthant", dim=2), LOR3])
+    def test_interval_domain(self, cone):
+        spec = interval_map(cone)
+        space = SpaceSpec(dim=cone.dim, p=2.0)
+        x0 = np.zeros(cone.dim)
+        assert_same_record(
+            picard_orbit(spec, x0, cone, space, SMALL),
+            reference_orbit(spec, x0, cone, space, SMALL),
+        )
+
+    @pytest.mark.parametrize(
+        "schedule, beta_fn",
+        [
+            (0.5, lambda n: 0.5),
+            ([0.5, 0.25, 0.75], lambda n: [0.5, 0.25, 0.75][min(n, 2)]),
+            (lambda n: 1.0 / (n + 2), lambda n: 1.0 / (n + 2)),
+        ],
+        ids=["constant", "sequence", "callable"],
+    )
+    @pytest.mark.parametrize("spec_fn", [lambda: corpus.affine_contraction(2), lambda: _random_map(2, 0.95)])
+    def test_mann_schedules(self, schedule, beta_fn, spec_fn):
+        spec = spec_fn()
+        x0 = [3.0, 0.5]
+        assert_same_record(
+            mann_orbit(spec, x0, schedule, ORTH2, P2, SMALL),
+            reference_orbit(spec, x0, ORTH2, P2, SMALL, beta_fn),
+        )
+
+    def test_max_iter_reached(self):
+        cfg = IterationConfig(max_iter=25)
+        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2, cfg)
+        assert rec.verdict == MAX_ITER_REACHED and len(rec) == 26
+        assert_same_record(rec, reference_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2, cfg))
+
+    def test_runtime_escape_same_error(self):
+        esc = MappingSpec(
+            op=TranslationMap(shift=np.array([-1.0, -1.0])),
+            domain=Domain(kind="cone", cone=ORTH2),
+        )
+        got = outcome(picard_orbit, esc, [1.5, 1.5], ORTH2, P2)
+        want = outcome(reference_orbit, esc, [1.5, 1.5], ORTH2, P2, IterationConfig())
+        assert got[0] == "raised" and got[1] is DomainError
+        assert got == want
+
+
+class TestRowWiseMembership:
+    DOMAINS = [
+        Domain(kind="cone", cone=ORTH2),
+        Domain(kind="cone", cone=LOR3),
+        Domain(kind="interval", cone=ORTH2, lo=np.zeros(2), hi=np.array([1.0, 0.5])),
+        Domain(kind="interval", cone=LOR3, lo=np.zeros(3), hi=np.array([0.0, 0.0, 2.0])),
+        Domain(kind="box", cone=ORTH2, lo=np.full(2, -1.0), hi=np.zeros(2)),
+    ]
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=["orthant", "lorentz", "orthant-interval",
+                                                     "lorentz-interval", "box"])
+    def test_rows_match_scalar_rule(self, domain):
+        rng = np.random.default_rng(11)
+        rows = rng.uniform(-1.5, 2.5, size=(400, domain.dim))
+        rows[:3] = [domain.lo if domain.lo is not None else np.zeros(domain.dim)] * 3
+        rows[1, -1] -= 1e-12  # just inside the tolerance
+        rows[2, -1] -= 1e-6   # just outside
+        got = _domain_contains_raw(domain, rows, 1e-9)
+        want = [_ref_domain_contains(domain, v, 1e-9) for v in rows]
+        assert got.dtype == bool and got.shape == (400,)
+        assert got.tolist() == want
+        assert 0 < sum(want) < 400
+        if domain.kind == "cone":
+            assert _member_raw(domain.cone, rows, 1e-9).tolist() == want
+
+
+def _hand_record(points, order=INCREASING, cone=ORTH2):
+    pts = np.asarray(points, dtype=float)
+    return OrbitRecord(
+        points=pts,
+        residuals=np.zeros(len(pts)),
+        norms=np.zeros(len(pts)),
+        leq_up=np.zeros(len(pts) - 1, dtype=bool),
+        leq_down=np.zeros(len(pts) - 1, dtype=bool),
+        order_monotone=order,
+        verdict=CONVERGED,
+        scheme="picard",
+    )
+
+
+class TestRowWiseChainChecks:
+    # up fails first at step 2 (x2 -> x3 drops a coordinate); down fails at step 0
+    MIXED = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.5, 3.0], [3.0, 3.0]]
+
+    def test_known_first_violations(self):
+        rec = _hand_record(self.MIXED)
+        chain = check_orbit_monotone(rec, ORTH2)
+        assert (chain.first_up_violation, chain.first_down_violation) == (2, 0)
+        assert chain == reference_chain(rec, ORTH2)
+
+    def test_first_down_violation_after_first_up(self):
+        rec = _hand_record([[3.0, 3.0], [2.0, 2.0], [2.5, 1.0], [1.0, 1.0]])
+        chain = check_orbit_monotone(rec, ORTH2)
+        assert (chain.first_up_violation, chain.first_down_violation) == (0, 1)
+        assert chain == reference_chain(rec, ORTH2)
+
+    @pytest.mark.parametrize(
+        "points, order",
+        [
+            (MIXED, INCREASING),  # x3 = (1.5, 3) exceeds nothing: bound holds
+            ([[0.0, 0.0], [1.0, 4.0], [2.0, 2.0], [3.0, 3.0]], INCREASING),  # fails at 1
+            ([[5.0, 5.0], [4.0, 4.0], [2.0, 4.5], [3.0, 3.0]], DECREASING),  # fails at 2
+            ([[5.0, 5.0], [3.0, 3.0 - 5e-10], [3.0, 3.0]], DECREASING),  # inside order_tol
+        ],
+    )
+    def test_monotone_limit_matches_pairwise(self, points, order):
+        rec = _hand_record(points, order)
+        got, want = outcome(monotone_limit, rec, ORTH2), outcome(reference_limit, rec, ORTH2)
+        assert got[0] == want[0]
+        if got[0] == "returned":
+            assert np.array_equal(got[1], want[1])
+        else:
+            assert got[1:] == want[1:]
+
+    def test_one_point_record(self):
+        rec = _hand_record([[1.0, 2.0]])
+        assert check_orbit_monotone(rec, ORTH2) == ChainVerdict(True, True, None, None)
+        assert check_orbit_monotone(rec, ORTH2) == reference_chain(rec, ORTH2)
+        assert np.array_equal(monotone_limit(rec, ORTH2), reference_limit(rec, ORTH2))
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0], [3.0, 0.0, 3.5], [1.0, 0.0, 20.0]])
+    def test_lorentz_orbit_records(self, x0):
+        rec = picard_orbit(lorentz_rotation_map(), x0, LOR3, SpaceSpec(dim=3, p=2.0), SMALL)
+        assert check_orbit_monotone(rec, LOR3) == reference_chain(rec, LOR3)
+        if rec.order_monotone != NEITHER:
+            assert np.array_equal(monotone_limit(rec, LOR3), reference_limit(rec, LOR3))
+
+    def test_lorentz_hand_record(self):
+        # (0,0,1) -> (0.5,0,2): head 0.5 <= 1, up; (0.5,0,2) -> (2,0,2.5): head 1.5 > 0.5
+        pts = [[0.0, 0.0, 1.0], [0.5, 0.0, 2.0], [2.0, 0.0, 2.5], [2.0, 0.0, 4.0]]
+        for order in (INCREASING, DECREASING):
+            rec = _hand_record(pts, order, LOR3)
+            assert check_orbit_monotone(rec, LOR3) == reference_chain(rec, LOR3)
+            got, want = outcome(monotone_limit, rec, LOR3), outcome(reference_limit, rec, LOR3)
+            assert got[0] == want[0] and (got[0] == "returned" or got[1:] == want[1:])
+
+    def test_invalid_points_rejected_like_leq(self):
+        rec = _hand_record([[0.0, 0.0], [1.0, np.inf]])
+        assert outcome(check_orbit_monotone, rec, ORTH2) == outcome(reference_chain, rec, ORTH2)
+        wrong_dim = ConeSpec(kind="orthant", dim=3)
+        rec = _hand_record([[0.0, 0.0], [1.0, 1.0]])
+        got = outcome(check_orbit_monotone, rec, wrong_dim)
+        assert got[0] == "raised" and got == outcome(reference_chain, rec, wrong_dim)

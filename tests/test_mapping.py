@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from orderfp.mapping import (
     sample_comparable_pair,
     sample_domain_point,
     save_mapping,
+    validate_self_map,
 )
 from orderfp.order import ConeSpec, leq
 from orderfp.space import SpaceSpec
@@ -91,6 +93,75 @@ class TestApply:
             apply_map(spec, [0.3])
         with pytest.raises(DomainError):
             apply_map(spec, [3.5])
+
+
+def reference_validate_self_map(spec, n_samples=64, seed=0):
+    """The sample-by-sample self-map check, kept as the reference."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_samples):
+        x = sample_domain_point(spec, rng)
+        y = spec.op.evaluate(x)
+        if not domain_contains(spec.domain, y, tol=1e-9):
+            raise DomainError(f"not a self-map: image {y} of sample {x} escapes the domain")
+
+
+@dataclass
+class BlowUpMap:
+    """Shift the first coordinate by ``shift``; it overflows above ``cut``."""
+
+    cut: float
+    shift: float = 0.0
+    dim: int = 2
+
+    def evaluate(self, x):
+        return np.array([np.inf if x[0] > self.cut else x[0] + self.shift, x[1]])
+
+
+LOR2 = ConeSpec(kind="lorentz", dim=2)
+
+
+class TestValidateSelfMap:
+    # with seed 3 the first failing sample is number 10, 7, 3, 12, 32, 32 and
+    # 7; the two BlowUpMaps on the box also fail later samples the other way
+    @pytest.mark.parametrize(
+        "spec, raises",
+        [
+            (MappingSpec(AffineMap(np.eye(2), np.array([-0.05, 0.0])), Domain(kind="cone", cone=ORTH2)),
+             DomainError),
+            (MappingSpec(AffineMap(np.eye(2), np.array([0.0, 0.4])), box2(0.0, 2.0)), DomainError),
+            (MappingSpec(
+                AffineMap(np.eye(2), np.array([0.05, 0.0])),
+                Domain(kind="interval", cone=LOR2, lo=np.zeros(2), hi=np.array([0.0, 2.0])),
+            ), DomainError),
+            (MappingSpec(BlowUpMap(cut=0.89, shift=0.13), box2(0.0, 1.0)), ValueError),
+            (MappingSpec(BlowUpMap(cut=0.95, shift=0.1), box2(0.0, 1.0)), DomainError),
+            (MappingSpec(BlowUpMap(cut=0.9), Domain(kind="cone", cone=ORTH2)), ValueError),
+            (MappingSpec(
+                AffineMap(np.eye(2), np.array([0.0, 0.1])),
+                Domain(kind="interval", cone=ORTH2, lo=np.zeros(2), hi=np.ones(2)),
+            ), DomainError),
+            (corpus.box_drift_down(2), None),
+            (corpus.steep_step_map(), None),
+        ],
+        ids=["cone-escape", "box-escape", "lorentz-interval-escape", "nonfinite-before-escape",
+             "escape-before-nonfinite", "cone-nonfinite",
+             "interval-escape-above", "self-map", "grid-self-map"],
+    )
+    def test_first_failing_sample_matches_reference(self, spec, raises):
+        def outcome(fn):
+            try:
+                fn(spec, n_samples=64, seed=3)
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return None
+
+        got = outcome(validate_self_map)
+        assert got == outcome(reference_validate_self_map)
+        assert (got and got[0]) is raises
+
+    def test_no_samples_accepts(self):
+        spec = MappingSpec(AffineMap(np.eye(2), np.array([-1.0, 0.0])), Domain(kind="cone", cone=ORTH2))
+        validate_self_map(spec, n_samples=0)
 
 
 class TestSamplers:
