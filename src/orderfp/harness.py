@@ -155,7 +155,8 @@ def _settled_orbit(
     scn: Scenario, x0: np.ndarray, cfg: IterationConfig
 ) -> OrbitRecord:
     """Run the orbit; an inconclusive budget exhaustion is retried once with a
-    ten-fold budget before being reported as such."""
+    ten-fold budget before being reported as such. A ``nonfinite`` orbit is
+    not retried: a bigger budget cannot undo an overflow."""
     record = picard_orbit(scn.map, x0, scn.cone, scn.space, cfg)
     if record.verdict == MAX_ITER_REACHED:
         bigger = IterationConfig(
@@ -296,7 +297,7 @@ def _existence_campaign(
             f"orbit flagged unbounded after {len(record)} points",
         )
     else:
-        rep.add("orbit_conclusive", False, "iteration budget exhausted without a verdict")
+        rep.add("orbit_conclusive", False, f"verdict={record.verdict}: neither converged nor unbounded")
         return rep
 
     _descent_check(rep, scn, record, x0, direction)
@@ -391,7 +392,7 @@ def verify_zero_orbit_equivalence(
         elif record.verdict == UNBOUNDED_SUSPECTED:
             bounded, agree = False, not nonempty
         else:
-            bounded, agree = False, False  # inconclusive counts as a failed trial
+            bounded, agree = False, False  # inconclusive or nonfinite: a failed trial
         rows.append(
             TrialRow(
                 trial=trial_id,

@@ -3,12 +3,14 @@
 Boundedness of an orbit is undecidable from finitely many iterates; the
 ``unbounded_suspected`` verdict requires both a norm above the configured
 ceiling and positive mean growth over a trailing window, so slowly converging
-orbits are not misclassified.
+orbits are not misclassified. An orbit whose image overflows (an inf or NaN
+coordinate) stops with the ``nonfinite`` verdict at its last finite point.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from orderfp.space import SpaceSpec, as_vector, _norm_raw
 CONVERGED = "converged"
 UNBOUNDED_SUSPECTED = "unbounded_suspected"
 MAX_ITER_REACHED = "max_iter_reached"
+NONFINITE = "nonfinite"
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -88,9 +91,15 @@ def _orbit(
     # are derived once from the recorded points after the loop
     for n in range(cfg.max_iter):
         tx = evaluate(x)
+        res = _norm_raw(p, tx - x)
+        # a non-finite image makes the residual non-finite, but so can a
+        # finite image whose norm overflows, so only then is the image read
+        if not res < math.inf and not np.isfinite(tx).all():
+            residuals.append(res)
+            verdict = NONFINITE
+            break
         if not _domain_contains_raw(domain, tx, 1e-9):
             raise DomainError(f"map escaped its domain at step {n}: image {tx}")
-        res = _norm_raw(p, tx - x)
         residuals.append(res)
         if res <= cfg.residual_tol:
             verdict = CONVERGED
@@ -213,6 +222,8 @@ def monotone_limit(record: OrbitRecord, cone: ConeSpec, order_tol: float = 1e-9)
         raise ValueError("orbit is not order-monotone; no monotone limit")
     if record.verdict == UNBOUNDED_SUSPECTED:
         raise ValueError("orbit flagged unbounded; no limit to report")
+    if record.verdict == NONFINITE:
+        raise ValueError("orbit overflowed; no limit to report")
     points = _checked_points(record, cone)
     limit = points[-1]
     gaps = limit - points if record.order_monotone == INCREASING else points - limit

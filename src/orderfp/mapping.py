@@ -4,7 +4,9 @@ A mapping is an operation (affine, truncation, translation, box projection,
 composition, or a table over a lattice) plus the domain it maps into itself.
 Every mapping-class predicate here is a sampled verifier that returns a
 ``PropertyReport`` with recomputable witnesses; exhaustive checking is only
-done for lattice maps, where the pair set is finite.
+done for lattice maps, where the pair set is finite. Every operation's
+``evaluate`` takes one point or an (n, d) array of rows, and the verifiers
+draw, evaluate and test all their pairs as rows at once.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ import numpy as np
 from orderfp.order import (
     ConeSpec,
     comparable,
-    leq,
     sample_cone_point,
     MEMBERSHIP_TOL,
     _member_raw,
 )
 from orderfp.report import PropertyReport, Violation
-from orderfp.space import SpaceSpec, as_vector, norm
+from orderfp.space import SpaceSpec, as_vector, norm, _row_norms
 
 
 class DomainError(ValueError):
@@ -75,7 +76,11 @@ class AffineMap:
         return self.offset.size
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x + self.offset
+        if x.ndim == 1:
+            return self.matrix @ x + self.offset
+        # one matrix-vector product per row: the bits of the 1-D form, which
+        # x @ matrix.T does not keep
+        return (self.matrix @ x[..., None])[..., 0] + self.offset
 
 
 @dataclass
@@ -188,14 +193,16 @@ class GridMap:
     def lattice_shape(self) -> tuple[int, ...]:
         return self.values.shape[:-1]
 
-    def index_of(self, x: np.ndarray) -> tuple[int, ...]:
+    def index_of(self, x: np.ndarray) -> tuple:
+        """Lattice index of a point, or one index array per axis for rows of
+        points; the first bad row raises."""
         idx = np.rint((x - self.origin) / self.step).astype(int)
-        snapped = self.origin + idx * self.step
-        if np.max(np.abs(x - snapped)) > self.snap_tol:
-            raise DomainError(f"point {x} is not on the lattice (step {self.step})")
-        if np.any(idx < 0) or np.any(idx >= np.array(self.lattice_shape)):
-            raise DomainError(f"point {x} lies outside the lattice box")
-        return tuple(idx)
+        off = np.atleast_1d(np.abs(x - (self.origin + idx * self.step)).max(axis=-1) > self.snap_tol)
+        out = np.atleast_1d(((idx < 0) | (idx >= np.array(self.lattice_shape))).any(axis=-1))
+        for k in np.flatnonzero(off | out)[:1]:
+            why = f"is not on the lattice (step {self.step})" if off[k] else "lies outside the lattice box"
+            raise DomainError(f"point {np.atleast_2d(x)[k]} {why}")
+        return tuple(idx.T)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.values[self.index_of(x)].copy()
@@ -336,15 +343,45 @@ def sample_domain_point(spec: MappingSpec, rng: np.random.Generator, scale: floa
     return base
 
 
+def _domain_rows(spec: MappingSpec, rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
+    # n domain points as rows, drawn exactly as n calls of sample_domain_point
+    domain = spec.domain
+    if isinstance(spec.op, GridMap) or (domain.cone.kind != "orthant" and domain.kind != DOMAIN_BOX):
+        return np.array([sample_domain_point(spec, rng, scale) for _ in range(n)]).reshape(n, spec.dim)
+    if domain.kind == DOMAIN_CONE:
+        return rng.uniform(0.0, scale, size=(n, spec.dim))
+    return domain.lo + rng.uniform(0.0, 1.0, size=(n, spec.dim)) * (domain.hi - domain.lo)
+
+
+def sample_comparable_pairs(
+    spec: MappingSpec, rng: np.random.Generator, n: int, scale: float = 1.0, max_tries: int = 10_000
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` pairs (x, y) in the domain with x <= y under the domain cone, as
+    rows, drawn exactly as ``n`` calls of ``sample_comparable_pair``: x plus
+    a cone direction, in one draw for orthant domains, pair by pair for
+    lattice maps and the Lorentz cone, which need rejection."""
+    domain = spec.domain
+    if isinstance(spec.op, GridMap) or domain.cone.kind != "orthant":
+        pairs = [_draw_comparable_pair(spec, rng, scale, max_tries) for _ in range(n)]
+        return tuple(np.array([pair[i] for pair in pairs]).reshape(n, spec.dim) for i in (0, 1))
+    u = rng.uniform(0.0, scale if domain.kind == DOMAIN_CONE else 1.0, size=(n, 2, spec.dim))
+    if domain.kind == DOMAIN_CONE:
+        return u[:, 0], u[:, 0] + u[:, 1]
+    x = domain.lo + u[:, 0] * (domain.hi - domain.lo)
+    return x, x + u[:, 1] * (domain.hi - x)
+
+
 def sample_comparable_pair(
     spec: MappingSpec, rng: np.random.Generator, scale: float = 1.0, max_tries: int = 10_000
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (x, y) in the domain with x <= y under the domain cone.
+    """Draw (x, y) in the domain with x <= y under the domain cone."""
+    x, y = sample_comparable_pairs(spec, rng, 1, scale, max_tries)
+    return x[0], y[0]
 
-    Uniform independent draws are almost never comparable, so pairs are built
-    as x plus a cone direction, shrinking the direction until the pair stays
-    inside the domain.
-    """
+
+def _draw_comparable_pair(spec, rng, scale, max_tries):
+    # lattice maps under the orthant: meet and join of two random indices;
+    # otherwise shrink the cone direction until the pair stays in the domain
     domain = spec.domain
     cone = domain.cone
     if isinstance(spec.op, GridMap) and cone.kind == "orthant":
@@ -356,11 +393,6 @@ def sample_comparable_pair(
             spec.op.origin + spec.op.step * lo_idx.astype(float),
             spec.op.origin + spec.op.step * hi_idx.astype(float),
         )
-    if domain.kind in (DOMAIN_INTERVAL, DOMAIN_BOX) and cone.kind == "orthant":
-        u = rng.uniform(0.0, 1.0, size=domain.dim)
-        x = domain.lo + u * (domain.hi - domain.lo)
-        v = rng.uniform(0.0, 1.0, size=domain.dim)
-        return x, x + v * (domain.hi - x)
     for attempt in range(max_tries):
         x = sample_domain_point(spec, rng, scale)
         d = sample_cone_point(cone, rng, scale * 0.5 ** (attempt % 8))
@@ -370,28 +402,55 @@ def sample_comparable_pair(
     raise RuntimeError("could not sample a comparable pair inside the domain")
 
 
+def _lattice_pairs(spec: MappingSpec, cone: ConeSpec) -> tuple[np.ndarray, np.ndarray]:
+    # every comparable pair of lattice points as rows (lower, upper), in
+    # combinations_with_replacement order, from one row-wise cone test
+    pts = np.array(list(spec.op.lattice_points()))
+    i, j = np.triu_indices(len(pts))
+    diff = pts[j] - pts[i]
+    up = _member_raw(cone, diff, MEMBERSHIP_TOL)
+    keep = up | _member_raw(cone, -diff, MEMBERSHIP_TOL)
+    return pts[np.where(up, i, j)[keep]], pts[np.where(up, j, i)[keep]]
+
+
 # ---------------------------------------------------------------------------
 # property verifiers
 
 
-def _cone_margin(cone: ConeSpec, v: np.ndarray) -> float:
-    """Nonnegative iff v is in the cone (up to tolerance)."""
+def _cone_margins(cone: ConeSpec, v: np.ndarray) -> np.ndarray:
+    # per row: nonnegative iff the row is in the cone (up to tolerance)
     if cone.kind == "orthant":
-        return float(np.min(v))
-    return float(v[-1] - np.linalg.norm(v[:-1]))
+        return v.min(axis=-1)
+    return np.array([row[-1] - np.linalg.norm(row[:-1]) for row in v])
+
+
+def _pair_report(name, spec, cone, x, y, ineq=None, alpha=None) -> PropertyReport:
+    """Row-wise core of the comparable-pair verifiers (pair k is x[k] <= y[k]).
+
+    A pair with T y - T x outside ``cone`` is an order violation (lhs the
+    negated cone margin, rhs MEMBERSHIP_TOL) and skips the inequality; for
+    the rest ``ineq(tx, ty, checked)`` gives the sides of lhs <= rhs + slack.
+    """
+    tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
+    margin = _cone_margins(cone, ty - tx)
+    failed = margin < -MEMBERSHIP_TOL
+    lhs, rhs = -margin, np.full(len(x), MEMBERSHIP_TOL)
+    if ineq is not None:
+        ordered = ~failed
+        ineq_lhs, ineq_rhs = ineq(tx, ty, ordered)
+        lhs, rhs = np.where(ordered, ineq_lhs, lhs), np.where(ordered, ineq_rhs, rhs)
+        failed = failed | (ordered & (lhs > rhs + _slack(rhs)))
+    return PropertyReport.from_rows(name, x, y, lhs, rhs, failed, alpha)
+
+
+def _sampled_pairs(spec: MappingSpec, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(cfg.seed)
+    return sample_comparable_pairs(spec, rng, cfg.n_samples, cfg.scale, cfg.max_tries)
 
 
 def is_monotone(spec: MappingSpec, cone: ConeSpec, cfg: SamplerConfig | None = None) -> PropertyReport:
     """Sampled check that x <= y implies T x <= T y."""
-    cfg = cfg or SamplerConfig()
-    rng = np.random.default_rng(cfg.seed)
-    report = PropertyReport(name="monotone", samples=cfg.n_samples)
-    for _ in range(cfg.n_samples):
-        x, y = sample_comparable_pair(spec, rng, cfg.scale, cfg.max_tries)
-        margin = _cone_margin(cone, spec.op.evaluate(y) - spec.op.evaluate(x))
-        if margin < -MEMBERSHIP_TOL:
-            report.violations.append(Violation(x=x, y=y, lhs=-margin, rhs=MEMBERSHIP_TOL))
-    return report
+    return _pair_report("monotone", spec, cone, *_sampled_pairs(spec, cfg or SamplerConfig()))
 
 
 def is_monotone_nonexpansive(
@@ -399,28 +458,12 @@ def is_monotone_nonexpansive(
 ) -> PropertyReport:
     """Sampled check of monotonicity plus ||Tx - Ty|| <= ||x - y|| on
     comparable pairs."""
-    cfg = cfg or SamplerConfig()
-    rng = np.random.default_rng(cfg.seed)
-    report = PropertyReport(name="monotone_nonexpansive", samples=cfg.n_samples)
-    for _ in range(cfg.n_samples):
-        x, y = sample_comparable_pair(spec, rng, cfg.scale, cfg.max_tries)
-        tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
-        margin = _cone_margin(cone, ty - tx)
-        if margin < -MEMBERSHIP_TOL:
-            report.violations.append(Violation(x=x, y=y, lhs=-margin, rhs=MEMBERSHIP_TOL))
-            continue
-        lhs, rhs = norm(space, tx - ty), norm(space, x - y)
-        if lhs > rhs + _slack(rhs):
-            report.violations.append(Violation(x=x, y=y, lhs=lhs, rhs=rhs))
-    return report
+    x, y = _sampled_pairs(spec, cfg or SamplerConfig())
 
+    def ineq(tx, ty, checked):
+        return _row_norms(space, np.stack([tx - ty, x - y]), checked)
 
-def _alpha_rhs(space: SpaceSpec, alpha: float, x, y, tx, ty) -> float:
-    return (
-        alpha * norm(space, tx - y) ** 2
-        + alpha * norm(space, ty - x) ** 2
-        + (1.0 - 2.0 * alpha) * norm(space, x - y) ** 2
-    )
+    return _pair_report("monotone_nonexpansive", spec, cone, x, y, ineq)
 
 
 def is_alpha_nonexpansive(
@@ -439,35 +482,19 @@ def is_alpha_nonexpansive(
     """
     if alpha >= 1.0:
         raise ValueError(f"alpha must be < 1, got {alpha}")
-    cfg = cfg or SamplerConfig()
-    report = PropertyReport(name="alpha_nonexpansive", samples=0, alpha=alpha)
     if exhaustive:
         if not isinstance(spec.op, GridMap):
             raise ValueError("exhaustive checking is only available for lattice maps")
-        pairs = [
-            (a, b)
-            for a, b in itertools.combinations_with_replacement(list(spec.op.lattice_points()), 2)
-            if comparable(cone, a, b)
-        ]
-        pairs = [(a, b) if leq(cone, a, b) else (b, a) for a, b in pairs]
+        x, y = _lattice_pairs(spec, cone)
     else:
-        rng = np.random.default_rng(cfg.seed)
-        pairs = [
-            sample_comparable_pair(spec, rng, cfg.scale, cfg.max_tries)
-            for _ in range(cfg.n_samples)
-        ]
-    report.samples = len(pairs)
-    for x, y in pairs:
-        tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
-        margin = _cone_margin(cone, ty - tx)
-        if margin < -MEMBERSHIP_TOL:
-            report.violations.append(Violation(x=x, y=y, lhs=-margin, rhs=MEMBERSHIP_TOL))
-            continue
-        lhs = norm(space, tx - ty) ** 2
-        rhs = _alpha_rhs(space, alpha, x, y, tx, ty)
-        if lhs > rhs + _slack(rhs):
-            report.violations.append(Violation(x=x, y=y, lhs=lhs, rhs=rhs))
-    return report
+        x, y = _sampled_pairs(spec, cfg or SamplerConfig())
+
+    def ineq(tx, ty, checked):
+        blocks = np.stack([tx - ty, tx - y, ty - x, x - y])
+        im, cross_xy, cross_yx, arg = _row_norms(space, blocks, checked) ** 2
+        return im, alpha * cross_xy + alpha * cross_yx + (1.0 - 2.0 * alpha) * arg
+
+    return _pair_report("alpha_nonexpansive", spec, cone, x, y, ineq, alpha)
 
 
 def is_quasi_nonexpansive(
@@ -544,11 +571,6 @@ def check_displacement_bound(
     return d_im ** 2 <= rhs + _slack(rhs)
 
 
-def _polar_inner(space: SpaceSpec, u: np.ndarray, v: np.ndarray) -> float:
-    """Inner product recovered from the norm by polarization (p = 2 only)."""
-    return 0.25 * (norm(space, u + v) ** 2 - norm(space, u - v) ** 2)
-
-
 def classify_hilbert_classes(
     spec: MappingSpec,
     space: SpaceSpec,
@@ -559,7 +581,8 @@ def classify_hilbert_classes(
 
     Covers the nonspreading, hybrid, and TJ inequalities, plus the
     (a, b)-monotone inequality when ``ab`` is supplied with a > 1/2, b < a.
-    Requires p = 2, where polarization recovers the inner product.
+    Requires p = 2, where polarization recovers the inner product
+    <u, v> = (||u + v||^2 - ||u - v||^2) / 4.
     """
     if space.p != 2.0:
         raise ValueError(f"hilbert-class checks need p=2, got p={space.p}")
@@ -568,38 +591,31 @@ def classify_hilbert_classes(
         if not (a > 0.5 and b < a):
             raise ValueError(f"(a, b) must satisfy a > 1/2 and b < a, got {ab}")
     cfg = cfg or SamplerConfig()
+    n = cfg.n_samples
     rng = np.random.default_rng(cfg.seed)
-    names = ["nonspreading", "hybrid", "tj"] + (["ab_monotone"] if ab is not None else [])
-    reports = {n: PropertyReport(name=n, samples=cfg.n_samples) for n in names}
-    for _ in range(cfg.n_samples):
-        x = sample_domain_point(spec, rng, cfg.scale)
-        y = sample_domain_point(spec, rng, cfg.scale)
-        tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
-        d_im2 = norm(space, tx - ty) ** 2
-        d2 = norm(space, x - y) ** 2
-        cross_xy = norm(space, tx - y) ** 2
-        cross_yx = norm(space, ty - x) ** 2
-
-        rhs = cross_xy + cross_yx
-        if 2.0 * d_im2 > rhs + _slack(rhs):
-            reports["nonspreading"].violations.append(Violation(x, y, 2.0 * d_im2, rhs))
-        rhs = d2 + _polar_inner(space, x - tx, y - ty)
-        if d_im2 > rhs + _slack(rhs):
-            reports["hybrid"].violations.append(Violation(x, y, d_im2, rhs))
-        rhs = d2 + cross_xy
-        if 2.0 * d_im2 > rhs + _slack(rhs):
-            reports["tj"].violations.append(Violation(x, y, 2.0 * d_im2, rhs))
-        if ab is not None:
-            a, b = ab
-            lhs = _polar_inner(space, x - y, tx - ty)
-            bound = (
-                a * d_im2
-                + (1.0 - a) * d2
-                - b * norm(space, x - tx) ** 2
-                - b * norm(space, y - ty) ** 2
-            )
-            if lhs < bound - _slack(bound):
-                reports["ab_monotone"].violations.append(Violation(x, y, lhs, bound))
+    pts = _domain_rows(spec, rng, 2 * n, cfg.scale).reshape(n, 2, spec.dim)
+    x, y = pts[:, 0], pts[:, 1]
+    tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
+    u, v = x - tx, y - ty
+    blocks = [tx - ty, x - y, tx - y, ty - x, u + v, u - v]
+    if ab is not None:
+        blocks += [(x - y) + (tx - ty), (x - y) - (tx - ty), u, v]
+    sq = _row_norms(space, np.stack(blocks)) ** 2
+    d_im2, d2, cross_xy, cross_yx = sq[:4]
+    sides = {
+        "nonspreading": (2.0 * d_im2, cross_xy + cross_yx),
+        "hybrid": (d_im2, d2 + 0.25 * (sq[4] - sq[5])),
+        "tj": (2.0 * d_im2, d2 + cross_xy),
+    }
+    reports = {
+        name: PropertyReport.from_rows(name, x, y, lhs, rhs, lhs > rhs + _slack(rhs))
+        for name, (lhs, rhs) in sides.items()
+    }
+    if ab is not None:
+        lhs = 0.25 * (sq[6] - sq[7])
+        bound = a * d_im2 + (1.0 - a) * d2 - b * sq[8] - b * sq[9]
+        failed = lhs < bound - _slack(bound)
+        reports["ab_monotone"] = PropertyReport.from_rows("ab_monotone", x, y, lhs, bound, failed)
     return reports
 
 

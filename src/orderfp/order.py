@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from orderfp.report import PropertyReport, Violation
-from orderfp.space import SpaceSpec, as_vector, norm
+from orderfp.report import PropertyReport
+from orderfp.space import SpaceSpec, as_vector, _row_norms
 
 # Absolute tolerance on cone boundary tests; boundary points arise from arithmetic.
 MEMBERSHIP_TOL = 1e-12
@@ -174,13 +174,25 @@ def sample_cone_point(cone: ConeSpec, rng: np.random.Generator, scale: float = 1
     return project_to_cone(cone, base + pert)
 
 
+def sample_dominated_pairs(
+    cone: ConeSpec, rng: np.random.Generator, n: int, scale: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` pairs 0 <= x <= y as rows (x, y): x from the cone, y = x + a cone
+    direction, drawn exactly as ``n`` calls of ``sample_dominated_pair``."""
+    if cone.kind == ORTHANT:
+        u = rng.uniform(0.0, scale, size=(n, 2, cone.dim))
+    else:
+        u = np.array([sample_cone_point(cone, rng, scale) for _ in range(2 * n)])
+        u = u.reshape(n, 2, cone.dim)
+    return u[:, 0], u[:, 0] + u[:, 1]
+
+
 def sample_dominated_pair(
     cone: ConeSpec, rng: np.random.Generator, scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (x, y) with 0 <= x <= y: x from the cone, y = x + cone direction."""
-    x = sample_cone_point(cone, rng, scale)
-    d = sample_cone_point(cone, rng, scale)
-    return x, x + d
+    x, y = sample_dominated_pairs(cone, rng, 1, scale)
+    return x[0], y[0]
 
 
 def normality_constant_estimate(
@@ -190,15 +202,10 @@ def normality_constant_estimate(
     normality constant of the cone."""
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        x, y = sample_dominated_pair(cone, rng)
-        ny = norm(space, y)
-        if ny == 0.0:
-            continue
-        worst = max(worst, norm(space, x) / ny)
-    return worst
+    x, y = sample_dominated_pairs(cone, np.random.default_rng(seed), n_samples)
+    nx, ny = _row_norms(space, np.stack([x, y]))
+    nonzero = ny != 0.0
+    return float((nx[nonzero] / ny[nonzero]).max(initial=0.0))
 
 
 def is_norm_monotonic(
@@ -217,13 +224,10 @@ def is_norm_monotonic(
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    pairs = [sample_dominated_pair(cone, rng) for _ in range(n_samples)]
+    x, y = sample_dominated_pairs(cone, np.random.default_rng(seed), n_samples)
     if extra_pairs is not None:
-        pairs.extend((as_vector(a, cone.dim), as_vector(b, cone.dim)) for a, b in extra_pairs)
-    report = PropertyReport(name="norm_monotonic", samples=len(pairs))
-    for x, y in pairs:
-        nx, ny = norm(space, x), norm(space, y)
-        if nx > ny + tol:
-            report.violations.append(Violation(x=x, y=y, lhs=nx, rhs=ny))
-    return report
+        extra = [(as_vector(a, cone.dim), as_vector(b, cone.dim)) for a, b in extra_pairs]
+        x = np.vstack([x] + [a for a, _ in extra])
+        y = np.vstack([y] + [b for _, b in extra])
+    nx, ny = _row_norms(space, np.stack([x, y]))
+    return PropertyReport.from_rows("norm_monotonic", x, y, nx, ny, nx > ny + tol)

@@ -32,6 +32,16 @@ class PropertyReport:
     violations: list[Violation] = field(default_factory=list)
     alpha: float | None = None
 
+    @classmethod
+    def from_rows(cls, name, x, y, lhs, rhs, failed, alpha=None) -> "PropertyReport":
+        """Report over pairs given as rows (x[k], y[k]): one violation per
+        ``failed`` row, in row order."""
+        violations = [
+            Violation(x=x[k], y=y[k], lhs=float(lhs[k]), rhs=float(rhs[k]))
+            for k in np.flatnonzero(failed)
+        ]
+        return cls(name=name, samples=len(x), violations=violations, alpha=alpha)
+
     @property
     def passed(self) -> bool:
         return not self.violations

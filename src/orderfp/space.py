@@ -53,6 +53,20 @@ def _norm_raw(p: float, v: np.ndarray) -> float:
     return float((np.abs(v) ** p).sum() ** (1.0 / p))
 
 
+def _row_norms(space: SpaceSpec, v: np.ndarray, checked=slice(None)) -> np.ndarray:
+    # lp norms of the rows of the blocks v[0], v[1], ...; the rows picked by
+    # `checked` are the ones a pair-by-pair loop hands to `norm`, so they get
+    # its checks and its ValueError. Each root is taken as a scalar, because
+    # numpy's array pow rounds differently: every value has norm's bits.
+    picked = v[:, checked].reshape(-1, v.shape[-1])
+    if len(picked):
+        as_vector(picked[0], dim=space.dim)
+        as_vector(picked.ravel())
+    inv = 1.0 / space.p
+    sums = (np.abs(v) ** space.p).sum(axis=-1)
+    return np.array([s**inv for s in sums.ravel().tolist()]).reshape(sums.shape)
+
+
 def modulus_of_convexity(space: SpaceSpec, eps: float) -> float:
     """Modulus of convexity of the space at ``eps``, in closed form.
 

@@ -1,9 +1,11 @@
 """Campaign behavior: hypotheses, verdict aggregation, and reproducibility."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from orderfp import corpus
+from orderfp import corpus, harness
 from orderfp.harness import (
     FamilyConfig,
     HypothesisError,
@@ -19,10 +21,11 @@ from orderfp.harness import (
     verify_norm_convergence,
     verify_zero_orbit_equivalence,
 )
-from orderfp.iterate import IterationConfig
+from orderfp.iterate import NONFINITE, IterationConfig
 from orderfp.mapping import (
     AffineMap,
     Domain,
+    TranslationMap,
     apply_map,
     make_mapping,
     mapping_to_dict,
@@ -160,6 +163,23 @@ class TestConvergenceCampaigns:
         failed = [c for c in rep.checks if not c.passed]
         assert failed[0].name == "hypothesis_bounded_orbit"
 
+    def test_overflowing_orbit_is_named_not_retried(self, monkeypatch):
+        # x -> x + 1e307 passes the class hypothesis (an isometry) and its
+        # orbit overflows after about 18 steps, long before the growth window
+        spec = make_mapping(TranslationMap(shift=np.full(2, 1e307)), Domain(kind="cone", cone=ORTH2))
+        calls = []
+        picard = harness.picard_orbit
+        monkeypatch.setattr(harness, "picard_orbit", lambda *a: calls.append(a) or picard(*a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = harness._settled_orbit(scenario(spec), np.zeros(2), FAST)
+            assert rec.verdict == NONFINITE and len(calls) == 1 and np.isfinite(rec.points).all()
+            rep = verify_ascending_existence(scenario(spec), FAST)
+            conv = verify_norm_convergence(scenario(spec), FAST)
+        failed = [(c.name, c.detail) for c in rep.checks if not c.passed]
+        assert failed == [("orbit_conclusive", "verdict=nonfinite: neither converged nor unbounded")]
+        failed = [(c.name, c.detail) for c in conv.checks if not c.passed]
+        assert failed == [("hypothesis_bounded_orbit", "verdict=nonfinite")]
+
     def test_cone_campaign_with_fixed_points(self):
         rep = verify_cone_convergence(
             scenario(corpus.affine_contraction(2), expected="fixed_point_exists"), FAST)
@@ -241,3 +261,51 @@ class TestRunner:
         assert not rep.passed
         good, bad = rep.counts
         assert bad >= 1
+
+
+# SHA-256 of every output file of run_suites(GOLDEN_SUITES, GOLDEN_CONFIG,
+# seed), recorded before the pair verifiers, the orbit loop and the sampling
+# were batched; a change that moves a byte of a report fails here. The hashes
+# were taken with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on x86-64 (one
+# BLAS thread or two give the same bytes): a platform whose BLAS or libm
+# rounds differently may need them re-recorded from a known-good commit.
+GOLDEN_SUITES = ["t32", "t33", "t41-44", "c45-46", "t34"]
+GOLDEN_CONFIG = {
+    "family": {"dims": [2, 5], "rhos": [0.5, 0.95, 1.0], "n_per_cell": 1, "translations_per_dim": 1}
+}
+GOLDEN_SHA256 = {
+    0: {
+        "c45-46_checks.csv": "ccc59c9cd3f3fe0300ead56318ebc886ffa7361bb42cadedfbace9c4cb0af9a7",
+        "summary.txt": "b1ec71d518761155f55ba027609e5defad098206d0d037d29b700e50fe0c4832",
+        "t32_checks.csv": "04fd2a10816268a351ec696700d1fc23cf6f11f8a8651c8dfb28951e3c6cda31",
+        "t33_checks.csv": "3431ae4a938c5ceb42afe3818eb7e93fbdb68e5e3506b88c17deeb83b1835410",
+        "t34_checks.csv": "a7f297656961bcff0a19c1a4ce2de49f0680744d12d249fbce428dd089d1bb01",
+        "t34_trials.csv": "b13d4a86617aac97c3da731a00becdc2c604deef6728b43228ea0c92979d8696",
+        "t41-44_checks.csv": "c38a85eeb650e708cda5eb76c096c176dadc54b47d41d66cc92deebffa35db36",
+    },
+    1: {
+        "c45-46_checks.csv": "5d75bd01b98faeab1d02ccdaf9acf68cd574b4f829f37b3256abbbedfea0ca28",
+        "summary.txt": "b1ec71d518761155f55ba027609e5defad098206d0d037d29b700e50fe0c4832",
+        "t32_checks.csv": "d640ca67cba5632c78f74aea9e5301909bf69fbb3c9c83fa1e3916e0d25cb1d0",
+        "t33_checks.csv": "3431ae4a938c5ceb42afe3818eb7e93fbdb68e5e3506b88c17deeb83b1835410",
+        "t34_checks.csv": "a7f297656961bcff0a19c1a4ce2de49f0680744d12d249fbce428dd089d1bb01",
+        "t34_trials.csv": "b13d4a86617aac97c3da731a00becdc2c604deef6728b43228ea0c92979d8696",
+        "t41-44_checks.csv": "c38a85eeb650e708cda5eb76c096c176dadc54b47d41d66cc92deebffa35db36",
+    },
+    2: {
+        "c45-46_checks.csv": "00ff4530cd1c42a827f690da5dbb5d20761bf8bae801cc2ee3a932e45efa93c1",
+        "summary.txt": "b1ec71d518761155f55ba027609e5defad098206d0d037d29b700e50fe0c4832",
+        "t32_checks.csv": "99481db4e0d445cc24e6f501cfcbe0dda3e9b843acea56af96aad6d9cff0ebbf",
+        "t33_checks.csv": "3431ae4a938c5ceb42afe3818eb7e93fbdb68e5e3506b88c17deeb83b1835410",
+        "t34_checks.csv": "a7f297656961bcff0a19c1a4ce2de49f0680744d12d249fbce428dd089d1bb01",
+        "t34_trials.csv": "b13d4a86617aac97c3da731a00becdc2c604deef6728b43228ea0c92979d8696",
+        "t41-44_checks.csv": "c38a85eeb650e708cda5eb76c096c176dadc54b47d41d66cc92deebffa35db36",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SHA256))
+def test_outputs_match_recorded_hashes(seed, tmp_path):
+    run_suites(GOLDEN_SUITES, GOLDEN_CONFIG, seed, tmp_path)
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert got == GOLDEN_SHA256[seed]

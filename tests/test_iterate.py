@@ -1,5 +1,7 @@
 """Orbit generation, order tracking, and limits."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from orderfp.iterate import (
     IterationConfig,
     MAX_ITER_REACHED,
     NEITHER,
+    NONFINITE,
     OrbitRecord,
     UNBOUNDED_SUSPECTED,
     ChainVerdict,
@@ -544,3 +547,68 @@ class TestRowWiseChainChecks:
         rec = _hand_record([[0.0, 0.0], [1.0, 1.0]])
         got = outcome(check_orbit_monotone, rec, wrong_dim)
         assert got[0] == "raised" and got == outcome(reference_chain, rec, wrong_dim)
+
+
+ORTH1 = ConeSpec(kind="orthant", dim=1)
+
+
+@dataclass
+class NanAbove:
+    """x -> 2x + 1, with a NaN first coordinate once x_0 passes ``cut``."""
+
+    cut: float
+    dim: int = 2
+
+    def evaluate(self, x):
+        y = 2.0 * x + 1.0
+        if x[0] > self.cut:
+            y[0] = np.nan
+        return y
+
+
+class TestNonfiniteOrbits:
+    def test_overflow_to_inf_stops_at_last_finite_point(self):
+        # x -> 1e200 x + 1 from 0: 0, 1, 1e200, then the image is +inf
+        spec = make_mapping(AffineMap(np.array([[1e200]]), np.ones(1)), Domain(kind="cone", cone=ORTH1))
+        with np.errstate(over="ignore"):
+            rec = picard_orbit(spec, [0.0], ORTH1, SpaceSpec(dim=1, p=2.0))
+        assert rec.verdict == NONFINITE
+        assert rec.points.ravel().tolist() == [0.0, 1.0, 1e200]
+        # the norm of 1e200 overflows although the point is finite
+        assert rec.residuals.tolist() == [1.0, np.inf, np.inf]
+        assert rec.norms.tolist() == [0.0, 1.0, np.inf]
+        assert rec.order_monotone == INCREASING and rec.leq_up.all()
+        chain = check_orbit_monotone(rec, ORTH1)
+        assert chain.increasing and chain.first_up_violation is None
+        with pytest.raises(ValueError, match="overflowed"):
+            monotone_limit(rec, ORTH1)
+
+    def test_nan_image_is_nonfinite_not_a_domain_escape(self):
+        spec = MappingSpec(op=NanAbove(cut=10.0), domain=Domain(kind="cone", cone=ORTH2))
+        rec = picard_orbit(spec, [0.0, 0.0], ORTH2, P2)
+        ref = outcome(reference_orbit, spec, [0.0, 0.0], ORTH2, P2, IterationConfig())
+        assert ref == ("raised", DomainError, "map escaped its domain at step 4: image [nan 31.]")
+        assert rec.verdict == NONFINITE
+        assert rec.points[:, 1].tolist() == [0.0, 1.0, 3.0, 7.0, 15.0]
+        assert np.isnan(rec.residuals[-1]) and np.isfinite(rec.residuals[:-1]).all()
+        assert len(rec.residuals) == len(rec.norms) == len(rec) and rec.order_monotone == INCREASING
+        mann = mann_orbit(spec, [0.0, 0.0], 0.5, ORTH2, P2)
+        assert mann.verdict == NONFINITE and np.isfinite(mann.points).all()
+
+    def test_minus_inf_image_is_nonfinite(self):
+        esc = MappingSpec(
+            op=AffineMap(np.array([[1.0, -1e308], [0.0, 1.0]]), np.zeros(2)),
+            domain=Domain(kind="cone", cone=ORTH2),
+        )
+        with np.errstate(over="ignore"):
+            rec = picard_orbit(esc, [0.0, 3.0], ORTH2, P2)
+        assert rec.verdict == NONFINITE and np.isfinite(rec.points).all()
+        assert rec.residuals[-1] == np.inf and len(rec.residuals) == len(rec)
+
+    def test_finite_orbits_unchanged(self):
+        # the overflow test only reads the image when the residual is not finite
+        spec = corpus.affine_contraction(2)
+        assert_same_record(
+            picard_orbit(spec, [0.0, 0.0], ORTH2, P2, SMALL),
+            reference_orbit(spec, [0.0, 0.0], ORTH2, P2, SMALL),
+        )

@@ -9,16 +9,21 @@ import pytest
 
 from orderfp import corpus
 from orderfp.mapping import (
+    INEQ_ATOL,
+    INEQ_RTOL,
     AffineMap,
+    BoxProjectionMap,
     CompositionMap,
     Domain,
     DomainError,
+    GridMap,
     GridSearchConfig,
     IncomparableError,
     MappingSpec,
     NotFixedPointError,
     SamplerConfig,
     TranslationMap,
+    TruncationMap,
     apply_map,
     as_affine,
     check_displacement_bound,
@@ -34,12 +39,14 @@ from orderfp.mapping import (
     mapping_from_dict,
     mapping_to_dict,
     sample_comparable_pair,
+    sample_comparable_pairs,
     sample_domain_point,
     save_mapping,
     validate_self_map,
 )
-from orderfp.order import ConeSpec, leq
-from orderfp.space import SpaceSpec
+from orderfp.order import MEMBERSHIP_TOL, ConeSpec, comparable, leq, sample_cone_point
+from orderfp.report import PropertyReport, Violation
+from orderfp.space import SpaceSpec, norm
 
 ORTH1 = ConeSpec(kind="orthant", dim=1)
 ORTH2 = ConeSpec(kind="orthant", dim=2)
@@ -411,3 +418,487 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             mapping_from_dict({"variant": "spiral", "domain": {
                 "kind": "cone", "cone": {"kind": "orthant", "dim": 2}}})
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the pair-by-pair draws and verifiers, kept verbatim so
+# the row-wise core can be held to the same draws, verdicts and witnesses
+
+
+def reference_sample_comparable_pair(spec, rng, scale=1.0, max_tries=10_000):
+    domain = spec.domain
+    cone = domain.cone
+    if isinstance(spec.op, GridMap) and cone.kind == "orthant":
+        shape = spec.op.lattice_shape
+        a = np.asarray([rng.integers(0, n) for n in shape])
+        b = np.asarray([rng.integers(0, n) for n in shape])
+        lo_idx, hi_idx = np.minimum(a, b), np.maximum(a, b)
+        return (
+            spec.op.origin + spec.op.step * lo_idx.astype(float),
+            spec.op.origin + spec.op.step * hi_idx.astype(float),
+        )
+    if domain.kind in ("interval", "box") and cone.kind == "orthant":
+        u = rng.uniform(0.0, 1.0, size=domain.dim)
+        x = domain.lo + u * (domain.hi - domain.lo)
+        v = rng.uniform(0.0, 1.0, size=domain.dim)
+        return x, x + v * (domain.hi - x)
+    for attempt in range(max_tries):
+        x = sample_domain_point(spec, rng, scale)
+        d = sample_cone_point(cone, rng, scale * 0.5 ** (attempt % 8))
+        y = x + d
+        if domain_contains(domain, y):
+            return x, y
+    raise RuntimeError("could not sample a comparable pair inside the domain")
+
+
+def _ref_slack(rhs):
+    return INEQ_ATOL + INEQ_RTOL * abs(rhs)
+
+
+def _ref_cone_margin(cone, v):
+    if cone.kind == "orthant":
+        return float(np.min(v))
+    return float(v[-1] - np.linalg.norm(v[:-1]))
+
+
+def reference_is_monotone(spec, cone, cfg=None):
+    cfg = cfg or SamplerConfig()
+    rng = np.random.default_rng(cfg.seed)
+    report = PropertyReport(name="monotone", samples=cfg.n_samples)
+    for _ in range(cfg.n_samples):
+        x, y = reference_sample_comparable_pair(spec, rng, cfg.scale, cfg.max_tries)
+        margin = _ref_cone_margin(cone, spec.op.evaluate(y) - spec.op.evaluate(x))
+        if margin < -MEMBERSHIP_TOL:
+            report.violations.append(Violation(x=x, y=y, lhs=-margin, rhs=MEMBERSHIP_TOL))
+    return report
+
+
+def reference_is_monotone_nonexpansive(spec, cone, space, cfg=None):
+    cfg = cfg or SamplerConfig()
+    rng = np.random.default_rng(cfg.seed)
+    report = PropertyReport(name="monotone_nonexpansive", samples=cfg.n_samples)
+    for _ in range(cfg.n_samples):
+        x, y = reference_sample_comparable_pair(spec, rng, cfg.scale, cfg.max_tries)
+        tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
+        margin = _ref_cone_margin(cone, ty - tx)
+        if margin < -MEMBERSHIP_TOL:
+            report.violations.append(Violation(x=x, y=y, lhs=-margin, rhs=MEMBERSHIP_TOL))
+            continue
+        lhs, rhs = norm(space, tx - ty), norm(space, x - y)
+        if lhs > rhs + _ref_slack(rhs):
+            report.violations.append(Violation(x=x, y=y, lhs=lhs, rhs=rhs))
+    return report
+
+
+def _ref_alpha_rhs(space, alpha, x, y, tx, ty):
+    return (
+        alpha * norm(space, tx - y) ** 2
+        + alpha * norm(space, ty - x) ** 2
+        + (1.0 - 2.0 * alpha) * norm(space, x - y) ** 2
+    )
+
+
+def reference_is_alpha_nonexpansive(spec, cone, space, alpha, cfg=None, exhaustive=False):
+    if alpha >= 1.0:
+        raise ValueError(f"alpha must be < 1, got {alpha}")
+    cfg = cfg or SamplerConfig()
+    report = PropertyReport(name="alpha_nonexpansive", samples=0, alpha=alpha)
+    if exhaustive:
+        if not isinstance(spec.op, GridMap):
+            raise ValueError("exhaustive checking is only available for lattice maps")
+        pairs = [
+            (a, b)
+            for a, b in itertools.combinations_with_replacement(list(spec.op.lattice_points()), 2)
+            if comparable(cone, a, b)
+        ]
+        pairs = [(a, b) if leq(cone, a, b) else (b, a) for a, b in pairs]
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        pairs = [
+            reference_sample_comparable_pair(spec, rng, cfg.scale, cfg.max_tries)
+            for _ in range(cfg.n_samples)
+        ]
+    report.samples = len(pairs)
+    for x, y in pairs:
+        tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
+        margin = _ref_cone_margin(cone, ty - tx)
+        if margin < -MEMBERSHIP_TOL:
+            report.violations.append(Violation(x=x, y=y, lhs=-margin, rhs=MEMBERSHIP_TOL))
+            continue
+        lhs = norm(space, tx - ty) ** 2
+        rhs = _ref_alpha_rhs(space, alpha, x, y, tx, ty)
+        if lhs > rhs + _ref_slack(rhs):
+            report.violations.append(Violation(x=x, y=y, lhs=lhs, rhs=rhs))
+    return report
+
+
+def _ref_polar_inner(space, u, v):
+    return 0.25 * (norm(space, u + v) ** 2 - norm(space, u - v) ** 2)
+
+
+def reference_classify_hilbert_classes(spec, space, cfg=None, ab=None):
+    if space.p != 2.0:
+        raise ValueError(f"hilbert-class checks need p=2, got p={space.p}")
+    if ab is not None:
+        a, b = ab
+        if not (a > 0.5 and b < a):
+            raise ValueError(f"(a, b) must satisfy a > 1/2 and b < a, got {ab}")
+    cfg = cfg or SamplerConfig()
+    rng = np.random.default_rng(cfg.seed)
+    names = ["nonspreading", "hybrid", "tj"] + (["ab_monotone"] if ab is not None else [])
+    reports = {n: PropertyReport(name=n, samples=cfg.n_samples) for n in names}
+    for _ in range(cfg.n_samples):
+        x = sample_domain_point(spec, rng, cfg.scale)
+        y = sample_domain_point(spec, rng, cfg.scale)
+        tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
+        d_im2 = norm(space, tx - ty) ** 2
+        d2 = norm(space, x - y) ** 2
+        cross_xy = norm(space, tx - y) ** 2
+        cross_yx = norm(space, ty - x) ** 2
+
+        rhs = cross_xy + cross_yx
+        if 2.0 * d_im2 > rhs + _ref_slack(rhs):
+            reports["nonspreading"].violations.append(Violation(x, y, 2.0 * d_im2, rhs))
+        rhs = d2 + _ref_polar_inner(space, x - tx, y - ty)
+        if d_im2 > rhs + _ref_slack(rhs):
+            reports["hybrid"].violations.append(Violation(x, y, d_im2, rhs))
+        rhs = d2 + cross_xy
+        if 2.0 * d_im2 > rhs + _ref_slack(rhs):
+            reports["tj"].violations.append(Violation(x, y, 2.0 * d_im2, rhs))
+        if ab is not None:
+            a, b = ab
+            lhs = _ref_polar_inner(space, x - y, tx - ty)
+            bound = (
+                a * d_im2
+                + (1.0 - a) * d2
+                - b * norm(space, x - tx) ** 2
+                - b * norm(space, y - ty) ** 2
+            )
+            if lhs < bound - _ref_slack(bound):
+                reports["ab_monotone"].violations.append(Violation(x, y, lhs, bound))
+    return reports
+
+
+def reference_index_of(op, x):
+    idx = np.rint((x - op.origin) / op.step).astype(int)
+    snapped = op.origin + idx * op.step
+    if np.max(np.abs(x - snapped)) > op.snap_tol:
+        raise DomainError(f"point {x} is not on the lattice (step {op.step})")
+    if np.any(idx < 0) or np.any(idx >= np.array(op.lattice_shape)):
+        raise DomainError(f"point {x} lies outside the lattice box")
+    return tuple(idx)
+
+
+def assert_same_report(rep, ref, rtol=1e-11):
+    """Same name, samples and witnesses bit for bit; sides within ``rtol``."""
+    assert (rep.name, rep.samples, rep.alpha) == (ref.name, ref.samples, ref.alpha)
+    assert len(rep.violations) == len(ref.violations)
+    for got, want in zip(rep.violations, ref.violations):
+        for name in ("x", "y"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+        for a, b in ((got.lhs, want.lhs), (got.rhs, want.rhs)):
+            assert isinstance(a, float)
+            assert a == b or abs(a - b) <= rtol * max(abs(a), abs(b))
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returns or raises, in a form two versions can be compared by."""
+    try:
+        return ("returned", fn(*args, **kwargs))
+    except ValueError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def same_outcome(got, want):
+    if got[0] == "raised" or want[0] == "raised":
+        return got == want
+    if isinstance(want[1], dict):
+        assert list(got[1]) == list(want[1])
+        for name in want[1]:
+            assert_same_report(got[1][name], want[1][name])
+    else:
+        assert_same_report(got[1], want[1])
+    return True
+
+
+def check_pair_verifiers(spec, cone, space, alpha, cfg, exhaustive=False):
+    """All three comparable-pair verifiers agree with their references;
+    returns whether the alpha check passed."""
+    for fn, ref, args in (
+        (is_monotone, reference_is_monotone, (spec, cone, cfg)),
+        (is_monotone_nonexpansive, reference_is_monotone_nonexpansive, (spec, cone, space, cfg)),
+        (is_alpha_nonexpansive, reference_is_alpha_nonexpansive, (spec, cone, space, alpha, cfg)),
+    ):
+        assert same_outcome(outcome(fn, *args), outcome(ref, *args))
+    rep = is_alpha_nonexpansive(spec, cone, space, alpha, cfg, exhaustive=exhaustive)
+    assert_same_report(rep, reference_is_alpha_nonexpansive(spec, cone, space, alpha, cfg, exhaustive))
+    return rep.passed
+
+
+LOR3 = ConeSpec(kind="lorentz", dim=3)
+
+
+def lorentz_rotation_map():
+    """Self-map of the Lorentz cone in R^3: rotate the head, shrink it faster
+    than the axis."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    matrix = np.array([[0.5 * c, -0.5 * s, 0.0], [0.5 * s, 0.5 * c, 0.0], [0.0, 0.0, 0.9]])
+    return make_mapping(AffineMap(matrix, np.array([0.0, 0.0, 1.0])), Domain(kind="cone", cone=LOR3))
+
+
+def lorentz_interval_map():
+    """x -> x/2 + hi/4 on the Lorentz order interval [0, hi]."""
+    hi = np.array([0.0, 0.0, 8.0])
+    domain = Domain(kind="interval", cone=LOR3, lo=np.zeros(3), hi=hi)
+    return make_mapping(AffineMap(0.5 * np.eye(3), hi / 4.0), domain)
+
+
+def grid2(cone_kind="orthant"):
+    """Unchecked lattice map on a 4 x 4 grid with a random (non-monotone) table."""
+    values = np.random.default_rng(21).uniform(0.0, 1.5, size=(4, 4, 2))
+    cone = ConeSpec(kind=cone_kind, dim=2)
+    return MappingSpec(GridMap(origin=np.zeros(2), step=0.5, values=values), Domain(kind="cone", cone=cone))
+
+
+class TestRowEvaluation:
+    @pytest.mark.parametrize(
+        "op",
+        [
+            AffineMap(np.array([[1.5]]), np.array([0.25])),
+            AffineMap(np.random.default_rng(1).normal(size=(2, 2)), np.ones(2)),
+            AffineMap(np.random.default_rng(2).normal(size=(5, 5)), np.ones(5)),
+            AffineMap(np.random.default_rng(3).normal(size=(20, 20)), np.ones(20)),
+            TruncationMap(cap=np.array([0.5, 0.25, 2.0])),
+            TranslationMap(shift=np.array([0.5, -0.25, 2.0])),
+            BoxProjectionMap(lo=np.array([0.2, 0.0, 0.5]), hi=np.array([0.7, 0.1, 0.9])),
+            CompositionMap(stages=[
+                AffineMap(np.random.default_rng(4).normal(size=(3, 3)), np.zeros(3)),
+                TruncationMap(cap=np.full(3, 0.5)),
+                TranslationMap(shift=np.ones(3)),
+                BoxProjectionMap(lo=np.zeros(3), hi=np.full(3, 1.75)),
+            ]),
+            grid2().op,
+            corpus.steep_step_map().op,
+        ],
+        ids=["affine1", "affine2", "affine5", "affine20", "truncation", "translation",
+             "box_projection", "composition", "grid2", "grid1"],
+    )
+    def test_rows_match_one_point_at_a_time(self, op):
+        rng = np.random.default_rng(9)
+        if isinstance(op, GridMap):
+            shape = np.array(op.lattice_shape)
+            x = op.origin + op.step * rng.integers(0, shape, size=(64, op.dim))
+        else:
+            x = rng.normal(size=(64, op.dim))
+        got = op.evaluate(x)
+        want = np.array([op.evaluate(row) for row in x])
+        assert got.dtype == want.dtype and got.shape == want.shape == (64, op.dim)
+        assert np.array_equal(got, want)
+        if isinstance(op, AffineMap):
+            assert np.array_equal(got, np.array([op.matrix @ row + op.offset for row in x]))
+        if isinstance(op, GridMap):
+            assert np.array_equal(want, np.array([op.values[reference_index_of(op, row)] for row in x]))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.5, 1.0], [0.3, 1.0], [2.5, 0.0]],     # off the lattice first
+            [[0.5, 1.0], [2.0, 0.0], [0.3, 1.0]],     # outside the box first
+            [[0.0, 0.0], [-0.7, 0.2], [0.5, 5.0]],    # off the lattice and outside
+            [[1.5, 1.5], [np.nan, 0.0]],               # a NaN row
+            [[1.5, 1.5], [0.0, 0.5]],                  # all good
+        ],
+        ids=["off-lattice", "outside", "both", "nan", "good"],
+    )
+    def test_index_of_rows_raise_for_the_first_bad_row(self, rows):
+        op = grid2().op
+        x = np.array(rows)
+
+        def first_row_outcome():
+            out = [outcome(reference_index_of, op, row) for row in x]
+            raised = [o for o in out if o[0] == "raised"]
+            return raised[0] if raised else ("returned", tuple(np.array([o[1] for o in out]).T))
+
+        with np.errstate(invalid="ignore"):
+            want = first_row_outcome()
+            got = outcome(op.index_of, x)
+            assert outcome(op.evaluate, x)[0] == want[0]
+            for row in x:  # one point at a time: the same result as before
+                single = outcome(op.index_of, row)
+                assert single[0] == outcome(reference_index_of, op, row)[0]
+                if single[0] == "raised":
+                    assert single == outcome(reference_index_of, op, row)
+                else:
+                    assert single[1] == reference_index_of(op, row)
+        if want[0] == "raised":
+            assert got == want and got[1] is DomainError
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+
+
+class TestReferenceVerifiers:
+    @pytest.mark.parametrize("entry", corpus.alpha_corpus(), ids=lambda e: e.name)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_alpha_corpus(self, entry, seed):
+        spec, cone = entry.spec, entry.spec.domain.cone
+        cfg = SamplerConfig(n_samples=300, seed=seed)
+        exhaustive = isinstance(spec.op, GridMap)
+        check_pair_verifiers(spec, cone, entry.space, entry.alpha, cfg, exhaustive)
+
+    def test_steep_step_lattice_fails_below_threshold(self):
+        spec, space = corpus.steep_step_map(), SpaceSpec(dim=1, p=2.0)
+        for alpha in (0.0, 0.2):
+            for exhaustive in (False, True):
+                cfg = SamplerConfig(n_samples=300, seed=1)
+                passed = check_pair_verifiers(spec, ORTH1, space, alpha, cfg, exhaustive)
+                assert not passed
+
+    @pytest.mark.parametrize("dim", [2, 5, 20])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_random_nonneg_affine(self, dim, p):
+        spec = corpus.random_nonneg_affine(dim, 0.95, np.random.default_rng(dim))
+        cone, space = spec.domain.cone, SpaceSpec(dim=dim, p=p)
+        cfg = SamplerConfig(n_samples=200, seed=dim)
+        passed = {
+            alpha: check_pair_verifiers(spec, cone, space, alpha, cfg)
+            for alpha in (-0.5, 0.0, 1.0 / 3.0, 0.9)
+        }
+        assert passed[0.0] and passed[1.0 / 3.0] and not passed[-0.5]
+        # an expansive copy of the map fails nonexpansiveness too
+        expansive = MappingSpec(AffineMap(1.5 * spec.op.matrix, spec.op.offset), spec.domain)
+        assert not check_pair_verifiers(expansive, cone, space, 0.0, cfg)
+
+    def test_non_monotone_box_map(self):
+        # order violations are recorded first and skip the norm test
+        cfg = SamplerConfig(n_samples=300, seed=2)
+        for p in (1.5, 2.0, 3.0):
+            assert not check_pair_verifiers(shear_map(), ORTH2, SpaceSpec(dim=2, p=p), 0.0, cfg)
+
+    @pytest.mark.parametrize("spec_fn", [lorentz_rotation_map, lorentz_interval_map])
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_lorentz_maps(self, spec_fn, p):
+        space = SpaceSpec(dim=3, p=p)
+        for alpha in (0.0, 0.5):
+            check_pair_verifiers(spec_fn(), LOR3, space, alpha, SamplerConfig(n_samples=200, seed=3))
+        # the orthant order on a Lorentz-domain map: mixed order violations
+        check_pair_verifiers(spec_fn(), ConeSpec("orthant", 3), space, 0.0, SamplerConfig(200, seed=4))
+
+    @pytest.mark.parametrize("cone", [ORTH2, LOR2], ids=["orthant", "lorentz"])
+    def test_lattice_pairs(self, cone):
+        # under the Lorentz cone some lattice pairs come in (upper, lower)
+        # order and are flipped, others are incomparable and dropped
+        spec = grid2()
+        for alpha in (0.0, 0.5):
+            check_pair_verifiers(spec, cone, P2, alpha, SamplerConfig(200, seed=6), exhaustive=True)
+        # 100 of the 136 lattice pairs are comparable under the orthant, 90
+        # under the Lorentz cone, 25 of which are flipped
+        rep = is_alpha_nonexpansive(spec, cone, P2, 0.0, exhaustive=True)
+        assert rep.samples == (90 if cone is LOR2 else 100)
+
+    def test_lattice_map_off_lattice_pairs_same_error(self):
+        # a lattice map on a Lorentz cone domain samples off-lattice pairs
+        spec = grid2("lorentz")
+        cfg = SamplerConfig(n_samples=50, seed=2)
+        got = outcome(is_alpha_nonexpansive, spec, LOR2, P2, 0.0, cfg)
+        assert got[0] == "raised" and got[1] is DomainError
+        assert got == outcome(reference_is_alpha_nonexpansive, spec, LOR2, P2, 0.0, cfg)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            corpus.identity_map(2),
+            corpus.constant_map([1.0, 1.0]),
+            corpus.box_clamp(2),
+            corpus.affine_contraction(2),
+            corpus.box_drift_down(2),
+            corpus.steep_step_map(),
+            shear_map(),
+            grid2(),
+            corpus.random_nonneg_affine(5, 0.95, np.random.default_rng(5)),
+            lorentz_rotation_map(),
+            lorentz_interval_map(),
+        ],
+        ids=["identity", "constant", "box_clamp", "contraction", "drift_down", "steep_step",
+             "shear", "grid2", "affine5", "lorentz", "lorentz_interval"],
+    )
+    @pytest.mark.parametrize("ab", [None, (0.75, 0.25), (1.0, 0.5)])
+    def test_hilbert_classes(self, spec, ab):
+        space = SpaceSpec(dim=spec.dim, p=2.0)
+        cfg = SamplerConfig(n_samples=200, seed=8)
+        got = outcome(classify_hilbert_classes, spec, space, cfg, ab)
+        assert got[0] == "returned"
+        assert same_outcome(got, outcome(reference_classify_hilbert_classes, spec, space, cfg, ab))
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            AffineMap(np.array([[1e308]]), np.array([1e308])),     # overflows to +inf for x > 0.8
+            AffineMap(np.array([[-1e308]]), np.array([-1e308])),   # to -inf: order violations
+        ],
+        ids=["plus-inf", "minus-inf"],
+    )
+    @pytest.mark.parametrize("n_samples", [1, 3, 300])
+    def test_non_finite_image(self, op, n_samples):
+        spec = MappingSpec(op, Domain(kind="cone", cone=ORTH1))
+        outcomes = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for seed in range(8):
+                cfg = SamplerConfig(n_samples=n_samples, seed=seed)
+                check = (
+                    (is_monotone, reference_is_monotone, (spec, ORTH1, cfg)),
+                    (is_monotone_nonexpansive, reference_is_monotone_nonexpansive, (spec, ORTH1, P1, cfg)),
+                    (is_alpha_nonexpansive, reference_is_alpha_nonexpansive, (spec, ORTH1, P1, 0.0, cfg)),
+                    (classify_hilbert_classes, reference_classify_hilbert_classes, (spec, P1, cfg)),
+                )
+                for fn, ref, args in check:
+                    got = outcome(fn, *args)
+                    assert same_outcome(got, outcome(ref, *args))
+                    outcomes.add(got[:2] if got[0] == "raised" else (got[0], fn.__name__))
+        assert ("raised", ValueError) in outcomes
+        if n_samples == 300:
+            assert outcomes == {("raised", ValueError), ("returned", "is_monotone")}
+
+    def test_space_of_other_dimension_same_error(self):
+        cfg = SamplerConfig(n_samples=20, seed=0)
+        space = SpaceSpec(dim=3, p=2.0)
+        spec = corpus.affine_contraction(2)
+        for fn, ref, args in (
+            (is_monotone_nonexpansive, reference_is_monotone_nonexpansive, (spec, ORTH2, space, cfg)),
+            (is_alpha_nonexpansive, reference_is_alpha_nonexpansive, (spec, ORTH2, space, 0.0, cfg)),
+        ):
+            got = outcome(fn, *args)
+            assert got[0] == "raised" and got == outcome(ref, *args)
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize(
+        "spec",
+        [e.spec for e in corpus.alpha_corpus()]
+        + [shear_map(), grid2(), grid2("lorentz"), lorentz_rotation_map(), lorentz_interval_map(),
+           MappingSpec(AffineMap(0.5 * np.eye(2), np.zeros(2)),
+                       Domain(kind="box", cone=LOR2, lo=np.zeros(2), hi=np.ones(2)))],
+        ids=[e.name for e in corpus.alpha_corpus()]
+        + ["shear", "grid2", "grid2-lorentz", "lorentz", "lorentz_interval", "lorentz_box"],
+    )
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_rows_are_the_pairwise_draws(self, spec, scale):
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        x, y = sample_comparable_pairs(spec, rng, 40, scale)
+        assert x.shape == y.shape == (40, spec.dim)
+        for k in range(40):
+            rx, ry = reference_sample_comparable_pair(spec, ref_rng, scale)
+            assert np.array_equal(x[k], rx) and np.array_equal(y[k], ry)
+        assert rng.uniform() == ref_rng.uniform()
+        # the one-pair form draws the same pair as the reference
+        one = sample_comparable_pair(spec, np.random.default_rng(12), scale)
+        ref = reference_sample_comparable_pair(spec, np.random.default_rng(12), scale)
+        assert all(np.array_equal(a, b) and a.shape == (spec.dim,) for a, b in zip(one, ref))
+
+    def test_no_pairs(self):
+        for spec in (corpus.affine_contraction(2), corpus.steep_step_map(), lorentz_rotation_map()):
+            x, y = sample_comparable_pairs(spec, np.random.default_rng(0), 0)
+            assert x.shape == y.shape == (0, spec.dim)
+            rep = is_alpha_nonexpansive(spec, spec.domain.cone, SpaceSpec(spec.dim, 2.0), 0.0,
+                                        SamplerConfig(n_samples=0))
+            assert rep.passed and rep.samples == 0

@@ -22,10 +22,12 @@ from orderfp.order import (
     project_to_cone,
     sample_cone_point,
     sample_dominated_pair,
+    sample_dominated_pairs,
     sup_finite,
     sup_pair,
 )
-from orderfp.space import SpaceSpec, norm
+from orderfp.report import PropertyReport, Violation
+from orderfp.space import SpaceSpec, as_vector, norm
 
 ORTH2 = ConeSpec(kind="orthant", dim=2)
 ORTH3 = ConeSpec(kind="orthant", dim=3)
@@ -257,3 +259,129 @@ class TestConeDiagnostics:
         witness = report.violations[0]
         assert np.array_equal(witness.x, bad[0]) and np.array_equal(witness.y, bad[1])
         assert witness.lhs > witness.rhs
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the pair-by-pair draw and checks, kept verbatim so the
+# row-wise versions can be held to the same draws, witnesses and values
+
+
+def reference_sample_dominated_pair(cone, rng, scale=1.0):
+    x = sample_cone_point(cone, rng, scale)
+    d = sample_cone_point(cone, rng, scale)
+    return x, x + d
+
+
+def reference_normality_constant_estimate(cone, space, n_samples, seed=0):
+    if n_samples <= 0:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        x, y = reference_sample_dominated_pair(cone, rng)
+        ny = norm(space, y)
+        if ny == 0.0:
+            continue
+        worst = max(worst, norm(space, x) / ny)
+    return worst
+
+
+def reference_is_norm_monotonic(cone, space, n_samples, seed=0, extra_pairs=None, tol=1e-12):
+    if n_samples <= 0:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    rng = np.random.default_rng(seed)
+    pairs = [reference_sample_dominated_pair(cone, rng) for _ in range(n_samples)]
+    if extra_pairs is not None:
+        pairs.extend((as_vector(a, cone.dim), as_vector(b, cone.dim)) for a, b in extra_pairs)
+    report = PropertyReport(name="norm_monotonic", samples=len(pairs))
+    for x, y in pairs:
+        nx, ny = norm(space, x), norm(space, y)
+        if nx > ny + tol:
+            report.violations.append(Violation(x=x, y=y, lhs=nx, rhs=ny))
+    return report
+
+
+def assert_same_report(rep, ref, rtol=1e-11):
+    """Same name, samples and witnesses bit for bit; sides within ``rtol``."""
+    assert (rep.name, rep.samples, rep.alpha) == (ref.name, ref.samples, ref.alpha)
+    assert len(rep.violations) == len(ref.violations)
+    for got, want in zip(rep.violations, ref.violations):
+        for name in ("x", "y"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+        for a, b in ((got.lhs, want.lhs), (got.rhs, want.rhs)):
+            assert isinstance(a, float)
+            assert a == b or abs(a - b) <= rtol * max(abs(a), abs(b))
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return ("returned", fn(*args, **kwargs))
+    except ValueError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+LOR2 = ConeSpec(kind="lorentz", dim=2)
+
+
+class TestReferenceDominatedPairs:
+    @pytest.mark.parametrize("cone", [ORTH2, ORTH3, LOR2, LOR3], ids=lambda c: f"{c.kind}{c.dim}")
+    def test_rows_are_the_pairwise_draws(self, cone):
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        x, y = sample_dominated_pairs(cone, rng, 40, scale=2.0)
+        assert x.shape == y.shape == (40, cone.dim)
+        for k in range(40):
+            rx, ry = reference_sample_dominated_pair(cone, ref_rng, scale=2.0)
+            assert np.array_equal(x[k], rx) and np.array_equal(y[k], ry)
+        # both generators are left in the same state
+        assert rng.uniform() == ref_rng.uniform()
+
+    def test_single_pair_wrapper(self):
+        got = sample_dominated_pair(LOR3, np.random.default_rng(5))
+        want = reference_sample_dominated_pair(LOR3, np.random.default_rng(5))
+        assert all(np.array_equal(a, b) and a.shape == (3,) for a, b in zip(got, want))
+
+    # the cones and seeds of TestConeDiagnostics, plus the Lorentz cone
+    @pytest.mark.parametrize(
+        "cone, p, n, seed",
+        [(ORTH3, 1.5, 500, 0), (ORTH2, 2.0, 200, 9), (ORTH2, 2.0, 500, 10), (LOR3, 1.5, 500, 0),
+         (LOR3, 3.0, 200, 9), (LOR2, 2.0, 300, 10)],
+    )
+    def test_normality_constant_matches_reference(self, cone, p, n, seed):
+        space = SpaceSpec(dim=cone.dim, p=p)
+        got = normality_constant_estimate(cone, space, n, seed=seed)
+        want = reference_normality_constant_estimate(cone, space, n, seed=seed)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-12 * want
+        assert got > 0.0
+
+    @pytest.mark.parametrize("cone", [ORTH2, LOR2], ids=["orthant", "lorentz"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "extra",
+        [None, [], [(np.array([2.0, 2.0]), np.array([1.0, 1.0])), ([0.0, 0.0], [3.0, 4.0])]],
+        ids=["none", "empty", "injected"],
+    )
+    def test_norm_monotonic_matches_reference(self, cone, p, extra):
+        space = SpaceSpec(dim=2, p=p)
+        got = is_norm_monotonic(cone, space, 300, seed=4, extra_pairs=extra)
+        want = reference_is_norm_monotonic(cone, space, 300, seed=4, extra_pairs=extra)
+        assert_same_report(got, want)
+        assert got.passed == (not extra)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[([1.0, 2.0, 3.0], [1.0, 2.0])], [([np.nan, 0.0], [1.0, 1.0])], [([1.0, 1.0], [1.0])]],
+        ids=["wrong-dim-x", "non-finite", "wrong-dim-y"],
+    )
+    def test_bad_extra_pairs_same_error(self, extra):
+        got = outcome(is_norm_monotonic, ORTH2, P2, 10, seed=0, extra_pairs=extra)
+        want = outcome(reference_is_norm_monotonic, ORTH2, P2, 10, seed=0, extra_pairs=extra)
+        assert got[0] == "raised" and got == want
+
+    def test_space_of_other_dimension_same_error(self):
+        space = SpaceSpec(dim=3, p=2.0)
+        for fn, ref in ((is_norm_monotonic, reference_is_norm_monotonic),
+                        (normality_constant_estimate, reference_normality_constant_estimate)):
+            got, want = outcome(fn, ORTH2, space, 10, seed=0), outcome(ref, ORTH2, space, 10, seed=0)
+            assert got[0] == "raised" and got == want
