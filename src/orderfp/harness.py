@@ -50,7 +50,7 @@ from orderfp.mapping import (
     sample_domain_point,
 )
 from orderfp.order import ConeSpec, leq, is_norm_monotonic
-from orderfp.space import SpaceSpec, as_vector, norm
+from orderfp.space import SpaceSpec, as_vector, norm, _row_norms
 
 SUITES = ("t32", "t33", "t34", "t41-44", "c45-46")
 
@@ -249,7 +249,7 @@ def _descent_check(
         return
     z = candidates[0]
     bound = norm(scn.space, x0 - z) + DESCENT_TOL
-    worst = max(norm(scn.space, pt - z) for pt in record.points)
+    worst = float(_row_norms(scn.space, (record.points - z)[None]).max())
     rep.add(
         f"descent_from_{tag}_fixed_point",
         worst <= bound,

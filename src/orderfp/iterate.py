@@ -5,12 +5,13 @@ Boundedness of an orbit is undecidable from finitely many iterates; the
 ceiling and positive mean growth over a trailing window, so slowly converging
 orbits are not misclassified. An orbit whose image overflows (an inf or NaN
 coordinate) stops with the ``nonfinite`` verdict at its last finite point.
+Orbits are stepped in blocks: the stopping rules run once per block, row-wise,
+and the first row where one fires ends the orbit, as if checked step by step.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from orderfp.mapping import DomainError, MappingSpec, _domain_contains_raw
 from orderfp.order import MEMBERSHIP_TOL, ConeSpec, _member_raw
-from orderfp.space import SpaceSpec, as_vector, _norm_raw
+from orderfp.space import SpaceSpec, as_vector, _row_norms
 
 CONVERGED = "converged"
 UNBOUNDED_SUSPECTED = "unbounded_suspected"
@@ -42,6 +43,8 @@ class IterationConfig:
             raise ValueError("max_iter must be >= 1")
         if self.residual_tol <= 0 or self.bound_threshold <= 0:
             raise ValueError("residual_tol and bound_threshold must be positive")
+        if self.window < 0:
+            raise ValueError(f"window must be >= 0, got {self.window}")
 
 
 @dataclass
@@ -68,6 +71,9 @@ def _step_flags(points: np.ndarray, cone: ConeSpec) -> tuple[np.ndarray, np.ndar
     return _member_raw(cone, steps, MEMBERSHIP_TOL), _member_raw(cone, -steps, MEMBERSHIP_TOL)
 
 
+BLOCK_FIRST, BLOCK_CAP = 8, 1024  # steps per block: doubles from the first to the cap
+
+
 def _orbit(
     spec: MappingSpec,
     x0,
@@ -81,48 +87,77 @@ def _orbit(
     domain, evaluate = spec.domain, spec.op.evaluate
     if not _domain_contains_raw(domain, x, MEMBERSHIP_TOL):
         raise DomainError(f"starting point {x} lies outside the mapping domain")
-    p = space.p
-    points = [x]
-    residuals: list[float] = []
-    norms = [_norm_raw(p, x)]
-    verdict = MAX_ITER_REACHED
 
-    # only what a stopping rule reads is computed per step; the order flags
-    # are derived once from the recorded points after the loop
-    for n in range(cfg.max_iter):
-        tx = evaluate(x)
-        res = _norm_raw(p, tx - x)
-        # a non-finite image makes the residual non-finite, but so can a
-        # finite image whose norm overflows, so only then is the image read
-        if not res < math.inf and not np.isfinite(tx).all():
-            residuals.append(res)
-            verdict = NONFINITE
-            break
-        if not _domain_contains_raw(domain, tx, 1e-9):
-            raise DomainError(f"map escaped its domain at step {n}: image {tx}")
-        residuals.append(res)
-        if res <= cfg.residual_tol:
-            verdict = CONVERGED
-            break
-        if beta_fn is None:
-            x = tx
-        else:
-            beta = float(beta_fn(n))
-            if not (0.0 <= beta <= 1.0):
-                raise ValueError(f"invalid Mann schedule: beta_{n}={beta} outside [0, 1]")
-            x = beta * x + (1.0 - beta) * tx
-        points.append(x)
-        norms.append(_norm_raw(p, x))
-        if norms[-1] > cfg.bound_threshold and len(norms) > cfg.window:
-            if norms[-1] > norms[-1 - cfg.window]:
+    def row_norms(rows):  # rows past an overflow are not validated
+        return _row_norms(space, rows[None], slice(0))[0]
+
+    points, residuals, norms = [x[None]], [], [row_norms(x[None])]
+    # norms of the `window` points before the block, +inf before x_0; a
+    # window longer than the budget could never look back far enough
+    window = min(cfg.window, cfg.max_iter + 1)
+    recent = np.concatenate((np.full(window, np.inf), norms[0]))[1:]
+    verdict, n0, k = MAX_ITER_REACHED, 0, BLOCK_FIRST
+    with np.errstate(all="ignore"):
+        while verdict == MAX_ITER_REACHED and n0 < cfg.max_iter:
+            # the recurrence alone, k steps at a time; an error is held until
+            # the rules below show that no earlier step ends the orbit
+            k = min(k, cfg.max_iter - n0)
+            xs = np.empty((k + 1, x.size))
+            xs[0] = x
+            txs = xs[1:] if beta_fn is None else np.empty((k, x.size))
+            held, m, imgs = None, k, k  # steps with a next point, with an image
+            for j in range(k):
+                try:
+                    txs[j] = tx = evaluate(xs[j])
+                except Exception as exc:
+                    held, m, imgs = exc, j, j
+                    break
+                if beta_fn is not None:
+                    try:
+                        beta = float(beta_fn(n0 + j))
+                        if not (0.0 <= beta <= 1.0):
+                            raise ValueError(
+                                f"invalid Mann schedule: beta_{n0 + j}={beta} outside [0, 1]"
+                            )
+                    except Exception as exc:
+                        held, m, imgs = exc, j, j + 1
+                        break
+                    xs[j + 1] = beta * xs[j] + (1.0 - beta) * tx
+
+            # the stopping rules, row-wise; the first row where one fires ends
+            # the orbit, and within a row they rank nonfinite, escape,
+            # converged, the Mann schedule, growth
+            img = txs[:imgs]
+            both = row_norms(np.concatenate((img - xs[:imgs], xs[1 : m + 1])))
+            res, new_norms = both[:imgs], both[imgs:]
+            bad = ~(res < np.inf) & ~np.isfinite(img).all(axis=1)
+            esc = ~_domain_contains_raw(domain, img, 1e-9)
+            halt = np.flatnonzero(bad | esc | (res <= cfg.residual_tol))
+            recent = np.concatenate((recent, new_norms))
+            grow = np.flatnonzero((new_norms > cfg.bound_threshold) & (new_norms > recent[:m]))
+            j = halt[0] if halt.size else imgs
+            g = grow[0] if grow.size else m
+            keep, nres = m, m  # new points and residuals that stay in the record
+            if j < imgs and j <= g:
+                keep, nres = j, j + 1
+                if esc[j] and not bad[j]:
+                    raise DomainError(f"map escaped its domain at step {n0 + j}: image {img[j]}")
+                verdict = NONFINITE if bad[j] else CONVERGED
+            elif g < m:  # the last point's residual is taken below
+                keep = nres = g + 1
                 verdict = UNBOUNDED_SUSPECTED
-                break
+            elif held is not None:
+                raise held
+            points.append(xs[1 : keep + 1])
+            norms.append(new_norms[:keep])
+            residuals.append(res[:nres])
+            x, n0, k = xs[keep], n0 + k, min(2 * k, BLOCK_CAP)
+            recent = recent[len(recent) - window :]
 
-    if len(residuals) < len(points):
-        residuals.append(_norm_raw(p, evaluate(x) - x))
-
-    pts = np.asarray(points)
-    up_arr, down_arr = _step_flags(pts, cone)
+        if verdict in (MAX_ITER_REACHED, UNBOUNDED_SUSPECTED):
+            residuals.append(row_norms((evaluate(x) - x)[None]))
+        pts = np.concatenate(points)
+        up_arr, down_arr = _step_flags(pts, cone)
     if up_arr.all():
         order = INCREASING
     elif down_arr.all():
@@ -131,8 +166,8 @@ def _orbit(
         order = NEITHER
     return OrbitRecord(
         points=pts,
-        residuals=np.asarray(residuals),
-        norms=np.asarray(norms),
+        residuals=np.concatenate(residuals),
+        norms=np.concatenate(norms),
         leq_up=up_arr,
         leq_down=down_arr,
         order_monotone=order,

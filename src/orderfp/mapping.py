@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -560,15 +561,17 @@ def check_displacement_bound(
     if not comparable(cone, xv, yv):
         raise IncomparableError(f"pair is incomparable under the {cone.kind} cone")
     tx, ty = spec.op.evaluate(xv), spec.op.evaluate(yv)
-    d_im = norm(space, tx - ty)
-    d_arg = norm(space, xv - yv)
-    disp = norm(space, tx - xv)
+    d_im, d_arg, disp = norm(space, tx - ty), norm(space, xv - yv), norm(space, tx - xv)
+    # in units of s, so that no square overflows; norms up to 1 keep their
+    # exact arithmetic, and a norm that overflowed stays inf as before
+    s = max(1.0, *(v for v in (d_im, d_arg, disp) if v < math.inf))
+    d_im, d_arg, disp = d_im / s, d_arg / s, disp / s
     rhs = (
         d_arg ** 2
         + (2.0 * alpha / (1.0 - alpha)) * disp ** 2
         + (2.0 * abs(alpha) / (1.0 - alpha)) * disp * (d_arg + d_im)
     )
-    return d_im ** 2 <= rhs + _slack(rhs)
+    return d_im ** 2 <= rhs + INEQ_ATOL / s / s + INEQ_RTOL * abs(rhs)
 
 
 def classify_hilbert_classes(

@@ -45,12 +45,7 @@ class SpaceSpec:
 def norm(space: SpaceSpec, x) -> float:
     """lp norm (sum |x_i|^p)^(1/p); zero exactly for the zero vector."""
     v = as_vector(x, dim=space.dim)
-    return _norm_raw(space.p, v)
-
-
-def _norm_raw(p: float, v: np.ndarray) -> float:
-    # hot-loop path: assumes a validated 1-D float array
-    return float((np.abs(v) ** p).sum() ** (1.0 / p))
+    return float((np.abs(v) ** space.p).sum() ** (1.0 / space.p))
 
 
 def _row_norms(space: SpaceSpec, v: np.ndarray, checked=slice(None)) -> np.ndarray:

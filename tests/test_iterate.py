@@ -1,12 +1,18 @@
 """Orbit generation, order tracking, and limits."""
 
+import itertools
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orderfp import corpus
 from orderfp.iterate import (
+    BLOCK_CAP,
+    BLOCK_FIRST,
     CONVERGED,
     DECREASING,
     INCREASING,
@@ -23,19 +29,24 @@ from orderfp.iterate import (
     picard_orbit,
     read_orbit_points,
     write_orbit_csv,
+    _orbit,
+    _step_flags,
 )
 from orderfp.mapping import (
     AffineMap,
+    CompositionMap,
     Domain,
     DomainError,
+    GridMap,
     MappingSpec,
     TranslationMap,
+    TruncationMap,
     _domain_contains_raw,
     make_mapping,
     sample_domain_point,
 )
 from orderfp.order import MEMBERSHIP_TOL, ConeSpec, _member_raw, leq
-from orderfp.space import SpaceSpec, norm
+from orderfp.space import SpaceSpec, as_vector, norm
 
 ORTH2 = ConeSpec(kind="orthant", dim=2)
 P2 = SpaceSpec(dim=2, p=2.0)
@@ -612,3 +623,313 @@ class TestNonfiniteOrbits:
             picard_orbit(spec, [0.0, 0.0], ORTH2, P2, SMALL),
             reference_orbit(spec, [0.0, 0.0], ORTH2, P2, SMALL),
         )
+
+
+# ---------------------------------------------------------------------------
+# the block engine against the stepwise engine it replaced
+
+
+def stepwise_orbit(
+    spec: MappingSpec,
+    x0,
+    cone: ConeSpec,
+    space: SpaceSpec,
+    cfg: IterationConfig,
+    beta_fn,
+    scheme: str,
+) -> OrbitRecord:
+    """The stepwise engine the block engine replaced, verbatim but for the
+    norm helper, which left the package: every rule runs inside each step."""
+    x = as_vector(x0, dim=spec.dim)
+    domain, evaluate = spec.domain, spec.op.evaluate
+    if not _domain_contains_raw(domain, x, MEMBERSHIP_TOL):
+        raise DomainError(f"starting point {x} lies outside the mapping domain")
+    p = space.p
+    points = [x]
+    residuals: list[float] = []
+    norms = [_ref_norm(p, x)]
+    verdict = MAX_ITER_REACHED
+
+    # only what a stopping rule reads is computed per step; the order flags
+    # are derived once from the recorded points after the loop
+    for n in range(cfg.max_iter):
+        tx = evaluate(x)
+        res = _ref_norm(p, tx - x)
+        # a non-finite image makes the residual non-finite, but so can a
+        # finite image whose norm overflows, so only then is the image read
+        if not res < math.inf and not np.isfinite(tx).all():
+            residuals.append(res)
+            verdict = NONFINITE
+            break
+        if not _domain_contains_raw(domain, tx, 1e-9):
+            raise DomainError(f"map escaped its domain at step {n}: image {tx}")
+        residuals.append(res)
+        if res <= cfg.residual_tol:
+            verdict = CONVERGED
+            break
+        if beta_fn is None:
+            x = tx
+        else:
+            beta = float(beta_fn(n))
+            if not (0.0 <= beta <= 1.0):
+                raise ValueError(f"invalid Mann schedule: beta_{n}={beta} outside [0, 1]")
+            x = beta * x + (1.0 - beta) * tx
+        points.append(x)
+        norms.append(_ref_norm(p, x))
+        if norms[-1] > cfg.bound_threshold and len(norms) > cfg.window:
+            if norms[-1] > norms[-1 - cfg.window]:
+                verdict = UNBOUNDED_SUSPECTED
+                break
+
+    if len(residuals) < len(points):
+        residuals.append(_ref_norm(p, evaluate(x) - x))
+
+    pts = np.asarray(points)
+    up_arr, down_arr = _step_flags(pts, cone)
+    if up_arr.all():
+        order = INCREASING
+    elif down_arr.all():
+        order = DECREASING
+    else:
+        order = NEITHER
+    return OrbitRecord(
+        points=pts,
+        residuals=np.asarray(residuals),
+        norms=np.asarray(norms),
+        leq_up=up_arr,
+        leq_down=down_arr,
+        order_monotone=order,
+        verdict=verdict,
+        scheme=scheme,
+    )
+
+
+def engine_outcome(engine, spec, x0, space, cfg, beta_fn=None):
+    """What one engine returns or raises; the stepwise engine's overflow
+    warnings are silenced."""
+    scheme = "picard" if beta_fn is None else "mann"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return ("returned", engine(spec, x0, spec.domain.cone, space, cfg, beta_fn, scheme))
+        except Exception as exc:
+            return ("raised", type(exc), str(exc))
+
+
+def assert_same_outcome(spec, x0, space, cfg, beta_fn=None):
+    """Both engines give bit-identical records, or the same error type and text."""
+    got = engine_outcome(_orbit, spec, x0, space, cfg, beta_fn)
+    want = engine_outcome(stepwise_orbit, spec, x0, space, cfg, beta_fn)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised":
+        assert got == want
+        return got
+    rec, ref = got[1], want[1]
+    for name in ("points", "residuals", "norms", "leq_up", "leq_down"):
+        a, b = getattr(rec, name), getattr(ref, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name  # NaN-safe: the bits themselves
+    assert (rec.order_monotone, rec.verdict, rec.scheme) == (ref.order_monotone, ref.verdict, ref.scheme)
+    return got
+
+
+# steps where the blocks of one orbit end: 8, 24, 56, ..., 1016, 2040; a stop
+# is tried on both sides of the first two and the last two
+BLOCK_ENDS = list(itertools.accumulate(min(BLOCK_FIRST << i, BLOCK_CAP) for i in range(8)))
+STOP_STEPS = sorted(
+    {0, 1, 7, 8, 9, 23, 24, 25, 1023, 1024, 1025, 2047}
+    | {end + d for end in BLOCK_ENDS[:2] + BLOCK_ENDS[-2:] for d in (-1, 0, 1)}
+)
+CONE1 = Domain(kind="cone", cone=ORTH1)
+LINE2 = SpaceSpec(dim=1, p=2.0)
+LONG = IterationConfig(max_iter=5000, residual_tol=1e-10, bound_threshold=1e12, window=50)
+
+
+@dataclass
+class StepUp:
+    """x -> x + 1; from x_0 = at on (x reaches ``at`` at step ``at``) the
+    image's first coordinate is ``value``, or the call raises ``raises``."""
+
+    at: float
+    value: float = 0.0
+    raises: type | None = None
+    dim: int = 1
+
+    def evaluate(self, x):
+        y = x + 1.0
+        if x[0] >= self.at:
+            if self.raises is not None:
+                raise self.raises(f"cannot step from {x}")
+            y[0] = self.value
+        return y
+
+
+def converges_at(step):
+    """min(x + 1, step) from 0: the residual first vanishes at ``step``."""
+    op = CompositionMap([TranslationMap(np.ones(1)), TruncationMap(np.full(1, float(step)))])
+    return MappingSpec(op=op, domain=CONE1)
+
+
+def stop_case(kind, step):
+    """(spec, x0, cfg) of a 1-D orbit whose first stop is ``kind`` at ``step``."""
+    zero = [0.0]
+    if kind == CONVERGED:
+        return converges_at(step), zero, LONG
+    if kind == "converged_over_growth":  # on the same row, the growth test would fire
+        cfg = IterationConfig(max_iter=5000, bound_threshold=0.5, window=step + 1)
+        return converges_at(step), zero, cfg
+    if kind == UNBOUNDED_SUSPECTED:  # the norm of x_{n+1} = n + 1 first clears the ceiling
+        cfg = IterationConfig(max_iter=5000, bound_threshold=step + 0.5, window=1)
+        return MappingSpec(op=TranslationMap(np.ones(1)), domain=CONE1), zero, cfg
+    if kind == "unbounded_by_window":  # ceiling cleared early; the window gates it
+        cfg = IterationConfig(max_iter=5000, bound_threshold=0.5, window=step + 1)
+        return MappingSpec(op=TranslationMap(np.ones(1)), domain=CONE1), zero, cfg
+    if kind == "unbounded_then_raise":  # the last point's residual cannot be taken
+        cfg = IterationConfig(max_iter=5000, bound_threshold=step + 0.5, window=1)
+        return MappingSpec(op=StepUp(at=step + 1, raises=RuntimeError), domain=CONE1), zero, cfg
+    if kind in (NONFINITE, "nan", "-inf"):
+        value = {NONFINITE: np.inf, "nan": np.nan, "-inf": -np.inf}[kind]
+        return MappingSpec(op=StepUp(at=step, value=value), domain=CONE1), zero, LONG
+    if kind == "escape_over_convergence":  # the image of x_step = step is step + 1e-8
+        cfg = IterationConfig(max_iter=5000, residual_tol=1e-6)
+        domain = Domain(kind="interval", cone=ORTH1, lo=np.zeros(1), hi=np.full(1, float(step)))
+        return MappingSpec(op=StepUp(at=step, value=step + 1e-8), domain=domain), zero, cfg
+    if kind == "escape":  # x_n = step + 0.5 - n; the image of step `step` is -0.5
+        return MappingSpec(op=TranslationMap(-np.ones(1)), domain=CONE1), [step + 0.5], LONG
+    assert kind == "raise"
+    return MappingSpec(op=StepUp(at=step, raises=RuntimeError), domain=CONE1), zero, LONG
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("step", STOP_STEPS)
+    @pytest.mark.parametrize(
+        "kind",
+        [CONVERGED, "converged_over_growth", UNBOUNDED_SUSPECTED, "unbounded_by_window",
+         "unbounded_then_raise",
+         NONFINITE, "nan", "-inf", "escape", "escape_over_convergence", "raise"],
+    )
+    def test_first_stop_at_block_edges(self, kind, step):
+        spec, x0, cfg = stop_case(kind, step)
+        got = assert_same_outcome(spec, x0, LINE2, cfg)
+        if kind.startswith("escape"):
+            assert got[1] is DomainError and f"escaped its domain at step {step}:" in got[2]
+        elif kind in ("raise", "unbounded_then_raise"):
+            assert got[1] is RuntimeError
+        else:
+            rec = got[1]
+            want = {"nan": NONFINITE, "-inf": NONFINITE, "converged_over_growth": CONVERGED,
+                    "unbounded_by_window": UNBOUNDED_SUSPECTED}
+            assert rec.verdict == want.get(kind, kind)
+            assert len(rec.residuals) == len(rec.norms) == len(rec)
+            assert len(rec) == step + (2 if rec.verdict == UNBOUNDED_SUSPECTED else 1)
+
+    @pytest.mark.parametrize("max_iter", [1, 7, 8, 9, 100] + BLOCK_ENDS[-2:])
+    @pytest.mark.parametrize("beta", [None, 0.5])
+    def test_budget_ends_inside_and_on_block_edges(self, max_iter, beta):
+        cfg = IterationConfig(max_iter=max_iter, bound_threshold=1e12)
+        beta_fn = None if beta is None else (lambda n: beta)
+        for spec in (MappingSpec(op=TranslationMap(np.ones(1)), domain=CONE1), converges_at(50)):
+            got = assert_same_outcome(spec, [0.0], LINE2, cfg, beta_fn)
+            rec = got[1]
+            if rec.verdict == MAX_ITER_REACHED:
+                assert len(rec) == len(rec.residuals) == max_iter + 1
+
+    @pytest.mark.parametrize("step", [0, 5, 7, 8, 23])
+    def test_grid_escape_wins_over_the_off_lattice_step_after_it(self, step):
+        # x_n = step - n on the lattice 0, 1, ..., 40; 0 maps to -0.5, which
+        # leaves the orthant and is off the lattice, so the next step raises
+        values = np.arange(-1.0, 40.0).reshape(41, 1)
+        values[0] = -0.5
+        spec = MappingSpec(op=GridMap(np.zeros(1), 1.0, values), domain=CONE1)
+        got = assert_same_outcome(spec, [float(step)], LINE2, LONG)
+        assert got[1] is DomainError
+        assert got[2] == f"map escaped its domain at step {step}: image [-0.5]"
+        with pytest.raises(DomainError, match="not on the lattice"):
+            spec.op.evaluate(np.array([-0.5]))
+
+    def test_grid_leaving_its_lattice_raises_the_lattice_error(self):
+        # 0 -> 1 -> ... -> 9 -> 10: the orthant holds 10, the 10-point lattice does not
+        spec = MappingSpec(op=GridMap(np.zeros(1), 1.0, np.arange(1.0, 11.0).reshape(10, 1)), domain=CONE1)
+        got = assert_same_outcome(spec, [0.0], LINE2, LONG)
+        assert got[1:] == (DomainError, "point [10.] lies outside the lattice box")
+
+    @pytest.mark.parametrize("step", [0, 3, 7, 8, 9])
+    def test_invalid_beta_on_a_converging_step_is_never_read(self, step):
+        beta_fn = lambda n: 0.0 if n < step else 2.0
+        got = assert_same_outcome(converges_at(step), [0.0], LINE2, LONG, beta_fn)
+        assert got[1].verdict == CONVERGED
+
+    @pytest.mark.parametrize("step", [0, 3, 7, 8, 9])
+    @pytest.mark.parametrize("bad", [2.0, -0.25, math.nan])
+    def test_invalid_beta_on_a_live_step_raises(self, step, bad):
+        beta_fn = lambda n: 0.5 if n < step else bad
+        got = assert_same_outcome(converges_at(step + 5), [0.0], LINE2, LONG, beta_fn)
+        assert got[1:] == (ValueError, f"invalid Mann schedule: beta_{step}={bad} outside [0, 1]")
+
+    @pytest.mark.parametrize("step", [0, 3, 7, 8, 9])
+    def test_schedule_raising_past_the_stop_never_surfaces(self, step):
+        def beta_fn(n):
+            if n >= step:
+                raise RuntimeError(f"schedule has no beta_{n}")
+            return 0.0
+
+        got = assert_same_outcome(converges_at(step), [0.0], LINE2, LONG, beta_fn)
+        assert got[1].verdict == CONVERGED
+        # before the stop, the same error is raised
+        got = assert_same_outcome(converges_at(step + 5), [0.0], LINE2, LONG, beta_fn)
+        assert got[1:] == (RuntimeError, f"schedule has no beta_{step}")
+
+    def test_no_warnings_from_steps_past_an_overflow(self):
+        # x -> 1e200 x + 1 overflows at step 2 of the first block; the steps
+        # after it run on inf and NaN
+        spec = MappingSpec(op=AffineMap(np.array([[1e200]]), np.ones(1)), domain=CONE1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = picard_orbit(spec, [0.0], ORTH1, LINE2)
+            mann = mann_orbit(spec, [0.0], 0.25, ORTH1, LINE2)
+        assert rec.verdict == mann.verdict == NONFINITE
+        with pytest.warns(RuntimeWarning):
+            stepwise_orbit(spec, [0.0], ORTH1, LINE2, IterationConfig(), None, "picard")
+        assert_same_outcome(spec, [0.0], LINE2, IterationConfig())
+        assert_same_outcome(spec, [0.0], LINE2, IterationConfig(), lambda n: 0.25)
+
+    def test_corpus_and_campaign_shaped_orbits(self):
+        for entry in corpus.alpha_corpus():
+            spec = entry.spec
+            for x0 in (np.zeros(spec.dim), sample_domain_point(spec, np.random.default_rng(3))):
+                for beta_fn in (None, lambda n: 1.0 / (n + 2)):
+                    assert_same_outcome(spec, x0, entry.space, SMALL, beta_fn)
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError, match="window"):
+            IterationConfig(window=-1)
+
+
+@st.composite
+def affine_orbits(draw):
+    d = draw(st.integers(1, 6))
+    rho = draw(st.floats(0.05, 2.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x0 = draw(st.lists(st.floats(0.0, 1e3), min_size=d, max_size=d))
+    octave = draw(st.sampled_from(range(12)))  # budgets spread over the block sizes
+    cfg = IterationConfig(
+        max_iter=draw(st.integers(1 << octave, min(2 << octave, 2100))),
+        bound_threshold=10.0 ** draw(st.integers(0, 300)),
+        window=draw(st.integers(0, 120)),
+    )
+    rng = np.random.default_rng(seed)
+    matrix = rng.uniform(0.0, 1.0, size=(d, d))
+    matrix *= rho / max(float(np.linalg.norm(matrix, 2)), 1e-300)
+    spec = MappingSpec(
+        op=AffineMap(matrix, rng.uniform(0.0, 1.0, size=d)),
+        domain=Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=d)),
+    )
+    space = SpaceSpec(dim=d, p=draw(st.sampled_from([1.5, 2.0, 3.0])))
+    beta = draw(st.none() | st.floats(0.0, 1.0))
+    return spec, x0, space, cfg, None if beta is None else (lambda n: beta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(affine_orbits())
+def test_block_engine_matches_stepwise_on_random_affine_maps(case):
+    assert_same_outcome(*case)

@@ -329,6 +329,32 @@ class TestDisplacementBound:
         with pytest.raises(IncomparableError):
             check_displacement_bound(spec, ORTH2, P2, 0.0, [0.0, 1.0], [1.0, 0.0])
 
+    def test_far_pair_gives_a_verdict(self):
+        # a distance of about 1.6e160 squares past the float range
+        p15 = SpaceSpec(dim=2, p=1.5)
+        far = np.array([1e160, 1e160])
+        assert check_displacement_bound(corpus.identity_map(2), ORTH2, p15, 0.0, np.zeros(2), far)
+        assert check_displacement_bound(corpus.identity_map(2), ORTH2, p15, -0.5, far, 3.0 * far)
+        doubling = MappingSpec(AffineMap(2.0 * np.eye(2), np.zeros(2)), Domain(kind="cone", cone=ORTH2))
+        assert not check_displacement_bound(doubling, ORTH2, p15, 0.0, np.zeros(2), far)
+
+    def test_verdict_of_a_linear_map_does_not_depend_on_scale(self):
+        # the bound is homogeneous of degree 2, so scaling a pair keeps it
+        rng = np.random.default_rng(17)
+        p15 = SpaceSpec(dim=2, p=1.5)
+        verdicts = []
+        for _ in range(200):
+            spec = MappingSpec(
+                AffineMap(rng.uniform(0.0, 0.8, (2, 2)), np.zeros(2)), Domain(kind="cone", cone=ORTH2)
+            )
+            x = rng.uniform(0.0, 3.0, 2)
+            y = x + rng.uniform(0.0, 3.0, 2)
+            alpha = float(rng.choice([-0.5, 0.0, 1.0 / 3.0, 0.9]))
+            near = check_displacement_bound(spec, ORTH2, p15, alpha, x, y)
+            assert check_displacement_bound(spec, ORTH2, p15, alpha, 1e160 * x, 1e160 * y) == near
+            verdicts.append(near)
+        assert 0 < sum(verdicts) < len(verdicts)
+
 
 class TestHilbertClasses:
     def test_identity_passes_all(self):
