@@ -64,7 +64,6 @@ from orderfp.iterate import (
 from orderfp.asymcenter import (
     AsymCenterProblem,
     AsymCenterResult,
-    SubgradientConfig,
     asymptotic_radius,
     solve_asym_center,
     verify_center_is_fixed,

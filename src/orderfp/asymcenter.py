@@ -1,22 +1,22 @@
-"""Asymptotic-center minimization over the tail-dominating constraint set.
+"""Asymptotic center of an orbit tail over the tail-dominating constraint set.
 
 The objective is the finite-tail surrogate f(y) = max_n ||x_n - y|| of a
 limit-superior radius (an upper approximation that becomes exact for a
 convergent tail), minimized over { y : y >= componentwise sup of the tail }.
 That constraint set realizes the intersection of the dominating half-spaces
 exactly because the orthant is strongly minihedral and the orbit increases.
+On it the minimizer has a closed form: the supremum corner itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from orderfp.mapping import MappingSpec
-from orderfp.order import ConeSpec, leq, sup_finite, UnsupportedConeOperation
-from orderfp.space import SpaceSpec, as_vector, norm
+from orderfp.order import ConeSpec, UnsupportedConeOperation, _member_raw
+from orderfp.space import SpaceSpec, as_rows, as_vector, norm, _row_norms
 
 
 @dataclass
@@ -34,13 +34,10 @@ def make_problem(tail, cone: ConeSpec, space: SpaceSpec) -> AsymCenterProblem:
         raise UnsupportedConeOperation(
             "asymptotic-center constraint set needs the (strongly minihedral) orthant"
         )
-    arr = np.asarray([as_vector(q, dim=cone.dim) for q in tail], dtype=float)
-    if arr.shape[0] == 0:
+    if len(tail) == 0:
         raise ValueError("empty orbit tail")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("orbit tail has non-finite entries")
-    lb = sup_finite(cone, arr)
-    return AsymCenterProblem(tail=arr, cone=cone, space=space, lower_bound=lb)
+    arr = as_rows(tail, cone.dim)
+    return AsymCenterProblem(tail=arr, cone=cone, space=space, lower_bound=arr.max(axis=0))
 
 
 def problem_from_orbit(points, cone: ConeSpec, space: SpaceSpec, tail_from: int | None = None) -> AsymCenterProblem:
@@ -57,94 +54,46 @@ def problem_from_orbit(points, cone: ConeSpec, space: SpaceSpec, tail_from: int 
 def asymptotic_radius(problem: AsymCenterProblem, y) -> float:
     """Finite surrogate max_n ||x_n - y|| over the stored tail."""
     yv = as_vector(y, dim=problem.cone.dim)
-    return max(norm(problem.space, x - yv) for x in problem.tail)
+    return float(_row_norms(problem.space, (problem.tail - yv)[None]).max())
 
 
 def center_feasible(problem: AsymCenterProblem, z, tol: float = 1e-9) -> bool:
     """Every tail point must be dominated by the center."""
-    return all(leq(problem.cone, x, z, tol=tol) for x in problem.tail)
-
-
-@dataclass(frozen=True)
-class SubgradientConfig:
-    max_iter: int = 5000
-    tol: float = 1e-9          # stop once the certified optimality gap is this small
-    step_scale: float | None = None  # c in steps c/sqrt(k); default: tail diameter
+    zv = as_vector(z, dim=problem.cone.dim)
+    return bool(_member_raw(problem.cone, zv - problem.tail, tol).all())
 
 
 @dataclass
 class AsymCenterResult:
     z: np.ndarray
     r: float                   # attained objective value
-    iterations: int
+    iterations: int            # always 0: the center is in closed form
     fixed_point_residual: float            # ||Tz - z||, nan when no map was supplied
     certified_lower_bound: float
     gap: float                 # r - certified lower bound
 
 
-def _norm_subgradient(space: SpaceSpec, u: np.ndarray) -> np.ndarray:
-    nu = norm(space, u)
-    if nu <= 0.0:
-        return np.zeros_like(u)
-    p = space.p
-    return np.sign(u) * np.abs(u) ** (p - 1.0) / nu ** (p - 1.0)
+def solve_asym_center(problem: AsymCenterProblem, map_spec: MappingSpec | None = None) -> AsymCenterResult:
+    """Minimize the tail radius over { y >= lower_bound }: the minimizer is
+    the lower bound lb itself.
 
-
-def solve_asym_center(
-    problem: AsymCenterProblem,
-    cfg: SubgradientConfig | None = None,
-    map_spec: MappingSpec | None = None,
-) -> AsymCenterResult:
-    """Minimize the tail radius over { y >= lower_bound } by projected
-    subgradient, tracking the best feasible iterate.
-
-    Feasible points dominate every tail point componentwise, so the radius at
-    the lower bound itself certifies the optimum from below: for y >= lb >=
-    x_n one has |y_i - x_ni| >= |lb_i - x_ni| in every coordinate. The same
-    argument shows the starting corner lb attains that bound, so on a
-    conforming problem the solver certifies optimality at iteration zero; the
-    subgradient loop engages only when the certificate is not met (degenerate
-    float behavior, or problems built with a loose bound). A stalled run (gap
-    above tolerance at the iteration cap) is reported in the result, not
-    hidden.
+    Feasible points dominate every tail point componentwise, so for y >= lb
+    >= x_n one has |y_i - x_ni| >= |lb_i - x_ni| in every coordinate, and the
+    lp norm is monotone in the absolute coordinates: f(y) >= f(lb). The
+    radius at lb is therefore attained and certified at once, with gap 0.
     """
-    cfg = cfg or SubgradientConfig()
-    space = problem.space
     lb = problem.lower_bound
-    cert = asymptotic_radius(problem, lb)  # = f(lb), a lower bound for all feasible y
-
-    diameter = 0.0
-    for x in problem.tail:
-        diameter = max(diameter, norm(space, x - problem.tail[0]))
-    step_scale = cfg.step_scale if cfg.step_scale is not None else max(diameter, 1e-6)
-
-    y = lb.copy()
-    best_y = y.copy()
-    best_r = asymptotic_radius(problem, y)
-    iterations = 0
-    for k in range(cfg.max_iter):
-        if best_r - cert <= cfg.tol:
-            break
-        iterations = k + 1
-        dists = [norm(space, y - x) for x in problem.tail]
-        active = int(np.argmax(dists))
-        g = _norm_subgradient(space, y - problem.tail[active])
-        step = step_scale / math.sqrt(k + 1.0)
-        y = np.maximum(y - step * g, lb)
-        r = asymptotic_radius(problem, y)
-        if r < best_r:
-            best_r, best_y = r, y.copy()
-
+    r = asymptotic_radius(problem, lb)
     residual = float("nan")
     if map_spec is not None:
-        residual = norm(space, map_spec.op.evaluate(best_y) - best_y)
+        residual = norm(problem.space, map_spec.op.evaluate(lb) - lb)
     return AsymCenterResult(
-        z=best_y,
-        r=best_r,
-        iterations=iterations,
+        z=lb.copy(),
+        r=r,
+        iterations=0,
         fixed_point_residual=residual,
-        certified_lower_bound=cert,
-        gap=best_r - cert,
+        certified_lower_bound=r,
+        gap=0.0,
     )
 
 

@@ -184,7 +184,6 @@ def _cmd_asym_center(args) -> int:
         f"attained radius r    : {result.r!r}",
         f"certified lower bound: {result.certified_lower_bound!r}",
         f"optimality gap       : {result.gap!r}",
-        f"subgradient iters    : {result.iterations}",
         f"fixed-point residual : {result.fixed_point_residual!r}",
     ]
     if map_spec is not None:

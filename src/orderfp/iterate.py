@@ -19,7 +19,7 @@ import numpy as np
 
 from orderfp.mapping import DomainError, MappingSpec, _domain_contains_raw
 from orderfp.order import MEMBERSHIP_TOL, ConeSpec, _member_raw
-from orderfp.space import SpaceSpec, as_vector, _row_norms
+from orderfp.space import SpaceSpec, as_rows, as_vector, _row_norms
 
 CONVERGED = "converged"
 UNBOUNDED_SUSPECTED = "unbounded_suspected"
@@ -211,13 +211,6 @@ def mann_orbit(
     return _orbit(spec, x0, cone, space, cfg or IterationConfig(), beta_fn, "mann")
 
 
-def _checked_points(record: OrbitRecord, cone: ConeSpec) -> np.ndarray:
-    # validated once for the whole record, with the errors leq gives a bad point
-    as_vector(record.points[0], dim=cone.dim)
-    as_vector(record.points.ravel())
-    return record.points
-
-
 @dataclass
 class ChainVerdict:
     increasing: bool
@@ -234,7 +227,7 @@ def check_orbit_monotone(record: OrbitRecord, cone: ConeSpec) -> ChainVerdict:
     """
     if len(record) == 0:
         raise ValueError("empty orbit record")
-    up, down = _step_flags(_checked_points(record, cone), cone)
+    up, down = _step_flags(as_rows(record.points, cone.dim), cone)
     first_up = int(np.argmin(up)) if not up.all() else None
     first_down = int(np.argmin(down)) if not down.all() else None
     return ChainVerdict(
@@ -259,7 +252,7 @@ def monotone_limit(record: OrbitRecord, cone: ConeSpec, order_tol: float = 1e-9)
         raise ValueError("orbit flagged unbounded; no limit to report")
     if record.verdict == NONFINITE:
         raise ValueError("orbit overflowed; no limit to report")
-    points = _checked_points(record, cone)
+    points = as_rows(record.points, cone.dim)
     limit = points[-1]
     gaps = limit - points if record.order_monotone == INCREASING else points - limit
     ok = _member_raw(cone, gaps, order_tol)

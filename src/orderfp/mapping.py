@@ -24,9 +24,11 @@ from orderfp.order import (
     comparable,
     sample_cone_point,
     MEMBERSHIP_TOL,
+    _cone_margins,
+    _cone_rows,
     _member_raw,
 )
-from orderfp.report import PropertyReport, Violation
+from orderfp.report import PropertyReport
 from orderfp.space import SpaceSpec, as_vector, norm, _row_norms
 
 
@@ -289,10 +291,11 @@ def apply_map(spec: MappingSpec, x, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
 
 def validate_self_map(spec: MappingSpec, n_samples: int = 64, seed: int = 0) -> None:
     """Reject specs whose operation escapes the declared domain on samples."""
-    rng = np.random.default_rng(seed)
-    xs = [sample_domain_point(spec, rng) for _ in range(n_samples)]
-    ys = np.asarray([spec.op.evaluate(x) for x in xs], dtype=float).reshape(len(xs), spec.dim)
-    ok = np.isfinite(ys).all(axis=-1) & _domain_contains_raw(spec.domain, ys, 1e-9)
+    xs = _domain_rows(spec, np.random.default_rng(seed), n_samples, 1.0)
+    ys = spec.op.evaluate(xs)
+    ok = np.isfinite(ys).all(axis=-1)
+    with np.errstate(invalid="ignore"):  # a non-finite image has failed already
+        ok &= _domain_contains_raw(spec.domain, ys, 1e-9)
     if not ok.all():
         k = int(np.argmin(ok))  # the first failing sample
         as_vector(ys[k])  # a non-finite image raises ValueError here
@@ -328,11 +331,8 @@ def sample_domain_point(spec: MappingSpec, rng: np.random.Generator, scale: floa
     if isinstance(spec.op, GridMap):
         idx = tuple(rng.integers(0, n) for n in spec.op.lattice_shape)
         return spec.op.origin + spec.op.step * np.asarray(idx, dtype=float)
-    if domain.kind == DOMAIN_CONE:
-        return sample_cone_point(domain.cone, rng, scale)
-    if domain.kind == DOMAIN_BOX or domain.cone.kind == "orthant":
-        u = rng.uniform(0.0, 1.0, size=domain.dim)
-        return domain.lo + u * (domain.hi - domain.lo)
+    if domain.kind != DOMAIN_INTERVAL or domain.cone.kind == "orthant":
+        return _domain_rows(spec, rng, 1, scale)[0]
     # lorentz order interval: stay on the segment, then perturb by rejection
     t = rng.uniform(0.0, 1.0)
     base = domain.lo + t * (domain.hi - domain.lo)
@@ -345,12 +345,13 @@ def sample_domain_point(spec: MappingSpec, rng: np.random.Generator, scale: floa
 
 
 def _domain_rows(spec: MappingSpec, rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    # n domain points as rows, drawn exactly as n calls of sample_domain_point
+    # n domain points as rows, drawn exactly as n calls of sample_domain_point:
+    # in one draw, except on a lattice and on a Lorentz order interval
     domain = spec.domain
-    if isinstance(spec.op, GridMap) or (domain.cone.kind != "orthant" and domain.kind != DOMAIN_BOX):
+    if isinstance(spec.op, GridMap) or (domain.kind == DOMAIN_INTERVAL and domain.cone.kind != "orthant"):
         return np.array([sample_domain_point(spec, rng, scale) for _ in range(n)]).reshape(n, spec.dim)
     if domain.kind == DOMAIN_CONE:
-        return rng.uniform(0.0, scale, size=(n, spec.dim))
+        return _cone_rows(domain.cone, rng, n, scale)
     return domain.lo + rng.uniform(0.0, 1.0, size=(n, spec.dim)) * (domain.hi - domain.lo)
 
 
@@ -416,13 +417,6 @@ def _lattice_pairs(spec: MappingSpec, cone: ConeSpec) -> tuple[np.ndarray, np.nd
 
 # ---------------------------------------------------------------------------
 # property verifiers
-
-
-def _cone_margins(cone: ConeSpec, v: np.ndarray) -> np.ndarray:
-    # per row: nonnegative iff the row is in the cone (up to tolerance)
-    if cone.kind == "orthant":
-        return v.min(axis=-1)
-    return np.array([row[-1] - np.linalg.norm(row[:-1]) for row in v])
 
 
 def _pair_report(name, spec, cone, x, y, ineq=None, alpha=None) -> PropertyReport:
@@ -519,29 +513,26 @@ def is_quasi_nonexpansive(
         if res > FIXED_POINT_TOL:
             raise NotFixedPointError(f"supplied point {p} has residual {res:.3e}")
     cfg = cfg or SamplerConfig()
+    n = cfg.n_samples
     rng = np.random.default_rng(cfg.seed)
-    report = PropertyReport(name="quasi_nonexpansive", samples=0)
-    checked = 0
-    for k in range(cfg.n_samples):
-        p = fixed_points[k % len(fixed_points)]
-        if isinstance(spec.op, GridMap):
-            # comparable lattice point: join/meet of a random index with p's
-            idx_p = np.asarray(spec.op.index_of(p))
-            idx = np.asarray([rng.integers(0, n) for n in spec.op.lattice_shape])
-            idx = np.maximum(idx, idx_p) if k % 2 == 0 else np.minimum(idx, idx_p)
-            x = spec.op.origin + spec.op.step * idx.astype(float)
-        else:
-            d = sample_cone_point(spec.domain.cone, rng, cfg.scale)
-            x = p + d if k % 2 == 0 else p - d
-        if not domain_contains(spec.domain, x):
-            continue
-        checked += 1
-        lhs = norm(space, spec.op.evaluate(x) - p)
-        rhs = norm(space, x - p)
-        if lhs > rhs + _slack(rhs):
-            report.violations.append(Violation(x=x, y=p, lhs=lhs, rhs=rhs))
-    report.samples = checked
-    return report
+    # sample k draws x_k above p_k = fixed_points[k % m] for even k, below it
+    # for odd k; samples outside the domain are skipped
+    p = np.array(fixed_points)[np.arange(n) % len(fixed_points)]
+    above = (np.arange(n) % 2 == 0)[:, None]
+    if isinstance(spec.op, GridMap):
+        # comparable lattice point: join/meet of a random index with p's
+        shape = spec.op.lattice_shape
+        idx = np.array([[rng.integers(0, k) for k in shape] for _ in range(n)]).reshape(n, len(shape))
+        idx_p = np.array(spec.op.index_of(p)).T
+        idx = np.where(above, np.maximum(idx, idx_p), np.minimum(idx, idx_p))
+        x = spec.op.origin + spec.op.step * idx.astype(float)
+    else:
+        d = _cone_rows(spec.domain.cone, rng, n, cfg.scale)
+        x = np.where(above, p + d, p - d)
+    inside = _domain_contains_raw(spec.domain, x, MEMBERSHIP_TOL)
+    x, p = x[inside], p[inside]
+    lhs, rhs = _row_norms(space, np.stack([spec.op.evaluate(x) - p, x - p]))
+    return PropertyReport.from_rows("quasi_nonexpansive", x, p, lhs, rhs, lhs > rhs + _slack(rhs))
 
 
 def check_displacement_bound(
@@ -633,8 +624,6 @@ class GridSearchConfig:
     lo: np.ndarray
     hi: np.ndarray
     points_per_axis: int = 11
-    accept_tol: float = 1e-8
-    refine_iters: int = 200
 
     def __post_init__(self):
         object.__setattr__(self, "lo", as_vector(self.lo))
@@ -696,52 +685,34 @@ def fixed_point_oracle(
     """Independent search for fixed points inside the domain.
 
     Affine operations are resolved by linear algebra (exact solve when the
-    spectral radius is below one). Everything else scans the bounded lattice
-    of ``grid_cfg`` and refines candidates by local iteration while the
-    residual shrinks. Duplicates within 1e-8 are merged.
+    spectral radius is below one). Everything else tests the nodes of a
+    bounded lattice that lie in the domain: a lattice map's own lattice, or
+    the grid of ``grid_cfg``. A node whose Euclidean residual is at most
+    ``residual_tol`` is a fixed point; duplicates within 1e-8 are merged.
     """
-    found: list[np.ndarray] = []
     affine_view = as_affine(spec.op)
     if affine_view is not None:
         direct = _affine_fixed_points(spec, *affine_view, residual_tol)
         if direct is not None:
             return direct
     if isinstance(spec.op, GridMap):
-        candidates = [
-            x for x in spec.op.lattice_points() if domain_contains(spec.domain, x)
-        ]
+        nodes = list(spec.op.lattice_points())
+    elif grid_cfg is None:
+        raise ValueError("non-affine fixed-point search needs a bounded GridSearchConfig")
     else:
-        if grid_cfg is None:
-            raise ValueError("non-affine fixed-point search needs a bounded GridSearchConfig")
         axes = [
             np.linspace(grid_cfg.lo[i], grid_cfg.hi[i], grid_cfg.points_per_axis)
             for i in range(spec.dim)
         ]
-        candidates = [
-            np.asarray(pt, dtype=float)
-            for pt in itertools.product(*axes)
-            if domain_contains(spec.domain, np.asarray(pt, dtype=float))
-        ]
-    accept = grid_cfg.accept_tol if grid_cfg is not None else residual_tol
-    refine_iters = grid_cfg.refine_iters if grid_cfg is not None else 200
-    for x in candidates:
-        res = float(np.linalg.norm(spec.op.evaluate(x) - x))
-        if res > accept:
-            continue
-        z, z_res = x, res
-        for _ in range(refine_iters):
-            if z_res <= residual_tol:
-                break
-            nxt = spec.op.evaluate(z)
-            if not domain_contains(spec.domain, nxt, tol=1e-9):
-                break
-            nxt_res = float(np.linalg.norm(spec.op.evaluate(nxt) - nxt))
-            if nxt_res >= z_res:
-                break
-            z, z_res = nxt, nxt_res
-        if z_res <= residual_tol:
-            if not any(np.max(np.abs(z - w)) <= 1e-8 for w in found):
-                found.append(z)
+        nodes = list(itertools.product(*axes))
+    nodes = np.array(nodes, dtype=float).reshape(len(nodes), spec.dim)
+    nodes = nodes[_domain_contains_raw(spec.domain, nodes, MEMBERSHIP_TOL)]
+    found: list[np.ndarray] = []
+    for x, tx in zip(nodes, spec.op.evaluate(nodes)):
+        if np.linalg.norm(tx - x) <= residual_tol and not any(
+            np.max(np.abs(x - w)) <= 1e-8 for w in found
+        ):
+            found.append(x)
     return found
 
 

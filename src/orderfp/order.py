@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from orderfp.report import PropertyReport
-from orderfp.space import SpaceSpec, as_vector, _row_norms
+from orderfp.space import SpaceSpec, as_rows, as_vector, _row_norms
 
 # Absolute tolerance on cone boundary tests; boundary points arise from arithmetic.
 MEMBERSHIP_TOL = 1e-12
@@ -42,15 +42,19 @@ def contains(cone: ConeSpec, x, tol: float = MEMBERSHIP_TOL) -> bool:
     return bool(_member_raw(cone, as_vector(x, dim=cone.dim), tol))
 
 
-def _member_raw(cone: ConeSpec, v: np.ndarray, tol: float):
-    # hot-loop path: assumes validated float rows, coordinates on the last
-    # axis; one flag per row. Lorentz rows go one at a time through the 1-D
-    # rule, so the head norm is computed exactly as for a single vector.
+def _cone_margins(cone: ConeSpec, v: np.ndarray):
+    # one value per row (coordinates on the last axis): nonnegative iff the
+    # row is in the cone. A Lorentz head norm is taken row by row, so it has
+    # the bits of the norm of a single vector.
     if cone.kind == ORTHANT:
-        return v.min(axis=-1) >= -tol
-    if v.ndim > 1:
-        return np.array([_member_raw(cone, row, tol) for row in v], dtype=bool)
-    return float(v[-1]) >= float(np.linalg.norm(v[:-1])) - tol
+        return v.min(axis=-1)
+    heads = [np.linalg.norm(row[:-1]) for row in v.reshape(-1, v.shape[-1])]
+    return v[..., -1] - np.reshape(heads, v.shape[:-1])
+
+
+def _member_raw(cone: ConeSpec, v: np.ndarray, tol: float):
+    # hot-loop path: assumes validated float rows; one flag per row
+    return _cone_margins(cone, v) >= -tol
 
 
 def interior_contains(cone: ConeSpec, x, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -141,10 +145,9 @@ def sup_finite(cone: ConeSpec, points) -> np.ndarray:
     """Supremum of a finite set of points (orthant only: componentwise max)."""
     if cone.kind != ORTHANT:
         raise UnsupportedConeOperation(f"sup_finite needs a strongly minihedral cone, not {cone.kind}")
-    arr = np.asarray([as_vector(q, dim=cone.dim) for q in points], dtype=float)
-    if arr.size == 0:
+    if len(points) == 0:
         raise ValueError("supremum of an empty set")
-    return arr.max(axis=0)
+    return as_rows(points, cone.dim).max(axis=0)
 
 
 def project_to_cone(cone: ConeSpec, x) -> np.ndarray:
@@ -163,15 +166,23 @@ def project_to_cone(cone: ConeSpec, x) -> np.ndarray:
     return out
 
 
+def _cone_rows(cone: ConeSpec, rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
+    # n cone points as rows: a non-negative box draw for the orthant, a
+    # scaled-axis point with projected perturbation for the Lorentz cone,
+    # whose draws interleave, so its rows are drawn one at a time
+    if cone.kind == ORTHANT:
+        return rng.uniform(0.0, scale, size=(n, cone.dim))
+    rows = np.zeros((n, cone.dim))
+    for row in rows:
+        row[-1] = rng.uniform(0.0, scale)
+        row[:] = project_to_cone(cone, row + rng.normal(0.0, scale / 3.0, size=cone.dim))
+    return rows
+
+
 def sample_cone_point(cone: ConeSpec, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Draw a point of the cone: a non-negative box draw for the orthant, a
     scaled-axis point with projected perturbation for the Lorentz cone."""
-    if cone.kind == ORTHANT:
-        return rng.uniform(0.0, scale, size=cone.dim)
-    base = np.zeros(cone.dim)
-    base[-1] = rng.uniform(0.0, scale)
-    pert = rng.normal(0.0, scale / 3.0, size=cone.dim)
-    return project_to_cone(cone, base + pert)
+    return _cone_rows(cone, rng, 1, scale)[0]
 
 
 def sample_dominated_pairs(
@@ -179,11 +190,7 @@ def sample_dominated_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` pairs 0 <= x <= y as rows (x, y): x from the cone, y = x + a cone
     direction, drawn exactly as ``n`` calls of ``sample_dominated_pair``."""
-    if cone.kind == ORTHANT:
-        u = rng.uniform(0.0, scale, size=(n, 2, cone.dim))
-    else:
-        u = np.array([sample_cone_point(cone, rng, scale) for _ in range(2 * n)])
-        u = u.reshape(n, 2, cone.dim)
+    u = _cone_rows(cone, rng, 2 * n, scale).reshape(n, 2, cone.dim)
     return u[:, 0], u[:, 0] + u[:, 1]
 
 

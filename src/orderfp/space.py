@@ -28,6 +28,17 @@ def as_vector(coords, dim: int | None = None) -> np.ndarray:
     return x
 
 
+def as_rows(points, dim: int) -> np.ndarray:
+    """Return ``points`` as an (m, dim) float array of finite rows, checked
+    in two calls; bad input raises the ValueError ``as_vector`` would raise
+    for its first bad row."""
+    arr = np.asarray(points, dtype=float)
+    if len(arr):
+        as_vector(arr[0], dim=dim)
+        as_vector(arr.ravel())
+    return arr
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """Ambient space R^dim with the lp norm, 1 < p < inf (uniformly convex)."""
@@ -53,10 +64,7 @@ def _row_norms(space: SpaceSpec, v: np.ndarray, checked=slice(None)) -> np.ndarr
     # `checked` are the ones a pair-by-pair loop hands to `norm`, so they get
     # its checks and its ValueError. Each root is taken as a scalar, because
     # numpy's array pow rounds differently: every value has norm's bits.
-    picked = v[:, checked].reshape(-1, v.shape[-1])
-    if len(picked):
-        as_vector(picked[0], dim=space.dim)
-        as_vector(picked.ravel())
+    as_rows(v[:, checked].reshape(-1, v.shape[-1]), space.dim)
     inv = 1.0 / space.p
     sums = (np.abs(v) ** space.p).sum(axis=-1)
     return np.array([s**inv for s in sums.ravel().tolist()]).reshape(sums.shape)

@@ -1,6 +1,9 @@
 """Campaign behavior: hypotheses, verdict aggregation, and reproducibility."""
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,3 +312,15 @@ def test_outputs_match_recorded_hashes(seed, tmp_path):
     run_suites(GOLDEN_SUITES, GOLDEN_CONFIG, seed, tmp_path)
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
     assert got == GOLDEN_SHA256[seed]
+
+
+def test_traced_names_are_harness_attributes(monkeypatch):
+    # the traced benchmark wraps these names in orderfp.harness; a refactor
+    # that drops one would make `perfbench/run.py --trace 1` fail or go blind
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    missing = [name for name in tracing.HARNESS_CALLS if not callable(getattr(harness, name, None))]
+    assert tracing.HARNESS_CALLS and missing == []

@@ -9,6 +9,7 @@ import pytest
 
 from orderfp import corpus
 from orderfp.mapping import (
+    FIXED_POINT_TOL,
     INEQ_ATOL,
     INEQ_RTOL,
     AffineMap,
@@ -43,10 +44,11 @@ from orderfp.mapping import (
     sample_domain_point,
     save_mapping,
     validate_self_map,
+    _affine_fixed_points,
 )
 from orderfp.order import MEMBERSHIP_TOL, ConeSpec, comparable, leq, sample_cone_point
 from orderfp.report import PropertyReport, Violation
-from orderfp.space import SpaceSpec, norm
+from orderfp.space import SpaceSpec, as_vector, norm
 
 ORTH1 = ConeSpec(kind="orthant", dim=1)
 ORTH2 = ConeSpec(kind="orthant", dim=2)
@@ -121,7 +123,9 @@ class BlowUpMap:
     dim: int = 2
 
     def evaluate(self, x):
-        return np.array([np.inf if x[0] > self.cut else x[0] + self.shift, x[1]])
+        # one point or (n, 2) rows, as every operation's evaluate takes
+        head = np.where(x[..., 0] > self.cut, np.inf, x[..., 0] + self.shift)
+        return np.stack([head, x[..., 1]], axis=-1)
 
 
 LOR2 = ConeSpec(kind="lorentz", dim=2)
@@ -928,3 +932,179 @@ class TestBatchedSampling:
             rep = is_alpha_nonexpansive(spec, spec.domain.cone, SpaceSpec(spec.dim, 2.0), 0.0,
                                         SamplerConfig(n_samples=0))
             assert rep.passed and rep.samples == 0
+
+
+def reference_is_quasi_nonexpansive(spec, cone, space, fixed_points, cfg=None):
+    fixed_points = [as_vector(p, dim=spec.dim) for p in fixed_points]
+    if not fixed_points:
+        raise NotFixedPointError("no fixed points supplied")
+    for p in fixed_points:
+        res = norm(space, spec.op.evaluate(p) - p)
+        if res > FIXED_POINT_TOL:
+            raise NotFixedPointError(f"supplied point {p} has residual {res:.3e}")
+    cfg = cfg or SamplerConfig()
+    rng = np.random.default_rng(cfg.seed)
+    report = PropertyReport(name="quasi_nonexpansive", samples=0)
+    checked = 0
+    for k in range(cfg.n_samples):
+        p = fixed_points[k % len(fixed_points)]
+        if isinstance(spec.op, GridMap):
+            idx_p = np.asarray(spec.op.index_of(p))
+            idx = np.asarray([rng.integers(0, n) for n in spec.op.lattice_shape])
+            idx = np.maximum(idx, idx_p) if k % 2 == 0 else np.minimum(idx, idx_p)
+            x = spec.op.origin + spec.op.step * idx.astype(float)
+        else:
+            d = sample_cone_point(spec.domain.cone, rng, cfg.scale)
+            x = p + d if k % 2 == 0 else p - d
+        if not domain_contains(spec.domain, x):
+            continue
+        checked += 1
+        lhs = norm(space, spec.op.evaluate(x) - p)
+        rhs = norm(space, x - p)
+        if lhs > rhs + _ref_slack(rhs):
+            report.violations.append(Violation(x=x, y=p, lhs=lhs, rhs=rhs))
+    report.samples = checked
+    return report
+
+
+def reference_fixed_point_oracle(spec, grid_cfg=None, residual_tol=FIXED_POINT_TOL):
+    """The candidate-by-candidate search, with its refinement loop."""
+    found = []
+    affine_view = as_affine(spec.op)
+    if affine_view is not None:
+        direct = _affine_fixed_points(spec, *affine_view, residual_tol)
+        if direct is not None:
+            return direct
+    if isinstance(spec.op, GridMap):
+        candidates = [x for x in spec.op.lattice_points() if domain_contains(spec.domain, x)]
+    else:
+        if grid_cfg is None:
+            raise ValueError("non-affine fixed-point search needs a bounded GridSearchConfig")
+        axes = [np.linspace(grid_cfg.lo[i], grid_cfg.hi[i], grid_cfg.points_per_axis)
+                for i in range(spec.dim)]
+        candidates = [
+            np.asarray(pt, dtype=float)
+            for pt in itertools.product(*axes)
+            if domain_contains(spec.domain, np.asarray(pt, dtype=float))
+        ]
+    accept, refine_iters = 1e-8, 200  # the defaults of the removed knobs
+    for x in candidates:
+        res = float(np.linalg.norm(spec.op.evaluate(x) - x))
+        if res > accept:
+            continue
+        z, z_res = x, res
+        for _ in range(refine_iters):
+            if z_res <= residual_tol:
+                break
+            nxt = spec.op.evaluate(z)
+            if not domain_contains(spec.domain, nxt, tol=1e-9):
+                break
+            nxt_res = float(np.linalg.norm(spec.op.evaluate(nxt) - nxt))
+            if nxt_res >= z_res:
+                break
+            z, z_res = nxt, nxt_res
+        if z_res <= residual_tol:
+            if not any(np.max(np.abs(z - w)) <= 1e-8 for w in found):
+                found.append(z)
+    return found
+
+
+def doubling_map(cone):
+    """x -> 2x on the cone: 0 is its only fixed point, and it expands."""
+    return make_mapping(AffineMap(2.0 * np.eye(cone.dim), np.zeros(cone.dim)), Domain(kind="cone", cone=cone))
+
+
+def lattice_doubling_map():
+    """Lattice map on {0, ..., 4}: k -> min(2k, 4); fixed at 0 and 4, expanding near 0."""
+    values = np.minimum(2.0 * np.arange(5.0), 4.0)[:, None]
+    op = GridMap(origin=np.zeros(1), step=1.0, values=values)
+    return make_mapping(op, Domain(kind="box", cone=ORTH1, lo=np.zeros(1), hi=np.full(1, 4.0)))
+
+
+def lattice_identity_map():
+    """Identity table on a 4 x 5 lattice: every node is fixed."""
+    nodes = np.stack(np.meshgrid(np.arange(4.0), np.arange(5.0), indexing="ij"), axis=-1) * 0.5
+    return make_mapping(GridMap(origin=np.zeros(2), step=0.5, values=nodes), Domain(kind="cone", cone=ORTH2))
+
+
+# (name, spec factory, fixed points, has violations): corpus maps, lattice
+# maps, a Lorentz-cone map, and expanding maps whose reports have violations
+QUASI_CASES = [
+    ("affine_contraction", lambda: corpus.affine_contraction(2), [[2.0, 2.0]], False),
+    ("constant", lambda: corpus.constant_map([1.0, 1.0]), [[1.0, 1.0]], False),
+    ("truncation", lambda: corpus.truncation_cap(2), [[0.5, 1.0], [1.5, 1.5], [0.0, 0.25]], False),
+    ("box_clamp", lambda: corpus.box_clamp(2), [[0.5, 0.5], [1.0, 0.0]], False),
+    ("box_drift_down", lambda: corpus.box_drift_down(2), [[-3.0, -3.0]], False),
+    ("identity", lambda: corpus.identity_map(2), [[0.5, 2.0], [0.0, 0.0]], False),
+    ("steep_step", corpus.steep_step_map, [[0.0]], False),
+    ("lattice_doubling", lattice_doubling_map, [[0.0], [4.0]], True),
+    ("lattice_identity", lattice_identity_map, [[0.5, 1.0], [1.5, 0.0]], False),
+    ("lorentz_rotation", lorentz_rotation_map, [[0.0, 0.0, 10.0]], False),
+    ("doubling", lambda: doubling_map(ORTH2), [[0.0, 0.0]], True),
+    ("doubling_lorentz", lambda: doubling_map(LOR3), [[0.0, 0.0, 0.0]], True),
+]
+
+
+class TestRowQuasiVerifier:
+    @pytest.mark.parametrize("make, fixed, expanding", [c[1:] for c in QUASI_CASES],
+                             ids=[c[0] for c in QUASI_CASES])
+    def test_matches_pair_by_pair_reference(self, make, fixed, expanding):
+        # seeds 0-29, n in {0, 1, 7, 200}, p in {1.5, 2}: same samples,
+        # witnesses and lhs/rhs bits
+        spec = make()
+        cone = spec.domain.cone
+        violations = 0
+        for p in (1.5, 2.0):
+            space = SpaceSpec(spec.dim, p)
+            for seed in range(30):
+                for n in (0, 1, 7, 200):
+                    cfg = SamplerConfig(n_samples=n, seed=seed, scale=1.0 + seed % 3)
+                    rep = is_quasi_nonexpansive(spec, cone, space, fixed, cfg)
+                    ref = reference_is_quasi_nonexpansive(spec, cone, space, fixed, cfg)
+                    assert_same_report(rep, ref, rtol=0.0)
+                    violations += len(rep.violations)
+        assert (violations > 0) == expanding
+
+    def test_bad_fixed_points_same_error(self):
+        for spec, fixed in ((corpus.affine_contraction(2), [[2.0, 2.0], [1.0, 1.0]]),
+                            (corpus.steep_step_map(), [[0.0], [0.3]]),
+                            (corpus.steep_step_map(), [[0.0], [3.0]])):
+            args = (spec, spec.domain.cone, SpaceSpec(spec.dim, 2.0), fixed, SamplerConfig(10, seed=0))
+            got = outcome(is_quasi_nonexpansive, *args)
+            assert got[0] == "raised" and got == outcome(reference_is_quasi_nonexpansive, *args)
+
+
+def search_grid(lo, hi, points_per_axis, dim=2):
+    return GridSearchConfig(lo=np.full(dim, lo), hi=np.full(dim, hi), points_per_axis=points_per_axis)
+
+
+class TestRowOracleFilter:
+    @pytest.mark.parametrize(
+        "spec, grid_cfg",
+        [
+            (corpus.truncation_cap(2), search_grid(0.0, 3.0, 7)),
+            (corpus.box_clamp(2), search_grid(0.0, 2.0, 7)),
+            (corpus.box_drift_down(2), search_grid(-3.0, 0.0, 7)),
+            (corpus.box_drift_down(3), search_grid(-4.0, 1.0, 6, dim=3)),
+            (corpus.truncation_cap(2), search_grid(-1.0, 2.0, 0)),
+            (corpus.identity_map(2), search_grid(0.0, 1.0, 3)),
+            # affine, but the minimum-norm solution lies off the box: the grid decides
+            (MappingSpec(AffineMap(np.eye(2), np.zeros(2)), box2(1.0, 2.0)), search_grid(0.0, 2.0, 5)),
+            (MappingSpec(AffineMap(np.diag([1.0, 0.5]), np.array([0.0, 0.5])),
+                         Domain(kind="box", cone=ORTH2, lo=np.array([1.0, 0.0]), hi=np.full(2, 2.0))),
+             search_grid(0.0, 2.0, 5)),
+            (corpus.steep_step_map(), None),
+            (lattice_doubling_map(), None),
+            (lattice_identity_map(), None),
+            (grid2(), None),
+            (MappingSpec(GridMap(origin=np.zeros(2), step=0.5, values=np.zeros((4, 4, 2))),
+                         Domain(kind="box", cone=ORTH2, lo=np.zeros(2), hi=np.ones(2))), None),
+        ],
+        ids=["truncation", "box_clamp", "box_drift_down", "box_drift_down_d3", "empty_grid",
+             "identity", "affine_identity_off_origin", "affine_fixed_line", "steep_step",
+             "lattice_doubling", "lattice_identity", "grid2", "grid_in_box"],
+    )
+    def test_matches_candidate_by_candidate_reference(self, spec, grid_cfg):
+        got, want = fixed_point_oracle(spec, grid_cfg), reference_fixed_point_oracle(spec, grid_cfg)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) and a.shape == b.shape for a, b in zip(got, want))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from orderfp.order import (
+    MEMBERSHIP_TOL,
     ConeSpec,
     OrderInterval,
     UnsupportedConeOperation,
@@ -25,6 +26,8 @@ from orderfp.order import (
     sample_dominated_pairs,
     sup_finite,
     sup_pair,
+    _cone_rows,
+    _member_raw,
 )
 from orderfp.report import PropertyReport, Violation
 from orderfp.space import SpaceSpec, as_vector, norm
@@ -266,9 +269,24 @@ class TestConeDiagnostics:
 # row-wise versions can be held to the same draws, witnesses and values
 
 
+def reference_sample_cone_point(cone, rng, scale=1.0):
+    if cone.kind == "orthant":
+        return rng.uniform(0.0, scale, size=cone.dim)
+    base = np.zeros(cone.dim)
+    base[-1] = rng.uniform(0.0, scale)
+    pert = rng.normal(0.0, scale / 3.0, size=cone.dim)
+    return project_to_cone(cone, base + pert)
+
+
+def reference_member(cone, v, tol):
+    if cone.kind == "orthant":
+        return bool(v.min() >= -tol)
+    return float(v[-1]) >= float(np.linalg.norm(v[:-1])) - tol
+
+
 def reference_sample_dominated_pair(cone, rng, scale=1.0):
-    x = sample_cone_point(cone, rng, scale)
-    d = sample_cone_point(cone, rng, scale)
+    x = reference_sample_cone_point(cone, rng, scale)
+    d = reference_sample_cone_point(cone, rng, scale)
     return x, x + d
 
 
@@ -322,6 +340,42 @@ def outcome(fn, *args, **kwargs):
 
 
 LOR2 = ConeSpec(kind="lorentz", dim=2)
+
+
+class TestReferenceConeRows:
+    @pytest.mark.parametrize("cone", [ORTH2, ORTH3, LOR2, LOR3, ConeSpec("lorentz", 6)],
+                             ids=lambda c: f"{c.kind}{c.dim}")
+    def test_rows_are_the_pointwise_draws(self, cone):
+        for seed in range(30):
+            for n in (0, 1, 7, 200):
+                scale = 1.0 + seed % 3
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                rows = _cone_rows(cone, rng, n, scale)
+                assert rows.shape == (n, cone.dim)
+                for row in rows:
+                    assert np.array_equal(row, reference_sample_cone_point(cone, ref_rng, scale))
+                assert rng.uniform() == ref_rng.uniform()
+            one = sample_cone_point(cone, np.random.default_rng(seed), 2.0)
+            assert one.shape == (cone.dim,)
+            assert np.array_equal(one, reference_sample_cone_point(cone, np.random.default_rng(seed), 2.0))
+
+    @pytest.mark.parametrize("cone", [ORTH3, LOR2, LOR3], ids=lambda c: f"{c.kind}{c.dim}")
+    def test_one_membership_rule(self, cone):
+        # the margin rule agrees with the one-vector rule on and near the boundary
+        rng = np.random.default_rng(7)
+        rows = rng.uniform(-2.0, 2.0, size=(2000, cone.dim))
+        boundary = np.array([reference_sample_cone_point(cone, rng) for _ in range(200)])
+        if cone.kind == "lorentz":
+            boundary[:, -1] = [np.linalg.norm(b[:-1]) for b in boundary]
+        else:
+            boundary[:, 0] = 0.0
+        rows = np.concatenate([rows, boundary, boundary - 1e-12, boundary + 1e-12, boundary - 1e-6])
+        for tol in (0.0, MEMBERSHIP_TOL, 1e-9):
+            want = [reference_member(cone, v, tol) for v in rows]
+            assert _member_raw(cone, rows, tol).tolist() == want
+            assert [contains(cone, v, tol) for v in rows] == want
+            assert [bool(_member_raw(cone, v, tol)) for v in rows] == want
+            assert 0 < sum(want) < len(rows)
 
 
 class TestReferenceDominatedPairs:
