@@ -97,8 +97,10 @@ def solve_asym_center(problem: AsymCenterProblem, map_spec: MappingSpec | None =
     )
 
 
-def verify_center_is_fixed(map_spec: MappingSpec, result: AsymCenterResult, tol: float = 1e-6) -> bool:
-    """Recompute ||Tz - z|| at the solver output and compare against ``tol``."""
+def verify_center_is_fixed(
+    map_spec: MappingSpec, result: AsymCenterResult, space: SpaceSpec, tol: float = 1e-6
+) -> bool:
+    """Recompute ||Tz - z|| in the lp norm of ``space`` at the solver output
+    and compare against ``tol``."""
     z = result.z
-    res = float(np.linalg.norm(map_spec.op.evaluate(z) - z))
-    return res <= tol
+    return norm(space, map_spec.op.evaluate(z) - z) <= tol

@@ -29,13 +29,11 @@ from orderfp.mapping import (
 )
 from orderfp.order import (
     ConeSpec,
-    UnsupportedConeOperation,
-    inf_pair,
+    MEMBERSHIP_TOL,
     is_norm_monotonic,
-    leq,
     normality_constant_estimate,
-    sample_cone_point,
-    sup_pair,
+    _cone_rows,
+    _member_raw,
 )
 from orderfp.space import SpaceSpec, convexity_profile
 
@@ -63,32 +61,23 @@ def _cmd_order_check(args) -> int:
     gamma = normality_constant_estimate(cone, space, args.samples, seed=args.seed)
     mono = is_norm_monotonic(cone, space, args.samples, seed=args.seed)
 
-    antisym_ok = True
-    for _ in range(args.samples):
-        x = sample_cone_point(cone, rng)
-        y = sample_cone_point(cone, rng)
-        if leq(cone, x, y) and leq(cone, y, x) and float(np.max(np.abs(x - y))) > 1e-9:
-            antisym_ok = False
-            break
+    # sampled cone points as rows: (x, y) pairs for antisymmetry, then
+    # (x, y, z) triples for the orthant's lattice axioms
+    n, d = args.samples, args.dim
+    x, y = _cone_rows(cone, rng, 2 * n, 1.0).reshape(n, 2, d).transpose(1, 0, 2)
+    both = _member_raw(cone, y - x, MEMBERSHIP_TOL) & _member_raw(cone, x - y, MEMBERSHIP_TOL)
+    antisym_ok = not (both & (np.abs(x - y).max(axis=-1) > 1e-9)).any()
 
     lattice = "unsupported (not minihedral)"
     if cone.kind == "orthant":
-        ok = True
-        for _ in range(args.samples):
-            x = sample_cone_point(cone, rng)
-            y = sample_cone_point(cone, rng)
-            z = sample_cone_point(cone, rng)
-            ok &= bool(np.array_equal(sup_pair(cone, x, x), x))
-            ok &= bool(np.array_equal(sup_pair(cone, x, y), sup_pair(cone, y, x)))
-            ok &= bool(np.array_equal(sup_pair(cone, x, inf_pair(cone, x, z)), x))
-            if not ok:
-                break
+        # sup and inf are the componentwise max and min (sup_pair, inf_pair)
+        x, y, z = _cone_rows(cone, rng, 3 * n, 1.0).reshape(n, 3, d).transpose(1, 0, 2)
+        ok = (
+            np.array_equal(np.maximum(x, x), x)
+            and np.array_equal(np.maximum(x, y), np.maximum(y, x))
+            and np.array_equal(np.maximum(x, np.minimum(x, z)), x)
+        )
         lattice = "pass" if ok else "FAIL"
-    else:
-        try:
-            sup_pair(cone, np.zeros(args.dim), np.zeros(args.dim))
-        except UnsupportedConeOperation:
-            pass
 
     print(f"cone                 : {cone.kind} (dim={cone.dim}, p={space.p})")
     print(f"normality estimate   : {gamma!r} (sampled lower bound)")
@@ -187,7 +176,7 @@ def _cmd_asym_center(args) -> int:
         f"fixed-point residual : {result.fixed_point_residual!r}",
     ]
     if map_spec is not None:
-        fixed = verify_center_is_fixed(map_spec, result, tol=args.fixed_tol)
+        fixed = verify_center_is_fixed(map_spec, result, space, tol=args.fixed_tol)
         lines.append(f"center fixed (tol {args.fixed_tol}) : {fixed}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -92,24 +92,26 @@ def steep_step_map() -> MappingSpec:
 
 STEEP_STEP_ALPHA = 1.0 / 3.0
 
+# random_nonneg_affine: the largest spectral radius kept, and draws before giving up
+SPECTRAL_CAP = 0.995
+MATRIX_DRAWS = 50
 
-def random_nonneg_affine(
-    dim: int, rho: float, rng: np.random.Generator, spectral_cap: float = 0.995, max_tries: int = 50
-) -> MappingSpec:
+
+def random_nonneg_affine(dim: int, rho: float, rng: np.random.Generator) -> MappingSpec:
     """Random entrywise non-negative affine self-map of the orthant with
     ||A||_2 = rho and an offset drawn from the cone.
 
-    Draws are rejected while the spectral radius sits above ``spectral_cap``,
+    Draws are rejected while the spectral radius sits above ``SPECTRAL_CAP``,
     keeping generated maps inside the regime where a finite-budget bounded
     or unbounded verdict is reliable.
     """
-    for _ in range(max_tries):
+    for _ in range(MATRIX_DRAWS):
         m = rng.uniform(0.0, 1.0, size=(dim, dim))
         sigma = float(np.linalg.norm(m, 2))
         if sigma <= 0.0:
             continue
         a = rho * m / sigma
-        if float(np.max(np.abs(np.linalg.eigvals(a)))) <= spectral_cap:
+        if float(np.max(np.abs(np.linalg.eigvals(a)))) <= SPECTRAL_CAP:
             b = rng.uniform(0.0, 1.0, size=dim)
             return make_mapping(AffineMap(matrix=a, offset=b), _cone_domain(dim))
     raise RuntimeError(f"could not draw a spectral-radius-capped map at rho={rho}")

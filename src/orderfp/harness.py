@@ -38,6 +38,7 @@ from orderfp.mapping import (
     AffineMap,
     Domain,
     as_affine,
+    GridMap,
     GridSearchConfig,
     MappingSpec,
     SamplerConfig,
@@ -69,6 +70,9 @@ FINITE_DIM_CAVEAT = (
 # campaign default: desk-scale corpus maps blow up by about one unit per step,
 # so a small norm ceiling keeps the growth detector fast
 CAMPAIGN_ITERATION = IterationConfig(max_iter=200_000, bound_threshold=1e4)
+
+# starts sampled by the below/above x0 policies; the scale doubles every 100
+X0_TRIES = 400
 
 
 def _verbose() -> bool:
@@ -122,7 +126,7 @@ class CampaignReport:
         return good, len(self.checks) - good
 
 
-def resolve_x0(scn: Scenario, max_tries: int = 400) -> np.ndarray:
+def resolve_x0(scn: Scenario) -> np.ndarray:
     """Produce the starting point demanded by the scenario policy; sampled
     policies verify the order relation against T x0 before the run."""
     spec = scn.map
@@ -141,7 +145,7 @@ def resolve_x0(scn: Scenario, max_tries: int = 400) -> np.ndarray:
     if scn.x0_policy not in ("below", "above"):
         raise HypothesisError(f"{scn.sid}: unknown x0 policy {scn.x0_policy!r}")
     rng = np.random.default_rng(scn.seed)
-    for attempt in range(max_tries):
+    for attempt in range(X0_TRIES):
         scale = float(2 ** (attempt // 100))
         x = sample_domain_point(spec, rng, scale=scale)
         tx = apply_map(spec, x)
@@ -169,9 +173,8 @@ def _settled_orbit(
 
 def _class_hypothesis(rep: CampaignReport, scn: Scenario, samples: int) -> bool:
     cfg = SamplerConfig(n_samples=samples, seed=scn.seed)
-    exhaustive = hasattr(scn.map.op, "lattice_points")
     class_rep = is_alpha_nonexpansive(
-        scn.map, scn.cone, scn.space, scn.alpha, cfg, exhaustive=exhaustive
+        scn.map, scn.cone, scn.space, scn.alpha, cfg, exhaustive=isinstance(scn.map.op, GridMap)
     )
     rep.add("hypothesis_alpha_class", class_rep.passed, class_rep.summary())
     return class_rep.passed
@@ -181,7 +184,7 @@ def _oracle_points(scn: Scenario) -> list[np.ndarray] | None:
     """Fixed points from the independent search, or None when no bounded
     search region is available for a non-affine map."""
     op = scn.map.op
-    if scn.grid_cfg is None and as_affine(op) is None and not hasattr(op, "lattice_points"):
+    if scn.grid_cfg is None and as_affine(op) is None and not isinstance(op, GridMap):
         return None
     return fixed_point_oracle(scn.map, scn.grid_cfg)
 
@@ -355,62 +358,41 @@ def verify_zero_orbit_equivalence(
     rows: list[TrialRow] = []
     rep = CampaignReport("t34", "zero_orbit_family")
 
-    trial_specs: list[tuple[str, str, int, float, MappingSpec]] = []
-    counter = 0
+    plan: list[tuple[str, int, float]] = []  # (family, dim, rho) of each trial
     for dim in family_cfg.dims:
-        for rho in family_cfg.rhos:
-            for k in range(family_cfg.n_per_cell):
-                rng = np.random.default_rng(seed * 1_000_003 + counter)
-                spec = corpus.random_nonneg_affine(dim, rho, rng)
-                trial_specs.append((f"trial_{counter:03d}", "contractive", dim, rho, spec))
-                counter += 1
-        for k in range(family_cfg.translations_per_dim):
-            rng = np.random.default_rng(seed * 1_000_003 + counter)
+        plan += [("contractive", dim, rho) for rho in family_cfg.rhos for _ in range(family_cfg.n_per_cell)]
+        plan += [("translation", dim, 1.0)] * family_cfg.translations_per_dim
+    if family_cfg.include_identity_edge:
+        plan.append(("identity_edge", 2, 1.0))
+
+    for counter, (family, dim, rho) in enumerate(plan):
+        trial_id = f"trial_{counter:03d}"
+        rng = np.random.default_rng(seed * 1_000_003 + counter)
+        if family == "contractive":
+            spec = corpus.random_nonneg_affine(dim, rho, rng)
+        elif family == "translation":
             shift = rng.uniform(0.5, 1.5, size=dim)
             domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=dim))
             spec = make_mapping(AffineMap(matrix=np.eye(dim), offset=shift), domain)
-            trial_specs.append((f"trial_{counter:03d}", "translation", dim, 1.0, spec))
-            counter += 1
-    if family_cfg.include_identity_edge:
-        spec = corpus.identity_map(2)
-        trial_specs.append((f"trial_{counter:03d}", "identity_edge", 2, 1.0, spec))
-        counter += 1
-
-    space_cache: dict[int, SpaceSpec] = {}
-    all_ok: dict[str, bool] = {"contractive": True, "translation": True, "identity_edge": True}
-    for trial_id, family, dim, rho, spec in trial_specs:
-        space = space_cache.setdefault(dim, SpaceSpec(dim=dim, p=2.0))
-        scn = Scenario(sid=trial_id, space=space, cone=spec.domain.cone, map=spec)
+        else:
+            spec = corpus.identity_map(dim)
+        scn = Scenario(sid=trial_id, space=SpaceSpec(dim=dim, p=2.0), cone=spec.domain.cone, map=spec)
         record = _settled_orbit(scn, np.zeros(dim), iter_cfg)
         oracle = fixed_point_oracle(spec)
         nonempty = len(oracle) > 0
-        if record.verdict == CONVERGED:
-            bounded, agree = True, nonempty
-        elif record.verdict == UNBOUNDED_SUSPECTED:
-            bounded, agree = False, not nonempty
-        else:
-            bounded, agree = False, False  # inconclusive or nonfinite: a failed trial
-        rows.append(
-            TrialRow(
-                trial=trial_id,
-                family=family,
-                dim=dim,
-                rho=rho,
-                verdict=record.verdict,
-                bounded=bounded,
-                oracle_nonempty=nonempty,
-                agree=agree,
-            )
-        )
-        if not agree:
-            all_ok[family] = False
+        bounded = record.verdict == CONVERGED
+        # an inconclusive or nonfinite orbit is a failed trial
+        agree = record.verdict in (CONVERGED, UNBOUNDED_SUSPECTED) and bounded == nonempty
+        rows.append(TrialRow(trial_id, family, dim, rho, record.verdict, bounded, nonempty, agree))
 
-    n = {fam: sum(1 for r in rows if r.family == fam) for fam in all_ok}
-    rep.add("bounded_regime_agreement", all_ok["contractive"], f"{n['contractive']} contractive trials")
-    rep.add("unbounded_regime_agreement", all_ok["translation"], f"{n['translation']} translation trials")
+    contractive, translation, edge = (
+        [r.agree for r in rows if r.family == fam] for fam in ("contractive", "translation", "identity_edge")
+    )
+    rep.add("bounded_regime_agreement", all(contractive), f"{len(contractive)} contractive trials")
+    rep.add("unbounded_regime_agreement", all(translation), f"{len(translation)} translation trials")
     if family_cfg.include_identity_edge:
-        rep.add("identity_edge_agreement", all_ok["identity_edge"], "identity map from 0")
-    rep.add("total_trials_counted", len(rows) == counter, f"{len(rows)} trials")
+        rep.add("identity_edge_agreement", all(edge), "identity map from 0")
+    rep.add("total_trials_counted", len(rows) == len(plan), f"{len(rows)} trials")
     return rep, rows
 
 
@@ -579,82 +561,52 @@ def verify_cone_convergence(
 # suite runner: scenario registry, config, report files
 
 
-def _grid2(lo: float, hi: float) -> GridSearchConfig:
-    return GridSearchConfig(lo=np.full(2, lo), hi=np.full(2, hi), points_per_axis=7)
-
-
-def _contraction_scenarios(seed: int) -> list[Scenario]:
-    p2 = SpaceSpec(dim=2, p=2.0)
-    orthant2 = ConeSpec(kind="orthant", dim=2)
-    rng = np.random.default_rng(seed + 7)
-    random5 = corpus.random_nonneg_affine(5, 0.8, rng)
-    return [
-        Scenario("affine_contraction", p2, orthant2, corpus.affine_contraction(2),
-                 expected="fixed_point_exists", seed=seed),
-        Scenario("constant", p2, orthant2, corpus.constant_map([1.0, 1.0]),
-                 expected="fixed_point_exists", seed=seed + 1),
-        Scenario("truncation", p2, orthant2, corpus.truncation_cap(2),
-                 expected="fixed_point_exists", seed=seed + 2, grid_cfg=_grid2(0.0, 3.0)),
-        Scenario("steep_step", SpaceSpec(dim=1, p=2.0), ConeSpec(kind="orthant", dim=1),
-                 corpus.steep_step_map(), alpha=corpus.STEEP_STEP_ALPHA,
-                 x0_policy="explicit", x0=np.zeros(1),
-                 expected="fixed_point_exists", seed=seed + 3),
-        Scenario("random_contraction_d5", SpaceSpec(dim=5, p=2.0), ConeSpec(kind="orthant", dim=5),
-                 random5, expected="fixed_point_exists", seed=seed + 4),
-        Scenario("translation", p2, orthant2, corpus.unit_translation(2),
-                 expected="no_fixed_point", seed=seed + 5),
-    ]
+def _scn(sid, spec, seed, x0=None, grid=None, expected="fixed_point_exists", **kw) -> Scenario:
+    # a registry scenario in l2 over the map's dimension, ordered by its
+    # domain cone; an x0 makes the start explicit, and grid = (lo, hi) bounds
+    # a 7-point-per-axis oracle grid
+    if x0 is not None:
+        kw.update(x0_policy="explicit", x0=np.asarray(x0, dtype=float))
+    if grid is not None:
+        lo, hi = (np.full(spec.dim, bound) for bound in grid)
+        kw["grid_cfg"] = GridSearchConfig(lo=lo, hi=hi, points_per_axis=7)
+    space = SpaceSpec(dim=spec.dim, p=2.0)
+    return Scenario(sid, space, spec.domain.cone, spec, expected=expected, seed=seed, **kw)
 
 
 def default_scenarios(seed: int) -> dict[str, list[Scenario]]:
     """The shipped scenario corpus, seed-parameterized."""
-    p2 = SpaceSpec(dim=2, p=2.0)
-    orthant2 = ConeSpec(kind="orthant", dim=2)
-    t33 = [
-        Scenario("affine_from_above", p2, orthant2, corpus.affine_contraction(2),
-                 x0_policy="explicit", x0=np.array([5.0, 5.0]),
-                 expected="fixed_point_exists", seed=seed + 10),
-        Scenario("constant_from_above", p2, orthant2, corpus.constant_map([1.0, 1.0]),
-                 x0_policy="explicit", x0=np.array([3.0, 3.0]),
-                 expected="fixed_point_exists", seed=seed + 11),
-        Scenario("truncation_from_above", p2, orthant2, corpus.truncation_cap(2),
-                 x0_policy="explicit", x0=np.array([3.0, 3.0]),
-                 expected="fixed_point_exists", seed=seed + 12, grid_cfg=_grid2(0.0, 3.0)),
-        Scenario("box_drift_down", p2, orthant2, corpus.box_drift_down(2),
-                 x0_policy="explicit", x0=np.array([-1.0, -1.0]),
-                 expected="fixed_point_exists", seed=seed + 13, grid_cfg=_grid2(-3.0, 0.0)),
-    ]
-    t4x = [
-        Scenario("affine_up_from_zero", p2, orthant2, corpus.affine_contraction(2),
-                 expected="fixed_point_exists", seed=seed + 20),
-        Scenario("affine_down", p2, orthant2, corpus.affine_contraction(2),
-                 x0_policy="explicit", x0=np.array([5.0, 5.0]),
-                 expected="fixed_point_exists", seed=seed + 21),
-        Scenario("box_drift_down", p2, orthant2, corpus.box_drift_down(2),
-                 x0_policy="explicit", x0=np.array([-1.0, -1.0]),
-                 expected="fixed_point_exists", seed=seed + 22, grid_cfg=_grid2(-3.0, 0.0)),
-        Scenario("truncation_fixed_start", p2, orthant2, corpus.truncation_cap(2),
-                 expected="fixed_point_exists", seed=seed + 23, grid_cfg=_grid2(0.0, 3.0)),
-        Scenario("constant_from_zero", p2, orthant2, corpus.constant_map([1.0, 1.0]),
-                 expected="fixed_point_exists", seed=seed + 24),
-        Scenario("steep_step", SpaceSpec(dim=1, p=2.0), ConeSpec(kind="orthant", dim=1),
-                 corpus.steep_step_map(), alpha=corpus.STEEP_STEP_ALPHA,
-                 x0_policy="explicit", x0=np.zeros(1),
-                 expected="fixed_point_exists", seed=seed + 25),
-    ]
-    c4x = [
-        Scenario("affine_contraction", p2, orthant2, corpus.affine_contraction(2),
-                 expected="fixed_point_exists", seed=seed + 30),
-        Scenario("truncation", p2, orthant2, corpus.truncation_cap(2),
-                 expected="fixed_point_exists", seed=seed + 31, grid_cfg=_grid2(0.0, 3.0)),
-        Scenario("box_clamp", p2, orthant2, corpus.box_clamp(2),
-                 expected="fixed_point_exists", seed=seed + 32, grid_cfg=_grid2(0.0, 2.0)),
-    ]
+    contraction, constant = corpus.affine_contraction(2), corpus.constant_map([1.0, 1.0])
+    truncation, drift, steep = corpus.truncation_cap(2), corpus.box_drift_down(2), corpus.steep_step_map()
+    random5 = corpus.random_nonneg_affine(5, 0.8, np.random.default_rng(seed + 7))
     return {
-        "t32": _contraction_scenarios(seed),
-        "t33": t33,
-        "t41-44": t4x,
-        "c45-46": c4x,
+        "t32": [
+            _scn("affine_contraction", contraction, seed),
+            _scn("constant", constant, seed + 1),
+            _scn("truncation", truncation, seed + 2, grid=(0.0, 3.0)),
+            _scn("steep_step", steep, seed + 3, x0=[0.0], alpha=corpus.STEEP_STEP_ALPHA),
+            _scn("random_contraction_d5", random5, seed + 4),
+            _scn("translation", corpus.unit_translation(2), seed + 5, expected="no_fixed_point"),
+        ],
+        "t33": [
+            _scn("affine_from_above", contraction, seed + 10, x0=[5.0, 5.0]),
+            _scn("constant_from_above", constant, seed + 11, x0=[3.0, 3.0]),
+            _scn("truncation_from_above", truncation, seed + 12, x0=[3.0, 3.0], grid=(0.0, 3.0)),
+            _scn("box_drift_down", drift, seed + 13, x0=[-1.0, -1.0], grid=(-3.0, 0.0)),
+        ],
+        "t41-44": [
+            _scn("affine_up_from_zero", contraction, seed + 20),
+            _scn("affine_down", contraction, seed + 21, x0=[5.0, 5.0]),
+            _scn("box_drift_down", drift, seed + 22, x0=[-1.0, -1.0], grid=(-3.0, 0.0)),
+            _scn("truncation_fixed_start", truncation, seed + 23, grid=(0.0, 3.0)),
+            _scn("constant_from_zero", constant, seed + 24),
+            _scn("steep_step", steep, seed + 25, x0=[0.0], alpha=corpus.STEEP_STEP_ALPHA),
+        ],
+        "c45-46": [
+            _scn("affine_contraction", contraction, seed + 30),
+            _scn("truncation", truncation, seed + 31, grid=(0.0, 3.0)),
+            _scn("box_clamp", corpus.box_clamp(2), seed + 32, grid=(0.0, 2.0)),
+        ],
     }
 
 
@@ -666,11 +618,8 @@ def scenario_from_dict(d: dict, seed: int) -> Scenario:
     grid_cfg = None
     if "grid" in d:
         g = d["grid"]
-        grid_cfg = GridSearchConfig(
-            lo=np.asarray(g["lo"], dtype=float),
-            hi=np.asarray(g["hi"], dtype=float),
-            points_per_axis=int(g.get("points_per_axis", 11)),
-        )
+        points = int(g.get("points_per_axis", GridSearchConfig.points_per_axis))
+        grid_cfg = GridSearchConfig(lo=g["lo"], hi=g["hi"], points_per_axis=points)
     x0 = d.get("x0")
     return Scenario(
         sid=str(d.get("id", "config_scenario")),
@@ -693,25 +642,14 @@ def load_config(path) -> dict:
         return json.load(fh)
 
 
-def _iteration_from_config(config: dict) -> IterationConfig:
-    it = config.get("iteration", {})
-    return IterationConfig(
-        max_iter=int(it.get("max_iter", CAMPAIGN_ITERATION.max_iter)),
-        residual_tol=float(it.get("residual_tol", CAMPAIGN_ITERATION.residual_tol)),
-        bound_threshold=float(it.get("bound_threshold", CAMPAIGN_ITERATION.bound_threshold)),
-        window=int(it.get("window", CAMPAIGN_ITERATION.window)),
-    )
-
-
-def _family_from_config(config: dict) -> FamilyConfig:
-    fam = config.get("family", {})
-    return FamilyConfig(
-        dims=tuple(fam.get("dims", (2, 5, 20))),
-        rhos=tuple(fam.get("rhos", (0.5, 0.8, 0.95, 1.0))),
-        n_per_cell=int(fam.get("n_per_cell", 3)),
-        translations_per_dim=int(fam.get("translations_per_dim", 2)),
-        include_identity_edge=bool(fam.get("include_identity_edge", True)),
-    )
+def _section(config: dict, key: str, default):
+    """``default`` with the fields that ``config[key]`` gives, each converted
+    to the type of its default value; other keys are ignored."""
+    given = config.get(key, {})
+    return dataclasses.replace(default, **{
+        f.name: type(getattr(default, f.name))(given[f.name])
+        for f in dataclasses.fields(default) if f.name in given
+    })
 
 
 _CAMPAIGNS = {
@@ -730,7 +668,7 @@ def run_suites(
     diagnosis recorded, so a corrupted scenario fails its report instead of
     crashing the run."""
     samples = int(config.get("samples", 300))
-    iter_cfg = _iteration_from_config(config)
+    iter_cfg = _section(config, "iteration", CAMPAIGN_ITERATION)
     replace = bool(config.get("replace_scenarios", False))
     extra = config.get("scenarios", {})
     # t34 builds its own family; the registry is only built when used
@@ -743,7 +681,7 @@ def run_suites(
             print(f"suite {suite}:")
         if suite == "t34":
             rep, rows = verify_zero_orbit_equivalence(
-                _family_from_config(config), seed=seed, iter_cfg=iter_cfg
+                _section(config, "family", FamilyConfig()), seed=seed, iter_cfg=iter_cfg
             )
             reports.append(rep)
             trial_rows.extend(rows)
@@ -776,14 +714,11 @@ def _write_reports(out_dir, suites, reports: list[CampaignReport], trial_rows: l
     if trial_rows:
         with (out / "t34_trials.csv").open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["trial", "family", "dim", "rho", "verdict", "bounded", "oracle_nonempty", "agree"]
-            )
+            names = [f.name for f in dataclasses.fields(TrialRow)]
+            writer.writerow(names)
             for t in trial_rows:
-                writer.writerow(
-                    [t.trial, t.family, t.dim, repr(t.rho), t.verdict,
-                     int(t.bounded), int(t.oracle_nonempty), int(t.agree)]
-                )
+                values = [getattr(t, name) for name in names]
+                writer.writerow([int(v) if isinstance(v, bool) else v for v in values])
     (out / "summary.txt").write_text(summary_table(reports), encoding="utf-8")
 
 

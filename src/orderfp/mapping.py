@@ -11,11 +11,13 @@ draw, evaluate and test all their pairs as rows at once.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -176,7 +178,7 @@ class GridMap:
     origin: np.ndarray
     step: float
     values: np.ndarray
-    snap_tol: float = 1e-9
+    snap_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         self.origin = as_vector(self.origin)
@@ -304,10 +306,10 @@ def validate_self_map(spec: MappingSpec, n_samples: int = 64, seed: int = 0) -> 
         )
 
 
-def make_mapping(op, domain: Domain, n_check_samples: int = 64, seed: int = 0) -> MappingSpec:
+def make_mapping(op, domain: Domain) -> MappingSpec:
     """Construct a MappingSpec and verify the self-map property on samples."""
     spec = MappingSpec(op=op, domain=domain)
-    validate_self_map(spec, n_samples=n_check_samples, seed=seed)
+    validate_self_map(spec)
     return spec
 
 
@@ -322,49 +324,60 @@ class SamplerConfig:
     n_samples: int = 200
     seed: int = 0
     scale: float = 1.0
-    max_tries: int = 10_000
+
+
+# attempts at a comparable pair by rejection (Lorentz-cone orders) before giving up
+PAIR_TRIES = 10_000
+
+
+def _lattice_indices(op: GridMap, rng: np.random.Generator, n: int) -> np.ndarray:
+    # n lattice indices as (n, dim) integer rows: one draw per axis, row by row
+    idx = [[rng.integers(0, k) for k in op.lattice_shape] for _ in range(n)]
+    return np.array(idx, dtype=int).reshape(n, op.dim)
+
+
+def _domain_rows(spec: MappingSpec, rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
+    # n domain points as rows: lattice points for a grid map, cone draws, one
+    # box draw for a box or orthant interval, and on a Lorentz order interval
+    # a point of the segment [lo, hi] perturbed by rejection, row by row
+    domain = spec.domain
+    if isinstance(spec.op, GridMap):
+        return spec.op.origin + spec.op.step * _lattice_indices(spec.op, rng, n).astype(float)
+    if domain.kind == DOMAIN_CONE:
+        return _cone_rows(domain.cone, rng, n, scale)
+    if domain.kind == DOMAIN_BOX or domain.cone.kind == "orthant":
+        return domain.lo + rng.uniform(0.0, 1.0, size=(n, spec.dim)) * (domain.hi - domain.lo)
+    rows = np.empty((n, spec.dim))
+    for k in range(n):
+        rows[k] = domain.lo + rng.uniform(0.0, 1.0) * (domain.hi - domain.lo)
+        for shrink in range(8):
+            cand = rows[k] + rng.normal(0.0, scale * 0.5 ** shrink, size=spec.dim)
+            if domain_contains(domain, cand):
+                rows[k] = cand
+                break
+    return rows
 
 
 def sample_domain_point(spec: MappingSpec, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Draw a point of the declared domain (a lattice point for grid maps)."""
-    domain = spec.domain
-    if isinstance(spec.op, GridMap):
-        idx = tuple(rng.integers(0, n) for n in spec.op.lattice_shape)
-        return spec.op.origin + spec.op.step * np.asarray(idx, dtype=float)
-    if domain.kind != DOMAIN_INTERVAL or domain.cone.kind == "orthant":
-        return _domain_rows(spec, rng, 1, scale)[0]
-    # lorentz order interval: stay on the segment, then perturb by rejection
-    t = rng.uniform(0.0, 1.0)
-    base = domain.lo + t * (domain.hi - domain.lo)
-    for shrink in range(8):
-        pert = rng.normal(0.0, scale * 0.5 ** shrink, size=domain.dim)
-        cand = base + pert
-        if domain_contains(domain, cand):
-            return cand
-    return base
-
-
-def _domain_rows(spec: MappingSpec, rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    # n domain points as rows, drawn exactly as n calls of sample_domain_point:
-    # in one draw, except on a lattice and on a Lorentz order interval
-    domain = spec.domain
-    if isinstance(spec.op, GridMap) or (domain.kind == DOMAIN_INTERVAL and domain.cone.kind != "orthant"):
-        return np.array([sample_domain_point(spec, rng, scale) for _ in range(n)]).reshape(n, spec.dim)
-    if domain.kind == DOMAIN_CONE:
-        return _cone_rows(domain.cone, rng, n, scale)
-    return domain.lo + rng.uniform(0.0, 1.0, size=(n, spec.dim)) * (domain.hi - domain.lo)
+    return _domain_rows(spec, rng, 1, scale)[0]
 
 
 def sample_comparable_pairs(
-    spec: MappingSpec, rng: np.random.Generator, n: int, scale: float = 1.0, max_tries: int = 10_000
+    spec: MappingSpec, rng: np.random.Generator, n: int, scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` pairs (x, y) in the domain with x <= y under the domain cone, as
-    rows, drawn exactly as ``n`` calls of ``sample_comparable_pair``: x plus
-    a cone direction, in one draw for orthant domains, pair by pair for
-    lattice maps and the Lorentz cone, which need rejection."""
+    rows, drawn exactly as ``n`` calls of ``sample_comparable_pair``: meet
+    and join of two lattice indices for a lattice map under the orthant, x
+    plus a cone direction in one draw for other orthant domains, pair by pair
+    with rejection under the Lorentz cone."""
     domain = spec.domain
-    if isinstance(spec.op, GridMap) or domain.cone.kind != "orthant":
-        pairs = [_draw_comparable_pair(spec, rng, scale, max_tries) for _ in range(n)]
+    if isinstance(spec.op, GridMap) and domain.cone.kind == "orthant":
+        idx = _lattice_indices(spec.op, rng, 2 * n).reshape(n, 2, spec.dim)
+        pts = spec.op.origin + spec.op.step * np.stack([idx.min(axis=1), idx.max(axis=1)]).astype(float)
+        return pts[0], pts[1]
+    if domain.cone.kind != "orthant":
+        pairs = [_draw_comparable_pair(spec, rng, scale) for _ in range(n)]
         return tuple(np.array([pair[i] for pair in pairs]).reshape(n, spec.dim) for i in (0, 1))
     u = rng.uniform(0.0, scale if domain.kind == DOMAIN_CONE else 1.0, size=(n, 2, spec.dim))
     if domain.kind == DOMAIN_CONE:
@@ -374,32 +387,19 @@ def sample_comparable_pairs(
 
 
 def sample_comparable_pair(
-    spec: MappingSpec, rng: np.random.Generator, scale: float = 1.0, max_tries: int = 10_000
+    spec: MappingSpec, rng: np.random.Generator, scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (x, y) in the domain with x <= y under the domain cone."""
-    x, y = sample_comparable_pairs(spec, rng, 1, scale, max_tries)
+    x, y = sample_comparable_pairs(spec, rng, 1, scale)
     return x[0], y[0]
 
 
-def _draw_comparable_pair(spec, rng, scale, max_tries):
-    # lattice maps under the orthant: meet and join of two random indices;
-    # otherwise shrink the cone direction until the pair stays in the domain
-    domain = spec.domain
-    cone = domain.cone
-    if isinstance(spec.op, GridMap) and cone.kind == "orthant":
-        shape = spec.op.lattice_shape
-        a = np.asarray([rng.integers(0, n) for n in shape])
-        b = np.asarray([rng.integers(0, n) for n in shape])
-        lo_idx, hi_idx = np.minimum(a, b), np.maximum(a, b)
-        return (
-            spec.op.origin + spec.op.step * lo_idx.astype(float),
-            spec.op.origin + spec.op.step * hi_idx.astype(float),
-        )
-    for attempt in range(max_tries):
+def _draw_comparable_pair(spec, rng, scale):
+    # shrink the cone direction until the pair stays in the domain
+    for attempt in range(PAIR_TRIES):
         x = sample_domain_point(spec, rng, scale)
-        d = sample_cone_point(cone, rng, scale * 0.5 ** (attempt % 8))
-        y = x + d
-        if domain_contains(domain, y):
+        y = x + sample_cone_point(spec.domain.cone, rng, scale * 0.5 ** (attempt % 8))
+        if domain_contains(spec.domain, y):
             return x, y
     raise RuntimeError("could not sample a comparable pair inside the domain")
 
@@ -439,8 +439,7 @@ def _pair_report(name, spec, cone, x, y, ineq=None, alpha=None) -> PropertyRepor
 
 
 def _sampled_pairs(spec: MappingSpec, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(cfg.seed)
-    return sample_comparable_pairs(spec, rng, cfg.n_samples, cfg.scale, cfg.max_tries)
+    return sample_comparable_pairs(spec, np.random.default_rng(cfg.seed), cfg.n_samples, cfg.scale)
 
 
 def is_monotone(spec: MappingSpec, cone: ConeSpec, cfg: SamplerConfig | None = None) -> PropertyReport:
@@ -521,8 +520,7 @@ def is_quasi_nonexpansive(
     above = (np.arange(n) % 2 == 0)[:, None]
     if isinstance(spec.op, GridMap):
         # comparable lattice point: join/meet of a random index with p's
-        shape = spec.op.lattice_shape
-        idx = np.array([[rng.integers(0, k) for k in shape] for _ in range(n)]).reshape(n, len(shape))
+        idx = _lattice_indices(spec.op, rng, n)
         idx_p = np.array(spec.op.index_of(p)).T
         idx = np.where(above, np.maximum(idx, idx_p), np.minimum(idx, idx_p))
         x = spec.op.origin + spec.op.step * idx.astype(float)
@@ -639,15 +637,11 @@ def as_affine(op) -> tuple[np.ndarray, np.ndarray] | None:
     if isinstance(op, TranslationMap):
         return np.eye(op.dim), op.shift
     if isinstance(op, CompositionMap):
-        pair = as_affine(op.stages[0])
-        if pair is None:
+        views = [as_affine(stage) for stage in op.stages]
+        if any(view is None for view in views):
             return None
-        matrix, offset = pair
-        for stage in op.stages[1:]:
-            nxt = as_affine(stage)
-            if nxt is None:
-                return None
-            m2, b2 = nxt
+        matrix, offset = views[0]
+        for m2, b2 in views[1:]:
             matrix, offset = m2 @ matrix, m2 @ offset + b2
         return matrix, offset
     return None
@@ -719,52 +713,37 @@ def fixed_point_oracle(
 # ---------------------------------------------------------------------------
 # JSON round trip
 
-_VARIANT_TAGS = {
-    AffineMap: "affine",
-    TruncationMap: "truncation",
-    TranslationMap: "translation",
-    BoxProjectionMap: "box_projection",
-    CompositionMap: "composition",
-    GridMap: "grid",
+# the file tag of each operation; its dataclass fields are the file keys
+_VARIANTS = {
+    "affine": AffineMap,
+    "truncation": TruncationMap,
+    "translation": TranslationMap,
+    "box_projection": BoxProjectionMap,
+    "composition": CompositionMap,
+    "grid": GridMap,
 }
+_TAGS = {cls: tag for tag, cls in _VARIANTS.items()}
 
 
 def _op_to_dict(op) -> dict:
-    tag = _VARIANT_TAGS[type(op)]
-    if isinstance(op, AffineMap):
-        body = {"matrix": op.matrix.tolist(), "offset": op.offset.tolist()}
-    elif isinstance(op, TruncationMap):
-        body = {"cap": op.cap.tolist()}
-    elif isinstance(op, TranslationMap):
-        body = {"shift": op.shift.tolist()}
-    elif isinstance(op, BoxProjectionMap):
-        body = {"lo": op.lo.tolist(), "hi": op.hi.tolist()}
-    elif isinstance(op, CompositionMap):
-        body = {"stages": [_op_to_dict(s) for s in op.stages]}
-    else:
-        body = {
-            "origin": op.origin.tolist(),
-            "step": op.step,
-            "values": op.values.tolist(),
-        }
-    return {"variant": tag, **body}
+    d = {"variant": _TAGS[type(op)]}
+    for f in dataclasses.fields(op):
+        value = getattr(op, f.name)
+        if isinstance(op, CompositionMap):
+            value = [_op_to_dict(s) for s in value]
+        d[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return d
 
 
 def _op_from_dict(d: dict):
     tag = d["variant"]
-    if tag == "affine":
-        return AffineMap(matrix=d["matrix"], offset=d["offset"])
-    if tag == "truncation":
-        return TruncationMap(cap=d["cap"])
-    if tag == "translation":
-        return TranslationMap(shift=d["shift"])
-    if tag == "box_projection":
-        return BoxProjectionMap(lo=d["lo"], hi=d["hi"])
-    if tag == "composition":
-        return CompositionMap(stages=[_op_from_dict(s) for s in d["stages"]])
-    if tag == "grid":
-        return GridMap(origin=d["origin"], step=d["step"], values=d["values"])
-    raise ValueError(f"unknown mapping variant {tag!r}")
+    if not isinstance(tag, str) or tag not in _VARIANTS:
+        raise ValueError(f"unknown mapping variant {tag!r}")
+    cls = _VARIANTS[tag]
+    body = {f.name: d[f.name] for f in dataclasses.fields(cls)}
+    if cls is CompositionMap:
+        body["stages"] = [_op_from_dict(s) for s in body["stages"]]
+    return cls(**body)
 
 
 def mapping_to_dict(spec: MappingSpec) -> dict:
@@ -775,19 +754,16 @@ def mapping_to_dict(spec: MappingSpec) -> dict:
     return {**_op_to_dict(spec.op), "domain": domain}
 
 
-def mapping_from_dict(d: dict, validate: bool = True) -> MappingSpec:
+def mapping_from_dict(d: dict) -> MappingSpec:
     dd = d["domain"]
     cone = ConeSpec(kind=dd["cone"]["kind"], dim=int(dd["cone"]["dim"]))
     domain = Domain(kind=dd["kind"], cone=cone, lo=dd.get("lo"), hi=dd.get("hi"))
-    op = _op_from_dict(d)
-    if validate:
-        return make_mapping(op, domain)
-    return MappingSpec(op=op, domain=domain)
+    return make_mapping(_op_from_dict(d), domain)
 
 
-def load_mapping(path, validate: bool = True) -> MappingSpec:
+def load_mapping(path) -> MappingSpec:
     with Path(path).open("r", encoding="utf-8") as fh:
-        return mapping_from_dict(json.load(fh), validate=validate)
+        return mapping_from_dict(json.load(fh))
 
 
 def save_mapping(spec: MappingSpec, path) -> None:

@@ -77,10 +77,6 @@ def leq(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
     return contains(cone, yv - xv, tol=tol)
 
 
-def geq(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
-    return leq(cone, y, x, tol=tol)
-
-
 def lt(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
     """Strict order: x <= y and the points differ (beyond tol)."""
     xv = as_vector(x, dim=cone.dim)

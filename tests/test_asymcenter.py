@@ -142,22 +142,36 @@ class TestCenterVerification:
         _, problem = affine_problem()
         spec = corpus.affine_contraction(2)
         res = solve_asym_center(problem, map_spec=spec)
-        assert verify_center_is_fixed(spec, res, tol=1e-6)
+        assert verify_center_is_fixed(spec, res, P2, tol=1e-6)
 
     def test_perturbed_center_rejected(self):
         _, problem = affine_problem()
         spec = corpus.affine_contraction(2)
         res = solve_asym_center(problem, map_spec=spec)
         shifted = dataclasses.replace(res, z=res.z + np.array([0.1, 0.0]))
-        assert not verify_center_is_fixed(spec, shifted, tol=1e-6)
+        assert not verify_center_is_fixed(spec, shifted, P2, tol=1e-6)
 
     def test_constant_orbit_center_fixed(self):
         spec = corpus.constant_map([1.0, 1.0])
         rec = picard_orbit(spec, [0.0, 0.0], ORTH2, P2)
         problem = problem_from_orbit(rec.points, ORTH2, P2)
         res = solve_asym_center(problem, map_spec=spec)
-        assert verify_center_is_fixed(spec, res, tol=1e-9)
+        assert verify_center_is_fixed(spec, res, P2, tol=1e-9)
         assert np.allclose(res.z, [1.0, 1.0], atol=1e-12)
+
+    def test_residual_is_measured_in_the_space_norm(self):
+        # 13-point orbit of x -> x/2 + 1 from 0, tail from index 6: the
+        # center's residual is 2^-12 per coordinate, 3.45e-4 in l2 but
+        # 3.88e-4 in l1.5, so at tol 3.6e-4 the l1.5 verdict is False
+        spec = corpus.affine_contraction(2)
+        rec = picard_orbit(spec, [0.0, 0.0], ORTH2, P2, IterationConfig(max_iter=12))
+        assert len(rec) == 13
+        p15 = SpaceSpec(dim=2, p=1.5)
+        res = solve_asym_center(make_problem(rec.points[6:], ORTH2, p15), map_spec=spec)
+        assert res.fixed_point_residual > 3.6e-4
+        assert not verify_center_is_fixed(spec, res, p15, tol=3.6e-4)
+        assert verify_center_is_fixed(spec, res, P2, tol=3.6e-4)
+        assert verify_center_is_fixed(spec, res, p15, tol=res.fixed_point_residual)
 
 
 # reference oracles: the point-by-point radius and feasibility checks, kept

@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from orderfp import corpus
+from orderfp import cli, corpus
 from orderfp.cli import main
 from orderfp.mapping import AffineMap, Domain, make_mapping, save_mapping
-from orderfp.order import ConeSpec
+from orderfp.order import ConeSpec, inf_pair, leq, sample_cone_point, sup_pair
 
 
 @pytest.fixture()
@@ -163,3 +163,128 @@ def test_verify_deterministic_summaries(tmp_path):
         tmp_path / "b" / "summary.txt").read_bytes()
     assert (tmp_path / "a" / "t34_trials.csv").read_bytes() == (
         tmp_path / "b" / "t34_trials.csv").read_bytes()
+
+
+def test_asym_center_fixed_verdict_uses_the_space_norm(tmp_path, contraction_file, capsys):
+    # the center of the 13-point orbit's tail from index 6 has residual
+    # 2^-12 per coordinate: 3.45e-4 in l2, 3.88e-4 in l1.5
+    orbit = tmp_path / "orbit.csv"
+    assert main(["iterate", "--map", str(contraction_file), "--max-iter", "12", "--out", str(orbit)]) == 0
+    capsys.readouterr()
+    assert main(["asym-center", "--orbit", str(orbit), "--tail-from", "6", "--map", str(contraction_file),
+                 "--p", "1.5", "--fixed-tol", "3.6e-4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "fixed-point residual : 0.0003875490849531739",
+        "center fixed (tol 0.00036) : False",
+    ]
+
+
+# Full stdout, pinned: a change in the order or number of draws changes a
+# witness or an estimate, which a substring check would not see.
+ORDER_CHECK_STDOUT = {
+    ("orthant", "5"): (
+        "cone                 : orthant (dim=5, p=2.0)\n"
+        "normality estimate   : 0.8588427828057912 (sampled lower bound)\n"
+        "monotonic norm       : pass\n"
+        "antisymmetry sampled : pass\n"
+        "lattice axioms       : pass\n"
+    ),
+    ("lorentz", "3"): (
+        "cone                 : lorentz (dim=3, p=2.0)\n"
+        "normality estimate   : 1.0 (sampled lower bound)\n"
+        "monotonic norm       : pass\n"
+        "antisymmetry sampled : pass\n"
+        "lattice axioms       : unsupported (not minihedral)\n"
+    ),
+}
+
+STEEP_STEP_CHECK_STDOUT = (
+    "monotone              : pass  [200 samples, 0 violations]\n"
+    "monotone_nonexpansive : fail  [200 samples, 11 violations]\n"
+    "  witness: x=[2.] y=[3.] lhs=1.5 rhs=1.0\n"
+    "alpha_nonexpansive    : pass (alpha=0.3)  [200 samples, 0 violations]\n"
+    "nonspreading          : pass  [200 samples, 0 violations]\n"
+    "hybrid                : pass  [200 samples, 0 violations]\n"
+    "tj                    : fail  [200 samples, 12 violations]\n"
+    "  witness: x=[3.] y=[1.] lhs=4.5 rhs=4.25\n"
+)
+
+
+@pytest.mark.parametrize("cone, dim", sorted(ORDER_CHECK_STDOUT))
+def test_order_check_full_stdout(cone, dim, capsys):
+    assert main(["order", "check", "--cone", cone, "--dim", dim, "--seed", "1"]) == 0
+    assert capsys.readouterr().out == ORDER_CHECK_STDOUT[cone, dim]
+
+
+def test_check_mapping_full_stdout(tmp_path, capsys):
+    # a lattice map: its pairs and points come from the lattice draws
+    path = tmp_path / "steep.json"
+    save_mapping(corpus.steep_step_map(), path)
+    assert main(["check-mapping", "--map", str(path), "--alpha", "0.3", "--samples", "200", "--seed", "2"]) == 1
+    assert capsys.readouterr().out == STEEP_STEP_CHECK_STDOUT
+
+
+def reference_order_check_loops(cone, rng, samples):
+    """The per-sample loops of the former ``order check`` (antisymmetry, then
+    the orthant's lattice axioms), recording what they draw. Returns both
+    verdicts, every point drawn, in order, and the antisymmetry pairs' y - x."""
+    drawn, steps = [], []
+
+    def draw():
+        drawn.append(sample_cone_point(cone, rng))
+        return drawn[-1]
+
+    antisym_ok = True
+    for _ in range(samples):
+        x = draw()
+        y = draw()
+        steps.append(y - x)
+        if leq(cone, x, y) and leq(cone, y, x) and float(np.max(np.abs(x - y))) > 1e-9:
+            antisym_ok = False
+            break
+    lattice = "unsupported (not minihedral)"
+    if cone.kind == "orthant":
+        ok = True
+        for _ in range(samples):
+            x = draw()
+            y = draw()
+            z = draw()
+            ok &= bool(np.array_equal(sup_pair(cone, x, x), x))
+            ok &= bool(np.array_equal(sup_pair(cone, x, y), sup_pair(cone, y, x)))
+            ok &= bool(np.array_equal(sup_pair(cone, x, inf_pair(cone, x, z)), x))
+            if not ok:
+                break
+        lattice = "pass" if ok else "FAIL"
+    verdicts = "pass" if antisym_ok else "FAIL", lattice
+    return verdicts, np.array(drawn).reshape(-1, cone.dim), np.array(steps).reshape(-1, cone.dim)
+
+
+@pytest.mark.parametrize("cone, dim", [("orthant", 1), ("orthant", 5), ("lorentz", 2), ("lorentz", 3)])
+@pytest.mark.parametrize("samples", [1, 7, 300])
+def test_order_check_rows_match_the_per_sample_loops(cone, dim, samples, monkeypatch, capsys):
+    drawn, tested = [], []  # the rows drawn and the rows given the cone test
+
+    def recording(fn, record, keep):
+        def wrapper(*args):
+            result = fn(*args)
+            record.append(keep(args, result))
+            return result
+        return wrapper
+
+    cone_rows, member_raw = cli._cone_rows, cli._member_raw
+    monkeypatch.setattr(cli, "_cone_rows", recording(cone_rows, drawn, lambda args, rows: rows))
+    monkeypatch.setattr(cli, "_member_raw", recording(member_raw, tested, lambda args, flags: args[1]))
+    for seed in range(5):
+        drawn.clear()
+        tested.clear()
+        main(["order", "check", "--cone", cone, "--dim", str(dim), "--samples", str(samples),
+              "--seed", str(seed)])
+        lines = [line.split(" : ", 1) for line in capsys.readouterr().out.splitlines()]
+        out = {key.strip(): value for key, value in lines}
+        verdicts, want_drawn, want_steps = reference_order_check_loops(
+            ConeSpec(kind=cone, dim=dim), np.random.default_rng(seed), samples
+        )
+        assert (out["antisymmetry sampled"], out["lattice axioms"]) == verdicts
+        assert np.array_equal(np.concatenate(drawn), want_drawn)
+        assert np.array_equal(tested[0], want_steps) and np.array_equal(tested[1], -want_steps)

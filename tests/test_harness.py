@@ -1,5 +1,6 @@
 """Campaign behavior: hypotheses, verdict aggregation, and reproducibility."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from orderfp import corpus, harness
 from orderfp.harness import (
+    CAMPAIGN_ITERATION,
     FamilyConfig,
     HypothesisError,
     Scenario,
@@ -324,3 +326,71 @@ def test_traced_names_are_harness_attributes(monkeypatch):
     spec.loader.exec_module(tracing)
     missing = [name for name in tracing.HARNESS_CALLS if not callable(getattr(harness, name, None))]
     assert tracing.HARNESS_CALLS and missing == []
+
+
+# reference oracles: the former per-section config readers, which restated
+# every default, kept verbatim so the one reader can be held to the same
+# configs and the same errors
+
+
+def reference_iteration_from_config(config):
+    it = config.get("iteration", {})
+    return IterationConfig(
+        max_iter=int(it.get("max_iter", CAMPAIGN_ITERATION.max_iter)),
+        residual_tol=float(it.get("residual_tol", CAMPAIGN_ITERATION.residual_tol)),
+        bound_threshold=float(it.get("bound_threshold", CAMPAIGN_ITERATION.bound_threshold)),
+        window=int(it.get("window", CAMPAIGN_ITERATION.window)),
+    )
+
+
+def reference_family_from_config(config):
+    fam = config.get("family", {})
+    return FamilyConfig(
+        dims=tuple(fam.get("dims", (2, 5, 20))),
+        rhos=tuple(fam.get("rhos", (0.5, 0.8, 0.95, 1.0))),
+        n_per_cell=int(fam.get("n_per_cell", 3)),
+        translations_per_dim=int(fam.get("translations_per_dim", 2)),
+        include_identity_edge=bool(fam.get("include_identity_edge", True)),
+    )
+
+
+CONFIG_CASES = {
+    "missing": {},
+    "empty": {"iteration": {}, "family": {}},
+    "partial": {"iteration": {"max_iter": 500}, "family": {"dims": [3], "include_identity_edge": False}},
+    "full": {
+        "iteration": {"max_iter": 100_000, "residual_tol": 1e-10, "bound_threshold": 1e4, "window": 50},
+        "family": {"dims": [2, 5, 20], "rhos": [0.5, 0.8, 0.95], "n_per_cell": 11,
+                   "translations_per_dim": 2, "include_identity_edge": True},
+    },
+    "strings": {
+        "iteration": {"max_iter": "500", "residual_tol": "1e-9", "bound_threshold": "1e5", "window": 7.0},
+        "family": {"dims": [2], "rhos": [1], "n_per_cell": "2", "translations_per_dim": 1.0,
+                   "include_identity_edge": 0},
+    },
+    "unknown_keys": {"iteration": {"scheme": "mann"}, "family": {"p": 3.0}},
+}
+
+
+def typed(cfg):
+    """Field values with their types, so that 500 and 500.0 differ."""
+    return [(type(v), v) for v in dataclasses.astuple(cfg)]
+
+
+class TestConfigSections:
+    @pytest.mark.parametrize("name", sorted(CONFIG_CASES))
+    def test_same_configs_as_the_per_section_readers(self, name):
+        config = CONFIG_CASES[name]
+        got = harness._section(config, "iteration", CAMPAIGN_ITERATION)
+        assert typed(got) == typed(reference_iteration_from_config(config))
+        got = harness._section(config, "family", FamilyConfig())
+        assert typed(got) == typed(reference_family_from_config(config))
+
+    @pytest.mark.parametrize("section", [{"max_iter": "lots"}, {"max_iter": 0}, {"window": "-1"}])
+    def test_same_error_type(self, section):
+        config = {"iteration": section}
+        with pytest.raises(ValueError) as ref:
+            reference_iteration_from_config(config)
+        with pytest.raises(ValueError) as got:
+            harness._section(config, "iteration", CAMPAIGN_ITERATION)
+        assert (type(got.value), str(got.value)) == (type(ref.value), str(ref.value))

@@ -45,8 +45,10 @@ from orderfp.mapping import (
     save_mapping,
     validate_self_map,
     _affine_fixed_points,
+    _domain_rows,
+    _op_from_dict,
 )
-from orderfp.order import MEMBERSHIP_TOL, ConeSpec, comparable, leq, sample_cone_point
+from orderfp.order import MEMBERSHIP_TOL, ConeSpec, comparable, leq, sample_cone_point, _cone_rows
 from orderfp.report import PropertyReport, Violation
 from orderfp.space import SpaceSpec, as_vector, norm
 
@@ -496,7 +498,7 @@ def reference_is_monotone(spec, cone, cfg=None):
     rng = np.random.default_rng(cfg.seed)
     report = PropertyReport(name="monotone", samples=cfg.n_samples)
     for _ in range(cfg.n_samples):
-        x, y = reference_sample_comparable_pair(spec, rng, cfg.scale, cfg.max_tries)
+        x, y = reference_sample_comparable_pair(spec, rng, cfg.scale)
         margin = _ref_cone_margin(cone, spec.op.evaluate(y) - spec.op.evaluate(x))
         if margin < -MEMBERSHIP_TOL:
             report.violations.append(Violation(x=x, y=y, lhs=-margin, rhs=MEMBERSHIP_TOL))
@@ -508,7 +510,7 @@ def reference_is_monotone_nonexpansive(spec, cone, space, cfg=None):
     rng = np.random.default_rng(cfg.seed)
     report = PropertyReport(name="monotone_nonexpansive", samples=cfg.n_samples)
     for _ in range(cfg.n_samples):
-        x, y = reference_sample_comparable_pair(spec, rng, cfg.scale, cfg.max_tries)
+        x, y = reference_sample_comparable_pair(spec, rng, cfg.scale)
         tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
         margin = _ref_cone_margin(cone, ty - tx)
         if margin < -MEMBERSHIP_TOL:
@@ -545,7 +547,7 @@ def reference_is_alpha_nonexpansive(spec, cone, space, alpha, cfg=None, exhausti
     else:
         rng = np.random.default_rng(cfg.seed)
         pairs = [
-            reference_sample_comparable_pair(spec, rng, cfg.scale, cfg.max_tries)
+            reference_sample_comparable_pair(spec, rng, cfg.scale)
             for _ in range(cfg.n_samples)
         ]
     report.samples = len(pairs)
@@ -1108,3 +1110,223 @@ class TestRowOracleFilter:
         got, want = fixed_point_oracle(spec, grid_cfg), reference_fixed_point_oracle(spec, grid_cfg)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) and a.shape == b.shape for a, b in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the former domain sampler, whose lattice and
+# Lorentz-interval draws went point by point through a pair of mutually
+# recursive functions, and the former branch-per-variant JSON codec, kept
+# verbatim so the one sampler and the field-driven codec can be held to the
+# same draws and the same bytes
+
+
+def reference_sample_domain_point(spec, rng, scale=1.0):
+    domain = spec.domain
+    if isinstance(spec.op, GridMap):
+        idx = tuple(rng.integers(0, n) for n in spec.op.lattice_shape)
+        return spec.op.origin + spec.op.step * np.asarray(idx, dtype=float)
+    if domain.kind != "interval" or domain.cone.kind == "orthant":
+        return reference_domain_rows(spec, rng, 1, scale)[0]
+    t = rng.uniform(0.0, 1.0)
+    base = domain.lo + t * (domain.hi - domain.lo)
+    for shrink in range(8):
+        pert = rng.normal(0.0, scale * 0.5 ** shrink, size=domain.dim)
+        cand = base + pert
+        if domain_contains(domain, cand):
+            return cand
+    return base
+
+
+def reference_domain_rows(spec, rng, n, scale):
+    domain = spec.domain
+    if isinstance(spec.op, GridMap) or (domain.kind == "interval" and domain.cone.kind != "orthant"):
+        return np.array([reference_sample_domain_point(spec, rng, scale) for _ in range(n)]).reshape(n, spec.dim)
+    if domain.kind == "cone":
+        return _cone_rows(domain.cone, rng, n, scale)
+    return domain.lo + rng.uniform(0.0, 1.0, size=(n, spec.dim)) * (domain.hi - domain.lo)
+
+
+def reference_draw_comparable_pair(spec, rng, scale, max_tries=10_000):
+    domain = spec.domain
+    cone = domain.cone
+    if isinstance(spec.op, GridMap) and cone.kind == "orthant":
+        shape = spec.op.lattice_shape
+        a = np.asarray([rng.integers(0, n) for n in shape])
+        b = np.asarray([rng.integers(0, n) for n in shape])
+        lo_idx, hi_idx = np.minimum(a, b), np.maximum(a, b)
+        return (
+            spec.op.origin + spec.op.step * lo_idx.astype(float),
+            spec.op.origin + spec.op.step * hi_idx.astype(float),
+        )
+    for attempt in range(max_tries):
+        x = reference_sample_domain_point(spec, rng, scale)
+        d = sample_cone_point(cone, rng, scale * 0.5 ** (attempt % 8))
+        y = x + d
+        if domain_contains(domain, y):
+            return x, y
+    raise RuntimeError("could not sample a comparable pair inside the domain")
+
+
+def reference_sample_comparable_pairs(spec, rng, n, scale=1.0):
+    domain = spec.domain
+    if isinstance(spec.op, GridMap) or domain.cone.kind != "orthant":
+        pairs = [reference_draw_comparable_pair(spec, rng, scale) for _ in range(n)]
+        return tuple(np.array([pair[i] for pair in pairs]).reshape(n, spec.dim) for i in (0, 1))
+    u = rng.uniform(0.0, scale if domain.kind == "cone" else 1.0, size=(n, 2, spec.dim))
+    if domain.kind == "cone":
+        return u[:, 0], u[:, 0] + u[:, 1]
+    x = domain.lo + u[:, 0] * (domain.hi - domain.lo)
+    return x, x + u[:, 1] * (domain.hi - x)
+
+
+class TestOneDomainSampler:
+    @pytest.mark.parametrize(
+        "make",
+        [grid2, corpus.steep_step_map, lorentz_interval_map, lorentz_rotation_map],
+        ids=["lattice", "lattice_box", "lorentz_interval", "lorentz_cone"],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 7, 200])
+    def test_rows_match_the_point_by_point_reference(self, make, n):
+        spec = make()
+        for seed in range(30):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows, want = _domain_rows(spec, rng, n, 1.0), reference_domain_rows(spec, ref, n, 1.0)
+            assert rows.shape == want.shape == (n, spec.dim) and np.array_equal(rows, want)
+            one, ref_one = sample_domain_point(spec, rng, 2.0), reference_sample_domain_point(spec, ref, 2.0)
+            assert one.shape == (spec.dim,) and np.array_equal(one, ref_one)
+            x, y = sample_comparable_pairs(spec, rng, n, 0.5)
+            rx, ry = reference_sample_comparable_pairs(spec, ref, n, 0.5)
+            assert x.shape == y.shape == rx.shape == (n, spec.dim)
+            assert np.array_equal(x, rx) and np.array_equal(y, ry)
+            assert rng.uniform() == ref.uniform()
+
+    def test_lorentz_interval_falls_back_to_the_segment(self):
+        # at scale 20 most perturbations are rejected, and some points stay
+        # on the segment [lo, hi], which is the axis here
+        spec = lorentz_interval_map()
+        rows = _domain_rows(spec, np.random.default_rng(3), 500, 20.0)
+        assert np.array_equal(rows, reference_domain_rows(spec, np.random.default_rng(3), 500, 20.0))
+        on_axis = (rows[:, :2] == 0.0).all(axis=1)
+        assert on_axis.any() and not on_axis.all()
+        assert all(domain_contains(spec.domain, row) for row in rows)
+
+
+_REFERENCE_TAGS = {
+    AffineMap: "affine",
+    TruncationMap: "truncation",
+    TranslationMap: "translation",
+    BoxProjectionMap: "box_projection",
+    CompositionMap: "composition",
+    GridMap: "grid",
+}
+
+
+def reference_op_to_dict(op):
+    tag = _REFERENCE_TAGS[type(op)]
+    if isinstance(op, AffineMap):
+        body = {"matrix": op.matrix.tolist(), "offset": op.offset.tolist()}
+    elif isinstance(op, TruncationMap):
+        body = {"cap": op.cap.tolist()}
+    elif isinstance(op, TranslationMap):
+        body = {"shift": op.shift.tolist()}
+    elif isinstance(op, BoxProjectionMap):
+        body = {"lo": op.lo.tolist(), "hi": op.hi.tolist()}
+    elif isinstance(op, CompositionMap):
+        body = {"stages": [reference_op_to_dict(s) for s in op.stages]}
+    else:
+        body = {
+            "origin": op.origin.tolist(),
+            "step": op.step,
+            "values": op.values.tolist(),
+        }
+    return {"variant": tag, **body}
+
+
+def reference_op_from_dict(d):
+    tag = d["variant"]
+    if tag == "affine":
+        return AffineMap(matrix=d["matrix"], offset=d["offset"])
+    if tag == "truncation":
+        return TruncationMap(cap=d["cap"])
+    if tag == "translation":
+        return TranslationMap(shift=d["shift"])
+    if tag == "box_projection":
+        return BoxProjectionMap(lo=d["lo"], hi=d["hi"])
+    if tag == "composition":
+        return CompositionMap(stages=[reference_op_from_dict(s) for s in d["stages"]])
+    if tag == "grid":
+        return GridMap(origin=d["origin"], step=d["step"], values=d["values"])
+    raise ValueError(f"unknown mapping variant {tag!r}")
+
+
+def reference_mapping_to_dict(spec):
+    domain = {"kind": spec.domain.kind, "cone": {"kind": spec.domain.cone.kind, "dim": spec.domain.cone.dim}}
+    if spec.domain.lo is not None:
+        domain["lo"] = spec.domain.lo.tolist()
+        domain["hi"] = spec.domain.hi.tolist()
+    return {**reference_op_to_dict(spec.op), "domain": domain}
+
+
+def codec_specs():
+    """Every operation variant, a nested composition, an integer lattice step
+    and a Lorentz interval."""
+    orth2 = Domain(kind="cone", cone=ORTH2)
+    nested = CompositionMap([
+        TranslationMap([1.0, 1.0]),
+        CompositionMap([TruncationMap([2.0, 2.0]), AffineMap(0.5 * np.eye(2), [0.0, 0.25])]),
+        BoxProjectionMap([0.0, 0.0], [3.0, 3.0]),
+    ])
+    int_step = GridMap(origin=[0.0, 1.0], step=1, values=np.zeros((2, 3, 2)) + [0.0, 1.0])
+    return {
+        **{e.name: e.spec for e in corpus.alpha_corpus()},
+        "nested": MappingSpec(nested, orth2),
+        "int_step": MappingSpec(int_step, Domain(kind="box", cone=ORTH2, lo=[0.0, 1.0], hi=[1.0, 3.0])),
+        "lorentz_interval": lorentz_interval_map(),
+    }
+
+
+class TestFieldDrivenCodec:
+    @pytest.mark.parametrize("name", sorted(codec_specs()))
+    def test_same_bytes_and_ops_as_the_reference(self, name, tmp_path):
+        spec = codec_specs()[name]
+        path = tmp_path / "map.json"
+        save_mapping(spec, path)
+        want = json.dumps(reference_mapping_to_dict(spec), indent=2) + "\n"
+        assert path.read_text(encoding="utf-8") == want
+        d = json.loads(want)
+        got, ref = _op_from_dict(d), reference_op_from_dict(d)
+        assert type(got) is type(ref)
+        assert reference_op_to_dict(got) == reference_op_to_dict(ref) == reference_op_to_dict(spec.op)
+        assert json.dumps(mapping_to_dict(load_mapping(path)), indent=2) + "\n" == want
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {},
+            {"variant": "spiral"},
+            {"variant": ["affine"]},
+            {"variant": None},
+            {"variant": "affine", "matrix": [[1.0]]},
+            {"variant": "grid", "origin": [0.0], "values": [[0.0]]},
+            {"variant": "composition", "stages": [{"variant": "translation"}]},
+            {"variant": "composition", "stages": []},
+            {"variant": "box_projection", "lo": [1.0], "hi": [0.0]},
+        ],
+    )
+    def test_bad_dicts_same_error(self, d):
+        def raised(fn):
+            try:
+                fn(d)
+            except Exception as exc:  # the type and text are compared
+                return type(exc), str(exc)
+            return None
+
+        got = raised(_op_from_dict)
+        assert got is not None and got == raised(reference_op_from_dict)
+
+    def test_snap_tol_is_a_constant_not_a_field(self):
+        op = corpus.steep_step_map().op
+        assert op.snap_tol == GridMap.snap_tol == 1e-9
+        assert "snap_tol" not in mapping_to_dict(corpus.steep_step_map())
+        with pytest.raises(TypeError):
+            GridMap(origin=np.zeros(1), step=0.5, values=np.zeros((2, 1)), snap_tol=1e-6)
