@@ -18,12 +18,10 @@ from orderfp.space import (
 )
 from orderfp.order import (
     ConeSpec,
-    OrderInterval,
     contains,
     leq,
     lt,
     ll,
-    interval_contains,
     sup_pair,
     inf_pair,
     project_to_cone,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from orderfp.mapping import MappingSpec
-from orderfp.order import ConeSpec, UnsupportedConeOperation, _member_raw
+from orderfp.order import ConeSpec, sup_finite, _member_raw
 from orderfp.space import SpaceSpec, as_rows, as_vector, norm, _row_norms
 
 
@@ -30,14 +30,9 @@ class AsymCenterProblem:
 
 
 def make_problem(tail, cone: ConeSpec, space: SpaceSpec) -> AsymCenterProblem:
-    if cone.kind != "orthant":
-        raise UnsupportedConeOperation(
-            "asymptotic-center constraint set needs the (strongly minihedral) orthant"
-        )
-    if len(tail) == 0:
-        raise ValueError("empty orbit tail")
-    arr = as_rows(tail, cone.dim)
-    return AsymCenterProblem(tail=arr, cone=cone, space=space, lower_bound=arr.max(axis=0))
+    """The problem over ``tail``; ``sup_finite`` gives its bound and errors."""
+    lower_bound = sup_finite(cone, tail)
+    return AsymCenterProblem(tail=as_rows(tail, cone.dim), cone=cone, space=space, lower_bound=lower_bound)
 
 
 def problem_from_orbit(points, cone: ConeSpec, space: SpaceSpec, tail_from: int | None = None) -> AsymCenterProblem:

@@ -24,6 +24,7 @@ import numpy as np
 from orderfp.order import (
     ConeSpec,
     comparable,
+    leq,
     sample_cone_point,
     MEMBERSHIP_TOL,
     _cone_margins,
@@ -31,7 +32,7 @@ from orderfp.order import (
     _member_raw,
 )
 from orderfp.report import PropertyReport
-from orderfp.space import SpaceSpec, as_vector, norm, _row_norms
+from orderfp.space import INEQ_ATOL, INEQ_RTOL, SpaceSpec, as_vector, norm, _row_norms
 
 
 class DomainError(ValueError):
@@ -46,10 +47,7 @@ class NotFixedPointError(ValueError):
     """A point supplied as a fixed point has a large residual."""
 
 
-# Inequality verifiers allow this much slack (absolute plus relative on the
-# right-hand side); fixed-point residuals are accepted up to FIXED_POINT_TOL.
-INEQ_ATOL = 1e-9
-INEQ_RTOL = 1e-9
+# fixed-point residuals are accepted up to FIXED_POINT_TOL
 FIXED_POINT_TOL = 1e-8
 
 
@@ -227,8 +225,8 @@ DOMAIN_BOX = "box"
 
 @dataclass(frozen=True)
 class Domain:
-    """Closed convex domain K: the whole cone, an order interval under the
-    cone, or a coordinate box."""
+    """Closed convex domain K: the whole cone, an order interval [lo, hi]
+    under the cone, or a coordinate box; lo <= hi must hold in that order."""
 
     kind: str
     cone: ConeSpec
@@ -243,6 +241,10 @@ class Domain:
                 raise ValueError(f"{self.kind} domain needs lo and hi bounds")
             object.__setattr__(self, "lo", as_vector(self.lo, dim=self.cone.dim))
             object.__setattr__(self, "hi", as_vector(self.hi, dim=self.cone.dim))
+            if self.kind == DOMAIN_INTERVAL and not leq(self.cone, self.lo, self.hi):
+                raise ValueError(f"interval domain endpoints are not ordered under the {self.cone.kind} cone")
+            if self.kind == DOMAIN_BOX and not np.all(self.lo <= self.hi):
+                raise ValueError("box domain endpoints are not ordered coordinatewise")
 
     @property
     def dim(self) -> int:
@@ -674,7 +676,6 @@ def _affine_fixed_points(
 def fixed_point_oracle(
     spec: MappingSpec,
     grid_cfg: GridSearchConfig | None = None,
-    residual_tol: float = FIXED_POINT_TOL,
 ) -> list[np.ndarray]:
     """Independent search for fixed points inside the domain.
 
@@ -682,11 +683,11 @@ def fixed_point_oracle(
     spectral radius is below one). Everything else tests the nodes of a
     bounded lattice that lie in the domain: a lattice map's own lattice, or
     the grid of ``grid_cfg``. A node whose Euclidean residual is at most
-    ``residual_tol`` is a fixed point; duplicates within 1e-8 are merged.
+    ``FIXED_POINT_TOL`` is a fixed point; duplicates within 1e-8 are merged.
     """
     affine_view = as_affine(spec.op)
     if affine_view is not None:
-        direct = _affine_fixed_points(spec, *affine_view, residual_tol)
+        direct = _affine_fixed_points(spec, *affine_view, FIXED_POINT_TOL)
         if direct is not None:
             return direct
     if isinstance(spec.op, GridMap):
@@ -703,7 +704,7 @@ def fixed_point_oracle(
     nodes = nodes[_domain_contains_raw(spec.domain, nodes, MEMBERSHIP_TOL)]
     found: list[np.ndarray] = []
     for x, tx in zip(nodes, spec.op.evaluate(nodes)):
-        if np.linalg.norm(tx - x) <= residual_tol and not any(
+        if np.linalg.norm(tx - x) <= FIXED_POINT_TOL and not any(
             np.max(np.abs(x - w)) <= 1e-8 for w in found
         ):
             found.append(x)

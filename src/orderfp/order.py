@@ -1,4 +1,5 @@
-"""Cone-induced partial orders, order intervals, and cone diagnostics."""
+"""Cone-induced partial orders, lattice suprema, and cone diagnostics; every
+cone test reads one margin per point (``_cone_margins``)."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ from orderfp.space import SpaceSpec, as_rows, as_vector, _row_norms
 
 # Absolute tolerance on cone boundary tests; boundary points arise from arithmetic.
 MEMBERSHIP_TOL = 1e-12
+# slack of the norm-monotonicity tests ||x|| <= ||y|| + NORM_MONOTONE_TOL
+NORM_MONOTONE_TOL = 1e-12
 
 ORTHANT = "orthant"
 LORENTZ = "lorentz"
@@ -58,16 +61,8 @@ def _member_raw(cone: ConeSpec, v: np.ndarray, tol: float):
 
 
 def interior_contains(cone: ConeSpec, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Membership in the cone interior (strict inequalities beyond tol)."""
-    v = as_vector(x, dim=cone.dim)
-    if cone.kind == ORTHANT:
-        return bool(np.all(v > tol))
-    head = float(np.linalg.norm(v[:-1]))
-    return v[-1] > head + tol
-
-
-def _same_point(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    return float(np.max(np.abs(x - y))) <= tol
+    """Membership in the cone interior: the cone margin exceeds tol."""
+    return bool(_cone_margins(cone, as_vector(x, dim=cone.dim)) > tol)
 
 
 def leq(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -81,7 +76,7 @@ def lt(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
     """Strict order: x <= y and the points differ (beyond tol)."""
     xv = as_vector(x, dim=cone.dim)
     yv = as_vector(y, dim=cone.dim)
-    return leq(cone, xv, yv, tol=tol) and not _same_point(xv, yv, tol)
+    return leq(cone, xv, yv, tol=tol) and float(np.max(np.abs(xv - yv))) > tol
 
 
 def ll(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -95,37 +90,15 @@ def comparable(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
     return leq(cone, x, y, tol=tol) or leq(cone, y, x, tol=tol)
 
 
-@dataclass(frozen=True)
-class OrderInterval:
-    """Order interval [lo, hi] = { z : lo <= z <= hi } under ``cone``."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    cone: ConeSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_vector(self.lo, dim=self.cone.dim))
-        object.__setattr__(self, "hi", as_vector(self.hi, dim=self.cone.dim))
-        if not leq(self.cone, self.lo, self.hi):
-            raise ValueError("interval endpoints are not ordered: lo <= hi fails")
-
-
-def interval_contains(interval: OrderInterval, cone: ConeSpec, z, tol: float = MEMBERSHIP_TOL) -> bool:
-    """z lies in [lo, hi] iff lo <= z and z <= hi."""
-    return leq(cone, interval.lo, z, tol=tol) and leq(cone, z, interval.hi, tol=tol)
-
-
 def sup_pair(cone: ConeSpec, x, y) -> np.ndarray:
-    """Least upper bound of {x, y}; componentwise max for the orthant.
+    """Least upper bound of {x, y}: ``sup_finite`` of the pair.
 
     The Lorentz cone is not minihedral (pairs can have several incomparable
     minimal upper bounds), so it is rejected.
     """
-    if cone.kind != ORTHANT:
-        raise UnsupportedConeOperation(f"sup_pair needs a minihedral cone, not {cone.kind}")
     xv = as_vector(x, dim=cone.dim)
     yv = as_vector(y, dim=cone.dim)
-    return np.maximum(xv, yv)
+    return sup_finite(cone, [xv, yv])
 
 
 def inf_pair(cone: ConeSpec, x, y) -> np.ndarray:
@@ -217,13 +190,12 @@ def is_norm_monotonic(
     n_samples: int,
     seed: int = 0,
     extra_pairs=None,
-    tol: float = 1e-12,
 ) -> PropertyReport:
     """Sampled check that 0 <= x <= y implies ||x|| <= ||y||.
 
-    ``extra_pairs`` lets callers inject specific (x, y) pairs (the harness
-    self-test feeds a deliberate violation through here). Each violation is
-    recorded with the witness pair.
+    ``extra_pairs`` appends given (x, y) pairs to the sampled ones, for
+    instance a known violation. Each violation is recorded with the witness
+    pair.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -233,4 +205,4 @@ def is_norm_monotonic(
         x = np.vstack([x] + [a for a, _ in extra])
         y = np.vstack([y] + [b for _, b in extra])
     nx, ny = _row_norms(space, np.stack([x, y]))
-    return PropertyReport.from_rows("norm_monotonic", x, y, nx, ny, nx > ny + tol)
+    return PropertyReport.from_rows("norm_monotonic", x, y, nx, ny, nx > ny + NORM_MONOTONE_TOL)

@@ -13,6 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Inequality checks allow this much slack (absolute plus relative on the
+# right-hand side); a grid delta at most CHARACTERISTIC_ZERO_TOL counts as 0.
+INEQ_ATOL = 1e-9
+INEQ_RTOL = 1e-9
+CHARACTERISTIC_ZERO_TOL = 1e-8
+
 
 def as_vector(coords, dim: int | None = None) -> np.ndarray:
     """Validate and return ``coords`` as a finite 1-D float array."""
@@ -117,7 +123,7 @@ class ConvexityProfile:
 
     ``eps0`` is the largest grid epsilon whose delta sits below ``zero_tol``.
     The characteristic of lp is 0, but for p >= 2 delta grows like
-    (eps/2)^p / p near 0, so with the default tolerance and the 101-point
+    (eps/2)^p / p near 0, so with CHARACTERISTIC_ZERO_TOL and the 101-point
     grid the estimate is at most one grid step only up to about p = 4.
     """
 
@@ -151,7 +157,6 @@ class ConvexityProfile:
 def convexity_profile(
     space: SpaceSpec,
     n_grid: int = 101,
-    zero_tol: float = 1e-8,
 ) -> ConvexityProfile:
     """Evaluate the modulus on a uniform grid over [0, 2].
 
@@ -161,20 +166,19 @@ def convexity_profile(
         raise ValueError(f"epsilon grid needs at least 2 points, got {n_grid}")
     epsilons = np.linspace(0.0, 2.0, n_grid)
     deltas = np.array([modulus_of_convexity(space, float(e)) for e in epsilons])
-    below = np.nonzero(deltas <= zero_tol)[0]
+    below = np.nonzero(deltas <= CHARACTERISTIC_ZERO_TOL)[0]
     eps0 = float(epsilons[below[-1]]) if below.size else 0.0
     return ConvexityProfile(
-        p=space.p, epsilons=epsilons, deltas=deltas, eps0=eps0, zero_tol=zero_tol
+        p=space.p, epsilons=epsilons, deltas=deltas, eps0=eps0, zero_tol=CHARACTERISTIC_ZERO_TOL
     )
 
 
 def characteristic_of_convexity(
     space: SpaceSpec,
     n_grid: int = 101,
-    zero_tol: float = 1e-8,
 ) -> float:
     """Estimated characteristic of convexity: sup of the grid zero set of delta."""
-    return convexity_profile(space, n_grid=n_grid, zero_tol=zero_tol).eps0
+    return convexity_profile(space, n_grid=n_grid).eps0
 
 
 def check_convexity_inequality(
@@ -184,14 +188,12 @@ def check_convexity_inequality(
     lam: float,
     r: float,
     delta_fn=None,
-    atol: float = 1e-9,
-    rtol: float = 1e-9,
 ) -> bool:
     """Check the uniform-convexity bound on a convex combination.
 
     Verifies ||lam*x + (1-lam)*y|| <= r * (1 - 2*min(lam, 1-lam) * delta(||x-y||/r))
-    within ``atol`` plus ``rtol`` relative slack on the right-hand side. The
-    midpoint bound is the lam = 1/2 instance.
+    within ``INEQ_ATOL`` plus ``INEQ_RTOL`` relative slack on the right-hand
+    side. The midpoint bound is the lam = 1/2 instance.
 
     ``delta_fn`` maps epsilon to a modulus value; by default deltas come from
     the closed form. Precondition violations raise ``ValueError`` naming the
@@ -218,4 +220,4 @@ def check_convexity_inequality(
     else:
         delta = delta_fn(eps_arg)
     rhs = r * (1.0 - 2.0 * min(lam, 1.0 - lam) * delta)
-    return lhs <= rhs + atol + rtol * abs(rhs)
+    return lhs <= rhs + INEQ_ATOL + INEQ_RTOL * abs(rhs)

@@ -17,7 +17,7 @@ from orderfp.asymcenter import (
 )
 from orderfp.iterate import IterationConfig, picard_orbit
 from orderfp.mapping import sample_domain_point
-from orderfp.order import ConeSpec, UnsupportedConeOperation, leq
+from orderfp.order import ConeSpec, UnsupportedConeOperation, leq, sup_finite
 from orderfp.space import SpaceSpec, as_vector, norm
 
 ORTH2 = ConeSpec(kind="orthant", dim=2)
@@ -61,11 +61,27 @@ class TestProblemConstruction:
         with pytest.raises(UnsupportedConeOperation):
             make_problem([np.zeros(3)], ConeSpec(kind="lorentz", dim=3), SpaceSpec(dim=3, p=2.0))
 
+    @pytest.mark.parametrize(
+        "tail, kind, error",
+        [([], "orthant", ValueError), ([np.zeros(3)], "lorentz", UnsupportedConeOperation),
+         ([], "lorentz", UnsupportedConeOperation)],
+        ids=["empty", "lorentz", "empty-lorentz"],
+    )
+    def test_errors_are_those_of_sup_finite(self, tail, kind, error):
+        # the cone is checked before the tail, as before the bound came from sup_finite
+        cone = ConeSpec(kind=kind, dim=3)
+        with pytest.raises(error) as want:
+            sup_finite(cone, tail)
+        with pytest.raises(error) as got:
+            make_problem(tail, cone, SpaceSpec(dim=3, p=2.0))
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
     def test_lower_bound_dominates_tail(self):
         rng = np.random.default_rng(1)
         tail = rng.uniform(0.0, 2.0, size=(20, 2))
         problem = make_problem(tail, ORTH2, P2)
         assert np.array_equal(problem.lower_bound, tail.max(axis=0))
+        assert np.array_equal(problem.lower_bound, sup_finite(ORTH2, tail))
         assert all(leq(ORTH2, q, problem.lower_bound) for q in tail)
 
     def test_tail_offset_default_and_range(self):

@@ -394,3 +394,18 @@ class TestConfigSections:
         with pytest.raises(ValueError) as got:
             harness._section(config, "iteration", CAMPAIGN_ITERATION)
         assert (type(got.value), str(got.value)) == (type(ref.value), str(ref.value))
+
+    @pytest.mark.parametrize(
+        "section, field",
+        [({"include_identity_edge": "false"}, "include_identity_edge"), ({"dims": "20"}, "dims"),
+         ({"dims": 20}, "dims")],
+        ids=["bool-string", "tuple-string", "tuple-number"],
+    )
+    def test_values_bool_or_tuple_would_misread_rejected(self, section, field, tmp_path):
+        # bool("false") is True, so the identity trial ran; tuple("20") is
+        # ("2", "0"), which failed deep in numpy with a TypeError
+        with pytest.raises(ValueError, match=f"config field family.{field} needs a JSON"):
+            harness._section({"family": section}, "family", FamilyConfig())
+        with pytest.raises(ValueError, match=f"config field family.{field} "):
+            run_suites(["t34"], {"family": section}, 0, tmp_path)
+        assert not list(tmp_path.iterdir())

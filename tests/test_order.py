@@ -1,20 +1,20 @@
-"""Cone orders, intervals, and cone diagnostics."""
+"""Cone orders, order intervals, and cone diagnostics."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orderfp.mapping import AffineMap, Domain, domain_contains, make_mapping, mapping_from_dict
 from orderfp.order import (
     MEMBERSHIP_TOL,
     ConeSpec,
-    OrderInterval,
     UnsupportedConeOperation,
     comparable,
     contains,
     inf_pair,
     interior_contains,
-    interval_contains,
     is_norm_monotonic,
     leq,
     ll,
@@ -108,35 +108,80 @@ class TestOrderRelations:
         assert leq(ORTH2, x_lim, y_lim)
 
 
+def interval(lo, hi, cone=ORTH2):
+    return Domain(kind="interval", cone=cone, lo=lo, hi=hi)
+
+
 class TestIntervals:
+    # order intervals [lo, hi] are Domain(kind="interval")
     def test_endpoints_inside(self):
-        iv = OrderInterval(lo=np.zeros(2), hi=np.ones(2), cone=ORTH2)
-        assert interval_contains(iv, ORTH2, iv.lo)
-        assert interval_contains(iv, ORTH2, iv.hi)
+        iv = interval(np.zeros(2), np.ones(2))
+        assert domain_contains(iv, iv.lo)
+        assert domain_contains(iv, iv.hi)
 
     def test_segment_inside(self):
-        iv = OrderInterval(lo=np.zeros(2), hi=np.array([1.0, 2.0]), cone=ORTH2)
+        iv = interval(np.zeros(2), np.array([1.0, 2.0]))
         for t in np.linspace(0.0, 1.0, 11):
             z = t * iv.lo + (1.0 - t) * iv.hi
-            assert interval_contains(iv, ORTH2, z)
+            assert domain_contains(iv, z)
             assert leq(ORTH2, iv.lo, z) and leq(ORTH2, z, iv.hi)
 
     def test_outside_point(self):
-        iv = OrderInterval(lo=np.zeros(2), hi=np.ones(2), cone=ORTH2)
-        assert not interval_contains(iv, ORTH2, np.array([2.0, 0.5]))
+        iv = interval(np.zeros(2), np.ones(2))
+        assert not domain_contains(iv, np.array([2.0, 0.5]))
 
     def test_convexity_of_membership_sampled(self):
         rng = np.random.default_rng(4)
-        iv = OrderInterval(lo=np.zeros(2), hi=np.array([2.0, 1.0]), cone=ORTH2)
+        iv = interval(np.zeros(2), np.array([2.0, 1.0]))
         for _ in range(200):
             a = rng.uniform(0.0, 1.0, 2) * iv.hi
             b = rng.uniform(0.0, 1.0, 2) * iv.hi
             t = rng.uniform()
-            assert interval_contains(iv, ORTH2, t * a + (1.0 - t) * b)
+            assert domain_contains(iv, t * a + (1.0 - t) * b)
 
     def test_unordered_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            OrderInterval(lo=np.array([1.0, 0.0]), hi=np.array([0.0, 1.0]), cone=ORTH2)
+        with pytest.raises(ValueError, match="not ordered"):
+            interval(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "kind, cone, lo, hi, cause",
+        [
+            ("interval", ORTH2, [1.0, 1.0], [0.0, 0.0], "under the orthant cone"),
+            ("interval", ORTH2, [0.0, 0.0], [-2e-12, 1.0], "under the orthant cone"),
+            # above lo in every coordinate, but hi - lo is outside the cone
+            ("interval", LOR3, [0.0, 0.0, 0.0], [1.0, 0.0, 0.5], "under the lorentz cone"),
+            ("box", ORTH2, [0.0, 1.0], [1.0, 0.0], "coordinatewise"),
+            # ordered under the Lorentz cone, but not coordinatewise
+            ("box", LOR3, [0.0, 0.0, 0.0], [-0.5, 0.0, 1.0], "coordinatewise"),
+        ],
+        ids=["orthant-interval", "orthant-interval-past-tol", "lorentz-interval", "box", "lorentz-box"],
+    )
+    def test_unordered_endpoints_name_the_cause(self, kind, cone, lo, hi, cause):
+        message = f"{kind} domain endpoints are not ordered {cause}"
+        with pytest.raises(ValueError, match=message):
+            Domain(kind=kind, cone=cone, lo=lo, hi=hi)
+        payload = {"variant": "translation", "shift": [0.0] * cone.dim, "domain": {
+            "kind": kind, "cone": {"kind": cone.kind, "dim": cone.dim}, "lo": lo, "hi": hi}}
+        with pytest.raises(ValueError, match=message):
+            mapping_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "kind, cone, lo, hi",
+        [
+            ("interval", ORTH2, [0.0, 0.0], [-5e-13, 1.0]),  # within MEMBERSHIP_TOL
+            ("interval", LOR3, [0.0, 0.0, 0.0], [-0.5, 0.0, 1.0]),
+            ("box", LOR3, [0.0, 0.0, 0.0], [1.0, 0.0, 0.5]),
+            ("box", ORTH2, [1.0, 1.0], [1.0, 1.0]),
+        ],
+    )
+    def test_ordered_endpoints_accepted(self, kind, cone, lo, hi):
+        domain = Domain(kind=kind, cone=cone, lo=lo, hi=hi)
+        assert domain_contains(domain, domain.lo) and domain_contains(domain, domain.hi)
+
+    def test_identity_on_unordered_interval_names_the_cause(self):
+        # this once reported "not a self-map: image ... escapes the domain"
+        with pytest.raises(ValueError, match="interval domain endpoints are not ordered under the orthant cone"):
+            make_mapping(AffineMap(np.eye(2), np.zeros(2)), interval([1.0, 1.0], [0.0, 0.0]))
 
 
 class TestLattice:
@@ -284,6 +329,15 @@ def reference_member(cone, v, tol):
     return float(v[-1]) >= float(np.linalg.norm(v[:-1])) - tol
 
 
+def reference_interior_contains(cone, x, tol=MEMBERSHIP_TOL):
+    # the former interior rule, with its own orthant and Lorentz branches
+    v = as_vector(x, dim=cone.dim)
+    if cone.kind == "orthant":
+        return bool(np.all(v > tol))
+    head = float(np.linalg.norm(v[:-1]))
+    return v[-1] > head + tol
+
+
 def reference_sample_dominated_pair(cone, rng, scale=1.0):
     x = reference_sample_cone_point(cone, rng, scale)
     d = reference_sample_cone_point(cone, rng, scale)
@@ -376,6 +430,90 @@ class TestReferenceConeRows:
             assert [contains(cone, v, tol) for v in rows] == want
             assert [bool(_member_raw(cone, v, tol)) for v in rows] == want
             assert 0 < sum(want) < len(rows)
+
+
+def interior_rows(cone, rng, scales, offsets):
+    # rows of both signs, their projections onto the cone (boundary rows with
+    # margin 0), cone draws, and rows at cone margin k * MEMBERSHIP_TOL for k
+    # in ``offsets``
+    rows = []
+    for scale in scales:
+        v = rng.normal(size=(300, cone.dim)) * scale
+        rows += [v, [project_to_cone(cone, r) for r in v], _cone_rows(cone, rng, 300, scale)]
+        for k in offsets:
+            w = v.copy()
+            if cone.kind == "lorentz":
+                w[:, -1] = [np.linalg.norm(r[:-1]) + k * MEMBERSHIP_TOL for r in v]
+            else:
+                w = np.where(rng.uniform(size=w.shape) < 0.5, k * MEMBERSHIP_TOL, np.abs(w))
+            rows.append(w)
+    return np.concatenate(rows)
+
+
+class TestInteriorRule:
+    @pytest.mark.parametrize("cone", [ORTH2, ORTH3, LOR2, LOR3], ids=lambda c: f"{c.kind}{c.dim}")
+    def test_matches_former_rule(self, cone):
+        rows = interior_rows(cone, np.random.default_rng(11), (1e-12, 1e-9, 1e-3, 1.0, 1e3), (0, 0.5, 2, 4, -1))
+        want = [reference_interior_contains(cone, v) for v in rows]
+        assert [interior_contains(cone, v) for v in rows] == want
+        assert 0 < sum(want) < len(rows)
+
+    @pytest.mark.parametrize("cone", [ORTH3, LOR2, LOR3], ids=lambda c: f"{c.kind}{c.dim}")
+    def test_differs_only_within_one_rounding_of_the_margin(self, cone):
+        # t - head > tol and t > head + tol round differently only when t is
+        # within one ulp of head + tol; the orthant rules never differ
+        rows = interior_rows(cone, np.random.default_rng(12), (1e-6, 1.0, 1e3, 1e6), (1, 2, 4))
+        differ = [v for v in rows if interior_contains(cone, v) != reference_interior_contains(cone, v)]
+        for v in differ:
+            assert abs(v[-1] - np.linalg.norm(v[:-1]) - MEMBERSHIP_TOL) <= np.spacing(v[-1])
+        assert bool(differ) == (cone.kind == "lorentz")
+
+
+def ordered_intervals(cone):
+    # (lo, hi, z): hi = lo + a cone direction; z anywhere, or on the segment
+    # [lo, hi], or an endpoint
+    coords = st.floats(-4.0, 4.0, allow_nan=False) | st.sampled_from([0.0, 1.0, -1.0, 1e-12])
+    vec = st.lists(coords, min_size=cone.dim, max_size=cone.dim).map(np.array)
+
+    @st.composite
+    def build(draw):
+        lo, d = draw(vec), project_to_cone(cone, draw(vec))
+        hi = lo + d
+        t = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(-0.5, 1.5))
+        z = draw(st.sampled_from([lo, hi, lo + t * d]) | vec)
+        return lo, hi, z
+
+    return build()
+
+
+class TestOrderAxioms:
+    @pytest.mark.parametrize("cone", [ORTH3, LOR3], ids=["orthant", "lorentz"])
+    def test_order_vocabulary(self, cone):
+        coords = st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from([0.0, 1.0, 1e-12, 5e-13])
+        vec = st.lists(coords, min_size=cone.dim, max_size=cone.dim).map(np.array)
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(vec, vec)
+        def check(x, y):
+            if ll(cone, x, y):
+                assert lt(cone, x, y)
+            if lt(cone, x, y):
+                assert leq(cone, x, y)
+            if interior_contains(cone, y - x):
+                assert contains(cone, y - x)
+
+        check()
+
+    @pytest.mark.parametrize("cone", [ORTH3, LOR3], ids=["orthant", "lorentz"])
+    def test_interval_membership_is_two_order_tests(self, cone):
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(ordered_intervals(cone))
+        def check(case):
+            lo, hi, z = case
+            domain = Domain(kind="interval", cone=cone, lo=lo, hi=hi)
+            assert domain_contains(domain, z) == (leq(cone, lo, z) and leq(cone, z, hi))
+
+        check()
 
 
 class TestReferenceDominatedPairs:
