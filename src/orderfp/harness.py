@@ -35,13 +35,13 @@ from orderfp.iterate import (
     picard_orbit,
 )
 from orderfp.mapping import (
-    AffineMap,
     Domain,
     as_affine,
     GridMap,
     GridSearchConfig,
     MappingSpec,
     SamplerConfig,
+    TranslationMap,
     apply_map,
     domain_contains,
     fixed_point_oracle,
@@ -372,7 +372,7 @@ def verify_zero_orbit_equivalence(
         elif family == "translation":
             shift = rng.uniform(0.5, 1.5, size=dim)
             domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=dim))
-            spec = make_mapping(AffineMap(matrix=np.eye(dim), offset=shift), domain)
+            spec = make_mapping(TranslationMap(shift), domain)
         else:
             spec = corpus.identity_map(dim)
         scn = Scenario(sid=trial_id, space=SpaceSpec(dim=dim, p=2.0), cone=spec.domain.cone, map=spec)
@@ -643,14 +643,20 @@ def load_config(path) -> dict:
 def _section(config: dict, key: str, default):
     """``default`` with the fields that ``config[key]`` gives, each converted
     to the type of its default value; other keys are ignored. A bool field
-    rejects a string and a tuple field anything but a list, since ``bool``
-    and ``tuple`` would misread them."""
+    rejects a string, a number field a boolean, an int field a fraction and
+    a tuple field anything but a list, since the conversion would misread
+    them."""
     given = config.get(key, {})
     fields = {f.name: type(getattr(default, f.name)) for f in dataclasses.fields(default) if f.name in given}
     for name, kind in fields.items():
         value = given[name]
-        if kind is bool and isinstance(value, str) or kind is tuple and not isinstance(value, (list, tuple)):
-            wanted = "boolean" if kind is bool else "list"
+        if (
+            kind is bool and isinstance(value, str)
+            or kind in (int, float) and isinstance(value, bool)
+            or kind is int and isinstance(value, float) and not value.is_integer()
+            or kind is tuple and not isinstance(value, (list, tuple))
+        ):
+            wanted = {bool: "boolean", int: "integer", float: "number", tuple: "list"}[kind]
             raise ValueError(f"config field {key}.{name} needs a JSON {wanted}, got {value!r}")
     return dataclasses.replace(default, **{name: kind(given[name]) for name, kind in fields.items()})
 

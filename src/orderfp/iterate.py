@@ -7,17 +7,20 @@ orbits are not misclassified. An orbit whose image overflows (an inf or NaN
 coordinate) stops with the ``nonfinite`` verdict at its last finite point.
 Orbits are stepped in blocks: the stopping rules run once per block, row-wise,
 and the first row where one fires ends the orbit, as if checked step by step.
+Each block is sized from the residual and norm trends of the one before, so
+that the last block ends near the stop.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from orderfp.mapping import DomainError, MappingSpec, _domain_contains_raw
+from orderfp.mapping import DomainError, MappingSpec, TranslationMap, _domain_contains_raw
 from orderfp.order import MEMBERSHIP_TOL, ConeSpec, _member_raw
 from orderfp.space import SpaceSpec, as_rows, as_vector, _row_norms
 
@@ -71,7 +74,28 @@ def _step_flags(points: np.ndarray, cone: ConeSpec) -> tuple[np.ndarray, np.ndar
     return _member_raw(cone, steps, MEMBERSHIP_TOL), _member_raw(cone, -steps, MEMBERSHIP_TOL)
 
 
-BLOCK_FIRST, BLOCK_CAP = 8, 1024  # steps per block: doubles from the first to the cap
+BLOCK_FIRST, BLOCK_CAP = 8, 1024  # steps per block: at most doubles from the first to the cap
+BLOCK_SLACK = 8  # steps a block runs past the stop its predecessor's trend predicts
+
+
+def _next_block(k: int, res: np.ndarray, norms: np.ndarray, cfg: IterationConfig) -> int:
+    """Steps in the block after a block of k steps with residuals ``res`` and
+    point norms ``norms``: twice k up to BLOCK_CAP, but at most BLOCK_SLACK
+    past the nearer predicted stop, and never fewer than BLOCK_FIRST. The
+    predictions extend the last two rows: a geometric residual ratio
+    reaching residual_tol, or a linear norm increment crossing
+    bound_threshold. A trend that is not finite and strictly moving toward
+    its stop (an overflowed norm, a residual of 0 or inf) predicts nothing,
+    and neither does a block of one step."""
+    steps = math.inf
+    if k > 1:
+        res0, res1 = float(res[-2]), float(res[-1])
+        if cfg.residual_tol < res1 < res0 < math.inf and res1 / res0 > 0.0:  # the ratio can underflow
+            steps = (math.log(cfg.residual_tol) - math.log(res1)) / math.log(res1 / res0)
+        norm0, norm1 = float(norms[-2]), float(norms[-1])
+        if norm0 < norm1 < cfg.bound_threshold:
+            steps = min(steps, (cfg.bound_threshold - norm1) / (norm1 - norm0))
+    return max(BLOCK_FIRST, int(min(2 * k, BLOCK_CAP, steps + BLOCK_SLACK)))
 
 
 def _orbit(
@@ -87,6 +111,8 @@ def _orbit(
     domain, evaluate = spec.domain, spec.op.evaluate
     if not _domain_contains_raw(domain, x, MEMBERSHIP_TOL):
         raise DomainError(f"starting point {x} lies outside the mapping domain")
+    # a Picard orbit of x -> x + shift is a running sum, filled in one call
+    shift = spec.op.shift if beta_fn is None and type(spec.op) is TranslationMap else None
 
     def row_norms(rows):  # rows past an overflow are not validated
         return _row_norms(space, rows[None], slice(0))[0]
@@ -106,23 +132,27 @@ def _orbit(
             xs[0] = x
             txs = xs[1:] if beta_fn is None else np.empty((k, x.size))
             held, m, imgs = None, k, k  # steps with a next point, with an image
-            for j in range(k):
-                try:
-                    txs[j] = tx = evaluate(xs[j])
-                except Exception as exc:
-                    held, m, imgs = exc, j, j
-                    break
-                if beta_fn is not None:
+            if shift is not None:  # adds in order: the bits of x + shift, step by step
+                xs[1:] = shift
+                np.add.accumulate(xs, axis=0, out=xs)
+            else:
+                for j in range(k):
                     try:
-                        beta = float(beta_fn(n0 + j))
-                        if not (0.0 <= beta <= 1.0):
-                            raise ValueError(
-                                f"invalid Mann schedule: beta_{n0 + j}={beta} outside [0, 1]"
-                            )
+                        txs[j] = tx = evaluate(xs[j])
                     except Exception as exc:
-                        held, m, imgs = exc, j, j + 1
+                        held, m, imgs = exc, j, j
                         break
-                    xs[j + 1] = beta * xs[j] + (1.0 - beta) * tx
+                    if beta_fn is not None:
+                        try:
+                            beta = float(beta_fn(n0 + j))
+                            if not (0.0 <= beta <= 1.0):
+                                raise ValueError(
+                                    f"invalid Mann schedule: beta_{n0 + j}={beta} outside [0, 1]"
+                                )
+                        except Exception as exc:
+                            held, m, imgs = exc, j, j + 1
+                            break
+                        xs[j + 1] = beta * xs[j] + (1.0 - beta) * tx
 
             # the stopping rules, row-wise; the first row where one fires ends
             # the orbit, and within a row they rank nonfinite, escape,
@@ -151,7 +181,9 @@ def _orbit(
             points.append(xs[1 : keep + 1])
             norms.append(new_norms[:keep])
             residuals.append(res[:nres])
-            x, n0, k = xs[keep], n0 + k, min(2 * k, BLOCK_CAP)
+            x, n0 = xs[keep], n0 + k
+            if verdict == MAX_ITER_REACHED:  # the block ran whole: its trend sizes the next
+                k = _next_block(k, res, new_norms, cfg)
             recent = recent[len(recent) - window :]
 
         if verdict in (MAX_ITER_REACHED, UNBOUNDED_SUSPECTED):

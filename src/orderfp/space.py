@@ -38,7 +38,12 @@ def as_rows(points, dim: int) -> np.ndarray:
     """Return ``points`` as an (m, dim) float array of finite rows, checked
     in two calls; bad input raises the ValueError ``as_vector`` would raise
     for its first bad row."""
-    arr = np.asarray(points, dtype=float)
+    try:
+        arr = np.asarray(points, dtype=float)
+    except ValueError:  # ragged rows: name the first one as_vector rejects
+        for row in points:
+            as_vector(row, dim=dim)
+        raise
     if len(arr):
         as_vector(arr[0], dim=dim)
         as_vector(arr.ravel())

@@ -57,6 +57,11 @@ class TestProblemConstruction:
         with pytest.raises(ValueError):
             make_problem([], ORTH2, P2)
 
+    def test_ragged_tail_names_the_first_bad_row(self):
+        # np.asarray alone fails with "inhomogeneous shape"
+        with pytest.raises(ValueError, match=r"^dimension mismatch: expected 2, got 3$"):
+            make_problem([[1, 2], [1, 2, 3]], ORTH2, P2)
+
     def test_lorentz_rejected(self):
         with pytest.raises(UnsupportedConeOperation):
             make_problem([np.zeros(3)], ConeSpec(kind="lorentz", dim=3), SpaceSpec(dim=3, p=2.0))

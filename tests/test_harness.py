@@ -396,6 +396,19 @@ class TestConfigSections:
         assert (type(got.value), str(got.value)) == (type(ref.value), str(ref.value))
 
     @pytest.mark.parametrize(
+        "section, wanted",
+        [({"max_iter": True}, "integer"), ({"window": 7.9}, "integer"), ({"residual_tol": False}, "number")],
+        ids=["int-bool", "int-fraction", "float-bool"],
+    )
+    def test_numbers_int_or_float_would_misread_rejected(self, section, wanted):
+        # int(True) is 1 and int(7.9) is 7, which ran silently
+        (name, value), = section.items()
+        msg = f"config field iteration.{name} needs a JSON {wanted}, got {value!r}"
+        with pytest.raises(ValueError) as got:
+            harness._section({"iteration": section}, "iteration", CAMPAIGN_ITERATION)
+        assert str(got.value) == msg
+
+    @pytest.mark.parametrize(
         "section, field",
         [({"include_identity_edge": "false"}, "include_identity_edge"), ({"dims": "20"}, "dims"),
          ({"dims": 20}, "dims")],

@@ -13,6 +13,7 @@ from orderfp import corpus
 from orderfp.iterate import (
     BLOCK_CAP,
     BLOCK_FIRST,
+    BLOCK_SLACK,
     CONVERGED,
     DECREASING,
     INCREASING,
@@ -29,6 +30,7 @@ from orderfp.iterate import (
     picard_orbit,
     read_orbit_points,
     write_orbit_csv,
+    _next_block,
     _orbit,
     _step_flags,
 )
@@ -903,6 +905,141 @@ class TestBlockEngine:
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
             IterationConfig(window=-1)
+
+
+@dataclass
+class Counted:
+    """``op`` with a count of its evaluate calls."""
+
+    op: object
+    calls: int = 0
+
+    @property
+    def dim(self) -> int:
+        return self.op.dim
+
+    def evaluate(self, x):
+        self.calls += 1
+        return self.op.evaluate(x)
+
+
+def translation(shift, x0=None):
+    """(spec, x0) of x -> x + shift on the orthant, from 0 unless given."""
+    op = TranslationMap(shift)
+    cone = ConeSpec(kind="orthant", dim=op.dim)
+    return MappingSpec(op=op, domain=Domain(kind="cone", cone=cone)), np.zeros(op.dim) if x0 is None else x0
+
+
+class TestTranslationAndTrendBlocks:
+    """Picard orbits of a TranslationMap fill each block by one running sum;
+    every orbit sizes its blocks from the trend of the block before."""
+
+    SHIFT3 = [0.7, 1.3, 0.9]
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_growth_stop(self, p):
+        spec, x0 = translation(self.SHIFT3)
+        cfg = IterationConfig(max_iter=100_000, bound_threshold=1e4, window=50)
+        got = assert_same_outcome(spec, x0, SpaceSpec(dim=3, p=p), cfg)
+        assert got[1].verdict == UNBOUNDED_SUSPECTED and len(got[1]) > BLOCK_CAP
+
+    @pytest.mark.parametrize("start", [0.5, 7.5, 8.5, 600.25])
+    def test_domain_escape(self, start):
+        # the last coordinate falls by 1 a step and leaves the orthant
+        spec, x0 = translation([0.5, -1.0], x0=np.array([0.0, start]))
+        got = assert_same_outcome(spec, x0, P2, LONG)
+        assert got[1] is DomainError and f"at step {math.floor(start)}:" in got[2]
+
+    def test_overflow_to_nonfinite(self):
+        # x_n = n * 1e307 overflows to inf at n = 18; every norm is inf
+        spec, x0 = translation([1e307, 1.0])
+        got = assert_same_outcome(spec, x0, P2, LONG)
+        rec = got[1]
+        assert rec.verdict == NONFINITE and len(rec) == 18 and np.isfinite(rec.points).all()
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 7, 8, 9, 23, 24, 25, 100, 1000, 1016, 1017, 2040, 2041])
+    def test_budgets_inside_and_on_block_edges(self, max_iter):
+        spec, x0 = translation(self.SHIFT3)
+        cfg = IterationConfig(max_iter=max_iter, bound_threshold=1e12)
+        rec = assert_same_outcome(spec, x0, SpaceSpec(dim=3, p=2.0), cfg)[1]
+        assert rec.verdict == MAX_ITER_REACHED and len(rec) == max_iter + 1
+
+    @pytest.mark.parametrize("window, max_iter", [(0, 3000), (5000, 3000), (5000, 200)])
+    def test_window_zero_and_longer_than_the_budget(self, window, max_iter):
+        # the norm passes the ceiling at step 58, but a window of 0 compares
+        # a norm with itself and a long one looks back before x_0
+        spec, x0 = translation(self.SHIFT3)
+        cfg = IterationConfig(max_iter=max_iter, bound_threshold=100.0, window=window)
+        rec = assert_same_outcome(spec, x0, SpaceSpec(dim=3, p=2.0), cfg)[1]
+        assert rec.verdict == MAX_ITER_REACHED and rec.norms.max() > 100.0
+
+    def test_only_picard_orbits_fill_blocks_by_a_running_sum(self, monkeypatch):
+        spec, x0 = translation(self.SHIFT3)
+        cfg = IterationConfig(max_iter=3000, bound_threshold=1e3, window=50)
+        space = SpaceSpec(dim=3, p=2.0)
+        calls = []
+        plain = TranslationMap.evaluate
+        monkeypatch.setattr(TranslationMap, "evaluate", lambda op, x: calls.append(x) or plain(op, x))
+        rec = _orbit(spec, x0, spec.domain.cone, space, cfg, None, "picard")
+        picard = len(calls)
+        mann = _orbit(spec, x0, spec.domain.cone, space, cfg, lambda n: 0.5, "mann")
+        # the running sum calls the map only for the last point's residual;
+        # the Mann orbit calls it once a step, and past the stop in its block
+        assert rec.verdict == mann.verdict == UNBOUNDED_SUSPECTED and picard == 1
+        assert len(calls) - picard >= len(mann)
+        assert_same_outcome(spec, x0, space, cfg)
+        assert_same_outcome(spec, x0, space, cfg, lambda n: 0.5)
+
+    def test_every_convergence_step_up_to_1100(self):
+        # the norm trend crosses 1200 near step 1200, so the last blocks end
+        # there instead of at the doubling edges
+        cfg = IterationConfig(max_iter=5000, bound_threshold=1200.0, window=50)
+        for step in range(1101):
+            rec = assert_same_outcome(converges_at(step), [0.0], LINE2, cfg)[1]
+            assert rec.verdict == CONVERGED and len(rec) == step + 1
+
+    def test_point_norms_overflow_while_points_stay_finite(self):
+        # x -> 10 x + 1: from step 155 the norm of x_n is inf at p = 2, and
+        # the window keeps the growth rule quiet until the image is inf
+        spec = MappingSpec(op=AffineMap(np.array([[10.0]]), np.ones(1)), domain=CONE1)
+        cfg = IterationConfig(max_iter=5000, bound_threshold=1e12, window=1000)
+        rec = assert_same_outcome(spec, [0.0], LINE2, cfg)[1]
+        assert rec.verdict == NONFINITE and np.isfinite(rec.points).all()
+        assert rec.points.max() > 1e155 and np.isinf(rec.norms).sum() > 100
+
+    @pytest.mark.parametrize(
+        "res, norms",
+        [([1.0, np.inf], [1e300, np.inf]), ([1.0, 0.0], [2.0, 1.0]), ([np.nan, 0.5], [np.nan, 1.0]),
+         ([1.0, 1.0], [np.inf, np.inf]), ([1.0, 1.0], [2.0, 2.0]), ([1.0, 2.0], [3.0, 1.0]),
+         ([1e-300, 1e-301], [1.0, 1e13]), ([1e300, 1e-30], [1.0, 1.0])],
+        ids=["inf", "zero-residual", "nan", "inf-norms", "flat", "wrong-way", "past-both", "ratio-underflow"],
+    )
+    def test_a_trend_that_does_not_move_toward_a_stop_predicts_nothing(self, res, norms):
+        cfg = IterationConfig(residual_tol=1e-300, bound_threshold=1e12)
+        for k in (8, 512, BLOCK_CAP):
+            assert _next_block(k, np.array(res), np.array(norms), cfg) == min(2 * k, BLOCK_CAP)
+
+    def test_blocks_end_near_the_predicted_stop(self):
+        cfg = IterationConfig(residual_tol=1e-10, bound_threshold=100.0)
+        # residuals halve from 1e-2: 1e-10 is 26.6 steps on; norms rise by 1 to 100
+        assert _next_block(512, np.array([2e-2, 1e-2]), np.array([1.0, 2.0]), cfg) == 26 + BLOCK_SLACK
+        assert _next_block(512, np.array([2e-2, 1e-2]), np.array([80.0, 95.0]), cfg) == BLOCK_FIRST
+        assert _next_block(512, np.array([1.0, 1.0]), np.array([1.0, 2.0]), cfg) == 98 + BLOCK_SLACK
+        assert _next_block(1, np.array([1.0]), np.array([1.0]), cfg) == BLOCK_FIRST
+
+    @pytest.mark.parametrize("dim", [1, 5, 20])
+    def test_contraction_evaluates_near_its_stop(self, dim):
+        # from 0 the residual of a rho = 0.95 contraction falls geometrically
+        if dim == 1:
+            op = AffineMap(np.array([[0.95]]), np.ones(1))
+        else:
+            op = corpus.random_nonneg_affine(dim, 0.95, np.random.default_rng(dim)).op
+        counted = Counted(op)
+        cone = ConeSpec(kind="orthant", dim=dim)
+        spec = MappingSpec(op=counted, domain=Domain(kind="cone", cone=cone))
+        rec = picard_orbit(spec, np.zeros(dim), cone, SpaceSpec(dim=dim, p=2.0), LONG)
+        assert rec.verdict == CONVERGED and len(rec) > 50
+        assert counted.calls <= len(rec) + BLOCK_FIRST + BLOCK_SLACK
 
 
 @st.composite
