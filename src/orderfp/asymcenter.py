@@ -38,7 +38,7 @@ def make_problem(tail, cone: ConeSpec, space: SpaceSpec) -> AsymCenterProblem:
 def problem_from_orbit(points, cone: ConeSpec, space: SpaceSpec, tail_from: int | None = None) -> AsymCenterProblem:
     """Build the problem from recorded orbit points; the default tail is the
     second half of the trajectory."""
-    pts = np.asarray(points, dtype=float)
+    pts = as_rows(points, space.dim)
     if tail_from is None:
         tail_from = pts.shape[0] // 2
     if not (0 <= tail_from < pts.shape[0]):

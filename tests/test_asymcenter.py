@@ -96,6 +96,10 @@ class TestProblemConstruction:
         with pytest.raises(ValueError):
             problem_from_orbit(rec.points, ORTH2, P2, tail_from=len(rec.points))
 
+    def test_ragged_orbit_names_the_bad_row(self):
+        with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 3"):
+            problem_from_orbit([[1, 2], [1, 2, 3]], ORTH2, P2, tail_from=0)
+
 
 class TestSolver:
     def test_constant_tail_center(self):

@@ -20,6 +20,7 @@ from orderfp.space import (
     convexity_profile,
     modulus_of_convexity,
     norm,
+    _lp_norm_floats,
 )
 
 P2 = SpaceSpec(dim=2, p=2.0)
@@ -323,10 +324,87 @@ class TestConvexCombinationBound:
     def test_precondition_failures_name_the_bound(self):
         with pytest.raises(ValueError, match="ball precondition"):
             check_convexity_inequality(P2, [2.0, 0.0], [0.0, 0.0], 0.5, 1.0)
+        with pytest.raises(ValueError, match=r"ball precondition failed: \|\|x\|\|=3e\+200 exceeds"):
+            check_convexity_inequality(P2, [3e200, 0.0], [0.0, 1e200], 0.5, 2e200)
         with pytest.raises(ValueError, match="lambda precondition"):
             check_convexity_inequality(P2, [0.5, 0.0], [0.0, 0.5], 1.5, 1.0)
         with pytest.raises(ValueError, match="radius precondition"):
             check_convexity_inequality(P2, [0.0, 0.0], [0.0, 0.0], 0.5, 0.0)
+
+    def test_extreme_scale_tuples_keep_their_verdict(self):
+        # each |a|^2 overflows (or underflows) a float; the check rescales
+        # instead of reporting ||x|| = inf against r
+        assert check_convexity_inequality(P2, [1e200, 0.0], [0.0, 1e200], 0.5, 2e200)
+        assert check_convexity_inequality(P2, [1e-200, 0.0], [0.0, 1e-200], 0.5, 2e-200)
+        # x - y overflows to inf: eps is capped at 2, and the midpoint is 0
+        assert check_convexity_inequality(P2, [1.5e308, 0.0], [-1.5e308, 0.0], 0.5, 1.6e308)
+
+
+def stacked_norms(space, x, y, lam):
+    """The check's former numpy formula for its four norms, one stacked power."""
+    p = space.p
+    stacked = np.stack([x, y, x - y, lam * x + (1.0 - lam) * y])
+    return (np.sum(np.abs(stacked) ** p, axis=1) ** (1.0 / p)).tolist()
+
+
+def stacked_verdict(space, x, y, lam, r, delta_fn):
+    nx, ny, nd, lhs = stacked_norms(space, x, y, lam)
+    assert nx <= r * (1.0 + 1e-12) + 1e-12 and ny <= r * (1.0 + 1e-12) + 1e-12
+    rhs = r * (1.0 - 2.0 * min(lam, 1.0 - lam) * delta_fn(min(nd / r, 2.0)))
+    return lhs <= rhs + 1e-9 + 1e-9 * abs(rhs)
+
+
+def reference_delta_at(profile, eps):
+    """The searchsorted floor lookup ``delta_at`` used before ``bisect``."""
+    eps = min(max(eps, 0.0), 2.0)
+    idx = int(np.searchsorted(profile.epsilons, eps, side="right")) - 1
+    return float(profile.deltas[max(idx, 0)])
+
+
+class TestFloatNormParity:
+    """The Python-float norms of the convexity check against its numpy formula."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("dim", [2, 5, 20])
+    def test_norms_and_verdicts_match_stacked_formula(self, p, dim):
+        rng = np.random.default_rng(int(10 * p) + dim)
+        space = SpaceSpec(dim=dim, p=p)
+        profile = convexity_profile(SpaceSpec(dim=2, p=p), n_grid=101)
+        worst = 0.0
+        for k in range(2000):
+            r = rng.uniform(0.5, 4.0)
+            u = rng.normal(size=dim)
+            v = rng.normal(size=dim)
+            x = u / norm(space, u) * (r * rng.uniform())
+            y = v / norm(space, v) * (r * rng.uniform())
+            lam = 0.5 if k % 10 == 0 else rng.uniform()
+            xs, ys = x.tolist(), y.tolist()
+            ours = [
+                _lp_norm_floats(xs, p),
+                _lp_norm_floats(ys, p),
+                _lp_norm_floats([a - b for a, b in zip(xs, ys)], p),
+                _lp_norm_floats([lam * a + (1.0 - lam) * b for a, b in zip(xs, ys)], p),
+            ]
+            for new, old in zip(ours, stacked_norms(space, x, y, lam)):
+                worst = max(worst, abs(new - old) / old)
+            assert check_convexity_inequality(space, x, y, lam, r, delta_fn=profile.delta_at) == \
+                stacked_verdict(space, x, y, lam, r, profile.delta_at)
+        assert worst <= 1e-15
+
+    def test_scaled_norms(self):
+        assert _lp_norm_floats([0.0, -0.0], 2.0) == 0.0
+        assert _lp_norm_floats([3e200, -4e200], 2.0) == pytest.approx(5e200, rel=1e-15)
+        assert _lp_norm_floats([3e-200, 4e-200], 2.0) == pytest.approx(5e-200, rel=1e-15)
+        assert _lp_norm_floats([1e300, 1e300], 3.0) == pytest.approx(2 ** (1 / 3) * 1e300, rel=1e-15)
+        assert _lp_norm_floats([1.5e308, -1.5e308], 2.0) == math.inf
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_delta_at_matches_searchsorted(self, p):
+        profile = convexity_profile(SpaceSpec(dim=2, p=p), n_grid=101)
+        nodes = profile.epsilons.tolist()
+        mids = [0.5 * (a + b) for a, b in zip(nodes, nodes[1:])]
+        for eps in nodes + mids + [-1.0, 2.5, math.nan]:
+            assert profile.delta_at(eps) == reference_delta_at(profile, eps)
 
 
 class TestKadecKleeDeskScale:
