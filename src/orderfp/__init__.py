@@ -13,15 +13,12 @@ from orderfp.space import (
     norm,
     modulus_of_convexity,
     convexity_profile,
-    characteristic_of_convexity,
     check_convexity_inequality,
 )
 from orderfp.order import (
     ConeSpec,
     contains,
     leq,
-    lt,
-    ll,
     sup_pair,
     inf_pair,
     project_to_cone,

@@ -437,7 +437,7 @@ def verify_norm_convergence(
     fps = _oracle_points(scn)
     last = record.points[-1]
     if fps:
-        z = min(fps, key=lambda q: float(np.linalg.norm(q - last)))
+        z = min(fps, key=lambda q: norm(scn.space, q - last))
     else:
         sign = 1.0 if direction == "up" else -1.0
         problem = problem_from_orbit(sign * record.points, scn.cone, scn.space)
@@ -511,7 +511,7 @@ def verify_cone_convergence(
     z0 = rec0.points[-1]
     res0 = norm(scn.space, apply_map(scn.map, z0) - z0)
     rep.add("zero_orbit_limit_fixed", res0 <= LIMIT_RESIDUAL_TOL, f"residual={res0!r}")
-    nearest = min(float(np.linalg.norm(z0 - q)) for q in fps)
+    nearest = float(_row_norms(scn.space, (z0 - np.asarray(fps))[None]).min())
     rep.add("zero_limit_near_oracle", nearest <= 1e-5, f"distance={nearest!r}")
 
     if scn.alpha == 0.0:

@@ -72,20 +72,6 @@ def leq(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
     return contains(cone, yv - xv, tol=tol)
 
 
-def lt(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Strict order: x <= y and the points differ (beyond tol)."""
-    xv = as_vector(x, dim=cone.dim)
-    yv = as_vector(y, dim=cone.dim)
-    return leq(cone, xv, yv, tol=tol) and float(np.max(np.abs(xv - yv))) > tol
-
-
-def ll(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Interior order: y - x lies in the cone interior."""
-    xv = as_vector(x, dim=cone.dim)
-    yv = as_vector(y, dim=cone.dim)
-    return interior_contains(cone, yv - xv, tol=tol)
-
-
 def comparable(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
     return leq(cone, x, y, tol=tol) or leq(cone, y, x, tol=tol)
 

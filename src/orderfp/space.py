@@ -20,6 +20,7 @@ import numpy as np
 INEQ_ATOL = 1e-9
 INEQ_RTOL = 1e-9
 CHARACTERISTIC_ZERO_TOL = 1e-8
+_SUM_MIN = sys.float_info.min  # an lp power sum below it, or inf, is rescaled
 
 
 def as_vector(coords, dim: int | None = None) -> np.ndarray:
@@ -68,19 +69,26 @@ class SpaceSpec:
 
 def norm(space: SpaceSpec, x) -> float:
     """lp norm (sum |x_i|^p)^(1/p); zero exactly for the zero vector."""
-    v = as_vector(x, dim=space.dim)
-    return float((np.abs(v) ** space.p).sum() ** (1.0 / space.p))
+    return float(_row_norms(space, as_vector(x, dim=space.dim)[None, None], slice(0))[0, 0])
 
 
 def _row_norms(space: SpaceSpec, v: np.ndarray, checked=slice(None)) -> np.ndarray:
     # lp norms of the rows of the blocks v[0], v[1], ...; the rows picked by
     # `checked` are the ones a pair-by-pair loop hands to `norm`, so they get
     # its checks and its ValueError. Each root is taken as a scalar, because
-    # numpy's array pow rounds differently: every value has norm's bits.
+    # numpy's array pow rounds differently. Only a finite, nonzero row whose
+    # power sum is out of range is redone, by `_lp_norm_floats`'s rescaling.
     as_rows(v[:, checked].reshape(-1, v.shape[-1]), space.dim)
+    with np.errstate(over="ignore"):
+        sums = (np.abs(v) ** space.p).sum(axis=-1)
     inv = 1.0 / space.p
-    sums = (np.abs(v) ** space.p).sum(axis=-1)
-    return np.array([s**inv for s in sums.ravel().tolist()]).reshape(sums.shape)
+    out = np.array([s**inv for s in sums.ravel().tolist()]).reshape(sums.shape)
+    redo = (sums < _SUM_MIN) | (sums == math.inf)
+    if redo.any():
+        redo &= np.isfinite(v).all(axis=-1) & v.any(axis=-1)
+        for i in zip(*np.nonzero(redo)):
+            out[i] = _lp_norm_floats(v[i].tolist(), space.p)
+    return out
 
 
 def _lp_norm_floats(vals: list[float], p: float) -> float:
@@ -96,7 +104,7 @@ def _lp_norm_floats(vals: list[float], p: float) -> float:
             s += abs(a) ** p
     except OverflowError:  # float ** raises here instead of returning inf
         s = math.inf
-    if sys.float_info.min <= s < math.inf:
+    if _SUM_MIN <= s < math.inf:
         return s ** (1.0 / p)
     m = max(map(abs, vals))
     if m == 0.0 or m == math.inf:
@@ -204,14 +212,6 @@ def convexity_profile(
     )
 
 
-def characteristic_of_convexity(
-    space: SpaceSpec,
-    n_grid: int = 101,
-) -> float:
-    """Estimated characteristic of convexity: sup of the grid zero set of delta."""
-    return convexity_profile(space, n_grid=n_grid).eps0
-
-
 def check_convexity_inequality(
     space: SpaceSpec,
     x,
@@ -236,8 +236,8 @@ def check_convexity_inequality(
     """
     xv = as_vector(x, dim=space.dim)
     yv = as_vector(y, dim=space.dim)
-    if not (r > 0.0):
-        raise ValueError(f"radius precondition failed: r={r} is not positive")
+    if not (0.0 < r < math.inf):
+        raise ValueError(f"radius precondition failed: r={r} is not positive finite")
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda precondition failed: lam={lam} outside [0, 1]")
     p = space.p

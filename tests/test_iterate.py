@@ -48,7 +48,7 @@ from orderfp.mapping import (
     sample_domain_point,
 )
 from orderfp.order import MEMBERSHIP_TOL, ConeSpec, _member_raw, leq
-from orderfp.space import SpaceSpec, as_vector, norm
+from orderfp.space import SpaceSpec, as_vector, norm, _row_norms
 
 ORTH2 = ConeSpec(kind="orthant", dim=2)
 P2 = SpaceSpec(dim=2, p=2.0)
@@ -583,13 +583,13 @@ class TestNonfiniteOrbits:
     def test_overflow_to_inf_stops_at_last_finite_point(self):
         # x -> 1e200 x + 1 from 0: 0, 1, 1e200, then the image is +inf
         spec = make_mapping(AffineMap(np.array([[1e200]]), np.ones(1)), Domain(kind="cone", cone=ORTH1))
-        with np.errstate(over="ignore"):
-            rec = picard_orbit(spec, [0.0], ORTH1, SpaceSpec(dim=1, p=2.0))
+        rec = picard_orbit(spec, [0.0], ORTH1, SpaceSpec(dim=1, p=2.0))
         assert rec.verdict == NONFINITE
         assert rec.points.ravel().tolist() == [0.0, 1.0, 1e200]
-        # the norm of 1e200 overflows although the point is finite
-        assert rec.residuals.tolist() == [1.0, np.inf, np.inf]
-        assert rec.norms.tolist() == [0.0, 1.0, np.inf]
+        # |1e200|^2 overflows, but a finite point has a finite norm; only the
+        # residual at the inf image stays inf
+        assert rec.residuals.tolist() == [1.0, 1e200, np.inf]
+        assert rec.norms.tolist() == [0.0, 1.0, 1e200]
         assert rec.order_monotone == INCREASING and rec.leq_up.all()
         chain = check_orbit_monotone(rec, ORTH1)
         assert chain.increasing and chain.first_up_violation is None
@@ -631,6 +631,10 @@ class TestNonfiniteOrbits:
 # the block engine against the stepwise engine it replaced
 
 
+def _kernel_norm(space, v):
+    return float(_row_norms(space, v[None, None], slice(0))[0, 0])
+
+
 def stepwise_orbit(
     spec: MappingSpec,
     x0,
@@ -641,22 +645,22 @@ def stepwise_orbit(
     scheme: str,
 ) -> OrbitRecord:
     """The stepwise engine the block engine replaced, verbatim but for the
-    norm helper, which left the package: every rule runs inside each step."""
+    norm helper, which is now the package's lp kernel on one unvalidated row
+    (as the block engine's): every rule runs inside each step."""
     x = as_vector(x0, dim=spec.dim)
     domain, evaluate = spec.domain, spec.op.evaluate
     if not _domain_contains_raw(domain, x, MEMBERSHIP_TOL):
         raise DomainError(f"starting point {x} lies outside the mapping domain")
-    p = space.p
     points = [x]
     residuals: list[float] = []
-    norms = [_ref_norm(p, x)]
+    norms = [_kernel_norm(space, x)]
     verdict = MAX_ITER_REACHED
 
     # only what a stopping rule reads is computed per step; the order flags
     # are derived once from the recorded points after the loop
     for n in range(cfg.max_iter):
         tx = evaluate(x)
-        res = _ref_norm(p, tx - x)
+        res = _kernel_norm(space, tx - x)
         # a non-finite image makes the residual non-finite, but so can a
         # finite image whose norm overflows, so only then is the image read
         if not res < math.inf and not np.isfinite(tx).all():
@@ -677,14 +681,14 @@ def stepwise_orbit(
                 raise ValueError(f"invalid Mann schedule: beta_{n}={beta} outside [0, 1]")
             x = beta * x + (1.0 - beta) * tx
         points.append(x)
-        norms.append(_ref_norm(p, x))
+        norms.append(_kernel_norm(space, x))
         if norms[-1] > cfg.bound_threshold and len(norms) > cfg.window:
             if norms[-1] > norms[-1 - cfg.window]:
                 verdict = UNBOUNDED_SUSPECTED
                 break
 
     if len(residuals) < len(points):
-        residuals.append(_ref_norm(p, evaluate(x) - x))
+        residuals.append(_kernel_norm(space, evaluate(x) - x))
 
     pts = np.asarray(points)
     up_arr, down_arr = _step_flags(pts, cone)
@@ -951,11 +955,13 @@ class TestTranslationAndTrendBlocks:
         assert got[1] is DomainError and f"at step {math.floor(start)}:" in got[2]
 
     def test_overflow_to_nonfinite(self):
-        # x_n = n * 1e307 overflows to inf at n = 18; every norm is inf
+        # x_n = n * 1e307 overflows to inf at n = 18; every power sum
+        # overflows, but the norms of the finite points are finite
         spec, x0 = translation([1e307, 1.0])
         got = assert_same_outcome(spec, x0, P2, LONG)
         rec = got[1]
         assert rec.verdict == NONFINITE and len(rec) == 18 and np.isfinite(rec.points).all()
+        assert rec.norms.tolist() == rec.points[:, 0].tolist()
 
     @pytest.mark.parametrize("max_iter", [1, 2, 7, 8, 9, 23, 24, 25, 100, 1000, 1016, 1017, 2040, 2041])
     def test_budgets_inside_and_on_block_edges(self, max_iter):
@@ -998,14 +1004,15 @@ class TestTranslationAndTrendBlocks:
             rec = assert_same_outcome(converges_at(step), [0.0], LINE2, cfg)[1]
             assert rec.verdict == CONVERGED and len(rec) == step + 1
 
-    def test_point_norms_overflow_while_points_stay_finite(self):
-        # x -> 10 x + 1: from step 155 the norm of x_n is inf at p = 2, and
-        # the window keeps the growth rule quiet until the image is inf
+    def test_power_sums_overflow_while_points_stay_finite(self):
+        # x -> 10 x + 1: from step 155 |x_n|^2 overflows at p = 2, yet each
+        # norm is |x_n|; the window keeps the growth rule quiet until the
+        # image is inf
         spec = MappingSpec(op=AffineMap(np.array([[10.0]]), np.ones(1)), domain=CONE1)
         cfg = IterationConfig(max_iter=5000, bound_threshold=1e12, window=1000)
         rec = assert_same_outcome(spec, [0.0], LINE2, cfg)[1]
         assert rec.verdict == NONFINITE and np.isfinite(rec.points).all()
-        assert rec.points.max() > 1e155 and np.isinf(rec.norms).sum() > 100
+        assert rec.points.max() > 1e155 and rec.norms.tolist() == rec.points.ravel().tolist()
 
     @pytest.mark.parametrize(
         "res, norms",

@@ -522,11 +522,18 @@ def reference_is_monotone_nonexpansive(spec, cone, space, cfg=None):
     return report
 
 
+def _ref_sq_norm(space, v):
+    """||v||^2 as the batched verifiers square their norms: a square past the
+    largest double is inf, not Python's OverflowError."""
+    n = norm(space, v)
+    return n * n
+
+
 def _ref_alpha_rhs(space, alpha, x, y, tx, ty):
     return (
-        alpha * norm(space, tx - y) ** 2
-        + alpha * norm(space, ty - x) ** 2
-        + (1.0 - 2.0 * alpha) * norm(space, x - y) ** 2
+        alpha * _ref_sq_norm(space, tx - y)
+        + alpha * _ref_sq_norm(space, ty - x)
+        + (1.0 - 2.0 * alpha) * _ref_sq_norm(space, x - y)
     )
 
 
@@ -557,7 +564,7 @@ def reference_is_alpha_nonexpansive(spec, cone, space, alpha, cfg=None, exhausti
         if margin < -MEMBERSHIP_TOL:
             report.violations.append(Violation(x=x, y=y, lhs=-margin, rhs=MEMBERSHIP_TOL))
             continue
-        lhs = norm(space, tx - ty) ** 2
+        lhs = _ref_sq_norm(space, tx - ty)
         rhs = _ref_alpha_rhs(space, alpha, x, y, tx, ty)
         if lhs > rhs + _ref_slack(rhs):
             report.violations.append(Violation(x=x, y=y, lhs=lhs, rhs=rhs))
@@ -565,7 +572,7 @@ def reference_is_alpha_nonexpansive(spec, cone, space, alpha, cfg=None, exhausti
 
 
 def _ref_polar_inner(space, u, v):
-    return 0.25 * (norm(space, u + v) ** 2 - norm(space, u - v) ** 2)
+    return 0.25 * (_ref_sq_norm(space, u + v) - _ref_sq_norm(space, u - v))
 
 
 def reference_classify_hilbert_classes(spec, space, cfg=None, ab=None):
@@ -583,10 +590,10 @@ def reference_classify_hilbert_classes(spec, space, cfg=None, ab=None):
         x = sample_domain_point(spec, rng, cfg.scale)
         y = sample_domain_point(spec, rng, cfg.scale)
         tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
-        d_im2 = norm(space, tx - ty) ** 2
-        d2 = norm(space, x - y) ** 2
-        cross_xy = norm(space, tx - y) ** 2
-        cross_yx = norm(space, ty - x) ** 2
+        d_im2 = _ref_sq_norm(space, tx - ty)
+        d2 = _ref_sq_norm(space, x - y)
+        cross_xy = _ref_sq_norm(space, tx - y)
+        cross_yx = _ref_sq_norm(space, ty - x)
 
         rhs = cross_xy + cross_yx
         if 2.0 * d_im2 > rhs + _ref_slack(rhs):
@@ -603,8 +610,8 @@ def reference_classify_hilbert_classes(spec, space, cfg=None, ab=None):
             bound = (
                 a * d_im2
                 + (1.0 - a) * d2
-                - b * norm(space, x - tx) ** 2
-                - b * norm(space, y - ty) ** 2
+                - b * _ref_sq_norm(space, x - tx)
+                - b * _ref_sq_norm(space, y - ty)
             )
             if lhs < bound - _ref_slack(bound):
                 reports["ab_monotone"].violations.append(Violation(x, y, lhs, bound))

@@ -15,12 +15,12 @@ from orderfp.space import (
     ConvexityProfile,
     SpaceSpec,
     as_vector,
-    characteristic_of_convexity,
     check_convexity_inequality,
     convexity_profile,
     modulus_of_convexity,
     norm,
     _lp_norm_floats,
+    _row_norms,
 )
 
 P2 = SpaceSpec(dim=2, p=2.0)
@@ -129,14 +129,27 @@ class TestVectorsAndNorm:
         for p in (1.5, 2.0, 3.0):
             assert norm(SpaceSpec(dim=3, p=p), np.zeros(3)) == 0.0
 
-    def test_p3_against_high_precision_summation(self):
+    @pytest.mark.parametrize(
+        "p, x",
+        [(3.0, [1.0, 1.0, 1.0]), (2.0, [1e160, 1.0]), (200.0, [40.0, 1.0]), (1100.0, [0.5, 0.5])],
+        ids=["p3-ones", "p2-overflow", "p200-overflow", "p1100-underflow"],
+    )
+    def test_against_high_precision_summation(self, p, x):
+        # the last three power sums overflow or underflow a double; every
+        # carrier rescales them to within 4 ulp of the 60-digit value
         import mpmath as mp
 
-        mp.mp.dps = 60
-        oracle = float((mp.mpf(1) ** 3 + mp.mpf(1) ** 3 + mp.mpf(1) ** 3) ** (mp.mpf(1) / 3))
-        assert oracle == 1.4422495703074083  # frozen from the mpmath oracle
-        got = norm(SpaceSpec(dim=3, p=3.0), [1.0, 1.0, 1.0])
-        assert abs(got - oracle) < 1e-15
+        with mp.workdps(60):
+            oracle = float(mp.fsum(mp.mpf(a) ** p for a in x) ** (1 / mp.mpf(p)))
+        if p == 3.0:
+            assert oracle == 1.4422495703074083  # frozen from the mpmath oracle
+        space = SpaceSpec(dim=len(x), p=p)
+        row = np.linspace(0.5, 1.0, len(x))
+        rows = _row_norms(space, np.array([[x, row, np.zeros(len(x))]]))
+        ordinary = float(np.sum(row**p)) ** (1.0 / p)
+        assert rows[0, 1:].tolist() == [ordinary, 0.0]
+        for got in (norm(space, x), rows[0, 0], _lp_norm_floats(x, p)):
+            assert math.isfinite(got) and abs(got - oracle) <= 4 * math.ulp(oracle)
 
     def test_norm_positive_definite(self):
         rng = np.random.default_rng(0)
@@ -240,7 +253,7 @@ class TestModulus:
 class TestProfileAndCharacteristic:
     def test_characteristic_vanishes(self):
         for p in (1.5, 2.0):
-            eps0 = characteristic_of_convexity(SpaceSpec(dim=2, p=p), n_grid=21)
+            eps0 = convexity_profile(SpaceSpec(dim=2, p=p), n_grid=21).eps0
             assert eps0 <= 2.0 / 20.0 + 1e-12
 
     def test_empty_grid_rejected(self):
@@ -330,6 +343,8 @@ class TestConvexCombinationBound:
             check_convexity_inequality(P2, [0.5, 0.0], [0.0, 0.5], 1.5, 1.0)
         with pytest.raises(ValueError, match="radius precondition"):
             check_convexity_inequality(P2, [0.0, 0.0], [0.0, 0.0], 0.5, 0.0)
+        with pytest.raises(ValueError, match="radius precondition failed: r=inf is not positive finite"):
+            check_convexity_inequality(P2, [1.7e308, 0.0], [-1.7e308, 0.0], 0.5, math.inf)
 
     def test_extreme_scale_tuples_keep_their_verdict(self):
         # each |a|^2 overflows (or underflows) a float; the check rescales
@@ -345,6 +360,13 @@ def stacked_norms(space, x, y, lam):
     p = space.p
     stacked = np.stack([x, y, x - y, lam * x + (1.0 - lam) * y])
     return (np.sum(np.abs(stacked) ** p, axis=1) ** (1.0 / p)).tolist()
+
+
+def scalar_root_norms(space, rows):
+    """``_row_norms``' formula before it rescaled: one power sum per row, its
+    root taken as a Python scalar."""
+    sums = (np.abs(rows) ** space.p).sum(axis=-1)
+    return [s ** (1.0 / space.p) for s in sums.tolist()]
 
 
 def stacked_verdict(space, x, y, lam, r, delta_fn):
@@ -387,6 +409,9 @@ class TestFloatNormParity:
             ]
             for new, old in zip(ours, stacked_norms(space, x, y, lam)):
                 worst = max(worst, abs(new - old) / old)
+            rows = np.stack([x, y, x - y, lam * x + (1.0 - lam) * y])
+            assert _row_norms(space, rows[None])[0].tolist() == scalar_root_norms(space, rows)
+            assert norm(space, x) == scalar_root_norms(space, x[None])[0]
             assert check_convexity_inequality(space, x, y, lam, r, delta_fn=profile.delta_at) == \
                 stacked_verdict(space, x, y, lam, r, profile.delta_at)
         assert worst <= 1e-15
@@ -397,6 +422,17 @@ class TestFloatNormParity:
         assert _lp_norm_floats([3e-200, 4e-200], 2.0) == pytest.approx(5e-200, rel=1e-15)
         assert _lp_norm_floats([1e300, 1e300], 3.0) == pytest.approx(2 ** (1 / 3) * 1e300, rel=1e-15)
         assert _lp_norm_floats([1.5e308, -1.5e308], 2.0) == math.inf
+        # in a block, rows whose power sum lies just inside [float_info.min,
+        # inf) keep the plain formula's bits, the rows just outside are
+        # rescaled, and the non-finite rows keep inf and nan
+        safe = [[1e154, 0.0], [1.5e-154, 0.0], [1.3e154, 1.0], [3.0, -4.0], [0.0, -0.0]]
+        unsafe = [[1.4e154, 1.0], [1.4e-154, 0.0], [1e-300, -1e-300]]
+        got = _row_norms(P2, np.array([safe + unsafe + [[math.inf, 1.0], [math.nan, 1.0]]]), slice(0))
+        got = got[0].tolist()
+        assert got[:5] == scalar_root_norms(P2, np.array(safe))
+        assert got[5:8] == [_lp_norm_floats(row, 2.0) for row in unsafe]
+        assert all(0.0 < v < math.inf for v in got[5:8])
+        assert got[8] == math.inf and math.isnan(got[9])
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_delta_at_matches_searchsorted(self, p):
