@@ -54,7 +54,6 @@ from orderfp.iterate import (
     picard_orbit,
     mann_orbit,
     check_orbit_monotone,
-    monotone_limit,
 )
 from orderfp.asymcenter import (
     AsymCenterProblem,

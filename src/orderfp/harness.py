@@ -9,6 +9,7 @@ the root seed, so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -185,7 +186,7 @@ def _oracle_points(scn: Scenario) -> list[np.ndarray] | None:
     op = scn.map.op
     if scn.grid_cfg is None and as_affine(op) is None and not isinstance(op, GridMap):
         return None
-    return fixed_point_oracle(scn.map, scn.grid_cfg)
+    return fixed_point_oracle(scn.map, scn.space, scn.grid_cfg)
 
 
 def _center_checks(
@@ -377,8 +378,7 @@ def verify_zero_orbit_equivalence(
             spec = corpus.identity_map(dim)
         scn = Scenario(sid=trial_id, space=SpaceSpec(dim=dim, p=2.0), cone=spec.domain.cone, map=spec)
         record = _settled_orbit(scn, np.zeros(dim), iter_cfg)
-        oracle = fixed_point_oracle(spec)
-        nonempty = len(oracle) > 0
+        nonempty = len(fixed_point_oracle(spec, scn.space)) > 0
         bounded = record.verdict == CONVERGED
         # an inconclusive or nonfinite orbit is a failed trial
         agree = record.verdict in (CONVERGED, UNBOUNDED_SUSPECTED) and bounded == nonempty
@@ -645,20 +645,23 @@ def _section(config: dict, key: str, default):
     to the type of its default value; other keys are ignored. A bool field
     rejects a string, a number field a boolean, an int field a fraction and
     a tuple field anything but a list, since the conversion would misread
-    them."""
+    them; a value the conversion fails on is rejected too."""
     given = config.get(key, {})
-    fields = {f.name: type(getattr(default, f.name)) for f in dataclasses.fields(default) if f.name in given}
-    for name, kind in fields.items():
-        value = given[name]
+    values = {}
+    for name in (f.name for f in dataclasses.fields(default) if f.name in given):
+        kind, value = type(getattr(default, name)), given[name]
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            values[name] = kind(value)
         if (
-            kind is bool and isinstance(value, str)
+            name not in values
+            or kind is bool and isinstance(value, str)
             or kind in (int, float) and isinstance(value, bool)
             or kind is int and isinstance(value, float) and not value.is_integer()
             or kind is tuple and not isinstance(value, (list, tuple))
         ):
             wanted = {bool: "boolean", int: "integer", float: "number", tuple: "list"}[kind]
             raise ValueError(f"config field {key}.{name} needs a JSON {wanted}, got {value!r}")
-    return dataclasses.replace(default, **{name: kind(given[name]) for name, kind in fields.items()})
+    return dataclasses.replace(default, **values)
 
 
 _CAMPAIGNS = {

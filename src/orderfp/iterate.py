@@ -270,29 +270,6 @@ def check_orbit_monotone(record: OrbitRecord, cone: ConeSpec) -> ChainVerdict:
     )
 
 
-def monotone_limit(record: OrbitRecord, cone: ConeSpec) -> np.ndarray:
-    """Norm limit of a monotone bounded orbit (the last recorded point).
-
-    Requires a monotone record that was not flagged unbounded, and asserts the
-    order bound: every orbit point is dominated by (increasing case) or
-    dominates (decreasing case) the limit, within 1e-9 to absorb
-    accumulated rounding.
-    """
-    if record.order_monotone == NEITHER:
-        raise ValueError("orbit is not order-monotone; no monotone limit")
-    if record.verdict == UNBOUNDED_SUSPECTED:
-        raise ValueError("orbit flagged unbounded; no limit to report")
-    if record.verdict == NONFINITE:
-        raise ValueError("orbit overflowed; no limit to report")
-    points = as_rows(record.points, cone.dim)
-    limit = points[-1]
-    gaps = limit - points if record.order_monotone == INCREASING else points - limit
-    ok = _member_raw(cone, gaps, 1e-9)
-    if not ok.all():
-        raise ValueError(f"order bound violated at index {int(np.argmin(ok))}: orbit point vs limit")
-    return limit.copy()
-
-
 def write_orbit_csv(record: OrbitRecord, path) -> None:
     """Write the orbit as CSV: n, coordinates, residual, norm, leq_up, leq_down.
 

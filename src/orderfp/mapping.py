@@ -12,7 +12,6 @@ draw, evaluate and test all their pairs as rows at once.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from orderfp.order import (
     ConeSpec,
     comparable,
     leq,
-    sample_cone_point,
     MEMBERSHIP_TOL,
     _cone_margins,
     _cone_rows,
@@ -51,8 +49,16 @@ class NotFixedPointError(ValueError):
 FIXED_POINT_TOL = 1e-8
 
 
-def _slack(rhs: float) -> float:
-    return INEQ_ATOL + INEQ_RTOL * abs(rhs)
+def _slack(rhs, s=1.0):
+    # slack of lhs <= rhs when both sides are in units of s^2
+    return INEQ_ATOL / s / s + INEQ_RTOL * abs(rhs)
+
+
+def _square_scale(norms: np.ndarray):
+    # per pair (axis 0 holds its norms), 1 below 2^500, else 2^e for the binary exponent
+    # e of its largest finite norm: norms / s square without overflow and keep their bits
+    big = np.where(norms < math.inf, norms, 0.0).max(axis=0)
+    return np.where(big < 2.0**500, 1.0, np.ldexp(1.0, np.frexp(big)[1] - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +216,14 @@ class GridMap:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.values[self.index_of(x)].copy()
 
-    def lattice_points(self):
-        for idx in itertools.product(*(range(n) for n in self.lattice_shape)):
-            yield self.origin + self.step * np.asarray(idx, dtype=float)
+
+def _lattice_rows(axes) -> np.ndarray:
+    # the nodes of the lattice with these per-axis coordinates, as C-order rows
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _grid_nodes(op: GridMap) -> np.ndarray:
+    return _lattice_rows([o + np.arange(n) * op.step for o, n in zip(op.origin, op.lattice_shape)])
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +296,10 @@ class MappingSpec:
         return self.domain.dim
 
 
-def apply_map(spec: MappingSpec, x, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def apply_map(spec: MappingSpec, x) -> np.ndarray:
     """Evaluate the map at ``x``; raises ``DomainError`` off the domain."""
     v = as_vector(x, dim=spec.dim)
-    if not domain_contains(spec.domain, v, tol=tol):
+    if not domain_contains(spec.domain, v):
         raise DomainError(f"argument {v} lies outside the declared domain")
     return spec.op.evaluate(v)
 
@@ -369,10 +380,10 @@ def sample_comparable_pairs(
     spec: MappingSpec, rng: np.random.Generator, n: int, scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` pairs (x, y) in the domain with x <= y under the domain cone, as
-    rows, drawn exactly as ``n`` calls of ``sample_comparable_pair``: meet
-    and join of two lattice indices for a lattice map under the orthant, x
-    plus a cone direction in one draw for other orthant domains, pair by pair
-    with rejection under the Lorentz cone."""
+    rows: meet and join of two lattice indices for a lattice map under the
+    orthant, x plus a cone direction in one draw for other orthant domains,
+    pair by pair with rejection under the Lorentz cone. The draws are one
+    stream taken pair by pair, so the first pairs do not depend on ``n``."""
     domain = spec.domain
     if isinstance(spec.op, GridMap) and domain.cone.kind == "orthant":
         idx = _lattice_indices(spec.op, rng, 2 * n).reshape(n, 2, spec.dim)
@@ -388,19 +399,11 @@ def sample_comparable_pairs(
     return x, x + u[:, 1] * (domain.hi - x)
 
 
-def sample_comparable_pair(
-    spec: MappingSpec, rng: np.random.Generator, scale: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (x, y) in the domain with x <= y under the domain cone."""
-    x, y = sample_comparable_pairs(spec, rng, 1, scale)
-    return x[0], y[0]
-
-
 def _draw_comparable_pair(spec, rng, scale):
     # shrink the cone direction until the pair stays in the domain
     for attempt in range(PAIR_TRIES):
         x = sample_domain_point(spec, rng, scale)
-        y = x + sample_cone_point(spec.domain.cone, rng, scale * 0.5 ** (attempt % 8))
+        y = x + _cone_rows(spec.domain.cone, rng, 1, scale * 0.5 ** (attempt % 8))[0]
         if domain_contains(spec.domain, y):
             return x, y
     raise RuntimeError("could not sample a comparable pair inside the domain")
@@ -409,7 +412,7 @@ def _draw_comparable_pair(spec, rng, scale):
 def _lattice_pairs(spec: MappingSpec, cone: ConeSpec) -> tuple[np.ndarray, np.ndarray]:
     # every comparable pair of lattice points as rows (lower, upper), in
     # combinations_with_replacement order, from one row-wise cone test
-    pts = np.array(list(spec.op.lattice_points()))
+    pts = _grid_nodes(spec.op)
     i, j = np.triu_indices(len(pts))
     diff = pts[j] - pts[i]
     up = _member_raw(cone, diff, MEMBERSHIP_TOL)
@@ -426,7 +429,7 @@ def _pair_report(name, spec, cone, x, y, ineq=None, alpha=None) -> PropertyRepor
 
     A pair with T y - T x outside ``cone`` is an order violation (lhs the
     negated cone margin, rhs MEMBERSHIP_TOL) and skips the inequality; for
-    the rest ``ineq(tx, ty, checked)`` gives the sides of lhs <= rhs + slack.
+    the rest ``ineq(tx, ty, checked)`` gives s and the sides of lhs <= rhs + slack in units of s^2.
     """
     tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
     margin = _cone_margins(cone, ty - tx)
@@ -434,9 +437,10 @@ def _pair_report(name, spec, cone, x, y, ineq=None, alpha=None) -> PropertyRepor
     lhs, rhs = -margin, np.full(len(x), MEMBERSHIP_TOL)
     if ineq is not None:
         ordered = ~failed
-        ineq_lhs, ineq_rhs = ineq(tx, ty, ordered)
-        lhs, rhs = np.where(ordered, ineq_lhs, lhs), np.where(ordered, ineq_rhs, rhs)
-        failed = failed | (ordered & (lhs > rhs + _slack(rhs)))
+        ineq_lhs, ineq_rhs, s = ineq(tx, ty, ordered)
+        failed = failed | (ordered & (ineq_lhs > ineq_rhs + _slack(ineq_rhs, s)))
+        with np.errstate(over="ignore"):  # a side past the largest double is inf
+            lhs, rhs = np.where(ordered, ineq_lhs * s * s, lhs), np.where(ordered, ineq_rhs * s * s, rhs)
     return PropertyReport.from_rows(name, x, y, lhs, rhs, failed, alpha)
 
 
@@ -457,7 +461,7 @@ def is_monotone_nonexpansive(
     x, y = _sampled_pairs(spec, cfg or SamplerConfig())
 
     def ineq(tx, ty, checked):
-        return _row_norms(space, np.stack([tx - ty, x - y]), checked)
+        return (*_row_norms(space, np.stack([tx - ty, x - y]), checked), 1.0)
 
     return _pair_report("monotone_nonexpansive", spec, cone, x, y, ineq)
 
@@ -486,9 +490,10 @@ def is_alpha_nonexpansive(
         x, y = _sampled_pairs(spec, cfg or SamplerConfig())
 
     def ineq(tx, ty, checked):
-        blocks = np.stack([tx - ty, tx - y, ty - x, x - y])
-        im, cross_xy, cross_yx, arg = _row_norms(space, blocks, checked) ** 2
-        return im, alpha * cross_xy + alpha * cross_yx + (1.0 - 2.0 * alpha) * arg
+        norms = _row_norms(space, np.stack([tx - ty, tx - y, ty - x, x - y]), checked)
+        s = _square_scale(norms)
+        im, cross_xy, cross_yx, arg = (norms / s) ** 2
+        return im, alpha * cross_xy + alpha * cross_yx + (1.0 - 2.0 * alpha) * arg, s
 
     return _pair_report("alpha_nonexpansive", spec, cone, x, y, ineq, alpha)
 
@@ -552,17 +557,15 @@ def check_displacement_bound(
     if not comparable(cone, xv, yv):
         raise IncomparableError(f"pair is incomparable under the {cone.kind} cone")
     tx, ty = spec.op.evaluate(xv), spec.op.evaluate(yv)
-    d_im, d_arg, disp = norm(space, tx - ty), norm(space, xv - yv), norm(space, tx - xv)
-    # in units of s, so that no square overflows; norms up to 1 keep their
-    # exact arithmetic, and a norm that overflowed stays inf as before
-    s = max(1.0, *(v for v in (d_im, d_arg, disp) if v < math.inf))
-    d_im, d_arg, disp = d_im / s, d_arg / s, disp / s
+    norms = [norm(space, tx - ty), norm(space, xv - yv), norm(space, tx - xv)]
+    s = float(_square_scale(np.array(norms)))  # a norm that overflowed stays inf
+    d_im, d_arg, disp = (v / s for v in norms)
     rhs = (
         d_arg ** 2
         + (2.0 * alpha / (1.0 - alpha)) * disp ** 2
         + (2.0 * abs(alpha) / (1.0 - alpha)) * disp * (d_arg + d_im)
     )
-    return d_im ** 2 <= rhs + INEQ_ATOL / s / s + INEQ_RTOL * abs(rhs)
+    return d_im ** 2 <= rhs + _slack(rhs, s)
 
 
 def classify_hilbert_classes(
@@ -594,22 +597,23 @@ def classify_hilbert_classes(
     blocks = [tx - ty, x - y, tx - y, ty - x, u + v, u - v]
     if ab is not None:
         blocks += [(x - y) + (tx - ty), (x - y) - (tx - ty), u, v]
-    sq = _row_norms(space, np.stack(blocks)) ** 2
+    norms = _row_norms(space, np.stack(blocks))
+    s = _square_scale(norms)  # squares and sides in units of s^2
+    sq = (norms / s) ** 2
     d_im2, d2, cross_xy, cross_yx = sq[:4]
     sides = {
         "nonspreading": (2.0 * d_im2, cross_xy + cross_yx),
         "hybrid": (d_im2, d2 + 0.25 * (sq[4] - sq[5])),
         "tj": (2.0 * d_im2, d2 + cross_xy),
     }
-    reports = {
-        name: PropertyReport.from_rows(name, x, y, lhs, rhs, lhs > rhs + _slack(rhs))
-        for name, (lhs, rhs) in sides.items()
-    }
     if ab is not None:
-        lhs = 0.25 * (sq[6] - sq[7])
-        bound = a * d_im2 + (1.0 - a) * d2 - b * sq[8] - b * sq[9]
-        failed = lhs < bound - _slack(bound)
-        reports["ab_monotone"] = PropertyReport.from_rows("ab_monotone", x, y, lhs, bound, failed)
+        sides["ab_monotone"] = (0.25 * (sq[6] - sq[7]), a * d_im2 + (1.0 - a) * d2 - b * sq[8] - b * sq[9])
+    reports = {}
+    for name, (lhs, rhs) in sides.items():
+        # (a, b)-monotone is a lower bound: lhs >= rhs - slack
+        failed = lhs < rhs - _slack(rhs, s) if name == "ab_monotone" else lhs > rhs + _slack(rhs, s)
+        with np.errstate(over="ignore"):  # a side past the largest double is inf
+            reports[name] = PropertyReport.from_rows(name, x, y, lhs * s * s, rhs * s * s, failed)
     return reports
 
 
@@ -674,16 +678,15 @@ def _affine_fixed_points(
 
 
 def fixed_point_oracle(
-    spec: MappingSpec,
-    grid_cfg: GridSearchConfig | None = None,
+    spec: MappingSpec, space: SpaceSpec, grid_cfg: GridSearchConfig | None = None
 ) -> list[np.ndarray]:
     """Independent search for fixed points inside the domain.
 
     Affine operations are resolved by linear algebra (exact solve when the
     spectral radius is below one). Everything else tests the nodes of a
     bounded lattice that lie in the domain: a lattice map's own lattice, or
-    the grid of ``grid_cfg``. A node whose Euclidean residual is at most
-    ``FIXED_POINT_TOL`` is a fixed point; duplicates within 1e-8 are merged.
+    the grid of ``grid_cfg``. A node whose residual ||T x - x|| in the norm of
+    ``space`` is at most ``FIXED_POINT_TOL`` is a fixed point; duplicates within 1e-8 are merged.
     """
     affine_view = as_affine(spec.op)
     if affine_view is not None:
@@ -691,22 +694,19 @@ def fixed_point_oracle(
         if direct is not None:
             return direct
     if isinstance(spec.op, GridMap):
-        nodes = list(spec.op.lattice_points())
+        nodes = _grid_nodes(spec.op)
     elif grid_cfg is None:
         raise ValueError("non-affine fixed-point search needs a bounded GridSearchConfig")
     else:
-        axes = [
-            np.linspace(grid_cfg.lo[i], grid_cfg.hi[i], grid_cfg.points_per_axis)
-            for i in range(spec.dim)
-        ]
-        nodes = list(itertools.product(*axes))
-    nodes = np.array(nodes, dtype=float).reshape(len(nodes), spec.dim)
+        n = grid_cfg.points_per_axis
+        nodes = _lattice_rows([np.linspace(grid_cfg.lo[i], grid_cfg.hi[i], n) for i in range(spec.dim)])
     nodes = nodes[_domain_contains_raw(spec.domain, nodes, MEMBERSHIP_TOL)]
+    diff = spec.op.evaluate(nodes) - nodes
+    # a non-finite image is no fixed point, and is not validated as a point
+    res = _row_norms(space, diff[None], np.isfinite(diff).all(axis=-1))[0]
     found: list[np.ndarray] = []
-    for x, tx in zip(nodes, spec.op.evaluate(nodes)):
-        if np.linalg.norm(tx - x) <= FIXED_POINT_TOL and not any(
-            np.max(np.abs(x - w)) <= 1e-8 for w in found
-        ):
+    for x in nodes[res <= FIXED_POINT_TOL]:
+        if not any(np.max(np.abs(x - w)) <= 1e-8 for w in found):
             found.append(x)
     return found
 
@@ -756,10 +756,14 @@ def mapping_to_dict(spec: MappingSpec) -> dict:
 
 
 def mapping_from_dict(d: dict) -> MappingSpec:
-    dd = d["domain"]
-    cone = ConeSpec(kind=dd["cone"]["kind"], dim=int(dd["cone"]["dim"]))
-    domain = Domain(kind=dd["kind"], cone=cone, lo=dd.get("lo"), hi=dd.get("hi"))
-    return make_mapping(_op_from_dict(d), domain)
+    try:
+        dd = d["domain"]
+        cone = ConeSpec(kind=dd["cone"]["kind"], dim=int(dd["cone"]["dim"]))
+        domain = Domain(kind=dd["kind"], cone=cone, lo=dd.get("lo"), hi=dd.get("hi"))
+        op = _op_from_dict(d)
+    except KeyError as exc:  # a missing key, at any depth
+        raise ValueError(f"mapping needs the key {exc.args[0]!r}") from None
+    return make_mapping(op, domain)
 
 
 def load_mapping(path) -> MappingSpec:

@@ -60,11 +60,6 @@ def _member_raw(cone: ConeSpec, v: np.ndarray, tol: float):
     return _cone_margins(cone, v) >= -tol
 
 
-def interior_contains(cone: ConeSpec, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Membership in the cone interior: the cone margin exceeds tol."""
-    return bool(_cone_margins(cone, as_vector(x, dim=cone.dim)) > tol)
-
-
 def leq(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
     """x <= y iff y - x lies in the cone."""
     xv = as_vector(x, dim=cone.dim)
@@ -134,27 +129,13 @@ def _cone_rows(cone: ConeSpec, rng: np.random.Generator, n: int, scale: float) -
     return rows
 
 
-def sample_cone_point(cone: ConeSpec, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Draw a point of the cone: a non-negative box draw for the orthant, a
-    scaled-axis point with projected perturbation for the Lorentz cone."""
-    return _cone_rows(cone, rng, 1, scale)[0]
-
-
 def sample_dominated_pairs(
     cone: ConeSpec, rng: np.random.Generator, n: int, scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` pairs 0 <= x <= y as rows (x, y): x from the cone, y = x + a cone
-    direction, drawn exactly as ``n`` calls of ``sample_dominated_pair``."""
+    """``n`` pairs 0 <= x <= y as rows (x, y): x from the cone, y = x + a cone direction,
+    pair k from cone draws 2k and 2k + 1 of one stream (the first pairs do not depend on n)."""
     u = _cone_rows(cone, rng, 2 * n, scale).reshape(n, 2, cone.dim)
     return u[:, 0], u[:, 0] + u[:, 1]
-
-
-def sample_dominated_pair(
-    cone: ConeSpec, rng: np.random.Generator, scale: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (x, y) with 0 <= x <= y: x from the cone, y = x + cone direction."""
-    x, y = sample_dominated_pairs(cone, rng, 1, scale)
-    return x[0], y[0]
 
 
 def normality_constant_estimate(
@@ -170,25 +151,11 @@ def normality_constant_estimate(
     return float((nx[nonzero] / ny[nonzero]).max(initial=0.0))
 
 
-def is_norm_monotonic(
-    cone: ConeSpec,
-    space: SpaceSpec,
-    n_samples: int,
-    seed: int = 0,
-    extra_pairs=None,
-) -> PropertyReport:
-    """Sampled check that 0 <= x <= y implies ||x|| <= ||y||.
-
-    ``extra_pairs`` appends given (x, y) pairs to the sampled ones, for
-    instance a known violation. Each violation is recorded with the witness
-    pair.
-    """
+def is_norm_monotonic(cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: int = 0) -> PropertyReport:
+    """Sampled check that 0 <= x <= y implies ||x|| <= ||y||; each violation
+    is recorded with the witness pair."""
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     x, y = sample_dominated_pairs(cone, np.random.default_rng(seed), n_samples)
-    if extra_pairs is not None:
-        extra = [(as_vector(a, cone.dim), as_vector(b, cone.dim)) for a, b in extra_pairs]
-        x = np.vstack([x] + [a for a, _ in extra])
-        y = np.vstack([y] + [b for _, b in extra])
     nx, ny = _row_norms(space, np.stack([x, y]))
     return PropertyReport.from_rows("norm_monotonic", x, y, nx, ny, nx > ny + NORM_MONOTONE_TOL)

@@ -31,7 +31,7 @@ from orderfp.mapping import (
     is_monotone_nonexpansive,
     make_mapping,
     mapping_to_dict,
-    sample_comparable_pair,
+    sample_comparable_pairs,
 )
 from orderfp.order import ConeSpec
 from orderfp.space import SpaceSpec, check_convexity_inequality, convexity_profile, modulus_of_convexity, norm
@@ -98,9 +98,8 @@ def test_criterion_4_displacement_bound_suite():
     bad = []
     for entry in corpus.alpha_corpus():
         cone = entry.spec.domain.cone
-        rng = np.random.default_rng(41)
-        for _ in range(1000):
-            x, y = sample_comparable_pair(entry.spec, rng)
+        xs, ys = sample_comparable_pairs(entry.spec, np.random.default_rng(41), 1000)
+        for x, y in zip(xs, ys):
             if not check_displacement_bound(entry.spec, cone, entry.space, entry.alpha, x, y):
                 bad.append((entry.name, x, y))
     announce(4, not bad, f"0 violations over 1000 sampled comparable pairs per corpus map"
@@ -139,7 +138,7 @@ def test_criterion_6_center_pipeline():
             failures.append((scn.sid, "infeasible center"))
         view = as_affine(scn.map.op)
         if view is not None:
-            exact = fixed_point_oracle(scn.map)
+            exact = fixed_point_oracle(scn.map, scn.space)
             if exact:
                 gap = min(float(np.linalg.norm(result.z - z)) for z in exact)
                 if gap > 1e-5:
@@ -162,8 +161,8 @@ def test_criterion_7_strong_convergence_surrogate():
         if drops.size and float(drops.min()) < -1e-12:
             failures.append((scn.sid, f"norm sequence dropped by {float(drops.min()):.2e}"))
         view = as_affine(scn.map.op)
-        fps = fixed_point_oracle(scn.map) if view is not None else fixed_point_oracle(
-            scn.map, scn.grid_cfg) if scn.grid_cfg is not None else []
+        fps = fixed_point_oracle(scn.map, scn.space) if view is not None else fixed_point_oracle(
+            scn.map, scn.space, scn.grid_cfg) if scn.grid_cfg is not None else []
         if fps:
             z = min(fps, key=lambda q: float(np.linalg.norm(q - record.points[-1])))
             if float(np.linalg.norm(record.points[-1] - z)) > 1e-8:

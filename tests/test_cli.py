@@ -9,7 +9,7 @@ import pytest
 from orderfp import cli, corpus
 from orderfp.cli import main
 from orderfp.mapping import AffineMap, Domain, make_mapping, save_mapping
-from orderfp.order import ConeSpec, inf_pair, leq, sample_cone_point, sup_pair
+from orderfp.order import ConeSpec, inf_pair, leq, sup_pair, _cone_rows
 
 
 @pytest.fixture()
@@ -232,7 +232,7 @@ def reference_order_check_loops(cone, rng, samples):
     drawn, steps = [], []
 
     def draw():
-        drawn.append(sample_cone_point(cone, rng))
+        drawn.append(_cone_rows(cone, rng, 1, 1.0)[0])
         return drawn[-1]
 
     antisym_ok = True

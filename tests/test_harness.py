@@ -386,7 +386,8 @@ class TestConfigSections:
         got = harness._section(config, "family", FamilyConfig())
         assert typed(got) == typed(reference_family_from_config(config))
 
-    @pytest.mark.parametrize("section", [{"max_iter": "lots"}, {"max_iter": 0}, {"window": "-1"}])
+    # a text that converts and then fails the field's own check, as with the readers
+    @pytest.mark.parametrize("section", [{"residual_tol": "0"}, {"max_iter": 0}, {"window": "-1"}])
     def test_same_error_type(self, section):
         config = {"iteration": section}
         with pytest.raises(ValueError) as ref:
@@ -397,11 +398,14 @@ class TestConfigSections:
 
     @pytest.mark.parametrize(
         "section, wanted",
-        [({"max_iter": True}, "integer"), ({"window": 7.9}, "integer"), ({"residual_tol": False}, "number")],
-        ids=["int-bool", "int-fraction", "float-bool"],
+        [({"max_iter": True}, "integer"), ({"window": 7.9}, "integer"), ({"residual_tol": False}, "number"),
+         ({"max_iter": "lots"}, "integer"), ({"window": float("inf")}, "integer"),
+         ({"bound_threshold": None}, "number")],
+        ids=["int-bool", "int-fraction", "float-bool", "int-text", "int-infinity", "float-null"],
     )
     def test_numbers_int_or_float_would_misread_rejected(self, section, wanted):
-        # int(True) is 1 and int(7.9) is 7, which ran silently
+        # int(True) is 1 and int(7.9) is 7, which ran silently; int("lots")
+        # and float(None) failed with a message that named no field
         (name, value), = section.items()
         msg = f"config field iteration.{name} needs a JSON {wanted}, got {value!r}"
         with pytest.raises(ValueError) as got:

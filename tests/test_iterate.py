@@ -26,7 +26,6 @@ from orderfp.iterate import (
     ChainVerdict,
     check_orbit_monotone,
     mann_orbit,
-    monotone_limit,
     picard_orbit,
     read_orbit_points,
     write_orbit_csv,
@@ -175,25 +174,26 @@ class TestOrderTracking:
 
 
 class TestMonotoneLimit:
+    # the limit of a monotone bounded orbit is its last recorded point
     def test_constant_orbit_limit(self):
         rec = picard_orbit(corpus.constant_map([1.0, 1.0]), [1.0, 1.0], ORTH2, P2)
-        assert np.array_equal(monotone_limit(rec, ORTH2), [1.0, 1.0])
+        assert np.array_equal(rec.points[-1], [1.0, 1.0])
 
     def test_geometric_limit_with_order_bound(self):
         rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2)
-        limit = monotone_limit(rec, ORTH2)
+        limit = rec.points[-1]
         assert norm(P2, limit - np.array([2.0, 2.0])) < 1e-9
+        # an increasing orbit stays below its limit
+        assert all(leq(ORTH2, pt, limit, tol=1e-9) for pt in rec.points)
 
     def test_unbounded_rejected(self):
         rec = picard_orbit(corpus.unit_translation(2), [0.0, 0.0], ORTH2, P2, SMALL)
-        with pytest.raises(ValueError, match="unbounded"):
-            monotone_limit(rec, ORTH2)
+        assert rec.verdict == UNBOUNDED_SUSPECTED  # no limit to report
 
     def test_non_monotone_rejected(self):
         cfg = IterationConfig(max_iter=40)
         rec = picard_orbit(swap_shift_map(), [2.0, 0.0], ORTH2, P2, cfg)
-        with pytest.raises(ValueError, match="not order-monotone"):
-            monotone_limit(rec, ORTH2)
+        assert rec.order_monotone == NEITHER  # no monotone limit
 
 
 class TestDistanceAndNormSequences:
@@ -208,7 +208,7 @@ class TestDistanceAndNormSequences:
         rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2)
         diffs = np.diff(rec.norms)
         assert np.all(diffs >= -1e-12)
-        limit_norm = norm(P2, monotone_limit(rec, ORTH2))
+        limit_norm = norm(P2, rec.points[-1])
         assert np.all(rec.norms <= limit_norm + 1e-9)
 
 
@@ -321,19 +321,6 @@ def reference_chain(record, cone):
         if first_up is not None and first_down is not None:
             break
     return ChainVerdict(first_up is None, first_down is None, first_up, first_down)
-
-
-def reference_limit(record, cone, order_tol=1e-9):
-    limit = record.points[-1]
-    for n in range(len(record)):
-        ok = (
-            leq(cone, record.points[n], limit, tol=order_tol)
-            if record.order_monotone == INCREASING
-            else leq(cone, limit, record.points[n], tol=order_tol)
-        )
-        if not ok:
-            raise ValueError(f"order bound violated at index {n}: orbit point vs limit")
-    return limit.copy()
 
 
 def outcome(fn, *args):
@@ -513,45 +500,21 @@ class TestRowWiseChainChecks:
         assert (chain.first_up_violation, chain.first_down_violation) == (0, 1)
         assert chain == reference_chain(rec, ORTH2)
 
-    @pytest.mark.parametrize(
-        "points, order",
-        [
-            (MIXED, INCREASING),  # x3 = (1.5, 3) exceeds nothing: bound holds
-            ([[0.0, 0.0], [1.0, 4.0], [2.0, 2.0], [3.0, 3.0]], INCREASING),  # fails at 1
-            ([[5.0, 5.0], [4.0, 4.0], [2.0, 4.5], [3.0, 3.0]], DECREASING),  # fails at 2
-            ([[5.0, 5.0], [3.0, 3.0 - 5e-10], [3.0, 3.0]], DECREASING),  # inside order_tol
-        ],
-    )
-    def test_monotone_limit_matches_pairwise(self, points, order):
-        rec = _hand_record(points, order)
-        got, want = outcome(monotone_limit, rec, ORTH2), outcome(reference_limit, rec, ORTH2)
-        assert got[0] == want[0]
-        if got[0] == "returned":
-            assert np.array_equal(got[1], want[1])
-        else:
-            assert got[1:] == want[1:]
-
     def test_one_point_record(self):
         rec = _hand_record([[1.0, 2.0]])
         assert check_orbit_monotone(rec, ORTH2) == ChainVerdict(True, True, None, None)
         assert check_orbit_monotone(rec, ORTH2) == reference_chain(rec, ORTH2)
-        assert np.array_equal(monotone_limit(rec, ORTH2), reference_limit(rec, ORTH2))
 
     @pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0], [3.0, 0.0, 3.5], [1.0, 0.0, 20.0]])
     def test_lorentz_orbit_records(self, x0):
         rec = picard_orbit(lorentz_rotation_map(), x0, LOR3, SpaceSpec(dim=3, p=2.0), SMALL)
         assert check_orbit_monotone(rec, LOR3) == reference_chain(rec, LOR3)
-        if rec.order_monotone != NEITHER:
-            assert np.array_equal(monotone_limit(rec, LOR3), reference_limit(rec, LOR3))
 
     def test_lorentz_hand_record(self):
         # (0,0,1) -> (0.5,0,2): head 0.5 <= 1, up; (0.5,0,2) -> (2,0,2.5): head 1.5 > 0.5
         pts = [[0.0, 0.0, 1.0], [0.5, 0.0, 2.0], [2.0, 0.0, 2.5], [2.0, 0.0, 4.0]]
-        for order in (INCREASING, DECREASING):
-            rec = _hand_record(pts, order, LOR3)
-            assert check_orbit_monotone(rec, LOR3) == reference_chain(rec, LOR3)
-            got, want = outcome(monotone_limit, rec, LOR3), outcome(reference_limit, rec, LOR3)
-            assert got[0] == want[0] and (got[0] == "returned" or got[1:] == want[1:])
+        rec = _hand_record(pts, cone=LOR3)
+        assert check_orbit_monotone(rec, LOR3) == reference_chain(rec, LOR3)
 
     def test_invalid_points_rejected_like_leq(self):
         rec = _hand_record([[0.0, 0.0], [1.0, np.inf]])
@@ -593,8 +556,6 @@ class TestNonfiniteOrbits:
         assert rec.order_monotone == INCREASING and rec.leq_up.all()
         chain = check_orbit_monotone(rec, ORTH1)
         assert chain.increasing and chain.first_up_violation is None
-        with pytest.raises(ValueError, match="overflowed"):
-            monotone_limit(rec, ORTH1)
 
     def test_nan_image_is_nonfinite_not_a_domain_escape(self):
         spec = MappingSpec(op=NanAbove(cut=10.0), domain=Domain(kind="cone", cone=ORTH2))

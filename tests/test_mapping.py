@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,6 @@ from orderfp.mapping import (
     make_mapping,
     mapping_from_dict,
     mapping_to_dict,
-    sample_comparable_pair,
     sample_comparable_pairs,
     sample_domain_point,
     save_mapping,
@@ -47,8 +47,9 @@ from orderfp.mapping import (
     _affine_fixed_points,
     _domain_rows,
     _op_from_dict,
+    _square_scale,
 )
-from orderfp.order import MEMBERSHIP_TOL, ConeSpec, comparable, leq, sample_cone_point, _cone_rows
+from orderfp.order import MEMBERSHIP_TOL, ConeSpec, comparable, leq, _cone_rows
 from orderfp.report import PropertyReport, Violation
 from orderfp.space import SpaceSpec, as_vector, norm
 
@@ -180,10 +181,8 @@ class TestValidateSelfMap:
 class TestSamplers:
     @pytest.mark.parametrize("entry", corpus.alpha_corpus(), ids=lambda e: e.name)
     def test_comparable_pairs_live_in_domain(self, entry):
-        rng = np.random.default_rng(1)
         cone = entry.spec.domain.cone
-        for _ in range(100):
-            x, y = sample_comparable_pair(entry.spec, rng)
+        for x, y in zip(*sample_comparable_pairs(entry.spec, np.random.default_rng(1), 100)):
             assert domain_contains(entry.spec.domain, x, tol=1e-9)
             assert domain_contains(entry.spec.domain, y, tol=1e-9)
             assert leq(cone, x, y, tol=1e-9)
@@ -201,9 +200,7 @@ class TestSamplers:
         hi = np.array([0.0, 0.0, 4.0])
         domain = Domain(kind="interval", cone=cone, lo=lo, hi=hi)
         spec = MappingSpec(op=AffineMap(np.eye(3) * 0.5, np.zeros(3)), domain=domain)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            x, y = sample_comparable_pair(spec, rng)
+        for x, y in zip(*sample_comparable_pairs(spec, np.random.default_rng(3), 50)):
             assert domain_contains(domain, x) and domain_contains(domain, y)
             assert leq(cone, x, y)
 
@@ -324,9 +321,7 @@ class TestDisplacementBound:
 
     def test_steep_step_randomized_pairs(self):
         spec = corpus.steep_step_map()
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            x, y = sample_comparable_pair(spec, rng)
+        for x, y in zip(*sample_comparable_pairs(spec, np.random.default_rng(11), 200)):
             assert check_displacement_bound(spec, ORTH1, P1, corpus.STEEP_STEP_ALPHA, x, y)
             assert check_displacement_bound(spec, ORTH1, P1, corpus.STEEP_STEP_ALPHA, y, x)
 
@@ -361,6 +356,59 @@ class TestDisplacementBound:
             verdicts.append(near)
         assert 0 < sum(verdicts) < len(verdicts)
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0 / 3.0, 0.5, 0.9])
+    def test_verdicts_of_the_former_scaling(self, alpha):
+        # s = max(1, norms) scaled every pair with a norm above 1; the power
+        # of two that replaced it scales only norms from 2^500 on
+        def former(spec, space, x, y):
+            tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
+            d_im, d_arg, disp = norm(space, tx - ty), norm(space, x - y), norm(space, tx - x)
+            s = max(1.0, d_im, d_arg, disp)
+            d_im, d_arg, disp = d_im / s, d_arg / s, disp / s
+            rhs = d_arg ** 2 + (2.0 * alpha / (1.0 - alpha)) * disp ** 2 + (
+                2.0 * abs(alpha) / (1.0 - alpha)) * disp * (d_arg + d_im)
+            return d_im ** 2 <= rhs + INEQ_ATOL / s / s + INEQ_RTOL * abs(rhs)
+
+        rng = np.random.default_rng(23)
+        entries = [(e.spec, e.space) for e in corpus.alpha_corpus()]
+        entries += [(corpus.random_nonneg_affine(d, rho, rng), SpaceSpec(d, p))
+                    for d, rho, p in [(2, 0.9, 2.0), (3, 1.0, 1.5), (5, 0.7, 3.0)]]
+        verdicts = []
+        for spec, space in entries:
+            for scale in (1.0, 30.0):
+                for x, y in zip(*sample_comparable_pairs(spec, rng, 100, scale)):
+                    got = check_displacement_bound(spec, spec.domain.cone, space, alpha, x, y)
+                    assert got is former(spec, space, x, y)
+                    verdicts.append(got)
+        assert any(verdicts)
+
+
+class TestSquaresPastTheFloatRange:
+    # a distance of about 1e160 squares past the largest double; the verifiers
+    # square norms in units of a power of two instead
+    def test_alpha_violations_reported(self):
+        spec = make_mapping(AffineMap(np.array([[3.0]]), np.zeros(1)), Domain(kind="cone", cone=ORTH1))
+        for scale in (1.0, 1e160):
+            rep = is_alpha_nonexpansive(spec, ORTH1, P1, 0.0, SamplerConfig(20, seed=0, scale=scale))
+            assert rep.samples == 20 and len(rep.violations) == 20
+        # the sides are reported in full: past the float range they are inf
+        v = rep.violations[0]
+        assert v.lhs == v.rhs == math.inf
+
+    def test_hilbert_counts_do_not_depend_on_scale(self):
+        spec = make_mapping(AffineMap(3.0 * np.eye(2), np.zeros(2)), Domain(kind="cone", cone=ORTH2))
+        counts = [
+            {name: len(r.violations) for name, r in
+             classify_hilbert_classes(spec, P2, SamplerConfig(200, seed=3, scale=scale), ab=(0.75, 0.25)).items()}
+            for scale in (1.0, 1e160)
+        ]
+        assert counts[0] == counts[1]
+        assert 0 < sum(counts[0].values())
+
+    def test_scale_is_a_power_of_two_from_2_to_the_500(self):
+        norms = np.array([[1.0, 2.0**499, 2.0**500, 3e300, 1.7e308, np.inf], [0.5, 1.0, 1.0, 1.0, 1.0, 2.0]])
+        assert _square_scale(norms).tolist() == [1.0, 1.0, 2.0**500, 2.0**998, 2.0**1023, 1.0]
+
 
 class TestHilbertClasses:
     def test_identity_passes_all(self):
@@ -388,23 +436,35 @@ class TestHilbertClasses:
 
 
 class TestFixedPointOracle:
+    def test_residual_in_the_norm_of_the_space(self):
+        # a node below the corner 1 moves by 6.5e-9 per coordinate: residual
+        # 9.2e-9 in l2, but 1.03e-8 > FIXED_POINT_TOL in l1.5
+        op = CompositionMap([TranslationMap(np.full(2, 6.5e-9)), BoxProjectionMap(np.zeros(2), np.ones(2))])
+        spec = make_mapping(op, box2(0.0, 1.0))
+        grid = GridSearchConfig(lo=np.zeros(2), hi=np.ones(2), points_per_axis=5)
+        assert len(fixed_point_oracle(spec, P2, grid)) == 25
+        kept = fixed_point_oracle(spec, SpaceSpec(dim=2, p=1.5), grid)
+        assert len(kept) == 9 and all(z.max() == 1.0 for z in kept)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fixed_point_oracle(spec, SpaceSpec(dim=3, p=2.0), grid)
+
     def test_translation_has_none(self):
-        assert fixed_point_oracle(corpus.unit_translation(2)) == []
+        assert fixed_point_oracle(corpus.unit_translation(2), P2) == []
 
     def test_affine_contraction_solved_exactly(self):
-        pts = fixed_point_oracle(corpus.affine_contraction(2))
+        pts = fixed_point_oracle(corpus.affine_contraction(2), P2)
         assert len(pts) == 1
         assert np.allclose(pts[0], [2.0, 2.0], atol=1e-12)
 
     def test_identity_zero_shift(self):
         spec = corpus.identity_map(2)
-        pts = fixed_point_oracle(spec)
+        pts = fixed_point_oracle(spec, P2)
         assert len(pts) == 1 and np.allclose(pts[0], 0.0)
 
     def test_truncation_grid_points_below_cap(self):
         spec = corpus.truncation_cap(2, cap=1.5)
         cfg = GridSearchConfig(lo=np.zeros(2), hi=np.full(2, 3.0), points_per_axis=7)
-        pts = fixed_point_oracle(spec, cfg)
+        pts = fixed_point_oracle(spec, P2, cfg)
         lattice = np.linspace(0.0, 3.0, 7)
         expected = sum(1 for a, b in itertools.product(lattice, lattice) if a <= 1.5 and b <= 1.5)
         assert len(pts) == expected
@@ -412,14 +472,14 @@ class TestFixedPointOracle:
 
     def test_grid_map_fixed_points(self):
         # every node maps to 0 or to 1.5, so 0 is the only fixed lattice point
-        pts = fixed_point_oracle(corpus.steep_step_map())
+        pts = fixed_point_oracle(corpus.steep_step_map(), P1)
         assert [float(z[0]) for z in pts] == [0.0]
 
     def test_unbounded_region_rejected(self):
         with pytest.raises(ValueError):
             GridSearchConfig(lo=np.zeros(2), hi=np.array([np.inf, 1.0]))
         with pytest.raises(ValueError):
-            fixed_point_oracle(corpus.box_clamp(2), None)
+            fixed_point_oracle(corpus.box_clamp(2), P2, None)
 
     def test_composition_of_translations_folds_to_affine(self):
         op = CompositionMap(stages=[TranslationMap(np.ones(2)), TranslationMap(-np.ones(2))])
@@ -451,10 +511,25 @@ class TestJsonRoundTrip:
             mapping_from_dict({"variant": "spiral", "domain": {
                 "kind": "cone", "cone": {"kind": "orthant", "dim": 2}}})
 
+    @pytest.mark.parametrize("key", ["offset", "variant", "domain", "kind", "dim"])
+    def test_missing_key_named(self, key):
+        # a bare KeyError named no file field; the key may sit at any depth
+        d = mapping_to_dict(corpus.affine_contraction(2))
+        holder = {"kind": d["domain"], "dim": d["domain"]["cone"]}.get(key, d)
+        del holder[key]
+        with pytest.raises(ValueError) as got:
+            mapping_from_dict(d)
+        assert str(got.value) == f"mapping needs the key {key!r}"
+
 
 # ---------------------------------------------------------------------------
 # reference oracles: the pair-by-pair draws and verifiers, kept verbatim so
 # the row-wise core can be held to the same draws, verdicts and witnesses
+
+
+def reference_lattice_points(op):
+    for idx in itertools.product(*(range(n) for n in op.lattice_shape)):
+        yield op.origin + op.step * np.asarray(idx, dtype=float)
 
 
 def reference_sample_comparable_pair(spec, rng, scale=1.0, max_tries=10_000):
@@ -476,15 +551,15 @@ def reference_sample_comparable_pair(spec, rng, scale=1.0, max_tries=10_000):
         return x, x + v * (domain.hi - x)
     for attempt in range(max_tries):
         x = sample_domain_point(spec, rng, scale)
-        d = sample_cone_point(cone, rng, scale * 0.5 ** (attempt % 8))
+        d = _cone_rows(cone, rng, 1, scale * 0.5 ** (attempt % 8))[0]
         y = x + d
         if domain_contains(domain, y):
             return x, y
     raise RuntimeError("could not sample a comparable pair inside the domain")
 
 
-def _ref_slack(rhs):
-    return INEQ_ATOL + INEQ_RTOL * abs(rhs)
+def _ref_slack(rhs, s=1.0):
+    return INEQ_ATOL / s / s + INEQ_RTOL * abs(rhs)
 
 
 def _ref_cone_margin(cone, v):
@@ -522,19 +597,16 @@ def reference_is_monotone_nonexpansive(spec, cone, space, cfg=None):
     return report
 
 
-def _ref_sq_norm(space, v):
-    """||v||^2 as the batched verifiers square their norms: a square past the
-    largest double is inf, not Python's OverflowError."""
-    n = norm(space, v)
-    return n * n
-
-
-def _ref_alpha_rhs(space, alpha, x, y, tx, ty):
-    return (
-        alpha * _ref_sq_norm(space, tx - y)
-        + alpha * _ref_sq_norm(space, ty - x)
-        + (1.0 - 2.0 * alpha) * _ref_sq_norm(space, x - y)
-    )
+def _ref_squares(space, *vectors):
+    """The squared norms of one pair's vectors in units of s^2, and s: a
+    power of two, 2^e for the binary exponent e of the largest finite norm,
+    or 1 while that norm is below 2^500. A norm is squared as n * n, as the
+    batched verifiers do (inf past the largest double, not Python's
+    OverflowError)."""
+    norms = [norm(space, v) for v in vectors]
+    big = max((n for n in norms if n < math.inf), default=0.0)
+    s = 1.0 if big < 2.0**500 else 2.0 ** (math.frexp(big)[1] - 1)
+    return [(n / s) * (n / s) for n in norms], s
 
 
 def reference_is_alpha_nonexpansive(spec, cone, space, alpha, cfg=None, exhaustive=False):
@@ -547,7 +619,7 @@ def reference_is_alpha_nonexpansive(spec, cone, space, alpha, cfg=None, exhausti
             raise ValueError("exhaustive checking is only available for lattice maps")
         pairs = [
             (a, b)
-            for a, b in itertools.combinations_with_replacement(list(spec.op.lattice_points()), 2)
+            for a, b in itertools.combinations_with_replacement(list(reference_lattice_points(spec.op)), 2)
             if comparable(cone, a, b)
         ]
         pairs = [(a, b) if leq(cone, a, b) else (b, a) for a, b in pairs]
@@ -564,15 +636,11 @@ def reference_is_alpha_nonexpansive(spec, cone, space, alpha, cfg=None, exhausti
         if margin < -MEMBERSHIP_TOL:
             report.violations.append(Violation(x=x, y=y, lhs=-margin, rhs=MEMBERSHIP_TOL))
             continue
-        lhs = _ref_sq_norm(space, tx - ty)
-        rhs = _ref_alpha_rhs(space, alpha, x, y, tx, ty)
-        if lhs > rhs + _ref_slack(rhs):
-            report.violations.append(Violation(x=x, y=y, lhs=lhs, rhs=rhs))
+        (lhs, cross_xy, cross_yx, arg), s = _ref_squares(space, tx - ty, tx - y, ty - x, x - y)
+        rhs = alpha * cross_xy + alpha * cross_yx + (1.0 - 2.0 * alpha) * arg
+        if lhs > rhs + _ref_slack(rhs, s):
+            report.violations.append(Violation(x=x, y=y, lhs=lhs * s * s, rhs=rhs * s * s))
     return report
-
-
-def _ref_polar_inner(space, u, v):
-    return 0.25 * (_ref_sq_norm(space, u + v) - _ref_sq_norm(space, u - v))
 
 
 def reference_classify_hilbert_classes(spec, space, cfg=None, ab=None):
@@ -590,31 +658,29 @@ def reference_classify_hilbert_classes(spec, space, cfg=None, ab=None):
         x = sample_domain_point(spec, rng, cfg.scale)
         y = sample_domain_point(spec, rng, cfg.scale)
         tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
-        d_im2 = _ref_sq_norm(space, tx - ty)
-        d2 = _ref_sq_norm(space, x - y)
-        cross_xy = _ref_sq_norm(space, tx - y)
-        cross_yx = _ref_sq_norm(space, ty - x)
+        # polarization: <u, v> = (||u + v||^2 - ||u - v||^2) / 4
+        u, v = x - tx, y - ty
+        vectors = [tx - ty, x - y, tx - y, ty - x, u + v, u - v]
+        if ab is not None:
+            vectors += [(x - y) + (tx - ty), (x - y) - (tx - ty), u, v]
+        sq, s = _ref_squares(space, *vectors)
+        d_im2, d2, cross_xy, cross_yx = sq[:4]
 
         rhs = cross_xy + cross_yx
-        if 2.0 * d_im2 > rhs + _ref_slack(rhs):
-            reports["nonspreading"].violations.append(Violation(x, y, 2.0 * d_im2, rhs))
-        rhs = d2 + _ref_polar_inner(space, x - tx, y - ty)
-        if d_im2 > rhs + _ref_slack(rhs):
-            reports["hybrid"].violations.append(Violation(x, y, d_im2, rhs))
+        if 2.0 * d_im2 > rhs + _ref_slack(rhs, s):
+            reports["nonspreading"].violations.append(Violation(x, y, 2.0 * d_im2 * s * s, rhs * s * s))
+        rhs = d2 + 0.25 * (sq[4] - sq[5])
+        if d_im2 > rhs + _ref_slack(rhs, s):
+            reports["hybrid"].violations.append(Violation(x, y, d_im2 * s * s, rhs * s * s))
         rhs = d2 + cross_xy
-        if 2.0 * d_im2 > rhs + _ref_slack(rhs):
-            reports["tj"].violations.append(Violation(x, y, 2.0 * d_im2, rhs))
+        if 2.0 * d_im2 > rhs + _ref_slack(rhs, s):
+            reports["tj"].violations.append(Violation(x, y, 2.0 * d_im2 * s * s, rhs * s * s))
         if ab is not None:
             a, b = ab
-            lhs = _ref_polar_inner(space, x - y, tx - ty)
-            bound = (
-                a * d_im2
-                + (1.0 - a) * d2
-                - b * _ref_sq_norm(space, x - tx)
-                - b * _ref_sq_norm(space, y - ty)
-            )
-            if lhs < bound - _ref_slack(bound):
-                reports["ab_monotone"].violations.append(Violation(x, y, lhs, bound))
+            lhs = 0.25 * (sq[6] - sq[7])
+            bound = a * d_im2 + (1.0 - a) * d2 - b * sq[8] - b * sq[9]
+            if lhs < bound - _ref_slack(bound, s):
+                reports["ab_monotone"].violations.append(Violation(x, y, lhs * s * s, bound * s * s))
     return reports
 
 
@@ -929,8 +995,8 @@ class TestBatchedSampling:
             rx, ry = reference_sample_comparable_pair(spec, ref_rng, scale)
             assert np.array_equal(x[k], rx) and np.array_equal(y[k], ry)
         assert rng.uniform() == ref_rng.uniform()
-        # the one-pair form draws the same pair as the reference
-        one = sample_comparable_pair(spec, np.random.default_rng(12), scale)
+        # one pair alone is the reference's first pair
+        one = [rows[0] for rows in sample_comparable_pairs(spec, np.random.default_rng(12), 1, scale)]
         ref = reference_sample_comparable_pair(spec, np.random.default_rng(12), scale)
         assert all(np.array_equal(a, b) and a.shape == (spec.dim,) for a, b in zip(one, ref))
 
@@ -963,7 +1029,7 @@ def reference_is_quasi_nonexpansive(spec, cone, space, fixed_points, cfg=None):
             idx = np.maximum(idx, idx_p) if k % 2 == 0 else np.minimum(idx, idx_p)
             x = spec.op.origin + spec.op.step * idx.astype(float)
         else:
-            d = sample_cone_point(spec.domain.cone, rng, cfg.scale)
+            d = _cone_rows(spec.domain.cone, rng, 1, cfg.scale)[0]
             x = p + d if k % 2 == 0 else p - d
         if not domain_contains(spec.domain, x):
             continue
@@ -985,7 +1051,7 @@ def reference_fixed_point_oracle(spec, grid_cfg=None, residual_tol=FIXED_POINT_T
         if direct is not None:
             return direct
     if isinstance(spec.op, GridMap):
-        candidates = [x for x in spec.op.lattice_points() if domain_contains(spec.domain, x)]
+        candidates = [x for x in reference_lattice_points(spec.op) if domain_contains(spec.domain, x)]
     else:
         if grid_cfg is None:
             raise ValueError("non-affine fixed-point search needs a bounded GridSearchConfig")
@@ -1114,7 +1180,8 @@ class TestRowOracleFilter:
              "lattice_doubling", "lattice_identity", "grid2", "grid_in_box"],
     )
     def test_matches_candidate_by_candidate_reference(self, spec, grid_cfg):
-        got, want = fixed_point_oracle(spec, grid_cfg), reference_fixed_point_oracle(spec, grid_cfg)
+        got = fixed_point_oracle(spec, SpaceSpec(spec.dim, 2.0), grid_cfg)
+        want = reference_fixed_point_oracle(spec, grid_cfg)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) and a.shape == b.shape for a, b in zip(got, want))
 
@@ -1167,7 +1234,7 @@ def reference_draw_comparable_pair(spec, rng, scale, max_tries=10_000):
         )
     for attempt in range(max_tries):
         x = reference_sample_domain_point(spec, rng, scale)
-        d = sample_cone_point(cone, rng, scale * 0.5 ** (attempt % 8))
+        d = _cone_rows(cone, rng, 1, scale * 0.5 ** (attempt % 8))[0]
         y = x + d
         if domain_contains(domain, y):
             return x, y
