@@ -127,10 +127,16 @@ def _cmd_check_mapping(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _parse_vector(text: str, dim: int) -> np.ndarray:
-    if text == "zero":
-        return np.zeros(dim)
-    return np.asarray([float(tok) for tok in text.split(",")], dtype=float)
+def _parse_vector(text: str, dim: int) -> np.ndarray | None:
+    # the --x0 point; None after a one-line error that names the cause
+    try:
+        x0 = np.zeros(dim) if text == "zero" else np.asarray([float(tok) for tok in text.split(",")])
+        cause = "" if x0.size == dim else f"has {x0.size} coordinates"
+    except ValueError as exc:
+        cause = f"is not a list of numbers: {exc}"
+    if cause:
+        print(f"--x0 {text!r} {cause}; the map is {dim}-D", file=sys.stderr)
+    return None if cause else x0
 
 
 def _cmd_iterate(args) -> int:
@@ -138,6 +144,8 @@ def _cmd_iterate(args) -> int:
     cone = spec.domain.cone
     space = SpaceSpec(dim=spec.dim, p=args.p)
     x0 = _parse_vector(args.x0, spec.dim)
+    if x0 is None:
+        return 2
     cfg = IterationConfig(
         max_iter=args.max_iter,
         residual_tol=args.residual_tol,

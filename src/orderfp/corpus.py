@@ -111,7 +111,8 @@ def random_nonneg_affine(dim: int, rho: float, rng: np.random.Generator) -> Mapp
         if sigma <= 0.0:
             continue
         a = rho * m / sigma
-        if float(np.max(np.abs(np.linalg.eigvals(a)))) <= SPECTRAL_CAP:
+        # the spectral radius is at most ||a||_2 = rho: below the cap, no test
+        if rho <= SPECTRAL_CAP - 1e-9 or float(np.max(np.abs(np.linalg.eigvals(a)))) <= SPECTRAL_CAP:
             b = rng.uniform(0.0, 1.0, size=dim)
             return make_mapping(AffineMap(matrix=a, offset=b), _cone_domain(dim))
     raise RuntimeError(f"could not draw a spectral-radius-capped map at rho={rho}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from orderfp import corpus
+from orderfp import corpus, iterate
 from orderfp.asymcenter import (
     asymptotic_radius,
     center_feasible,
@@ -156,19 +157,22 @@ def resolve_x0(scn: Scenario) -> np.ndarray:
     raise HypothesisError(f"{scn.sid}: could not sample an x0 with the requested order")
 
 
-def _settled_orbit(
-    scn: Scenario, x0: np.ndarray, cfg: IterationConfig
-) -> OrbitRecord:
-    """Run the orbit; an inconclusive budget exhaustion is retried once with a
+def _settled(run, n: int, cfg: IterationConfig) -> list:
+    """Orbits 0, ..., n-1 by ``run(indices, cfg)``, which gives each one's
+    record or error; an inconclusive budget exhaustion is retried once with a
     ten-fold budget before being reported as such. A ``nonfinite`` orbit is
     not retried: a bigger budget cannot undo an overflow."""
-    record = picard_orbit(scn.map, x0, scn.cone, scn.space, cfg)
-    if record.verdict == MAX_ITER_REACHED:
-        bigger = dataclasses.replace(
-            cfg, max_iter=cfg.max_iter * 10, bound_threshold=cfg.bound_threshold * 10
-        )
-        record = picard_orbit(scn.map, x0, scn.cone, scn.space, bigger)
-    return record
+    out = run(range(n), cfg)
+    again = [i for i, r in enumerate(out) if isinstance(r, OrbitRecord) and r.verdict == MAX_ITER_REACHED]
+    if again:
+        bigger = dataclasses.replace(cfg, max_iter=cfg.max_iter * 10, bound_threshold=cfg.bound_threshold * 10)
+        for i, record in zip(again, run(again, bigger)):
+            out[i] = record
+    return out
+
+
+def _settled_orbit(scn: Scenario, x0: np.ndarray, cfg: IterationConfig) -> OrbitRecord:
+    return _settled(lambda idx, c: [picard_orbit(scn.map, x0, scn.cone, scn.space, c)], 1, cfg)[0]
 
 
 def _class_hypothesis(rep: CampaignReport, scn: Scenario, samples: int) -> bool:
@@ -365,24 +369,40 @@ def verify_zero_orbit_equivalence(
     if family_cfg.include_identity_edge:
         plan.append(("identity_edge", 2, 1.0))
 
-    for counter, (family, dim, rho) in enumerate(plan):
-        trial_id = f"trial_{counter:03d}"
-        rng = np.random.default_rng(seed * 1_000_003 + counter)
-        if family == "contractive":
-            spec = corpus.random_nonneg_affine(dim, rho, rng)
-        elif family == "translation":
-            shift = rng.uniform(0.5, 1.5, size=dim)
-            domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=dim))
-            spec = make_mapping(TranslationMap(shift), domain)
-        else:
-            spec = corpus.identity_map(dim)
-        scn = Scenario(sid=trial_id, space=SpaceSpec(dim=dim, p=2.0), cone=spec.domain.cone, map=spec)
-        record = _settled_orbit(scn, np.zeros(dim), iter_cfg)
-        nonempty = len(fixed_point_oracle(spec, scn.space)) > 0
-        bounded = record.verdict == CONVERGED
-        # an inconclusive or nonfinite orbit is a failed trial
-        agree = record.verdict in (CONVERGED, UNBOUNDED_SUSPECTED) and bounded == nonempty
-        rows.append(TrialRow(trial_id, family, dim, rho, record.verdict, bounded, nonempty, agree))
+    # the trials of one (family, dim) cell run their orbits from 0 as one batch
+    for (family, dim), cell in itertools.groupby(enumerate(plan), key=lambda t: t[1][:2]):
+        cell, specs, held = list(cell), [], None
+        space, cone = SpaceSpec(dim=dim, p=2.0), ConeSpec(kind="orthant", dim=dim)
+        for counter, (_, _, rho) in cell:
+            rng = np.random.default_rng(seed * 1_000_003 + counter)
+            try:
+                if family == "contractive":
+                    spec = corpus.random_nonneg_affine(dim, rho, rng)
+                elif family == "translation":
+                    shift = rng.uniform(0.5, 1.5, size=dim)
+                    spec = make_mapping(TranslationMap(shift), Domain(kind="cone", cone=cone))
+                else:
+                    spec = corpus.identity_map(dim)
+            except Exception as exc:  # raised after the trials before it, as one by one
+                held = exc
+                break
+            specs.append(spec)
+
+        def run(idx, cfg):  # the cell's orbits from 0, one batch
+            batch = [specs[i] for i in idx]
+            return iterate._orbit(batch, np.zeros((len(batch), dim)), cone, space, cfg, None, "picard")
+
+        for (counter, (_, _, rho)), spec, record in zip(cell, specs, _settled(run, len(specs), iter_cfg)):
+            if isinstance(record, Exception):
+                raise record
+            nonempty = len(fixed_point_oracle(spec, space)) > 0
+            bounded = record.verdict == CONVERGED
+            # an inconclusive or nonfinite orbit is a failed trial
+            agree = record.verdict in (CONVERGED, UNBOUNDED_SUSPECTED) and bounded == nonempty
+            trial_id = f"trial_{counter:03d}"
+            rows.append(TrialRow(trial_id, family, dim, rho, record.verdict, bounded, nonempty, agree))
+        if held is not None:
+            raise held
 
     contractive, translation, edge = (
         [r.agree for r in rows if r.family == fam] for fam in ("contractive", "translation", "identity_edge")

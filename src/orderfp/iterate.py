@@ -5,10 +5,10 @@ Boundedness of an orbit is undecidable from finitely many iterates; the
 ceiling and positive mean growth over a trailing window, so slowly converging
 orbits are not misclassified. An orbit whose image overflows (an inf or NaN
 coordinate) stops with the ``nonfinite`` verdict at its last finite point.
-Orbits are stepped in blocks: the stopping rules run once per block, row-wise,
-and the first row where one fires ends the orbit, as if checked step by step.
-Each block is sized from the residual and norm trends of the one before, so
-that the last block ends near the stop.
+Orbits are stepped in blocks, a batch of orbits in lockstep: the stopping rules
+run once per block, row-wise, and an orbit's first row where one fires ends
+it, as if checked step by step. Each block is sized from the residual and norm
+trends of the one before, so that the last block ends near the stop.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from orderfp.mapping import DomainError, MappingSpec, TranslationMap, _domain_contains_raw
+from orderfp.mapping import AffineMap, DomainError, MappingSpec, TranslationMap, _domain_contains_raw
 from orderfp.order import MEMBERSHIP_TOL, ConeSpec, _member_raw
 from orderfp.space import SpaceSpec, as_rows, as_vector, _row_norms
 
@@ -80,65 +80,101 @@ BLOCK_SLACK = 8  # steps a block runs past the stop its predecessor's trend pred
 
 def _next_block(k: int, res: np.ndarray, norms: np.ndarray, cfg: IterationConfig) -> int:
     """Steps in the block after a block of k steps with residuals ``res`` and
-    point norms ``norms``: twice k up to BLOCK_CAP, but at most BLOCK_SLACK
-    past the nearer predicted stop, and never fewer than BLOCK_FIRST. The
-    predictions extend the last two rows: a geometric residual ratio
-    reaching residual_tol, or a linear norm increment crossing
-    bound_threshold. A trend that is not finite and strictly moving toward
-    its stop (an overflowed norm, a residual of 0 or inf) predicts nothing,
-    and neither does a block of one step."""
+    point norms ``norms``, one row per orbit (1-D for one orbit): twice k up
+    to BLOCK_CAP, but at most BLOCK_SLACK past the last predicted stop, and
+    never fewer than BLOCK_FIRST. An orbit predicts the nearer of two stops
+    from its last two rows: a geometric residual ratio reaching residual_tol,
+    or a linear norm increment crossing bound_threshold. A trend that is not
+    finite and strictly moving toward its stop (an overflowed norm, a
+    residual of 0 or inf) predicts nothing, nor does a block of one step."""
     steps = math.inf
     if k > 1:
-        res0, res1 = float(res[-2]), float(res[-1])
-        if cfg.residual_tol < res1 < res0 < math.inf and res1 / res0 > 0.0:  # the ratio can underflow
-            steps = (math.log(cfg.residual_tol) - math.log(res1)) / math.log(res1 / res0)
-        norm0, norm1 = float(norms[-2]), float(norms[-1])
-        if norm0 < norm1 < cfg.bound_threshold:
-            steps = min(steps, (cfg.bound_threshold - norm1) / (norm1 - norm0))
+        steps, tol, top = -math.inf, cfg.residual_tol, cfg.bound_threshold
+        rows = (a.reshape(-1, a.shape[-1])[:, -2:].tolist() for a in (res, norms))
+        for (res0, res1), (norm0, norm1) in zip(*rows):
+            stop = math.inf
+            if tol < res1 < res0 < math.inf and res1 / res0 > 0.0:  # the ratio can underflow
+                stop = (math.log(tol) - math.log(res1)) / math.log(res1 / res0)
+            if norm0 < norm1 < top:
+                stop = min(stop, (top - norm1) / (norm1 - norm0))
+            steps = max(steps, stop)
     return max(BLOCK_FIRST, int(min(2 * k, BLOCK_CAP, steps + BLOCK_SLACK)))
 
 
-def _orbit(
-    spec: MappingSpec,
-    x0,
-    cone: ConeSpec,
-    space: SpaceSpec,
-    cfg: IterationConfig,
-    beta_fn,
-    scheme: str,
-) -> OrbitRecord:
-    x = as_vector(x0, dim=spec.dim)
-    domain, evaluate = spec.domain, spec.op.evaluate
-    if not _domain_contains_raw(domain, x, MEMBERSHIP_TOL):
-        raise DomainError(f"starting point {x} lies outside the mapping domain")
-    # a Picard orbit of x -> x + shift is a running sum, filled in one call
-    shift = spec.op.shift if beta_fn is None and type(spec.op) is TranslationMap else None
+# the fields a Picard batch stacks: a block of x -> x + shift is one running
+# sum, and one of x -> matrix @ x + offset takes one stacked product a step
+_STACKED = {TranslationMap: ("shift",), AffineMap: ("matrix", "offset")}
 
-    def row_norms(rows):  # rows past an overflow are not validated
-        return _row_norms(space, rows[None], slice(0))[0]
 
-    points, residuals, norms = [x[None]], [], [row_norms(x[None])]
+def _first(mask: np.ndarray) -> np.ndarray:
+    # per row, the index of its first True, or its length if it has none
+    return np.concatenate((mask, np.ones((len(mask), 1), bool)), axis=1).argmax(axis=1)
+
+
+def _orbit(spec, x0, cone: ConeSpec, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: str):
+    """The orbit of ``spec`` from ``x0``: its record, or the error it raises.
+    Given a list of specs and one of starts: a list of each orbit's record or
+    error. Picard orbits of AffineMaps, or of TranslationMaps, on one cone
+    step in lockstep as one batch, and each leaves it at its first stop; any
+    other map or domain, and every Mann orbit, runs alone."""
+    if isinstance(spec, MappingSpec):
+        [out] = _orbit([spec], [x0], cone, space, cfg, beta_fn, scheme)
+        if isinstance(out, Exception):
+            raise out
+        return out
+    out, batches = [None] * len(spec), {}
+    for i, s in enumerate(spec):
+        stacked = beta_fn is None and type(s.op) in _STACKED and s.domain.kind == "cone"
+        batches.setdefault((type(s.op), s.domain.cone) if stacked else i, []).append(i)
+    if len(batches) != 1:
+        for idx in batches.values():
+            got = _orbit([spec[i] for i in idx], [x0[i] for i in idx], cone, space, cfg, beta_fn, scheme)
+            for i, record in zip(idx, got):
+                out[i] = record
+        return out
+
+    domain, op, starts = spec[0].domain, spec[0].op, []
+    for i, (s, start) in enumerate(zip(spec, x0)):
+        try:
+            x = as_vector(start, dim=s.dim)
+            if not _domain_contains_raw(domain, x, MEMBERSHIP_TOL):
+                raise DomainError(f"starting point {x} lies outside the mapping domain")
+            starts.append(x)
+        except Exception as exc:
+            out[i] = exc
+    live, x = np.array([i for i, o in enumerate(out) if o is None], int), np.array(starts).reshape(-1, op.dim)
+    fields = _STACKED.get(type(op), ()) if beta_fn is None else ()
+    stack = [np.array([getattr(spec[i].op, f) for i in live]) for f in fields]
+    norms0 = _row_norms(space, x[:, None], slice(0))
+    # each orbit's (points, norms, residuals) chunks, and its verdict
+    chunks = {i: [(x[r][None], norms0[r], norms0[r, :0])] for r, i in enumerate(live.tolist())}
+    verdict = dict.fromkeys(chunks, MAX_ITER_REACHED)
     # norms of the `window` points before the block, +inf before x_0; a
     # window longer than the budget could never look back far enough
     window = min(cfg.window, cfg.max_iter + 1)
-    recent = np.concatenate((np.full(window, np.inf), norms[0]))[1:]
-    verdict, n0, k = MAX_ITER_REACHED, 0, BLOCK_FIRST
+    recent = np.concatenate((np.full((live.size, window), np.inf), norms0), axis=1)[:, 1:]
+    n0, k = 0, BLOCK_FIRST
     with np.errstate(all="ignore"):
-        while verdict == MAX_ITER_REACHED and n0 < cfg.max_iter:
-            # the recurrence alone, k steps at a time; an error is held until
-            # the rules below show that no earlier step ends the orbit
-            k = min(k, cfg.max_iter - n0)
-            xs = np.empty((k + 1, x.size))
-            xs[0] = x
-            txs = xs[1:] if beta_fn is None else np.empty((k, x.size))
+        while live.size and n0 < cfg.max_iter:
+            # the recurrence alone, k steps at a time and BLOCK_CAP rows in
+            # all; an error is held until the rules below show that no
+            # earlier step ends the orbit
+            k = max(1, min(k, cfg.max_iter - n0, BLOCK_CAP // live.size))
+            xs = np.empty((live.size, k + 1, op.dim))
+            xs[:, 0] = x
+            txs = xs[:, 1:] if beta_fn is None else np.empty((live.size, k, op.dim))
             held, m, imgs = None, k, k  # steps with a next point, with an image
-            if shift is not None:  # adds in order: the bits of x + shift, step by step
-                xs[1:] = shift
-                np.add.accumulate(xs, axis=0, out=xs)
+            if len(stack) == 1:  # adds in order: the bits of x + shift, step by step
+                xs[:, 1:] = stack[0][:, None]
+                np.add.accumulate(xs, axis=1, out=xs)
+            elif stack:  # one product per orbit: the bits of matrix @ x + offset
+                for j in range(k):
+                    xs[:, j + 1] = (stack[0] @ xs[:, j, :, None])[..., 0] + stack[1]
             else:
+                xv, tv = xs[0], txs[0]
                 for j in range(k):
                     try:
-                        txs[j] = tx = evaluate(xs[j])
+                        tv[j] = tx = op.evaluate(xv[j])
                     except Exception as exc:
                         held, m, imgs = exc, j, j
                         break
@@ -152,60 +188,53 @@ def _orbit(
                         except Exception as exc:
                             held, m, imgs = exc, j, j + 1
                             break
-                        xs[j + 1] = beta * xs[j] + (1.0 - beta) * tx
+                        xv[j + 1] = beta * xv[j] + (1.0 - beta) * tx
 
-            # the stopping rules, row-wise; the first row where one fires ends
-            # the orbit, and within a row they rank nonfinite, escape,
-            # converged, the Mann schedule, growth
-            img = txs[:imgs]
-            both = row_norms(np.concatenate((img - xs[:imgs], xs[1 : m + 1])))
-            res, new_norms = both[:imgs], both[imgs:]
-            bad = ~(res < np.inf) & ~np.isfinite(img).all(axis=1)
+            # the stopping rules, one row per orbit; an orbit's first step
+            # where one fires ends it, and within a step they rank nonfinite,
+            # escape, converged, the Mann schedule, growth
+            img = txs[:, :imgs]
+            rows = np.concatenate((img - xs[:, :imgs], xs[:, 1 : m + 1]), axis=1)
+            both = _row_norms(space, rows, slice(0))  # rows past an overflow are not validated
+            res, new_norms = both[:, :imgs], both[:, imgs:]
+            bad = ~(res < np.inf) & ~np.isfinite(img).all(axis=-1)
             esc = ~_domain_contains_raw(domain, img, 1e-9)
-            halt = np.flatnonzero(bad | esc | (res <= cfg.residual_tol))
-            recent = np.concatenate((recent, new_norms))
-            grow = np.flatnonzero((new_norms > cfg.bound_threshold) & (new_norms > recent[:m]))
-            j = halt[0] if halt.size else imgs
-            g = grow[0] if grow.size else m
-            keep, nres = m, m  # new points and residuals that stay in the record
-            if j < imgs and j <= g:
-                keep, nres = j, j + 1
-                if esc[j] and not bad[j]:
-                    raise DomainError(f"map escaped its domain at step {n0 + j}: image {img[j]}")
-                verdict = NONFINITE if bad[j] else CONVERGED
-            elif g < m:  # the last point's residual is taken below
-                keep = nres = g + 1
-                verdict = UNBOUNDED_SUSPECTED
-            elif held is not None:
-                raise held
-            points.append(xs[1 : keep + 1])
-            norms.append(new_norms[:keep])
-            residuals.append(res[:nres])
-            x, n0 = xs[keep], n0 + k
-            if verdict == MAX_ITER_REACHED:  # the block ran whole: its trend sizes the next
-                k = _next_block(k, res, new_norms, cfg)
-            recent = recent[len(recent) - window :]
+            recent = np.concatenate((recent, new_norms), axis=1)
+            halt = _first(bad | esc | (res <= cfg.residual_tol))
+            grow = _first((new_norms > cfg.bound_threshold) & (new_norms > recent[:, :m]))
+            whole = (halt == imgs) & (grow == m) & (held is None)  # ran the block through
+            for r, (i, j, g) in enumerate(zip(live.tolist(), halt.tolist(), grow.tolist())):
+                keep = nres = m  # new points and residuals that stay in the record
+                if j < imgs and j <= g:
+                    keep, nres = j, j + 1
+                    if esc[r, j] and not bad[r, j]:
+                        out[i] = DomainError(f"map escaped its domain at step {n0 + j}: image {img[r, j]}")
+                    verdict[i] = NONFINITE if bad[r, j] else CONVERGED
+                elif g < m:  # the last point's residual is taken below
+                    keep = nres = g + 1
+                    verdict[i] = UNBOUNDED_SUSPECTED
+                elif held is not None:
+                    out[i] = held
+                chunks[i].append((xs[r, 1 : keep + 1], new_norms[r, :keep], res[r, :nres]))
+            live, x, n0 = live[whole], xs[whole, k], n0 + k
+            if live.size:  # the trend of the orbits that ran through sizes the next block
+                k = _next_block(k, res[whole], new_norms[whole], cfg)
+            recent = recent[whole, recent.shape[1] - window :]
+            stack = [a[whole] for a in stack]
 
-        if verdict in (MAX_ITER_REACHED, UNBOUNDED_SUSPECTED):
-            residuals.append(row_norms((evaluate(x) - x)[None]))
-        pts = np.concatenate(points)
-        up_arr, down_arr = _step_flags(pts, cone)
-    if up_arr.all():
-        order = INCREASING
-    elif down_arr.all():
-        order = DECREASING
-    else:
-        order = NEITHER
-    return OrbitRecord(
-        points=pts,
-        residuals=np.concatenate(residuals),
-        norms=np.concatenate(norms),
-        leq_up=up_arr,
-        leq_down=down_arr,
-        order_monotone=order,
-        verdict=verdict,
-        scheme=scheme,
-    )
+        for i in chunks:
+            pts, norms, residuals = map(np.concatenate, zip(*chunks[i]))
+            if out[i] is None and verdict[i] in (MAX_ITER_REACHED, UNBOUNDED_SUSPECTED):
+                try:
+                    tx = spec[i].op.evaluate(pts[-1])
+                    residuals = np.append(residuals, _row_norms(space, (tx - pts[-1])[None, None], slice(0)))
+                except Exception as exc:
+                    out[i] = exc
+            if out[i] is None:
+                up, down = _step_flags(pts, cone)
+                order = INCREASING if up.all() else DECREASING if down.all() else NEITHER
+                out[i] = OrbitRecord(pts, residuals, norms, up, down, order, verdict[i], scheme)
+    return out
 
 
 def picard_orbit(

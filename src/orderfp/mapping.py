@@ -697,6 +697,8 @@ def fixed_point_oracle(
         nodes = _grid_nodes(spec.op)
     elif grid_cfg is None:
         raise ValueError("non-affine fixed-point search needs a bounded GridSearchConfig")
+    elif grid_cfg.lo.size != spec.dim:
+        raise ValueError(f"a {grid_cfg.lo.size}-D fixed-point search grid cannot scan a {spec.dim}-D map")
     else:
         n = grid_cfg.points_per_axis
         nodes = _lattice_rows([np.linspace(grid_cfg.lo[i], grid_cfg.hi[i], n) for i in range(spec.dim)])

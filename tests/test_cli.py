@@ -117,6 +117,20 @@ def test_iterate_mann_scheme(tmp_path, contraction_file, capsys):
     assert "mann orbit" in out and "converged" in out
 
 
+@pytest.mark.parametrize("x0, cause", [
+    ("1,2,3", "'1,2,3' has 3 coordinates; the map is 2-D"),
+    ("1", "'1' has 1 coordinates; the map is 2-D"),
+    ("1,abc", "'1,abc' is not a list of numbers: could not convert string to float: 'abc'; the map is 2-D"),
+    ("", "'' is not a list of numbers: could not convert string to float: ''; the map is 2-D"),
+])
+def test_iterate_bad_x0_names_its_cause(tmp_path, contraction_file, capsys, x0, cause):
+    orbit = tmp_path / "orbit.csv"
+    assert main(["iterate", "--map", str(contraction_file), "--x0", x0, "--out", str(orbit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"--x0 {cause}\n" and captured.out == ""
+    assert not orbit.exists()
+
+
 def test_asym_center_bad_tail_offset(tmp_path, contraction_file):
     orbit = tmp_path / "orbit.csv"
     main(["iterate", "--map", str(contraction_file), "--x0", "zero",

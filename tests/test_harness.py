@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orderfp import corpus, harness
+from orderfp import corpus, harness, iterate
 from orderfp.harness import (
     CAMPAIGN_ITERATION,
     FamilyConfig,
     HypothesisError,
     Scenario,
+    TrialRow,
     default_scenarios,
     resolve_x0,
     run_suites,
@@ -26,12 +27,22 @@ from orderfp.harness import (
     verify_norm_convergence,
     verify_zero_orbit_equivalence,
 )
-from orderfp.iterate import NONFINITE, IterationConfig
+from orderfp.iterate import (
+    CONVERGED,
+    MAX_ITER_REACHED,
+    NONFINITE,
+    UNBOUNDED_SUSPECTED,
+    IterationConfig,
+    picard_orbit,
+)
 from orderfp.mapping import (
     AffineMap,
     Domain,
+    DomainError,
+    MappingSpec,
     TranslationMap,
     apply_map,
+    fixed_point_oracle,
     make_mapping,
     mapping_to_dict,
 )
@@ -136,6 +147,119 @@ class TestZeroOrbitFamily:
         assert [(r.trial, r.verdict, r.agree) for r in rows_a] == [
             (r.trial, r.verdict, r.agree) for r in rows_b
         ]
+
+
+def reference_zero_orbit_rows(family_cfg, seed, iter_cfg):
+    """The trial loop of verify_zero_orbit_equivalence before its cells ran
+    as batches, kept verbatim but for the report: one orbit per trial, each
+    retried once with a ten-fold budget when it runs out."""
+    plan = []
+    for dim in family_cfg.dims:
+        plan += [("contractive", dim, rho) for rho in family_cfg.rhos for _ in range(family_cfg.n_per_cell)]
+        plan += [("translation", dim, 1.0)] * family_cfg.translations_per_dim
+    if family_cfg.include_identity_edge:
+        plan.append(("identity_edge", 2, 1.0))
+    rows = []
+    for counter, (family, dim, rho) in enumerate(plan):
+        trial_id = f"trial_{counter:03d}"
+        rng = np.random.default_rng(seed * 1_000_003 + counter)
+        if family == "contractive":
+            spec = corpus.random_nonneg_affine(dim, rho, rng)
+        elif family == "translation":
+            shift = rng.uniform(0.5, 1.5, size=dim)
+            domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=dim))
+            spec = make_mapping(TranslationMap(shift), domain)
+        else:
+            spec = corpus.identity_map(dim)
+        space = SpaceSpec(dim=dim, p=2.0)
+        record = picard_orbit(spec, np.zeros(dim), spec.domain.cone, space, iter_cfg)
+        if record.verdict == MAX_ITER_REACHED:
+            bigger = dataclasses.replace(
+                iter_cfg, max_iter=iter_cfg.max_iter * 10, bound_threshold=iter_cfg.bound_threshold * 10
+            )
+            record = picard_orbit(spec, np.zeros(dim), spec.domain.cone, space, bigger)
+        nonempty = len(fixed_point_oracle(spec, space)) > 0
+        bounded = record.verdict == CONVERGED
+        agree = record.verdict in (CONVERGED, UNBOUNDED_SUSPECTED) and bounded == nonempty
+        rows.append(TrialRow(trial_id, family, dim, rho, record.verdict, bounded, nonempty, agree))
+    return rows
+
+
+def outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestZeroOrbitCells:
+    """t34 runs the orbits of each (family, dim) cell as one batch; its rows
+    and its errors are those of the trial-by-trial loop."""
+
+    SMALL_BUDGET = IterationConfig(max_iter=40, residual_tol=1e-10, bound_threshold=30.0, window=5)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("iter_cfg", [FAST, SMALL_BUDGET], ids=["fast", "escalating"])
+    def test_rows_as_trial_by_trial(self, seed, iter_cfg):
+        cfg = FamilyConfig(dims=(2, 5, 20), rhos=(0.5, 0.8, 0.95, 1.0), n_per_cell=3)
+        _, rows = verify_zero_orbit_equivalence(cfg, seed=seed, iter_cfg=iter_cfg)
+        assert rows == reference_zero_orbit_rows(cfg, seed, iter_cfg)
+        if iter_cfg is self.SMALL_BUDGET:  # some orbits ran out of even the ten-fold budget
+            assert {r.verdict for r in rows} >= {MAX_ITER_REACHED, CONVERGED}
+
+    def test_a_map_that_cannot_be_drawn_raises_at_its_trial(self):
+        cfg = FamilyConfig(dims=(5,), rhos=(0.5, 2.0), n_per_cell=2)
+        want = outcome_of(reference_zero_orbit_rows, cfg, 0, FAST)
+        assert want == (RuntimeError, "could not draw a spectral-radius-capped map at rho=2.0")
+        assert outcome_of(verify_zero_orbit_equivalence, cfg, 0, FAST) == want
+
+    @pytest.mark.parametrize("order", [("escape", "raise"), ("raise", "escape")])
+    def test_the_first_failing_trial_raises(self, monkeypatch, order):
+        # in one cell, an orbit that escapes its domain and a map that cannot
+        # be drawn: whichever trial comes first raises, as trial by trial
+        drawn = corpus.random_nonneg_affine
+        kinds = dict(zip((0.8, 0.95), order))
+
+        def draw(dim, rho, rng):
+            if kinds.get(rho) == "raise":
+                raise RuntimeError(f"no map at rho={rho}")
+            if kinds.get(rho) == "escape":
+                return MappingSpec(AffineMap(0.5 * np.eye(dim), -np.ones(dim)), Domain("cone", ConeSpec("orthant", dim)))
+            return drawn(dim, rho, rng)
+
+        monkeypatch.setattr(corpus, "random_nonneg_affine", draw)
+        cfg = FamilyConfig(dims=(3,), rhos=(0.5, 0.8, 0.95), n_per_cell=1)
+        want = outcome_of(reference_zero_orbit_rows, cfg, 0, FAST)
+        assert want[0] is (DomainError if order[0] == "escape" else RuntimeError)
+        assert outcome_of(verify_zero_orbit_equivalence, cfg, 0, FAST) == want
+
+
+def test_family_cells_take_one_engine_call_each(monkeypatch, tmp_path):
+    # the benchmark's `family` workload: 33 contractive trials per dim run as
+    # one batch, so a refactor back to one orbit per trial fails here
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # workloads imports its neighbour `reference`
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    calls = []
+    engine = iterate._orbit
+
+    def counted(specs, x0s, cone, space, cfg, beta_fn, scheme):
+        calls.append((type(specs[0].op).__name__, len(specs), cfg.max_iter))
+        return engine(specs, x0s, cone, space, cfg, beta_fn, scheme)
+
+    monkeypatch.setattr(iterate, "_orbit", counted)
+    config = workloads.Family.config
+    reports, rows = run_suites(["t34"], config, 0, tmp_path)
+    assert reports[0].passed and len(rows) == 106
+    budget = config["iteration"]["max_iter"]
+    first = [(kind, n) for kind, n, max_iter in calls if max_iter == budget]
+    assert first == [("AffineMap", 33), ("TranslationMap", 2)] * 3 + [("AffineMap", 1)]
+    # any other call retries the orbits of one cell that ran out of budget
+    retries = [max_iter for _, _, max_iter in calls if max_iter != budget]
+    assert set(retries) <= {10 * budget} and len(retries) <= len(first)
 
 
 class TestConvergenceCampaigns:

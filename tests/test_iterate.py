@@ -1,5 +1,6 @@
 """Orbit generation, order tracking, and limits."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -1038,3 +1039,154 @@ def affine_orbits(draw):
 @given(affine_orbits())
 def test_block_engine_matches_stepwise_on_random_affine_maps(case):
     assert_same_outcome(*case)
+
+
+# ---------------------------------------------------------------------------
+# batches: orbits stepped in lockstep, each held to the orbit run alone
+
+
+def alone(spec, x0, cone, space, cfg, beta_fn, scheme):
+    return picard_orbit(spec, x0, cone, space, cfg)
+
+
+def assert_batch_matches_alone(specs, x0s, space, cfg):
+    """One batched call gives every orbit the outcome it has run alone, and
+    under the stepwise engine: the same record bit for bit, or the same
+    error. Returns the batched outcomes."""
+    got = _orbit(specs, x0s, specs[0].domain.cone, space, cfg, None, "picard")
+    assert len(got) == len(specs)
+    for spec, x0, out in zip(specs, x0s, got):
+        for engine in (alone, stepwise_orbit):
+            want = engine_outcome(engine, spec, x0, space, cfg)
+            if want[0] == "raised":
+                assert isinstance(out, Exception) and (type(out), str(out)) == want[1:]
+                continue
+            ref = want[1]
+            assert isinstance(out, OrbitRecord), out
+            for name in ("points", "residuals", "norms", "leq_up", "leq_down"):
+                a, b = getattr(out, name), getattr(ref, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
+            assert (out.order_monotone, out.verdict, out.scheme) == (ref.order_monotone, ref.verdict, ref.scheme)
+    return got
+
+
+# residual_tol is first reached at these steps by the geometric orbits
+# below, on both sides of the edges of lockstep blocks (8, 24, 49, 55, ...)
+GEOMETRIC_STOPS = [1, 6, 7, 8, 9, 10, 22, 23, 24, 25, 26, 48, 49, 50, 54, 55, 56, 57]
+
+
+def mixed_affine_batch(n, d, seed):
+    """(specs, starts) of n orbits of affine maps on the orthant of R^d,
+    whose first stops mix every kind: a geometric orbit converging at a
+    chosen step, a random contraction, a growing map (norm 1 < rho < 1.5), a map
+    whose entries near 1e300 overflow, an escape at a chosen step, and a
+    start outside the domain."""
+    rng = np.random.default_rng(seed)
+    domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=d))
+    specs, starts = [], []
+    for i in range(n):
+        m = rng.uniform(0.0, 1.0, size=(d, d))
+        m /= np.linalg.norm(m, 2)
+        b = rng.uniform(0.1, 1.0, size=d)
+        x0 = np.zeros(d)
+        kind = i % 6
+        if kind == 0:  # in l2, residual (7/6) tol at n = s - 1 and (7/8) tol at n = s
+            s = GEOMETRIC_STOPS[(i // 6) % len(GEOMETRIC_STOPS)]
+            op = AffineMap(0.75 * np.eye(d), b * (7 / 6 * 1e-10 / 0.75 ** (s - 1) / np.linalg.norm(b)))
+        elif kind == 1:
+            op = AffineMap(rng.uniform(0.2, 0.95) * m, b)
+        elif kind == 2:
+            op = AffineMap(rng.uniform(1.01, 1.5) * np.eye(d) + 0.1 * m, b)
+        elif kind == 3:
+            op = AffineMap(1e300 * m, b)
+        elif kind == 4:  # the last coordinate falls by 1 a step from s + 0.5
+            shift = np.full(d, 0.25)
+            shift[-1] = -1.0
+            op = AffineMap(np.eye(d), shift)
+            x0[-1] = GEOMETRIC_STOPS[(i // 6) % len(GEOMETRIC_STOPS)] + 0.5
+        else:
+            op = AffineMap(0.5 * m, b)
+            x0[0] = -1.0 if i % 12 == 5 else 0.0
+        specs.append(MappingSpec(op=op, domain=domain))
+        starts.append(x0)
+    return specs, starts
+
+
+class TestLockstepBatches:
+    CFG = IterationConfig(max_iter=3000, residual_tol=1e-10, bound_threshold=1e3, window=50)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 40])
+    @pytest.mark.parametrize("max_iter", [1, 7, 8, 9, 3000])
+    def test_every_orbit_as_run_alone(self, n, max_iter):
+        d = [1, 2, 3, 5, 20][[1, 2, 7, 33, 40].index(n)]
+        specs, starts = mixed_affine_batch(n, d, seed=n)
+        cfg = dataclasses.replace(self.CFG, max_iter=max_iter)
+        space = SpaceSpec(dim=d, p=[1.5, 2.0, 3.0][n % 3])
+        got = assert_batch_matches_alone(specs, starts, space, cfg)
+        if max_iter == 3000 and n >= 7:
+            verdicts = {getattr(out, "verdict", type(out)) for out in got}
+            assert {CONVERGED, UNBOUNDED_SUSPECTED, NONFINITE, DomainError} <= verdicts
+
+    def test_stops_on_both_sides_of_the_block_edges(self):
+        specs, starts = mixed_affine_batch(6 * len(GEOMETRIC_STOPS), 3, seed=1)
+        got = assert_batch_matches_alone(specs, starts, SpaceSpec(dim=3, p=2.0), self.CFG)
+        assert [len(out) - 1 for out in got[::6]] == GEOMETRIC_STOPS
+        assert all(out.verdict == CONVERGED for out in got[::6])
+        escapes = [str(out) for out in got[4::6]]
+        assert all(f"escaped its domain at step {s}:" in e for s, e in zip(GEOMETRIC_STOPS, escapes))
+
+    def test_mixed_maps_run_in_batches_of_their_kind(self):
+        # translations step by a running sum, the affine maps by stacked
+        # products, the rest alone; every orbit keeps its place in the list
+        rng = np.random.default_rng(4)
+        d = 3
+        domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=d))
+        ops = []
+        for i in range(24):
+            if i % 3 == 0:
+                ops.append(TranslationMap(rng.uniform(0.5, 1.5, size=d)))
+            elif i % 3 == 1:
+                ops.append(corpus.random_nonneg_affine(d, [0.5, 0.95][i % 2], rng).op)
+            else:
+                ops.append(CompositionMap([TranslationMap(np.ones(d)), TruncationMap(np.full(d, 5.0 + i))]))
+        specs = [MappingSpec(op=op, domain=domain) for op in ops]
+        starts = [np.zeros(d)] * len(specs)
+        got = assert_batch_matches_alone(specs, starts, SpaceSpec(dim=d, p=2.0), self.CFG)
+        assert [out.verdict for out in got[::3]] == [UNBOUNDED_SUSPECTED] * 8
+        assert all(out.verdict == CONVERGED for i, out in enumerate(got) if i % 3)
+
+    def test_translation_batches_fill_blocks_by_running_sums(self, monkeypatch):
+        calls = []
+        plain = TranslationMap.evaluate
+        monkeypatch.setattr(TranslationMap, "evaluate", lambda op, x: calls.append(x) or plain(op, x))
+        specs, starts = zip(*(translation(np.full(2, 0.5 + i / 10)) for i in range(10)))
+        got = _orbit(list(specs), list(starts), ORTH2, P2, self.CFG, None, "picard")
+        # one evaluation an orbit, for its last point's residual
+        assert [out.verdict for out in got] == [UNBOUNDED_SUSPECTED] * 10 and len(calls) == 10
+        monkeypatch.undo()
+        assert_batch_matches_alone(list(specs), list(starts), P2, self.CFG)
+
+    def test_blocks_hold_at_most_block_cap_rows(self, monkeypatch):
+        import orderfp.iterate as iterate
+
+        shapes = []
+        plain = iterate._row_norms
+        monkeypatch.setattr(iterate, "_row_norms", lambda space, v, *a: shapes.append(v.shape) or plain(space, v, *a))
+        specs = [_random_map(5, 0.95 + i / 1000) for i in range(40)]
+        got = _orbit(specs, [np.zeros(5)] * 40, specs[0].domain.cone, SpaceSpec(dim=5, p=2.0), SMALL, None, "picard")
+        assert all(out.verdict == CONVERGED for out in got)
+        blocks = [s for s in shapes if s[1] > 1]
+        assert max(s[0] * s[1] for s in blocks) <= 2 * BLOCK_CAP
+        # the batch starts with 40 orbits, whose blocks are capped at 1024 // 40 steps
+        assert blocks[0] == (40, 2 * BLOCK_FIRST, 5) and (40, 2 * (BLOCK_CAP // 40), 5) in blocks
+
+    def test_mann_orbits_and_other_maps_run_alone(self):
+        specs = [corpus.affine_contraction(2), corpus.truncation_cap(2), corpus.unit_translation(2)]
+        starts = [np.array([3.0, 0.5])] * 3
+        got = _orbit(specs, starts, ORTH2, P2, SMALL, lambda n: 0.5, "mann")
+        for spec, x0, out in zip(specs, starts, got):
+            assert_same_record(out, mann_orbit(spec, x0, 0.5, ORTH2, P2, SMALL))
+
+    def test_an_empty_batch(self):
+        assert _orbit([], [], ORTH2, P2, SMALL, None, "picard") == []

@@ -487,6 +487,53 @@ class TestFixedPointOracle:
         assert np.allclose(matrix, np.eye(2)) and np.allclose(offset, 0.0)
         assert as_affine(corpus.box_drift_down(2).op) is None
 
+    @pytest.mark.parametrize("grid_dim", [1, 3])
+    def test_grid_of_another_dimension_rejected(self, grid_dim):
+        # a 3-D grid would be cut to the map's two axes, and a 1-D one has too few
+        grid = GridSearchConfig(lo=np.zeros(grid_dim), hi=np.ones(grid_dim), points_per_axis=3)
+        with pytest.raises(ValueError, match=f"a {grid_dim}-D fixed-point search grid cannot scan a 2-D map"):
+            fixed_point_oracle(corpus.box_clamp(2), P2, grid)
+
+    def test_grid_of_the_map_dimension_scans_every_node(self):
+        grid = GridSearchConfig(lo=np.zeros(2), hi=np.full(2, 2.0), points_per_axis=3)
+        # the box [0, 1]^2 holds the nodes 0 and 1 of each axis
+        assert len(fixed_point_oracle(corpus.box_clamp(2), P2, grid)) == 4
+
+
+def reference_random_nonneg_affine(dim, rho, rng):
+    """corpus.random_nonneg_affine before it skipped the eigenvalue test
+    below the cap, kept verbatim: every draw is tested."""
+    for _ in range(corpus.MATRIX_DRAWS):
+        m = rng.uniform(0.0, 1.0, size=(dim, dim))
+        sigma = float(np.linalg.norm(m, 2))
+        if sigma <= 0.0:
+            continue
+        a = rho * m / sigma
+        if float(np.max(np.abs(np.linalg.eigvals(a)))) <= corpus.SPECTRAL_CAP:
+            b = rng.uniform(0.0, 1.0, size=dim)
+            return make_mapping(AffineMap(matrix=a, offset=b), Domain(kind="cone", cone=ConeSpec("orthant", dim)))
+    raise RuntimeError(f"could not draw a spectral-radius-capped map at rho={rho}")
+
+
+class TestRandomNonnegAffine:
+    @pytest.mark.parametrize("rho", [0.5, 0.8, 0.95, 0.995, 1.0])
+    def test_same_draws_as_testing_every_eigenvalue(self, rho):
+        for seed in range(50):
+            dim = 2 + seed % 19
+            got, want = (draw(dim, rho, np.random.default_rng(seed))
+                         for draw in (corpus.random_nonneg_affine, reference_random_nonneg_affine))
+            assert got.op.matrix.tobytes() == want.op.matrix.tobytes()
+            assert got.op.offset.tobytes() == want.op.offset.tobytes()
+
+    def test_eigenvalues_are_skipped_only_below_the_cap(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+        corpus.random_nonneg_affine(5, corpus.SPECTRAL_CAP - 2e-9, np.random.default_rng(0))
+        assert calls == []
+        corpus.random_nonneg_affine(5, corpus.SPECTRAL_CAP, np.random.default_rng(0))
+        assert len(calls) >= 1
+
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("entry", corpus.alpha_corpus(), ids=lambda e: e.name)
