@@ -22,6 +22,7 @@ from orderfp.iterate import (
 from orderfp.mapping import (
     SamplerConfig,
     classify_hilbert_classes,
+    domain_contains,
     is_alpha_nonexpansive,
     is_monotone,
     is_monotone_nonexpansive,
@@ -127,15 +128,17 @@ def _cmd_check_mapping(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _parse_vector(text: str, dim: int) -> np.ndarray | None:
-    # the --x0 point; None after a one-line error that names the cause
+def _parse_vector(text: str, spec) -> np.ndarray | None:
+    # the --x0 point of the map; None after a one-line error that names the cause
     try:
-        x0 = np.zeros(dim) if text == "zero" else np.asarray([float(tok) for tok in text.split(",")])
-        cause = "" if x0.size == dim else f"has {x0.size} coordinates"
+        x0 = np.zeros(spec.dim) if text == "zero" else np.asarray([float(tok) for tok in text.split(",")])
+        cause = (f"has {x0.size} coordinates" if x0.size != spec.dim
+                 else "has non-finite coordinates" if not np.isfinite(x0).all()
+                 else "" if domain_contains(spec.domain, x0) else "lies outside the map's domain")
     except ValueError as exc:
         cause = f"is not a list of numbers: {exc}"
     if cause:
-        print(f"--x0 {text!r} {cause}; the map is {dim}-D", file=sys.stderr)
+        print(f"--x0 {text!r} {cause}; the map is {spec.dim}-D", file=sys.stderr)
     return None if cause else x0
 
 
@@ -143,7 +146,7 @@ def _cmd_iterate(args) -> int:
     spec = load_mapping(args.map)
     cone = spec.domain.cone
     space = SpaceSpec(dim=spec.dim, p=args.p)
-    x0 = _parse_vector(args.x0, spec.dim)
+    x0 = _parse_vector(args.x0, spec)
     if x0 is None:
         return 2
     cfg = IterationConfig(

@@ -16,6 +16,7 @@ from orderfp.mapping import (
     TranslationMap,
     TruncationMap,
     make_mapping,
+    validate_self_map,
 )
 from orderfp.order import ConeSpec
 from orderfp.space import SpaceSpec
@@ -97,25 +98,40 @@ SPECTRAL_CAP = 0.995
 MATRIX_DRAWS = 50
 
 
-def random_nonneg_affine(dim: int, rho: float, rng: np.random.Generator) -> MappingSpec:
+def random_nonneg_affine(dim: int, rho, rng):
     """Random entrywise non-negative affine self-map of the orthant with
     ||A||_2 = rho and an offset drawn from the cone.
 
     Draws are rejected while the spectral radius sits above ``SPECTRAL_CAP``,
     keeping generated maps inside the regime where a finite-budget bounded
-    or unbounded verdict is reliable.
+    or unbounded verdict is reliable. Given lists of rhos and generators: each
+    trial's map or error, drawn as alone, with stacked norms, eigvals and checks.
     """
+    if isinstance(rng, np.random.Generator):
+        [out] = random_nonneg_affine(dim, [rho], [rng])
+        if isinstance(out, Exception):
+            raise out
+        return out
+    out = [RuntimeError(f"could not draw a spectral-radius-capped map at rho={r}") for r in rho]
+    domain, rho, pending = _cone_domain(dim), np.array(rho), list(range(len(rng)))
     for _ in range(MATRIX_DRAWS):
-        m = rng.uniform(0.0, 1.0, size=(dim, dim))
-        sigma = float(np.linalg.norm(m, 2))
-        if sigma <= 0.0:
-            continue
-        a = rho * m / sigma
+        if not pending:
+            break
+        m = np.array([rng[i].uniform(0.0, 1.0, size=(dim, dim)) for i in pending])
+        sigma, r = np.linalg.norm(m, 2, axis=(1, 2)), rho[pending]
+        with np.errstate(all="ignore"):  # sigma = 0 is rejected below
+            a = r[:, None, None] * m / sigma[:, None, None]
         # the spectral radius is at most ||a||_2 = rho: below the cap, no test
-        if rho <= SPECTRAL_CAP - 1e-9 or float(np.max(np.abs(np.linalg.eigvals(a)))) <= SPECTRAL_CAP:
-            b = rng.uniform(0.0, 1.0, size=dim)
-            return make_mapping(AffineMap(matrix=a, offset=b), _cone_domain(dim))
-    raise RuntimeError(f"could not draw a spectral-radius-capped map at rho={rho}")
+        done, test = sigma > 0.0, (sigma > 0.0) & ~(r <= SPECTRAL_CAP - 1e-9)
+        if test.any():  # a non-finite matrix (rho nan or inf) raises here, for its whole cell
+            done[test] = np.abs(np.linalg.eigvals(a[test])).max(axis=-1) <= SPECTRAL_CAP
+        for j in np.flatnonzero(done).tolist():
+            out[pending[j]] = MappingSpec(AffineMap(a[j], rng[pending[j]].uniform(0.0, 1.0, size=dim)), domain)
+        pending = [i for i, d in zip(pending, done) if not d]
+    drawn = [i for i, s in enumerate(out) if isinstance(s, MappingSpec)]
+    for i, exc in zip(drawn, validate_self_map([out[i] for i in drawn]) if drawn else []):
+        out[i] = exc or out[i]
+    return out
 
 
 @dataclass(frozen=True)

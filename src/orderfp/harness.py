@@ -37,6 +37,7 @@ from orderfp.iterate import (
     picard_orbit,
 )
 from orderfp.mapping import (
+    FIXED_POINT_TOL,
     Domain,
     as_affine,
     GridMap,
@@ -52,6 +53,7 @@ from orderfp.mapping import (
     make_mapping,
     mapping_from_dict,
     sample_domain_point,
+    _affine_fixed_points,
 )
 from orderfp.order import NORM_MONOTONE_TOL, ConeSpec, leq, is_norm_monotonic, _member_raw
 from orderfp.space import SpaceSpec, as_vector, norm, _row_norms
@@ -159,11 +161,11 @@ def resolve_x0(scn: Scenario) -> np.ndarray:
 
 def _settled(run, n: int, cfg: IterationConfig) -> list:
     """Orbits 0, ..., n-1 by ``run(indices, cfg)``, which gives each one's
-    record or error; an inconclusive budget exhaustion is retried once with a
-    ten-fold budget before being reported as such. A ``nonfinite`` orbit is
-    not retried: a bigger budget cannot undo an overflow."""
+    record, verdict or error; an inconclusive budget exhaustion is retried once
+    with a ten-fold budget before being reported as such. A ``nonfinite`` orbit
+    is not retried: a bigger budget cannot undo an overflow."""
     out = run(range(n), cfg)
-    again = [i for i, r in enumerate(out) if isinstance(r, OrbitRecord) and r.verdict == MAX_ITER_REACHED]
+    again = [i for i, r in enumerate(out) if MAX_ITER_REACHED in (r, getattr(r, "verdict", None))]
     if again:
         bigger = dataclasses.replace(cfg, max_iter=cfg.max_iter * 10, bound_threshold=cfg.bound_threshold * 10)
         for i, record in zip(again, run(again, bigger)):
@@ -369,40 +371,43 @@ def verify_zero_orbit_equivalence(
     if family_cfg.include_identity_edge:
         plan.append(("identity_edge", 2, 1.0))
 
-    # the trials of one (family, dim) cell run their orbits from 0 as one batch
+    # the trials of one (family, dim) cell draw their maps, run their orbits
+    # from 0 and solve for their fixed points as one stack each
     for (family, dim), cell in itertools.groupby(enumerate(plan), key=lambda t: t[1][:2]):
-        cell, specs, held = list(cell), [], None
+        cell = list(cell)
         space, cone = SpaceSpec(dim=dim, p=2.0), ConeSpec(kind="orthant", dim=dim)
-        for counter, (_, _, rho) in cell:
-            rng = np.random.default_rng(seed * 1_000_003 + counter)
-            try:
-                if family == "contractive":
-                    spec = corpus.random_nonneg_affine(dim, rho, rng)
-                elif family == "translation":
-                    shift = rng.uniform(0.5, 1.5, size=dim)
-                    spec = make_mapping(TranslationMap(shift), Domain(kind="cone", cone=cone))
-                else:
-                    spec = corpus.identity_map(dim)
-            except Exception as exc:  # raised after the trials before it, as one by one
-                held = exc
-                break
-            specs.append(spec)
+        rngs = [np.random.default_rng(seed * 1_000_003 + counter) for counter, _ in cell]
+        if family == "contractive":
+            specs = corpus.random_nonneg_affine(dim, [rho for _, (_, _, rho) in cell], rngs)
+        elif family == "translation":  # these fail for their dim alone, so at the first trial
+            domain = Domain(kind="cone", cone=cone)
+            specs = [make_mapping(TranslationMap(rng.uniform(0.5, 1.5, size=dim)), domain) for rng in rngs]
+        else:
+            specs = [corpus.identity_map(dim) for _ in rngs]
+        # a map that cannot be drawn raises after the trials before it, as one by one
+        n = next((j for j, s in enumerate(specs) if isinstance(s, Exception)), len(specs))
+        specs, held = specs[:n], specs[n:]
 
-        def run(idx, cfg):  # the cell's orbits from 0, one batch
+        def run(idx, cfg):  # the cell's orbits from 0, one batch, verdicts only
             batch = [specs[i] for i in idx]
-            return iterate._orbit(batch, np.zeros((len(batch), dim)), cone, space, cfg, None, "picard")
+            return iterate._orbit(batch, np.zeros((len(batch), dim)), cone, space, cfg, None, "picard", True)
 
-        for (counter, (_, _, rho)), spec, record in zip(cell, specs, _settled(run, len(specs), iter_cfg)):
-            if isinstance(record, Exception):
-                raise record
-            nonempty = len(fixed_point_oracle(spec, space)) > 0
-            bounded = record.verdict == CONVERGED
+        # the oracle's affine route takes the cell as one stack (every t34 map is affine)
+        views = (np.array(v) for v in zip(*(as_affine(s.op) for s in specs)))
+        solved = _affine_fixed_points(specs, *views, FIXED_POINT_TOL) if n else []
+        for (counter, (_, _, rho)), spec, verdict, found in zip(cell, specs, _settled(run, n, iter_cfg), solved):
+            for err in (verdict, found):
+                if isinstance(err, Exception):
+                    raise err
+            # a degenerate system off the minimum-norm solution takes the grid route, which raises
+            nonempty = len(fixed_point_oracle(spec, space) if found is None else found) > 0
+            bounded = verdict == CONVERGED
             # an inconclusive or nonfinite orbit is a failed trial
-            agree = record.verdict in (CONVERGED, UNBOUNDED_SUSPECTED) and bounded == nonempty
+            agree = verdict in (CONVERGED, UNBOUNDED_SUSPECTED) and bounded == nonempty
             trial_id = f"trial_{counter:03d}"
-            rows.append(TrialRow(trial_id, family, dim, rho, record.verdict, bounded, nonempty, agree))
-        if held is not None:
-            raise held
+            rows.append(TrialRow(trial_id, family, dim, rho, verdict, bounded, nonempty, agree))
+        if held:
+            raise held[0]
 
     contractive, translation, edge = (
         [r.agree for r in rows if r.family == fam] for fam in ("contractive", "translation", "identity_edge")

@@ -111,14 +111,15 @@ def _first(mask: np.ndarray) -> np.ndarray:
     return np.concatenate((mask, np.ones((len(mask), 1), bool)), axis=1).argmax(axis=1)
 
 
-def _orbit(spec, x0, cone: ConeSpec, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: str):
+def _orbit(spec, x0, cone: ConeSpec, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: str, verdicts=False):
     """The orbit of ``spec`` from ``x0``: its record, or the error it raises.
     Given a list of specs and one of starts: a list of each orbit's record or
     error. Picard orbits of AffineMaps, or of TranslationMaps, on one cone
     step in lockstep as one batch, and each leaves it at its first stop; any
-    other map or domain, and every Mann orbit, runs alone."""
+    other map or domain, and every Mann orbit, runs alone. With ``verdicts``,
+    each orbit's verdict stands in for its record, and no trajectory is kept."""
     if isinstance(spec, MappingSpec):
-        [out] = _orbit([spec], [x0], cone, space, cfg, beta_fn, scheme)
+        [out] = _orbit([spec], [x0], cone, space, cfg, beta_fn, scheme, verdicts)
         if isinstance(out, Exception):
             raise out
         return out
@@ -128,7 +129,7 @@ def _orbit(spec, x0, cone: ConeSpec, space: SpaceSpec, cfg: IterationConfig, bet
         batches.setdefault((type(s.op), s.domain.cone) if stacked else i, []).append(i)
     if len(batches) != 1:
         for idx in batches.values():
-            got = _orbit([spec[i] for i in idx], [x0[i] for i in idx], cone, space, cfg, beta_fn, scheme)
+            got = _orbit([spec[i] for i in idx], [x0[i] for i in idx], cone, space, cfg, beta_fn, scheme, verdicts)
             for i, record in zip(idx, got):
                 out[i] = record
         return out
@@ -215,7 +216,11 @@ def _orbit(spec, x0, cone: ConeSpec, space: SpaceSpec, cfg: IterationConfig, bet
                     verdict[i] = UNBOUNDED_SUSPECTED
                 elif held is not None:
                     out[i] = held
-                chunks[i].append((xs[r, 1 : keep + 1], new_norms[r, :keep], res[r, :nres]))
+                if verdicts:  # its last point alone
+                    chunks[i] = [(xs[r, keep : keep + 1].copy(), norms0[0, :0], norms0[0, :0])]
+                else:
+                    chunks[i].append((xs[r, 1 : keep + 1], new_norms[r, :keep], res[r, :nres]))
+            whole = slice(None) if whole.all() else whole  # views while no orbit leaves
             live, x, n0 = live[whole], xs[whole, k], n0 + k
             if live.size:  # the trend of the orbits that ran through sizes the next block
                 k = _next_block(k, res[whole], new_norms[whole], cfg)
@@ -230,7 +235,9 @@ def _orbit(spec, x0, cone: ConeSpec, space: SpaceSpec, cfg: IterationConfig, bet
                     residuals = np.append(residuals, _row_norms(space, (tx - pts[-1])[None, None], slice(0)))
                 except Exception as exc:
                     out[i] = exc
-            if out[i] is None:
+            if out[i] is None and verdicts:
+                out[i] = verdict[i]
+            elif out[i] is None:
                 up, down = _step_flags(pts, cone)
                 order = INCREASING if up.all() else DECREASING if down.all() else NEITHER
                 out[i] = OrbitRecord(pts, residuals, norms, up, down, order, verdict[i], scheme)

@@ -304,19 +304,30 @@ def apply_map(spec: MappingSpec, x) -> np.ndarray:
     return spec.op.evaluate(v)
 
 
-def validate_self_map(spec: MappingSpec, n_samples: int = 64, seed: int = 0) -> None:
-    """Reject specs whose operation escapes the declared domain on samples."""
-    xs = _domain_rows(spec, np.random.default_rng(seed), n_samples, 1.0)
-    ys = spec.op.evaluate(xs)
+def validate_self_map(spec: MappingSpec | list, n_samples: int = 64, seed: int = 0):
+    """Reject specs whose operation escapes the declared domain on samples. For
+    a nonempty list of non-lattice specs on one domain: each one's error or None."""
+    specs = [spec] if (single := isinstance(spec, MappingSpec)) else spec
+    xs = _domain_rows(specs[0], np.random.default_rng(seed), n_samples, 1.0)
+    if all(type(s.op) is AffineMap for s in specs):  # one product, each evaluate's bits
+        a, b = (np.array([getattr(s.op, f) for s in specs]) for f in ("matrix", "offset"))
+        ys = (a[:, None] @ xs[:, :, None])[..., 0] + b[:, None]
+    else:
+        ys = np.array([s.op.evaluate(xs) for s in specs])
     ok = np.isfinite(ys).all(axis=-1)
     with np.errstate(invalid="ignore"):  # a non-finite image has failed already
-        ok &= _domain_contains_raw(spec.domain, ys, 1e-9)
-    if not ok.all():
-        k = int(np.argmin(ok))  # the first failing sample
-        as_vector(ys[k])  # a non-finite image raises ValueError here
-        raise DomainError(
-            f"not a self-map: image {ys[k]} of sample {xs[k]} escapes the domain"
-        )
+        ok &= _domain_contains_raw(specs[0].domain, ys, 1e-9)
+    out = [None] * len(specs)
+    for i in np.flatnonzero(~ok.all(axis=-1)).tolist():
+        k = int(np.argmin(ok[i]))  # the first failing sample
+        try:
+            as_vector(ys[i, k])  # a non-finite image raises ValueError here
+            raise DomainError(f"not a self-map: image {ys[i, k]} of sample {xs[k]} escapes the domain")
+        except ValueError as exc:
+            if single:
+                raise
+            out[i] = exc
+    return None if single else out
 
 
 def make_mapping(op, domain: Domain) -> MappingSpec:
@@ -653,28 +664,36 @@ def as_affine(op) -> tuple[np.ndarray, np.ndarray] | None:
     return None
 
 
-def _affine_fixed_points(
-    spec: MappingSpec, matrix: np.ndarray, offset: np.ndarray, residual_tol: float
-) -> list[np.ndarray] | None:
+def _affine_fixed_points(spec, matrix: np.ndarray, offset: np.ndarray, residual_tol: float):
     """Exact linear-algebra route for affine operations.
 
     Returns a list (possibly empty, meaning certifiably no fixed point
     anywhere) or None when the linear system is degenerate with solutions off
     the minimum-norm one, in which case the caller falls back to the grid.
+    Given a list of specs with their finite matrices and offsets stacked: a
+    list of each one's result or error, from one stacked eigvals and solve.
     """
-    eye = np.eye(spec.dim)
-    spectral_radius = float(np.max(np.abs(np.linalg.eigvals(matrix))))
-    system = eye - matrix
-    if spectral_radius < 1.0 - 1e-9:
-        z = np.linalg.solve(system, offset)
-        return [z] if domain_contains(spec.domain, z, tol=1e-9) else []
-    z, *_ = np.linalg.lstsq(system, offset, rcond=None)
-    gap = float(np.linalg.norm(system @ z - offset))
-    if gap > residual_tol * (1.0 + float(np.linalg.norm(offset))):
-        return []  # inconsistent system: no fixed point exists at all
-    if domain_contains(spec.domain, z, tol=1e-9):
-        return [z]
-    return None
+    if isinstance(spec, MappingSpec):
+        [out] = _affine_fixed_points([spec], matrix[None], offset[None], residual_tol)
+        if isinstance(out, Exception):
+            raise out
+        return out
+    system = np.eye(offset.shape[-1]) - matrix
+    below = np.abs(np.linalg.eigvals(matrix)).max(axis=-1) < 1.0 - 1e-9
+    z = np.full(offset.shape, np.nan)
+    z[below] = np.linalg.solve(system[below], offset[below, :, None])[..., 0]
+    out = []
+    for s, solved, m, b, zi in zip(spec, below, system, offset, z):
+        try:
+            if not solved:
+                zi, *_ = np.linalg.lstsq(m, b, rcond=None)
+                if float(np.linalg.norm(m @ zi - b)) > residual_tol * (1.0 + float(np.linalg.norm(b))):
+                    out.append([])  # inconsistent system: no fixed point exists at all
+                    continue
+            out.append([zi] if domain_contains(s.domain, zi, tol=1e-9) else [] if solved else None)
+        except Exception as exc:
+            out.append(exc)
+    return out
 
 
 def fixed_point_oracle(

@@ -76,19 +76,19 @@ def _row_norms(space: SpaceSpec, v: np.ndarray, checked=slice(None)) -> np.ndarr
     # lp norms of the rows of the blocks v[0], v[1], ...; the rows picked by
     # `checked` are the ones a pair-by-pair loop hands to `norm`, so they get
     # its checks and its ValueError. Each root is taken as a scalar, because
-    # numpy's array pow rounds differently. Only a finite, nonzero row whose
-    # power sum is out of range is redone, by `_lp_norm_floats`'s rescaling.
+    # numpy's array pow rounds differently. A nonzero row whose power sum is
+    # out of range is redone by `_lp_norm_floats` (rescaled, or inf with an inf).
     as_rows(v[:, checked].reshape(-1, v.shape[-1]), space.dim)
     with np.errstate(over="ignore"):
         sums = (np.abs(v) ** space.p).sum(axis=-1)
     inv = 1.0 / space.p
-    out = np.array([s**inv for s in sums.ravel().tolist()]).reshape(sums.shape)
-    redo = (sums < _SUM_MIN) | (sums == math.inf)
-    if redo.any():
-        redo &= np.isfinite(v).all(axis=-1) & v.any(axis=-1)
-        for i in zip(*np.nonzero(redo)):
-            out[i] = _lp_norm_floats(v[i].tolist(), space.p)
-    return out
+    out = np.array([s**inv for s in sums.ravel().tolist()])
+    redo = np.flatnonzero((sums < _SUM_MIN) | (sums == math.inf))
+    if redo.size:  # one test over the flagged rows: a zero row keeps its norm 0
+        rows = v.reshape(-1, v.shape[-1])[redo]
+        for k, row in zip(redo[rows.any(axis=-1)].tolist(), rows[rows.any(axis=-1)].tolist()):
+            out[k] = _lp_norm_floats(row, space.p)
+    return out.reshape(sums.shape)
 
 
 def _lp_norm_floats(vals: list[float], p: float) -> float:

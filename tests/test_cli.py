@@ -131,6 +131,19 @@ def test_iterate_bad_x0_names_its_cause(tmp_path, contraction_file, capsys, x0, 
     assert not orbit.exists()
 
 
+@pytest.mark.parametrize("x0, cause", [
+    ("-1,0", "'-1,0' lies outside the map's domain; the map is 2-D"),
+    ("nan,0", "'nan,0' has non-finite coordinates; the map is 2-D"),
+    ("1,inf", "'1,inf' has non-finite coordinates; the map is 2-D"),
+])
+def test_iterate_x0_off_the_domain_names_its_cause(tmp_path, contraction_file, capsys, x0, cause):
+    orbit = tmp_path / "orbit.csv"
+    assert main(["iterate", "--map", str(contraction_file), f"--x0={x0}", "--out", str(orbit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"--x0 {cause}\n" and captured.out == ""
+    assert not orbit.exists()
+
+
 def test_asym_center_bad_tail_offset(tmp_path, contraction_file):
     orbit = tmp_path / "orbit.csv"
     main(["iterate", "--map", str(contraction_file), "--x0", "zero",

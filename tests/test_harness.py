@@ -213,6 +213,21 @@ class TestZeroOrbitCells:
         assert want == (RuntimeError, "could not draw a spectral-radius-capped map at rho=2.0")
         assert outcome_of(verify_zero_orbit_equivalence, cfg, 0, FAST) == want
 
+    @pytest.mark.parametrize("rhos", [(0.5, -0.5, 0.8), (2.0, -0.5), (-0.5, 2.0)])
+    def test_a_map_that_escapes_its_check_raises_at_its_trial(self, rhos):
+        # a negative rho draws a map that fails the self-map check of its cell
+        cfg = FamilyConfig(dims=(2,), rhos=rhos, n_per_cell=2)
+        want = outcome_of(reference_zero_orbit_rows, cfg, 0, FAST)
+        assert want[0] is (RuntimeError if rhos[0] == 2.0 else DomainError)
+        assert outcome_of(verify_zero_orbit_equivalence, cfg, 0, FAST) == want
+
+    @pytest.mark.parametrize("rhos", [(float("nan"),), (0.5, float("inf")), ("0.5",), (0.5, None)])
+    def test_a_rho_numpy_cannot_draw_with_raises_its_error(self, rhos):
+        cfg = FamilyConfig(dims=(3,), rhos=rhos, n_per_cell=2)
+        want = outcome_of(reference_zero_orbit_rows, cfg, 0, FAST)
+        assert issubclass(want[0], (np.linalg.LinAlgError, TypeError))
+        assert outcome_of(verify_zero_orbit_equivalence, cfg, 0, FAST) == want
+
     @pytest.mark.parametrize("order", [("escape", "raise"), ("raise", "escape")])
     def test_the_first_failing_trial_raises(self, monkeypatch, order):
         # in one cell, an orbit that escapes its domain and a map that cannot
@@ -221,11 +236,18 @@ class TestZeroOrbitCells:
         kinds = dict(zip((0.8, 0.95), order))
 
         def draw(dim, rho, rng):
-            if kinds.get(rho) == "raise":
-                raise RuntimeError(f"no map at rho={rho}")
-            if kinds.get(rho) == "escape":
-                return MappingSpec(AffineMap(0.5 * np.eye(dim), -np.ones(dim)), Domain("cone", ConeSpec("orthant", dim)))
-            return drawn(dim, rho, rng)
+            if not isinstance(rng, list):  # one trial, as the trial-by-trial loop draws it
+                [spec] = draw(dim, [rho], [rng])
+                if isinstance(spec, Exception):
+                    raise spec
+                return spec
+            cell = drawn(dim, rho, rng)  # a cell: each trial's map, or its error in its place
+            for k, r in enumerate(rho):
+                if kinds.get(r) == "raise":
+                    cell[k] = RuntimeError(f"no map at rho={r}")
+                if kinds.get(r) == "escape":
+                    cell[k] = MappingSpec(AffineMap(0.5 * np.eye(dim), -np.ones(dim)), Domain("cone", ConeSpec("orthant", dim)))
+            return cell
 
         monkeypatch.setattr(corpus, "random_nonneg_affine", draw)
         cfg = FamilyConfig(dims=(3,), rhos=(0.5, 0.8, 0.95), n_per_cell=1)
@@ -246,9 +268,9 @@ def test_family_cells_take_one_engine_call_each(monkeypatch, tmp_path):
     calls = []
     engine = iterate._orbit
 
-    def counted(specs, x0s, cone, space, cfg, beta_fn, scheme):
+    def counted(specs, x0s, cone, space, cfg, beta_fn, scheme, verdicts=False):
         calls.append((type(specs[0].op).__name__, len(specs), cfg.max_iter))
-        return engine(specs, x0s, cone, space, cfg, beta_fn, scheme)
+        return engine(specs, x0s, cone, space, cfg, beta_fn, scheme, verdicts)
 
     monkeypatch.setattr(iterate, "_orbit", counted)
     config = workloads.Family.config

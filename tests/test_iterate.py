@@ -1181,6 +1181,34 @@ class TestLockstepBatches:
         # the batch starts with 40 orbits, whose blocks are capped at 1024 // 40 steps
         assert blocks[0] == (40, 2 * BLOCK_FIRST, 5) and (40, 2 * (BLOCK_CAP // 40), 5) in blocks
 
+    @staticmethod
+    def verdicts_of(outcomes):
+        return [(type(o), str(o)) if isinstance(o, Exception) else getattr(o, "verdict", o) for o in outcomes]
+
+    @pytest.mark.parametrize("n, max_iter", [(1, 7), (2, 3000), (7, 9), (33, 3000), (40, 8)])
+    def test_verdicts_are_the_records_verdicts(self, n, max_iter):
+        d = [1, 2, 3, 5, 20][[1, 2, 7, 33, 40].index(n)]
+        specs, starts = mixed_affine_batch(n, d, seed=n)
+        cfg, space = dataclasses.replace(self.CFG, max_iter=max_iter), SpaceSpec(dim=d, p=2.0)
+        records = _orbit(specs, starts, specs[0].domain.cone, space, cfg, None, "picard")
+        verdicts = _orbit(specs, starts, specs[0].domain.cone, space, cfg, None, "picard", True)
+        assert all(isinstance(v, (str, Exception)) for v in verdicts)
+        assert self.verdicts_of(verdicts) == self.verdicts_of(records)
+
+    def test_a_verdict_keeps_the_error_of_the_last_image(self):
+        # a lattice orbit that runs out of budget on 3.25, off its lattice:
+        # the residual of its last point raises, with or without its record
+        values = np.append(0.5 * np.arange(1, 7), 3.25)[:, None]
+        spec = MappingSpec(GridMap(origin=np.zeros(1), step=0.5, values=values),
+                           Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=1)))
+        cone, space, cfg = spec.domain.cone, SpaceSpec(dim=1, p=2.0), dataclasses.replace(self.CFG, max_iter=7)
+        outcomes = [_orbit([spec] * 2, [np.zeros(1)] * 2, cone, space, cfg, None, "picard", v) for v in (False, True)]
+        assert self.verdicts_of(outcomes[0]) == self.verdicts_of(outcomes[1])
+        assert self.verdicts_of(outcomes[1])[0] == (DomainError, "point [3.25] is not on the lattice (step 0.5)")
+        mixed = [corpus.affine_contraction(1), spec, corpus.unit_translation(1)]
+        got = _orbit(mixed, [np.zeros(1)] * 3, cone, space, cfg, lambda n: 0.0, "mann", True)
+        assert self.verdicts_of(got) == self.verdicts_of(_orbit(mixed, [np.zeros(1)] * 3, cone, space, cfg, lambda n: 0.0, "mann"))
+
     def test_mann_orbits_and_other_maps_run_alone(self):
         specs = [corpus.affine_contraction(2), corpus.truncation_cap(2), corpus.unit_translation(2)]
         starts = [np.array([3.0, 0.5])] * 3

@@ -535,6 +535,162 @@ class TestRandomNonnegAffine:
         assert len(calls) >= 1
 
 
+def frozen_random_nonneg_affine(dim, rho, rng):
+    """corpus.random_nonneg_affine as it drew one map at a time, kept verbatim."""
+    for _ in range(corpus.MATRIX_DRAWS):
+        m = rng.uniform(0.0, 1.0, size=(dim, dim))
+        sigma = float(np.linalg.norm(m, 2))
+        if sigma <= 0.0:
+            continue
+        a = rho * m / sigma
+        if rho <= corpus.SPECTRAL_CAP - 1e-9 or float(np.max(np.abs(np.linalg.eigvals(a)))) <= corpus.SPECTRAL_CAP:
+            b = rng.uniform(0.0, 1.0, size=dim)
+            return make_mapping(AffineMap(matrix=a, offset=b), Domain(kind="cone", cone=ConeSpec("orthant", dim)))
+    raise RuntimeError(f"could not draw a spectral-radius-capped map at rho={rho}")
+
+
+def draw_outcome(spec_or_error):
+    if isinstance(spec_or_error, Exception):
+        return type(spec_or_error), str(spec_or_error)
+    return spec_or_error.op.matrix.tobytes(), spec_or_error.op.offset.tobytes()
+
+
+class TestStackedDraws:
+    """A cell's maps drawn as one stack are the maps each trial draws alone."""
+
+    RHOS = [0.5, 0.8, 0.95, 0.995, 1.0]
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 20])
+    @pytest.mark.parametrize("n", [1, 3, 33])
+    def test_stacked_draws_are_the_draws_one_by_one(self, dim, n):
+        for seed in range(50):
+            rhos = [self.RHOS[(seed + k) % 5] for k in range(n)]
+            got = corpus.random_nonneg_affine(dim, rhos, [np.random.default_rng(100 * seed + k) for k in range(n)])
+            assert len(got) == n
+            for k, (rho, out) in enumerate(zip(rhos, got)):
+                rng = np.random.default_rng(100 * seed + k)
+                try:
+                    want = draw_outcome(frozen_random_nonneg_affine(dim, rho, rng))
+                except RuntimeError as exc:
+                    want = draw_outcome(exc)
+                assert draw_outcome(out) == want, (seed, k, rho)
+
+    def test_generators_are_left_as_one_by_one(self):
+        rhos = self.RHOS * 3
+        rngs = [np.random.default_rng(k) for k in range(len(rhos))]
+        corpus.random_nonneg_affine(5, rhos, rngs)
+        for k, (rho, rng) in enumerate(zip(rhos, rngs)):
+            alone = np.random.default_rng(k)
+            frozen_random_nonneg_affine(5, rho, alone)
+            assert rng.random() == alone.random()
+
+    def test_a_map_that_cannot_be_drawn_is_the_error_of_its_trial(self):
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        got = corpus.random_nonneg_affine(4, [0.5, 2.0, 0.8], rngs)
+        assert draw_outcome(got[1]) == (RuntimeError, "could not draw a spectral-radius-capped map at rho=2.0")
+        for k in (0, 2):
+            assert draw_outcome(got[k]) == draw_outcome(
+                frozen_random_nonneg_affine(4, [0.5, 2.0, 0.8][k], np.random.default_rng(k)))
+        with pytest.raises(RuntimeError, match="rho=2.0"):
+            corpus.random_nonneg_affine(4, 2.0, np.random.default_rng(1))
+
+    def test_an_escaping_draw_is_the_error_of_its_trial(self):
+        # a negative rho draws a matrix that maps cone points out of the cone
+        got = corpus.random_nonneg_affine(2, [0.5, -0.5, 0.8], [np.random.default_rng(k) for k in range(3)])
+        with pytest.raises(DomainError) as alone:
+            corpus.random_nonneg_affine(2, -0.5, np.random.default_rng(1))
+        assert draw_outcome(got[1]) == (DomainError, str(alone.value))
+        assert str(alone.value).startswith("not a self-map: image [")
+        assert all(isinstance(got[k], MappingSpec) for k in (0, 2))
+
+
+class TestStackedSelfMapCheck:
+    def cell(self):
+        # maps on the cone of R^3: two self-maps, an escape, a non-finite image
+        cone = Domain(kind="cone", cone=ConeSpec("orthant", 3))
+        ops = [
+            AffineMap(0.5 * np.eye(3), np.ones(3)),
+            AffineMap(np.array([[0.5, 0.0, 0.0], [-0.5, 0.5, 0.0], [0.0, 0.0, 0.5]]), np.zeros(3)),
+            AffineMap(0.2 * np.ones((3, 3)), np.zeros(3)),
+            AffineMap(np.diag([1.0, np.inf, 1.0]), np.zeros(3)),
+        ]
+        return [MappingSpec(op, cone) for op in ops]
+
+    def test_each_map_gets_the_error_it_raises_alone(self):
+        specs = self.cell()
+        got = validate_self_map(specs)
+        for spec, out in zip(specs, got):
+            try:
+                validate_self_map(spec)
+                want = None
+            except ValueError as exc:
+                want = (type(exc), str(exc))
+            assert (None if out is None else (type(out), str(out))) == want
+        assert [type(out) for out in got] == [type(None), DomainError, type(None), ValueError]
+
+    def test_the_stacked_product_has_the_bits_of_each_evaluate(self):
+        # an escape is reported with the image each map computes alone
+        spec = self.cell()[1]
+        with pytest.raises(DomainError) as alone:
+            validate_self_map(spec)
+        got = validate_self_map([self.cell()[0], spec] * 5)
+        assert {str(got[k]) for k in range(1, 10, 2)} == {str(alone.value)}
+
+    def test_other_maps_evaluate_one_by_one(self):
+        cone = Domain(kind="cone", cone=ConeSpec("orthant", 2))
+        specs = [MappingSpec(TranslationMap(np.array(s)), cone) for s in ([1.0, 1.0], [-5.0, 0.0], [0.0, 2.0])]
+        got = validate_self_map(specs)
+        assert got[0] is None and got[2] is None and isinstance(got[1], DomainError)
+
+
+class TestStackedAffineOracle:
+    """The affine route of a stack of maps gives each map the fixed points,
+    None or error that fixed_point_oracle's route gives it alone."""
+
+    def specs(self):
+        cone = Domain(kind="cone", cone=ConeSpec("orthant", 3))
+        rngs = [np.random.default_rng(k) for k in range(4)]
+        drawn = corpus.random_nonneg_affine(3, [0.5, 0.8, 0.95, 0.995], rngs)
+        ops = [
+            AffineMap(np.eye(3), np.zeros(3)),  # identity: the minimum-norm solution 0
+            TranslationMap(np.array([0.5, 1.0, 1.5])),  # inconsistent: no fixed point
+            AffineMap(np.diag([1.0, 0.5, 0.0]), np.array([0.0, 1.0, 1.0])),  # singular, consistent
+            AffineMap(np.diag([1.0, 0.5, 0.0]), np.array([1.0, 1.0, 1.0])),  # singular, inconsistent
+            AffineMap(np.diag([1.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0])),  # solutions off the min-norm one
+            AffineMap(0.5 * np.eye(3), np.array([-1.0, 1.0, 1.0])),  # contraction, fixed point off the cone
+            CompositionMap([TranslationMap(np.ones(3)), AffineMap(0.25 * np.eye(3), np.zeros(3))]),
+        ]
+        return drawn + [MappingSpec(op, cone) for op in ops]
+
+    def test_each_map_as_alone(self):
+        specs = self.specs()
+        views = [as_affine(s.op) for s in specs]
+        got = _affine_fixed_points(specs, *(np.array(v) for v in zip(*views)), FIXED_POINT_TOL)
+        for spec, view, out in zip(specs, views, got):
+            want = _affine_fixed_points(spec, *view, FIXED_POINT_TOL)
+            if want is None:
+                assert out is None
+                with pytest.raises(ValueError, match="needs a bounded GridSearchConfig"):
+                    fixed_point_oracle(spec, SpaceSpec(3, 2.0))
+                continue
+            assert [z.tobytes() for z in out] == [z.tobytes() for z in want]
+            alone = fixed_point_oracle(spec, SpaceSpec(3, 2.0))
+            assert [z.tobytes() for z in out] == [z.tobytes() for z in alone]
+        nonempty = [None if out is None else len(out) > 0 for out in got]
+        assert nonempty == [True] * 4 + [True, False, True, False, None, False, True]
+
+    def test_a_non_finite_solution_is_the_error_of_its_map(self):
+        cone = Domain(kind="cone", cone=ConeSpec("orthant", 2))
+        specs = [MappingSpec(AffineMap(0.5 * np.eye(2), np.ones(2)), cone),
+                 MappingSpec(AffineMap(0.5 * np.eye(2), np.array([1e308, 1e308])), cone)]
+        with np.errstate(over="ignore"):
+            got = _affine_fixed_points(specs, *(np.array(v) for v in zip(*map(as_affine, (s.op for s in specs)))), 1e-8)
+            with pytest.raises(ValueError) as alone:
+                fixed_point_oracle(specs[1], P2)
+        assert got[0][0].tolist() == [2.0, 2.0]
+        assert (type(got[1]), str(got[1])) == (type(alone.value), str(alone.value))
+
+
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("entry", corpus.alpha_corpus(), ids=lambda e: e.name)
     def test_dict_round_trip_preserves_behavior(self, entry):
