@@ -104,33 +104,31 @@ def random_nonneg_affine(dim: int, rho, rng):
 
     Draws are rejected while the spectral radius sits above ``SPECTRAL_CAP``,
     keeping generated maps inside the regime where a finite-budget bounded
-    or unbounded verdict is reliable. Given lists of rhos and generators: each
-    trial's map or error, drawn as alone, with stacked norms, eigvals and checks.
+    or unbounded verdict is reliable. Given lists of rhos and generators: the
+    list of maps, each drawn as alone, with stacked norms, eigvals and checks.
+    The first trial that draws no map raises, before the self-map check of
+    the maps drawn does.
     """
     if isinstance(rng, np.random.Generator):
-        [out] = random_nonneg_affine(dim, [rho], [rng])
-        if isinstance(out, Exception):
-            raise out
-        return out
-    out = [RuntimeError(f"could not draw a spectral-radius-capped map at rho={r}") for r in rho]
-    domain, rho, pending = _cone_domain(dim), np.array(rho), list(range(len(rng)))
+        return random_nonneg_affine(dim, [rho], [rng])[0]
+    out, domain, rhos, pending = [None] * len(rng), _cone_domain(dim), np.array(rho), list(range(len(rng)))
     for _ in range(MATRIX_DRAWS):
         if not pending:
             break
         m = np.array([rng[i].uniform(0.0, 1.0, size=(dim, dim)) for i in pending])
-        sigma, r = np.linalg.norm(m, 2, axis=(1, 2)), rho[pending]
+        sigma, r = np.linalg.norm(m, 2, axis=(1, 2)), rhos[pending]
         with np.errstate(all="ignore"):  # sigma = 0 is rejected below
             a = r[:, None, None] * m / sigma[:, None, None]
         # the spectral radius is at most ||a||_2 = rho: below the cap, no test
         done, test = sigma > 0.0, (sigma > 0.0) & ~(r <= SPECTRAL_CAP - 1e-9)
-        if test.any():  # a non-finite matrix (rho nan or inf) raises here, for its whole cell
+        if test.any():  # a non-finite matrix (rho nan or inf) raises here
             done[test] = np.abs(np.linalg.eigvals(a[test])).max(axis=-1) <= SPECTRAL_CAP
         for j in np.flatnonzero(done).tolist():
             out[pending[j]] = MappingSpec(AffineMap(a[j], rng[pending[j]].uniform(0.0, 1.0, size=dim)), domain)
         pending = [i for i, d in zip(pending, done) if not d]
-    drawn = [i for i, s in enumerate(out) if isinstance(s, MappingSpec)]
-    for i, exc in zip(drawn, validate_self_map([out[i] for i in drawn]) if drawn else []):
-        out[i] = exc or out[i]
+    if pending:
+        raise RuntimeError(f"could not draw a spectral-radius-capped map at rho={rho[pending[0]]}")
+    validate_self_map(out)
     return out
 
 

@@ -14,7 +14,9 @@ import csv
 import dataclasses
 import itertools
 import json
+import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -161,7 +163,7 @@ def resolve_x0(scn: Scenario) -> np.ndarray:
 
 def _settled(run, n: int, cfg: IterationConfig) -> list:
     """Orbits 0, ..., n-1 by ``run(indices, cfg)``, which gives each one's
-    record, verdict or error; an inconclusive budget exhaustion is retried once
+    record or verdict; an inconclusive budget exhaustion is retried once
     with a ten-fold budget before being reported as such. A ``nonfinite`` orbit
     is not retried: a bigger budget cannot undo an overflow."""
     out = run(range(n), cfg)
@@ -337,6 +339,16 @@ class FamilyConfig:
     translations_per_dim: int = 2
     include_identity_edge: bool = True
 
+    def __post_init__(self):
+        # checked here, naming the field: t34 draws each cell as one stack,
+        # where such a value would fail the whole cell with numpy's error
+        for dim in self.dims:
+            if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+                raise ValueError(f"config field family.dims needs positive integers, got {dim!r}")
+        for rho in self.rhos:
+            if isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not 0 <= rho <= sys.float_info.max:
+                raise ValueError(f"config field family.rhos needs finite numbers >= 0, got {rho!r}")
+
 
 @dataclass
 class TrialRow:
@@ -377,28 +389,23 @@ def verify_zero_orbit_equivalence(
         cell = list(cell)
         space, cone = SpaceSpec(dim=dim, p=2.0), ConeSpec(kind="orthant", dim=dim)
         rngs = [np.random.default_rng(seed * 1_000_003 + counter) for counter, _ in cell]
-        if family == "contractive":
+        if family == "contractive":  # the first trial that draws no map raises, as one by one
             specs = corpus.random_nonneg_affine(dim, [rho for _, (_, _, rho) in cell], rngs)
-        elif family == "translation":  # these fail for their dim alone, so at the first trial
+        elif family == "translation":
             domain = Domain(kind="cone", cone=cone)
             specs = [make_mapping(TranslationMap(rng.uniform(0.5, 1.5, size=dim)), domain) for rng in rngs]
         else:
             specs = [corpus.identity_map(dim) for _ in rngs]
-        # a map that cannot be drawn raises after the trials before it, as one by one
-        n = next((j for j, s in enumerate(specs) if isinstance(s, Exception)), len(specs))
-        specs, held = specs[:n], specs[n:]
 
         def run(idx, cfg):  # the cell's orbits from 0, one batch, verdicts only
-            batch = [specs[i] for i in idx]
-            return iterate._orbit(batch, np.zeros((len(batch), dim)), cone, space, cfg, None, "picard", True)
+            batch, zeros = [specs[i] for i in idx], np.zeros((len(idx), dim))
+            return iterate._orbit(batch, zeros, cone, space, cfg, None, "picard", verdicts=True)
 
         # the oracle's affine route takes the cell as one stack (every t34 map is affine)
         views = (np.array(v) for v in zip(*(as_affine(s.op) for s in specs)))
-        solved = _affine_fixed_points(specs, *views, FIXED_POINT_TOL) if n else []
-        for (counter, (_, _, rho)), spec, verdict, found in zip(cell, specs, _settled(run, n, iter_cfg), solved):
-            for err in (verdict, found):
-                if isinstance(err, Exception):
-                    raise err
+        solved = _affine_fixed_points(specs, *views, FIXED_POINT_TOL)
+        verdicts = _settled(run, len(specs), iter_cfg)
+        for (counter, (_, _, rho)), spec, verdict, found in zip(cell, specs, verdicts, solved):
             # a degenerate system off the minimum-norm solution takes the grid route, which raises
             nonempty = len(fixed_point_oracle(spec, space) if found is None else found) > 0
             bounded = verdict == CONVERGED
@@ -406,8 +413,6 @@ def verify_zero_orbit_equivalence(
             agree = verdict in (CONVERGED, UNBOUNDED_SUSPECTED) and bounded == nonempty
             trial_id = f"trial_{counter:03d}"
             rows.append(TrialRow(trial_id, family, dim, rho, verdict, bounded, nonempty, agree))
-        if held:
-            raise held[0]
 
     contractive, translation, edge = (
         [r.agree for r in rows if r.family == fam] for fam in ("contractive", "translation", "identity_edge")

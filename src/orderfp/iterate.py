@@ -112,44 +112,28 @@ def _first(mask: np.ndarray) -> np.ndarray:
 
 
 def _orbit(spec, x0, cone: ConeSpec, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: str, verdicts=False):
-    """The orbit of ``spec`` from ``x0``: its record, or the error it raises.
-    Given a list of specs and one of starts: a list of each orbit's record or
-    error. Picard orbits of AffineMaps, or of TranslationMaps, on one cone
-    step in lockstep as one batch, and each leaves it at its first stop; any
-    other map or domain, and every Mann orbit, runs alone. With ``verdicts``,
-    each orbit's verdict stands in for its record, and no trajectory is kept."""
-    if isinstance(spec, MappingSpec):
-        [out] = _orbit([spec], [x0], cone, space, cfg, beta_fn, scheme, verdicts)
-        if isinstance(out, Exception):
-            raise out
-        return out
-    out, batches = [None] * len(spec), {}
-    for i, s in enumerate(spec):
-        stacked = beta_fn is None and type(s.op) in _STACKED and s.domain.kind == "cone"
-        batches.setdefault((type(s.op), s.domain.cone) if stacked else i, []).append(i)
-    if len(batches) != 1:
-        for idx in batches.values():
-            got = _orbit([spec[i] for i in idx], [x0[i] for i in idx], cone, space, cfg, beta_fn, scheme, verdicts)
-            for i, record in zip(idx, got):
-                out[i] = record
-        return out
-
+    """The records of the orbits of the list ``spec`` from the list ``x0``:
+    one orbit, or a stack of Picard orbits of AffineMaps, or of
+    TranslationMaps, on one cone, which step in lockstep as one batch and
+    each leave it at its first stop; any other list is a ValueError. The
+    first error met is raised. With ``verdicts``, each orbit's verdict stands
+    in for its record, and no trajectory is kept."""
+    kinds = {(type(s.op), s.domain.kind, s.domain.cone) for s in spec}
+    if len(spec) != 1 and not (len(kinds) == 1 and beta_fn is None and spec[0].domain.kind == "cone"
+                               and type(spec[0].op) in _STACKED):
+        raise ValueError("orbits batch only as Picard orbits of one affine or translation kind on one cone")
     domain, op, starts = spec[0].domain, spec[0].op, []
-    for i, (s, start) in enumerate(zip(spec, x0)):
-        try:
-            x = as_vector(start, dim=s.dim)
-            if not _domain_contains_raw(domain, x, MEMBERSHIP_TOL):
-                raise DomainError(f"starting point {x} lies outside the mapping domain")
-            starts.append(x)
-        except Exception as exc:
-            out[i] = exc
-    live, x = np.array([i for i, o in enumerate(out) if o is None], int), np.array(starts).reshape(-1, op.dim)
+    for s, start in zip(spec, x0):
+        starts.append(as_vector(start, dim=s.dim))
+        if not _domain_contains_raw(domain, starts[-1], MEMBERSHIP_TOL):
+            raise DomainError(f"starting point {starts[-1]} lies outside the mapping domain")
+    live, x = np.arange(len(spec)), np.array(starts)
     fields = _STACKED.get(type(op), ()) if beta_fn is None else ()
-    stack = [np.array([getattr(spec[i].op, f) for i in live]) for f in fields]
+    stack = [np.array([getattr(s.op, f) for s in spec]) for f in fields]
     norms0 = _row_norms(space, x[:, None], slice(0))
     # each orbit's (points, norms, residuals) chunks, and its verdict
-    chunks = {i: [(x[r][None], norms0[r], norms0[r, :0])] for r, i in enumerate(live.tolist())}
-    verdict = dict.fromkeys(chunks, MAX_ITER_REACHED)
+    chunks = [[(x[i][None], norms0[i], norms0[i, :0])] for i in range(len(spec))]
+    verdict = [MAX_ITER_REACHED] * len(spec)
     # norms of the `window` points before the block, +inf before x_0; a
     # window longer than the budget could never look back far enough
     window = min(cfg.window, cfg.max_iter + 1)
@@ -209,13 +193,13 @@ def _orbit(spec, x0, cone: ConeSpec, space: SpaceSpec, cfg: IterationConfig, bet
                 if j < imgs and j <= g:
                     keep, nres = j, j + 1
                     if esc[r, j] and not bad[r, j]:
-                        out[i] = DomainError(f"map escaped its domain at step {n0 + j}: image {img[r, j]}")
+                        raise DomainError(f"map escaped its domain at step {n0 + j}: image {img[r, j]}")
                     verdict[i] = NONFINITE if bad[r, j] else CONVERGED
                 elif g < m:  # the last point's residual is taken below
                     keep = nres = g + 1
                     verdict[i] = UNBOUNDED_SUSPECTED
                 elif held is not None:
-                    out[i] = held
+                    raise held
                 if verdicts:  # its last point alone
                     chunks[i] = [(xs[r, keep : keep + 1].copy(), norms0[0, :0], norms0[0, :0])]
                 else:
@@ -227,20 +211,18 @@ def _orbit(spec, x0, cone: ConeSpec, space: SpaceSpec, cfg: IterationConfig, bet
             recent = recent[whole, recent.shape[1] - window :]
             stack = [a[whole] for a in stack]
 
-        for i in chunks:
-            pts, norms, residuals = map(np.concatenate, zip(*chunks[i]))
-            if out[i] is None and verdict[i] in (MAX_ITER_REACHED, UNBOUNDED_SUSPECTED):
-                try:
-                    tx = spec[i].op.evaluate(pts[-1])
-                    residuals = np.append(residuals, _row_norms(space, (tx - pts[-1])[None, None], slice(0)))
-                except Exception as exc:
-                    out[i] = exc
-            if out[i] is None and verdicts:
-                out[i] = verdict[i]
-            elif out[i] is None:
+        out = []
+        for s, parts, v in zip(spec, chunks, verdict):
+            pts, norms, residuals = map(np.concatenate, zip(*parts))
+            if v in (MAX_ITER_REACHED, UNBOUNDED_SUSPECTED):
+                tx = s.op.evaluate(pts[-1])
+                residuals = np.append(residuals, _row_norms(space, (tx - pts[-1])[None, None], slice(0)))
+            if verdicts:
+                out.append(v)
+            else:
                 up, down = _step_flags(pts, cone)
                 order = INCREASING if up.all() else DECREASING if down.all() else NEITHER
-                out[i] = OrbitRecord(pts, residuals, norms, up, down, order, verdict[i], scheme)
+                out.append(OrbitRecord(pts, residuals, norms, up, down, order, v, scheme))
     return out
 
 
@@ -249,7 +231,7 @@ def picard_orbit(
 ) -> OrbitRecord:
     """Iterate x_{n+1} = T x_n until the residual drops below tolerance, the
     growth detector fires, or the iteration budget runs out."""
-    return _orbit(spec, x0, cone, space, cfg or IterationConfig(), None, "picard")
+    return _orbit([spec], [x0], cone, space, cfg or IterationConfig(), None, "picard")[0]
 
 
 def mann_orbit(
@@ -276,7 +258,7 @@ def mann_orbit(
         if not seq:
             raise ValueError("empty Mann schedule")
         beta_fn = lambda n: seq[n] if n < len(seq) else seq[-1]
-    return _orbit(spec, x0, cone, space, cfg or IterationConfig(), beta_fn, "mann")
+    return _orbit([spec], [x0], cone, space, cfg or IterationConfig(), beta_fn, "mann")[0]
 
 
 @dataclass

@@ -304,10 +304,10 @@ def apply_map(spec: MappingSpec, x) -> np.ndarray:
     return spec.op.evaluate(v)
 
 
-def validate_self_map(spec: MappingSpec | list, n_samples: int = 64, seed: int = 0):
-    """Reject specs whose operation escapes the declared domain on samples. For
-    a nonempty list of non-lattice specs on one domain: each one's error or None."""
-    specs = [spec] if (single := isinstance(spec, MappingSpec)) else spec
+def validate_self_map(specs: list, n_samples: int = 64, seed: int = 0) -> None:
+    """Reject specs whose operation escapes the declared domain on samples:
+    raise the error of the first one that does. The specs are one spec, or
+    non-lattice specs on one domain, checked on the same samples."""
     xs = _domain_rows(specs[0], np.random.default_rng(seed), n_samples, 1.0)
     if all(type(s.op) is AffineMap for s in specs):  # one product, each evaluate's bits
         a, b = (np.array([getattr(s.op, f) for s in specs]) for f in ("matrix", "offset"))
@@ -317,23 +317,16 @@ def validate_self_map(spec: MappingSpec | list, n_samples: int = 64, seed: int =
     ok = np.isfinite(ys).all(axis=-1)
     with np.errstate(invalid="ignore"):  # a non-finite image has failed already
         ok &= _domain_contains_raw(specs[0].domain, ys, 1e-9)
-    out = [None] * len(specs)
-    for i in np.flatnonzero(~ok.all(axis=-1)).tolist():
-        k = int(np.argmin(ok[i]))  # the first failing sample
-        try:
-            as_vector(ys[i, k])  # a non-finite image raises ValueError here
-            raise DomainError(f"not a self-map: image {ys[i, k]} of sample {xs[k]} escapes the domain")
-        except ValueError as exc:
-            if single:
-                raise
-            out[i] = exc
-    return None if single else out
+    if not ok.all():
+        i, k = np.unravel_index(np.argmin(ok), ok.shape)  # the first failing map's first failing sample
+        as_vector(ys[i, k])  # a non-finite image raises ValueError here
+        raise DomainError(f"not a self-map: image {ys[i, k]} of sample {xs[k]} escapes the domain")
 
 
 def make_mapping(op, domain: Domain) -> MappingSpec:
     """Construct a MappingSpec and verify the self-map property on samples."""
     spec = MappingSpec(op=op, domain=domain)
-    validate_self_map(spec)
+    validate_self_map([spec])
     return spec
 
 
@@ -347,7 +340,6 @@ class SamplerConfig:
 
     n_samples: int = 200
     seed: int = 0
-    scale: float = 1.0
 
 
 # attempts at a comparable pair by rejection (Lorentz-cone orders) before giving up
@@ -387,9 +379,7 @@ def sample_domain_point(spec: MappingSpec, rng: np.random.Generator, scale: floa
     return _domain_rows(spec, rng, 1, scale)[0]
 
 
-def sample_comparable_pairs(
-    spec: MappingSpec, rng: np.random.Generator, n: int, scale: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_comparable_pairs(spec: MappingSpec, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``n`` pairs (x, y) in the domain with x <= y under the domain cone, as
     rows: meet and join of two lattice indices for a lattice map under the
     orthant, x plus a cone direction in one draw for other orthant domains,
@@ -401,20 +391,20 @@ def sample_comparable_pairs(
         pts = spec.op.origin + spec.op.step * np.stack([idx.min(axis=1), idx.max(axis=1)]).astype(float)
         return pts[0], pts[1]
     if domain.cone.kind != "orthant":
-        pairs = [_draw_comparable_pair(spec, rng, scale) for _ in range(n)]
+        pairs = [_draw_comparable_pair(spec, rng) for _ in range(n)]
         return tuple(np.array([pair[i] for pair in pairs]).reshape(n, spec.dim) for i in (0, 1))
-    u = rng.uniform(0.0, scale if domain.kind == DOMAIN_CONE else 1.0, size=(n, 2, spec.dim))
+    u = rng.uniform(0.0, 1.0, size=(n, 2, spec.dim))
     if domain.kind == DOMAIN_CONE:
         return u[:, 0], u[:, 0] + u[:, 1]
     x = domain.lo + u[:, 0] * (domain.hi - domain.lo)
     return x, x + u[:, 1] * (domain.hi - x)
 
 
-def _draw_comparable_pair(spec, rng, scale):
+def _draw_comparable_pair(spec, rng):
     # shrink the cone direction until the pair stays in the domain
     for attempt in range(PAIR_TRIES):
-        x = sample_domain_point(spec, rng, scale)
-        y = x + _cone_rows(spec.domain.cone, rng, 1, scale * 0.5 ** (attempt % 8))[0]
+        x = sample_domain_point(spec, rng)
+        y = x + _cone_rows(spec.domain.cone, rng, 1, 0.5 ** (attempt % 8))[0]
         if domain_contains(spec.domain, y):
             return x, y
     raise RuntimeError("could not sample a comparable pair inside the domain")
@@ -456,7 +446,7 @@ def _pair_report(name, spec, cone, x, y, ineq=None, alpha=None) -> PropertyRepor
 
 
 def _sampled_pairs(spec: MappingSpec, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
-    return sample_comparable_pairs(spec, np.random.default_rng(cfg.seed), cfg.n_samples, cfg.scale)
+    return sample_comparable_pairs(spec, np.random.default_rng(cfg.seed), cfg.n_samples)
 
 
 def is_monotone(spec: MappingSpec, cone: ConeSpec, cfg: SamplerConfig | None = None) -> PropertyReport:
@@ -543,7 +533,7 @@ def is_quasi_nonexpansive(
         idx = np.where(above, np.maximum(idx, idx_p), np.minimum(idx, idx_p))
         x = spec.op.origin + spec.op.step * idx.astype(float)
     else:
-        d = _cone_rows(spec.domain.cone, rng, n, cfg.scale)
+        d = _cone_rows(spec.domain.cone, rng, n, 1.0)
         x = np.where(above, p + d, p - d)
     inside = _domain_contains_raw(spec.domain, x, MEMBERSHIP_TOL)
     x, p = x[inside], p[inside]
@@ -601,7 +591,7 @@ def classify_hilbert_classes(
     cfg = cfg or SamplerConfig()
     n = cfg.n_samples
     rng = np.random.default_rng(cfg.seed)
-    pts = _domain_rows(spec, rng, 2 * n, cfg.scale).reshape(n, 2, spec.dim)
+    pts = _domain_rows(spec, rng, 2 * n, 1.0).reshape(n, 2, spec.dim)
     x, y = pts[:, 0], pts[:, 1]
     tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
     u, v = x - tx, y - ty
@@ -664,35 +654,28 @@ def as_affine(op) -> tuple[np.ndarray, np.ndarray] | None:
     return None
 
 
-def _affine_fixed_points(spec, matrix: np.ndarray, offset: np.ndarray, residual_tol: float):
-    """Exact linear-algebra route for affine operations.
+def _affine_fixed_points(specs: list, matrix: np.ndarray, offset: np.ndarray, residual_tol: float) -> list:
+    """Exact linear-algebra route for affine operations, for a list of specs
+    with their finite matrices and offsets stacked, from one stacked eigvals
+    and solve; the first error met is raised.
 
-    Returns a list (possibly empty, meaning certifiably no fixed point
-    anywhere) or None when the linear system is degenerate with solutions off
-    the minimum-norm one, in which case the caller falls back to the grid.
-    Given a list of specs with their finite matrices and offsets stacked: a
-    list of each one's result or error, from one stacked eigvals and solve.
+    Each spec's result is a list (possibly empty, meaning certifiably no
+    fixed point anywhere) or None when the linear system is degenerate with
+    solutions off the minimum-norm one, in which case the caller falls back
+    to the grid.
     """
-    if isinstance(spec, MappingSpec):
-        [out] = _affine_fixed_points([spec], matrix[None], offset[None], residual_tol)
-        if isinstance(out, Exception):
-            raise out
-        return out
     system = np.eye(offset.shape[-1]) - matrix
     below = np.abs(np.linalg.eigvals(matrix)).max(axis=-1) < 1.0 - 1e-9
     z = np.full(offset.shape, np.nan)
     z[below] = np.linalg.solve(system[below], offset[below, :, None])[..., 0]
     out = []
-    for s, solved, m, b, zi in zip(spec, below, system, offset, z):
-        try:
-            if not solved:
-                zi, *_ = np.linalg.lstsq(m, b, rcond=None)
-                if float(np.linalg.norm(m @ zi - b)) > residual_tol * (1.0 + float(np.linalg.norm(b))):
-                    out.append([])  # inconsistent system: no fixed point exists at all
-                    continue
-            out.append([zi] if domain_contains(s.domain, zi, tol=1e-9) else [] if solved else None)
-        except Exception as exc:
-            out.append(exc)
+    for s, solved, m, b, zi in zip(specs, below, system, offset, z):
+        if not solved:
+            zi, *_ = np.linalg.lstsq(m, b, rcond=None)
+            if float(np.linalg.norm(m @ zi - b)) > residual_tol * (1.0 + float(np.linalg.norm(b))):
+                out.append([])  # inconsistent system: no fixed point exists at all
+                continue
+        out.append([zi] if domain_contains(s.domain, zi, tol=1e-9) else [] if solved else None)
     return out
 
 
@@ -709,7 +692,7 @@ def fixed_point_oracle(
     """
     affine_view = as_affine(spec.op)
     if affine_view is not None:
-        direct = _affine_fixed_points(spec, *affine_view, FIXED_POINT_TOL)
+        direct = _affine_fixed_points([spec], *(v[None] for v in affine_view), FIXED_POINT_TOL)[0]
         if direct is not None:
             return direct
     if isinstance(spec.op, GridMap):

@@ -3,11 +3,13 @@
 import dataclasses
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orderfp import corpus, harness, iterate
 from orderfp.harness import (
@@ -38,8 +40,6 @@ from orderfp.iterate import (
 from orderfp.mapping import (
     AffineMap,
     Domain,
-    DomainError,
-    MappingSpec,
     TranslationMap,
     apply_map,
     fixed_point_oracle,
@@ -213,47 +213,85 @@ class TestZeroOrbitCells:
         assert want == (RuntimeError, "could not draw a spectral-radius-capped map at rho=2.0")
         assert outcome_of(verify_zero_orbit_equivalence, cfg, 0, FAST) == want
 
+    # a negative rho would draw a map that fails its self-map check, and
+    # numpy cannot draw with the others: the config refuses each before any
+    # trial runs, so no trial's error is pre-empted by it
     @pytest.mark.parametrize("rhos", [(0.5, -0.5, 0.8), (2.0, -0.5), (-0.5, 2.0)])
     def test_a_map_that_escapes_its_check_raises_at_its_trial(self, rhos):
-        # a negative rho draws a map that fails the self-map check of its cell
-        cfg = FamilyConfig(dims=(2,), rhos=rhos, n_per_cell=2)
-        want = outcome_of(reference_zero_orbit_rows, cfg, 0, FAST)
-        assert want[0] is (RuntimeError if rhos[0] == 2.0 else DomainError)
-        assert outcome_of(verify_zero_orbit_equivalence, cfg, 0, FAST) == want
+        with pytest.raises(ValueError) as got:
+            FamilyConfig(dims=(2,), rhos=rhos, n_per_cell=2)
+        assert str(got.value) == "config field family.rhos needs finite numbers >= 0, got -0.5"
 
     @pytest.mark.parametrize("rhos", [(float("nan"),), (0.5, float("inf")), ("0.5",), (0.5, None)])
     def test_a_rho_numpy_cannot_draw_with_raises_its_error(self, rhos):
-        cfg = FamilyConfig(dims=(3,), rhos=rhos, n_per_cell=2)
-        want = outcome_of(reference_zero_orbit_rows, cfg, 0, FAST)
-        assert issubclass(want[0], (np.linalg.LinAlgError, TypeError))
-        assert outcome_of(verify_zero_orbit_equivalence, cfg, 0, FAST) == want
+        with pytest.raises(ValueError) as got:
+            FamilyConfig(dims=(3,), rhos=rhos, n_per_cell=2)
+        assert str(got.value) == f"config field family.rhos needs finite numbers >= 0, got {rhos[-1]!r}"
 
-    @pytest.mark.parametrize("order", [("escape", "raise"), ("raise", "escape")])
-    def test_the_first_failing_trial_raises(self, monkeypatch, order):
-        # in one cell, an orbit that escapes its domain and a map that cannot
-        # be drawn: whichever trial comes first raises, as trial by trial
-        drawn = corpus.random_nonneg_affine
-        kinds = dict(zip((0.8, 0.95), order))
 
-        def draw(dim, rho, rng):
-            if not isinstance(rng, list):  # one trial, as the trial-by-trial loop draws it
-                [spec] = draw(dim, [rho], [rng])
-                if isinstance(spec, Exception):
-                    raise spec
-                return spec
-            cell = drawn(dim, rho, rng)  # a cell: each trial's map, or its error in its place
-            for k, r in enumerate(rho):
-                if kinds.get(r) == "raise":
-                    cell[k] = RuntimeError(f"no map at rho={r}")
-                if kinds.get(r) == "escape":
-                    cell[k] = MappingSpec(AffineMap(0.5 * np.eye(dim), -np.ones(dim)), Domain("cone", ConeSpec("orthant", dim)))
-            return cell
+class TestFamilyConfigDoor:
+    """A t34 config value that no trial could use is refused when the config
+    is read, with a message that names its field and the value."""
 
-        monkeypatch.setattr(corpus, "random_nonneg_affine", draw)
-        cfg = FamilyConfig(dims=(3,), rhos=(0.5, 0.8, 0.95), n_per_cell=1)
-        want = outcome_of(reference_zero_orbit_rows, cfg, 0, FAST)
-        assert want[0] is (DomainError if order[0] == "escape" else RuntimeError)
-        assert outcome_of(verify_zero_orbit_equivalence, cfg, 0, FAST) == want
+    @pytest.mark.parametrize(
+        "field, text, shown",
+        [("rhos", '"0.5"', "'0.5'"), ("rhos", "null", "None"), ("rhos", "NaN", "nan"),
+         ("rhos", "Infinity", "inf"), ("rhos", "-0.5", "-0.5"), ("rhos", "true", "True"),
+         ("rhos", "1" + "0" * 400, str(10**400)), ("dims", "0", "0"), ("dims", '"2"', "'2'"),
+         ("dims", "2.5", "2.5")],
+        ids=["rho-text", "rho-null", "rho-nan", "rho-infinity", "rho-negative", "rho-bool",
+             "rho-past-the-doubles", "dim-zero", "dim-text", "dim-fraction"],
+    )
+    def test_a_bad_value_names_its_field(self, field, text, shown, tmp_path):
+        config = json.loads(f'{{"family": {{"{field}": [{text}]}}}}')
+        with pytest.raises(ValueError) as got:
+            run_suites(["t34"], config, 0, tmp_path)
+        wanted = "positive integers" if field == "dims" else "finite numbers >= 0"
+        assert str(got.value) == f"config field family.{field} needs {wanted}, got {shown}"
+        assert not list(tmp_path.iterdir())
+
+    def test_a_rho_no_draw_reaches_fails_at_its_trial(self, tmp_path):
+        config = {"family": {"dims": [3], "rhos": [0.5, 2.0], "n_per_cell": 1}}
+        want = outcome_of(reference_zero_orbit_rows, harness._section(config, "family", FamilyConfig()), 0, FAST)
+        assert want == (RuntimeError, "could not draw a spectral-radius-capped map at rho=2.0")
+        with pytest.raises(RuntimeError) as got:
+            run_suites(["t34"], config, 0, tmp_path)
+        assert (type(got.value), str(got.value)) == want
+
+    def test_rho_zero_is_valid(self, tmp_path):
+        # the zero matrix: x -> b, a constant map whose fixed point is b
+        config = {"family": {"dims": [1, 3], "rhos": [0, 0.0], "n_per_cell": 1}}
+        reports, rows = run_suites(["t34"], config, 0, tmp_path)
+        assert reports[0].passed and len(rows) == 2 * 2 + 2 * 2 + 1
+        assert all(r.verdict == CONVERGED for r in rows if r.family == "contractive")
+
+
+@st.composite
+def small_families(draw):
+    """A small t34 config on a short budget: rhos from 0 to past every draw's reach."""
+    cfg = FamilyConfig(
+        dims=tuple(draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=2))),
+        rhos=tuple(draw(st.lists(st.sampled_from([0.0, 0.5, 0.995, 1.0, 1.2, 2.0]), min_size=1, max_size=3))),
+        n_per_cell=draw(st.integers(1, 2)),
+        translations_per_dim=draw(st.integers(0, 1)),
+        include_identity_edge=draw(st.booleans()),
+    )
+    iter_cfg = IterationConfig(
+        max_iter=draw(st.sampled_from([20, 300, 2000])),
+        bound_threshold=draw(st.sampled_from([30.0, 1e3])),
+        window=draw(st.sampled_from([5, 50])),
+    )
+    return cfg, draw(st.integers(0, 50)), iter_cfg
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(small_families())
+def test_valid_families_give_the_trial_by_trial_rows_or_error(case):
+    # the config check is all t34 needs: past it, a stacked cell gives the
+    # rows of the trial-by-trial loop, or the draw error of its first trial
+    cfg, seed, iter_cfg = case
+    want = outcome_of(reference_zero_orbit_rows, cfg, seed, iter_cfg)
+    assert outcome_of(lambda *a: verify_zero_orbit_equivalence(*a)[1], cfg, seed, iter_cfg) == want
 
 
 def test_family_cells_take_one_engine_call_each(monkeypatch, tmp_path):

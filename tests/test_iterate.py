@@ -672,6 +672,11 @@ def stepwise_orbit(
     )
 
 
+def one_orbit(spec, x0, cone, space, cfg, beta_fn, scheme):
+    """The block engine on a batch of one orbit."""
+    return _orbit([spec], [x0], cone, space, cfg, beta_fn, scheme)[0]
+
+
 def engine_outcome(engine, spec, x0, space, cfg, beta_fn=None):
     """What one engine returns or raises; the stepwise engine's overflow
     warnings are silenced."""
@@ -686,7 +691,7 @@ def engine_outcome(engine, spec, x0, space, cfg, beta_fn=None):
 
 def assert_same_outcome(spec, x0, space, cfg, beta_fn=None):
     """Both engines give bit-identical records, or the same error type and text."""
-    got = engine_outcome(_orbit, spec, x0, space, cfg, beta_fn)
+    got = engine_outcome(one_orbit, spec, x0, space, cfg, beta_fn)
     want = engine_outcome(stepwise_orbit, spec, x0, space, cfg, beta_fn)
     assert got[0] == want[0], (got, want)
     if got[0] == "raised":
@@ -948,9 +953,9 @@ class TestTranslationAndTrendBlocks:
         calls = []
         plain = TranslationMap.evaluate
         monkeypatch.setattr(TranslationMap, "evaluate", lambda op, x: calls.append(x) or plain(op, x))
-        rec = _orbit(spec, x0, spec.domain.cone, space, cfg, None, "picard")
+        rec = one_orbit(spec, x0, spec.domain.cone, space, cfg, None, "picard")
         picard = len(calls)
-        mann = _orbit(spec, x0, spec.domain.cone, space, cfg, lambda n: 0.5, "mann")
+        mann = one_orbit(spec, x0, spec.domain.cone, space, cfg, lambda n: 0.5, "mann")
         # the running sum calls the map only for the last point's residual;
         # the Mann orbit calls it once a step, and past the stop in its block
         assert rec.verdict == mann.verdict == UNBOUNDED_SUSPECTED and picard == 1
@@ -1049,26 +1054,42 @@ def alone(spec, x0, cone, space, cfg, beta_fn, scheme):
     return picard_orbit(spec, x0, cone, space, cfg)
 
 
+def assert_same_bits(rec, ref):
+    for name in ("points", "residuals", "norms", "leq_up", "leq_down"):
+        a, b = getattr(rec, name), getattr(ref, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert (rec.order_monotone, rec.verdict, rec.scheme) == (ref.order_monotone, ref.verdict, ref.scheme)
+
+
 def assert_batch_matches_alone(specs, x0s, space, cfg):
-    """One batched call gives every orbit the outcome it has run alone, and
-    under the stepwise engine: the same record bit for bit, or the same
-    error. Returns the batched outcomes."""
-    got = _orbit(specs, x0s, specs[0].domain.cone, space, cfg, None, "picard")
-    assert len(got) == len(specs)
-    for spec, x0, out in zip(specs, x0s, got):
-        for engine in (alone, stepwise_orbit):
-            want = engine_outcome(engine, spec, x0, space, cfg)
-            if want[0] == "raised":
-                assert isinstance(out, Exception) and (type(out), str(out)) == want[1:]
-                continue
-            ref = want[1]
-            assert isinstance(out, OrbitRecord), out
-            for name in ("points", "residuals", "norms", "leq_up", "leq_down"):
-                a, b = getattr(out, name), getattr(ref, name)
-                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-                assert a.tobytes() == b.tobytes(), name
-            assert (out.order_monotone, out.verdict, out.scheme) == (ref.order_monotone, ref.verdict, ref.scheme)
-    return got
+    """Each orbit that runs alone without error has, in one batched call of
+    those orbits, the record it has alone and under the stepwise engine, bit
+    for bit; with the orbits that raise alone in it, the batch raises the
+    error of one of them. Returns each orbit's record, or the type and text
+    of the error it raises alone."""
+    cone, outcomes = specs[0].domain.cone, []
+    for spec, x0 in zip(specs, x0s):
+        want = engine_outcome(alone, spec, x0, space, cfg)
+        ref = engine_outcome(stepwise_orbit, spec, x0, space, cfg)
+        if want[0] == "raised":
+            assert want == ref
+            outcomes.append(want[1:])
+            continue
+        assert ref[0] == "returned"
+        assert_same_bits(want[1], ref[1])
+        outcomes.append(want[1])
+    ran = [i for i, out in enumerate(outcomes) if isinstance(out, OrbitRecord)]
+    if ran:
+        got = _orbit([specs[i] for i in ran], [x0s[i] for i in ran], cone, space, cfg, None, "picard")
+        assert len(got) == len(ran)
+        for i, out in zip(ran, got):
+            assert_same_bits(out, outcomes[i])
+    if len(ran) < len(specs):
+        with pytest.raises(Exception) as raised:
+            _orbit(specs, x0s, cone, space, cfg, None, "picard")
+        assert (type(raised.value), str(raised.value)) in [out for out in outcomes if isinstance(out, tuple)]
+    return outcomes
 
 
 # residual_tol is first reached at these steps by the geometric orbits
@@ -1125,7 +1146,7 @@ class TestLockstepBatches:
         space = SpaceSpec(dim=d, p=[1.5, 2.0, 3.0][n % 3])
         got = assert_batch_matches_alone(specs, starts, space, cfg)
         if max_iter == 3000 and n >= 7:
-            verdicts = {getattr(out, "verdict", type(out)) for out in got}
+            verdicts = {out.verdict if isinstance(out, OrbitRecord) else out[0] for out in got}
             assert {CONVERGED, UNBOUNDED_SUSPECTED, NONFINITE, DomainError} <= verdicts
 
     def test_stops_on_both_sides_of_the_block_edges(self):
@@ -1133,12 +1154,12 @@ class TestLockstepBatches:
         got = assert_batch_matches_alone(specs, starts, SpaceSpec(dim=3, p=2.0), self.CFG)
         assert [len(out) - 1 for out in got[::6]] == GEOMETRIC_STOPS
         assert all(out.verdict == CONVERGED for out in got[::6])
-        escapes = [str(out) for out in got[4::6]]
+        escapes = [out[1] for out in got[4::6]]
         assert all(f"escaped its domain at step {s}:" in e for s, e in zip(GEOMETRIC_STOPS, escapes))
 
     def test_mixed_maps_run_in_batches_of_their_kind(self):
         # translations step by a running sum, the affine maps by stacked
-        # products, the rest alone; every orbit keeps its place in the list
+        # products, the rest alone; a list that mixes them is refused
         rng = np.random.default_rng(4)
         d = 3
         domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=d))
@@ -1151,10 +1172,14 @@ class TestLockstepBatches:
             else:
                 ops.append(CompositionMap([TranslationMap(np.ones(d)), TruncationMap(np.full(d, 5.0 + i))]))
         specs = [MappingSpec(op=op, domain=domain) for op in ops]
-        starts = [np.zeros(d)] * len(specs)
-        got = assert_batch_matches_alone(specs, starts, SpaceSpec(dim=d, p=2.0), self.CFG)
-        assert [out.verdict for out in got[::3]] == [UNBOUNDED_SUSPECTED] * 8
-        assert all(out.verdict == CONVERGED for i, out in enumerate(got) if i % 3)
+        space = SpaceSpec(dim=d, p=2.0)
+        with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
+            _orbit(specs, [np.zeros(d)] * len(specs), domain.cone, space, self.CFG, None, "picard")
+        translations = assert_batch_matches_alone(specs[::3], [np.zeros(d)] * 8, space, self.CFG)
+        affine = assert_batch_matches_alone(specs[1::3], [np.zeros(d)] * 8, space, self.CFG)
+        others = [assert_batch_matches_alone([s], [np.zeros(d)], space, self.CFG)[0] for s in specs[2::3]]
+        assert [out.verdict for out in translations] == [UNBOUNDED_SUSPECTED] * 8
+        assert all(out.verdict == CONVERGED for out in affine + others)
 
     def test_translation_batches_fill_blocks_by_running_sums(self, monkeypatch):
         calls = []
@@ -1182,18 +1207,27 @@ class TestLockstepBatches:
         assert blocks[0] == (40, 2 * BLOCK_FIRST, 5) and (40, 2 * (BLOCK_CAP // 40), 5) in blocks
 
     @staticmethod
-    def verdicts_of(outcomes):
-        return [(type(o), str(o)) if isinstance(o, Exception) else getattr(o, "verdict", o) for o in outcomes]
+    def verdicts_of(specs, starts, cone, space, cfg, beta_fn=None, verdicts=False):
+        """The verdicts of one batched call, or the type and text of its error."""
+        try:
+            got = _orbit(specs, starts, cone, space, cfg, beta_fn, "picard" if beta_fn is None else "mann", verdicts)
+        except Exception as exc:
+            return type(exc), str(exc)
+        assert all(isinstance(out, str if verdicts else OrbitRecord) for out in got)
+        return [out if verdicts else out.verdict for out in got]
 
     @pytest.mark.parametrize("n, max_iter", [(1, 7), (2, 3000), (7, 9), (33, 3000), (40, 8)])
     def test_verdicts_are_the_records_verdicts(self, n, max_iter):
         d = [1, 2, 3, 5, 20][[1, 2, 7, 33, 40].index(n)]
         specs, starts = mixed_affine_batch(n, d, seed=n)
         cfg, space = dataclasses.replace(self.CFG, max_iter=max_iter), SpaceSpec(dim=d, p=2.0)
-        records = _orbit(specs, starts, specs[0].domain.cone, space, cfg, None, "picard")
-        verdicts = _orbit(specs, starts, specs[0].domain.cone, space, cfg, None, "picard", True)
-        assert all(isinstance(v, (str, Exception)) for v in verdicts)
-        assert self.verdicts_of(verdicts) == self.verdicts_of(records)
+        cone = specs[0].domain.cone
+        # the whole batch, which raises from n = 7 on, and the orbits that run alone without error
+        ran = [i for i in range(n) if engine_outcome(alone, specs[i], starts[i], space, cfg)[0] == "returned"]
+        for batch in (list(range(n)), ran):
+            args = [specs[i] for i in batch], [starts[i] for i in batch], cone, space, cfg
+            assert self.verdicts_of(*args, verdicts=True) == self.verdicts_of(*args)
+        assert len(ran) == n if n < 7 else len(ran) < n
 
     def test_a_verdict_keeps_the_error_of_the_last_image(self):
         # a lattice orbit that runs out of budget on 3.25, off its lattice:
@@ -1202,19 +1236,24 @@ class TestLockstepBatches:
         spec = MappingSpec(GridMap(origin=np.zeros(1), step=0.5, values=values),
                            Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=1)))
         cone, space, cfg = spec.domain.cone, SpaceSpec(dim=1, p=2.0), dataclasses.replace(self.CFG, max_iter=7)
-        outcomes = [_orbit([spec] * 2, [np.zeros(1)] * 2, cone, space, cfg, None, "picard", v) for v in (False, True)]
-        assert self.verdicts_of(outcomes[0]) == self.verdicts_of(outcomes[1])
-        assert self.verdicts_of(outcomes[1])[0] == (DomainError, "point [3.25] is not on the lattice (step 0.5)")
-        mixed = [corpus.affine_contraction(1), spec, corpus.unit_translation(1)]
-        got = _orbit(mixed, [np.zeros(1)] * 3, cone, space, cfg, lambda n: 0.0, "mann", True)
-        assert self.verdicts_of(got) == self.verdicts_of(_orbit(mixed, [np.zeros(1)] * 3, cone, space, cfg, lambda n: 0.0, "mann"))
+        want = (DomainError, "point [3.25] is not on the lattice (step 0.5)")
+        for beta_fn in (None, lambda n: 0.0):
+            args = [spec], [np.zeros(1)], cone, space, cfg, beta_fn
+            assert self.verdicts_of(*args) == self.verdicts_of(*args, verdicts=True) == want
+        for other in (corpus.affine_contraction(1), corpus.unit_translation(1)):
+            args = [other], [np.zeros(1)], cone, space, cfg, lambda n: 0.0
+            assert self.verdicts_of(*args) == self.verdicts_of(*args, verdicts=True)
 
     def test_mann_orbits_and_other_maps_run_alone(self):
         specs = [corpus.affine_contraction(2), corpus.truncation_cap(2), corpus.unit_translation(2)]
-        starts = [np.array([3.0, 0.5])] * 3
-        got = _orbit(specs, starts, ORTH2, P2, SMALL, lambda n: 0.5, "mann")
-        for spec, x0, out in zip(specs, starts, got):
-            assert_same_record(out, mann_orbit(spec, x0, 0.5, ORTH2, P2, SMALL))
+        x0 = np.array([3.0, 0.5])
+        for batch in (specs, specs[:1] * 2, specs[1:2] * 2):
+            with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
+                _orbit(batch, [x0] * len(batch), ORTH2, P2, SMALL, lambda n: 0.5, "mann")
+        for spec in specs:
+            assert_same_record(one_orbit(spec, x0, ORTH2, P2, SMALL, lambda n: 0.5, "mann"),
+                               mann_orbit(spec, x0, 0.5, ORTH2, P2, SMALL))
 
     def test_an_empty_batch(self):
-        assert _orbit([], [], ORTH2, P2, SMALL, None, "picard") == []
+        with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
+            _orbit([], [], ORTH2, P2, SMALL, None, "picard")

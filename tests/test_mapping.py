@@ -169,13 +169,13 @@ class TestValidateSelfMap:
                 return type(exc), str(exc)
             return None
 
-        got = outcome(validate_self_map)
+        got = outcome(lambda spec, **kw: validate_self_map([spec], **kw))
         assert got == outcome(reference_validate_self_map)
         assert (got and got[0]) is raises
 
     def test_no_samples_accepts(self):
         spec = MappingSpec(AffineMap(np.eye(2), np.array([-1.0, 0.0])), Domain(kind="cone", cone=ORTH2))
-        validate_self_map(spec, n_samples=0)
+        validate_self_map([spec], n_samples=0)
 
 
 class TestSamplers:
@@ -376,7 +376,10 @@ class TestDisplacementBound:
         verdicts = []
         for spec, space in entries:
             for scale in (1.0, 30.0):
-                for x, y in zip(*sample_comparable_pairs(spec, rng, 100, scale)):
+                x, y = sample_comparable_pairs(spec, rng, 100)
+                if spec.domain.kind == "cone":  # the pairs scaled up stay comparable in the cone
+                    x, y = scale * x, scale * y
+                for x, y in zip(x, y):
                     got = check_displacement_bound(spec, spec.domain.cone, space, alpha, x, y)
                     assert got is former(spec, space, x, y)
                     verdicts.append(got)
@@ -386,21 +389,30 @@ class TestDisplacementBound:
 class TestSquaresPastTheFloatRange:
     # a distance of about 1e160 squares past the largest double; the verifiers
     # square norms in units of a power of two instead
+    @staticmethod
+    def tripling(dim, top):
+        # x -> 3x on the cone, or on the orthant interval [0, top], which it
+        # does not map into itself, so the spec is built without the check
+        cone = ConeSpec(kind="orthant", dim=dim)
+        if top is None:
+            return make_mapping(AffineMap(3.0 * np.eye(dim), np.zeros(dim)), Domain(kind="cone", cone=cone))
+        domain = Domain(kind="interval", cone=cone, lo=np.zeros(dim), hi=np.full(dim, top))
+        return MappingSpec(AffineMap(3.0 * np.eye(dim), np.zeros(dim)), domain)
+
     def test_alpha_violations_reported(self):
-        spec = make_mapping(AffineMap(np.array([[3.0]]), np.zeros(1)), Domain(kind="cone", cone=ORTH1))
-        for scale in (1.0, 1e160):
-            rep = is_alpha_nonexpansive(spec, ORTH1, P1, 0.0, SamplerConfig(20, seed=0, scale=scale))
+        for top in (None, 1e160):
+            spec = self.tripling(1, top)
+            rep = is_alpha_nonexpansive(spec, ORTH1, P1, 0.0, SamplerConfig(20, seed=0))
             assert rep.samples == 20 and len(rep.violations) == 20
         # the sides are reported in full: past the float range they are inf
         v = rep.violations[0]
         assert v.lhs == v.rhs == math.inf
 
     def test_hilbert_counts_do_not_depend_on_scale(self):
-        spec = make_mapping(AffineMap(3.0 * np.eye(2), np.zeros(2)), Domain(kind="cone", cone=ORTH2))
         counts = [
             {name: len(r.violations) for name, r in
-             classify_hilbert_classes(spec, P2, SamplerConfig(200, seed=3, scale=scale), ab=(0.75, 0.25)).items()}
-            for scale in (1.0, 1e160)
+             classify_hilbert_classes(self.tripling(2, top), P2, SamplerConfig(200, seed=3), ab=(0.75, 0.25)).items()}
+            for top in (None, 1e160)
         ]
         assert counts[0] == counts[1]
         assert 0 < sum(counts[0].values())
@@ -560,20 +572,38 @@ class TestStackedDraws:
 
     RHOS = [0.5, 0.8, 0.95, 0.995, 1.0]
 
+    @staticmethod
+    def stacked(dim, rhos, seeds):
+        """The maps of one stacked draw, or the type and text of its error."""
+        try:
+            return [draw_outcome(out) for out in
+                    corpus.random_nonneg_affine(dim, rhos, [np.random.default_rng(k) for k in seeds])]
+        except Exception as exc:
+            return draw_outcome(exc)
+
+    @staticmethod
+    def alone(dim, rho, seed):
+        try:
+            return draw_outcome(frozen_random_nonneg_affine(dim, rho, np.random.default_rng(seed)))
+        except Exception as exc:
+            return draw_outcome(exc)
+
     @pytest.mark.parametrize("dim", [1, 2, 5, 20])
     @pytest.mark.parametrize("n", [1, 3, 33])
     def test_stacked_draws_are_the_draws_one_by_one(self, dim, n):
+        # a stack with a trial that draws no map raises that trial's error,
+        # and the stack of the other trials draws their maps
         for seed in range(50):
             rhos = [self.RHOS[(seed + k) % 5] for k in range(n)]
-            got = corpus.random_nonneg_affine(dim, rhos, [np.random.default_rng(100 * seed + k) for k in range(n)])
-            assert len(got) == n
-            for k, (rho, out) in enumerate(zip(rhos, got)):
-                rng = np.random.default_rng(100 * seed + k)
-                try:
-                    want = draw_outcome(frozen_random_nonneg_affine(dim, rho, rng))
-                except RuntimeError as exc:
-                    want = draw_outcome(exc)
-                assert draw_outcome(out) == want, (seed, k, rho)
+            seeds = [100 * seed + k for k in range(n)]
+            want = [self.alone(dim, rho, k) for rho, k in zip(rhos, seeds)]
+            drawn = [k for k, out in enumerate(want) if out[0] is not RuntimeError]
+            if drawn:
+                assert self.stacked(dim, [rhos[k] for k in drawn], [seeds[k] for k in drawn]) == [want[k] for k in drawn]
+            if len(drawn) < n:
+                assert self.stacked(dim, rhos, seeds) == next(out for out in want if out[0] is RuntimeError)
+            else:
+                assert self.stacked(dim, rhos, seeds) == want
 
     def test_generators_are_left_as_one_by_one(self):
         rhos = self.RHOS * 3
@@ -585,23 +615,19 @@ class TestStackedDraws:
             assert rng.random() == alone.random()
 
     def test_a_map_that_cannot_be_drawn_is_the_error_of_its_trial(self):
-        rngs = [np.random.default_rng(k) for k in range(3)]
-        got = corpus.random_nonneg_affine(4, [0.5, 2.0, 0.8], rngs)
-        assert draw_outcome(got[1]) == (RuntimeError, "could not draw a spectral-radius-capped map at rho=2.0")
-        for k in (0, 2):
-            assert draw_outcome(got[k]) == draw_outcome(
-                frozen_random_nonneg_affine(4, [0.5, 2.0, 0.8][k], np.random.default_rng(k)))
+        rhos = [0.5, 2.0, 0.8, 3.0]
+        assert self.stacked(4, rhos, range(4)) == (RuntimeError, "could not draw a spectral-radius-capped map at rho=2.0")
+        assert self.stacked(4, rhos[::2], [0, 2]) == [self.alone(4, rhos[k], k) for k in (0, 2)]
         with pytest.raises(RuntimeError, match="rho=2.0"):
             corpus.random_nonneg_affine(4, 2.0, np.random.default_rng(1))
 
     def test_an_escaping_draw_is_the_error_of_its_trial(self):
         # a negative rho draws a matrix that maps cone points out of the cone
-        got = corpus.random_nonneg_affine(2, [0.5, -0.5, 0.8], [np.random.default_rng(k) for k in range(3)])
         with pytest.raises(DomainError) as alone:
             corpus.random_nonneg_affine(2, -0.5, np.random.default_rng(1))
-        assert draw_outcome(got[1]) == (DomainError, str(alone.value))
         assert str(alone.value).startswith("not a self-map: image [")
-        assert all(isinstance(got[k], MappingSpec) for k in (0, 2))
+        assert self.stacked(2, [0.5, -0.5, 0.8], range(3)) == (DomainError, str(alone.value))
+        assert all(len(out) == 2 for out in self.stacked(2, [0.5, 0.8], [0, 2]))
 
 
 class TestStackedSelfMapCheck:
@@ -616,31 +642,35 @@ class TestStackedSelfMapCheck:
         ]
         return [MappingSpec(op, cone) for op in ops]
 
+    @staticmethod
+    def outcome(specs):
+        try:
+            validate_self_map(specs)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return None
+
     def test_each_map_gets_the_error_it_raises_alone(self):
+        # alone, and first in a stack: a stack raises the error of its first failing map
         specs = self.cell()
-        got = validate_self_map(specs)
-        for spec, out in zip(specs, got):
-            try:
-                validate_self_map(spec)
-                want = None
-            except ValueError as exc:
-                want = (type(exc), str(exc))
-            assert (None if out is None else (type(out), str(out))) == want
-        assert [type(out) for out in got] == [type(None), DomainError, type(None), ValueError]
+        alone = [self.outcome([spec]) for spec in specs]
+        assert [out and out[0] for out in alone] == [None, DomainError, None, ValueError]
+        for idx in ([0, 1, 2, 3], [0, 2], [2, 0, 3], [3, 1], [0, 2, 1, 3]):
+            want = next((alone[i] for i in idx if alone[i]), None)
+            assert self.outcome([specs[i] for i in idx]) == want
 
     def test_the_stacked_product_has_the_bits_of_each_evaluate(self):
         # an escape is reported with the image each map computes alone
         spec = self.cell()[1]
         with pytest.raises(DomainError) as alone:
-            validate_self_map(spec)
-        got = validate_self_map([self.cell()[0], spec] * 5)
-        assert {str(got[k]) for k in range(1, 10, 2)} == {str(alone.value)}
+            validate_self_map([spec])
+        assert self.outcome([self.cell()[0], spec] * 5) == (DomainError, str(alone.value))
 
     def test_other_maps_evaluate_one_by_one(self):
         cone = Domain(kind="cone", cone=ConeSpec("orthant", 2))
         specs = [MappingSpec(TranslationMap(np.array(s)), cone) for s in ([1.0, 1.0], [-5.0, 0.0], [0.0, 2.0])]
-        got = validate_self_map(specs)
-        assert got[0] is None and got[2] is None and isinstance(got[1], DomainError)
+        assert self.outcome(specs[::2]) is None
+        assert self.outcome(specs) == self.outcome(specs[1:2]) and self.outcome(specs)[0] is DomainError
 
 
 class TestStackedAffineOracle:
@@ -667,7 +697,7 @@ class TestStackedAffineOracle:
         views = [as_affine(s.op) for s in specs]
         got = _affine_fixed_points(specs, *(np.array(v) for v in zip(*views)), FIXED_POINT_TOL)
         for spec, view, out in zip(specs, views, got):
-            want = _affine_fixed_points(spec, *view, FIXED_POINT_TOL)
+            want = _affine_fixed_points([spec], *(v[None] for v in view), FIXED_POINT_TOL)[0]
             if want is None:
                 assert out is None
                 with pytest.raises(ValueError, match="needs a bounded GridSearchConfig"):
@@ -683,12 +713,17 @@ class TestStackedAffineOracle:
         cone = Domain(kind="cone", cone=ConeSpec("orthant", 2))
         specs = [MappingSpec(AffineMap(0.5 * np.eye(2), np.ones(2)), cone),
                  MappingSpec(AffineMap(0.5 * np.eye(2), np.array([1e308, 1e308])), cone)]
+
+        def stacked(batch):
+            return _affine_fixed_points(batch, *(np.array(v) for v in zip(*(as_affine(s.op) for s in batch))), 1e-8)
+
+        assert stacked(specs[:1])[0][0].tolist() == [2.0, 2.0]
         with np.errstate(over="ignore"):
-            got = _affine_fixed_points(specs, *(np.array(v) for v in zip(*map(as_affine, (s.op for s in specs)))), 1e-8)
             with pytest.raises(ValueError) as alone:
                 fixed_point_oracle(specs[1], P2)
-        assert got[0][0].tolist() == [2.0, 2.0]
-        assert (type(got[1]), str(got[1])) == (type(alone.value), str(alone.value))
+            with pytest.raises(ValueError) as batch:
+                stacked(specs)
+        assert (type(batch.value), str(batch.value)) == (type(alone.value), str(alone.value))
 
 
 class TestJsonRoundTrip:
@@ -776,7 +811,7 @@ def reference_is_monotone(spec, cone, cfg=None):
     rng = np.random.default_rng(cfg.seed)
     report = PropertyReport(name="monotone", samples=cfg.n_samples)
     for _ in range(cfg.n_samples):
-        x, y = reference_sample_comparable_pair(spec, rng, cfg.scale)
+        x, y = reference_sample_comparable_pair(spec, rng)
         margin = _ref_cone_margin(cone, spec.op.evaluate(y) - spec.op.evaluate(x))
         if margin < -MEMBERSHIP_TOL:
             report.violations.append(Violation(x=x, y=y, lhs=-margin, rhs=MEMBERSHIP_TOL))
@@ -788,7 +823,7 @@ def reference_is_monotone_nonexpansive(spec, cone, space, cfg=None):
     rng = np.random.default_rng(cfg.seed)
     report = PropertyReport(name="monotone_nonexpansive", samples=cfg.n_samples)
     for _ in range(cfg.n_samples):
-        x, y = reference_sample_comparable_pair(spec, rng, cfg.scale)
+        x, y = reference_sample_comparable_pair(spec, rng)
         tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
         margin = _ref_cone_margin(cone, ty - tx)
         if margin < -MEMBERSHIP_TOL:
@@ -829,7 +864,7 @@ def reference_is_alpha_nonexpansive(spec, cone, space, alpha, cfg=None, exhausti
     else:
         rng = np.random.default_rng(cfg.seed)
         pairs = [
-            reference_sample_comparable_pair(spec, rng, cfg.scale)
+            reference_sample_comparable_pair(spec, rng)
             for _ in range(cfg.n_samples)
         ]
     report.samples = len(pairs)
@@ -858,8 +893,8 @@ def reference_classify_hilbert_classes(spec, space, cfg=None, ab=None):
     names = ["nonspreading", "hybrid", "tj"] + (["ab_monotone"] if ab is not None else [])
     reports = {n: PropertyReport(name=n, samples=cfg.n_samples) for n in names}
     for _ in range(cfg.n_samples):
-        x = sample_domain_point(spec, rng, cfg.scale)
-        y = sample_domain_point(spec, rng, cfg.scale)
+        x = sample_domain_point(spec, rng)
+        y = sample_domain_point(spec, rng)
         tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
         # polarization: <u, v> = (||u + v||^2 - ||u - v||^2) / 4
         u, v = x - tx, y - ty
@@ -1191,16 +1226,19 @@ class TestBatchedSampling:
     )
     @pytest.mark.parametrize("scale", [1.0, 3.0])
     def test_rows_are_the_pairwise_draws(self, spec, scale):
+        # pairs are drawn at scale 1; a domain point drawn at ``scale`` first
+        # leaves both streams in step
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        x, y = sample_comparable_pairs(spec, rng, 40, scale)
+        assert np.array_equal(sample_domain_point(spec, rng, scale), reference_sample_domain_point(spec, ref_rng, scale))
+        x, y = sample_comparable_pairs(spec, rng, 40)
         assert x.shape == y.shape == (40, spec.dim)
         for k in range(40):
-            rx, ry = reference_sample_comparable_pair(spec, ref_rng, scale)
+            rx, ry = reference_sample_comparable_pair(spec, ref_rng)
             assert np.array_equal(x[k], rx) and np.array_equal(y[k], ry)
         assert rng.uniform() == ref_rng.uniform()
         # one pair alone is the reference's first pair
-        one = [rows[0] for rows in sample_comparable_pairs(spec, np.random.default_rng(12), 1, scale)]
-        ref = reference_sample_comparable_pair(spec, np.random.default_rng(12), scale)
+        one = [rows[0] for rows in sample_comparable_pairs(spec, np.random.default_rng(12), 1)]
+        ref = reference_sample_comparable_pair(spec, np.random.default_rng(12))
         assert all(np.array_equal(a, b) and a.shape == (spec.dim,) for a, b in zip(one, ref))
 
     def test_no_pairs(self):
@@ -1232,7 +1270,7 @@ def reference_is_quasi_nonexpansive(spec, cone, space, fixed_points, cfg=None):
             idx = np.maximum(idx, idx_p) if k % 2 == 0 else np.minimum(idx, idx_p)
             x = spec.op.origin + spec.op.step * idx.astype(float)
         else:
-            d = _cone_rows(spec.domain.cone, rng, 1, cfg.scale)[0]
+            d = _cone_rows(spec.domain.cone, rng, 1, 1.0)[0]
             x = p + d if k % 2 == 0 else p - d
         if not domain_contains(spec.domain, x):
             continue
@@ -1250,7 +1288,7 @@ def reference_fixed_point_oracle(spec, grid_cfg=None, residual_tol=FIXED_POINT_T
     found = []
     affine_view = as_affine(spec.op)
     if affine_view is not None:
-        direct = _affine_fixed_points(spec, *affine_view, residual_tol)
+        direct = _affine_fixed_points([spec], *(v[None] for v in affine_view), residual_tol)[0]
         if direct is not None:
             return direct
     if isinstance(spec.op, GridMap):
@@ -1336,7 +1374,7 @@ class TestRowQuasiVerifier:
             space = SpaceSpec(spec.dim, p)
             for seed in range(30):
                 for n in (0, 1, 7, 200):
-                    cfg = SamplerConfig(n_samples=n, seed=seed, scale=1.0 + seed % 3)
+                    cfg = SamplerConfig(n_samples=n, seed=seed)
                     rep = is_quasi_nonexpansive(spec, cone, space, fixed, cfg)
                     ref = reference_is_quasi_nonexpansive(spec, cone, space, fixed, cfg)
                     assert_same_report(rep, ref, rtol=0.0)
@@ -1471,8 +1509,8 @@ class TestOneDomainSampler:
             assert rows.shape == want.shape == (n, spec.dim) and np.array_equal(rows, want)
             one, ref_one = sample_domain_point(spec, rng, 2.0), reference_sample_domain_point(spec, ref, 2.0)
             assert one.shape == (spec.dim,) and np.array_equal(one, ref_one)
-            x, y = sample_comparable_pairs(spec, rng, n, 0.5)
-            rx, ry = reference_sample_comparable_pairs(spec, ref, n, 0.5)
+            x, y = sample_comparable_pairs(spec, rng, n)
+            rx, ry = reference_sample_comparable_pairs(spec, ref, n)
             assert x.shape == y.shape == rx.shape == (n, spec.dim)
             assert np.array_equal(x, rx) and np.array_equal(y, ry)
             assert rng.uniform() == ref.uniform()
