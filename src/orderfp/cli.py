@@ -118,7 +118,7 @@ def _cmd_check_mapping(args) -> int:
                 "samples": r.samples,
                 "verdict": r.verdict,
                 "violations": [
-                    {"x": v.x.tolist(), "y": v.y.tolist(), "lhs": v.lhs, "rhs": v.rhs}
+                    {"x": v.x.tolist(), "y": v.y.tolist(), "lhs": v.lhs, "rhs": v.rhs, "scale": v.scale}
                     for v in r.violations
                 ],
             }

@@ -39,7 +39,6 @@ from orderfp.iterate import (
     picard_orbit,
 )
 from orderfp.mapping import (
-    FIXED_POINT_TOL,
     Domain,
     as_affine,
     GridMap,
@@ -52,7 +51,6 @@ from orderfp.mapping import (
     fixed_point_oracle,
     is_alpha_nonexpansive,
     is_monotone_nonexpansive,
-    make_mapping,
     mapping_from_dict,
     sample_domain_point,
     _affine_fixed_points,
@@ -340,14 +338,20 @@ class FamilyConfig:
     include_identity_edge: bool = True
 
     def __post_init__(self):
-        # checked here, naming the field: t34 draws each cell as one stack,
-        # where such a value would fail the whole cell with numpy's error
+        # checked here, naming the field: t34 draws each cell as one stack, where such a value
+        # would fail the whole cell with numpy's error; a plan of no trial would pass vacuously
         for dim in self.dims:
             if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
                 raise ValueError(f"config field family.dims needs positive integers, got {dim!r}")
         for rho in self.rhos:
             if isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not 0 <= rho <= sys.float_info.max:
                 raise ValueError(f"config field family.rhos needs finite numbers >= 0, got {rho!r}")
+        for name in ("n_per_cell", "translations_per_dim"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"config field family.{name} needs an integer >= 0, got {getattr(self, name)!r}")
+        trials = len(self.dims) * (len(self.rhos) * self.n_per_cell + self.translations_per_dim)
+        if trials + self.include_identity_edge == 0:
+            raise ValueError("config section family plans no trial")
 
 
 @dataclass
@@ -392,8 +396,8 @@ def verify_zero_orbit_equivalence(
         if family == "contractive":  # the first trial that draws no map raises, as one by one
             specs = corpus.random_nonneg_affine(dim, [rho for _, (_, _, rho) in cell], rngs)
         elif family == "translation":
-            domain = Domain(kind="cone", cone=cone)
-            specs = [make_mapping(TranslationMap(rng.uniform(0.5, 1.5, size=dim)), domain) for rng in rngs]
+            domain = Domain(kind="cone", cone=cone)  # a shift >= 0.5 maps the cone into itself
+            specs = [MappingSpec(TranslationMap(rng.uniform(0.5, 1.5, size=dim)), domain) for rng in rngs]
         else:
             specs = [corpus.identity_map(dim) for _ in rngs]
 
@@ -401,9 +405,7 @@ def verify_zero_orbit_equivalence(
             batch, zeros = [specs[i] for i in idx], np.zeros((len(idx), dim))
             return iterate._orbit(batch, zeros, cone, space, cfg, None, "picard", verdicts=True)
 
-        # the oracle's affine route takes the cell as one stack (every t34 map is affine)
-        views = (np.array(v) for v in zip(*(as_affine(s.op) for s in specs)))
-        solved = _affine_fixed_points(specs, *views, FIXED_POINT_TOL)
+        solved = _affine_fixed_points(specs)  # the oracle's affine route, as one stack
         verdicts = _settled(run, len(specs), iter_cfg)
         for (counter, (_, _, rho)), spec, verdict, found in zip(cell, specs, verdicts, solved):
             # a degenerate system off the minimum-norm solution takes the grid route, which raises

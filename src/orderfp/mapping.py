@@ -304,29 +304,25 @@ def apply_map(spec: MappingSpec, x) -> np.ndarray:
     return spec.op.evaluate(v)
 
 
-def validate_self_map(specs: list, n_samples: int = 64, seed: int = 0) -> None:
-    """Reject specs whose operation escapes the declared domain on samples:
-    raise the error of the first one that does. The specs are one spec, or
-    non-lattice specs on one domain, checked on the same samples."""
-    xs = _domain_rows(specs[0], np.random.default_rng(seed), n_samples, 1.0)
-    if all(type(s.op) is AffineMap for s in specs):  # one product, each evaluate's bits
-        a, b = (np.array([getattr(s.op, f) for s in specs]) for f in ("matrix", "offset"))
-        ys = (a[:, None] @ xs[:, :, None])[..., 0] + b[:, None]
-    else:
-        ys = np.array([s.op.evaluate(xs) for s in specs])
+def validate_self_map(spec: MappingSpec) -> None:
+    """Reject a spec whose operation escapes the declared domain on 64 domain
+    samples from seed 0, evaluated as rows: raise at the first sample whose
+    image is non-finite or off the domain."""
+    xs = _domain_rows(spec, np.random.default_rng(0), 64, 1.0)
+    ys = spec.op.evaluate(xs)
     ok = np.isfinite(ys).all(axis=-1)
     with np.errstate(invalid="ignore"):  # a non-finite image has failed already
-        ok &= _domain_contains_raw(specs[0].domain, ys, 1e-9)
+        ok &= _domain_contains_raw(spec.domain, ys, 1e-9)
     if not ok.all():
-        i, k = np.unravel_index(np.argmin(ok), ok.shape)  # the first failing map's first failing sample
-        as_vector(ys[i, k])  # a non-finite image raises ValueError here
-        raise DomainError(f"not a self-map: image {ys[i, k]} of sample {xs[k]} escapes the domain")
+        k = int(np.argmin(ok))
+        as_vector(ys[k])  # a non-finite image raises ValueError here
+        raise DomainError(f"not a self-map: image {ys[k]} of sample {xs[k]} escapes the domain")
 
 
 def make_mapping(op, domain: Domain) -> MappingSpec:
     """Construct a MappingSpec and verify the self-map property on samples."""
     spec = MappingSpec(op=op, domain=domain)
-    validate_self_map([spec])
+    validate_self_map(spec)
     return spec
 
 
@@ -430,19 +426,18 @@ def _pair_report(name, spec, cone, x, y, ineq=None, alpha=None) -> PropertyRepor
 
     A pair with T y - T x outside ``cone`` is an order violation (lhs the
     negated cone margin, rhs MEMBERSHIP_TOL) and skips the inequality; for
-    the rest ``ineq(tx, ty, checked)`` gives s and the sides of lhs <= rhs + slack in units of s^2.
+    the rest ``ineq(tx, ty, checked)`` gives s, their scale, and the sides of lhs <= rhs + slack in units of s^2.
     """
     tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
     margin = _cone_margins(cone, ty - tx)
     failed = margin < -MEMBERSHIP_TOL
-    lhs, rhs = -margin, np.full(len(x), MEMBERSHIP_TOL)
+    lhs, rhs, scale = -margin, np.full(len(x), MEMBERSHIP_TOL), 1.0
     if ineq is not None:
         ordered = ~failed
         ineq_lhs, ineq_rhs, s = ineq(tx, ty, ordered)
         failed = failed | (ordered & (ineq_lhs > ineq_rhs + _slack(ineq_rhs, s)))
-        with np.errstate(over="ignore"):  # a side past the largest double is inf
-            lhs, rhs = np.where(ordered, ineq_lhs * s * s, lhs), np.where(ordered, ineq_rhs * s * s, rhs)
-    return PropertyReport.from_rows(name, x, y, lhs, rhs, failed, alpha)
+        lhs, rhs, scale = (np.where(ordered, a, b) for a, b in ((ineq_lhs, lhs), (ineq_rhs, rhs), (s, 1.0)))
+    return PropertyReport.from_rows(name, x, y, lhs, rhs, failed, alpha, scale)
 
 
 def _sampled_pairs(spec: MappingSpec, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -613,8 +608,7 @@ def classify_hilbert_classes(
     for name, (lhs, rhs) in sides.items():
         # (a, b)-monotone is a lower bound: lhs >= rhs - slack
         failed = lhs < rhs - _slack(rhs, s) if name == "ab_monotone" else lhs > rhs + _slack(rhs, s)
-        with np.errstate(over="ignore"):  # a side past the largest double is inf
-            reports[name] = PropertyReport.from_rows(name, x, y, lhs * s * s, rhs * s * s, failed)
+        reports[name] = PropertyReport.from_rows(name, x, y, lhs, rhs, failed, scale=s)
     return reports
 
 
@@ -654,16 +648,17 @@ def as_affine(op) -> tuple[np.ndarray, np.ndarray] | None:
     return None
 
 
-def _affine_fixed_points(specs: list, matrix: np.ndarray, offset: np.ndarray, residual_tol: float) -> list:
-    """Exact linear-algebra route for affine operations, for a list of specs
-    with their finite matrices and offsets stacked, from one stacked eigvals
-    and solve; the first error met is raised.
+def _affine_fixed_points(specs: list) -> list:
+    """Exact linear-algebra route for specs of one dimension with finite affine
+    views (``as_affine``), stacked here for one stacked eigvals and solve; the
+    first error met is raised.
 
     Each spec's result is a list (possibly empty, meaning certifiably no
     fixed point anywhere) or None when the linear system is degenerate with
     solutions off the minimum-norm one, in which case the caller falls back
     to the grid.
     """
+    matrix, offset = (np.array(v) for v in zip(*(as_affine(s.op) for s in specs)))
     system = np.eye(offset.shape[-1]) - matrix
     below = np.abs(np.linalg.eigvals(matrix)).max(axis=-1) < 1.0 - 1e-9
     z = np.full(offset.shape, np.nan)
@@ -672,7 +667,7 @@ def _affine_fixed_points(specs: list, matrix: np.ndarray, offset: np.ndarray, re
     for s, solved, m, b, zi in zip(specs, below, system, offset, z):
         if not solved:
             zi, *_ = np.linalg.lstsq(m, b, rcond=None)
-            if float(np.linalg.norm(m @ zi - b)) > residual_tol * (1.0 + float(np.linalg.norm(b))):
+            if float(np.linalg.norm(m @ zi - b)) > FIXED_POINT_TOL * (1.0 + float(np.linalg.norm(b))):
                 out.append([])  # inconsistent system: no fixed point exists at all
                 continue
         out.append([zi] if domain_contains(s.domain, zi, tol=1e-9) else [] if solved else None)
@@ -687,12 +682,14 @@ def fixed_point_oracle(
     Affine operations are resolved by linear algebra (exact solve when the
     spectral radius is below one). Everything else tests the nodes of a
     bounded lattice that lie in the domain: a lattice map's own lattice, or
-    the grid of ``grid_cfg``. A node whose residual ||T x - x|| in the norm of
-    ``space`` is at most ``FIXED_POINT_TOL`` is a fixed point; duplicates within 1e-8 are merged.
+    the grid of ``grid_cfg``, where an axis with lo == hi has one node. The
+    nodes whose residual ||T x - x|| in the norm of ``space`` is at most
+    ``FIXED_POINT_TOL`` are returned in lattice order, each once, as distinct
+    nodes differ by an axis spacing (one of at most 1e-8 reports all of its
+    near-coincident fixed nodes).
     """
-    affine_view = as_affine(spec.op)
-    if affine_view is not None:
-        direct = _affine_fixed_points([spec], *(v[None] for v in affine_view), FIXED_POINT_TOL)[0]
+    if as_affine(spec.op) is not None:
+        direct = _affine_fixed_points([spec])[0]
         if direct is not None:
             return direct
     if isinstance(spec.op, GridMap):
@@ -703,16 +700,13 @@ def fixed_point_oracle(
         raise ValueError(f"a {grid_cfg.lo.size}-D fixed-point search grid cannot scan a {spec.dim}-D map")
     else:
         n = grid_cfg.points_per_axis
-        nodes = _lattice_rows([np.linspace(grid_cfg.lo[i], grid_cfg.hi[i], n) for i in range(spec.dim)])
+        axes = [np.linspace(lo, hi, n)[: 1 if lo == hi else n] for lo, hi in zip(grid_cfg.lo, grid_cfg.hi)]
+        nodes = _lattice_rows(axes)
     nodes = nodes[_domain_contains_raw(spec.domain, nodes, MEMBERSHIP_TOL)]
     diff = spec.op.evaluate(nodes) - nodes
     # a non-finite image is no fixed point, and is not validated as a point
     res = _row_norms(space, diff[None], np.isfinite(diff).all(axis=-1))[0]
-    found: list[np.ndarray] = []
-    for x in nodes[res <= FIXED_POINT_TOL]:
-        if not any(np.max(np.abs(x - w)) <= 1e-8 for w in found):
-            found.append(x)
-    return found
+    return list(nodes[res <= FIXED_POINT_TOL])
 
 
 # ---------------------------------------------------------------------------

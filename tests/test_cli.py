@@ -87,9 +87,13 @@ def test_check_mapping_detects_expansion(tmp_path, capsys):
     )
     path = tmp_path / "expansion.json"
     save_mapping(spec, path)
-    assert main(["check-mapping", "--map", str(path), "--samples", "200", "--seed", "3"]) == 1
+    report = tmp_path / "report.json"
+    assert main(["check-mapping", "--map", str(path), "--samples", "200", "--seed", "3", "--json", str(report)]) == 1
     out = capsys.readouterr().out
-    assert "fail" in out and "witness" in out
+    assert "fail" in out and "witness" in out and "scale=" not in out
+    # each violation carries the scale its sides are in units of the square of
+    violations = [v for entry in json.loads(report.read_text()) for v in entry["violations"]]
+    assert violations and all(v["scale"] == 1.0 for v in violations)
 
 
 def test_iterate_then_asym_center(tmp_path, contraction_file, capsys):

@@ -213,8 +213,8 @@ class TestZeroOrbitCells:
         assert want == (RuntimeError, "could not draw a spectral-radius-capped map at rho=2.0")
         assert outcome_of(verify_zero_orbit_equivalence, cfg, 0, FAST) == want
 
-    # a negative rho would draw a map that fails its self-map check, and
-    # numpy cannot draw with the others: the config refuses each before any
+    # a negative rho would draw a map out of the cone, and numpy cannot
+    # draw with the others: the config refuses each before any
     # trial runs, so no trial's error is pre-empted by it
     @pytest.mark.parametrize("rhos", [(0.5, -0.5, 0.8), (2.0, -0.5), (-0.5, 2.0)])
     def test_a_map_that_escapes_its_check_raises_at_its_trial(self, rhos):
@@ -257,6 +257,35 @@ class TestFamilyConfigDoor:
         with pytest.raises(RuntimeError) as got:
             run_suites(["t34"], config, 0, tmp_path)
         assert (type(got.value), str(got.value)) == want
+
+    NO_TRIAL = "config section family plans no trial"
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [('{"n_per_cell": -2, "translations_per_dim": -1, "include_identity_edge": false}',
+          "config field family.n_per_cell needs an integer >= 0, got -2"),
+         ('{"translations_per_dim": -1}', "config field family.translations_per_dim needs an integer >= 0, got -1"),
+         ('{"dims": [], "include_identity_edge": false}', NO_TRIAL),
+         ('{"rhos": [], "translations_per_dim": 0, "include_identity_edge": false}', NO_TRIAL)],
+        ids=["negative-counts", "negative-translations", "no-dims", "no-rhos-no-translations"],
+    )
+    def test_a_plan_that_tests_nothing_is_refused(self, section, message, tmp_path):
+        # each of these planned no trial (or a negative number of them), and
+        # t34 reported PASS on 0 trials
+        with pytest.raises(ValueError) as got:
+            run_suites(["t34"], json.loads(f'{{"family": {section}}}'), 0, tmp_path)
+        assert str(got.value) == message
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "section, families",
+        [({"rhos": [], "translations_per_dim": 1, "include_identity_edge": False}, ["translation"] * 3),
+         ({"dims": []}, ["identity_edge"]), ({"n_per_cell": 0, "translations_per_dim": 0}, ["identity_edge"])],
+        ids=["translations-only", "edge-only", "no-counts-edge-only"],
+    )
+    def test_a_plan_of_translations_or_the_edge_alone_runs(self, section, families, tmp_path):
+        reports, rows = run_suites(["t34"], {"family": section}, 0, tmp_path)
+        assert reports[0].passed and [r.family for r in rows] == families
 
     def test_rho_zero_is_valid(self, tmp_path):
         # the zero matrix: x -> b, a constant map whose fixed point is b
