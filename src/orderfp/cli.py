@@ -92,14 +92,13 @@ def _cmd_order_check(args) -> int:
 
 def _cmd_check_mapping(args) -> int:
     spec = load_mapping(args.map)
-    cone = spec.domain.cone if args.cone is None else ConeSpec(kind=args.cone, dim=spec.dim)
     space = SpaceSpec(dim=spec.dim, p=args.p)
     cfg = SamplerConfig(n_samples=args.samples, seed=args.seed)
 
     reports = [
-        is_monotone(spec, cone, cfg),
-        is_monotone_nonexpansive(spec, cone, space, cfg),
-        is_alpha_nonexpansive(spec, cone, space, args.alpha, cfg),
+        is_monotone(spec, cfg),
+        is_monotone_nonexpansive(spec, space, cfg),
+        is_alpha_nonexpansive(spec, space, args.alpha, cfg),
     ]
     if space.p == 2.0:
         reports.extend(classify_hilbert_classes(spec, space, cfg).values())
@@ -144,7 +143,6 @@ def _parse_vector(text: str, spec) -> np.ndarray | None:
 
 def _cmd_iterate(args) -> int:
     spec = load_mapping(args.map)
-    cone = spec.domain.cone
     space = SpaceSpec(dim=spec.dim, p=args.p)
     x0 = _parse_vector(args.x0, spec)
     if x0 is None:
@@ -155,10 +153,10 @@ def _cmd_iterate(args) -> int:
         bound_threshold=args.bound_threshold,
     )
     if args.scheme == "picard":
-        record = picard_orbit(spec, x0, cone, space, cfg)
+        record = picard_orbit(spec, x0, space, cfg)
     else:
         beta = [float(tok) for tok in args.beta.split(",")] if "," in args.beta else float(args.beta)
-        record = mann_orbit(spec, x0, beta, cone, space, cfg)
+        record = mann_orbit(spec, x0, beta, space, cfg)
     write_orbit_csv(record, args.out)
     print(
         f"{record.scheme} orbit: {len(record)} points, verdict={record.verdict}, "
@@ -231,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_map = sub.add_parser("check-mapping", help="run mapping-class verifiers on a mapping file")
     p_map.add_argument("--map", type=str, required=True, help="mapping JSON file")
-    p_map.add_argument("--cone", choices=["orthant", "lorentz"], default=None,
-                       help="override the order cone (default: the map's domain cone)")
     p_map.add_argument("--p", type=float, default=2.0)
     p_map.add_argument("--alpha", type=float, default=0.0)
     p_map.add_argument("--samples", type=int, default=500)

@@ -90,7 +90,6 @@ class HypothesisError(RuntimeError):
 class Scenario:
     sid: str
     space: SpaceSpec
-    cone: ConeSpec
     map: MappingSpec
     alpha: float = 0.0
     x0_policy: str = "zero"  # zero | below | above | explicit
@@ -98,6 +97,11 @@ class Scenario:
     expected: str = "unknown"  # fixed_point_exists | no_fixed_point | unknown
     seed: int = 0
     grid_cfg: GridSearchConfig | None = None
+
+    @property
+    def cone(self) -> ConeSpec:
+        """The order of every check: the map's domain cone."""
+        return self.map.domain.cone
 
 
 @dataclass
@@ -174,14 +178,13 @@ def _settled(run, n: int, cfg: IterationConfig) -> list:
 
 
 def _settled_orbit(scn: Scenario, x0: np.ndarray, cfg: IterationConfig) -> OrbitRecord:
-    return _settled(lambda idx, c: [picard_orbit(scn.map, x0, scn.cone, scn.space, c)], 1, cfg)[0]
+    return _settled(lambda idx, c: [picard_orbit(scn.map, x0, scn.space, cfg=c)], 1, cfg)[0]
 
 
 def _class_hypothesis(rep: CampaignReport, scn: Scenario, samples: int) -> bool:
     cfg = SamplerConfig(n_samples=samples, seed=scn.seed)
-    class_rep = is_alpha_nonexpansive(
-        scn.map, scn.cone, scn.space, scn.alpha, cfg, exhaustive=isinstance(scn.map.op, GridMap)
-    )
+    exhaustive = isinstance(scn.map.op, GridMap)
+    class_rep = is_alpha_nonexpansive(scn.map, scn.space, scn.alpha, cfg, exhaustive=exhaustive)
     rep.add("hypothesis_alpha_class", class_rep.passed, class_rep.summary())
     return class_rep.passed
 
@@ -403,7 +406,7 @@ def verify_zero_orbit_equivalence(
 
         def run(idx, cfg):  # the cell's orbits from 0, one batch, verdicts only
             batch, zeros = [specs[i] for i in idx], np.zeros((len(idx), dim))
-            return iterate._orbit(batch, zeros, cone, space, cfg, None, "picard", verdicts=True)
+            return iterate._orbit(batch, zeros, space, cfg, None, "picard", verdicts=True)
 
         solved = _affine_fixed_points(specs)  # the oracle's affine route, as one stack
         verdicts = _settled(run, len(specs), iter_cfg)
@@ -547,7 +550,7 @@ def verify_cone_convergence(
     rep.add("zero_limit_near_oracle", nearest <= 1e-5, f"distance={nearest!r}")
 
     if scn.alpha == 0.0:
-        mne = is_monotone_nonexpansive(scn.map, scn.cone, scn.space, SamplerConfig(samples, scn.seed))
+        mne = is_monotone_nonexpansive(scn.map, scn.space, SamplerConfig(samples, scn.seed))
         rep.add("hypothesis_nonexpansive", mne.passed, mne.summary())
         if not mne.passed:
             return rep
@@ -592,16 +595,15 @@ def verify_cone_convergence(
 
 
 def _scn(sid, spec, seed, x0=None, grid=None, expected="fixed_point_exists", **kw) -> Scenario:
-    # a registry scenario in l2 over the map's dimension, ordered by its
-    # domain cone; an x0 makes the start explicit, and grid = (lo, hi) bounds
-    # a 7-point-per-axis oracle grid
+    # a registry scenario in l2 over the map's dimension; an x0 makes the
+    # start explicit, and grid = (lo, hi) bounds a 7-point-per-axis oracle grid
     if x0 is not None:
         kw.update(x0_policy="explicit", x0=np.asarray(x0, dtype=float))
     if grid is not None:
         lo, hi = (np.full(spec.dim, bound) for bound in grid)
         kw["grid_cfg"] = GridSearchConfig(lo=lo, hi=hi, points_per_axis=7)
     space = SpaceSpec(dim=spec.dim, p=2.0)
-    return Scenario(sid, space, spec.domain.cone, spec, expected=expected, seed=seed, **kw)
+    return Scenario(sid, space, spec, expected=expected, seed=seed, **kw)
 
 
 def default_scenarios(seed: int) -> dict[str, list[Scenario]]:
@@ -641,10 +643,13 @@ def default_scenarios(seed: int) -> dict[str, list[Scenario]]:
 
 
 def scenario_from_dict(d: dict, seed: int) -> Scenario:
-    """Scenario from a config entry; the cone comes from the map's domain."""
+    """Scenario from a config entry; the space's dimension and the order
+    come from the map, and a ``space.dim`` that differs is rejected."""
     spec = mapping_from_dict(d["map"])
     sp = d.get("space", {})
-    space = SpaceSpec(dim=int(sp.get("dim", spec.dim)), p=float(sp.get("p", 2.0)))
+    if int(sp.get("dim", spec.dim)) != spec.dim:
+        raise ValueError(f"config field space.dim is {sp['dim']!r}, but the map is {spec.dim}-D")
+    space = SpaceSpec(dim=spec.dim, p=float(sp.get("p", 2.0)))
     grid_cfg = None
     if "grid" in d:
         g = d["grid"]
@@ -654,7 +659,6 @@ def scenario_from_dict(d: dict, seed: int) -> Scenario:
     return Scenario(
         sid=str(d.get("id", "config_scenario")),
         space=space,
-        cone=spec.domain.cone,
         map=spec,
         alpha=float(d.get("alpha", 0.0)),
         x0_policy=str(d.get("x0_policy", "zero")),

@@ -406,10 +406,10 @@ def _draw_comparable_pair(spec, rng):
     raise RuntimeError("could not sample a comparable pair inside the domain")
 
 
-def _lattice_pairs(spec: MappingSpec, cone: ConeSpec) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_pairs(spec: MappingSpec) -> tuple[np.ndarray, np.ndarray]:
     # every comparable pair of lattice points as rows (lower, upper), in
-    # combinations_with_replacement order, from one row-wise cone test
-    pts = _grid_nodes(spec.op)
+    # combinations_with_replacement order, from one row-wise domain-cone test
+    cone, pts = spec.domain.cone, _grid_nodes(spec.op)
     i, j = np.triu_indices(len(pts))
     diff = pts[j] - pts[i]
     up = _member_raw(cone, diff, MEMBERSHIP_TOL)
@@ -421,15 +421,15 @@ def _lattice_pairs(spec: MappingSpec, cone: ConeSpec) -> tuple[np.ndarray, np.nd
 # property verifiers
 
 
-def _pair_report(name, spec, cone, x, y, ineq=None, alpha=None) -> PropertyReport:
+def _pair_report(name, spec, x, y, ineq=None, alpha=None) -> PropertyReport:
     """Row-wise core of the comparable-pair verifiers (pair k is x[k] <= y[k]).
 
-    A pair with T y - T x outside ``cone`` is an order violation (lhs the
-    negated cone margin, rhs MEMBERSHIP_TOL) and skips the inequality; for
+    A pair with T y - T x outside the domain cone is an order violation (lhs
+    the negated cone margin, rhs MEMBERSHIP_TOL) and skips the inequality; for
     the rest ``ineq(tx, ty, checked)`` gives s, their scale, and the sides of lhs <= rhs + slack in units of s^2.
     """
     tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
-    margin = _cone_margins(cone, ty - tx)
+    margin = _cone_margins(spec.domain.cone, ty - tx)
     failed = margin < -MEMBERSHIP_TOL
     lhs, rhs, scale = -margin, np.full(len(x), MEMBERSHIP_TOL), 1.0
     if ineq is not None:
@@ -444,13 +444,13 @@ def _sampled_pairs(spec: MappingSpec, cfg: SamplerConfig) -> tuple[np.ndarray, n
     return sample_comparable_pairs(spec, np.random.default_rng(cfg.seed), cfg.n_samples)
 
 
-def is_monotone(spec: MappingSpec, cone: ConeSpec, cfg: SamplerConfig | None = None) -> PropertyReport:
+def is_monotone(spec: MappingSpec, cfg: SamplerConfig | None = None) -> PropertyReport:
     """Sampled check that x <= y implies T x <= T y."""
-    return _pair_report("monotone", spec, cone, *_sampled_pairs(spec, cfg or SamplerConfig()))
+    return _pair_report("monotone", spec, *_sampled_pairs(spec, cfg or SamplerConfig()))
 
 
 def is_monotone_nonexpansive(
-    spec: MappingSpec, cone: ConeSpec, space: SpaceSpec, cfg: SamplerConfig | None = None
+    spec: MappingSpec, space: SpaceSpec, cfg: SamplerConfig | None = None
 ) -> PropertyReport:
     """Sampled check of monotonicity plus ||Tx - Ty|| <= ||x - y|| on
     comparable pairs."""
@@ -459,12 +459,11 @@ def is_monotone_nonexpansive(
     def ineq(tx, ty, checked):
         return (*_row_norms(space, np.stack([tx - ty, x - y]), checked), 1.0)
 
-    return _pair_report("monotone_nonexpansive", spec, cone, x, y, ineq)
+    return _pair_report("monotone_nonexpansive", spec, x, y, ineq)
 
 
 def is_alpha_nonexpansive(
     spec: MappingSpec,
-    cone: ConeSpec,
     space: SpaceSpec,
     alpha: float,
     cfg: SamplerConfig | None = None,
@@ -481,7 +480,7 @@ def is_alpha_nonexpansive(
     if exhaustive:
         if not isinstance(spec.op, GridMap):
             raise ValueError("exhaustive checking is only available for lattice maps")
-        x, y = _lattice_pairs(spec, cone)
+        x, y = _lattice_pairs(spec)
     else:
         x, y = _sampled_pairs(spec, cfg or SamplerConfig())
 
@@ -491,12 +490,11 @@ def is_alpha_nonexpansive(
         im, cross_xy, cross_yx, arg = (norms / s) ** 2
         return im, alpha * cross_xy + alpha * cross_yx + (1.0 - 2.0 * alpha) * arg, s
 
-    return _pair_report("alpha_nonexpansive", spec, cone, x, y, ineq, alpha)
+    return _pair_report("alpha_nonexpansive", spec, x, y, ineq, alpha)
 
 
 def is_quasi_nonexpansive(
     spec: MappingSpec,
-    cone: ConeSpec,
     space: SpaceSpec,
     fixed_points,
     cfg: SamplerConfig | None = None,
@@ -536,9 +534,7 @@ def is_quasi_nonexpansive(
     return PropertyReport.from_rows("quasi_nonexpansive", x, p, lhs, rhs, lhs > rhs + _slack(rhs))
 
 
-def check_displacement_bound(
-    spec: MappingSpec, cone: ConeSpec, space: SpaceSpec, alpha: float, x, y
-) -> bool:
+def check_displacement_bound(spec: MappingSpec, space: SpaceSpec, alpha: float, x, y) -> bool:
     """Check the displacement-corrected expansion bound on a comparable pair:
 
         ||Tx-Ty||^2 <= ||x-y||^2 + 2a/(1-a) ||Tx-x||^2
@@ -550,8 +546,8 @@ def check_displacement_bound(
         raise ValueError(f"alpha must be < 1, got {alpha}")
     xv = as_vector(x, dim=spec.dim)
     yv = as_vector(y, dim=spec.dim)
-    if not comparable(cone, xv, yv):
-        raise IncomparableError(f"pair is incomparable under the {cone.kind} cone")
+    if not comparable(spec.domain.cone, xv, yv):
+        raise IncomparableError(f"pair is incomparable under the {spec.domain.cone.kind} cone")
     tx, ty = spec.op.evaluate(xv), spec.op.evaluate(yv)
     norms = [norm(space, tx - ty), norm(space, xv - yv), norm(space, tx - xv)]
     s = float(_square_scale(np.array(norms)))  # a norm that overflowed stays inf
@@ -629,6 +625,8 @@ class GridSearchConfig:
         object.__setattr__(self, "hi", as_vector(self.hi, dim=np.asarray(self.lo).size))
         if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
             raise ValueError("fixed-point search region must be bounded")
+        if self.points_per_axis < 0:
+            raise ValueError(f"points_per_axis must be >= 0, got {self.points_per_axis}")
 
 
 def as_affine(op) -> tuple[np.ndarray, np.ndarray] | None:

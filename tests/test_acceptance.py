@@ -83,10 +83,9 @@ def test_criterion_2_convexity_inequality_suite():
 def test_criterion_3_alpha_zero_reduction_agreement():
     disagreements = []
     for entry in corpus.alpha_corpus():
-        cone = entry.spec.domain.cone
         cfg = SamplerConfig(n_samples=1000, seed=31)
-        a0 = is_alpha_nonexpansive(entry.spec, cone, entry.space, 0.0, cfg)
-        ne = is_monotone_nonexpansive(entry.spec, cone, entry.space, cfg)
+        a0 = is_alpha_nonexpansive(entry.spec, entry.space, 0.0, cfg)
+        ne = is_monotone_nonexpansive(entry.spec, entry.space, cfg)
         if a0.passed != ne.passed:
             disagreements.append(entry.name)
     announce(3, not disagreements,
@@ -97,10 +96,9 @@ def test_criterion_3_alpha_zero_reduction_agreement():
 def test_criterion_4_displacement_bound_suite():
     bad = []
     for entry in corpus.alpha_corpus():
-        cone = entry.spec.domain.cone
         xs, ys = sample_comparable_pairs(entry.spec, np.random.default_rng(41), 1000)
         for x, y in zip(xs, ys):
-            if not check_displacement_bound(entry.spec, cone, entry.space, entry.alpha, x, y):
+            if not check_displacement_bound(entry.spec, entry.space, entry.alpha, x, y):
                 bad.append((entry.name, x, y))
     announce(4, not bad, f"0 violations over 1000 sampled comparable pairs per corpus map"
              if not bad else f"violations: {bad[:3]}")
@@ -126,7 +124,7 @@ def test_criterion_6_center_pipeline():
     failures = []
     for scn in _bounded_increasing_scenarios():
         x0 = resolve_x0(scn)
-        record = picard_orbit(scn.map, x0, scn.cone, scn.space, FAST)
+        record = picard_orbit(scn.map, x0, scn.space, FAST)
         if record.verdict != CONVERGED:
             failures.append((scn.sid, "orbit did not converge"))
             continue
@@ -153,7 +151,7 @@ def test_criterion_7_strong_convergence_surrogate():
     scenarios = _bounded_increasing_scenarios()
     for scn in scenarios:
         x0 = resolve_x0(scn)
-        record = picard_orbit(scn.map, x0, scn.cone, scn.space, FAST)
+        record = picard_orbit(scn.map, x0, scn.space, FAST)
         if record.verdict != CONVERGED:
             failures.append((scn.sid, "no convergence"))
             continue

@@ -25,7 +25,7 @@ P2 = SpaceSpec(dim=2, p=2.0)
 
 
 def affine_problem():
-    rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2)
+    rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], P2)
     return rec, problem_from_orbit(rec.points, ORTH2, P2)
 
 
@@ -178,7 +178,7 @@ class TestCenterVerification:
 
     def test_constant_orbit_center_fixed(self):
         spec = corpus.constant_map([1.0, 1.0])
-        rec = picard_orbit(spec, [0.0, 0.0], ORTH2, P2)
+        rec = picard_orbit(spec, [0.0, 0.0], P2)
         problem = problem_from_orbit(rec.points, ORTH2, P2)
         res = solve_asym_center(problem, map_spec=spec)
         assert verify_center_is_fixed(spec, res, P2, tol=1e-9)
@@ -189,7 +189,7 @@ class TestCenterVerification:
         # center's residual is 2^-12 per coordinate, 3.45e-4 in l2 but
         # 3.88e-4 in l1.5, so at tol 3.6e-4 the l1.5 verdict is False
         spec = corpus.affine_contraction(2)
-        rec = picard_orbit(spec, [0.0, 0.0], ORTH2, P2, IterationConfig(max_iter=12))
+        rec = picard_orbit(spec, [0.0, 0.0], P2, IterationConfig(max_iter=12))
         assert len(rec) == 13
         p15 = SpaceSpec(dim=2, p=1.5)
         res = solve_asym_center(make_problem(rec.points[6:], ORTH2, p15), map_spec=spec)
@@ -231,7 +231,7 @@ class TestRowChecks:
                 x0 = sample_domain_point(spec, rng, scale=2.0)
                 for n in (1, 7, 200):
                     cfg = IterationConfig(max_iter=max(n - 1, 1), bound_threshold=1e12)
-                    tail = picard_orbit(spec, x0, cone, space, cfg).points[:n]
+                    tail = picard_orbit(spec, x0, space, cfg).points[:n]
                     problem = make_problem(tail, cone, space)
                     lb = problem.lower_bound
                     for y in (lb, lb + rng.uniform(0.0, 1.0, spec.dim), lb - rng.uniform(0.0, 1e-8, spec.dim),

@@ -80,6 +80,18 @@ def test_check_mapping_pass_and_json(tmp_path, contraction_file, capsys):
     assert all(entry["verdict"] == "pass" for entry in payload)
 
 
+def test_check_mapping_orders_by_the_domain_cone(tmp_path, capsys):
+    # the identity on the Lorentz cone passes; there is no second order to pick
+    spec = make_mapping(AffineMap(np.eye(2), np.zeros(2)), Domain(kind="cone", cone=ConeSpec("lorentz", 2)))
+    path = tmp_path / "identity.json"
+    save_mapping(spec, path)
+    assert main(["check-mapping", "--map", str(path), "--samples", "200", "--seed", "0"]) == 0
+    assert "fail" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exited:
+        main(["check-mapping", "--map", str(path), "--cone", "lorentz"])
+    assert exited.value.code == 2 and "--cone" in capsys.readouterr().err
+
+
 def test_check_mapping_detects_expansion(tmp_path, capsys):
     spec = make_mapping(
         AffineMap(matrix=1.5 * np.eye(2), offset=np.zeros(2)),

@@ -55,7 +55,7 @@ FAST = IterationConfig(max_iter=50_000, residual_tol=1e-10, bound_threshold=1e4,
 
 
 def scenario(spec, sid="s", **kw):
-    return Scenario(sid=sid, space=P2, cone=ORTH2, map=spec, **kw)
+    return Scenario(sid=sid, space=P2, map=spec, **kw)
 
 
 def corrupted_mapping():
@@ -172,12 +172,12 @@ def reference_zero_orbit_rows(family_cfg, seed, iter_cfg):
         else:
             spec = corpus.identity_map(dim)
         space = SpaceSpec(dim=dim, p=2.0)
-        record = picard_orbit(spec, np.zeros(dim), spec.domain.cone, space, iter_cfg)
+        record = picard_orbit(spec, np.zeros(dim), space, iter_cfg)
         if record.verdict == MAX_ITER_REACHED:
             bigger = dataclasses.replace(
                 iter_cfg, max_iter=iter_cfg.max_iter * 10, bound_threshold=iter_cfg.bound_threshold * 10
             )
-            record = picard_orbit(spec, np.zeros(dim), spec.domain.cone, space, bigger)
+            record = picard_orbit(spec, np.zeros(dim), space, bigger)
         nonempty = len(fixed_point_oracle(spec, space)) > 0
         bounded = record.verdict == CONVERGED
         agree = record.verdict in (CONVERGED, UNBOUNDED_SUSPECTED) and bounded == nonempty
@@ -335,9 +335,9 @@ def test_family_cells_take_one_engine_call_each(monkeypatch, tmp_path):
     calls = []
     engine = iterate._orbit
 
-    def counted(specs, x0s, cone, space, cfg, beta_fn, scheme, verdicts=False):
+    def counted(specs, x0s, space, cfg, beta_fn, scheme, verdicts=False):
         calls.append((type(specs[0].op).__name__, len(specs), cfg.max_iter))
-        return engine(specs, x0s, cone, space, cfg, beta_fn, scheme, verdicts)
+        return engine(specs, x0s, space, cfg, beta_fn, scheme, verdicts)
 
     monkeypatch.setattr(iterate, "_orbit", counted)
     config = workloads.Family.config
@@ -387,7 +387,7 @@ class TestConvergenceCampaigns:
         spec = make_mapping(TranslationMap(shift=np.full(2, 1e307)), Domain(kind="cone", cone=ORTH2))
         calls = []
         picard = harness.picard_orbit
-        monkeypatch.setattr(harness, "picard_orbit", lambda *a: calls.append(a) or picard(*a))
+        monkeypatch.setattr(harness, "picard_orbit", lambda *a, **kw: calls.append(a) or picard(*a, **kw))
         with np.errstate(over="ignore", invalid="ignore"):
             rec = harness._settled_orbit(scenario(spec), np.zeros(2), FAST)
             assert rec.verdict == NONFINITE and len(calls) == 1 and np.isfinite(rec.points).all()
@@ -462,6 +462,29 @@ class TestRunner:
         assert scn.sid == "cfg" and scn.grid_cfg is not None
         rep = verify_ascending_existence(scn, FAST)
         assert rep.passed
+
+    @staticmethod
+    def config_scenario(**entry):
+        return {"replace_scenarios": True, "scenarios": {"t32": [
+            {"id": "cfg", "map": mapping_to_dict(corpus.truncation_cap(2)), **entry}]}}
+
+    def test_a_negative_grid_size_is_refused(self, tmp_path):
+        # it failed mid-campaign with numpy's "Number of samples, -1, must be non-negative"
+        config = self.config_scenario(grid={"lo": [0, 0], "hi": [3, 3], "points_per_axis": -1})
+        with pytest.raises(ValueError, match=r"^points_per_axis must be >= 0, got -1$"):
+            run_suites(["t32"], config, 0, tmp_path)
+        # 0 stays valid: an empty scan, so the descent check is vacuous
+        config["scenarios"]["t32"][0]["grid"]["points_per_axis"] = 0
+        reports, _ = run_suites(["t32"], config, 0, tmp_path)
+        names = [c.name for c in reports[0].checks]
+        assert reports[0].passed and "descent_vacuous_no_dominating_fixed_point" in names
+
+    def test_the_space_takes_the_maps_dimension(self, tmp_path):
+        # it ended in "dimension mismatch: expected 3, got 2" inside the alpha verifier
+        with pytest.raises(ValueError, match=r"^config field space.dim is 3, but the map is 2-D$"):
+            run_suites(["t32"], self.config_scenario(space={"dim": 3}), 0, tmp_path)
+        scn = scenario_from_dict(self.config_scenario(space={"dim": 2, "p": 3.0})["scenarios"]["t32"][0], 0)
+        assert (scn.space.dim, scn.space.p, scn.cone) == (2, 3.0, scn.map.domain.cone)
 
     def test_summary_deterministic_across_runs(self, tmp_path):
         r1, _ = run_suites(["t32", "t34"], {"family": {"dims": [2], "rhos": [0.5],

@@ -63,20 +63,20 @@ def swap_shift_map():
 
 class TestPicard:
     def test_fixed_start_converges_immediately(self):
-        rec = picard_orbit(corpus.affine_contraction(2), [2.0, 2.0], ORTH2, P2)
+        rec = picard_orbit(corpus.affine_contraction(2), [2.0, 2.0], P2)
         assert rec.verdict == CONVERGED
         assert len(rec) == 1
         assert rec.residuals[0] == 0.0
 
     def test_translation_orbit_is_exactly_linear(self):
-        rec = picard_orbit(corpus.unit_translation(2), [0.0, 0.0], ORTH2, P2, SMALL)
+        rec = picard_orbit(corpus.unit_translation(2), [0.0, 0.0], P2, SMALL)
         assert rec.verdict == UNBOUNDED_SUSPECTED
         assert rec.order_monotone == INCREASING
         for n in range(min(len(rec), 200)):
             assert np.array_equal(rec.points[n], np.full(2, float(n)))
 
     def test_geometric_orbit_matches_closed_form(self):
-        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2)
+        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], P2)
         assert rec.verdict == CONVERGED
         assert rec.order_monotone == INCREASING
         # x_n = 2 - 2^{1-n} componentwise, exact in binary floating point
@@ -87,7 +87,7 @@ class TestPicard:
 
     def test_start_outside_domain_rejected(self):
         with pytest.raises(DomainError):
-            picard_orbit(corpus.affine_contraction(2), [-1.0, 0.0], ORTH2, P2)
+            picard_orbit(corpus.affine_contraction(2), [-1.0, 0.0], P2)
 
     def test_runtime_domain_escape_detected(self):
         # constructed unchecked: drifts below the orthant after two steps
@@ -96,7 +96,7 @@ class TestPicard:
             domain=Domain(kind="cone", cone=ORTH2),
         )
         with pytest.raises(DomainError, match="escaped"):
-            picard_orbit(esc, [1.5, 1.5], ORTH2, P2)
+            picard_orbit(esc, [1.5, 1.5], P2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -107,8 +107,8 @@ class TestPicard:
 
 class TestMann:
     def test_zero_schedule_reproduces_picard_bitwise(self):
-        pic = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2)
-        man = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 0.0, ORTH2, P2)
+        pic = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], P2)
+        man = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 0.0, P2)
         assert man.scheme == "mann"
         assert np.array_equal(pic.points, man.points)
         assert np.array_equal(pic.residuals, man.residuals)
@@ -116,46 +116,46 @@ class TestMann:
 
     def test_all_one_schedule_freezes_the_orbit(self):
         cfg = IterationConfig(max_iter=25)
-        rec = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 1.0, ORTH2, P2, cfg)
+        rec = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 1.0, P2, cfg)
         assert rec.verdict == MAX_ITER_REACHED
         assert np.max(np.abs(rec.points)) == 0.0
 
     def test_half_schedule_converges_to_same_fixed_point(self):
-        rec = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 0.5, ORTH2, P2)
+        rec = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 0.5, P2)
         assert rec.verdict == CONVERGED
         assert norm(P2, rec.points[-1] - np.array([2.0, 2.0])) < 1e-9
 
     def test_schedule_as_sequence_and_callable(self):
-        seq = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], [0.5, 0.25], ORTH2, P2)
+        seq = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], [0.5, 0.25], P2)
         fn = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0],
-                        lambda n: 0.5 if n == 0 else 0.25, ORTH2, P2)
+                        lambda n: 0.5 if n == 0 else 0.25, P2)
         assert np.array_equal(seq.points, fn.points)
 
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ValueError):
-            mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 1.5, ORTH2, P2)
+            mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 1.5, P2)
         with pytest.raises(ValueError):
-            mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], -0.1, ORTH2, P2)
+            mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], -0.1, P2)
         with pytest.raises(ValueError):
-            mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], [], ORTH2, P2)
+            mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], [], P2)
 
 
 class TestOrderTracking:
     def test_constant_orbit_is_both_directions(self):
         cfg = IterationConfig(max_iter=10)
-        rec = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 1.0, ORTH2, P2, cfg)
+        rec = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 1.0, P2, cfg)
         chain = check_orbit_monotone(rec, ORTH2)
         assert chain.increasing and chain.decreasing
 
     def test_translation_is_increasing_only(self):
-        rec = picard_orbit(corpus.unit_translation(2), [0.0, 0.0], ORTH2, P2, SMALL)
+        rec = picard_orbit(corpus.unit_translation(2), [0.0, 0.0], P2, SMALL)
         chain = check_orbit_monotone(rec, ORTH2)
         assert chain.increasing and not chain.decreasing
         assert chain.first_down_violation == 0
 
     def test_incomparable_first_step_flags_neither(self):
         cfg = IterationConfig(max_iter=40)
-        rec = picard_orbit(swap_shift_map(), [2.0, 0.0], ORTH2, P2, cfg)
+        rec = picard_orbit(swap_shift_map(), [2.0, 0.0], P2, cfg)
         assert rec.order_monotone == NEITHER
         chain = check_orbit_monotone(rec, ORTH2)
         assert not chain.increasing and not chain.decreasing
@@ -163,12 +163,12 @@ class TestOrderTracking:
         assert chain.first_down_violation == 0
 
     def test_descending_orbit(self):
-        rec = picard_orbit(corpus.affine_contraction(2), [5.0, 5.0], ORTH2, P2)
+        rec = picard_orbit(corpus.affine_contraction(2), [5.0, 5.0], P2)
         assert rec.order_monotone == DECREASING
         assert rec.verdict == CONVERGED
 
     def test_empty_record_rejected(self):
-        rec = picard_orbit(corpus.affine_contraction(2), [2.0, 2.0], ORTH2, P2)
+        rec = picard_orbit(corpus.affine_contraction(2), [2.0, 2.0], P2)
         rec.points = rec.points[:0]
         with pytest.raises(ValueError):
             check_orbit_monotone(rec, ORTH2)
@@ -177,36 +177,36 @@ class TestOrderTracking:
 class TestMonotoneLimit:
     # the limit of a monotone bounded orbit is its last recorded point
     def test_constant_orbit_limit(self):
-        rec = picard_orbit(corpus.constant_map([1.0, 1.0]), [1.0, 1.0], ORTH2, P2)
+        rec = picard_orbit(corpus.constant_map([1.0, 1.0]), [1.0, 1.0], P2)
         assert np.array_equal(rec.points[-1], [1.0, 1.0])
 
     def test_geometric_limit_with_order_bound(self):
-        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2)
+        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], P2)
         limit = rec.points[-1]
         assert norm(P2, limit - np.array([2.0, 2.0])) < 1e-9
         # an increasing orbit stays below its limit
         assert all(leq(ORTH2, pt, limit, tol=1e-9) for pt in rec.points)
 
     def test_unbounded_rejected(self):
-        rec = picard_orbit(corpus.unit_translation(2), [0.0, 0.0], ORTH2, P2, SMALL)
+        rec = picard_orbit(corpus.unit_translation(2), [0.0, 0.0], P2, SMALL)
         assert rec.verdict == UNBOUNDED_SUSPECTED  # no limit to report
 
     def test_non_monotone_rejected(self):
         cfg = IterationConfig(max_iter=40)
-        rec = picard_orbit(swap_shift_map(), [2.0, 0.0], ORTH2, P2, cfg)
+        rec = picard_orbit(swap_shift_map(), [2.0, 0.0], P2, cfg)
         assert rec.order_monotone == NEITHER  # no monotone limit
 
 
 class TestDistanceAndNormSequences:
     def test_quasi_descent_toward_fixed_point(self):
         z = np.array([2.0, 2.0])
-        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2)
+        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], P2)
         dists = [norm(P2, pt - z) for pt in rec.points]
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
         assert all(d <= dists[0] + 1e-12 for d in dists)
 
     def test_norm_growth_under_monotonic_norm(self):
-        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2)
+        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], P2)
         diffs = np.diff(rec.norms)
         assert np.all(diffs >= -1e-12)
         limit_norm = norm(P2, rec.points[-1])
@@ -215,7 +215,7 @@ class TestDistanceAndNormSequences:
 
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):
-        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2)
+        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], P2)
         path = tmp_path / "orbit.csv"
         write_orbit_csv(rec, path)
         pts = read_orbit_points(path)
@@ -374,31 +374,29 @@ class TestReferenceEngine:
         x0 = np.zeros(spec.dim)
         if start == "sampled":
             x0 = sample_domain_point(spec, np.random.default_rng(7))
-        cone = spec.domain.cone
         assert_same_record(
-            picard_orbit(spec, x0, cone, entry.space, SMALL),
-            reference_orbit(spec, x0, cone, entry.space, SMALL),
+            picard_orbit(spec, x0, entry.space, SMALL),
+            reference_orbit(spec, x0, spec.domain.cone, entry.space, SMALL),
         )
 
     @pytest.mark.parametrize("dim", [2, 5, 20])
     @pytest.mark.parametrize("rho", [0.5, 0.95])
     def test_random_nonneg_affine(self, dim, rho):
         spec = _random_map(dim, rho)
-        cone = ConeSpec(kind="orthant", dim=dim)
         space = SpaceSpec(dim=dim, p=3.0)
         # from zero the orbit rises; from a random start the flags are mixed
         for x0 in (np.zeros(dim), np.random.default_rng(dim).uniform(0.0, 5.0, size=dim)):
             assert_same_record(
-                picard_orbit(spec, x0, cone, space, SMALL),
-                reference_orbit(spec, x0, cone, space, SMALL),
+                picard_orbit(spec, x0, space, SMALL),
+                reference_orbit(spec, x0, spec.domain.cone, space, SMALL),
             )
 
     @pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0], [3.0, 0.0, 3.5], [1.0, 0.0, 20.0]])
     def test_lorentz_cone_map(self, x0):
         spec = lorentz_rotation_map()
         space = SpaceSpec(dim=3, p=1.5)
-        rec = picard_orbit(spec, x0, LOR3, space, SMALL)
-        assert_same_record(rec, reference_orbit(spec, x0, LOR3, space, SMALL))
+        rec = picard_orbit(spec, x0, space, SMALL)
+        assert_same_record(rec, reference_orbit(spec, x0, spec.domain.cone, space, SMALL))
 
     @pytest.mark.parametrize("cone", [ConeSpec(kind="orthant", dim=2), LOR3])
     def test_interval_domain(self, cone):
@@ -406,7 +404,7 @@ class TestReferenceEngine:
         space = SpaceSpec(dim=cone.dim, p=2.0)
         x0 = np.zeros(cone.dim)
         assert_same_record(
-            picard_orbit(spec, x0, cone, space, SMALL),
+            picard_orbit(spec, x0, space, SMALL),
             reference_orbit(spec, x0, cone, space, SMALL),
         )
 
@@ -424,13 +422,13 @@ class TestReferenceEngine:
         spec = spec_fn()
         x0 = [3.0, 0.5]
         assert_same_record(
-            mann_orbit(spec, x0, schedule, ORTH2, P2, SMALL),
-            reference_orbit(spec, x0, ORTH2, P2, SMALL, beta_fn),
+            mann_orbit(spec, x0, schedule, P2, SMALL),
+            reference_orbit(spec, x0, spec.domain.cone, P2, SMALL, beta_fn),
         )
 
     def test_max_iter_reached(self):
         cfg = IterationConfig(max_iter=25)
-        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2, cfg)
+        rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], P2, cfg)
         assert rec.verdict == MAX_ITER_REACHED and len(rec) == 26
         assert_same_record(rec, reference_orbit(corpus.affine_contraction(2), [0.0, 0.0], ORTH2, P2, cfg))
 
@@ -439,7 +437,7 @@ class TestReferenceEngine:
             op=TranslationMap(shift=np.array([-1.0, -1.0])),
             domain=Domain(kind="cone", cone=ORTH2),
         )
-        got = outcome(picard_orbit, esc, [1.5, 1.5], ORTH2, P2)
+        got = outcome(picard_orbit, esc, [1.5, 1.5], P2)
         want = outcome(reference_orbit, esc, [1.5, 1.5], ORTH2, P2, IterationConfig())
         assert got[0] == "raised" and got[1] is DomainError
         assert got == want
@@ -508,7 +506,7 @@ class TestRowWiseChainChecks:
 
     @pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0], [3.0, 0.0, 3.5], [1.0, 0.0, 20.0]])
     def test_lorentz_orbit_records(self, x0):
-        rec = picard_orbit(lorentz_rotation_map(), x0, LOR3, SpaceSpec(dim=3, p=2.0), SMALL)
+        rec = picard_orbit(lorentz_rotation_map(), x0, SpaceSpec(dim=3, p=2.0), SMALL)
         assert check_orbit_monotone(rec, LOR3) == reference_chain(rec, LOR3)
 
     def test_lorentz_hand_record(self):
@@ -547,7 +545,7 @@ class TestNonfiniteOrbits:
     def test_overflow_to_inf_stops_at_last_finite_point(self):
         # x -> 1e200 x + 1 from 0: 0, 1, 1e200, then the image is +inf
         spec = make_mapping(AffineMap(np.array([[1e200]]), np.ones(1)), Domain(kind="cone", cone=ORTH1))
-        rec = picard_orbit(spec, [0.0], ORTH1, SpaceSpec(dim=1, p=2.0))
+        rec = picard_orbit(spec, [0.0], SpaceSpec(dim=1, p=2.0))
         assert rec.verdict == NONFINITE
         assert rec.points.ravel().tolist() == [0.0, 1.0, 1e200]
         # |1e200|^2 overflows, but a finite point has a finite norm; only the
@@ -560,14 +558,14 @@ class TestNonfiniteOrbits:
 
     def test_nan_image_is_nonfinite_not_a_domain_escape(self):
         spec = MappingSpec(op=NanAbove(cut=10.0), domain=Domain(kind="cone", cone=ORTH2))
-        rec = picard_orbit(spec, [0.0, 0.0], ORTH2, P2)
+        rec = picard_orbit(spec, [0.0, 0.0], P2)
         ref = outcome(reference_orbit, spec, [0.0, 0.0], ORTH2, P2, IterationConfig())
         assert ref == ("raised", DomainError, "map escaped its domain at step 4: image [nan 31.]")
         assert rec.verdict == NONFINITE
         assert rec.points[:, 1].tolist() == [0.0, 1.0, 3.0, 7.0, 15.0]
         assert np.isnan(rec.residuals[-1]) and np.isfinite(rec.residuals[:-1]).all()
         assert len(rec.residuals) == len(rec.norms) == len(rec) and rec.order_monotone == INCREASING
-        mann = mann_orbit(spec, [0.0, 0.0], 0.5, ORTH2, P2)
+        mann = mann_orbit(spec, [0.0, 0.0], 0.5, P2)
         assert mann.verdict == NONFINITE and np.isfinite(mann.points).all()
 
     def test_minus_inf_image_is_nonfinite(self):
@@ -576,7 +574,7 @@ class TestNonfiniteOrbits:
             domain=Domain(kind="cone", cone=ORTH2),
         )
         with np.errstate(over="ignore"):
-            rec = picard_orbit(esc, [0.0, 3.0], ORTH2, P2)
+            rec = picard_orbit(esc, [0.0, 3.0], P2)
         assert rec.verdict == NONFINITE and np.isfinite(rec.points).all()
         assert rec.residuals[-1] == np.inf and len(rec.residuals) == len(rec)
 
@@ -584,7 +582,7 @@ class TestNonfiniteOrbits:
         # the overflow test only reads the image when the residual is not finite
         spec = corpus.affine_contraction(2)
         assert_same_record(
-            picard_orbit(spec, [0.0, 0.0], ORTH2, P2, SMALL),
+            picard_orbit(spec, [0.0, 0.0], P2, SMALL),
             reference_orbit(spec, [0.0, 0.0], ORTH2, P2, SMALL),
         )
 
@@ -600,7 +598,6 @@ def _kernel_norm(space, v):
 def stepwise_orbit(
     spec: MappingSpec,
     x0,
-    cone: ConeSpec,
     space: SpaceSpec,
     cfg: IterationConfig,
     beta_fn,
@@ -653,7 +650,7 @@ def stepwise_orbit(
         residuals.append(_kernel_norm(space, evaluate(x) - x))
 
     pts = np.asarray(points)
-    up_arr, down_arr = _step_flags(pts, cone)
+    up_arr, down_arr = _step_flags(pts, domain.cone)
     if up_arr.all():
         order = INCREASING
     elif down_arr.all():
@@ -672,9 +669,9 @@ def stepwise_orbit(
     )
 
 
-def one_orbit(spec, x0, cone, space, cfg, beta_fn, scheme):
+def one_orbit(spec, x0, space, cfg, beta_fn, scheme):
     """The block engine on a batch of one orbit."""
-    return _orbit([spec], [x0], cone, space, cfg, beta_fn, scheme)[0]
+    return _orbit([spec], [x0], space, cfg, beta_fn, scheme)[0]
 
 
 def engine_outcome(engine, spec, x0, space, cfg, beta_fn=None):
@@ -684,7 +681,7 @@ def engine_outcome(engine, spec, x0, space, cfg, beta_fn=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            return ("returned", engine(spec, x0, spec.domain.cone, space, cfg, beta_fn, scheme))
+            return ("returned", engine(spec, x0, space, cfg, beta_fn, scheme))
         except Exception as exc:
             return ("raised", type(exc), str(exc))
 
@@ -858,11 +855,11 @@ class TestBlockEngine:
         spec = MappingSpec(op=AffineMap(np.array([[1e200]]), np.ones(1)), domain=CONE1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rec = picard_orbit(spec, [0.0], ORTH1, LINE2)
-            mann = mann_orbit(spec, [0.0], 0.25, ORTH1, LINE2)
+            rec = picard_orbit(spec, [0.0], LINE2)
+            mann = mann_orbit(spec, [0.0], 0.25, LINE2)
         assert rec.verdict == mann.verdict == NONFINITE
         with pytest.warns(RuntimeWarning):
-            stepwise_orbit(spec, [0.0], ORTH1, LINE2, IterationConfig(), None, "picard")
+            stepwise_orbit(spec, [0.0], LINE2, IterationConfig(), None, "picard")
         assert_same_outcome(spec, [0.0], LINE2, IterationConfig())
         assert_same_outcome(spec, [0.0], LINE2, IterationConfig(), lambda n: 0.25)
 
@@ -953,9 +950,9 @@ class TestTranslationAndTrendBlocks:
         calls = []
         plain = TranslationMap.evaluate
         monkeypatch.setattr(TranslationMap, "evaluate", lambda op, x: calls.append(x) or plain(op, x))
-        rec = one_orbit(spec, x0, spec.domain.cone, space, cfg, None, "picard")
+        rec = one_orbit(spec, x0, space, cfg, None, "picard")
         picard = len(calls)
-        mann = one_orbit(spec, x0, spec.domain.cone, space, cfg, lambda n: 0.5, "mann")
+        mann = one_orbit(spec, x0, space, cfg, lambda n: 0.5, "mann")
         # the running sum calls the map only for the last point's residual;
         # the Mann orbit calls it once a step, and past the stop in its block
         assert rec.verdict == mann.verdict == UNBOUNDED_SUSPECTED and picard == 1
@@ -1011,7 +1008,7 @@ class TestTranslationAndTrendBlocks:
         counted = Counted(op)
         cone = ConeSpec(kind="orthant", dim=dim)
         spec = MappingSpec(op=counted, domain=Domain(kind="cone", cone=cone))
-        rec = picard_orbit(spec, np.zeros(dim), cone, SpaceSpec(dim=dim, p=2.0), LONG)
+        rec = picard_orbit(spec, np.zeros(dim), SpaceSpec(dim=dim, p=2.0), LONG)
         assert rec.verdict == CONVERGED and len(rec) > 50
         assert counted.calls <= len(rec) + BLOCK_FIRST + BLOCK_SLACK
 
@@ -1050,8 +1047,8 @@ def test_block_engine_matches_stepwise_on_random_affine_maps(case):
 # batches: orbits stepped in lockstep, each held to the orbit run alone
 
 
-def alone(spec, x0, cone, space, cfg, beta_fn, scheme):
-    return picard_orbit(spec, x0, cone, space, cfg)
+def alone(spec, x0, space, cfg, beta_fn, scheme):
+    return picard_orbit(spec, x0, space, cfg)
 
 
 def assert_same_bits(rec, ref):
@@ -1068,7 +1065,7 @@ def assert_batch_matches_alone(specs, x0s, space, cfg):
     for bit; with the orbits that raise alone in it, the batch raises the
     error of one of them. Returns each orbit's record, or the type and text
     of the error it raises alone."""
-    cone, outcomes = specs[0].domain.cone, []
+    outcomes = []
     for spec, x0 in zip(specs, x0s):
         want = engine_outcome(alone, spec, x0, space, cfg)
         ref = engine_outcome(stepwise_orbit, spec, x0, space, cfg)
@@ -1081,13 +1078,13 @@ def assert_batch_matches_alone(specs, x0s, space, cfg):
         outcomes.append(want[1])
     ran = [i for i, out in enumerate(outcomes) if isinstance(out, OrbitRecord)]
     if ran:
-        got = _orbit([specs[i] for i in ran], [x0s[i] for i in ran], cone, space, cfg, None, "picard")
+        got = _orbit([specs[i] for i in ran], [x0s[i] for i in ran], space, cfg, None, "picard")
         assert len(got) == len(ran)
         for i, out in zip(ran, got):
             assert_same_bits(out, outcomes[i])
     if len(ran) < len(specs):
         with pytest.raises(Exception) as raised:
-            _orbit(specs, x0s, cone, space, cfg, None, "picard")
+            _orbit(specs, x0s, space, cfg, None, "picard")
         assert (type(raised.value), str(raised.value)) in [out for out in outcomes if isinstance(out, tuple)]
     return outcomes
 
@@ -1174,7 +1171,7 @@ class TestLockstepBatches:
         specs = [MappingSpec(op=op, domain=domain) for op in ops]
         space = SpaceSpec(dim=d, p=2.0)
         with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
-            _orbit(specs, [np.zeros(d)] * len(specs), domain.cone, space, self.CFG, None, "picard")
+            _orbit(specs, [np.zeros(d)] * len(specs), space, self.CFG, None, "picard")
         translations = assert_batch_matches_alone(specs[::3], [np.zeros(d)] * 8, space, self.CFG)
         affine = assert_batch_matches_alone(specs[1::3], [np.zeros(d)] * 8, space, self.CFG)
         others = [assert_batch_matches_alone([s], [np.zeros(d)], space, self.CFG)[0] for s in specs[2::3]]
@@ -1186,7 +1183,7 @@ class TestLockstepBatches:
         plain = TranslationMap.evaluate
         monkeypatch.setattr(TranslationMap, "evaluate", lambda op, x: calls.append(x) or plain(op, x))
         specs, starts = zip(*(translation(np.full(2, 0.5 + i / 10)) for i in range(10)))
-        got = _orbit(list(specs), list(starts), ORTH2, P2, self.CFG, None, "picard")
+        got = _orbit(list(specs), list(starts), P2, self.CFG, None, "picard")
         # one evaluation an orbit, for its last point's residual
         assert [out.verdict for out in got] == [UNBOUNDED_SUSPECTED] * 10 and len(calls) == 10
         monkeypatch.undo()
@@ -1199,7 +1196,7 @@ class TestLockstepBatches:
         plain = iterate._row_norms
         monkeypatch.setattr(iterate, "_row_norms", lambda space, v, *a: shapes.append(v.shape) or plain(space, v, *a))
         specs = [_random_map(5, 0.95 + i / 1000) for i in range(40)]
-        got = _orbit(specs, [np.zeros(5)] * 40, specs[0].domain.cone, SpaceSpec(dim=5, p=2.0), SMALL, None, "picard")
+        got = _orbit(specs, [np.zeros(5)] * 40, SpaceSpec(dim=5, p=2.0), SMALL, None, "picard")
         assert all(out.verdict == CONVERGED for out in got)
         blocks = [s for s in shapes if s[1] > 1]
         assert max(s[0] * s[1] for s in blocks) <= 2 * BLOCK_CAP
@@ -1207,10 +1204,10 @@ class TestLockstepBatches:
         assert blocks[0] == (40, 2 * BLOCK_FIRST, 5) and (40, 2 * (BLOCK_CAP // 40), 5) in blocks
 
     @staticmethod
-    def verdicts_of(specs, starts, cone, space, cfg, beta_fn=None, verdicts=False):
+    def verdicts_of(specs, starts, space, cfg, beta_fn=None, verdicts=False):
         """The verdicts of one batched call, or the type and text of its error."""
         try:
-            got = _orbit(specs, starts, cone, space, cfg, beta_fn, "picard" if beta_fn is None else "mann", verdicts)
+            got = _orbit(specs, starts, space, cfg, beta_fn, "picard" if beta_fn is None else "mann", verdicts)
         except Exception as exc:
             return type(exc), str(exc)
         assert all(isinstance(out, str if verdicts else OrbitRecord) for out in got)
@@ -1221,11 +1218,10 @@ class TestLockstepBatches:
         d = [1, 2, 3, 5, 20][[1, 2, 7, 33, 40].index(n)]
         specs, starts = mixed_affine_batch(n, d, seed=n)
         cfg, space = dataclasses.replace(self.CFG, max_iter=max_iter), SpaceSpec(dim=d, p=2.0)
-        cone = specs[0].domain.cone
         # the whole batch, which raises from n = 7 on, and the orbits that run alone without error
         ran = [i for i in range(n) if engine_outcome(alone, specs[i], starts[i], space, cfg)[0] == "returned"]
         for batch in (list(range(n)), ran):
-            args = [specs[i] for i in batch], [starts[i] for i in batch], cone, space, cfg
+            args = [specs[i] for i in batch], [starts[i] for i in batch], space, cfg
             assert self.verdicts_of(*args, verdicts=True) == self.verdicts_of(*args)
         assert len(ran) == n if n < 7 else len(ran) < n
 
@@ -1235,13 +1231,13 @@ class TestLockstepBatches:
         values = np.append(0.5 * np.arange(1, 7), 3.25)[:, None]
         spec = MappingSpec(GridMap(origin=np.zeros(1), step=0.5, values=values),
                            Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=1)))
-        cone, space, cfg = spec.domain.cone, SpaceSpec(dim=1, p=2.0), dataclasses.replace(self.CFG, max_iter=7)
+        space, cfg = SpaceSpec(dim=1, p=2.0), dataclasses.replace(self.CFG, max_iter=7)
         want = (DomainError, "point [3.25] is not on the lattice (step 0.5)")
         for beta_fn in (None, lambda n: 0.0):
-            args = [spec], [np.zeros(1)], cone, space, cfg, beta_fn
+            args = [spec], [np.zeros(1)], space, cfg, beta_fn
             assert self.verdicts_of(*args) == self.verdicts_of(*args, verdicts=True) == want
         for other in (corpus.affine_contraction(1), corpus.unit_translation(1)):
-            args = [other], [np.zeros(1)], cone, space, cfg, lambda n: 0.0
+            args = [other], [np.zeros(1)], space, cfg, lambda n: 0.0
             assert self.verdicts_of(*args) == self.verdicts_of(*args, verdicts=True)
 
     def test_mann_orbits_and_other_maps_run_alone(self):
@@ -1249,11 +1245,11 @@ class TestLockstepBatches:
         x0 = np.array([3.0, 0.5])
         for batch in (specs, specs[:1] * 2, specs[1:2] * 2):
             with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
-                _orbit(batch, [x0] * len(batch), ORTH2, P2, SMALL, lambda n: 0.5, "mann")
+                _orbit(batch, [x0] * len(batch), P2, SMALL, lambda n: 0.5, "mann")
         for spec in specs:
-            assert_same_record(one_orbit(spec, x0, ORTH2, P2, SMALL, lambda n: 0.5, "mann"),
-                               mann_orbit(spec, x0, 0.5, ORTH2, P2, SMALL))
+            assert_same_record(one_orbit(spec, x0, P2, SMALL, lambda n: 0.5, "mann"),
+                               mann_orbit(spec, x0, 0.5, P2, SMALL))
 
     def test_an_empty_batch(self):
         with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
-            _orbit([], [], ORTH2, P2, SMALL, None, "picard")
+            _orbit([], [], P2, SMALL, None, "picard")

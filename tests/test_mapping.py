@@ -208,61 +208,85 @@ class TestMonotoneVerifiers:
         rng = np.random.default_rng(4)
         a = rng.uniform(0.0, 0.5, size=(2, 2))
         spec = make_mapping(AffineMap(a, np.ones(2)), Domain(kind="cone", cone=ORTH2))
-        assert is_monotone(spec, ORTH2, SamplerConfig(200, seed=1)).passed
+        assert is_monotone(spec, SamplerConfig(200, seed=1)).passed
 
     def test_identity_passes(self):
-        assert is_monotone(corpus.identity_map(2), ORTH2).passed
+        assert is_monotone(corpus.identity_map(2)).passed
 
     def test_negative_entry_fails_with_witness(self):
-        report = is_monotone(shear_map(), ORTH2, SamplerConfig(300, seed=2))
+        report = is_monotone(shear_map(), SamplerConfig(300, seed=2))
         assert not report.passed
         w = report.violations[0]
         tx, ty = shear_map().op.evaluate(w.x), shear_map().op.evaluate(w.y)
         assert not leq(ORTH2, tx, ty)  # witness recomputes
 
     def test_truncation_nonexpansive(self):
-        report = is_monotone_nonexpansive(corpus.truncation_cap(2), ORTH2, P2, SamplerConfig(300, seed=3))
+        report = is_monotone_nonexpansive(corpus.truncation_cap(2), P2, SamplerConfig(300, seed=3))
         assert report.passed
 
     def test_translation_isometry(self):
-        report = is_monotone_nonexpansive(corpus.unit_translation(2), ORTH2, P2, SamplerConfig(300, seed=4))
+        report = is_monotone_nonexpansive(corpus.unit_translation(2), P2, SamplerConfig(300, seed=4))
         assert report.passed
 
     def test_expansion_detected_along_top_singular_direction(self):
         op = AffineMap(matrix=1.5 * np.eye(2), offset=np.zeros(2))
         spec = make_mapping(op, Domain(kind="cone", cone=ORTH2))
-        report = is_monotone_nonexpansive(spec, ORTH2, P2, SamplerConfig(200, seed=5))
+        report = is_monotone_nonexpansive(spec, P2, SamplerConfig(200, seed=5))
         assert not report.passed
         w = report.violations[0]
         assert w.lhs > w.rhs
 
 
+class TestDomainConeOrder:
+    """Every verifier orders pairs by the map's domain cone, the order the
+    pairs are drawn under, so the identity passes under every order."""
+
+    @staticmethod
+    def identity_on(kind, cone):
+        d = cone.dim
+        lo, hi = np.zeros(d), np.ones(d)
+        if kind == "interval" and cone.kind == "lorentz":
+            hi = np.eye(d)[-1] * 2.0  # 0 <= hi in the Lorentz order
+        bounds = {} if kind == "cone" else {"lo": lo, "hi": hi}
+        return make_mapping(AffineMap(np.eye(d), np.zeros(d)), Domain(kind=kind, cone=cone, **bounds))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("cone_kind", ["orthant", "lorentz"])
+    @pytest.mark.parametrize("kind", ["cone", "interval", "box"])
+    def test_identity_passes_under_its_domain_cone(self, kind, cone_kind, dim, p):
+        spec = self.identity_on(kind, ConeSpec(kind=cone_kind, dim=dim))
+        space, cfg = SpaceSpec(dim=dim, p=p), SamplerConfig(100, seed=dim)
+        for rep in (is_monotone(spec, cfg), is_monotone_nonexpansive(spec, space, cfg),
+                    is_alpha_nonexpansive(spec, space, 0.5, cfg)):
+            assert rep.passed and rep.samples == 100, rep.summary()
+
+
 class TestAlphaVerifier:
     def test_alpha_at_least_one_rejected(self):
         with pytest.raises(ValueError):
-            is_alpha_nonexpansive(corpus.identity_map(2), ORTH2, P2, alpha=1.0)
+            is_alpha_nonexpansive(corpus.identity_map(2), P2, alpha=1.0)
 
     def test_identity_equality_any_alpha(self):
         for alpha in (-0.5, 0.0, 0.9):
-            rep = is_alpha_nonexpansive(corpus.identity_map(2), ORTH2, P2, alpha,
+            rep = is_alpha_nonexpansive(corpus.identity_map(2), P2, alpha,
                                         SamplerConfig(200, seed=6))
             assert rep.passed
 
     def test_alpha_zero_agrees_with_nonexpansive_verifier(self):
         for entry in corpus.alpha_corpus():
-            cone = entry.spec.domain.cone
             cfg = SamplerConfig(n_samples=300, seed=7)
-            a0 = is_alpha_nonexpansive(entry.spec, cone, entry.space, 0.0, cfg)
-            ne = is_monotone_nonexpansive(entry.spec, cone, entry.space, cfg)
+            a0 = is_alpha_nonexpansive(entry.spec, entry.space, 0.0, cfg)
+            ne = is_monotone_nonexpansive(entry.spec, entry.space, cfg)
             assert a0.passed == ne.passed, entry.name
 
     def test_steep_step_brute_force(self):
         spec = corpus.steep_step_map()
-        rep = is_alpha_nonexpansive(spec, ORTH1, P1, corpus.STEEP_STEP_ALPHA, exhaustive=True)
+        rep = is_alpha_nonexpansive(spec, P1, corpus.STEEP_STEP_ALPHA, exhaustive=True)
         assert rep.passed
         assert rep.samples == 28  # all comparable lattice pairs incl. diagonal
         # not plain nonexpansive: alpha = 0 fails on the jump pair
-        rep0 = is_alpha_nonexpansive(spec, ORTH1, P1, 0.0, exhaustive=True)
+        rep0 = is_alpha_nonexpansive(spec, P1, 0.0, exhaustive=True)
         assert not rep0.passed
         jumps = {(float(v.x[0]), float(v.y[0])) for v in rep0.violations}
         assert (2.0, 3.0) in jumps and (2.5, 3.0) in jumps
@@ -271,71 +295,71 @@ class TestAlphaVerifier:
         # brute force over the lattice pins the least feasible alpha at 4/19
         spec = corpus.steep_step_map()
         threshold = 4.0 / 19.0
-        assert is_alpha_nonexpansive(spec, ORTH1, P1, threshold + 1e-6, exhaustive=True).passed
-        assert not is_alpha_nonexpansive(spec, ORTH1, P1, threshold - 1e-3, exhaustive=True).passed
+        assert is_alpha_nonexpansive(spec, P1, threshold + 1e-6, exhaustive=True).passed
+        assert not is_alpha_nonexpansive(spec, P1, threshold - 1e-3, exhaustive=True).passed
 
     def test_exhaustive_needs_lattice(self):
         with pytest.raises(ValueError):
-            is_alpha_nonexpansive(corpus.identity_map(2), ORTH2, P2, 0.0, exhaustive=True)
+            is_alpha_nonexpansive(corpus.identity_map(2), P2, 0.0, exhaustive=True)
 
     def test_reports_reproducible(self):
         cfg = SamplerConfig(n_samples=100, seed=8)
-        a = is_alpha_nonexpansive(corpus.affine_contraction(2), ORTH2, P2, 0.0, cfg)
-        b = is_alpha_nonexpansive(corpus.affine_contraction(2), ORTH2, P2, 0.0, cfg)
+        a = is_alpha_nonexpansive(corpus.affine_contraction(2), P2, 0.0, cfg)
+        b = is_alpha_nonexpansive(corpus.affine_contraction(2), P2, 0.0, cfg)
         assert a.passed == b.passed and a.samples == b.samples
 
 
 class TestQuasiNonexpansive:
     def test_fixed_point_distance_zero_case(self):
         spec = corpus.affine_contraction(2)
-        rep = is_quasi_nonexpansive(spec, ORTH2, P2, [np.array([2.0, 2.0])],
+        rep = is_quasi_nonexpansive(spec, P2, [np.array([2.0, 2.0])],
                                     SamplerConfig(200, seed=9))
         assert rep.passed
 
     def test_alpha_map_with_fixed_point_is_quasi(self):
         spec = corpus.steep_step_map()
-        rep = is_quasi_nonexpansive(spec, ORTH1, P1, [np.zeros(1)], SamplerConfig(200, seed=10))
+        rep = is_quasi_nonexpansive(spec, P1, [np.zeros(1)], SamplerConfig(200, seed=10))
         assert rep.passed
 
     def test_unfixed_point_rejected(self):
         spec = corpus.affine_contraction(2)
         with pytest.raises(NotFixedPointError):
-            is_quasi_nonexpansive(spec, ORTH2, P2, [np.array([1.0, 1.0])])
+            is_quasi_nonexpansive(spec, P2, [np.array([1.0, 1.0])])
 
     def test_empty_fixed_points_rejected(self):
         with pytest.raises(NotFixedPointError):
-            is_quasi_nonexpansive(corpus.affine_contraction(2), ORTH2, P2, [])
+            is_quasi_nonexpansive(corpus.affine_contraction(2), P2, [])
 
 
 class TestDisplacementBound:
     def test_fixed_argument_reduces_to_nonexpansive_bound(self):
         spec = corpus.affine_contraction(2)
         z = np.array([2.0, 2.0])  # fixed, so the correction terms vanish
-        assert check_displacement_bound(spec, ORTH2, P2, 0.5, z, np.array([3.0, 3.0]))
+        assert check_displacement_bound(spec, P2, 0.5, z, np.array([3.0, 3.0]))
 
     def test_alpha_zero_nonexpansive_map(self):
         spec = corpus.truncation_cap(2)
-        assert check_displacement_bound(spec, ORTH2, P2, 0.0, np.zeros(2), np.ones(2))
+        assert check_displacement_bound(spec, P2, 0.0, np.zeros(2), np.ones(2))
 
     def test_steep_step_randomized_pairs(self):
         spec = corpus.steep_step_map()
         for x, y in zip(*sample_comparable_pairs(spec, np.random.default_rng(11), 200)):
-            assert check_displacement_bound(spec, ORTH1, P1, corpus.STEEP_STEP_ALPHA, x, y)
-            assert check_displacement_bound(spec, ORTH1, P1, corpus.STEEP_STEP_ALPHA, y, x)
+            assert check_displacement_bound(spec, P1, corpus.STEEP_STEP_ALPHA, x, y)
+            assert check_displacement_bound(spec, P1, corpus.STEEP_STEP_ALPHA, y, x)
 
     def test_incomparable_rejected(self):
         spec = corpus.identity_map(2)
         with pytest.raises(IncomparableError):
-            check_displacement_bound(spec, ORTH2, P2, 0.0, [0.0, 1.0], [1.0, 0.0])
+            check_displacement_bound(spec, P2, 0.0, [0.0, 1.0], [1.0, 0.0])
 
     def test_far_pair_gives_a_verdict(self):
         # a distance of about 1.6e160 squares past the float range
         p15 = SpaceSpec(dim=2, p=1.5)
         far = np.array([1e160, 1e160])
-        assert check_displacement_bound(corpus.identity_map(2), ORTH2, p15, 0.0, np.zeros(2), far)
-        assert check_displacement_bound(corpus.identity_map(2), ORTH2, p15, -0.5, far, 3.0 * far)
+        assert check_displacement_bound(corpus.identity_map(2), p15, 0.0, np.zeros(2), far)
+        assert check_displacement_bound(corpus.identity_map(2), p15, -0.5, far, 3.0 * far)
         doubling = MappingSpec(AffineMap(2.0 * np.eye(2), np.zeros(2)), Domain(kind="cone", cone=ORTH2))
-        assert not check_displacement_bound(doubling, ORTH2, p15, 0.0, np.zeros(2), far)
+        assert not check_displacement_bound(doubling, p15, 0.0, np.zeros(2), far)
 
     def test_verdict_of_a_linear_map_does_not_depend_on_scale(self):
         # the bound is homogeneous of degree 2, so scaling a pair keeps it
@@ -349,8 +373,8 @@ class TestDisplacementBound:
             x = rng.uniform(0.0, 3.0, 2)
             y = x + rng.uniform(0.0, 3.0, 2)
             alpha = float(rng.choice([-0.5, 0.0, 1.0 / 3.0, 0.9]))
-            near = check_displacement_bound(spec, ORTH2, p15, alpha, x, y)
-            assert check_displacement_bound(spec, ORTH2, p15, alpha, 1e160 * x, 1e160 * y) == near
+            near = check_displacement_bound(spec, p15, alpha, x, y)
+            assert check_displacement_bound(spec, p15, alpha, 1e160 * x, 1e160 * y) == near
             verdicts.append(near)
         assert 0 < sum(verdicts) < len(verdicts)
 
@@ -378,7 +402,7 @@ class TestDisplacementBound:
                 if spec.domain.kind == "cone":  # the pairs scaled up stay comparable in the cone
                     x, y = scale * x, scale * y
                 for x, y in zip(x, y):
-                    got = check_displacement_bound(spec, spec.domain.cone, space, alpha, x, y)
+                    got = check_displacement_bound(spec, space, alpha, x, y)
                     assert got is former(spec, space, x, y)
                     verdicts.append(got)
         assert any(verdicts)
@@ -400,7 +424,7 @@ class TestSquaresPastTheFloatRange:
     def test_alpha_violations_reported(self):
         for top in (None, 1e160):
             spec = self.tripling(1, top)
-            rep = is_alpha_nonexpansive(spec, ORTH1, P1, 0.0, SamplerConfig(20, seed=0))
+            rep = is_alpha_nonexpansive(spec, P1, 0.0, SamplerConfig(20, seed=0))
             assert rep.samples == 20 and len(rep.violations) == 20
         # past the float range the sides are reported finite, in units of scale**2
         v = rep.violations[0]
@@ -925,16 +949,17 @@ def same_outcome(got, want):
     return True
 
 
-def check_pair_verifiers(spec, cone, space, alpha, cfg, exhaustive=False):
-    """All three comparable-pair verifiers agree with their references;
-    returns whether the alpha check passed."""
+def check_pair_verifiers(spec, space, alpha, cfg, exhaustive=False):
+    """All three comparable-pair verifiers agree with their references under
+    the map's domain cone; returns whether the alpha check passed."""
+    cone = spec.domain.cone
     for fn, ref, args in (
-        (is_monotone, reference_is_monotone, (spec, cone, cfg)),
-        (is_monotone_nonexpansive, reference_is_monotone_nonexpansive, (spec, cone, space, cfg)),
-        (is_alpha_nonexpansive, reference_is_alpha_nonexpansive, (spec, cone, space, alpha, cfg)),
+        (is_monotone, reference_is_monotone, (cfg,)),
+        (is_monotone_nonexpansive, reference_is_monotone_nonexpansive, (space, cfg)),
+        (is_alpha_nonexpansive, reference_is_alpha_nonexpansive, (space, alpha, cfg)),
     ):
-        assert same_outcome(outcome(fn, *args), outcome(ref, *args))
-    rep = is_alpha_nonexpansive(spec, cone, space, alpha, cfg, exhaustive=exhaustive)
+        assert same_outcome(outcome(fn, spec, *args), outcome(ref, spec, cone, *args))
+    rep = is_alpha_nonexpansive(spec, space, alpha, cfg, exhaustive=exhaustive)
     assert_same_report(rep, reference_is_alpha_nonexpansive(spec, cone, space, alpha, cfg, exhaustive))
     return rep.passed
 
@@ -1044,66 +1069,64 @@ class TestReferenceVerifiers:
     @pytest.mark.parametrize("entry", corpus.alpha_corpus(), ids=lambda e: e.name)
     @pytest.mark.parametrize("seed", [0, 5])
     def test_alpha_corpus(self, entry, seed):
-        spec, cone = entry.spec, entry.spec.domain.cone
+        spec = entry.spec
         cfg = SamplerConfig(n_samples=300, seed=seed)
         exhaustive = isinstance(spec.op, GridMap)
-        check_pair_verifiers(spec, cone, entry.space, entry.alpha, cfg, exhaustive)
+        check_pair_verifiers(spec, entry.space, entry.alpha, cfg, exhaustive)
 
     def test_steep_step_lattice_fails_below_threshold(self):
         spec, space = corpus.steep_step_map(), SpaceSpec(dim=1, p=2.0)
         for alpha in (0.0, 0.2):
             for exhaustive in (False, True):
                 cfg = SamplerConfig(n_samples=300, seed=1)
-                passed = check_pair_verifiers(spec, ORTH1, space, alpha, cfg, exhaustive)
+                passed = check_pair_verifiers(spec, space, alpha, cfg, exhaustive)
                 assert not passed
 
     @pytest.mark.parametrize("dim", [2, 5, 20])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_random_nonneg_affine(self, dim, p):
         spec = corpus.random_nonneg_affine(dim, 0.95, np.random.default_rng(dim))
-        cone, space = spec.domain.cone, SpaceSpec(dim=dim, p=p)
+        space = SpaceSpec(dim=dim, p=p)
         cfg = SamplerConfig(n_samples=200, seed=dim)
         passed = {
-            alpha: check_pair_verifiers(spec, cone, space, alpha, cfg)
+            alpha: check_pair_verifiers(spec, space, alpha, cfg)
             for alpha in (-0.5, 0.0, 1.0 / 3.0, 0.9)
         }
         assert passed[0.0] and passed[1.0 / 3.0] and not passed[-0.5]
         # an expansive copy of the map fails nonexpansiveness too
         expansive = MappingSpec(AffineMap(1.5 * spec.op.matrix, spec.op.offset), spec.domain)
-        assert not check_pair_verifiers(expansive, cone, space, 0.0, cfg)
+        assert not check_pair_verifiers(expansive, space, 0.0, cfg)
 
     def test_non_monotone_box_map(self):
         # order violations are recorded first and skip the norm test
         cfg = SamplerConfig(n_samples=300, seed=2)
         for p in (1.5, 2.0, 3.0):
-            assert not check_pair_verifiers(shear_map(), ORTH2, SpaceSpec(dim=2, p=p), 0.0, cfg)
+            assert not check_pair_verifiers(shear_map(), SpaceSpec(dim=2, p=p), 0.0, cfg)
 
     @pytest.mark.parametrize("spec_fn", [lorentz_rotation_map, lorentz_interval_map])
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_lorentz_maps(self, spec_fn, p):
         space = SpaceSpec(dim=3, p=p)
         for alpha in (0.0, 0.5):
-            check_pair_verifiers(spec_fn(), LOR3, space, alpha, SamplerConfig(n_samples=200, seed=3))
-        # the orthant order on a Lorentz-domain map: mixed order violations
-        check_pair_verifiers(spec_fn(), ConeSpec("orthant", 3), space, 0.0, SamplerConfig(200, seed=4))
+            check_pair_verifiers(spec_fn(), space, alpha, SamplerConfig(n_samples=200, seed=3))
 
     @pytest.mark.parametrize("cone", [ORTH2, LOR2], ids=["orthant", "lorentz"])
     def test_lattice_pairs(self, cone):
         # under the Lorentz cone some lattice pairs come in (upper, lower)
         # order and are flipped, others are incomparable and dropped
-        spec = grid2()
+        spec = grid2(cone.kind)
         for alpha in (0.0, 0.5):
-            check_pair_verifiers(spec, cone, P2, alpha, SamplerConfig(200, seed=6), exhaustive=True)
+            check_pair_verifiers(spec, P2, alpha, SamplerConfig(200, seed=6), exhaustive=True)
         # 100 of the 136 lattice pairs are comparable under the orthant, 90
         # under the Lorentz cone, 25 of which are flipped
-        rep = is_alpha_nonexpansive(spec, cone, P2, 0.0, exhaustive=True)
+        rep = is_alpha_nonexpansive(spec, P2, 0.0, exhaustive=True)
         assert rep.samples == (90 if cone is LOR2 else 100)
 
     def test_lattice_map_off_lattice_pairs_same_error(self):
         # a lattice map on a Lorentz cone domain samples off-lattice pairs
         spec = grid2("lorentz")
         cfg = SamplerConfig(n_samples=50, seed=2)
-        got = outcome(is_alpha_nonexpansive, spec, LOR2, P2, 0.0, cfg)
+        got = outcome(is_alpha_nonexpansive, spec, P2, 0.0, cfg)
         assert got[0] == "raised" and got[1] is DomainError
         assert got == outcome(reference_is_alpha_nonexpansive, spec, LOR2, P2, 0.0, cfg)
 
@@ -1149,14 +1172,14 @@ class TestReferenceVerifiers:
             for seed in range(8):
                 cfg = SamplerConfig(n_samples=n_samples, seed=seed)
                 check = (
-                    (is_monotone, reference_is_monotone, (spec, ORTH1, cfg)),
-                    (is_monotone_nonexpansive, reference_is_monotone_nonexpansive, (spec, ORTH1, P1, cfg)),
-                    (is_alpha_nonexpansive, reference_is_alpha_nonexpansive, (spec, ORTH1, P1, 0.0, cfg)),
-                    (classify_hilbert_classes, reference_classify_hilbert_classes, (spec, P1, cfg)),
+                    (is_monotone, reference_is_monotone, (cfg,), (ORTH1, cfg)),
+                    (is_monotone_nonexpansive, reference_is_monotone_nonexpansive, (P1, cfg), (ORTH1, P1, cfg)),
+                    (is_alpha_nonexpansive, reference_is_alpha_nonexpansive, (P1, 0.0, cfg), (ORTH1, P1, 0.0, cfg)),
+                    (classify_hilbert_classes, reference_classify_hilbert_classes, (P1, cfg), (P1, cfg)),
                 )
-                for fn, ref, args in check:
-                    got = outcome(fn, *args)
-                    assert same_outcome(got, outcome(ref, *args))
+                for fn, ref, args, ref_args in check:
+                    got = outcome(fn, spec, *args)
+                    assert same_outcome(got, outcome(ref, spec, *ref_args))
                     outcomes.add(got[:2] if got[0] == "raised" else (got[0], fn.__name__))
         assert ("raised", ValueError) in outcomes
         if n_samples == 300:
@@ -1167,11 +1190,11 @@ class TestReferenceVerifiers:
         space = SpaceSpec(dim=3, p=2.0)
         spec = corpus.affine_contraction(2)
         for fn, ref, args in (
-            (is_monotone_nonexpansive, reference_is_monotone_nonexpansive, (spec, ORTH2, space, cfg)),
-            (is_alpha_nonexpansive, reference_is_alpha_nonexpansive, (spec, ORTH2, space, 0.0, cfg)),
+            (is_monotone_nonexpansive, reference_is_monotone_nonexpansive, (space, cfg)),
+            (is_alpha_nonexpansive, reference_is_alpha_nonexpansive, (space, 0.0, cfg)),
         ):
-            got = outcome(fn, *args)
-            assert got[0] == "raised" and got == outcome(ref, *args)
+            got = outcome(fn, spec, *args)
+            assert got[0] == "raised" and got == outcome(ref, spec, ORTH2, *args)
 
 
 class TestBatchedSampling:
@@ -1205,7 +1228,7 @@ class TestBatchedSampling:
         for spec in (corpus.affine_contraction(2), corpus.steep_step_map(), lorentz_rotation_map()):
             x, y = sample_comparable_pairs(spec, np.random.default_rng(0), 0)
             assert x.shape == y.shape == (0, spec.dim)
-            rep = is_alpha_nonexpansive(spec, spec.domain.cone, SpaceSpec(spec.dim, 2.0), 0.0,
+            rep = is_alpha_nonexpansive(spec, SpaceSpec(spec.dim, 2.0), 0.0,
                                         SamplerConfig(n_samples=0))
             assert rep.passed and rep.samples == 0
 
@@ -1328,15 +1351,14 @@ class TestRowQuasiVerifier:
         # seeds 0-29, n in {0, 1, 7, 200}, p in {1.5, 2}: same samples,
         # witnesses and lhs/rhs bits
         spec = make()
-        cone = spec.domain.cone
         violations = 0
         for p in (1.5, 2.0):
             space = SpaceSpec(spec.dim, p)
             for seed in range(30):
                 for n in (0, 1, 7, 200):
                     cfg = SamplerConfig(n_samples=n, seed=seed)
-                    rep = is_quasi_nonexpansive(spec, cone, space, fixed, cfg)
-                    ref = reference_is_quasi_nonexpansive(spec, cone, space, fixed, cfg)
+                    rep = is_quasi_nonexpansive(spec, space, fixed, cfg)
+                    ref = reference_is_quasi_nonexpansive(spec, spec.domain.cone, space, fixed, cfg)
                     assert_same_report(rep, ref, rtol=0.0)
                     violations += len(rep.violations)
         assert (violations > 0) == expanding
@@ -1345,9 +1367,9 @@ class TestRowQuasiVerifier:
         for spec, fixed in ((corpus.affine_contraction(2), [[2.0, 2.0], [1.0, 1.0]]),
                             (corpus.steep_step_map(), [[0.0], [0.3]]),
                             (corpus.steep_step_map(), [[0.0], [3.0]])):
-            args = (spec, spec.domain.cone, SpaceSpec(spec.dim, 2.0), fixed, SamplerConfig(10, seed=0))
-            got = outcome(is_quasi_nonexpansive, *args)
-            assert got[0] == "raised" and got == outcome(reference_is_quasi_nonexpansive, *args)
+            args = (SpaceSpec(spec.dim, 2.0), fixed, SamplerConfig(10, seed=0))
+            got = outcome(is_quasi_nonexpansive, spec, *args)
+            assert got[0] == "raised" and got == outcome(reference_is_quasi_nonexpansive, spec, spec.domain.cone, *args)
 
 
 def search_grid(lo, hi, points_per_axis, dim=2):
