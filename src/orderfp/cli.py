@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from orderfp.asymcenter import make_problem, solve_asym_center, verify_center_is_fixed
-from orderfp.harness import SUITES, load_config, run_suites, summary_table
+from orderfp.asymcenter import problem_from_orbit, solve_asym_center, verify_center_is_fixed
+from orderfp.harness import SUITES, run_suites, summary_table
 from orderfp.iterate import (
     IterationConfig,
     mann_orbit,
@@ -127,8 +127,8 @@ def _cmd_check_mapping(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _parse_vector(text: str, spec) -> np.ndarray | None:
-    # the --x0 point of the map; None after a one-line error that names the cause
+def _parse_vector(text: str, spec) -> np.ndarray:
+    # the --x0 point of the map, or a ValueError that names the cause
     try:
         x0 = np.zeros(spec.dim) if text == "zero" else np.asarray([float(tok) for tok in text.split(",")])
         cause = (f"has {x0.size} coordinates" if x0.size != spec.dim
@@ -137,16 +137,14 @@ def _parse_vector(text: str, spec) -> np.ndarray | None:
     except ValueError as exc:
         cause = f"is not a list of numbers: {exc}"
     if cause:
-        print(f"--x0 {text!r} {cause}; the map is {spec.dim}-D", file=sys.stderr)
-    return None if cause else x0
+        raise ValueError(f"--x0 {text!r} {cause}; the map is {spec.dim}-D")
+    return x0
 
 
 def _cmd_iterate(args) -> int:
     spec = load_mapping(args.map)
     space = SpaceSpec(dim=spec.dim, p=args.p)
     x0 = _parse_vector(args.x0, spec)
-    if x0 is None:
-        return 2
     cfg = IterationConfig(
         max_iter=args.max_iter,
         residual_tol=args.residual_tol,
@@ -170,10 +168,11 @@ def _cmd_asym_center(args) -> int:
     dim = points.shape[1]
     cone = ConeSpec(kind="orthant", dim=dim)
     space = SpaceSpec(dim=dim, p=args.p)
-    if not (0 <= args.tail_from < points.shape[0]):
-        print(f"tail offset {args.tail_from} out of range", file=sys.stderr)
-        return 2
-    problem = make_problem(points[args.tail_from :], cone, space)
+    problem = problem_from_orbit(points, cone, space, args.tail_from)
+    ascends = _member_raw(cone, np.diff(problem.tail, axis=0), MEMBERSHIP_TOL)
+    if not ascends.all():
+        k = args.tail_from + int(np.argmin(ascends)) + 1
+        raise ValueError(f"the tail's supremum is its centre only if it ascends: point {k} is not >= point {k - 1}")
     map_spec = load_mapping(args.map) if args.map else None
     result = solve_asym_center(problem, map_spec=map_spec)
     lines = [
@@ -196,7 +195,7 @@ def _cmd_asym_center(args) -> int:
 
 def _cmd_verify(args) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    config = load_config(args.config)
+    config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     reports, _ = run_suites(suites, config, seed=args.seed, out_dir=args.out)
     text = summary_table(reports)
     print(text, end="")
@@ -268,7 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # a bad input: a file that cannot be read, or a refused value
+        print(str(exc).replace("\n", " "), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

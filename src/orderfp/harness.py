@@ -9,11 +9,9 @@ the root seed, so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import itertools
-import json
 import numbers
 import os
 import sys
@@ -46,6 +44,7 @@ from orderfp.mapping import (
     MappingSpec,
     SamplerConfig,
     TranslationMap,
+    _section,
     apply_map,
     domain_contains,
     fixed_point_oracle,
@@ -98,6 +97,16 @@ class Scenario:
     seed: int = 0
     grid_cfg: GridSearchConfig | None = None
 
+    def __post_init__(self):
+        # refused by field name when built, so that a bad config entry stops a run before any suite
+        for name, known in (("x0_policy", ("zero", "below", "above", "explicit")),
+                            ("expected", ("fixed_point_exists", "no_fixed_point", "unknown"))):
+            if getattr(self, name) not in known:
+                raise ValueError(f"config field {name} needs one of {', '.join(known)}, got {getattr(self, name)!r}")
+        if (self.x0 is None) == (self.x0_policy == "explicit"):
+            raise ValueError(f"config field x0 is needed exactly when x0_policy is 'explicit', got x0 {self.x0!r}")
+        self.x0 = None if self.x0 is None else as_vector(self.x0, dim=self.map.dim)
+
     @property
     def cone(self) -> ConeSpec:
         """The order of every check: the map's domain cone."""
@@ -137,20 +146,11 @@ def resolve_x0(scn: Scenario) -> np.ndarray:
     """Produce the starting point demanded by the scenario policy; sampled
     policies verify the order relation against T x0 before the run."""
     spec = scn.map
-    if scn.x0_policy == "explicit":
-        if scn.x0 is None:
-            raise HypothesisError(f"{scn.sid}: explicit policy without an x0")
-        x0 = as_vector(scn.x0, dim=spec.dim)
+    if scn.x0_policy in ("explicit", "zero"):
+        x0 = scn.x0 if scn.x0_policy == "explicit" else np.zeros(spec.dim)
         if not domain_contains(spec.domain, x0):
-            raise HypothesisError(f"{scn.sid}: explicit x0 outside the domain")
+            raise HypothesisError(f"{scn.sid}: {scn.x0_policy} start outside the domain")
         return x0
-    if scn.x0_policy == "zero":
-        x0 = np.zeros(spec.dim)
-        if not domain_contains(spec.domain, x0):
-            raise HypothesisError(f"{scn.sid}: zero start outside the domain")
-        return x0
-    if scn.x0_policy not in ("below", "above"):
-        raise HypothesisError(f"{scn.sid}: unknown x0 policy {scn.x0_policy!r}")
     rng = np.random.default_rng(scn.seed)
     for attempt in range(X0_TRIES):
         scale = float(2 ** (attempt // 100))
@@ -598,7 +598,7 @@ def _scn(sid, spec, seed, x0=None, grid=None, expected="fixed_point_exists", **k
     # a registry scenario in l2 over the map's dimension; an x0 makes the
     # start explicit, and grid = (lo, hi) bounds a 7-point-per-axis oracle grid
     if x0 is not None:
-        kw.update(x0_policy="explicit", x0=np.asarray(x0, dtype=float))
+        kw.update(x0_policy="explicit", x0=x0)
     if grid is not None:
         lo, hi = (np.full(spec.dim, bound) for bound in grid)
         kw["grid_cfg"] = GridSearchConfig(lo=lo, hi=hi, points_per_axis=7)
@@ -642,62 +642,41 @@ def default_scenarios(seed: int) -> dict[str, list[Scenario]]:
     }
 
 
+@dataclass(frozen=True)
+class ScenarioEntry:
+    """The scalar values of a config scenario; its map, space, grid and x0 are read apart."""
+
+    id: str = "config_scenario"
+    alpha: float = 0.0
+    x0_policy: str = "zero"
+    expected: str = "unknown"
+    seed: int = 0
+
+
 def scenario_from_dict(d: dict, seed: int) -> Scenario:
-    """Scenario from a config entry; the space's dimension and the order
-    come from the map, and a ``space.dim`` that differs is rejected."""
-    spec = mapping_from_dict(d["map"])
-    sp = d.get("space", {})
-    if int(sp.get("dim", spec.dim)) != spec.dim:
-        raise ValueError(f"config field space.dim is {sp['dim']!r}, but the map is {spec.dim}-D")
-    space = SpaceSpec(dim=spec.dim, p=float(sp.get("p", 2.0)))
-    grid_cfg = None
-    if "grid" in d:
-        g = d["grid"]
-        points = int(g.get("points_per_axis", GridSearchConfig.points_per_axis))
-        grid_cfg = GridSearchConfig(lo=g["lo"], hi=g["hi"], points_per_axis=points)
-    x0 = d.get("x0")
-    return Scenario(
-        sid=str(d.get("id", "config_scenario")),
-        space=space,
-        map=spec,
-        alpha=float(d.get("alpha", 0.0)),
-        x0_policy=str(d.get("x0_policy", "zero")),
-        x0=None if x0 is None else np.asarray(x0, dtype=float),
-        expected=str(d.get("expected", "unknown")),
-        seed=int(d.get("seed", seed)),
-        grid_cfg=grid_cfg,
-    )
+    """Scenario from a config entry, its values read by ``_section``; the space's dimension and
+    the order come from the map, and a ``space.dim`` that differs is rejected."""
+    e = _section(d, None, ScenarioEntry(seed=seed))
+    spec = mapping_from_dict(d.get("map"))
+    space = _section(d, "space", SpaceSpec(dim=spec.dim, p=2.0))
+    if space.dim != spec.dim:
+        raise ValueError(f"config field space.dim is {space.dim!r}, but the map is {spec.dim}-D")
+    grid_cfg = _section(d, "grid", GridSearchConfig(np.zeros(spec.dim), np.zeros(spec.dim))) if "grid" in d else None
+    if grid_cfg is not None and not {"lo", "hi"} <= d["grid"].keys():
+        raise ValueError(f"config field grid needs lo and hi, got {d['grid']!r}")
+    return Scenario(e.id, space, spec, e.alpha, e.x0_policy, d.get("x0"), e.expected, e.seed, grid_cfg)
 
 
-def load_config(path) -> dict:
-    if path is None:
-        return {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+@dataclass(frozen=True)
+class RunConfig:
+    """The top-level values of a verify config, as ``_section`` reads them."""
 
+    samples: int = 300  # of each sampled hypothesis check
+    replace_scenarios: bool = False  # config scenarios replace the shipped ones, instead of joining them
 
-def _section(config: dict, key: str, default):
-    """``default`` with the fields that ``config[key]`` gives, each converted
-    to the type of its default value; other keys are ignored. A bool field
-    rejects a string, a number field a boolean, an int field a fraction and
-    a tuple field anything but a list, since the conversion would misread
-    them; a value the conversion fails on is rejected too."""
-    given = config.get(key, {})
-    values = {}
-    for name in (f.name for f in dataclasses.fields(default) if f.name in given):
-        kind, value = type(getattr(default, name)), given[name]
-        with contextlib.suppress(TypeError, ValueError, OverflowError):
-            values[name] = kind(value)
-        if (
-            name not in values
-            or kind is bool and isinstance(value, str)
-            or kind in (int, float) and isinstance(value, bool)
-            or kind is int and isinstance(value, float) and not value.is_integer()
-            or kind is tuple and not isinstance(value, (list, tuple))
-        ):
-            wanted = {bool: "boolean", int: "integer", float: "number", tuple: "list"}[kind]
-            raise ValueError(f"config field {key}.{name} needs a JSON {wanted}, got {value!r}")
-    return dataclasses.replace(default, **values)
+    def __post_init__(self):
+        if self.samples < 1:  # a check of no sample would pass vacuously
+            raise ValueError(f"config field samples needs an integer >= 1, got {self.samples!r}")
 
 
 _CAMPAIGNS = {
@@ -712,13 +691,19 @@ def run_suites(
     suites, config: dict, seed: int, out_dir
 ) -> tuple[list[CampaignReport], list[TrialRow]]:
     """Run the requested suites and return all campaign reports plus the
-    family trial rows. Hypothesis aborts become failed checks with the
-    diagnosis recorded, so a corrupted scenario fails its report instead of
-    crashing the run."""
-    samples = int(config.get("samples", 300))
+    family trial rows. The whole config is read first: a bad value raises a ValueError that
+    names it before any suite runs. Hypothesis aborts become failed checks with the diagnosis
+    recorded, so a corrupted scenario fails its report instead of crashing the run."""
+    run = _section(config, None, RunConfig())
     iter_cfg = _section(config, "iteration", CAMPAIGN_ITERATION)
-    replace = bool(config.get("replace_scenarios", False))
-    extra = config.get("scenarios", {})
+    family_cfg = _section(config, "family", FamilyConfig())
+    given = config.get("scenarios", {})
+    if not isinstance(given, dict):
+        raise ValueError(f"config field scenarios needs a JSON object, got {given!r}")
+    for suite, entries in given.items():
+        if suite not in _CAMPAIGNS or not isinstance(entries, list):
+            raise ValueError(f"config field scenarios.{suite} needs a suite of {', '.join(_CAMPAIGNS)} and a JSON list")
+    extra = {suite: [scenario_from_dict(d, seed) for d in entries] for suite, entries in given.items()}
     # t34 builds its own family; the registry is only built when used
     registry = default_scenarios(seed) if set(suites) - {"t34"} else {}
 
@@ -728,18 +713,15 @@ def run_suites(
         if _verbose():
             print(f"suite {suite}:")
         if suite == "t34":
-            rep, rows = verify_zero_orbit_equivalence(
-                _section(config, "family", FamilyConfig()), seed=seed, iter_cfg=iter_cfg
-            )
+            rep, rows = verify_zero_orbit_equivalence(family_cfg, seed=seed, iter_cfg=iter_cfg)
             reports.append(rep)
             trial_rows.extend(rows)
             continue
-        scenarios = [] if replace else list(registry.get(suite, []))
-        scenarios += [scenario_from_dict(d, seed) for d in extra.get(suite, [])]
+        scenarios = ([] if run.replace_scenarios else registry.get(suite, [])) + extra.get(suite, [])
         campaign = _CAMPAIGNS[suite]
         for scn in scenarios:
             try:
-                reports.append(campaign(scn, iter_cfg, samples))
+                reports.append(campaign(scn, iter_cfg, run.samples))
             except HypothesisError as exc:
                 rep = CampaignReport(suite, scn.sid)
                 rep.add("hypothesis", False, f"aborted: {exc}")

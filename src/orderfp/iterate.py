@@ -117,8 +117,8 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: st
     TranslationMaps, on one cone, which step in lockstep as one batch and
     each leave it at its first stop; any other list is a ValueError. The
     first error met is raised. With ``verdicts``, each orbit's verdict stands
-    in for its record, and no trajectory is kept. The order flags of a
-    record are taken under its map's domain cone."""
+    in for its record: no trajectory or last residual is kept. The order
+    flags of a record are taken under its map's domain cone."""
     kinds = {(type(s.op), s.domain.kind, s.domain.cone) for s in spec}
     if len(spec) != 1 and not (len(kinds) == 1 and beta_fn is None and spec[0].domain.kind == "cone"
                                and type(spec[0].op) in _STACKED):
@@ -201,9 +201,7 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: st
                     verdict[i] = UNBOUNDED_SUSPECTED
                 elif held is not None:
                     raise held
-                if verdicts:  # its last point alone
-                    chunks[i] = [(xs[r, keep : keep + 1].copy(), norms0[0, :0], norms0[0, :0])]
-                else:
+                if not verdicts:
                     chunks[i].append((xs[r, 1 : keep + 1], new_norms[r, :keep], res[r, :nres]))
             whole = slice(None) if whole.all() else whole  # views while no orbit leaves
             live, x, n0 = live[whole], xs[whole, k], n0 + k
@@ -212,18 +210,17 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: st
             recent = recent[whole, recent.shape[1] - window :]
             stack = [a[whole] for a in stack]
 
+        if verdicts:
+            return verdict
         out = []
         for s, parts, v in zip(spec, chunks, verdict):
             pts, norms, residuals = map(np.concatenate, zip(*parts))
             if v in (MAX_ITER_REACHED, UNBOUNDED_SUSPECTED):
                 tx = s.op.evaluate(pts[-1])
                 residuals = np.append(residuals, _row_norms(space, (tx - pts[-1])[None, None], slice(0)))
-            if verdicts:
-                out.append(v)
-            else:
-                up, down = _step_flags(pts, s.domain.cone)
-                order = INCREASING if up.all() else DECREASING if down.all() else NEITHER
-                out.append(OrbitRecord(pts, residuals, norms, up, down, order, v, scheme))
+            up, down = _step_flags(pts, s.domain.cone)
+            order = INCREASING if up.all() else DECREASING if down.all() else NEITHER
+            out.append(OrbitRecord(pts, residuals, norms, up, down, order, v, scheme))
     return out
 
 

@@ -11,9 +11,11 @@ draw, evaluate and test all their pairs as rows at once.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -47,6 +49,7 @@ class NotFixedPointError(ValueError):
 
 # fixed-point residuals are accepted up to FIXED_POINT_TOL
 FIXED_POINT_TOL = 1e-8
+LATTICE_NODE_CAP = 1024  # lattice nodes an exhaustive check takes: it holds all N(N+1)/2 node pairs
 
 
 def _slack(rhs, s=1.0):
@@ -187,8 +190,8 @@ class GridMap:
     def __post_init__(self):
         self.origin = as_vector(self.origin)
         self.values = np.asarray(self.values, dtype=float)
-        if self.step <= 0:
-            raise ValueError(f"lattice step must be positive, got {self.step}")
+        if isinstance(self.step, bool) or not isinstance(self.step, numbers.Real) or not 0 < self.step < math.inf:
+            raise ValueError(f"grid map field step needs a positive number, got {self.step!r}")
         if self.values.ndim != self.origin.size + 1 or self.values.shape[-1] != self.origin.size:
             raise ValueError(
                 f"values shape {self.values.shape} does not match a lattice over dim {self.origin.size}"
@@ -410,6 +413,8 @@ def _lattice_pairs(spec: MappingSpec) -> tuple[np.ndarray, np.ndarray]:
     # every comparable pair of lattice points as rows (lower, upper), in
     # combinations_with_replacement order, from one row-wise domain-cone test
     cone, pts = spec.domain.cone, _grid_nodes(spec.op)
+    if len(pts) > LATTICE_NODE_CAP:
+        raise ValueError(f"an exhaustive check of {len(pts)} lattice nodes is above the cap of {LATTICE_NODE_CAP}")
     i, j = np.triu_indices(len(pts))
     diff = pts[j] - pts[i]
     up = _member_raw(cone, diff, MEMBERSHIP_TOL)
@@ -733,6 +738,8 @@ def _op_to_dict(op) -> dict:
 
 
 def _op_from_dict(d: dict):
+    if not isinstance(d, dict):  # the file's root, a config scenario's map or a composition stage
+        raise ValueError(f"map needs a JSON object, got {d!r}")
     tag = d["variant"]
     if not isinstance(tag, str) or tag not in _VARIANTS:
         raise ValueError(f"unknown mapping variant {tag!r}")
@@ -753,13 +760,47 @@ def mapping_to_dict(spec: MappingSpec) -> dict:
 
 def mapping_from_dict(d: dict) -> MappingSpec:
     try:
-        dd = d["domain"]
-        cone = ConeSpec(kind=dd["cone"]["kind"], dim=int(dd["cone"]["dim"]))
-        domain = Domain(kind=dd["kind"], cone=cone, lo=dd.get("lo"), hi=dd.get("hi"))
         op = _op_from_dict(d)
+        cone = _section(d, "domain.cone", ConeSpec("orthant", 1))
+        dd = d["domain"]
+        dd["cone"]["kind"], dd["cone"]["dim"]  # both required, unlike the fields of a config section
+        domain = Domain(kind=dd["kind"], cone=cone, lo=dd.get("lo"), hi=dd.get("hi"))
     except KeyError as exc:  # a missing key, at any depth
         raise ValueError(f"mapping needs the key {exc.args[0]!r}") from None
     return make_mapping(op, domain)
+
+
+def _section(config: dict, key: str | None, default):
+    """``default`` with the fields that the JSON object at the dotted path ``key``
+    of ``config`` (``config`` itself for None) gives, each converted to its
+    default's type; other keys are ignored. A str field takes only a string; a
+    bool field rejects a string, a number field a boolean, an int field a
+    fraction, a tuple field a non-list and an array field anything but a list
+    of finite numbers, as the conversion would misread them or fail."""
+    given, path = config, []
+    for part in key.split(".") if key else ():
+        if isinstance(given, dict):
+            given, path = given.get(part, {}), path + [part]
+    if not isinstance(given, dict):
+        where = "field " + ".".join(path) if path else "section"
+        raise ValueError(f"config {where} needs a JSON object, got {given!r}")
+    values = {}
+    for name in (f.name for f in dataclasses.fields(default) if f.name in given):
+        kind, value = type(getattr(default, name)), given[name]
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            values[name] = (as_vector if kind is np.ndarray else kind)(value)
+        if (
+            name not in values
+            or kind is str and not isinstance(value, str)
+            or kind is bool and isinstance(value, str)
+            or kind in (int, float) and isinstance(value, bool)
+            or kind is int and isinstance(value, float) and not value.is_integer()
+            or kind is tuple and not isinstance(value, (list, tuple))
+        ):
+            wanted = {str: "string", bool: "boolean", int: "integer", float: "number", tuple: "list",
+                      np.ndarray: "list of finite numbers"}[kind]
+            raise ValueError(f"config field {'.'.join(path + [name])} needs a JSON {wanted}, got {value!r}")
+    return dataclasses.replace(default, **values)
 
 
 def load_mapping(path) -> MappingSpec:

@@ -167,6 +167,39 @@ def test_asym_center_bad_tail_offset(tmp_path, contraction_file):
     assert main(["asym-center", "--orbit", str(orbit), "--tail-from", "99999"]) == 2
 
 
+def test_asym_center_refuses_a_tail_that_does_not_ascend(tmp_path, capsys):
+    # the closed form is the supremum of an ascending tail: on this descending
+    # orbit, which converges to -3, it reported the first point with residual 0.707
+    drift, orbit = tmp_path / "drift.json", tmp_path / "orbit.csv"
+    save_mapping(corpus.box_drift_down(2), drift)
+    assert main(["iterate", "--map", str(drift), "--x0=-1,-1", "--out", str(orbit)]) == 0
+    capsys.readouterr()
+    assert main(["asym-center", "--orbit", str(orbit), "--tail-from", "0", "--map", str(drift)]) == 2
+    want = "the tail's supremum is its centre only if it ascends: point 1 is not >= point 0\n"
+    assert capsys.readouterr() == ("", want)
+    assert main(["asym-center", "--orbit", str(orbit), "--tail-from", "9"]) == 2
+    assert capsys.readouterr() == ("", "tail offset 9 out of range for 5 points\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file or directory"),
+    ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[1]", "map needs a JSON object, got [1]"),
+])
+def test_a_bad_map_file_ends_in_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "map.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main(["check-mapping", "--map", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and message in err
+
+
+def test_a_bad_option_value_ends_in_one_line(capsys):
+    assert main(["modulus", "--p", "0.5"]) == 2
+    assert capsys.readouterr() == ("", "p must lie in (1, inf), got 0.5\n")
+
+
 def test_verify_suite_passes(tmp_path, capsys):
     out_dir = tmp_path / "verify"
     code = main(["verify", "--suite", "t33", "--seed", "1", "--out", str(out_dir)])

@@ -88,8 +88,9 @@ class TestStartResolution:
         assert np.all(x0 >= 2.0 - 1e-9)  # only points above the fixed point qualify
 
     def test_unknown_policy(self):
-        with pytest.raises(HypothesisError):
-            resolve_x0(scenario(corpus.affine_contraction(2), x0_policy="sideways"))
+        # refused when the scenario is built, before any campaign runs
+        with pytest.raises(ValueError, match="^config field x0_policy needs one of zero, below, above, explicit, "):
+            scenario(corpus.affine_contraction(2), x0_policy="sideways")
 
 
 class TestExistenceCampaigns:
@@ -662,3 +663,121 @@ class TestConfigSections:
         with pytest.raises(ValueError, match=f"config field family.{field} "):
             run_suites(["t34"], {"family": section}, 0, tmp_path)
         assert not list(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# the config door: every value is read before any suite runs
+
+
+def door_scenario(suite="t32", **entry):
+    return {"replace_scenarios": True, "scenarios": {suite: [
+        {"id": "cfg", "map": mapping_to_dict(corpus.truncation_cap(2)), **entry}]}}
+
+
+# (config, the message of its ValueError); each one ran, misread or crashed
+# mid-run before the config was read at the door
+DOOR_CASES = {
+    # "false" read as True, so the shipped scenarios ran too
+    "replace_scenarios-string": ({"replace_scenarios": "false"},
+                                 "config field replace_scenarios needs a JSON boolean, got 'false'"),
+    # 0 samples passed every class hypothesis
+    "samples-zero": ({"samples": 0}, "config field samples needs an integer >= 1, got 0"),
+    "samples-negative": ({"samples": -1}, "config field samples needs an integer >= 1, got -1"),
+    "samples-bool": ({"samples": True}, "config field samples needs a JSON integer, got True"),
+    "samples-text": ({"samples": "lots"}, "config field samples needs a JSON integer, got 'lots'"),
+    # a failed hypothesis check in the report, not an input error
+    "x0_policy-unknown": (door_scenario(x0_policy="sideways"),
+                          "config field x0_policy needs one of zero, below, above, explicit, got 'sideways'"),
+    # silently ignored
+    "scenarios-t99": ({"scenarios": {"t99": []}},
+                      "config field scenarios.t99 needs a suite of t32, t33, t41-44, c45-46 and a JSON list"),
+    "scenarios-t34": ({"scenarios": {"t34": []}},
+                      "config field scenarios.t34 needs a suite of t32, t33, t41-44, c45-46 and a JSON list"),
+    # a traceback
+    "max_iter-text": ({"iteration": {"max_iter": "lots"}},
+                      "config field iteration.max_iter needs a JSON integer, got 'lots'"),
+    # read as 1.0, 2, 7 and a float() error naming no field
+    "alpha-bool": (door_scenario(alpha=True), "config field alpha needs a JSON number, got True"),
+    "seed-fraction": (door_scenario(seed=2.5), "config field seed needs a JSON integer, got 2.5"),
+    "points_per_axis-fraction": (door_scenario(grid={"lo": [0, 0], "hi": [3, 3], "points_per_axis": 7.9}),
+                                 "config field grid.points_per_axis needs a JSON integer, got 7.9"),
+    "space-p-text": (door_scenario(space={"p": "two"}), "config field space.p needs a JSON number, got 'two'"),
+    # a KeyError, and an x0 that the zero policy ignored
+    "map-missing": ({"scenarios": {"t32": [{"id": "cfg"}]}}, "map needs a JSON object, got None"),
+    "x0-without-explicit": (door_scenario(x0=[1, 1]),
+                            "config field x0 is needed exactly when x0_policy is 'explicit', got x0 [1, 1]"),
+    # an entry of a suite that is not run is read too
+    "unrun-suite-entry": (door_scenario("t33", alpha=True), "config field alpha needs a JSON number, got True"),
+}
+
+
+class TestConfigDoor:
+    @pytest.mark.parametrize("name", sorted(DOOR_CASES))
+    def test_refused_by_run_suites_before_any_suite(self, name, tmp_path, monkeypatch):
+        config, message = DOOR_CASES[name]
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(harness, "verify_zero_orbit_equivalence", ran)
+        monkeypatch.setattr(harness, "_CAMPAIGNS", dict.fromkeys(harness._CAMPAIGNS, ran))
+        with pytest.raises(ValueError) as got:
+            run_suites(["t32", "t34"], config, 0, tmp_path / "out")
+        assert str(got.value) == message
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", sorted(DOOR_CASES))
+    def test_refused_by_verify_in_one_line(self, name, tmp_path, capsys):
+        from orderfp.cli import main
+
+        config, message = DOOR_CASES[name]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["verify", "--suite", "all", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+        assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def config_entries(draw):
+    """A config scenario over a 2-D map, each optional key drawn or left out."""
+    entry = {"map": mapping_to_dict(corpus.truncation_cap(2))}
+    optional = {
+        "id": st.text(max_size=12),
+        "alpha": st.one_of(st.floats(-1.0, 0.9), st.integers(-1, 0)),
+        "expected": st.sampled_from(["fixed_point_exists", "no_fixed_point", "unknown"]),
+        "seed": st.integers(0, 2**32),
+        "space": st.fixed_dictionaries({}, optional={"dim": st.just(2), "p": st.floats(1.1, 8.0)}),
+        "grid": st.fixed_dictionaries({"lo": st.lists(st.floats(-3.0, 0.0), min_size=2, max_size=2),
+                                       "hi": st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2)},
+                                      optional={"points_per_axis": st.integers(0, 9)}),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            entry[key] = draw(values)
+    policy = draw(st.sampled_from([None, "zero", "below", "above", "explicit"]))
+    if policy is not None:
+        entry["x0_policy"] = policy
+    if policy == "explicit":
+        entry["x0"] = draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2))
+    return entry
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(config_entries(), st.integers(0, 100))
+def test_config_scenario_json_round_trip(entry, seed):
+    # through JSON text, every given value reaches the scenario as given, and
+    # every value left out takes its default
+    scn = scenario_from_dict(json.loads(json.dumps(entry)), seed)
+    grid = entry.get("grid", {})
+    assert (scn.sid, scn.alpha, scn.x0_policy, scn.expected, scn.seed) == (
+        entry.get("id", "config_scenario"), entry.get("alpha", 0.0), entry.get("x0_policy", "zero"),
+        entry.get("expected", "unknown"), entry.get("seed", seed))
+    assert type(scn.alpha) is float and type(scn.seed) is int
+    assert (scn.space, scn.map.domain.cone) == (SpaceSpec(2, entry.get("space", {}).get("p", 2.0)), ORTH2)
+    assert scn.x0 is None if "x0" not in entry else scn.x0.tolist() == entry["x0"]
+    if scn.grid_cfg is None:
+        assert "grid" not in entry
+    else:
+        got = (scn.grid_cfg.lo.tolist(), scn.grid_cfg.hi.tolist(), scn.grid_cfg.points_per_axis)
+        assert got == (grid["lo"], grid["hi"], grid.get("points_per_axis", 11))

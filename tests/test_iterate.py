@@ -1225,9 +1225,10 @@ class TestLockstepBatches:
             assert self.verdicts_of(*args, verdicts=True) == self.verdicts_of(*args)
         assert len(ran) == n if n < 7 else len(ran) < n
 
-    def test_a_verdict_keeps_the_error_of_the_last_image(self):
+    def test_a_verdict_takes_no_residual_of_the_last_point(self, monkeypatch):
         # a lattice orbit that runs out of budget on 3.25, off its lattice:
-        # the residual of its last point raises, with or without its record
+        # the residual of its last point raises for its record, and a verdict
+        # does not take it
         values = np.append(0.5 * np.arange(1, 7), 3.25)[:, None]
         spec = MappingSpec(GridMap(origin=np.zeros(1), step=0.5, values=values),
                            Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=1)))
@@ -1235,10 +1236,18 @@ class TestLockstepBatches:
         want = (DomainError, "point [3.25] is not on the lattice (step 0.5)")
         for beta_fn in (None, lambda n: 0.0):
             args = [spec], [np.zeros(1)], space, cfg, beta_fn
-            assert self.verdicts_of(*args) == self.verdicts_of(*args, verdicts=True) == want
+            assert self.verdicts_of(*args) == want
+            assert self.verdicts_of(*args, verdicts=True) == [MAX_ITER_REACHED]
         for other in (corpus.affine_contraction(1), corpus.unit_translation(1)):
             args = [other], [np.zeros(1)], space, cfg, lambda n: 0.0
             assert self.verdicts_of(*args) == self.verdicts_of(*args, verdicts=True)
+        # a stacked batch evaluates no map at all for its verdicts
+        calls = []
+        plain = TranslationMap.evaluate
+        monkeypatch.setattr(TranslationMap, "evaluate", lambda op, x: calls.append(x) or plain(op, x))
+        specs, starts = zip(*(translation(np.full(2, 0.5 + i / 10)) for i in range(10)))
+        got = _orbit(list(specs), list(starts), P2, self.CFG, None, "picard", verdicts=True)
+        assert got == [UNBOUNDED_SUSPECTED] * 10 and calls == []
 
     def test_mann_orbits_and_other_maps_run_alone(self):
         specs = [corpus.affine_contraction(2), corpus.truncation_cap(2), corpus.unit_translation(2)]

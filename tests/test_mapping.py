@@ -3,13 +3,14 @@
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderfp import corpus
+from orderfp import corpus, mapping
 from orderfp.mapping import (
     FIXED_POINT_TOL,
     INEQ_ATOL,
@@ -1688,3 +1689,103 @@ class TestFieldDrivenCodec:
         assert "snap_tol" not in mapping_to_dict(corpus.steep_step_map())
         with pytest.raises(TypeError):
             GridMap(origin=np.zeros(1), step=0.5, values=np.zeros((2, 1)), snap_tol=1e-6)
+
+
+class TestCodecMisreads:
+    # each value was misread or ended in a TypeError that named no field
+
+    @pytest.mark.parametrize("dim", [2.5, "two", True, None], ids=["fraction", "text", "bool", "null"])
+    def test_cone_dim_read_by_the_config_reader(self, dim):
+        # 2.5 read as 2, and int("two") named no field
+        d = mapping_to_dict(corpus.affine_contraction(2))
+        d["domain"]["cone"]["dim"] = dim
+        with pytest.raises(ValueError) as got:
+            mapping_from_dict(d)
+        assert str(got.value) == f"config field domain.cone.dim needs a JSON integer, got {dim!r}"
+        d["domain"]["cone"]["dim"] = 2.0  # a whole number still reads as an integer
+        assert mapping_from_dict(d).domain.cone == ConeSpec("orthant", 2)
+
+    def test_cone_kind_needs_a_string(self):
+        d = mapping_to_dict(corpus.affine_contraction(2))
+        d["domain"]["cone"]["kind"] = ["orthant"]
+        with pytest.raises(ValueError, match=r"^config field domain.cone.kind needs a JSON string, got \['orthant'\]$"):
+            mapping_from_dict(d)
+
+    @pytest.mark.parametrize("domain", [5, [], "cone"])
+    def test_domain_needs_an_object(self, domain):
+        d = {**mapping_to_dict(corpus.affine_contraction(2)), "domain": domain}
+        with pytest.raises(ValueError, match=f"^config field domain needs a JSON object, got {re.escape(repr(domain))}$"):
+            mapping_from_dict(d)
+
+    @pytest.mark.parametrize("step", [True, "abc", None, 0, -0.5, math.nan, math.inf])
+    def test_grid_step_needs_a_positive_number(self, step):
+        # True read as 1; "abc" and null ended in TypeError: '<=' not supported
+        d = {**mapping_to_dict(corpus.steep_step_map()), "step": step}
+        with pytest.raises(ValueError) as got:
+            mapping_from_dict(d)
+        assert str(got.value) == f"grid map field step needs a positive number, got {step!r}"
+
+    @pytest.mark.parametrize("root", [[1], 5, "map", None])
+    def test_root_and_stages_need_an_object(self, root):
+        with pytest.raises(ValueError, match=f"^map needs a JSON object, got {re.escape(repr(root))}$"):
+            mapping_from_dict(root)
+        d = {**mapping_to_dict(corpus.affine_contraction(2)), "variant": "composition", "stages": [root]}
+        with pytest.raises(ValueError, match="^map needs a JSON object"):
+            mapping_from_dict(d)
+
+
+class TestLatticeCap:
+    def test_a_lattice_above_the_cap_is_refused(self):
+        # a 100 x 100 lattice would need on the order of 10 GB of pairs
+        n = math.isqrt(mapping.LATTICE_NODE_CAP) + 1
+        nodes = np.stack(np.meshgrid(np.arange(n) * 0.5, np.arange(n) * 0.5, indexing="ij"), axis=-1)
+        spec = MappingSpec(GridMap(np.zeros(2), 0.5, nodes), Domain(kind="cone", cone=ORTH2))
+        want = f"an exhaustive check of {n * n} lattice nodes is above the cap of {mapping.LATTICE_NODE_CAP}"
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            is_alpha_nonexpansive(spec, P2, 0.0, exhaustive=True)
+
+    def test_the_cap_is_inclusive(self, monkeypatch):
+        spec = corpus.steep_step_map()  # the shipped lattice: 7 nodes
+        monkeypatch.setattr(mapping, "LATTICE_NODE_CAP", 7)
+        assert is_alpha_nonexpansive(spec, P1, corpus.STEEP_STEP_ALPHA, exhaustive=True).passed
+        monkeypatch.setattr(mapping, "LATTICE_NODE_CAP", 6)
+        with pytest.raises(ValueError, match="^an exhaustive check of 7 lattice nodes is above the cap of 6$"):
+            is_alpha_nonexpansive(spec, P1, corpus.STEEP_STEP_ALPHA, exhaustive=True)
+
+
+@st.composite
+def map_dicts(draw):
+    """The JSON object of a self-map of each variant, with numbers drawn."""
+    dim = draw(st.integers(1, 3))
+    vec = st.lists(st.floats(0.0, 2.0), min_size=dim, max_size=dim)
+    variant = draw(st.sampled_from(["affine", "truncation", "translation", "box_projection", "composition", "grid"]))
+    domain = {"kind": "cone", "cone": {"kind": "orthant", "dim": dim}}
+    affine = {"variant": "affine", "matrix": [draw(vec) for _ in range(dim)], "offset": draw(vec)}
+    if variant == "affine":
+        op = affine
+    elif variant in ("truncation", "translation"):
+        op = {"variant": variant, {"truncation": "cap", "translation": "shift"}[variant]: draw(vec)}
+    elif variant == "box_projection":
+        lo = draw(vec)
+        op = {"variant": variant, "lo": lo, "hi": [a + b for a, b in zip(lo, draw(vec))]}
+        domain.update(kind="box", lo=[0.0] * dim, hi=[4.0] * dim)
+    elif variant == "composition":
+        op = {"variant": variant, "stages": [affine, {"variant": "translation", "shift": draw(vec)}]}
+    else:
+        shape = [draw(st.integers(1, 3)) for _ in range(dim)]
+        step = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        idx = np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, shape, size=shape + [dim])
+        op = {"variant": variant, "origin": [0.0] * dim, "step": step, "values": (step * idx).tolist()}
+    return {**op, "domain": domain}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(map_dicts())
+def test_map_file_json_round_trip(d):
+    # a map read from its JSON text writes the same object back, and maps
+    # its domain points as the map written from that object does
+    spec = mapping_from_dict(json.loads(json.dumps(d)))
+    assert mapping_to_dict(spec) == d
+    clone = mapping_from_dict(json.loads(json.dumps(mapping_to_dict(spec))))
+    xs = _domain_rows(spec, np.random.default_rng(0), 16, 1.0)
+    assert np.array_equal(spec.op.evaluate(xs), clone.op.evaluate(xs))
