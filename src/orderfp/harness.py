@@ -103,9 +103,18 @@ class Scenario:
                             ("expected", ("fixed_point_exists", "no_fixed_point", "unknown"))):
             if getattr(self, name) not in known:
                 raise ValueError(f"config field {name} needs one of {', '.join(known)}, got {getattr(self, name)!r}")
+        if not -np.inf < self.alpha < 1.0:
+            raise ValueError(f"config field alpha needs a finite number < 1, got {self.alpha!r}")
+        if self.seed < 0:
+            raise ValueError(f"config field seed needs an integer >= 0, got {self.seed!r}")
+        if self.grid_cfg is not None and self.grid_cfg.lo.size != self.map.dim:
+            raise ValueError(f"config field grid is {self.grid_cfg.lo.size}-D, but the map is {self.map.dim}-D")
         if (self.x0 is None) == (self.x0_policy == "explicit"):
             raise ValueError(f"config field x0 is needed exactly when x0_policy is 'explicit', got x0 {self.x0!r}")
-        self.x0 = None if self.x0 is None else as_vector(self.x0, dim=self.map.dim)
+        try:
+            self.x0 = None if self.x0 is None else as_vector(self.x0, dim=self.map.dim)
+        except ValueError as exc:
+            raise ValueError(f"config field x0: {exc}") from None
 
     @property
     def cone(self) -> ConeSpec:
@@ -190,11 +199,12 @@ def _class_hypothesis(rep: CampaignReport, scn: Scenario, samples: int) -> bool:
 
 
 def _oracle_points(scn: Scenario) -> list[np.ndarray] | None:
-    """Fixed points from the independent search, or None when no bounded
-    search region is available for a non-affine map."""
+    """Fixed points from the independent search, or None when there is no
+    grid and the map needs one (``fixed_point_oracle`` would raise)."""
     op = scn.map.op
-    if scn.grid_cfg is None and as_affine(op) is None and not isinstance(op, GridMap):
-        return None
+    if scn.grid_cfg is None and not isinstance(op, GridMap):  # an affine map needs one when degenerate
+        if as_affine(op) is None or _affine_fixed_points([scn.map])[0] is None:
+            return None
     return fixed_point_oracle(scn.map, scn.space, scn.grid_cfg)
 
 
@@ -694,6 +704,8 @@ def run_suites(
     family trial rows. The whole config is read first: a bad value raises a ValueError that
     names it before any suite runs. Hypothesis aborts become failed checks with the diagnosis
     recorded, so a corrupted scenario fails its report instead of crashing the run."""
+    if seed < 0:  # it seeds numpy's generators; a config scenario's seed defaults to it
+        raise ValueError(f"seed must be >= 0, got {seed}")
     run = _section(config, None, RunConfig())
     iter_cfg = _section(config, "iteration", CAMPAIGN_ITERATION)
     family_cfg = _section(config, "family", FamilyConfig())

@@ -131,7 +131,7 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: st
     live, x = np.arange(len(spec)), np.array(starts)
     fields = _STACKED.get(type(op), ()) if beta_fn is None else ()
     stack = [np.array([getattr(s.op, f) for s in spec]) for f in fields]
-    norms0 = _row_norms(space, x[:, None], slice(0))
+    norms0 = _row_norms(space, x[:, None])
     # each orbit's (points, norms, residuals) chunks, and its verdict
     chunks = [[(x[i][None], norms0[i], norms0[i, :0])] for i in range(len(spec))]
     verdict = [MAX_ITER_REACHED] * len(spec)
@@ -181,7 +181,7 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: st
             # escape, converged, the Mann schedule, growth
             img = txs[:, :imgs]
             rows = np.concatenate((img - xs[:, :imgs], xs[:, 1 : m + 1]), axis=1)
-            both = _row_norms(space, rows, slice(0))  # rows past an overflow are not validated
+            both = _row_norms(space, rows)
             res, new_norms = both[:, :imgs], both[:, imgs:]
             bad = ~(res < np.inf) & ~np.isfinite(img).all(axis=-1)
             esc = ~_domain_contains_raw(domain, img, 1e-9)
@@ -217,7 +217,7 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: st
             pts, norms, residuals = map(np.concatenate, zip(*parts))
             if v in (MAX_ITER_REACHED, UNBOUNDED_SUSPECTED):
                 tx = s.op.evaluate(pts[-1])
-                residuals = np.append(residuals, _row_norms(space, (tx - pts[-1])[None, None], slice(0)))
+                residuals = np.append(residuals, _row_norms(space, (tx - pts[-1])[None, None]))
             up, down = _step_flags(pts, s.domain.cone)
             order = INCREASING if up.all() else DECREASING if down.all() else NEITHER
             out.append(OrbitRecord(pts, residuals, norms, up, down, order, v, scheme))

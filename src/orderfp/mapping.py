@@ -32,7 +32,7 @@ from orderfp.order import (
     _member_raw,
 )
 from orderfp.report import PropertyReport
-from orderfp.space import INEQ_ATOL, INEQ_RTOL, SpaceSpec, as_vector, norm, _row_norms
+from orderfp.space import INEQ_ATOL, INEQ_RTOL, SpaceSpec, as_rows, as_vector, norm, _row_norms
 
 
 class DomainError(ValueError):
@@ -302,7 +302,7 @@ class MappingSpec:
 def apply_map(spec: MappingSpec, x) -> np.ndarray:
     """Evaluate the map at ``x``; raises ``DomainError`` off the domain."""
     v = as_vector(x, dim=spec.dim)
-    if not domain_contains(spec.domain, v):
+    if not _domain_contains_raw(spec.domain, v, MEMBERSHIP_TOL):
         raise DomainError(f"argument {v} lies outside the declared domain")
     return spec.op.evaluate(v)
 
@@ -431,7 +431,8 @@ def _pair_report(name, spec, x, y, ineq=None, alpha=None) -> PropertyReport:
 
     A pair with T y - T x outside the domain cone is an order violation (lhs
     the negated cone margin, rhs MEMBERSHIP_TOL) and skips the inequality; for
-    the rest ``ineq(tx, ty, checked)`` gives s, their scale, and the sides of lhs <= rhs + slack in units of s^2.
+    the rest, whose images must be finite, ``ineq(tx, ty)`` gives s, their
+    scale, and the sides of lhs <= rhs + slack in units of s^2.
     """
     tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
     margin = _cone_margins(spec.domain.cone, ty - tx)
@@ -439,7 +440,8 @@ def _pair_report(name, spec, x, y, ineq=None, alpha=None) -> PropertyReport:
     lhs, rhs, scale = -margin, np.full(len(x), MEMBERSHIP_TOL), 1.0
     if ineq is not None:
         ordered = ~failed
-        ineq_lhs, ineq_rhs, s = ineq(tx, ty, ordered)
+        as_rows(np.concatenate((tx[ordered], ty[ordered])), spec.dim)  # a non-finite image raises
+        ineq_lhs, ineq_rhs, s = ineq(tx, ty)
         failed = failed | (ordered & (ineq_lhs > ineq_rhs + _slack(ineq_rhs, s)))
         lhs, rhs, scale = (np.where(ordered, a, b) for a, b in ((ineq_lhs, lhs), (ineq_rhs, rhs), (s, 1.0)))
     return PropertyReport.from_rows(name, x, y, lhs, rhs, failed, alpha, scale)
@@ -461,8 +463,8 @@ def is_monotone_nonexpansive(
     comparable pairs."""
     x, y = _sampled_pairs(spec, cfg or SamplerConfig())
 
-    def ineq(tx, ty, checked):
-        return (*_row_norms(space, np.stack([tx - ty, x - y]), checked), 1.0)
+    def ineq(tx, ty):
+        return (*_row_norms(space, np.stack([tx - ty, x - y])), 1.0)
 
     return _pair_report("monotone_nonexpansive", spec, x, y, ineq)
 
@@ -480,8 +482,8 @@ def is_alpha_nonexpansive(
     With ``exhaustive=True`` and a lattice map, every comparable lattice pair
     is checked instead of sampling.
     """
-    if alpha >= 1.0:
-        raise ValueError(f"alpha must be < 1, got {alpha}")
+    if not -math.inf < alpha < 1.0:  # a nan or -inf alpha would pass every pair
+        raise ValueError(f"alpha must be a finite number < 1, got {alpha}")
     if exhaustive:
         if not isinstance(spec.op, GridMap):
             raise ValueError("exhaustive checking is only available for lattice maps")
@@ -489,8 +491,8 @@ def is_alpha_nonexpansive(
     else:
         x, y = _sampled_pairs(spec, cfg or SamplerConfig())
 
-    def ineq(tx, ty, checked):
-        norms = _row_norms(space, np.stack([tx - ty, tx - y, ty - x, x - y]), checked)
+    def ineq(tx, ty):
+        norms = _row_norms(space, np.stack([tx - ty, tx - y, ty - x, x - y]))
         s = _square_scale(norms)
         im, cross_xy, cross_yx, arg = (norms / s) ** 2
         return im, alpha * cross_xy + alpha * cross_yx + (1.0 - 2.0 * alpha) * arg, s
@@ -535,7 +537,7 @@ def is_quasi_nonexpansive(
         x = np.where(above, p + d, p - d)
     inside = _domain_contains_raw(spec.domain, x, MEMBERSHIP_TOL)
     x, p = x[inside], p[inside]
-    lhs, rhs = _row_norms(space, np.stack([spec.op.evaluate(x) - p, x - p]))
+    lhs, rhs = _row_norms(space, np.stack([as_rows(spec.op.evaluate(x), spec.dim) - p, x - p]))
     return PropertyReport.from_rows("quasi_nonexpansive", x, p, lhs, rhs, lhs > rhs + _slack(rhs))
 
 
@@ -547,8 +549,8 @@ def check_displacement_bound(spec: MappingSpec, space: SpaceSpec, alpha: float, 
 
     Incomparable arguments raise ``IncomparableError``.
     """
-    if alpha >= 1.0:
-        raise ValueError(f"alpha must be < 1, got {alpha}")
+    if not -math.inf < alpha < 1.0:  # a nan or -inf alpha would pass every pair
+        raise ValueError(f"alpha must be a finite number < 1, got {alpha}")
     xv = as_vector(x, dim=spec.dim)
     yv = as_vector(y, dim=spec.dim)
     if not comparable(spec.domain.cone, xv, yv):
@@ -594,7 +596,9 @@ def classify_hilbert_classes(
     blocks = [tx - ty, x - y, tx - y, ty - x, u + v, u - v]
     if ab is not None:
         blocks += [(x - y) + (tx - ty), (x - y) - (tx - ty), u, v]
-    norms = _row_norms(space, np.stack(blocks))
+    rows = np.stack(blocks)
+    as_rows(rows.reshape(-1, spec.dim), spec.dim)  # a non-finite image, or a sum of images that overflows, raises
+    norms = _row_norms(space, rows)
     s = _square_scale(norms)  # squares and sides in units of s^2
     sq = (norms / s) ** 2
     d_im2, d2, cross_xy, cross_yx = sq[:4]
@@ -698,7 +702,8 @@ def fixed_point_oracle(
     if isinstance(spec.op, GridMap):
         nodes = _grid_nodes(spec.op)
     elif grid_cfg is None:
-        raise ValueError("non-affine fixed-point search needs a bounded GridSearchConfig")
+        what = "non-affine" if as_affine(spec.op) is None else "degenerate affine (minimum-norm solution off the domain)"
+        raise ValueError(f"{what} fixed-point search needs a bounded GridSearchConfig")
     elif grid_cfg.lo.size != spec.dim:
         raise ValueError(f"a {grid_cfg.lo.size}-D fixed-point search grid cannot scan a {spec.dim}-D map")
     else:
@@ -706,9 +711,7 @@ def fixed_point_oracle(
         axes = [np.linspace(lo, hi, n)[: 1 if lo == hi else n] for lo, hi in zip(grid_cfg.lo, grid_cfg.hi)]
         nodes = _lattice_rows(axes)
     nodes = nodes[_domain_contains_raw(spec.domain, nodes, MEMBERSHIP_TOL)]
-    diff = spec.op.evaluate(nodes) - nodes
-    # a non-finite image is no fixed point, and is not validated as a point
-    res = _row_norms(space, diff[None], np.isfinite(diff).all(axis=-1))[0]
+    res = _row_norms(space, (spec.op.evaluate(nodes) - nodes)[None])[0]  # nan or inf at a non-finite image
     return list(nodes[res <= FIXED_POINT_TOL])
 
 

@@ -69,16 +69,17 @@ class SpaceSpec:
 
 def norm(space: SpaceSpec, x) -> float:
     """lp norm (sum |x_i|^p)^(1/p); zero exactly for the zero vector."""
-    return float(_row_norms(space, as_vector(x, dim=space.dim)[None, None], slice(0))[0, 0])
+    return float(_row_norms(space, as_vector(x, dim=space.dim)[None, None])[0, 0])
 
 
-def _row_norms(space: SpaceSpec, v: np.ndarray, checked=slice(None)) -> np.ndarray:
-    # lp norms of the rows of the blocks v[0], v[1], ...; the rows picked by
-    # `checked` are the ones a pair-by-pair loop hands to `norm`, so they get
-    # its checks and its ValueError. Each root is taken as a scalar, because
+def _row_norms(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
+    # lp norms of the rows of the blocks v[0], v[1], ...; rows of a width other
+    # than the space's are refused, and nothing else is checked: a non-finite
+    # row gets an inf or nan norm. Each root is taken as a scalar, because
     # numpy's array pow rounds differently. A nonzero row whose power sum is
     # out of range is redone by `_lp_norm_floats` (rescaled, or inf with an inf).
-    as_rows(v[:, checked].reshape(-1, v.shape[-1]), space.dim)
+    if v.shape[-1] != space.dim:
+        raise ValueError(f"dimension mismatch: expected {space.dim}, got {v.shape[-1]}")
     with np.errstate(over="ignore"):
         sums = (np.abs(v) ** space.p).sum(axis=-1)
     inv = 1.0 / space.p

@@ -195,6 +195,12 @@ def test_a_bad_map_file_ends_in_one_line(tmp_path, capsys, text, message):
     assert out == "" and err.count("\n") == 1 and message in err
 
 
+def test_a_non_finite_alpha_ends_in_one_line(contraction_file, capsys):
+    # it ran every check at alpha = nan, where no pair can fail
+    assert main(["check-mapping", "--map", str(contraction_file), "--alpha", "nan"]) == 2
+    assert capsys.readouterr() == ("", "alpha must be a finite number < 1, got nan\n")
+
+
 def test_a_bad_option_value_ends_in_one_line(capsys):
     assert main(["modulus", "--p", "0.5"]) == 2
     assert capsys.readouterr() == ("", "p must lie in (1, inf), got 0.5\n")

@@ -40,6 +40,7 @@ from orderfp.iterate import (
 from orderfp.mapping import (
     AffineMap,
     Domain,
+    GridSearchConfig,
     TranslationMap,
     apply_map,
     fixed_point_oracle,
@@ -736,6 +737,74 @@ class TestConfigDoor:
         assert main(["verify", "--suite", "all", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr() == ("", message + "\n")
         assert not (tmp_path / "out").exists()
+
+
+# (entry of a t33 config scenario, the message of its ValueError); each
+# passed the door and failed only when t33 ran, after all of t32
+RANGE_CASES = {
+    "alpha-one-and-a-half": ({"alpha": 1.5}, "config field alpha needs a finite number < 1, got 1.5"),
+    "alpha-nan": ({"alpha": float("nan")}, "config field alpha needs a finite number < 1, got nan"),
+    "alpha-minus-inf": ({"alpha": float("-inf")}, "config field alpha needs a finite number < 1, got -inf"),
+    "seed-negative": ({"seed": -1}, "config field seed needs an integer >= 0, got -1"),
+    "grid-3-D": ({"grid": {"lo": [0, 0, 0], "hi": [3, 3, 3]}}, "config field grid is 3-D, but the map is 2-D"),
+    # refused, but naming no field
+    "x0-length": ({"x0_policy": "explicit", "x0": [1, 1, 1]},
+                  "config field x0: dimension mismatch: expected 2, got 3"),
+}
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("name", sorted(RANGE_CASES))
+    def test_refused_by_run_suites_before_any_suite(self, name, tmp_path, monkeypatch):
+        entry, message = RANGE_CASES[name]
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(harness, "_CAMPAIGNS", dict.fromkeys(harness._CAMPAIGNS, ran))
+        with pytest.raises(ValueError) as got:
+            run_suites(["t32", "t33"], door_scenario("t33", **entry), 0, tmp_path / "out")
+        assert str(got.value) == message
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", sorted(RANGE_CASES))
+    def test_refused_by_verify_in_one_line(self, name, tmp_path, capsys):
+        from orderfp.cli import main
+
+        entry, message = RANGE_CASES[name]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(door_scenario("t33", **entry)), encoding="utf-8")  # nan as NaN
+        assert main(["verify", "--suite", "all", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_negative_run_seed_is_refused_as_such(self, tmp_path, capsys):
+        # it ended the run at its first draw, in numpy's "expected non-negative integer"
+        from orderfp.cli import main
+
+        assert main(["verify", "--suite", "all", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", "seed must be >= 0, got -1\n")
+        assert not (tmp_path / "out").exists()
+
+
+def test_a_degenerate_affine_map_without_a_grid_is_a_caveat(tmp_path):
+    # x -> (x1, x2/2 + 1) on [1, 2] x [1, 3] is monotone and nonexpansive, and
+    # its fixed points are the line x2 = 2; the minimum-norm one, (0, 2), lies
+    # off the box, so the oracle needs a grid. The run ended in the oracle's
+    # "non-affine" error and wrote no file.
+    op = AffineMap(np.diag([1.0, 0.5]), np.array([0.0, 1.0]))
+    spec = make_mapping(op, Domain(kind="box", cone=ORTH2, lo=np.ones(2), hi=np.array([2.0, 3.0])))
+    with pytest.raises(ValueError, match=r"^degenerate affine \(minimum-norm solution off the domain\) "
+                                         r"fixed-point search needs a bounded GridSearchConfig$"):
+        fixed_point_oracle(spec, P2)
+    entry = {"id": "degenerate", "map": mapping_to_dict(spec), "x0_policy": "explicit", "x0": [1, 1]}
+    reports, _ = run_suites(["t32"], {"replace_scenarios": True, "scenarios": {"t32": [entry]}}, 0, tmp_path)
+    assert [r.passed for r in reports] == [True]
+    assert reports[0].caveats == ["no bounded search region: converse descent check skipped"]
+    assert "ALL PASS" in (tmp_path / "summary.txt").read_text()
+    # with a grid the oracle scans it and finds the fixed nodes on x2 = 2
+    grid = GridSearchConfig(np.ones(2), np.array([2.0, 3.0]), points_per_axis=5)
+    assert [z.tolist() for z in fixed_point_oracle(spec, P2, grid)] == [[x, 2.0] for x in (1.0, 1.25, 1.5, 1.75, 2.0)]
 
 
 @st.composite

@@ -592,7 +592,7 @@ class TestNonfiniteOrbits:
 
 
 def _kernel_norm(space, v):
-    return float(_row_norms(space, v[None, None], slice(0))[0, 0])
+    return float(_row_norms(space, v[None, None])[0, 0])
 
 
 def stepwise_orbit(

@@ -268,6 +268,20 @@ class TestAlphaVerifier:
         with pytest.raises(ValueError):
             is_alpha_nonexpansive(corpus.identity_map(2), P2, alpha=1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, -math.inf])
+    def test_a_non_finite_alpha_is_refused(self, alpha):
+        # x -> 3x on [0, 10]: at alpha = 0.5 50 samples show violations, while
+        # a nan or -inf alpha made every pair pass
+        spec = MappingSpec(AffineMap(np.array([[3.0]]), np.zeros(1)),
+                           Domain(kind="box", cone=ORTH1, lo=np.zeros(1), hi=np.full(1, 10.0)))
+        cfg = SamplerConfig(n_samples=50, seed=0)
+        assert not is_alpha_nonexpansive(spec, P1, 0.5, cfg).passed
+        message = f"^alpha must be a finite number < 1, got {alpha}$"
+        with pytest.raises(ValueError, match=message):
+            is_alpha_nonexpansive(spec, P1, alpha, cfg)
+        with pytest.raises(ValueError, match=message):
+            check_displacement_bound(spec, P1, alpha, [1.0], [2.0])
+
     def test_identity_equality_any_alpha(self):
         for alpha in (-0.5, 0.0, 0.9):
             rep = is_alpha_nonexpansive(corpus.identity_map(2), P2, alpha,

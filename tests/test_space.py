@@ -11,6 +11,17 @@ import pytest
 from scipy.optimize import brentq, minimize
 
 import orderfp
+from orderfp import corpus
+from orderfp.asymcenter import asymptotic_radius, make_problem
+from orderfp.iterate import IterationConfig, _orbit, mann_orbit, picard_orbit
+from orderfp.mapping import (
+    SamplerConfig,
+    classify_hilbert_classes,
+    is_alpha_nonexpansive,
+    is_monotone_nonexpansive,
+    is_quasi_nonexpansive,
+)
+from orderfp.order import ConeSpec, is_norm_monotonic
 from orderfp.space import (
     ConvexityProfile,
     SpaceSpec,
@@ -427,7 +438,7 @@ class TestFloatNormParity:
         # rescaled, and the non-finite rows keep inf and nan
         safe = [[1e154, 0.0], [1.5e-154, 0.0], [1.3e154, 1.0], [3.0, -4.0], [0.0, -0.0]]
         unsafe = [[1.4e154, 1.0], [1.4e-154, 0.0], [1e-300, -1e-300]]
-        got = _row_norms(P2, np.array([safe + unsafe + [[math.inf, 1.0], [math.nan, 1.0]]]), slice(0))
+        got = _row_norms(P2, np.array([safe + unsafe + [[math.inf, 1.0], [math.nan, 1.0]]]))
         got = got[0].tolist()
         assert got[:5] == scalar_root_norms(P2, np.array(safe))
         assert got[5:8] == [_lp_norm_floats(row, 2.0) for row in unsafe]
@@ -457,6 +468,33 @@ class TestKadecKleeDeskScale:
         assert coord_gap[-1] < 1e-7 and norm_gap[-1] < 1e-7
         assert dist[-1] < 1e-6
         assert dist[-1] <= dist[0]
+
+
+# every path that takes a norm, called on the 2-D map x -> x/2 + 1 (fixed
+# point (2, 2)) or on 2-D points, in a 3-D space
+P3 = SpaceSpec(dim=3, p=2.0)
+OTHER_DIMENSION_CALLS = {
+    "picard_orbit": lambda spec, cfg: picard_orbit(spec, [0.0, 0.0], P3),
+    "mann_orbit": lambda spec, cfg: mann_orbit(spec, [0.0, 0.0], lambda n: 0.5, P3),
+    "orbit_verdict_batch": lambda spec, cfg: _orbit(
+        [spec, spec], [np.zeros(2)] * 2, P3, IterationConfig(), None, "picard", verdicts=True),
+    "monotone_nonexpansive": lambda spec, cfg: is_monotone_nonexpansive(spec, P3, cfg),
+    "alpha_nonexpansive": lambda spec, cfg: is_alpha_nonexpansive(spec, P3, 0.0, cfg),
+    "quasi_nonexpansive": lambda spec, cfg: is_quasi_nonexpansive(spec, P3, [[2.0, 2.0]], cfg),
+    "hilbert_classes": lambda spec, cfg: classify_hilbert_classes(spec, P3, cfg),
+    "norm_monotonic": lambda spec, cfg: is_norm_monotonic(ConeSpec("orthant", 2), P3, 20),
+    "asymptotic_radius": lambda spec, cfg: asymptotic_radius(
+        make_problem([[1.0, 1.0], [2.0, 2.0]], ConeSpec("orthant", 2), P3), [2.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_DIMENSION_CALLS))
+def test_a_space_of_another_dimension_is_refused(name):
+    # the kernel checks the width of every row it is given; the orbits took
+    # no such check and ran to `converged` on 2-D norms
+    call = OTHER_DIMENSION_CALLS[name]
+    with pytest.raises(ValueError, match=r"^dimension mismatch: expected 3, got 2$"):
+        call(corpus.affine_contraction(2), SamplerConfig(n_samples=20, seed=0))
 
 
 def test_import_does_not_load_scipy():
