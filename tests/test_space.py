@@ -30,6 +30,7 @@ from orderfp.space import (
     convexity_profile,
     modulus_of_convexity,
     norm,
+    _SQRT_ROWS,
     _lp_norm_floats,
     _row_norms,
 )
@@ -452,6 +453,81 @@ class TestFloatNormParity:
         mids = [0.5 * (a + b) for a, b in zip(nodes, nodes[1:])]
         for eps in nodes + mids + [-1.0, 2.5, math.nan]:
             assert profile.delta_at(eps) == reference_delta_at(profile, eps)
+
+
+def rescaled_root_norms(rows):
+    """The p = 2 kernel rule with every root a Python scalar ``s ** 0.5``:
+    ``scalar_root_norms``, with a nonzero row whose power sum is out of range
+    redone by ``_lp_norm_floats``."""
+    with np.errstate(over="ignore"):
+        out = scalar_root_norms(P2, rows)
+        sums = (np.abs(rows) ** 2.0).sum(axis=-1)
+    for k in np.flatnonzero(((sums < sys.float_info.min) | (sums == math.inf)) & rows.any(axis=-1)):
+        out[k] = _lp_norm_floats(rows[k].tolist(), 2.0)
+    return np.array(out)
+
+
+def near_midpoint_rows(qs):
+    """Rows [q, b] whose power sum is fl(m^2), m = q + spacing(q)/2 the
+    midpoint above q, so the exact root of the sum lies within about a
+    quarter ulp of a rounding midpoint; b^2 adds the few ulp from fl(q^2)."""
+    rows, targets = [], []
+    for q in qs.tolist():
+        mant, e = math.frexp(q)
+        m2 = math.ldexp(float((2 * int(mant * 2.0**53) + 1) ** 2), 2 * e - 108)
+        rows.append([q, math.sqrt(m2 - q * q)])
+        targets.append(m2)
+    return np.array(rows), np.array(targets)
+
+
+class TestSqrtRoots:
+    """At p = 2 a call of ``_SQRT_ROWS`` rows or more takes its roots with
+    np.sqrt and certifies each one against the scalar ``s ** 0.5``."""
+
+    def test_roots_match_the_scalar_root_bit_for_bit(self):
+        rng = np.random.default_rng(2020)
+        n = 1_000_000
+        big = 10.0 ** rng.uniform(-152.0, 154.1, n)  # sums up to past overflow
+        wide = np.stack([big, big * rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 0.0, n)], axis=1)
+        tiny = 10.0 ** rng.uniform(-163.0, -143.0, (40_000, 2))  # sums around 2**-960, subnormal ones too
+        ints = rng.integers(0, 2**26, 20_000).astype(float)
+        squares = np.stack([ints * 2.0 ** rng.integers(-400, 400, ints.size), np.zeros(ints.size)], axis=1)
+        special = np.array([
+            [0.0, 0.0], [-0.0, 0.0], [3.0, 4.0], [5e-324, 0.0], [1e-160, 1e-160], [1e-200, 0.0],
+            [1.3e154, 1.0], [1.4e154, 0.0], [math.inf, 1.0], [math.nan, 1.0], [math.inf, math.nan],
+        ])
+        # 2**-511 to 2**-480: sums from the smallest normal up to past 2**-960
+        midpoints, targets = near_midpoint_rows(np.concatenate([
+            10.0 ** rng.uniform(-140.0, 150.0, 20_000), 2.0 ** rng.uniform(-511.0, -480.0, 20_000)
+        ]))
+        assert (midpoints**2).sum(axis=-1).tolist() == targets.tolist()
+        rows = np.concatenate([wide, tiny, squares, special, midpoints])
+        rows = rows[rng.permutation(len(rows))]
+        for chunk in np.array_split(rows, 16):
+            got = _row_norms(P2, chunk[None])[0]
+            assert got.view(np.int64).tolist() == rescaled_root_norms(chunk).view(np.int64).tolist()
+        # the fallback fires: np.sqrt alone would give other bits on some midpoints
+        got = _row_norms(P2, midpoints[None])[0]
+        differ = np.sqrt(targets) != got
+        assert differ.sum() >= 20 and got.tolist() == [s**0.5 for s in targets.tolist()]
+
+    def test_the_row_count_switch_keeps_the_bits(self):
+        midpoints, targets = near_midpoint_rows(10.0 ** np.random.default_rng(7).uniform(-140.0, 150.0, 2000))
+        first = np.flatnonzero(np.sqrt(targets) != [s**0.5 for s in targets.tolist()])[0]
+        n = _SQRT_ROWS
+        block = np.concatenate([midpoints[first:], midpoints[:first]])[:n]
+        short = _row_norms(P2, block[None, : n - 1])[0]
+        full = _row_norms(P2, block[None])[0]
+        assert full[: n - 1].view(np.int64).tolist() == short.view(np.int64).tolist()
+        assert full.tolist() == scalar_root_norms(P2, block)
+
+    @pytest.mark.parametrize("row", [
+        [3.0, 4.0], [0.0, -0.0], [1e-200, 0.0], [1e-160, 1e-160], [1e200, 1.0], [math.inf, 1.0], [math.nan, 1.0],
+    ])
+    def test_one_row_takes_the_rule_of_a_block(self, row):
+        one = _row_norms(P2, np.array([[row]]))[0, 0]
+        block = _row_norms(P2, np.array([[row, [1.0, 1.0]]]))[0, 0]
+        assert np.array([one]).view(np.int64) == np.array([block]).view(np.int64)
 
 
 class TestKadecKleeDeskScale:
