@@ -8,7 +8,9 @@ coordinate) stops with the ``nonfinite`` verdict at its last finite point.
 Orbits are stepped in blocks, a batch of orbits in lockstep: the stopping rules
 run once per block, row-wise, and an orbit's first row where one fires ends
 it, as if checked step by step. Each block is sized from the residual and norm
-trends of the one before, so that the last block ends near the stop.
+trends of the one before, so that the last block ends near the stop. A run
+that keeps only verdicts takes lp roots only where a power sum or a block
+bound leaves a stopping rule open.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from orderfp.mapping import AffineMap, DomainError, MappingSpec, TranslationMap, _domain_contains_raw
 from orderfp.order import MEMBERSHIP_TOL, ConeSpec, _member_raw
-from orderfp.space import SpaceSpec, as_rows, as_vector, _row_norms
+from orderfp.space import _SUM_MIN, SpaceSpec, as_rows, as_vector, _power_sums, _row_norms
 
 CONVERGED = "converged"
 UNBOUNDED_SUSPECTED = "unbounded_suspected"
@@ -111,6 +113,75 @@ def _first(mask: np.ndarray) -> np.ndarray:
     return np.concatenate((mask, np.ones((len(mask), 1), bool)), axis=1).argmax(axis=1)
 
 
+# A verdict run decides a stopping rule without a root where its side is
+# certain by KAPPA, a relative margin. A row with power sum s (`_power_sums`:
+# the very bits `_row_norms` roots) has its norm s ** (1/p) at most t if
+# _SUM_MIN <= s < (t (1 - KAPPA))^p, and above t, and finite, if
+# (t (1 + KAPPA))^p < s < inf. In the root's terms only two things round:
+# the root (libm's pow, at most 0.54 ulp; p = 2's certified np.sqrt has its
+# bits) and the cut (t (1 -+ KAPPA), then its power, about 1.1 ulp once
+# rooted), some 2e-16 against KAPPA = 1e-9. A block whose points all have
+# max |x_i| < bound_threshold (1 - KAPPA) / d^(1/p) takes no sums at all:
+# ||x||_p <= d^(1/p) max |x_i|, and the norm `_row_norms` takes is within
+# (d + 8) ulp of ||x||_p (the sum's d - 1 roundings, a few ulp for numpy's
+# array power, the root, the bound), under 3e-10 for d < 2^20. Every other
+# row takes its root: the band around a cut, and a sum that is 0,
+# subnormal, inf or nan.
+KAPPA = 1e-9
+
+
+def _verdict_cuts(space: SpaceSpec, cfg: IterationConfig) -> tuple[float, float, float, float]:
+    """(lo, hi, cut, top): a residual row whose power sum s has _SUM_MIN <=
+    s < lo is at most residual_tol, one with hi < s < inf above it; a point
+    row with _SUM_MIN <= s < cut is at most bound_threshold, and so is every
+    point of a block whose largest |coordinate| is below top. A cut that is
+    not a normal float decides nothing: lo and cut are then 0, hi inf, and
+    top 0."""
+    p, d = space.p, space.dim
+
+    def power(t):  # a float ** that overflows raises, where numpy's is inf
+        try:
+            v = t**p
+        except OverflowError:
+            return 0.0
+        return v if _SUM_MIN <= v < math.inf else 0.0
+
+    tol, thr = cfg.residual_tol, cfg.bound_threshold
+    lo, hi, cut = power(tol * (1.0 - KAPPA)), power(tol * (1.0 + KAPPA)), power(thr * (1.0 - KAPPA))
+    if not (lo and hi):
+        lo, hi = 0.0, math.inf
+    top = thr * (1.0 - KAPPA) / d ** (1.0 / p)
+    return lo, hi, cut, (top if _SUM_MIN <= top and d < 2**20 else 0.0)
+
+
+def _verdict_norms(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """The residual norms of the rows ``diff`` and the point norms of the
+    rows ``pts`` of a verdict block, one row per orbit, in which a decided
+    row stands in for its norm on the same side of every rule: a residual
+    at most residual_tol as 0 and one above it as the root of the cut, and a
+    point at most bound_threshold as -inf (such a row is never the larger
+    side of `new > recent` while `new > threshold` holds). The open rows
+    and each orbit's last two residuals and points, from which `_next_block`
+    sizes the next block, take `_row_norms`."""
+    lo, hi, cut, top = cuts
+    s = _power_sums(space, diff)
+    below = (_SUM_MIN <= s) & (s < lo)
+    res = np.where(below, 0.0, hi ** (1.0 / space.p))
+    res_open = ~below & ~((hi < s) & (s < math.inf))
+    if np.abs(pts).max(initial=0.0) < top:  # a nan anywhere leaves the block to its sums
+        pts_open = np.zeros(pts.shape[:2], bool)
+    else:
+        s = _power_sums(space, pts)
+        pts_open = ~((_SUM_MIN <= s) & (s < cut))
+    res_open[:, -2:] = pts_open[:, -2:] = True
+    exact = _row_norms(space, np.concatenate((diff[res_open], pts[pts_open]))[None])[0]
+    n = np.count_nonzero(res_open)
+    res[res_open] = exact[:n]
+    norms = np.full(pts.shape[:2], -math.inf)
+    norms[pts_open] = exact[n:]
+    return res, norms
+
+
 def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: str, verdicts=False):
     """The records of the orbits of the list ``spec`` from the list ``x0``:
     one orbit, or a stack of Picard orbits of AffineMaps, or of
@@ -139,7 +210,7 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: st
     # window longer than the budget could never look back far enough
     window = min(cfg.window, cfg.max_iter + 1)
     recent = np.concatenate((np.full((live.size, window), np.inf), norms0), axis=1)[:, 1:]
-    n0, k = 0, BLOCK_FIRST
+    n0, k, cuts = 0, BLOCK_FIRST, _verdict_cuts(space, cfg) if verdicts else None
     with np.errstate(all="ignore"):
         while live.size and n0 < cfg.max_iter:
             # the recurrence alone, k steps at a time and BLOCK_CAP rows in
@@ -179,17 +250,24 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: st
             # the stopping rules, one row per orbit; an orbit's first step
             # where one fires ends it, and within a step they rank nonfinite,
             # escape, converged, the Mann schedule, growth
-            img = txs[:, :imgs]
-            rows = np.concatenate((img - xs[:, :imgs], xs[:, 1 : m + 1]), axis=1)
-            both = _row_norms(space, rows)
-            res, new_norms = both[:, :imgs], both[:, imgs:]
-            bad = ~(res < np.inf) & ~np.isfinite(img).all(axis=-1)
+            img, pts = txs[:, :imgs], xs[:, 1 : m + 1]
+            diff = img - xs[:, :imgs]
+            if verdicts:  # roots only for the rows whose side of a cut is open
+                res, new_norms = _verdict_norms(space, diff, pts, cuts)
+            else:
+                both = _row_norms(space, np.concatenate((diff, pts), axis=1))
+                res, new_norms = both[:, :imgs], both[:, imgs:]
+            bad = ~(res < np.inf)  # only a residual that is not < inf can come from a non-finite image
+            if bad.any():
+                bad[bad] = ~np.isfinite(img[bad]).all(axis=-1)
             esc = ~_domain_contains_raw(domain, img, 1e-9)
             recent = np.concatenate((recent, new_norms), axis=1)
             halt = _first(bad | esc | (res <= cfg.residual_tol))
             grow = _first((new_norms > cfg.bound_threshold) & (new_norms > recent[:, :m]))
             whole = (halt == imgs) & (grow == m) & (held is None)  # ran the block through
-            for r, (i, j, g) in enumerate(zip(live.tolist(), halt.tolist(), grow.tolist())):
+            # a verdict needs only the orbits that stop; a record takes every orbit's chunk
+            visit = np.flatnonzero(~whole) if verdicts else np.arange(live.size)
+            for r, i, j, g in zip(visit.tolist(), live[visit].tolist(), halt[visit].tolist(), grow[visit].tolist()):
                 keep = nres = m  # new points and residuals that stay in the record
                 if j < imgs and j <= g:
                     keep, nres = j, j + 1

@@ -597,7 +597,11 @@ def classify_hilbert_classes(
     if ab is not None:
         blocks += [(x - y) + (tx - ty), (x - y) - (tx - ty), u, v]
     rows = np.stack(blocks)
-    as_rows(rows.reshape(-1, spec.dim), spec.dim)  # a non-finite image, or a sum of images that overflows, raises
+    ok = np.isfinite(rows).all(axis=(0, 2))
+    if not ok.all():  # the first pair with a non-finite image, or with a row of finite images that overflows
+        k = int(np.argmin(ok))
+        as_rows([tx[k], ty[k]], spec.dim)
+        raise ValueError(f"a row formed from x={x[k]}, y={y[k]} and their finite images {tx[k]}, {ty[k]} overflows")
     norms = _row_norms(space, rows)
     s = _square_scale(norms)  # squares and sides in units of s^2
     sq = (norms / s) ** 2

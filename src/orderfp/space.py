@@ -73,6 +73,16 @@ def norm(space: SpaceSpec, x) -> float:
     return float(_row_norms(space, as_vector(x, dim=space.dim)[None, None])[0, 0])
 
 
+def _power_sums(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
+    # the power sums sum |v_i|^p of the rows of v, the bits `_row_norms`
+    # roots; rows of a width other than the space's are refused. Call it
+    # under np.errstate(over="ignore", invalid="ignore"): a sum past the
+    # float range is inf, and one with a nan is nan.
+    if v.shape[-1] != space.dim:
+        raise ValueError(f"dimension mismatch: expected {space.dim}, got {v.shape[-1]}")
+    return (np.abs(v) ** space.p).sum(axis=-1)
+
+
 def _row_norms(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
     # lp norms of the rows of the blocks v[0], v[1], ...; rows of a width other
     # than the space's are refused, and nothing else is checked: a non-finite
@@ -91,11 +101,9 @@ def _row_norms(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
     # every sum of 0, inf or nan (its delta is nan) and every sum below
     # 2**-960, where the split's products underflow. Below _SQRT_ROWS rows the
     # dozen ufunc calls cost more than one Python root a row (timeit).
-    if v.shape[-1] != space.dim:
-        raise ValueError(f"dimension mismatch: expected {space.dim}, got {v.shape[-1]}")
     inv = 1.0 / space.p
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = (np.abs(v) ** space.p).sum(axis=-1)
+        sums = _power_sums(space, v)
         # one row whose sum is in range, or a zero row: its root, with no refine test
         if sums.size == 1 and (_SUM_MIN <= sums.item() < math.inf or not v.any()):
             return np.full(sums.shape, sums.item() ** inv)

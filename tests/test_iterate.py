@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orderfp import corpus
 from orderfp.iterate import (
@@ -32,6 +32,7 @@ from orderfp.iterate import (
     write_orbit_csv,
     _next_block,
     _orbit,
+    _verdict_cuts,
     _step_flags,
 )
 from orderfp.mapping import (
@@ -1262,3 +1263,173 @@ class TestLockstepBatches:
     def test_an_empty_batch(self):
         with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
             _orbit([], [], P2, SMALL, None, "picard")
+
+
+# ---------------------------------------------------------------------------
+# verdict runs: stopping rules decided from power sums and block bounds
+
+
+def verdict_batch(kind, d, flavours, rng):
+    """(specs, starts) of one batch of affine or translation maps on the
+    orthant of R^d, one orbit per flavour: "converge", "grow", "nonfinite"
+    (an image past the float range), "escape" (the orbit leaves the orthant)
+    or "tiny" (steps near the underflow range)."""
+    domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=d))
+    specs, starts = [], []
+    for flavour in flavours:
+        base = rng.uniform(0.5, 1.5, size=d)
+        if kind == "translation":
+            scale = {"converge": 1e-12, "grow": 1.0, "nonfinite": 1e307, "escape": 1.0, "tiny": 1e-305}[flavour]
+            shift = scale * base
+            if flavour == "escape":
+                shift[-1] = -rng.uniform(0.01, 1.0)
+            op = TranslationMap(shift)
+        else:
+            m = rng.uniform(0.0, 1.0, size=(d, d))
+            m /= np.linalg.norm(m, 2)
+            rho = {"converge": rng.uniform(0.1, 0.95), "grow": rng.uniform(1.05, 2.0), "nonfinite": 1e300,
+                   "escape": 0.5, "tiny": 0.5}[flavour]
+            offset = base * (1e-300 if flavour == "tiny" else 1.0)
+            if flavour == "escape":
+                offset[-1] = -rng.uniform(0.01, 1.0)
+            op = AffineMap(rho * m, offset)
+        specs.append(MappingSpec(op=op, domain=domain))
+        starts.append(np.zeros(d) if flavour == "escape" else rng.uniform(0.0, 2.0, size=d) * (flavour != "tiny"))
+    return specs, starts
+
+
+def record_and_verdicts(specs, starts, space, cfg):
+    """The verdicts of a record run and of a verdict run of one batch, each
+    as a list of verdicts or the type and text of the error it raised."""
+    return [TestLockstepBatches.verdicts_of(specs, starts, space, cfg, verdicts=v) for v in (False, True)]
+
+
+FLAVOURS = ["converge", "grow", "nonfinite", "escape", "tiny"]
+
+
+@st.composite
+def verdict_cases(draw):
+    kind = draw(st.sampled_from(["affine", "translation"]))
+    d = draw(st.integers(1, 4))
+    space = SpaceSpec(dim=d, p=draw(st.sampled_from([1.5, 2.0, 3.0])))
+    flavours = draw(st.lists(st.sampled_from(FLAVOURS), min_size=1, max_size=6))
+    specs, starts = verdict_batch(kind, d, flavours, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    tol = draw(st.sampled_from([1e-300, 1e-10, 1e200, "at", "ulp"]))
+    if tol in ("at", "ulp"):  # the first orbit's first residual is tol, or one ulp above it
+        first = norm(space, specs[0].op.evaluate(starts[0]) - starts[0])
+        tol = first if tol == "at" else math.nextafter(first, 0.0)
+        assume(tol > 0.0)
+    cfg = IterationConfig(
+        max_iter=draw(st.integers(1, 600)),
+        residual_tol=tol,
+        bound_threshold=draw(st.sampled_from([1e-3, 10.0, 1e4, 1e200])),
+        window=draw(st.sampled_from([0, 1, 7, 50])),
+    )
+    return specs, starts, space, cfg
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(verdict_cases())
+def test_verdict_runs_give_the_record_runs_verdicts(case):
+    specs, starts, space, cfg = case
+    record, verdicts = record_and_verdicts(specs, starts, space, cfg)
+    assert verdicts == record
+    if isinstance(record, tuple):
+        return
+    # budgets that end at or just before an orbit's stop, where a stop
+    # found a step late or early changes the verdict
+    budgets = set()
+    for rec in _orbit(specs, starts, space, cfg, None, "picard"):
+        if rec.verdict != MAX_ITER_REACHED:
+            budgets |= {len(rec) - 2, len(rec) - 1, len(rec)} - {0, -1}
+    for n in sorted(budgets):
+        record, verdicts = record_and_verdicts(specs, starts, space, dataclasses.replace(cfg, max_iter=n))
+        assert verdicts == record
+
+
+class TestVerdictRuns:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("tol, top", [(1e-300, 1e-3), (1e-300, 1e200), (1e200, 1e-3), (1e200, 1e200),
+                                          (1e-10, 1e4)])
+    @pytest.mark.parametrize("kind", ["affine", "translation"])
+    def test_every_flavour_at_the_extremes(self, kind, p, tol, top):
+        d = 3
+        space = SpaceSpec(dim=d, p=p)
+        specs, starts = verdict_batch(kind, d, FLAVOURS * 2, np.random.default_rng(7))
+        cfg = IterationConfig(max_iter=3000, residual_tol=tol, bound_threshold=top, window=50)
+        # the whole batch raises the escape; without the escapes each orbit gets its verdict
+        outcomes = []
+        for keep in (range(len(specs)), [i for i, f in enumerate(FLAVOURS * 2) if f != "escape"]):
+            record, verdicts = record_and_verdicts([specs[i] for i in keep], [starts[i] for i in keep], space, cfg)
+            assert verdicts == record
+            outcomes.append(record)
+        assert outcomes[0][0] is DomainError and NONFINITE in outcomes[1]
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_a_shift_whose_norm_is_the_tolerance(self, p, ulps):
+        # the first residual of x -> x + shift from 0 is the norm of the
+        # shift: at the tolerance the orbit converges at once, one ulp above
+        # it runs on
+        space = SpaceSpec(dim=2, p=p)
+        specs, starts = zip(*(translation(np.array([0.3 + i / 7, 0.9])) for i in range(3)))
+        tol = norm(space, specs[1].op.shift)
+        for _ in range(ulps):
+            tol = math.nextafter(tol, 0.0)
+        cfg = IterationConfig(max_iter=300, residual_tol=tol, bound_threshold=10.0, window=5)
+        record, verdicts = record_and_verdicts(list(specs), list(starts), space, cfg)
+        assert verdicts == record
+        rec = picard_orbit(specs[1], starts[1], space, cfg)
+        assert rec.residuals[0] == (math.nextafter(tol, math.inf) if ulps else tol)
+        assert (len(rec) == 1) == (ulps == 0)
+
+    def test_cuts_that_are_not_normal_floats_decide_nothing(self):
+        space = SpaceSpec(dim=2, p=2.0)
+        cuts = lambda tol, top: _verdict_cuts(space, IterationConfig(residual_tol=tol, bound_threshold=top))
+        lo, hi, cut, top = cuts(1e-10, 1e4)
+        assert lo < 1e-20 < hi < math.inf and 0.0 < cut < 1e8 and 0.0 < top * math.sqrt(2.0) < 1e4
+        # 1e200 ** 2.0 raises OverflowError, and (1e-300)^2 underflows to 0
+        assert cuts(1e200, 1e4)[:2] == cuts(1e-300, 1e4)[:2] == (0.0, math.inf)
+        assert cuts(1e200, 1e4)[2:] == cuts(1e-300, 1e4)[2:] == (cut, top)
+        assert cuts(1e-10, 1e-320)[2:] == (0.0, 0.0)  # 1e-320 is subnormal
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_a_norm_above_the_threshold_only_inside_a_block(self, p):
+        # x -> M x with M^2 = 0.8 I: the norm rises above 3 at steps 1 and 3
+        # only, far from the end of the first block; growth fires at the
+        # first, and a verdict run that let either pass would miss it
+        space = SpaceSpec(dim=2, p=p)
+        domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=2))
+        spec = MappingSpec(AffineMap(np.array([[0.0, 4.0], [0.2, 0.0]]), np.zeros(2)), domain)
+        other = MappingSpec(AffineMap(0.5 * np.eye(2), np.full(2, 0.5)), domain)  # fixed at (1, 1)
+        cfg = IterationConfig(max_iter=40, residual_tol=1e-10, bound_threshold=3.0, window=1)
+        norms = picard_orbit(spec, np.ones(2), space, dataclasses.replace(cfg, bound_threshold=1e4)).norms
+        assert norms[1] > 3.0 and norms[3] > 3.0 and (np.delete(norms, [1, 3]) < 3.0).all()
+        record, verdicts = record_and_verdicts([spec, other], [np.ones(2)] * 2, space, cfg)
+        assert verdicts == record == [UNBOUNDED_SUSPECTED, CONVERGED]
+
+    def test_an_image_at_minus_inf_is_nonfinite_not_an_escape(self):
+        # the image of 1 under x -> -1e308 x - 1e308 is -inf: below the cone,
+        # but an orbit that overflows stops as nonfinite
+        domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=1))
+        specs = [MappingSpec(AffineMap(np.array([[a]]), np.array([a])), domain) for a in (-1e308, 0.5)]
+        record, verdicts = record_and_verdicts(specs, [np.ones(1)] * 2, LINE2, SMALL)
+        assert verdicts == record == [NONFINITE, CONVERGED]
+
+    def test_blocks_are_sized_as_in_a_record_run(self, monkeypatch):
+        # the last two residuals and points of each orbit take exact norms,
+        # so a verdict run sizes its blocks from the record run's trends
+        import orderfp.iterate as iterate
+
+        plain, sizes = iterate._next_block, []
+        monkeypatch.setattr(iterate, "_next_block", lambda *args: sizes.append(plain(*args)) or sizes[-1])
+        space = SpaceSpec(dim=3, p=2.0)
+        contractions = [_random_map(3, rho) for rho in (0.5, 0.8, 0.95, 0.99)]
+        translations = [translation(np.array([0.5, 1.0, 1.5]) * (1 + i / 10))[0] for i in range(4)]
+        for specs in (contractions, translations):
+            runs = []
+            for verdicts in (False, True):
+                sizes.clear()
+                _orbit(specs, [np.zeros(3)] * 4, space, LONG, None, "picard", verdicts)
+                runs.append(list(sizes))
+            assert runs[0] == runs[1] and len(runs[0]) > 3

@@ -893,12 +893,14 @@ def reference_classify_hilbert_classes(spec, space, cfg=None, ab=None):
     for _ in range(cfg.n_samples):
         x = sample_domain_point(spec, rng)
         y = sample_domain_point(spec, rng)
-        tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
+        tx, ty = as_vector(spec.op.evaluate(x)), as_vector(spec.op.evaluate(y))
         # polarization: <u, v> = (||u + v||^2 - ||u - v||^2) / 4
         u, v = x - tx, y - ty
         vectors = [tx - ty, x - y, tx - y, ty - x, u + v, u - v]
         if ab is not None:
             vectors += [(x - y) + (tx - ty), (x - y) - (tx - ty), u, v]
+        if not all(np.isfinite(w).all() for w in vectors):
+            raise ValueError(f"a row formed from x={x}, y={y} and their finite images {tx}, {ty} overflows")
         sq, s = _ref_squares(space, *vectors)
         d_im2, d2, cross_xy, cross_yx = sq[:4]
 

@@ -67,6 +67,19 @@ class TestMembership:
                 a, b = rng.uniform(0.0, 3.0, size=2)
                 assert contains(cone, a * x + b * y, tol=1e-9)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 20])
+    @pytest.mark.parametrize("rows", [1, 5, 31, 32, 33, 640, 20_000])
+    def test_orthant_margins_by_column_have_the_row_min_bits(self, d, rows):
+        # many rows take np.minimum over the columns, few the row min; both
+        # keep the bits of v.min(axis=-1), signed zeros and nans included
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -2.0]
+        v = np.random.default_rng(rows * d).choice(values, size=(rows, d))
+        cone = ConeSpec(kind="orthant", dim=d)
+        for block in (v, v.reshape(rows, 1, d), v[None]):
+            with np.errstate(invalid="ignore"):
+                got, want = _cone_margins(cone, block), block.min(axis=-1)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ConeSpec(kind="simplex", dim=2)
