@@ -1,4 +1,6 @@
-"""Shipped example mappings used by the tests and verification campaigns."""
+"""Shipped example mappings used by the tests and verification campaigns. Each is a
+self-map of its domain by construction, for the reason its docstring states; only maps
+read from outside (``mapping_from_dict``) take the sampled self-map check."""
 
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ from orderfp.mapping import (
     MappingSpec,
     TranslationMap,
     TruncationMap,
-    make_mapping,
 )
 from orderfp.order import ConeSpec
 from orderfp.space import SpaceSpec
@@ -26,40 +27,42 @@ def _cone_domain(dim: int) -> Domain:
 
 
 def identity_map(dim: int = 2) -> MappingSpec:
-    return make_mapping(AffineMap(matrix=np.eye(dim), offset=np.zeros(dim)), _cone_domain(dim))
+    """x -> x: a self-map of every domain."""
+    return MappingSpec(AffineMap(matrix=np.eye(dim), offset=np.zeros(dim)), _cone_domain(dim))
 
 
 def constant_map(value) -> MappingSpec:
+    """x -> value: a self-map of the orthant, as value >= 0 is refused otherwise."""
     v = np.asarray(value, dtype=float)
-    return make_mapping(AffineMap(matrix=np.zeros((v.size, v.size)), offset=v), _cone_domain(v.size))
+    if not (v >= 0.0).all():
+        raise ValueError(f"value must be >= 0, got {value}")
+    return MappingSpec(AffineMap(matrix=np.zeros((v.size, v.size)), offset=v), _cone_domain(v.size))
 
 
 def affine_contraction(dim: int = 2) -> MappingSpec:
-    """x -> x/2 + 1; fixed point at 2 in every coordinate."""
-    return make_mapping(
-        AffineMap(matrix=0.5 * np.eye(dim), offset=np.ones(dim)), _cone_domain(dim)
-    )
+    """x -> x/2 + 1; fixed point at 2 in every coordinate; a self-map, as the matrix and offset are >= 0."""
+    return MappingSpec(AffineMap(matrix=0.5 * np.eye(dim), offset=np.ones(dim)), _cone_domain(dim))
 
 
 def unit_translation(dim: int = 2) -> MappingSpec:
-    """x -> x + 1: monotone isometry with no fixed point (unbounded orbits)."""
-    return make_mapping(TranslationMap(shift=np.ones(dim)), _cone_domain(dim))
+    """x -> x + 1: monotone isometry with no fixed point (unbounded orbits); a self-map, as 1 >= 0."""
+    return MappingSpec(TranslationMap(shift=np.ones(dim)), _cone_domain(dim))
 
 
 def truncation_cap(dim: int = 2, cap: float = 1.5) -> MappingSpec:
-    """x -> min(x, cap): every point below the cap is fixed."""
-    return make_mapping(TruncationMap(cap=np.full(dim, cap)), _cone_domain(dim))
+    """x -> min(x, cap): every point below the cap is fixed; a self-map, as a cap < 0 is refused."""
+    if not cap >= 0.0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    return MappingSpec(TruncationMap(cap=np.full(dim, cap)), _cone_domain(dim))
 
 
 def box_clamp(dim: int = 2, hi: float = 1.0) -> MappingSpec:
-    """Orthogonal projection onto [0, hi]^dim, as a self-map of the cone."""
-    return make_mapping(
-        BoxProjectionMap(lo=np.zeros(dim), hi=np.full(dim, hi)), _cone_domain(dim)
-    )
+    """Orthogonal projection onto [0, hi]^dim, as a self-map of the cone, which holds the box."""
+    return MappingSpec(BoxProjectionMap(lo=np.zeros(dim), hi=np.full(dim, hi)), _cone_domain(dim))
 
 
 def box_drift_down(dim: int = 2, step: float = 0.5, floor: float = -3.0) -> MappingSpec:
-    """Shift down by ``step`` and clamp into the box [floor, 0]^dim.
+    """Shift down by ``step`` and clamp into the box [floor, 0]^dim, the domain: a self-map.
 
     Every orbit decreases to the box floor; orbits started at x0 <= 0 satisfy
     T x0 <= x0 <= 0, the descending-orbit hypothesis shape.
@@ -69,12 +72,11 @@ def box_drift_down(dim: int = 2, step: float = 0.5, floor: float = -3.0) -> Mapp
     op = CompositionMap(
         stages=[TranslationMap(shift=np.full(dim, -step)), BoxProjectionMap(lo=lo, hi=hi)]
     )
-    domain = Domain(kind="box", cone=ConeSpec(kind="orthant", dim=dim), lo=lo, hi=hi)
-    return make_mapping(op, domain)
+    return MappingSpec(op, Domain(kind="box", cone=ConeSpec(kind="orthant", dim=dim), lo=lo, hi=hi))
 
 
 def steep_step_map() -> MappingSpec:
-    """Lattice map on {0, 0.5, ..., 3}: zero below the top node, 1.5 at it.
+    """Lattice map on {0, 0.5, ..., 3}: zero below the top node, 1.5 at it, both nodes: a self-map.
 
     Monotone, and fails plain nonexpansiveness across the jump (the images of
     2.5 and 3 are 1.5 apart); the weighted squared-distance inequality holds
@@ -84,10 +86,8 @@ def steep_step_map() -> MappingSpec:
     values = np.zeros((7, 1))
     values[6, 0] = 1.5
     op = GridMap(origin=np.zeros(1), step=0.5, values=values)
-    domain = Domain(
-        kind="box", cone=ConeSpec(kind="orthant", dim=1), lo=np.zeros(1), hi=np.full(1, 3.0)
-    )
-    return make_mapping(op, domain)
+    domain = Domain(kind="box", cone=ConeSpec(kind="orthant", dim=1), lo=np.zeros(1), hi=np.full(1, 3.0))
+    return MappingSpec(op, domain)
 
 
 STEEP_STEP_ALPHA = 1.0 / 3.0

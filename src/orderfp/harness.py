@@ -38,7 +38,6 @@ from orderfp.iterate import (
 )
 from orderfp.mapping import (
     Domain,
-    as_affine,
     GridMap,
     GridSearchConfig,
     MappingSpec,
@@ -198,16 +197,6 @@ def _class_hypothesis(rep: CampaignReport, scn: Scenario, samples: int) -> bool:
     return class_rep.passed
 
 
-def _oracle_points(scn: Scenario) -> list[np.ndarray] | None:
-    """Fixed points from the independent search, or None when there is no
-    grid and the map needs one (``fixed_point_oracle`` would raise)."""
-    op = scn.map.op
-    if scn.grid_cfg is None and not isinstance(op, GridMap):  # an affine map needs one when degenerate
-        if as_affine(op) is None or _affine_fixed_points([scn.map])[0] is None:
-            return None
-    return fixed_point_oracle(scn.map, scn.space, scn.grid_cfg)
-
-
 def _center_checks(
     rep: CampaignReport,
     scn: Scenario,
@@ -253,7 +242,7 @@ def _descent_check(
 ) -> None:
     """If the independent search finds a fixed point on the far side of x0,
     the distance sequence to it must be non-increasing from ||x0 - z||."""
-    fps = _oracle_points(scn)
+    fps = fixed_point_oracle(scn.map, scn.space, scn.grid_cfg)
     if fps is None:
         rep.caveats.append("no bounded search region: converse descent check skipped")
         return
@@ -416,17 +405,17 @@ def verify_zero_orbit_equivalence(
 
         def run(idx, cfg):  # the cell's orbits from 0, one batch, verdicts only
             batch, zeros = [specs[i] for i in idx], np.zeros((len(idx), dim))
-            return iterate._orbit(batch, zeros, space, cfg, None, "picard", verdicts=True)
+            return iterate._orbit(batch, zeros, space, cfg, verdicts=True)
 
         solved = _affine_fixed_points(specs)  # the oracle's affine route, as one stack
         verdicts = _settled(run, len(specs), iter_cfg)
-        for (counter, (_, _, rho)), spec, verdict, found in zip(cell, specs, verdicts, solved):
-            # a degenerate system off the minimum-norm solution takes the grid route, which raises
-            nonempty = len(fixed_point_oracle(spec, space) if found is None else found) > 0
-            bounded = verdict == CONVERGED
-            # an inconclusive or nonfinite orbit is a failed trial
-            agree = verdict in (CONVERGED, UNBOUNDED_SUSPECTED) and bounded == nonempty
+        for (counter, (_, _, rho)), verdict, found in zip(cell, verdicts, solved):
             trial_id = f"trial_{counter:03d}"
+            if found is None:  # a degenerate system off the minimum-norm solution, with no grid to scan
+                rep.caveats.append(f"{trial_id}: no route decides its fixed-point set without a search grid")
+            nonempty, bounded = bool(found), verdict == CONVERGED
+            # an inconclusive or nonfinite orbit, or an undecided fixed-point set, is a failed trial
+            agree = found is not None and verdict in (CONVERGED, UNBOUNDED_SUSPECTED) and bounded == nonempty
             rows.append(TrialRow(trial_id, family, dim, rho, verdict, bounded, nonempty, agree))
 
     contractive, translation, edge = (
@@ -479,7 +468,7 @@ def verify_norm_convergence(
         return rep
     rep.add("hypothesis_bounded_orbit", True, f"{len(record)} points")
 
-    fps = _oracle_points(scn)
+    fps = fixed_point_oracle(scn.map, scn.space, scn.grid_cfg)
     last = record.points[-1]
     if fps:
         z = min(fps, key=lambda q: norm(scn.space, q - last))
@@ -543,8 +532,8 @@ def verify_cone_convergence(
         return rep
     mono = is_norm_monotonic(scn.cone, scn.space, n_samples=samples, seed=scn.seed)
     rep.add("hypothesis_norm_monotonic", mono.passed, mono.summary())
-    fps = _oracle_points(scn)
-    if fps is None or not fps:
+    fps = fixed_point_oracle(scn.map, scn.space, scn.grid_cfg)
+    if not fps:
         raise HypothesisError(f"{scn.sid}: empty or unavailable fixed-point set")
     rep.add("hypothesis_fixed_points_exist", True, f"{len(fps)} found")
 

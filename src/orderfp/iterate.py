@@ -182,14 +182,15 @@ def _verdict_norms(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts) ->
     return res, norms
 
 
-def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: str, verdicts=False):
+def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn=None, verdicts=False):
     """The records of the orbits of the list ``spec`` from the list ``x0``:
     one orbit, or a stack of Picard orbits of AffineMaps, or of
     TranslationMaps, on one cone, which step in lockstep as one batch and
     each leave it at its first stop; any other list is a ValueError. The
     first error met is raised. With ``verdicts``, each orbit's verdict stands
     in for its record: no trajectory or last residual is kept. The order
-    flags of a record are taken under its map's domain cone."""
+    flags of a record are taken under its map's domain cone; a ``beta_fn``
+    makes the orbits Mann's, and None Picard's."""
     kinds = {(type(s.op), s.domain.kind, s.domain.cone) for s in spec}
     if len(spec) != 1 and not (len(kinds) == 1 and beta_fn is None and spec[0].domain.kind == "cone"
                                and type(spec[0].op) in _STACKED):
@@ -298,14 +299,14 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn, scheme: st
                 residuals = np.append(residuals, _row_norms(space, (tx - pts[-1])[None, None]))
             up, down = _step_flags(pts, s.domain.cone)
             order = INCREASING if up.all() else DECREASING if down.all() else NEITHER
-            out.append(OrbitRecord(pts, residuals, norms, up, down, order, v, scheme))
+            out.append(OrbitRecord(pts, residuals, norms, up, down, order, v, "picard" if beta_fn is None else "mann"))
     return out
 
 
 def picard_orbit(spec: MappingSpec, x0, space: SpaceSpec, cfg: IterationConfig | None = None) -> OrbitRecord:
     """Iterate x_{n+1} = T x_n until the residual drops below tolerance, the
     growth detector fires, or the iteration budget runs out."""
-    return _orbit([spec], [x0], space, cfg or IterationConfig(), None, "picard")[0]
+    return _orbit([spec], [x0], space, cfg or IterationConfig())[0]
 
 
 def mann_orbit(
@@ -331,7 +332,7 @@ def mann_orbit(
         if not seq:
             raise ValueError("empty Mann schedule")
         beta_fn = lambda n: seq[n] if n < len(seq) else seq[-1]
-    return _orbit([spec], [x0], space, cfg or IterationConfig(), beta_fn, "mann")[0]
+    return _orbit([spec], [x0], space, cfg or IterationConfig(), beta_fn)[0]
 
 
 @dataclass

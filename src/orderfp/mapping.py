@@ -322,13 +322,6 @@ def validate_self_map(spec: MappingSpec) -> None:
         raise DomainError(f"not a self-map: image {ys[k]} of sample {xs[k]} escapes the domain")
 
 
-def make_mapping(op, domain: Domain) -> MappingSpec:
-    """Construct a MappingSpec and verify the self-map property on samples."""
-    spec = MappingSpec(op=op, domain=domain)
-    validate_self_map(spec)
-    return spec
-
-
 # ---------------------------------------------------------------------------
 # domain samplers
 
@@ -687,7 +680,7 @@ def _affine_fixed_points(specs: list) -> list:
 
 def fixed_point_oracle(
     spec: MappingSpec, space: SpaceSpec, grid_cfg: GridSearchConfig | None = None
-) -> list[np.ndarray]:
+) -> list[np.ndarray] | None:
     """Independent search for fixed points inside the domain.
 
     Affine operations are resolved by linear algebra (exact solve when the
@@ -697,7 +690,9 @@ def fixed_point_oracle(
     nodes whose residual ||T x - x|| in the norm of ``space`` is at most
     ``FIXED_POINT_TOL`` are returned in lattice order, each once, as distinct
     nodes differ by an axis spacing (one of at most 1e-8 reports all of its
-    near-coincident fixed nodes).
+    near-coincident fixed nodes). None when no route decides: no lattice and
+    no grid, for a map that is not affine or whose affine system is degenerate
+    with its minimum-norm solution off the domain. A grid of another dimension raises.
     """
     if as_affine(spec.op) is not None:
         direct = _affine_fixed_points([spec])[0]
@@ -706,8 +701,7 @@ def fixed_point_oracle(
     if isinstance(spec.op, GridMap):
         nodes = _grid_nodes(spec.op)
     elif grid_cfg is None:
-        what = "non-affine" if as_affine(spec.op) is None else "degenerate affine (minimum-norm solution off the domain)"
-        raise ValueError(f"{what} fixed-point search needs a bounded GridSearchConfig")
+        return None
     elif grid_cfg.lo.size != spec.dim:
         raise ValueError(f"a {grid_cfg.lo.size}-D fixed-point search grid cannot scan a {spec.dim}-D map")
     else:
@@ -771,10 +765,11 @@ def mapping_from_dict(d: dict) -> MappingSpec:
         cone = _section(d, "domain.cone", ConeSpec("orthant", 1))
         dd = d["domain"]
         dd["cone"]["kind"], dd["cone"]["dim"]  # both required, unlike the fields of a config section
-        domain = Domain(kind=dd["kind"], cone=cone, lo=dd.get("lo"), hi=dd.get("hi"))
+        spec = MappingSpec(op, Domain(kind=dd["kind"], cone=cone, lo=dd.get("lo"), hi=dd.get("hi")))
     except KeyError as exc:  # a missing key, at any depth
         raise ValueError(f"mapping needs the key {exc.args[0]!r}") from None
-    return make_mapping(op, domain)
+    validate_self_map(spec)  # a map read from outside is a self-map only by its author's word
+    return spec
 
 
 def _section(config: dict, key: str | None, default):

@@ -23,13 +23,13 @@ from orderfp.iterate import CONVERGED, IterationConfig, picard_orbit
 from orderfp.mapping import (
     AffineMap,
     Domain,
+    MappingSpec,
     SamplerConfig,
     as_affine,
     check_displacement_bound,
     fixed_point_oracle,
     is_alpha_nonexpansive,
     is_monotone_nonexpansive,
-    make_mapping,
     mapping_to_dict,
     sample_comparable_pairs,
 )
@@ -172,7 +172,7 @@ def test_criterion_7_strong_convergence_surrogate():
 
 def test_criterion_8_self_falsification(tmp_path):
     bad_op = AffineMap(matrix=np.array([[0.5, 0.0], [-0.5, 0.5]]), offset=np.array([0.5, 1.0]))
-    bad = make_mapping(bad_op, Domain(kind="box", cone=ConeSpec(kind="orthant", dim=2),
+    bad = MappingSpec(bad_op, Domain(kind="box", cone=ConeSpec(kind="orthant", dim=2),
                                       lo=np.zeros(2), hi=np.full(2, 2.0)))
     config = {
         "replace_scenarios": True,

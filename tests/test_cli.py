@@ -8,7 +8,7 @@ import pytest
 
 from orderfp import cli, corpus
 from orderfp.cli import main
-from orderfp.mapping import AffineMap, Domain, make_mapping, save_mapping
+from orderfp.mapping import AffineMap, Domain, MappingSpec, save_mapping
 from orderfp.order import ConeSpec, inf_pair, leq, sup_pair, _cone_rows
 
 
@@ -82,7 +82,7 @@ def test_check_mapping_pass_and_json(tmp_path, contraction_file, capsys):
 
 def test_check_mapping_orders_by_the_domain_cone(tmp_path, capsys):
     # the identity on the Lorentz cone passes; there is no second order to pick
-    spec = make_mapping(AffineMap(np.eye(2), np.zeros(2)), Domain(kind="cone", cone=ConeSpec("lorentz", 2)))
+    spec = MappingSpec(AffineMap(np.eye(2), np.zeros(2)), Domain(kind="cone", cone=ConeSpec("lorentz", 2)))
     path = tmp_path / "identity.json"
     save_mapping(spec, path)
     assert main(["check-mapping", "--map", str(path), "--samples", "200", "--seed", "0"]) == 0
@@ -93,7 +93,7 @@ def test_check_mapping_orders_by_the_domain_cone(tmp_path, capsys):
 
 
 def test_check_mapping_detects_expansion(tmp_path, capsys):
-    spec = make_mapping(
+    spec = MappingSpec(
         AffineMap(matrix=1.5 * np.eye(2), offset=np.zeros(2)),
         Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=2)),
     )
@@ -218,7 +218,7 @@ def test_verify_corrupted_config_fails(tmp_path):
     from orderfp.mapping import mapping_to_dict
 
     bad_op = AffineMap(matrix=np.array([[0.5, 0.0], [-0.5, 0.5]]), offset=np.array([0.5, 1.0]))
-    bad = make_mapping(bad_op, Domain(kind="box", cone=ConeSpec(kind="orthant", dim=2),
+    bad = MappingSpec(bad_op, Domain(kind="box", cone=ConeSpec(kind="orthant", dim=2),
                                       lo=np.zeros(2), hi=np.full(2, 2.0)))
     config = {
         "replace_scenarios": True,

@@ -41,11 +41,12 @@ from orderfp.mapping import (
     AffineMap,
     Domain,
     GridSearchConfig,
+    MappingSpec,
     TranslationMap,
     apply_map,
     fixed_point_oracle,
-    make_mapping,
     mapping_to_dict,
+    validate_self_map,
 )
 from orderfp.order import ConeSpec, leq
 from orderfp.space import SpaceSpec
@@ -63,7 +64,7 @@ def corrupted_mapping():
     """Self-map of [0, 2]^2 with a negative matrix entry: not monotone."""
     op = AffineMap(matrix=np.array([[0.5, 0.0], [-0.5, 0.5]]), offset=np.array([0.5, 1.0]))
     domain = Domain(kind="box", cone=ORTH2, lo=np.zeros(2), hi=np.full(2, 2.0))
-    return make_mapping(op, domain)
+    return MappingSpec(op, domain)
 
 
 class TestStartResolution:
@@ -128,6 +129,33 @@ class TestExistenceCampaigns:
         assert rep.checks[0].name == "hypothesis_start_ordered"
 
 
+class TestCorpusSelfMaps:
+    """The corpus builds its maps as self-maps by construction, so no run samples
+    them; the sampled check runs here, at the arguments the registry and t34 use."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_registry_maps(self, seed):
+        for scenarios in default_scenarios(seed).values():
+            for scn in scenarios:
+                validate_self_map(scn.map)
+
+    def test_family_draws_and_shipped_maps(self):
+        rhos = [rho for rho in FamilyConfig.rhos for _ in range(3)]
+        for dim in FamilyConfig.dims:
+            for spec in corpus.random_nonneg_affine(dim, rhos, [np.random.default_rng(k) for k in range(len(rhos))]):
+                validate_self_map(spec)
+        for spec in [corpus.identity_map(2)] + [e.spec for e in corpus.alpha_corpus()]:
+            validate_self_map(spec)
+
+    def test_a_parameter_that_would_break_the_certificate_is_refused(self):
+        with pytest.raises(ValueError, match=r"^value must be >= 0, got \[1.0, -0.5\]$"):
+            corpus.constant_map([1.0, -0.5])
+        with pytest.raises(ValueError, match=r"^cap must be >= 0, got -0.5$"):
+            corpus.truncation_cap(2, cap=-0.5)
+        for spec in (corpus.constant_map([0.0, 2.0]), corpus.truncation_cap(2, cap=0.0)):
+            validate_self_map(spec)  # the edge of the certificate is kept
+
+
 class TestZeroOrbitFamily:
     def test_small_family_agrees(self):
         cfg = FamilyConfig(dims=(2, 3), rhos=(0.5, 0.95), n_per_cell=2,
@@ -170,7 +198,7 @@ def reference_zero_orbit_rows(family_cfg, seed, iter_cfg):
         elif family == "translation":
             shift = rng.uniform(0.5, 1.5, size=dim)
             domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=dim))
-            spec = make_mapping(TranslationMap(shift), domain)
+            spec = MappingSpec(TranslationMap(shift), domain)
         else:
             spec = corpus.identity_map(dim)
         space = SpaceSpec(dim=dim, p=2.0)
@@ -337,9 +365,9 @@ def test_family_cells_take_one_engine_call_each(monkeypatch, tmp_path):
     calls = []
     engine = iterate._orbit
 
-    def counted(specs, x0s, space, cfg, beta_fn, scheme, verdicts=False):
+    def counted(specs, x0s, space, cfg, beta_fn=None, verdicts=False):
         calls.append((type(specs[0].op).__name__, len(specs), cfg.max_iter))
-        return engine(specs, x0s, space, cfg, beta_fn, scheme, verdicts)
+        return engine(specs, x0s, space, cfg, beta_fn, verdicts)
 
     monkeypatch.setattr(iterate, "_orbit", counted)
     config = workloads.Family.config
@@ -386,7 +414,7 @@ class TestConvergenceCampaigns:
     def test_overflowing_orbit_is_named_not_retried(self, monkeypatch):
         # x -> x + 1e307 passes the class hypothesis (an isometry) and its
         # orbit overflows after about 18 steps, long before the growth window
-        spec = make_mapping(TranslationMap(shift=np.full(2, 1e307)), Domain(kind="cone", cone=ORTH2))
+        spec = MappingSpec(TranslationMap(shift=np.full(2, 1e307)), Domain(kind="cone", cone=ORTH2))
         calls = []
         picard = harness.picard_orbit
         monkeypatch.setattr(harness, "picard_orbit", lambda *a, **kw: calls.append(a) or picard(*a, **kw))
@@ -554,16 +582,117 @@ def test_outputs_match_recorded_hashes(seed, tmp_path):
     assert got == GOLDEN_SHA256[seed]
 
 
-def test_traced_names_are_harness_attributes(monkeypatch):
-    # the traced benchmark wraps these names in orderfp.harness; a refactor
-    # that drops one would make `perfbench/run.py --trace 1` fail or go blind
+# SHA-256 of every output file of `orderfp verify --suite all` with the default
+# config, that is run_suites(SUITES, {}, seed), at seeds 0-5; recorded under the
+# same numpy and BLAS as GOLDEN_SHA256. Five files do not depend on the seed.
+DEFAULT_SHA256_SHARED = {
+    "summary.txt": "16b377924264fabcdc737420da08ca9533ef886e67d3b7dac33c48624a8c659c",
+    "t33_checks.csv": "3431ae4a938c5ceb42afe3818eb7e93fbdb68e5e3506b88c17deeb83b1835410",
+    "t34_checks.csv": "362e165b52dd02bc8b4378519787c1423400631a29becac18a97cf3d2875b8ed",
+    "t34_trials.csv": "85760702378e9264e8d51cb726bd4edeed431d72b9668645b39d969ddad67d63",
+    "t41-44_checks.csv": "c38a85eeb650e708cda5eb76c096c176dadc54b47d41d66cc92deebffa35db36",
+}
+DEFAULT_SHA256 = {
+    0: {
+        "c45-46_checks.csv": "ccc59c9cd3f3fe0300ead56318ebc886ffa7361bb42cadedfbace9c4cb0af9a7",
+        "t32_checks.csv": "04fd2a10816268a351ec696700d1fc23cf6f11f8a8651c8dfb28951e3c6cda31",
+    },
+    1: {
+        "c45-46_checks.csv": "5d75bd01b98faeab1d02ccdaf9acf68cd574b4f829f37b3256abbbedfea0ca28",
+        "t32_checks.csv": "d640ca67cba5632c78f74aea9e5301909bf69fbb3c9c83fa1e3916e0d25cb1d0",
+    },
+    2: {
+        "c45-46_checks.csv": "00ff4530cd1c42a827f690da5dbb5d20761bf8bae801cc2ee3a932e45efa93c1",
+        "t32_checks.csv": "99481db4e0d445cc24e6f501cfcbe0dda3e9b843acea56af96aad6d9cff0ebbf",
+    },
+    3: {
+        "c45-46_checks.csv": "eb81d330bab98e405b53c347b5c255682be18d1e5fd9b2f33ead664bd8c05b3d",
+        "t32_checks.csv": "314d02a900711c642bf5377fd6e5078a2388ea430dd65be51892476c2812e89d",
+    },
+    4: {
+        "c45-46_checks.csv": "c9de0cf54c71b64244bdc4868bb6832a4b5842545f4ada041eedcf05fdf14862",
+        "t32_checks.csv": "1cd7df22752d61fd6bb774a5353cf833607061b0eb2780104ece130b18dc54b3",
+    },
+    5: {
+        "c45-46_checks.csv": "5bb24d38690647de4271f286cf3238f89d65bdf341460be69c1c39f176338b8f",
+        "t32_checks.csv": "07db66777d258e6b16ce77ee25564c862d15a27cdc156f9bccaf8876d30fa68a",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEFAULT_SHA256))
+def test_default_outputs_match_recorded_hashes(seed, tmp_path):
+    run_suites(list(harness.SUITES), {}, seed, tmp_path)
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert got == {**DEFAULT_SHA256_SHARED, **DEFAULT_SHA256[seed]}
+
+
+def load_tracing(monkeypatch):
+    """``perfbench/tracing.py`` as a module."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_are_harness_attributes(monkeypatch):
+    # the traced benchmark wraps these names in orderfp.harness; a refactor
+    # that drops one would make `perfbench/run.py --trace 1` fail or go blind
+    tracing = load_tracing(monkeypatch)
     missing = [name for name in tracing.HARNESS_CALLS if not callable(getattr(harness, name, None))]
     assert tracing.HARNESS_CALLS and missing == []
+
+
+def test_the_registry_runs_under_the_tracer(monkeypatch, tmp_path):
+    # the tracer counts the points of every oracle answer, so an answer of None
+    # (no route decides) would end a traced `scenarios` pass; no registry map gets one
+    tracer = load_tracing(monkeypatch).Tracer()
+    tracer.install("scenarios")
+    try:
+        reports, _ = run_suites(["t32", "t33", "t41-44", "c45-46"], {}, 0, tmp_path)
+    finally:
+        tracer.restore()
+    assert harness.fixed_point_oracle is fixed_point_oracle
+    spans = [s for s in tracer.spans if s.name == "mapping.fixed_point_oracle"]
+    assert len(reports) == 19 and spans and all("points" in s.counts for s in spans)
+
+
+def registry_entry(scn: Scenario) -> dict:
+    """The config entry of a registry scenario."""
+    entry = {"id": scn.sid, "map": mapping_to_dict(scn.map), "alpha": scn.alpha, "x0_policy": scn.x0_policy,
+             "expected": scn.expected, "seed": scn.seed}
+    if scn.x0 is not None:
+        entry["x0"] = scn.x0.tolist()
+    if scn.grid_cfg is not None:
+        g = scn.grid_cfg
+        entry["grid"] = {"lo": g.lo.tolist(), "hi": g.hi.tolist(), "points_per_axis": g.points_per_axis}
+    return entry
+
+
+@st.composite
+def small_run_configs(draw):
+    """A small verify config: a family, iteration values and up to two registry scenarios a suite."""
+    registry = default_scenarios(draw(st.integers(0, 11)))
+    scenarios = {suite: [registry_entry(scn) for scn in draw(st.lists(st.sampled_from(scns), max_size=2))]
+                 for suite, scns in registry.items()}
+    family = {"dims": draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)),
+              "rhos": draw(st.lists(st.sampled_from([0.5, 0.9, 1.0]), min_size=1, max_size=2)),
+              "n_per_cell": draw(st.integers(0, 2)), "translations_per_dim": draw(st.integers(0, 1))}
+    iteration = {"max_iter": draw(st.integers(20, 2000)), "bound_threshold": draw(st.sampled_from([1e2, 1e4]))}
+    return {"samples": draw(st.sampled_from([20, 60])), "replace_scenarios": True, "scenarios": scenarios,
+            "family": family, "iteration": iteration}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(small_run_configs(), st.integers(0, 100))
+def test_the_same_seed_writes_the_same_bytes(tmp_path_factory, config, seed):
+    runs = [tmp_path_factory.mktemp("run") for _ in range(2)]
+    for out in runs:
+        run_suites(list(harness.SUITES), json.loads(json.dumps(config)), seed, out)
+    a, b = ({f.name: f.read_bytes() for f in out.iterdir()} for out in runs)
+    assert a == b and "summary.txt" in a
 
 
 # reference oracles: the former per-section config readers, which restated
@@ -787,16 +916,32 @@ class TestConfigRanges:
         assert not (tmp_path / "out").exists()
 
 
+def test_a_trial_that_no_route_decides_is_a_failed_row_with_a_caveat(monkeypatch):
+    # the probe map x -> M x + (1e-8, 0), M = [[1/2, 1/2], [1/2, 1/2]], has no
+    # fixed point; its system is degenerate and its minimum-norm solution lies
+    # off the orthant, so no route decides without a grid. The oracle's error
+    # once ended the whole run.
+    probe = MappingSpec(AffineMap(np.full((2, 2), 0.5), np.array([1e-8, 0.0])), Domain(kind="cone", cone=ORTH2))
+    draw = corpus.random_nonneg_affine
+    monkeypatch.setattr(corpus, "random_nonneg_affine", lambda dim, rhos, rngs: [probe] + draw(dim, rhos, rngs)[1:])
+    family = FamilyConfig(dims=(2,), rhos=(0.5,), n_per_cell=2, translations_per_dim=1)
+    rep, rows = verify_zero_orbit_equivalence(family, 0, IterationConfig(max_iter=1000, bound_threshold=100.0))
+    assert [(r.trial, r.verdict, r.oracle_nonempty, r.agree) for r in rows] == [
+        ("trial_000", MAX_ITER_REACHED, False, False), ("trial_001", CONVERGED, True, True),
+        ("trial_002", UNBOUNDED_SUSPECTED, False, True), ("trial_003", CONVERGED, True, True)]
+    assert rep.caveats == ["trial_000: no route decides its fixed-point set without a search grid"]
+    assert [c.name for c in rep.checks if not c.passed] == ["bounded_regime_agreement"]
+    assert "note: trial_000: no route decides" in summary_table([rep])
+
+
 def test_a_degenerate_affine_map_without_a_grid_is_a_caveat(tmp_path):
     # x -> (x1, x2/2 + 1) on [1, 2] x [1, 3] is monotone and nonexpansive, and
     # its fixed points are the line x2 = 2; the minimum-norm one, (0, 2), lies
-    # off the box, so the oracle needs a grid. The run ended in the oracle's
-    # "non-affine" error and wrote no file.
+    # off the box, so no route decides without a grid. The run once ended in
+    # the oracle's "non-affine" error and wrote no file.
     op = AffineMap(np.diag([1.0, 0.5]), np.array([0.0, 1.0]))
-    spec = make_mapping(op, Domain(kind="box", cone=ORTH2, lo=np.ones(2), hi=np.array([2.0, 3.0])))
-    with pytest.raises(ValueError, match=r"^degenerate affine \(minimum-norm solution off the domain\) "
-                                         r"fixed-point search needs a bounded GridSearchConfig$"):
-        fixed_point_oracle(spec, P2)
+    spec = MappingSpec(op, Domain(kind="box", cone=ORTH2, lo=np.ones(2), hi=np.array([2.0, 3.0])))
+    assert fixed_point_oracle(spec, P2) is None
     entry = {"id": "degenerate", "map": mapping_to_dict(spec), "x0_policy": "explicit", "x0": [1, 1]}
     reports, _ = run_suites(["t32"], {"replace_scenarios": True, "scenarios": {"t32": [entry]}}, 0, tmp_path)
     assert [r.passed for r in reports] == [True]

@@ -45,7 +45,6 @@ from orderfp.mapping import (
     TranslationMap,
     TruncationMap,
     _domain_contains_raw,
-    make_mapping,
     sample_domain_point,
 )
 from orderfp.order import MEMBERSHIP_TOL, ConeSpec, _member_raw, leq
@@ -59,7 +58,7 @@ SMALL = IterationConfig(max_iter=50_000, residual_tol=1e-10, bound_threshold=1e4
 def swap_shift_map():
     """Monotone (nonnegative matrix) map whose first step can be incomparable."""
     op = AffineMap(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]), offset=np.array([1.0, 0.0]))
-    return make_mapping(op, Domain(kind="cone", cone=ORTH2))
+    return MappingSpec(op, Domain(kind="cone", cone=ORTH2))
 
 
 class TestPicard:
@@ -351,7 +350,7 @@ def lorentz_rotation_map():
     than the axis, so the order flags of one orbit can switch."""
     c, s = np.cos(0.7), np.sin(0.7)
     matrix = np.array([[0.5 * c, -0.5 * s, 0.0], [0.5 * s, 0.5 * c, 0.0], [0.0, 0.0, 0.9]])
-    return make_mapping(AffineMap(matrix, np.array([0.0, 0.0, 1.0])), Domain(kind="cone", cone=LOR3))
+    return MappingSpec(AffineMap(matrix, np.array([0.0, 0.0, 1.0])), Domain(kind="cone", cone=LOR3))
 
 
 def interval_map(cone):
@@ -359,7 +358,7 @@ def interval_map(cone):
     hi = np.zeros(cone.dim)
     hi[-1] = 8.0
     domain = Domain(kind="interval", cone=cone, lo=np.zeros(cone.dim), hi=hi)
-    return make_mapping(AffineMap(0.5 * np.eye(cone.dim), hi / 4.0), domain)
+    return MappingSpec(AffineMap(0.5 * np.eye(cone.dim), hi / 4.0), domain)
 
 
 def _random_map(dim, rho):
@@ -545,7 +544,7 @@ class NanAbove:
 class TestNonfiniteOrbits:
     def test_overflow_to_inf_stops_at_last_finite_point(self):
         # x -> 1e200 x + 1 from 0: 0, 1, 1e200, then the image is +inf
-        spec = make_mapping(AffineMap(np.array([[1e200]]), np.ones(1)), Domain(kind="cone", cone=ORTH1))
+        spec = MappingSpec(AffineMap(np.array([[1e200]]), np.ones(1)), Domain(kind="cone", cone=ORTH1))
         rec = picard_orbit(spec, [0.0], SpaceSpec(dim=1, p=2.0))
         assert rec.verdict == NONFINITE
         assert rec.points.ravel().tolist() == [0.0, 1.0, 1e200]
@@ -601,12 +600,12 @@ def stepwise_orbit(
     x0,
     space: SpaceSpec,
     cfg: IterationConfig,
-    beta_fn,
-    scheme: str,
+    beta_fn=None,
 ) -> OrbitRecord:
     """The stepwise engine the block engine replaced, verbatim but for the
     norm helper, which is now the package's lp kernel on one unvalidated row
-    (as the block engine's): every rule runs inside each step."""
+    (as the block engine's), and the scheme, which ``beta_fn`` names: every
+    rule runs inside each step."""
     x = as_vector(x0, dim=spec.dim)
     domain, evaluate = spec.domain, spec.op.evaluate
     if not _domain_contains_raw(domain, x, MEMBERSHIP_TOL):
@@ -666,23 +665,22 @@ def stepwise_orbit(
         leq_down=down_arr,
         order_monotone=order,
         verdict=verdict,
-        scheme=scheme,
+        scheme="picard" if beta_fn is None else "mann",
     )
 
 
-def one_orbit(spec, x0, space, cfg, beta_fn, scheme):
+def one_orbit(spec, x0, space, cfg, beta_fn=None):
     """The block engine on a batch of one orbit."""
-    return _orbit([spec], [x0], space, cfg, beta_fn, scheme)[0]
+    return _orbit([spec], [x0], space, cfg, beta_fn)[0]
 
 
 def engine_outcome(engine, spec, x0, space, cfg, beta_fn=None):
     """What one engine returns or raises; the stepwise engine's overflow
     warnings are silenced."""
-    scheme = "picard" if beta_fn is None else "mann"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            return ("returned", engine(spec, x0, space, cfg, beta_fn, scheme))
+            return ("returned", engine(spec, x0, space, cfg, beta_fn))
         except Exception as exc:
             return ("raised", type(exc), str(exc))
 
@@ -860,7 +858,7 @@ class TestBlockEngine:
             mann = mann_orbit(spec, [0.0], 0.25, LINE2)
         assert rec.verdict == mann.verdict == NONFINITE
         with pytest.warns(RuntimeWarning):
-            stepwise_orbit(spec, [0.0], LINE2, IterationConfig(), None, "picard")
+            stepwise_orbit(spec, [0.0], LINE2, IterationConfig())
         assert_same_outcome(spec, [0.0], LINE2, IterationConfig())
         assert_same_outcome(spec, [0.0], LINE2, IterationConfig(), lambda n: 0.25)
 
@@ -951,9 +949,9 @@ class TestTranslationAndTrendBlocks:
         calls = []
         plain = TranslationMap.evaluate
         monkeypatch.setattr(TranslationMap, "evaluate", lambda op, x: calls.append(x) or plain(op, x))
-        rec = one_orbit(spec, x0, space, cfg, None, "picard")
+        rec = one_orbit(spec, x0, space, cfg)
         picard = len(calls)
-        mann = one_orbit(spec, x0, space, cfg, lambda n: 0.5, "mann")
+        mann = one_orbit(spec, x0, space, cfg, lambda n: 0.5)
         # the running sum calls the map only for the last point's residual;
         # the Mann orbit calls it once a step, and past the stop in its block
         assert rec.verdict == mann.verdict == UNBOUNDED_SUSPECTED and picard == 1
@@ -1048,7 +1046,7 @@ def test_block_engine_matches_stepwise_on_random_affine_maps(case):
 # batches: orbits stepped in lockstep, each held to the orbit run alone
 
 
-def alone(spec, x0, space, cfg, beta_fn, scheme):
+def alone(spec, x0, space, cfg, beta_fn=None):
     return picard_orbit(spec, x0, space, cfg)
 
 
@@ -1079,13 +1077,13 @@ def assert_batch_matches_alone(specs, x0s, space, cfg):
         outcomes.append(want[1])
     ran = [i for i, out in enumerate(outcomes) if isinstance(out, OrbitRecord)]
     if ran:
-        got = _orbit([specs[i] for i in ran], [x0s[i] for i in ran], space, cfg, None, "picard")
+        got = _orbit([specs[i] for i in ran], [x0s[i] for i in ran], space, cfg)
         assert len(got) == len(ran)
         for i, out in zip(ran, got):
             assert_same_bits(out, outcomes[i])
     if len(ran) < len(specs):
         with pytest.raises(Exception) as raised:
-            _orbit(specs, x0s, space, cfg, None, "picard")
+            _orbit(specs, x0s, space, cfg)
         assert (type(raised.value), str(raised.value)) in [out for out in outcomes if isinstance(out, tuple)]
     return outcomes
 
@@ -1172,7 +1170,7 @@ class TestLockstepBatches:
         specs = [MappingSpec(op=op, domain=domain) for op in ops]
         space = SpaceSpec(dim=d, p=2.0)
         with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
-            _orbit(specs, [np.zeros(d)] * len(specs), space, self.CFG, None, "picard")
+            _orbit(specs, [np.zeros(d)] * len(specs), space, self.CFG)
         translations = assert_batch_matches_alone(specs[::3], [np.zeros(d)] * 8, space, self.CFG)
         affine = assert_batch_matches_alone(specs[1::3], [np.zeros(d)] * 8, space, self.CFG)
         others = [assert_batch_matches_alone([s], [np.zeros(d)], space, self.CFG)[0] for s in specs[2::3]]
@@ -1184,7 +1182,7 @@ class TestLockstepBatches:
         plain = TranslationMap.evaluate
         monkeypatch.setattr(TranslationMap, "evaluate", lambda op, x: calls.append(x) or plain(op, x))
         specs, starts = zip(*(translation(np.full(2, 0.5 + i / 10)) for i in range(10)))
-        got = _orbit(list(specs), list(starts), P2, self.CFG, None, "picard")
+        got = _orbit(list(specs), list(starts), P2, self.CFG)
         # one evaluation an orbit, for its last point's residual
         assert [out.verdict for out in got] == [UNBOUNDED_SUSPECTED] * 10 and len(calls) == 10
         monkeypatch.undo()
@@ -1197,7 +1195,7 @@ class TestLockstepBatches:
         plain = iterate._row_norms
         monkeypatch.setattr(iterate, "_row_norms", lambda space, v, *a: shapes.append(v.shape) or plain(space, v, *a))
         specs = [_random_map(5, 0.95 + i / 1000) for i in range(40)]
-        got = _orbit(specs, [np.zeros(5)] * 40, SpaceSpec(dim=5, p=2.0), SMALL, None, "picard")
+        got = _orbit(specs, [np.zeros(5)] * 40, SpaceSpec(dim=5, p=2.0), SMALL)
         assert all(out.verdict == CONVERGED for out in got)
         blocks = [s for s in shapes if s[1] > 1]
         assert max(s[0] * s[1] for s in blocks) <= 2 * BLOCK_CAP
@@ -1208,7 +1206,7 @@ class TestLockstepBatches:
     def verdicts_of(specs, starts, space, cfg, beta_fn=None, verdicts=False):
         """The verdicts of one batched call, or the type and text of its error."""
         try:
-            got = _orbit(specs, starts, space, cfg, beta_fn, "picard" if beta_fn is None else "mann", verdicts)
+            got = _orbit(specs, starts, space, cfg, beta_fn, verdicts)
         except Exception as exc:
             return type(exc), str(exc)
         assert all(isinstance(out, str if verdicts else OrbitRecord) for out in got)
@@ -1247,7 +1245,7 @@ class TestLockstepBatches:
         plain = TranslationMap.evaluate
         monkeypatch.setattr(TranslationMap, "evaluate", lambda op, x: calls.append(x) or plain(op, x))
         specs, starts = zip(*(translation(np.full(2, 0.5 + i / 10)) for i in range(10)))
-        got = _orbit(list(specs), list(starts), P2, self.CFG, None, "picard", verdicts=True)
+        got = _orbit(list(specs), list(starts), P2, self.CFG, verdicts=True)
         assert got == [UNBOUNDED_SUSPECTED] * 10 and calls == []
 
     def test_mann_orbits_and_other_maps_run_alone(self):
@@ -1255,14 +1253,14 @@ class TestLockstepBatches:
         x0 = np.array([3.0, 0.5])
         for batch in (specs, specs[:1] * 2, specs[1:2] * 2):
             with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
-                _orbit(batch, [x0] * len(batch), P2, SMALL, lambda n: 0.5, "mann")
+                _orbit(batch, [x0] * len(batch), P2, SMALL, lambda n: 0.5)
         for spec in specs:
-            assert_same_record(one_orbit(spec, x0, P2, SMALL, lambda n: 0.5, "mann"),
+            assert_same_record(one_orbit(spec, x0, P2, SMALL, lambda n: 0.5),
                                mann_orbit(spec, x0, 0.5, P2, SMALL))
 
     def test_an_empty_batch(self):
         with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
-            _orbit([], [], P2, SMALL, None, "picard")
+            _orbit([], [], P2, SMALL)
 
 
 # ---------------------------------------------------------------------------
@@ -1339,7 +1337,7 @@ def test_verdict_runs_give_the_record_runs_verdicts(case):
     # budgets that end at or just before an orbit's stop, where a stop
     # found a step late or early changes the verdict
     budgets = set()
-    for rec in _orbit(specs, starts, space, cfg, None, "picard"):
+    for rec in _orbit(specs, starts, space, cfg):
         if rec.verdict != MAX_ITER_REACHED:
             budgets |= {len(rec) - 2, len(rec) - 1, len(rec)} - {0, -1}
     for n in sorted(budgets):
@@ -1430,6 +1428,6 @@ class TestVerdictRuns:
             runs = []
             for verdicts in (False, True):
                 sizes.clear()
-                _orbit(specs, [np.zeros(3)] * 4, space, LONG, None, "picard", verdicts)
+                _orbit(specs, [np.zeros(3)] * 4, space, LONG, verdicts=verdicts)
                 runs.append(list(sizes))
             assert runs[0] == runs[1] and len(runs[0]) > 3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderfp.mapping import AffineMap, Domain, domain_contains, make_mapping, mapping_from_dict
+from orderfp.mapping import AffineMap, Domain, MappingSpec, domain_contains, mapping_from_dict
 from orderfp.order import (
     MEMBERSHIP_TOL,
     ConeSpec,
@@ -194,7 +194,7 @@ class TestIntervals:
     def test_identity_on_unordered_interval_names_the_cause(self):
         # this once reported "not a self-map: image ... escapes the domain"
         with pytest.raises(ValueError, match="interval domain endpoints are not ordered under the orthant cone"):
-            make_mapping(AffineMap(np.eye(2), np.zeros(2)), interval([1.0, 1.0], [0.0, 0.0]))
+            MappingSpec(AffineMap(np.eye(2), np.zeros(2)), interval([1.0, 1.0], [0.0, 0.0]))
 
 
 class TestLattice:

@@ -553,7 +553,7 @@ OTHER_DIMENSION_CALLS = {
     "picard_orbit": lambda spec, cfg: picard_orbit(spec, [0.0, 0.0], P3),
     "mann_orbit": lambda spec, cfg: mann_orbit(spec, [0.0, 0.0], lambda n: 0.5, P3),
     "orbit_verdict_batch": lambda spec, cfg: _orbit(
-        [spec, spec], [np.zeros(2)] * 2, P3, IterationConfig(), None, "picard", verdicts=True),
+        [spec, spec], [np.zeros(2)] * 2, P3, IterationConfig(), verdicts=True),
     "monotone_nonexpansive": lambda spec, cfg: is_monotone_nonexpansive(spec, P3, cfg),
     "alpha_nonexpansive": lambda spec, cfg: is_alpha_nonexpansive(spec, P3, 0.0, cfg),
     "quasi_nonexpansive": lambda spec, cfg: is_quasi_nonexpansive(spec, P3, [[2.0, 2.0]], cfg),
