@@ -40,7 +40,6 @@ from orderfp.mapping import (
     is_monotone,
     is_monotone_nonexpansive,
     is_alpha_nonexpansive,
-    is_quasi_nonexpansive,
     check_displacement_bound,
     classify_hilbert_classes,
     fixed_point_oracle,
@@ -60,7 +59,6 @@ from orderfp.asymcenter import (
     AsymCenterResult,
     asymptotic_radius,
     solve_asym_center,
-    verify_center_is_fixed,
 )
 
 __version__ = "0.1.0"

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from orderfp.mapping import MappingSpec
 from orderfp.order import ConeSpec, sup_finite, _member_raw
-from orderfp.space import SpaceSpec, as_rows, as_vector, norm, _row_norms
+from orderfp.space import SpaceSpec, as_rows, as_vector, _row_norms
 
 
 @dataclass
@@ -63,12 +62,11 @@ class AsymCenterResult:
     z: np.ndarray
     r: float                   # attained objective value
     iterations: int            # always 0: the center is in closed form
-    fixed_point_residual: float            # ||Tz - z||, nan when no map was supplied
     certified_lower_bound: float
     gap: float                 # r - certified lower bound
 
 
-def solve_asym_center(problem: AsymCenterProblem, map_spec: MappingSpec | None = None) -> AsymCenterResult:
+def solve_asym_center(problem: AsymCenterProblem) -> AsymCenterResult:
     """Minimize the tail radius over { y >= lower_bound }: the minimizer is
     the lower bound lb itself.
 
@@ -79,23 +77,11 @@ def solve_asym_center(problem: AsymCenterProblem, map_spec: MappingSpec | None =
     """
     lb = problem.lower_bound
     r = asymptotic_radius(problem, lb)
-    residual = float("nan")
-    if map_spec is not None:
-        residual = norm(problem.space, map_spec.op.evaluate(lb) - lb)
     return AsymCenterResult(
         z=lb.copy(),
         r=r,
         iterations=0,
-        fixed_point_residual=residual,
         certified_lower_bound=r,
         gap=0.0,
     )
 
-
-def verify_center_is_fixed(
-    map_spec: MappingSpec, result: AsymCenterResult, space: SpaceSpec, tol: float = 1e-6
-) -> bool:
-    """Recompute ||Tz - z|| in the lp norm of ``space`` at the solver output
-    and compare against ``tol``."""
-    z = result.z
-    return norm(space, map_spec.op.evaluate(z) - z) <= tol

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from orderfp.asymcenter import problem_from_orbit, solve_asym_center, verify_center_is_fixed
+from orderfp.asymcenter import problem_from_orbit, solve_asym_center
 from orderfp.harness import SUITES, run_suites, summary_table
 from orderfp.iterate import (
     IterationConfig,
@@ -36,7 +36,7 @@ from orderfp.order import (
     _cone_rows,
     _member_raw,
 )
-from orderfp.space import SpaceSpec, convexity_profile
+from orderfp.space import SpaceSpec, convexity_profile, norm
 
 
 def _cmd_modulus(args) -> int:
@@ -173,19 +173,20 @@ def _cmd_asym_center(args) -> int:
     if not ascends.all():
         k = args.tail_from + int(np.argmin(ascends)) + 1
         raise ValueError(f"the tail's supremum is its centre only if it ascends: point {k} is not >= point {k - 1}")
-    map_spec = load_mapping(args.map) if args.map else None
-    result = solve_asym_center(problem, map_spec=map_spec)
+    spec = load_mapping(args.map) if args.map else None
+    result = solve_asym_center(problem)
+    z = result.z
+    residual = norm(space, spec.op.evaluate(z) - z) if spec is not None else float("nan")
     lines = [
         f"tail points          : {problem.tail.shape[0]} (from index {args.tail_from})",
-        f"center z             : {np.array2string(result.z, precision=10)}",
+        f"center z             : {np.array2string(z, precision=10)}",
         f"attained radius r    : {result.r!r}",
         f"certified lower bound: {result.certified_lower_bound!r}",
         f"optimality gap       : {result.gap!r}",
-        f"fixed-point residual : {result.fixed_point_residual!r}",
+        f"fixed-point residual : {residual!r}",
     ]
-    if map_spec is not None:
-        fixed = verify_center_is_fixed(map_spec, result, space, tol=args.fixed_tol)
-        lines.append(f"center fixed (tol {args.fixed_tol}) : {fixed}")
+    if spec is not None:
+        lines.append(f"center fixed (tol {args.fixed_tol}) : {residual <= args.fixed_tol}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -46,8 +46,9 @@ class IterationConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.residual_tol <= 0 or self.bound_threshold <= 0:
-            raise ValueError("residual_tol and bound_threshold must be positive")
+        for name in ("residual_tol", "bound_threshold"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {getattr(self, name)}")
         if self.window < 0:
             raise ValueError(f"window must be >= 0, got {self.window}")
 

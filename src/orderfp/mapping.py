@@ -43,10 +43,6 @@ class IncomparableError(ValueError):
     """Arguments are not comparable under the cone order."""
 
 
-class NotFixedPointError(ValueError):
-    """A point supplied as a fixed point has a large residual."""
-
-
 # fixed-point residuals are accepted up to FIXED_POINT_TOL
 FIXED_POINT_TOL = 1e-8
 LATTICE_NODE_CAP = 1024  # lattice nodes an exhaustive check takes: it holds all N(N+1)/2 node pairs
@@ -333,6 +329,13 @@ class SamplerConfig:
     n_samples: int = 200
     seed: int = 0
 
+    def __post_init__(self):
+        # no samples would pass every check, and numpy refuses a negative seed without naming it
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 # attempts at a comparable pair by rejection (Lorentz-cone orders) before giving up
 PAIR_TRIES = 10_000
@@ -493,47 +496,6 @@ def is_alpha_nonexpansive(
     return _pair_report("alpha_nonexpansive", spec, x, y, ineq, alpha)
 
 
-def is_quasi_nonexpansive(
-    spec: MappingSpec,
-    space: SpaceSpec,
-    fixed_points,
-    cfg: SamplerConfig | None = None,
-) -> PropertyReport:
-    """Sampled check that ||Tx - p|| <= ||x - p|| for supplied fixed points p
-    and x comparable with p.
-
-    A supplied point with residual above ``FIXED_POINT_TOL`` raises
-    ``NotFixedPointError`` (a usage error, not a property failure).
-    """
-    fixed_points = [as_vector(p, dim=spec.dim) for p in fixed_points]
-    if not fixed_points:
-        raise NotFixedPointError("no fixed points supplied")
-    for p in fixed_points:
-        res = norm(space, spec.op.evaluate(p) - p)
-        if res > FIXED_POINT_TOL:
-            raise NotFixedPointError(f"supplied point {p} has residual {res:.3e}")
-    cfg = cfg or SamplerConfig()
-    n = cfg.n_samples
-    rng = np.random.default_rng(cfg.seed)
-    # sample k draws x_k above p_k = fixed_points[k % m] for even k, below it
-    # for odd k; samples outside the domain are skipped
-    p = np.array(fixed_points)[np.arange(n) % len(fixed_points)]
-    above = (np.arange(n) % 2 == 0)[:, None]
-    if isinstance(spec.op, GridMap):
-        # comparable lattice point: join/meet of a random index with p's
-        idx = _lattice_indices(spec.op, rng, n)
-        idx_p = np.array(spec.op.index_of(p)).T
-        idx = np.where(above, np.maximum(idx, idx_p), np.minimum(idx, idx_p))
-        x = spec.op.origin + spec.op.step * idx.astype(float)
-    else:
-        d = _cone_rows(spec.domain.cone, rng, n, 1.0)
-        x = np.where(above, p + d, p - d)
-    inside = _domain_contains_raw(spec.domain, x, MEMBERSHIP_TOL)
-    x, p = x[inside], p[inside]
-    lhs, rhs = _row_norms(space, np.stack([as_rows(spec.op.evaluate(x), spec.dim) - p, x - p]))
-    return PropertyReport.from_rows("quasi_nonexpansive", x, p, lhs, rhs, lhs > rhs + _slack(rhs))
-
-
 def check_displacement_bound(spec: MappingSpec, space: SpaceSpec, alpha: float, x, y) -> bool:
     """Check the displacement-corrected expansion bound on a comparable pair:
 
@@ -631,8 +593,8 @@ class GridSearchConfig:
         object.__setattr__(self, "hi", as_vector(self.hi, dim=np.asarray(self.lo).size))
         if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
             raise ValueError("fixed-point search region must be bounded")
-        if self.points_per_axis < 0:
-            raise ValueError(f"points_per_axis must be >= 0, got {self.points_per_axis}")
+        if self.points_per_axis < 1:  # an empty scan would read as "no fixed point"
+            raise ValueError(f"points_per_axis must be >= 1, got {self.points_per_axis}")
 
 
 def as_affine(op) -> tuple[np.ndarray, np.ndarray] | None:

@@ -201,9 +201,25 @@ def test_a_non_finite_alpha_ends_in_one_line(contraction_file, capsys):
     assert capsys.readouterr() == ("", "alpha must be a finite number < 1, got nan\n")
 
 
-def test_a_bad_option_value_ends_in_one_line(capsys):
-    assert main(["modulus", "--p", "0.5"]) == 2
-    assert capsys.readouterr() == ("", "p must lie in (1, inf), got 0.5\n")
+def test_a_bad_option_value_ends_in_one_line(tmp_path, contraction_file, capsys):
+    out = tmp_path / "out.csv"
+    cases = [
+        (["modulus", "--p", "0.5"], "p must lie in (1, inf), got 0.5"),
+        # it ran all 100,001 points and reported max_iter_reached
+        (["iterate", "--map", str(contraction_file), "--out", str(out), "--residual-tol", "nan"],
+         "residual_tol must be a finite number > 0, got nan"),
+        (["iterate", "--map", str(contraction_file), "--out", str(out), "--bound-threshold", "inf"],
+         "bound_threshold must be a finite number > 0, got inf"),
+        # 0 samples passed every class; -3 failed in numpy, naming no option
+        (["check-mapping", "--map", str(contraction_file), "--samples", "0", "--json", str(out)],
+         "n_samples must be >= 1, got 0"),
+        (["check-mapping", "--map", str(contraction_file), "--samples", "-3"], "n_samples must be >= 1, got -3"),
+        (["check-mapping", "--map", str(contraction_file), "--seed", "-1"], "seed must be >= 0, got -1"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+        assert not out.exists()
 
 
 def test_verify_suite_passes(tmp_path, capsys):
@@ -247,19 +263,54 @@ def test_verify_deterministic_summaries(tmp_path):
         tmp_path / "b" / "t34_trials.csv").read_bytes()
 
 
+ASYM_CENTER_HEAD = (
+    "tail points          : 7 (from index 6)\n"
+    "center z             : [1.9995117188 1.9995117188]\n"
+)
+
+# Full report, pinned: the residual is ||Tz - z|| in the space's own norm
+ASYM_CENTER_REPORT = {
+    ("2", False): ASYM_CENTER_HEAD + (
+        "attained radius r    : 0.04350363985815673\n"
+        "certified lower bound: 0.04350363985815673\n"
+        "optimality gap       : 0.0\n"
+        "fixed-point residual : nan\n"
+    ),
+    ("2", True): ASYM_CENTER_HEAD + (
+        "attained radius r    : 0.04350363985815673\n"
+        "certified lower bound: 0.04350363985815673\n"
+        "optimality gap       : 0.0\n"
+        "fixed-point residual : 0.00034526698300124393\n"
+        "center fixed (tol 0.00036) : True\n"
+    ),
+    ("1.5", False): ASYM_CENTER_HEAD + (
+        "attained radius r    : 0.048831184704099896\n"
+        "certified lower bound: 0.048831184704099896\n"
+        "optimality gap       : 0.0\n"
+        "fixed-point residual : nan\n"
+    ),
+    ("1.5", True): ASYM_CENTER_HEAD + (
+        "attained radius r    : 0.048831184704099896\n"
+        "certified lower bound: 0.048831184704099896\n"
+        "optimality gap       : 0.0\n"
+        "fixed-point residual : 0.0003875490849531739\n"
+        "center fixed (tol 0.00036) : False\n"
+    ),
+}
+
+
 def test_asym_center_fixed_verdict_uses_the_space_norm(tmp_path, contraction_file, capsys):
     # the center of the 13-point orbit's tail from index 6 has residual
     # 2^-12 per coordinate: 3.45e-4 in l2, 3.88e-4 in l1.5
-    orbit = tmp_path / "orbit.csv"
+    orbit, report = tmp_path / "orbit.csv", tmp_path / "center.txt"
     assert main(["iterate", "--map", str(contraction_file), "--max-iter", "12", "--out", str(orbit)]) == 0
     capsys.readouterr()
-    assert main(["asym-center", "--orbit", str(orbit), "--tail-from", "6", "--map", str(contraction_file),
-                 "--p", "1.5", "--fixed-tol", "3.6e-4"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-2:] == [
-        "fixed-point residual : 0.0003875490849531739",
-        "center fixed (tol 0.00036) : False",
-    ]
+    for (p, with_map), want in ASYM_CENTER_REPORT.items():
+        args = ["asym-center", "--orbit", str(orbit), "--tail-from", "6", "--p", p, "--fixed-tol", "3.6e-4",
+                "--out", str(report)]
+        assert main(args + (["--map", str(contraction_file)] if with_map else [])) == 0
+        assert capsys.readouterr() == (want, "")
+        assert report.read_bytes() == want.encode("utf-8")
 
 
 # Full stdout, pinned: a change in the order or number of draws changes a

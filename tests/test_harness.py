@@ -499,15 +499,14 @@ class TestRunner:
             {"id": "cfg", "map": mapping_to_dict(corpus.truncation_cap(2)), **entry}]}}
 
     def test_a_negative_grid_size_is_refused(self, tmp_path):
-        # it failed mid-campaign with numpy's "Number of samples, -1, must be non-negative"
-        config = self.config_scenario(grid={"lo": [0, 0], "hi": [3, 3], "points_per_axis": -1})
-        with pytest.raises(ValueError, match=r"^points_per_axis must be >= 0, got -1$"):
-            run_suites(["t32"], config, 0, tmp_path)
-        # 0 stays valid: an empty scan, so the descent check is vacuous
-        config["scenarios"]["t32"][0]["grid"]["points_per_axis"] = 0
-        reports, _ = run_suites(["t32"], config, 0, tmp_path)
-        names = [c.name for c in reports[0].checks]
-        assert reports[0].passed and "descent_vacuous_no_dominating_fixed_point" in names
+        # it failed mid-campaign with numpy's "Number of samples, -1, must be
+        # non-negative"; 0 scanned no node, so t32 passed its descent check as
+        # vacuous on a map whose every point below the cap is fixed
+        for n in (-1, 0):
+            config = self.config_scenario(grid={"lo": [0, 0], "hi": [3, 3], "points_per_axis": n})
+            with pytest.raises(ValueError, match=rf"^points_per_axis must be >= 1, got {n}$"):
+                run_suites(["t32"], config, 0, tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_the_space_takes_the_maps_dimension(self, tmp_path):
         # it ended in "dimension mismatch: expected 3, got 2" inside the alpha verifier
@@ -753,8 +752,12 @@ class TestConfigSections:
         got = harness._section(config, "family", FamilyConfig())
         assert typed(got) == typed(reference_family_from_config(config))
 
-    # a text that converts and then fails the field's own check, as with the readers
-    @pytest.mark.parametrize("section", [{"residual_tol": "0"}, {"max_iter": 0}, {"window": "-1"}])
+    # a text that converts and then fails the field's own check, as with the
+    # readers; a nan tolerance ran every orbit to max_iter, an infinite one
+    # stopped each at its first point
+    @pytest.mark.parametrize("section", [{"residual_tol": "0"}, {"max_iter": 0}, {"window": "-1"},
+                                         {"residual_tol": float("nan")}, {"residual_tol": "inf"},
+                                         {"bound_threshold": float("inf")}, {"bound_threshold": "nan"}])
     def test_same_error_type(self, section):
         config = {"iteration": section}
         with pytest.raises(ValueError) as ref:
@@ -832,6 +835,9 @@ DOOR_CASES = {
     "points_per_axis-fraction": (door_scenario(grid={"lo": [0, 0], "hi": [3, 3], "points_per_axis": 7.9}),
                                  "config field grid.points_per_axis needs a JSON integer, got 7.9"),
     "space-p-text": (door_scenario(space={"p": "two"}), "config field space.p needs a JSON number, got 'two'"),
+    # t34 failed as "unbounded_regime_agreement  6 translation trials"
+    "residual_tol-infinity": ({"iteration": {"residual_tol": float("inf")}},
+                              "residual_tol must be a finite number > 0, got inf"),
     # a KeyError, and an x0 that the zero policy ignored
     "map-missing": ({"scenarios": {"t32": [{"id": "cfg"}]}}, "map needs a JSON object, got None"),
     "x0-without-explicit": (door_scenario(x0=[1, 1]),
@@ -876,6 +882,9 @@ RANGE_CASES = {
     "alpha-minus-inf": ({"alpha": float("-inf")}, "config field alpha needs a finite number < 1, got -inf"),
     "seed-negative": ({"seed": -1}, "config field seed needs an integer >= 0, got -1"),
     "grid-3-D": ({"grid": {"lo": [0, 0, 0], "hi": [3, 3, 3]}}, "config field grid is 3-D, but the map is 2-D"),
+    # the oracle scanned no node and reported no fixed point
+    "grid-no-points": ({"grid": {"lo": [0, 0], "hi": [3, 3], "points_per_axis": 0}},
+                       "points_per_axis must be >= 1, got 0"),
     # refused, but naming no field
     "x0-length": ({"x0_policy": "explicit", "x0": [1, 1, 1]},
                   "config field x0: dimension mismatch: expected 2, got 3"),
@@ -964,7 +973,7 @@ def config_entries(draw):
         "space": st.fixed_dictionaries({}, optional={"dim": st.just(2), "p": st.floats(1.1, 8.0)}),
         "grid": st.fixed_dictionaries({"lo": st.lists(st.floats(-3.0, 0.0), min_size=2, max_size=2),
                                        "hi": st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2)},
-                                      optional={"points_per_axis": st.integers(0, 9)}),
+                                      optional={"points_per_axis": st.integers(1, 9)}),
     }
     for key, values in optional.items():
         if draw(st.booleans()):

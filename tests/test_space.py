@@ -19,7 +19,6 @@ from orderfp.mapping import (
     classify_hilbert_classes,
     is_alpha_nonexpansive,
     is_monotone_nonexpansive,
-    is_quasi_nonexpansive,
 )
 from orderfp.order import ConeSpec, is_norm_monotonic
 from orderfp.space import (
@@ -556,7 +555,6 @@ OTHER_DIMENSION_CALLS = {
         [spec, spec], [np.zeros(2)] * 2, P3, IterationConfig(), verdicts=True),
     "monotone_nonexpansive": lambda spec, cfg: is_monotone_nonexpansive(spec, P3, cfg),
     "alpha_nonexpansive": lambda spec, cfg: is_alpha_nonexpansive(spec, P3, 0.0, cfg),
-    "quasi_nonexpansive": lambda spec, cfg: is_quasi_nonexpansive(spec, P3, [[2.0, 2.0]], cfg),
     "hilbert_classes": lambda spec, cfg: classify_hilbert_classes(spec, P3, cfg),
     "norm_monotonic": lambda spec, cfg: is_norm_monotonic(ConeSpec("orthant", 2), P3, 20),
     "asymptotic_radius": lambda spec, cfg: asymptotic_radius(
