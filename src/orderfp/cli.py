@@ -57,10 +57,9 @@ def _cmd_modulus(args) -> int:
 def _cmd_order_check(args) -> int:
     cone = ConeSpec(kind=args.cone, dim=args.dim)
     space = SpaceSpec(dim=args.dim, p=args.p)
-    rng = np.random.default_rng(args.seed)
-
-    gamma = normality_constant_estimate(cone, space, args.samples, seed=args.seed)
+    gamma = normality_constant_estimate(cone, space, args.samples, seed=args.seed)  # refuses a seed < 0
     mono = is_norm_monotonic(cone, space, args.samples, seed=args.seed)
+    rng = np.random.default_rng(args.seed)
 
     # sampled cone points as rows: (x, y) pairs for antisymmetry, then
     # (x, y, z) triples for the orthant's lattice axioms
@@ -164,6 +163,8 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_asym_center(args) -> int:
+    if not 0.0 < args.fixed_tol < np.inf:  # inf would call every centre fixed, and nan none
+        raise ValueError(f"--fixed-tol must be a finite number > 0, got {args.fixed_tol}")
     points = read_orbit_points(args.orbit)
     dim = points.shape[1]
     cone = ConeSpec(kind="orthant", dim=dim)

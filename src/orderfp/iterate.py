@@ -9,8 +9,8 @@ Orbits are stepped in blocks, a batch of orbits in lockstep: the stopping rules
 run once per block, row-wise, and an orbit's first row where one fires ends
 it, as if checked step by step. Each block is sized from the residual and norm
 trends of the one before, so that the last block ends near the stop. A run
-that keeps only verdicts takes lp roots only where a power sum or a block
-bound leaves a stopping rule open.
+that keeps only verdicts roots a row's power sum only where it or a block
+bound leaves a stopping rule open, or where the row's trend sizes a block.
 """
 
 from __future__ import annotations
@@ -161,25 +161,28 @@ def _verdict_norms(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts) ->
     row stands in for its norm on the same side of every rule: a residual
     at most residual_tol as 0 and one above it as the root of the cut, and a
     point at most bound_threshold as -inf (such a row is never the larger
-    side of `new > recent` while `new > threshold` holds). The open rows
-    and each orbit's last two residuals and points, from which `_next_block`
-    sizes the next block, take `_row_norms`."""
-    lo, hi, cut, top = cuts
+    side of `new > recent` while `new > threshold` holds). The open rows take
+    `_row_norms`. Each orbit's last two rows, which size the next block, take
+    s ** (1/p) of their sums s, its bits, or open if s is not normal and finite."""
+    (lo, hi, cut, top), inv = cuts, 1.0 / space.p
     s = _power_sums(space, diff)
     below = (_SUM_MIN <= s) & (s < lo)
-    res = np.where(below, 0.0, hi ** (1.0 / space.p))
+    res = np.where(below, 0.0, hi ** inv)
     res_open = ~below & ~((hi < s) & (s < math.inf))
     if np.abs(pts).max(initial=0.0) < top:  # a nan anywhere leaves the block to its sums
-        pts_open = np.zeros(pts.shape[:2], bool)
+        t, pts_open = _power_sums(space, pts[:, -2:]), np.zeros(pts.shape[:2], bool)
     else:
-        s = _power_sums(space, pts)
-        pts_open = ~((_SUM_MIN <= s) & (s < cut))
-    res_open[:, -2:] = pts_open[:, -2:] = True
-    exact = _row_norms(space, np.concatenate((diff[res_open], pts[pts_open]))[None])[0]
-    n = np.count_nonzero(res_open)
-    res[res_open] = exact[:n]
+        t = _power_sums(space, pts)
+        pts_open = ~((_SUM_MIN <= t) & (t < cut))
     norms = np.full(pts.shape[:2], -math.inf)
-    norms[pts_open] = exact[n:]
+    for out, sums, rows in ((res, s, res_open), (norms, t, pts_open)):  # each orbit's last two rows
+        out[:, -2:].flat = [v ** inv if _SUM_MIN <= v < math.inf else math.nan for v in sums[:, -2:].ravel().tolist()]
+        rows[:, -2:] |= np.isnan(out[:, -2:])
+    if res_open.any() or pts_open.any():
+        exact = _row_norms(space, np.concatenate((diff[res_open], pts[pts_open]))[None])[0]
+        n = np.count_nonzero(res_open)
+        res[res_open] = exact[:n]
+        norms[pts_open] = exact[n:]
     return res, norms
 
 

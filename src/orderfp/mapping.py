@@ -614,10 +614,29 @@ def as_affine(op) -> tuple[np.ndarray, np.ndarray] | None:
     return None
 
 
+def _radius_bounds(matrix: np.ndarray, cut: float) -> np.ndarray:
+    # Collatz-Wielandt (Wielandt 1950): rho(M) <= rho(|M|) <= max_i (|M| x)_i / x_i, x > 0.
+    # x = 1 first (the largest absolute row sum), then up to four steps x <- |M| x (top 1,
+    # floor 2**-30 through zero rows) while a bound is >= cut and each |m_ii| < cut, as
+    # rho(|M|) >= max |m_ii|. A ratio rounds within (d + 1) / 2 ulp, so a bound carries d + 2
+    # ulp; an inf, or a step that overflows, leaves it inf, and a nan nan.
+    a, slack = np.abs(matrix), 1.0 + (matrix.shape[-1] + 2) * 2.0**-52
+    with np.errstate(all="ignore"):
+        y = a.sum(axis=-1)
+        bound = y.max(axis=-1) * slack
+        todo, steps = np.flatnonzero(~(bound < cut) & (a.diagonal(axis1=-2, axis2=-1).max(axis=-1) < cut)), 4
+        while todo.size and steps:
+            x = y[todo] / y[todo].max(axis=-1, keepdims=True) + 2.0**-30
+            y[todo] = (a[todo] @ x[..., None])[..., 0]
+            bound[todo] = np.fmin(bound[todo], (y[todo] / x).max(axis=-1) * slack)
+            todo, steps = todo[~(bound[todo] < cut)], steps - 1
+    return bound
+
+
 def _affine_fixed_points(specs: list) -> list:
     """Exact linear-algebra route for specs of one dimension with finite affine
-    views (``as_affine``), stacked here for one stacked eigvals and solve; the
-    first error met is raised.
+    views (``as_affine``), stacked: one solve, and one eigvals where ``_radius_bounds``
+    leaves a spectral radius below 1 - 1e-9 open; the first error met is raised.
 
     Each spec's result is a list (possibly empty, meaning certifiably no
     fixed point anywhere) or None when the linear system is degenerate with
@@ -625,19 +644,22 @@ def _affine_fixed_points(specs: list) -> list:
     to the grid.
     """
     matrix, offset = (np.array(v) for v in zip(*(as_affine(s.op) for s in specs)))
-    system = np.eye(offset.shape[-1]) - matrix
-    below = np.abs(np.linalg.eigvals(matrix)).max(axis=-1) < 1.0 - 1e-9
-    z = np.full(offset.shape, np.nan)
+    system, cut = np.eye(offset.shape[-1]) - matrix, 1.0 - 1e-9
+    below = _radius_bounds(matrix, cut) < cut
+    z, maybe = np.zeros(offset.shape), np.zeros(len(specs), bool)  # maybe: a least-squares point
+    if not below.all():  # a matrix with an inf or nan (an inf or nan bound) raises here
+        below[~below] = np.abs(np.linalg.eigvals(matrix[~below])).max(axis=-1) < cut
+        for i, m, b in zip(np.flatnonzero(~below).tolist(), system[~below], offset[~below]):
+            zi, *_ = np.linalg.lstsq(m, b, rcond=None)  # a finite system: no error
+            if not float(np.linalg.norm(m @ zi - b)) > FIXED_POINT_TOL * (1.0 + float(np.linalg.norm(b))):
+                z[i], maybe[i] = zi, True  # else an inconsistent system: no fixed point exists at all
     z[below] = np.linalg.solve(system[below], offset[below, :, None])[..., 0]
-    out = []
-    for s, solved, m, b, zi in zip(specs, below, system, offset, z):
-        if not solved:
-            zi, *_ = np.linalg.lstsq(m, b, rcond=None)
-            if float(np.linalg.norm(m @ zi - b)) > FIXED_POINT_TOL * (1.0 + float(np.linalg.norm(b))):
-                out.append([])  # inconsistent system: no fixed point exists at all
-                continue
-        out.append([zi] if domain_contains(s.domain, zi, tol=1e-9) else [] if solved else None)
-    return out
+    as_vector(z.ravel())  # a non-finite point raises as domain_contains would
+    inside, domains = below | maybe, {id(s.domain): s.domain for s in specs}
+    for domain in domains.values():  # one membership call per distinct domain
+        rows = slice(None) if len(domains) == 1 else [s.domain is domain for s in specs]
+        inside[rows] &= _domain_contains_raw(domain, z[rows], 1e-9)
+    return [[zi] if ok else None if m else [] for zi, ok, m in zip(z, inside, maybe)]
 
 
 def fixed_point_oracle(
@@ -645,16 +667,16 @@ def fixed_point_oracle(
 ) -> list[np.ndarray] | None:
     """Independent search for fixed points inside the domain.
 
-    Affine operations are resolved by linear algebra (exact solve when the
-    spectral radius is below one). Everything else tests the nodes of a
-    bounded lattice that lie in the domain: a lattice map's own lattice, or
-    the grid of ``grid_cfg``, where an axis with lo == hi has one node. The
+    Affine operations are resolved by linear algebra (an exact solve when the spectral
+    radius, bounded by Collatz-Wielandt or else by eigvals, is below one). Everything
+    else tests the nodes of a bounded lattice that lie in the domain: a lattice map's own
+    lattice, or the grid of ``grid_cfg``, where an axis with lo == hi has one node. The
     nodes whose residual ||T x - x|| in the norm of ``space`` is at most
-    ``FIXED_POINT_TOL`` are returned in lattice order, each once, as distinct
-    nodes differ by an axis spacing (one of at most 1e-8 reports all of its
-    near-coincident fixed nodes). None when no route decides: no lattice and
-    no grid, for a map that is not affine or whose affine system is degenerate
-    with its minimum-norm solution off the domain. A grid of another dimension raises.
+    ``FIXED_POINT_TOL`` are returned in lattice order, each once, as distinct nodes differ
+    by an axis spacing (one of at most 1e-8 reports all of its near-coincident fixed
+    nodes). None when no route decides: no lattice and no grid, for a map that is not
+    affine or whose affine system is degenerate with its minimum-norm solution off the
+    domain. A grid of another dimension raises.
     """
     if as_affine(spec.op) is not None:
         direct = _affine_fixed_points([spec])[0]

@@ -155,6 +155,8 @@ def normality_constant_estimate(
     normality constant of the cone."""
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
+    if seed < 0:  # numpy refuses it naming no option
+        raise ValueError(f"seed must be >= 0, got {seed}")
     x, y = sample_dominated_pairs(cone, np.random.default_rng(seed), n_samples)
     nx, ny = _row_norms(space, np.stack([x, y]))
     nonzero = ny != 0.0
@@ -166,6 +168,8 @@ def is_norm_monotonic(cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: in
     is recorded with the witness pair."""
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
+    if seed < 0:  # numpy refuses it naming no option
+        raise ValueError(f"seed must be >= 0, got {seed}")
     x, y = sample_dominated_pairs(cone, np.random.default_rng(seed), n_samples)
     nx, ny = _row_norms(space, np.stack([x, y]))
     return PropertyReport.from_rows("norm_monotonic", x, y, nx, ny, nx > ny + NORM_MONOTONE_TOL)

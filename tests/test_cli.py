@@ -222,6 +222,24 @@ def test_a_bad_option_value_ends_in_one_line(tmp_path, contraction_file, capsys)
         assert not out.exists()
 
 
+def test_order_check_refuses_a_negative_seed_in_one_line(capsys):
+    # numpy refused it first, with "expected non-negative integer"
+    assert main(["order", "check", "--cone", "orthant", "--dim", "2", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "seed must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_asym_center_refuses_a_fixed_tol_that_is_not_a_finite_number_above_0(tmp_path, contraction_file, tol, capsys):
+    # inf called every centre fixed and nan none; the refusal comes before the
+    # orbit file is read, so a missing file is not what it names
+    args = ["asym-center", "--orbit", str(tmp_path / "missing.csv"), "--tail-from", "6", "--map",
+            str(contraction_file), "--fixed-tol", tol, "--out", str(tmp_path / "center.txt")]
+    assert main(args) == 2
+    want = f"--fixed-tol must be a finite number > 0, got {float(tol)}\n"
+    assert capsys.readouterr() == ("", want)
+    assert not (tmp_path / "center.txt").exists()
+
+
 def test_verify_suite_passes(tmp_path, capsys):
     out_dir = tmp_path / "verify"
     code = main(["verify", "--suite", "t33", "--seed", "1", "--out", str(out_dir)])

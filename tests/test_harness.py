@@ -44,9 +44,11 @@ from orderfp.mapping import (
     MappingSpec,
     TranslationMap,
     apply_map,
+    as_affine,
     fixed_point_oracle,
     mapping_to_dict,
     validate_self_map,
+    _radius_bounds,
 )
 from orderfp.order import ConeSpec, leq
 from orderfp.space import SpaceSpec
@@ -379,6 +381,64 @@ def test_family_cells_take_one_engine_call_each(monkeypatch, tmp_path):
     # any other call retries the orbits of one cell that ran out of budget
     retries = [max_iter for _, _, max_iter in calls if max_iter != budget]
     assert set(retries) <= {10 * budget} and len(retries) <= len(first)
+
+
+class TestSpectralCertificate:
+    """The affine oracle certifies a spectral radius below 1 - 1e-9 by a
+    Collatz-Wielandt bound and takes eigvals only for the matrices it leaves
+    open; its decision is the one eigvals alone makes."""
+
+    CUT = 1.0 - 1e-9
+
+    @staticmethod
+    def oracle_stacks(monkeypatch, seeds):
+        """The stacks t34's default cells hand the affine oracle at ``seeds``."""
+        stacks, plain = [], harness._affine_fixed_points
+        monkeypatch.setattr(harness, "_affine_fixed_points", lambda specs: stacks.append(specs) or plain(specs))
+        for seed in seeds:
+            verify_zero_orbit_equivalence(seed=seed)
+        monkeypatch.undo()
+        return stacks
+
+    def test_the_bound_decides_as_eigvals_on_every_t34_draw_and_shipped_map(self, monkeypatch):
+        t34 = self.oracle_stacks(monkeypatch, range(6))
+        shipped = [scn.map for seed in range(12) for scns in default_scenarios(seed).values() for scn in scns]
+        shipped += [entry.spec for entry in corpus.alpha_corpus()]
+        stacks = [(specs, True) for specs in t34]
+        stacks += [([spec], False) for spec in shipped if as_affine(spec.op) is not None]
+        drawn = 0
+        for specs, drawn_by_t34 in stacks:
+            matrix = np.array([as_affine(spec.op)[0] for spec in specs])
+            by_bound = _radius_bounds(matrix, self.CUT) < self.CUT
+            # a certified radius is one eigvals puts below the cut
+            assert (np.abs(np.linalg.eigvals(matrix[by_bound])).max(axis=-1, initial=0.0) < self.CUT).all()
+            if drawn_by_t34:  # every contractive draw is certified; translations and the identity are not
+                assert by_bound.tolist() == [not np.array_equal(m, np.eye(len(m))) for m in matrix]
+                drawn += int(by_bound.sum())
+        assert drawn == 6 * 36
+
+    def test_eigvals_sees_only_the_cells_the_bound_leaves_open(self, monkeypatch):
+        calls, inside, eigvals = [], [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append((bool(inside), a)) or eigvals(a))
+        plain = harness._affine_fixed_points
+
+        def oracle(specs):
+            inside.append(True)
+            try:
+                return plain(specs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(harness, "_affine_fixed_points", oracle)
+        rep, rows = verify_zero_orbit_equivalence(seed=0)
+        assert rep.passed
+        # one call per translation cell and one for the identity edge, each
+        # on identity matrices: no contractive draw reaches eigvals
+        cfg = FamilyConfig()
+        seen = [a for oracle_call, a in calls if oracle_call]
+        assert len(seen) == len(cfg.dims) + 1
+        assert sum(len(a) for a in seen) == cfg.translations_per_dim * len(cfg.dims) + 1
+        assert all(np.array_equal(m, np.eye(len(m))) for a in seen for m in a)
 
 
 class TestConvergenceCampaigns:

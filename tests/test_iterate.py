@@ -1414,6 +1414,33 @@ class TestVerdictRuns:
         record, verdicts = record_and_verdicts(specs, [np.ones(1)] * 2, LINE2, SMALL)
         assert verdicts == record == [NONFINITE, CONVERGED]
 
+    @pytest.mark.parametrize("rhos, zero_blocks", [((0.95, 0.99), 0), ((0.5, 0.8, 0.95, 0.99), 2)])
+    def test_only_a_block_with_an_open_row_takes_row_norms(self, monkeypatch, rhos, zero_blocks):
+        # these orbits' residuals are far from the tolerance and their points
+        # below the block bound, so a block roots only each orbit's last two
+        # power sums and calls `_row_norms` for no row, unless a residual is
+        # exactly 0 (an orbit that reached its fixed point, while the others
+        # run on in lockstep): a sum of 0 is left open
+        import orderfp.iterate as iterate
+
+        calls, zeros, inside, plain_rows, plain_block = [], [], [], iterate._row_norms, iterate._verdict_norms
+        monkeypatch.setattr(iterate, "_row_norms", lambda *args: calls.append(bool(inside)) or plain_rows(*args))
+
+        def block(space, diff, pts, cuts):
+            zeros.append(bool((diff == 0.0).all(axis=-1).any()))
+            inside.append(True)
+            try:
+                return plain_block(space, diff, pts, cuts)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(iterate, "_verdict_norms", block)
+        specs = [_random_map(3, rho) for rho in rhos]
+        got = _orbit(specs, [np.zeros(3)] * len(specs), SpaceSpec(dim=3, p=2.0), LONG, verdicts=True)
+        assert got == [CONVERGED] * len(specs) and len(zeros) > 3
+        # one call for the starting norms, and one for each block with a zero residual
+        assert sum(zeros) == zero_blocks and calls == [False] + [True] * zero_blocks
+
     def test_blocks_are_sized_as_in_a_record_run(self, monkeypatch):
         # the last two residuals and points of each orbit take exact norms,
         # so a verdict run sizes its blocks from the record run's trends

@@ -45,6 +45,7 @@ from orderfp.mapping import (
     validate_self_map,
     _affine_fixed_points,
     _domain_rows,
+    _radius_bounds,
     _op_from_dict,
     _square_scale,
 )
@@ -696,6 +697,89 @@ class TestStackedAffineOracle:
             with pytest.raises(ValueError) as batch:
                 _affine_fixed_points(specs)
         assert (type(batch.value), str(batch.value)) == (type(alone.value), str(alone.value))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_matrix_raises_the_eigvals_error(self, bad):
+        # the bound leaves a matrix with an inf or nan open, and eigvals refuses
+        # it, alone or anywhere in a stack, as when it saw every matrix
+        cone = Domain(kind="cone", cone=ConeSpec("orthant", 2))
+        contraction = MappingSpec(AffineMap(0.5 * np.eye(2), np.ones(2)), cone)
+        broken = MappingSpec(AffineMap(np.array([[0.5, bad], [0.0, 0.5]]), np.ones(2)), cone)
+        for specs in ([broken], [contraction, broken], [broken, contraction]):
+            for route in (reference_affine_fixed_points, _affine_fixed_points):
+                with pytest.raises(np.linalg.LinAlgError, match=r"^Array must not contain infs or NaNs$"):
+                    route(specs)
+
+
+def reference_affine_fixed_points(specs):
+    """The affine route with one stacked eigvals over every matrix, as it
+    was before the spectral certificate."""
+    matrix, offset = (np.array(v) for v in zip(*(as_affine(s.op) for s in specs)))
+    system = np.eye(offset.shape[-1]) - matrix
+    below = np.abs(np.linalg.eigvals(matrix)).max(axis=-1) < 1.0 - 1e-9
+    z = np.full(offset.shape, np.nan)
+    z[below] = np.linalg.solve(system[below], offset[below, :, None])[..., 0]
+    out = []
+    for s, solved, m, b, zi in zip(specs, below, system, offset, z):
+        if not solved:
+            zi, *_ = np.linalg.lstsq(m, b, rcond=None)
+            if float(np.linalg.norm(m @ zi - b)) > FIXED_POINT_TOL * (1.0 + float(np.linalg.norm(b))):
+                out.append([])
+                continue
+        out.append([zi] if domain_contains(s.domain, zi, tol=1e-9) else [] if solved else None)
+    return out
+
+
+CUT = 1.0 - 1e-9  # the spectral radius below which the affine route solves
+MATRIX_KINDS = ["signed", "nonneg", "zero", "zero_rows", "nilpotent", "permutation", "identity"]
+
+
+@st.composite
+def radius_stacks(draw):
+    """A stack of 1-4 square matrices of one size d in 1-20, each of a kind
+    the certificate meets, scaled toward a spectral radius around the cut."""
+    d = draw(st.integers(1, 20))
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(MATRIX_KINDS))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        target = draw(st.sampled_from([0.0, 0.5, 0.9, 0.995, CUT - 1e-12, CUT + 1e-12, 1.0, 2.0, 1e300]))
+        if kind in ("signed", "nonneg", "zero_rows"):
+            m = rng.normal(size=(d, d)) if kind == "signed" else rng.uniform(0.0, 1.0, size=(d, d))
+            m[rng.random(d) < (0.5 if kind == "zero_rows" else 0.0)] = 0.0
+            rho = np.abs(np.linalg.eigvals(m)).max()
+            m = m * (target / rho) if rho > 0.0 else m
+        elif kind == "nilpotent":  # strictly upper triangular: radius 0, and |M| is nilpotent too
+            m = np.triu(rng.normal(size=(d, d)), 1) * max(target, 1.0)
+        elif kind == "permutation":
+            m = target * np.eye(d)[rng.permutation(d)]
+        else:
+            m = np.eye(d) * (1.0 if kind == "identity" else 0.0)
+        stack.append(m)
+    return np.array(stack)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(radius_stacks(), st.integers(0, 2**32 - 1))
+def test_a_certified_radius_is_below_the_cut_by_eigvals(matrix, seed):
+    bound = _radius_bounds(matrix, CUT)
+    radius = np.abs(np.linalg.eigvals(matrix)).max(axis=-1)
+    assert (bound >= radius).all()
+    assert (radius[bound < CUT] < CUT).all()
+    # alone or in a stack, a matrix gets the same bound
+    assert [_radius_bounds(m[None], CUT)[0] for m in matrix] == bound.tolist()
+    # and the affine route decides, solves and tests as with eigvals alone
+    d = matrix.shape[-1]
+    offset = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(matrix), d))
+    cone = Domain(kind="cone", cone=ConeSpec("orthant", d))
+    specs = [MappingSpec(AffineMap(m, b), cone) for m, b in zip(matrix, offset)]
+
+    def points(result):  # each spec's points as bytes, or the error raised
+        if result[0] == "raised":
+            return result
+        return [None if out is None else [z.tobytes() for z in out] for out in result[1]]
+
+    assert points(outcome(_affine_fixed_points, specs)) == points(outcome(reference_affine_fixed_points, specs))
 
 
 class TestJsonRoundTrip:

@@ -313,6 +313,12 @@ class TestConeDiagnostics:
         with pytest.raises(ValueError):
             normality_constant_estimate(ORTH2, P2, 0)
 
+    @pytest.mark.parametrize("estimate", [normality_constant_estimate, is_norm_monotonic])
+    def test_a_negative_seed_is_refused_by_name(self, estimate):
+        # numpy's own refusal, "expected non-negative integer", names no seed
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            estimate(ORTH2, P2, 10, seed=-1)
+
     def test_norm_monotonic_orthant(self):
         report = is_norm_monotonic(ORTH2, P2, 500, seed=10)
         assert report.passed
