@@ -2,7 +2,7 @@
 
 The package provides lp space geometry (norms, modulus of convexity),
 cone-induced partial orders, declarative monotone self-maps with sampled
-property verifiers, Picard/Mann orbit generation, asymptotic-center
+property verifiers, Picard orbit generation, asymptotic-center
 minimization, and campaign-style verification suites with a CLI front end.
 """
 
@@ -51,7 +51,6 @@ from orderfp.iterate import (
     IterationConfig,
     OrbitRecord,
     picard_orbit,
-    mann_orbit,
     check_orbit_monotone,
 )
 from orderfp.asymcenter import (

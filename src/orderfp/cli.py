@@ -1,5 +1,5 @@
 """Command-line front end: modulus profiles, cone diagnostics, mapping checks,
-orbit generation, center solving, and the verification suites."""
+Picard orbit generation, center solving, and the verification suites."""
 
 from __future__ import annotations
 
@@ -12,13 +12,7 @@ import numpy as np
 
 from orderfp.asymcenter import problem_from_orbit, solve_asym_center
 from orderfp.harness import SUITES, run_suites, summary_table
-from orderfp.iterate import (
-    IterationConfig,
-    mann_orbit,
-    picard_orbit,
-    read_orbit_points,
-    write_orbit_csv,
-)
+from orderfp.iterate import IterationConfig, picard_orbit, read_orbit_points, write_orbit_csv
 from orderfp.mapping import (
     SamplerConfig,
     classify_hilbert_classes,
@@ -149,14 +143,10 @@ def _cmd_iterate(args) -> int:
         residual_tol=args.residual_tol,
         bound_threshold=args.bound_threshold,
     )
-    if args.scheme == "picard":
-        record = picard_orbit(spec, x0, space, cfg)
-    else:
-        beta = [float(tok) for tok in args.beta.split(",")] if "," in args.beta else float(args.beta)
-        record = mann_orbit(spec, x0, beta, space, cfg)
+    record = picard_orbit(spec, x0, space, cfg)
     write_orbit_csv(record, args.out)
     print(
-        f"{record.scheme} orbit: {len(record)} points, verdict={record.verdict}, "
+        f"picard orbit: {len(record)} points, verdict={record.verdict}, "
         f"order={record.order_monotone}, final residual={float(record.residuals[-1])!r}"
     )
     return 0
@@ -237,11 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--json", type=str, default=None, help="also write the reports as JSON")
     p_map.set_defaults(func=_cmd_check_mapping)
 
-    p_it = sub.add_parser("iterate", help="generate a Picard or Mann orbit as CSV")
+    p_it = sub.add_parser("iterate", help="generate a Picard orbit as CSV")
     p_it.add_argument("--map", type=str, required=True)
     p_it.add_argument("--x0", type=str, default="zero", help='"zero" or comma-separated coordinates')
-    p_it.add_argument("--scheme", choices=["picard", "mann"], default="picard")
-    p_it.add_argument("--beta", type=str, default="0.5", help="Mann coefficient or comma list")
     p_it.add_argument("--out", type=str, required=True)
     p_it.add_argument("--p", type=float, default=2.0)
     p_it.add_argument("--max-iter", type=int, default=100_000)

@@ -1,4 +1,4 @@
-"""Picard and Mann orbit generation with order-monotonicity tracking.
+"""Picard orbit generation with order-monotonicity tracking.
 
 Boundedness of an orbit is undecidable from finitely many iterates; the
 ``unbounded_suspected`` verdict requires both a norm above the configured
@@ -65,7 +65,6 @@ class OrbitRecord:
     leq_down: np.ndarray   # (n,) bool
     order_monotone: str
     verdict: str
-    scheme: str
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -186,17 +185,16 @@ def _verdict_norms(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts) ->
     return res, norms
 
 
-def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn=None, verdicts=False):
+def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
     """The records of the orbits of the list ``spec`` from the list ``x0``:
     one orbit, or a stack of Picard orbits of AffineMaps, or of
     TranslationMaps, on one cone, which step in lockstep as one batch and
     each leave it at its first stop; any other list is a ValueError. The
     first error met is raised. With ``verdicts``, each orbit's verdict stands
     in for its record: no trajectory or last residual is kept. The order
-    flags of a record are taken under its map's domain cone; a ``beta_fn``
-    makes the orbits Mann's, and None Picard's."""
+    flags of a record are taken under its map's domain cone."""
     kinds = {(type(s.op), s.domain.kind, s.domain.cone) for s in spec}
-    if len(spec) != 1 and not (len(kinds) == 1 and beta_fn is None and spec[0].domain.kind == "cone"
+    if len(spec) != 1 and not (len(kinds) == 1 and spec[0].domain.kind == "cone"
                                and type(spec[0].op) in _STACKED):
         raise ValueError("orbits batch only as Picard orbits of one affine or translation kind on one cone")
     domain, op, starts = spec[0].domain, spec[0].op, []
@@ -205,8 +203,7 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn=None, verdi
         if not _domain_contains_raw(domain, starts[-1], MEMBERSHIP_TOL):
             raise DomainError(f"starting point {starts[-1]} lies outside the mapping domain")
     live, x = np.arange(len(spec)), np.array(starts)
-    fields = _STACKED.get(type(op), ()) if beta_fn is None else ()
-    stack = [np.array([getattr(s.op, f) for s in spec]) for f in fields]
+    stack = [np.array([getattr(s.op, f) for s in spec]) for f in _STACKED.get(type(op), ())]
     norms0 = _row_norms(space, x[:, None])
     # each orbit's (points, norms, residuals) chunks, and its verdict
     chunks = [[(x[i][None], norms0[i], norms0[i, :0])] for i in range(len(spec))]
@@ -224,8 +221,7 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn=None, verdi
             k = max(1, min(k, cfg.max_iter - n0, BLOCK_CAP // live.size))
             xs = np.empty((live.size, k + 1, op.dim))
             xs[:, 0] = x
-            txs = xs[:, 1:] if beta_fn is None else np.empty((live.size, k, op.dim))
-            held, m, imgs = None, k, k  # steps with a next point, with an image
+            held, m = None, k  # steps with a next point
             if len(stack) == 1:  # adds in order: the bits of x + shift, step by step
                 xs[:, 1:] = stack[0][:, None]
                 np.add.accumulate(xs, axis=1, out=xs)
@@ -233,51 +229,40 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn=None, verdi
                 for j in range(k):
                     xs[:, j + 1] = (stack[0] @ xs[:, j, :, None])[..., 0] + stack[1]
             else:
-                xv, tv = xs[0], txs[0]
+                xv = xs[0]
                 for j in range(k):
                     try:
-                        tv[j] = tx = op.evaluate(xv[j])
+                        xv[j + 1] = op.evaluate(xv[j])
                     except Exception as exc:
-                        held, m, imgs = exc, j, j
+                        held, m = exc, j
                         break
-                    if beta_fn is not None:
-                        try:
-                            beta = float(beta_fn(n0 + j))
-                            if not (0.0 <= beta <= 1.0):
-                                raise ValueError(
-                                    f"invalid Mann schedule: beta_{n0 + j}={beta} outside [0, 1]"
-                                )
-                        except Exception as exc:
-                            held, m, imgs = exc, j, j + 1
-                            break
-                        xv[j + 1] = beta * xv[j] + (1.0 - beta) * tx
 
             # the stopping rules, one row per orbit; an orbit's first step
             # where one fires ends it, and within a step they rank nonfinite,
-            # escape, converged, the Mann schedule, growth
-            img, pts = txs[:, :imgs], xs[:, 1 : m + 1]
-            diff = img - xs[:, :imgs]
+            # escape, converged, growth; each point is the image of the one before
+            pts = xs[:, 1 : m + 1]
+            diff = pts - xs[:, :m]
             if verdicts:  # roots only for the rows whose side of a cut is open
                 res, new_norms = _verdict_norms(space, diff, pts, cuts)
             else:
                 both = _row_norms(space, np.concatenate((diff, pts), axis=1))
-                res, new_norms = both[:, :imgs], both[:, imgs:]
+                res, new_norms = both[:, :m], both[:, m:]
             bad = ~(res < np.inf)  # only a residual that is not < inf can come from a non-finite image
             if bad.any():
-                bad[bad] = ~np.isfinite(img[bad]).all(axis=-1)
-            esc = ~_domain_contains_raw(domain, img, 1e-9)
+                bad[bad] = ~np.isfinite(pts[bad]).all(axis=-1)
+            esc = ~_domain_contains_raw(domain, pts, 1e-9)
             recent = np.concatenate((recent, new_norms), axis=1)
             halt = _first(bad | esc | (res <= cfg.residual_tol))
             grow = _first((new_norms > cfg.bound_threshold) & (new_norms > recent[:, :m]))
-            whole = (halt == imgs) & (grow == m) & (held is None)  # ran the block through
+            whole = (halt == m) & (grow == m) & (held is None)  # ran the block through
             # a verdict needs only the orbits that stop; a record takes every orbit's chunk
             visit = np.flatnonzero(~whole) if verdicts else np.arange(live.size)
             for r, i, j, g in zip(visit.tolist(), live[visit].tolist(), halt[visit].tolist(), grow[visit].tolist()):
                 keep = nres = m  # new points and residuals that stay in the record
-                if j < imgs and j <= g:
+                if j < m and j <= g:
                     keep, nres = j, j + 1
                     if esc[r, j] and not bad[r, j]:
-                        raise DomainError(f"map escaped its domain at step {n0 + j}: image {img[r, j]}")
+                        raise DomainError(f"map escaped its domain at step {n0 + j}: image {pts[r, j]}")
                     verdict[i] = NONFINITE if bad[r, j] else CONVERGED
                 elif g < m:  # the last point's residual is taken below
                     keep = nres = g + 1
@@ -303,7 +288,7 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, beta_fn=None, verdi
                 residuals = np.append(residuals, _row_norms(space, (tx - pts[-1])[None, None]))
             up, down = _step_flags(pts, s.domain.cone)
             order = INCREASING if up.all() else DECREASING if down.all() else NEITHER
-            out.append(OrbitRecord(pts, residuals, norms, up, down, order, v, "picard" if beta_fn is None else "mann"))
+            out.append(OrbitRecord(pts, residuals, norms, up, down, order, v))
     return out
 
 
@@ -311,32 +296,6 @@ def picard_orbit(spec: MappingSpec, x0, space: SpaceSpec, cfg: IterationConfig |
     """Iterate x_{n+1} = T x_n until the residual drops below tolerance, the
     growth detector fires, or the iteration budget runs out."""
     return _orbit([spec], [x0], space, cfg or IterationConfig())[0]
-
-
-def mann_orbit(
-    spec: MappingSpec,
-    x0,
-    beta_schedule,
-    space: SpaceSpec,
-    cfg: IterationConfig | None = None,
-) -> OrbitRecord:
-    """Averaged iteration x_{n+1} = beta_n x_n + (1 - beta_n) T x_n.
-
-    ``beta_schedule`` is a constant, a sequence, or a callable n -> beta_n with
-    values in [0, 1]. The all-zero schedule reproduces the Picard orbit
-    bit for bit.
-    """
-    if callable(beta_schedule):
-        beta_fn = beta_schedule
-    elif np.isscalar(beta_schedule):
-        beta_const = float(beta_schedule)
-        beta_fn = lambda n: beta_const
-    else:
-        seq = [float(b) for b in beta_schedule]
-        if not seq:
-            raise ValueError("empty Mann schedule")
-        beta_fn = lambda n: seq[n] if n < len(seq) else seq[-1]
-    return _orbit([spec], [x0], space, cfg or IterationConfig(), beta_fn)[0]
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """CLI surface: every subcommand, file formats, and exit codes."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -110,8 +111,7 @@ def test_check_mapping_detects_expansion(tmp_path, capsys):
 
 def test_iterate_then_asym_center(tmp_path, contraction_file, capsys):
     orbit = tmp_path / "orbit.csv"
-    assert main(["iterate", "--map", str(contraction_file), "--x0", "zero",
-                 "--scheme", "picard", "--out", str(orbit)]) == 0
+    assert main(["iterate", "--map", str(contraction_file), "--x0", "zero", "--out", str(orbit)]) == 0
     with orbit.open() as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["leq_up"] == "1" and rows[0]["leq_down"] == "0"
@@ -125,12 +125,29 @@ def test_iterate_then_asym_center(tmp_path, contraction_file, capsys):
     assert "center fixed (tol 1e-06) : True" in text
 
 
-def test_iterate_mann_scheme(tmp_path, contraction_file, capsys):
-    orbit = tmp_path / "mann.csv"
-    assert main(["iterate", "--map", str(contraction_file), "--x0", "1,1",
-                 "--scheme", "mann", "--beta", "0.5", "--out", str(orbit)]) == 0
-    out = capsys.readouterr().out
-    assert "mann orbit" in out and "converged" in out
+def test_iterate_prints_and_writes_the_picard_orbit(tmp_path, contraction_file, capsys):
+    # x -> x/2 + 1 from zero: x_n = 2 - 2^(1-n), converged at n = 34
+    orbit = tmp_path / "orbit.csv"
+    assert main(["iterate", "--map", str(contraction_file), "--x0", "zero", "--out", str(orbit)]) == 0
+    assert capsys.readouterr().out == (
+        "picard orbit: 35 points, verdict=converged, order=increasing, final residual=8.231806349783991e-11\n"
+    )
+    data = orbit.read_bytes()
+    lines = data.decode().split("\r\n")
+    assert lines[:2] == ["n,x0,x1,residual,norm,leq_up,leq_down", "0,0.0,0.0,1.4142135623730951,0.0,1,0"]
+    assert lines[-2:] == ["34,1.9999999998835847,1.9999999998835847,8.231806349783991e-11,2.828427124581554,,", ""]
+    assert hashlib.sha256(data).hexdigest() == "c1d40fbdd15f6c5eab971fe4d48cd03f46bae37d18d315fda9e86031ef009d68"
+
+
+@pytest.mark.parametrize("option", [["--scheme", "mann"], ["--beta", "0.5"]], ids=["scheme", "beta"])
+def test_iterate_refuses_the_removed_mann_options(tmp_path, contraction_file, capsys, option):
+    orbit = tmp_path / "orbit.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main(["iterate", "--map", str(contraction_file), *option, "--out", str(orbit)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+    assert not orbit.exists()
 
 
 @pytest.mark.parametrize("x0, cause", [
@@ -162,8 +179,7 @@ def test_iterate_x0_off_the_domain_names_its_cause(tmp_path, contraction_file, c
 
 def test_asym_center_bad_tail_offset(tmp_path, contraction_file):
     orbit = tmp_path / "orbit.csv"
-    main(["iterate", "--map", str(contraction_file), "--x0", "zero",
-          "--scheme", "picard", "--out", str(orbit)])
+    main(["iterate", "--map", str(contraction_file), "--x0", "zero", "--out", str(orbit)])
     assert main(["asym-center", "--orbit", str(orbit), "--tail-from", "99999"]) == 2
 
 

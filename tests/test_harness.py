@@ -367,9 +367,9 @@ def test_family_cells_take_one_engine_call_each(monkeypatch, tmp_path):
     calls = []
     engine = iterate._orbit
 
-    def counted(specs, x0s, space, cfg, beta_fn=None, verdicts=False):
+    def counted(specs, x0s, space, cfg, verdicts=False):
         calls.append((type(specs[0].op).__name__, len(specs), cfg.max_iter))
-        return engine(specs, x0s, space, cfg, beta_fn, verdicts)
+        return engine(specs, x0s, space, cfg, verdicts=verdicts)
 
     monkeypatch.setattr(iterate, "_orbit", counted)
     config = workloads.Family.config

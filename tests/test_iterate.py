@@ -26,7 +26,6 @@ from orderfp.iterate import (
     UNBOUNDED_SUSPECTED,
     ChainVerdict,
     check_orbit_monotone,
-    mann_orbit,
     picard_orbit,
     read_orbit_points,
     write_orbit_csv,
@@ -105,47 +104,13 @@ class TestPicard:
             IterationConfig(residual_tol=0.0)
 
 
-class TestMann:
-    def test_zero_schedule_reproduces_picard_bitwise(self):
-        pic = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], P2)
-        man = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 0.0, P2)
-        assert man.scheme == "mann"
-        assert np.array_equal(pic.points, man.points)
-        assert np.array_equal(pic.residuals, man.residuals)
-        assert pic.verdict == man.verdict
-
-    def test_all_one_schedule_freezes_the_orbit(self):
-        cfg = IterationConfig(max_iter=25)
-        rec = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 1.0, P2, cfg)
-        assert rec.verdict == MAX_ITER_REACHED
-        assert np.max(np.abs(rec.points)) == 0.0
-
-    def test_half_schedule_converges_to_same_fixed_point(self):
-        rec = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 0.5, P2)
-        assert rec.verdict == CONVERGED
-        assert norm(P2, rec.points[-1] - np.array([2.0, 2.0])) < 1e-9
-
-    def test_schedule_as_sequence_and_callable(self):
-        seq = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], [0.5, 0.25], P2)
-        fn = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0],
-                        lambda n: 0.5 if n == 0 else 0.25, P2)
-        assert np.array_equal(seq.points, fn.points)
-
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 1.5, P2)
-        with pytest.raises(ValueError):
-            mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], -0.1, P2)
-        with pytest.raises(ValueError):
-            mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], [], P2)
-
-
 class TestOrderTracking:
     def test_constant_orbit_is_both_directions(self):
-        cfg = IterationConfig(max_iter=10)
-        rec = mann_orbit(corpus.affine_contraction(2), [0.0, 0.0], 1.0, P2, cfg)
+        # an equality chain of 11 points: a Picard orbit stops at its first repeat
+        rec = _hand_record(np.ones((11, 2)))
         chain = check_orbit_monotone(rec, ORTH2)
         assert chain.increasing and chain.decreasing
+        assert chain == ChainVerdict(True, True, None, None) == reference_chain(rec, ORTH2)
 
     def test_translation_is_increasing_only(self):
         rec = picard_orbit(corpus.unit_translation(2), [0.0, 0.0], P2, SMALL)
@@ -255,7 +220,7 @@ def _ref_norm(p, v):
     return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
 
 
-def reference_orbit(spec, x0, cone, space, cfg, beta_fn=None):
+def reference_orbit(spec, x0, cone, space, cfg):
     """The scalar engine: order flags computed inside the loop, step by step."""
     x = np.asarray(x0, dtype=float)
     if not _ref_domain_contains(spec.domain, x, MEMBERSHIP_TOL):
@@ -273,18 +238,11 @@ def reference_orbit(spec, x0, cone, space, cfg, beta_fn=None):
         if res <= cfg.residual_tol:
             verdict = CONVERGED
             break
-        if beta_fn is None:
-            x_next = tx
-        else:
-            beta = float(beta_fn(n))
-            if not (0.0 <= beta <= 1.0):
-                raise ValueError(f"invalid Mann schedule: beta_{n}={beta} outside [0, 1]")
-            x_next = beta * x + (1.0 - beta) * tx
-        step = x_next - x
+        step = tx - x
         up.append(_ref_member(cone, step, MEMBERSHIP_TOL))
         down.append(_ref_member(cone, -step, MEMBERSHIP_TOL))
-        points.append(x_next)
-        norms.append(_ref_norm(p, x_next))
+        points.append(tx)
+        norms.append(_ref_norm(p, tx))
         if norms[-1] > cfg.bound_threshold and len(norms) > cfg.window:
             if norms[-1] > norms[-1 - cfg.window]:
                 verdict = UNBOUNDED_SUSPECTED
@@ -308,7 +266,6 @@ def reference_orbit(spec, x0, cone, space, cfg, beta_fn=None):
         leq_down=down_arr,
         order_monotone=order,
         verdict=verdict,
-        scheme="picard" if beta_fn is None else "mann",
     )
 
 
@@ -337,9 +294,7 @@ def assert_same_record(rec, ref):
         got, want = getattr(rec, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name
-    assert (rec.order_monotone, rec.verdict, rec.scheme) == (
-        ref.order_monotone, ref.verdict, ref.scheme
-    )
+    assert (rec.order_monotone, rec.verdict) == (ref.order_monotone, ref.verdict)
 
 
 LOR3 = ConeSpec(kind="lorentz", dim=3)
@@ -408,24 +363,6 @@ class TestReferenceEngine:
             reference_orbit(spec, x0, cone, space, SMALL),
         )
 
-    @pytest.mark.parametrize(
-        "schedule, beta_fn",
-        [
-            (0.5, lambda n: 0.5),
-            ([0.5, 0.25, 0.75], lambda n: [0.5, 0.25, 0.75][min(n, 2)]),
-            (lambda n: 1.0 / (n + 2), lambda n: 1.0 / (n + 2)),
-        ],
-        ids=["constant", "sequence", "callable"],
-    )
-    @pytest.mark.parametrize("spec_fn", [lambda: corpus.affine_contraction(2), lambda: _random_map(2, 0.95)])
-    def test_mann_schedules(self, schedule, beta_fn, spec_fn):
-        spec = spec_fn()
-        x0 = [3.0, 0.5]
-        assert_same_record(
-            mann_orbit(spec, x0, schedule, P2, SMALL),
-            reference_orbit(spec, x0, spec.domain.cone, P2, SMALL, beta_fn),
-        )
-
     def test_max_iter_reached(self):
         cfg = IterationConfig(max_iter=25)
         rec = picard_orbit(corpus.affine_contraction(2), [0.0, 0.0], P2, cfg)
@@ -479,7 +416,6 @@ def _hand_record(points, order=INCREASING, cone=ORTH2):
         leq_down=np.zeros(len(pts) - 1, dtype=bool),
         order_monotone=order,
         verdict=CONVERGED,
-        scheme="picard",
     )
 
 
@@ -565,8 +501,6 @@ class TestNonfiniteOrbits:
         assert rec.points[:, 1].tolist() == [0.0, 1.0, 3.0, 7.0, 15.0]
         assert np.isnan(rec.residuals[-1]) and np.isfinite(rec.residuals[:-1]).all()
         assert len(rec.residuals) == len(rec.norms) == len(rec) and rec.order_monotone == INCREASING
-        mann = mann_orbit(spec, [0.0, 0.0], 0.5, P2)
-        assert mann.verdict == NONFINITE and np.isfinite(mann.points).all()
 
     def test_minus_inf_image_is_nonfinite(self):
         esc = MappingSpec(
@@ -600,12 +534,10 @@ def stepwise_orbit(
     x0,
     space: SpaceSpec,
     cfg: IterationConfig,
-    beta_fn=None,
 ) -> OrbitRecord:
     """The stepwise engine the block engine replaced, verbatim but for the
     norm helper, which is now the package's lp kernel on one unvalidated row
-    (as the block engine's), and the scheme, which ``beta_fn`` names: every
-    rule runs inside each step."""
+    (as the block engine's): every rule runs inside each step."""
     x = as_vector(x0, dim=spec.dim)
     domain, evaluate = spec.domain, spec.op.evaluate
     if not _domain_contains_raw(domain, x, MEMBERSHIP_TOL):
@@ -632,13 +564,7 @@ def stepwise_orbit(
         if res <= cfg.residual_tol:
             verdict = CONVERGED
             break
-        if beta_fn is None:
-            x = tx
-        else:
-            beta = float(beta_fn(n))
-            if not (0.0 <= beta <= 1.0):
-                raise ValueError(f"invalid Mann schedule: beta_{n}={beta} outside [0, 1]")
-            x = beta * x + (1.0 - beta) * tx
+        x = tx
         points.append(x)
         norms.append(_kernel_norm(space, x))
         if norms[-1] > cfg.bound_threshold and len(norms) > cfg.window:
@@ -665,30 +591,34 @@ def stepwise_orbit(
         leq_down=down_arr,
         order_monotone=order,
         verdict=verdict,
-        scheme="picard" if beta_fn is None else "mann",
     )
 
 
-def one_orbit(spec, x0, space, cfg, beta_fn=None):
+def one_orbit(spec, x0, space, cfg):
     """The block engine on a batch of one orbit."""
-    return _orbit([spec], [x0], space, cfg, beta_fn)[0]
+    return _orbit([spec], [x0], space, cfg)[0]
 
 
-def engine_outcome(engine, spec, x0, space, cfg, beta_fn=None):
+def one_verdict(spec, x0, space, cfg):
+    """The block engine's verdict for one orbit."""
+    return _orbit([spec], [x0], space, cfg, verdicts=True)[0]
+
+
+def engine_outcome(engine, spec, x0, space, cfg):
     """What one engine returns or raises; the stepwise engine's overflow
     warnings are silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            return ("returned", engine(spec, x0, space, cfg, beta_fn))
+            return ("returned", engine(spec, x0, space, cfg))
         except Exception as exc:
             return ("raised", type(exc), str(exc))
 
 
-def assert_same_outcome(spec, x0, space, cfg, beta_fn=None):
+def assert_same_outcome(spec, x0, space, cfg):
     """Both engines give bit-identical records, or the same error type and text."""
-    got = engine_outcome(one_orbit, spec, x0, space, cfg, beta_fn)
-    want = engine_outcome(stepwise_orbit, spec, x0, space, cfg, beta_fn)
+    got = engine_outcome(one_orbit, spec, x0, space, cfg)
+    want = engine_outcome(stepwise_orbit, spec, x0, space, cfg)
     assert got[0] == want[0], (got, want)
     if got[0] == "raised":
         assert got == want
@@ -698,7 +628,7 @@ def assert_same_outcome(spec, x0, space, cfg, beta_fn=None):
         a, b = getattr(rec, name), getattr(ref, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name  # NaN-safe: the bits themselves
-    assert (rec.order_monotone, rec.verdict, rec.scheme) == (ref.order_monotone, ref.verdict, ref.scheme)
+    assert (rec.order_monotone, rec.verdict) == (ref.order_monotone, ref.verdict)
     return got
 
 
@@ -780,6 +710,13 @@ class TestBlockEngine:
     def test_first_stop_at_block_edges(self, kind, step):
         spec, x0, cfg = stop_case(kind, step)
         got = assert_same_outcome(spec, x0, LINE2, cfg)
+        # a verdict run stops at the same step or raises the same error, but
+        # takes no residual of the last point
+        verdict = engine_outcome(one_verdict, spec, x0, LINE2, cfg)
+        if kind == "unbounded_then_raise":
+            assert verdict == ("returned", UNBOUNDED_SUSPECTED)
+        else:
+            assert verdict == (got if got[0] == "raised" else ("returned", got[1].verdict))
         if kind.startswith("escape"):
             assert got[1] is DomainError and f"escaped its domain at step {step}:" in got[2]
         elif kind in ("raise", "unbounded_then_raise"):
@@ -793,12 +730,10 @@ class TestBlockEngine:
             assert len(rec) == step + (2 if rec.verdict == UNBOUNDED_SUSPECTED else 1)
 
     @pytest.mark.parametrize("max_iter", [1, 7, 8, 9, 100] + BLOCK_ENDS[-2:])
-    @pytest.mark.parametrize("beta", [None, 0.5])
-    def test_budget_ends_inside_and_on_block_edges(self, max_iter, beta):
+    def test_budget_ends_inside_and_on_block_edges(self, max_iter):
         cfg = IterationConfig(max_iter=max_iter, bound_threshold=1e12)
-        beta_fn = None if beta is None else (lambda n: beta)
         for spec in (MappingSpec(op=TranslationMap(np.ones(1)), domain=CONE1), converges_at(50)):
-            got = assert_same_outcome(spec, [0.0], LINE2, cfg, beta_fn)
+            got = assert_same_outcome(spec, [0.0], LINE2, cfg)
             rec = got[1]
             if rec.verdict == MAX_ITER_REACHED:
                 assert len(rec) == len(rec.residuals) == max_iter + 1
@@ -823,30 +758,17 @@ class TestBlockEngine:
         assert got[1:] == (DomainError, "point [10.] lies outside the lattice box")
 
     @pytest.mark.parametrize("step", [0, 3, 7, 8, 9])
-    def test_invalid_beta_on_a_converging_step_is_never_read(self, step):
-        beta_fn = lambda n: 0.0 if n < step else 2.0
-        got = assert_same_outcome(converges_at(step), [0.0], LINE2, LONG, beta_fn)
-        assert got[1].verdict == CONVERGED
-
-    @pytest.mark.parametrize("step", [0, 3, 7, 8, 9])
-    @pytest.mark.parametrize("bad", [2.0, -0.25, math.nan])
-    def test_invalid_beta_on_a_live_step_raises(self, step, bad):
-        beta_fn = lambda n: 0.5 if n < step else bad
-        got = assert_same_outcome(converges_at(step + 5), [0.0], LINE2, LONG, beta_fn)
-        assert got[1:] == (ValueError, f"invalid Mann schedule: beta_{step}={bad} outside [0, 1]")
-
-    @pytest.mark.parametrize("step", [0, 3, 7, 8, 9])
-    def test_schedule_raising_past_the_stop_never_surfaces(self, step):
-        def beta_fn(n):
-            if n >= step:
-                raise RuntimeError(f"schedule has no beta_{n}")
-            return 0.0
-
-        got = assert_same_outcome(converges_at(step), [0.0], LINE2, LONG, beta_fn)
-        assert got[1].verdict == CONVERGED
-        # before the stop, the same error is raised
-        got = assert_same_outcome(converges_at(step + 5), [0.0], LINE2, LONG, beta_fn)
-        assert got[1:] == (RuntimeError, f"schedule has no beta_{step}")
+    def test_lattice_error_past_the_stop_never_surfaces(self, step):
+        # 0 -> 1 -> ... -> step -> step + 1e-7, which is off the lattice: the
+        # next step raises, after a stop at a residual_tol of 1e-6
+        values = np.arange(1.0, step + 2.0).reshape(step + 1, 1)
+        values[step] = step + 1e-7
+        spec = MappingSpec(op=GridMap(np.zeros(1), 1.0, values), domain=CONE1)
+        got = assert_same_outcome(spec, [0.0], LINE2, IterationConfig(max_iter=5000, residual_tol=1e-6))
+        assert got[1].verdict == CONVERGED and len(got[1]) == step + 1
+        # at a residual_tol of 1e-10 no step stops the orbit first, and the same error is raised
+        got = assert_same_outcome(spec, [0.0], LINE2, LONG)
+        assert got[1] is DomainError and "is not on the lattice (step 1.0)" in got[2]
 
     def test_no_warnings_from_steps_past_an_overflow(self):
         # x -> 1e200 x + 1 overflows at step 2 of the first block; the steps
@@ -855,19 +777,16 @@ class TestBlockEngine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rec = picard_orbit(spec, [0.0], LINE2)
-            mann = mann_orbit(spec, [0.0], 0.25, LINE2)
-        assert rec.verdict == mann.verdict == NONFINITE
+        assert rec.verdict == NONFINITE
         with pytest.warns(RuntimeWarning):
             stepwise_orbit(spec, [0.0], LINE2, IterationConfig())
         assert_same_outcome(spec, [0.0], LINE2, IterationConfig())
-        assert_same_outcome(spec, [0.0], LINE2, IterationConfig(), lambda n: 0.25)
 
     def test_corpus_and_campaign_shaped_orbits(self):
         for entry in corpus.alpha_corpus():
             spec = entry.spec
             for x0 in (np.zeros(spec.dim), sample_domain_point(spec, np.random.default_rng(3))):
-                for beta_fn in (None, lambda n: 1.0 / (n + 2)):
-                    assert_same_outcome(spec, x0, entry.space, SMALL, beta_fn)
+                assert_same_outcome(spec, x0, entry.space, SMALL)
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
@@ -950,14 +869,9 @@ class TestTranslationAndTrendBlocks:
         plain = TranslationMap.evaluate
         monkeypatch.setattr(TranslationMap, "evaluate", lambda op, x: calls.append(x) or plain(op, x))
         rec = one_orbit(spec, x0, space, cfg)
-        picard = len(calls)
-        mann = one_orbit(spec, x0, space, cfg, lambda n: 0.5)
-        # the running sum calls the map only for the last point's residual;
-        # the Mann orbit calls it once a step, and past the stop in its block
-        assert rec.verdict == mann.verdict == UNBOUNDED_SUSPECTED and picard == 1
-        assert len(calls) - picard >= len(mann)
+        # the running sum calls the map only for the last point's residual
+        assert rec.verdict == UNBOUNDED_SUSPECTED and len(calls) == 1
         assert_same_outcome(spec, x0, space, cfg)
-        assert_same_outcome(spec, x0, space, cfg, lambda n: 0.5)
 
     def test_every_convergence_step_up_to_1100(self):
         # the norm trend crosses 1200 near step 1200, so the last blocks end
@@ -1032,8 +946,7 @@ def affine_orbits(draw):
         domain=Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=d)),
     )
     space = SpaceSpec(dim=d, p=draw(st.sampled_from([1.5, 2.0, 3.0])))
-    beta = draw(st.none() | st.floats(0.0, 1.0))
-    return spec, x0, space, cfg, None if beta is None else (lambda n: beta)
+    return spec, x0, space, cfg
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -1046,7 +959,7 @@ def test_block_engine_matches_stepwise_on_random_affine_maps(case):
 # batches: orbits stepped in lockstep, each held to the orbit run alone
 
 
-def alone(spec, x0, space, cfg, beta_fn=None):
+def alone(spec, x0, space, cfg):
     return picard_orbit(spec, x0, space, cfg)
 
 
@@ -1055,7 +968,7 @@ def assert_same_bits(rec, ref):
         a, b = getattr(rec, name), getattr(ref, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
-    assert (rec.order_monotone, rec.verdict, rec.scheme) == (ref.order_monotone, ref.verdict, ref.scheme)
+    assert (rec.order_monotone, rec.verdict) == (ref.order_monotone, ref.verdict)
 
 
 def assert_batch_matches_alone(specs, x0s, space, cfg):
@@ -1203,10 +1116,10 @@ class TestLockstepBatches:
         assert blocks[0] == (40, 2 * BLOCK_FIRST, 5) and (40, 2 * (BLOCK_CAP // 40), 5) in blocks
 
     @staticmethod
-    def verdicts_of(specs, starts, space, cfg, beta_fn=None, verdicts=False):
+    def verdicts_of(specs, starts, space, cfg, verdicts=False):
         """The verdicts of one batched call, or the type and text of its error."""
         try:
-            got = _orbit(specs, starts, space, cfg, beta_fn, verdicts)
+            got = _orbit(specs, starts, space, cfg, verdicts=verdicts)
         except Exception as exc:
             return type(exc), str(exc)
         assert all(isinstance(out, str if verdicts else OrbitRecord) for out in got)
@@ -1233,12 +1146,11 @@ class TestLockstepBatches:
                            Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=1)))
         space, cfg = SpaceSpec(dim=1, p=2.0), dataclasses.replace(self.CFG, max_iter=7)
         want = (DomainError, "point [3.25] is not on the lattice (step 0.5)")
-        for beta_fn in (None, lambda n: 0.0):
-            args = [spec], [np.zeros(1)], space, cfg, beta_fn
-            assert self.verdicts_of(*args) == want
-            assert self.verdicts_of(*args, verdicts=True) == [MAX_ITER_REACHED]
+        args = [spec], [np.zeros(1)], space, cfg
+        assert self.verdicts_of(*args) == want
+        assert self.verdicts_of(*args, verdicts=True) == [MAX_ITER_REACHED]
         for other in (corpus.affine_contraction(1), corpus.unit_translation(1)):
-            args = [other], [np.zeros(1)], space, cfg, lambda n: 0.0
+            args = [other], [np.zeros(1)], space, cfg
             assert self.verdicts_of(*args) == self.verdicts_of(*args, verdicts=True)
         # a stacked batch evaluates no map at all for its verdicts
         calls = []
@@ -1248,15 +1160,14 @@ class TestLockstepBatches:
         got = _orbit(list(specs), list(starts), P2, self.CFG, verdicts=True)
         assert got == [UNBOUNDED_SUSPECTED] * 10 and calls == []
 
-    def test_mann_orbits_and_other_maps_run_alone(self):
+    def test_mixed_and_other_maps_run_alone(self):
         specs = [corpus.affine_contraction(2), corpus.truncation_cap(2), corpus.unit_translation(2)]
         x0 = np.array([3.0, 0.5])
-        for batch in (specs, specs[:1] * 2, specs[1:2] * 2):
+        for batch in (specs, specs[1:2] * 2):
             with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
-                _orbit(batch, [x0] * len(batch), P2, SMALL, lambda n: 0.5)
+                _orbit(batch, [x0] * len(batch), P2, SMALL)
         for spec in specs:
-            assert_same_record(one_orbit(spec, x0, P2, SMALL, lambda n: 0.5),
-                               mann_orbit(spec, x0, 0.5, P2, SMALL))
+            assert_same_outcome(spec, x0, P2, SMALL)
 
     def test_an_empty_batch(self):
         with pytest.raises(ValueError, match="one affine or translation kind on one cone"):

@@ -13,7 +13,7 @@ from scipy.optimize import brentq, minimize
 import orderfp
 from orderfp import corpus
 from orderfp.asymcenter import asymptotic_radius, make_problem
-from orderfp.iterate import IterationConfig, _orbit, mann_orbit, picard_orbit
+from orderfp.iterate import IterationConfig, _orbit, picard_orbit
 from orderfp.mapping import (
     SamplerConfig,
     classify_hilbert_classes,
@@ -550,7 +550,6 @@ class TestKadecKleeDeskScale:
 P3 = SpaceSpec(dim=3, p=2.0)
 OTHER_DIMENSION_CALLS = {
     "picard_orbit": lambda spec, cfg: picard_orbit(spec, [0.0, 0.0], P3),
-    "mann_orbit": lambda spec, cfg: mann_orbit(spec, [0.0, 0.0], lambda n: 0.5, P3),
     "orbit_verdict_batch": lambda spec, cfg: _orbit(
         [spec, spec], [np.zeros(2)] * 2, P3, IterationConfig(), verdicts=True),
     "monotone_nonexpansive": lambda spec, cfg: is_monotone_nonexpansive(spec, P3, cfg),
