@@ -185,8 +185,32 @@ def _settled(run, n: int, cfg: IterationConfig) -> list:
     return out
 
 
+_shared: dict | None = None  # in a `run_suites` call, its distinct settled orbits and fixed-point sets
+
+
+def _once(key: tuple, scn: Scenario, compute):
+    # compute(), or in a run this key's first value, its arrays read-only; the entry keeps scn.map, keyed by id, alive
+    if _shared is None:
+        return compute()
+    if key not in _shared:
+        value = compute()
+        for a in vars(value).values() if isinstance(value, OrbitRecord) else value or ():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        _shared[key] = scn.map, value
+    return _shared[key][1]
+
+
 def _settled_orbit(scn: Scenario, x0: np.ndarray, cfg: IterationConfig) -> OrbitRecord:
-    return _settled(lambda idx, c: [picard_orbit(scn.map, x0, scn.space, cfg=c)], 1, cfg)[0]
+    return _once(("orbit", id(scn.map), x0.tobytes(), scn.space, cfg), scn,
+                 lambda: _settled(lambda idx, c: [picard_orbit(scn.map, x0, scn.space, cfg=c)], 1, cfg)[0])
+
+
+def _fixed_points(scn: Scenario) -> list | None:
+    g = scn.grid_cfg  # fixed_point_oracle(scn.map, scn.space, g), as a list of the caller's own
+    fps = _once(("fixed points", id(scn.map), scn.space, g and (g.lo.tobytes(), g.hi.tobytes(), g.points_per_axis)),
+                scn, lambda: fixed_point_oracle(scn.map, scn.space, g))
+    return None if fps is None else list(fps)
 
 
 def _class_hypothesis(rep: CampaignReport, scn: Scenario, samples: int) -> bool:
@@ -242,7 +266,7 @@ def _descent_check(
 ) -> None:
     """If the independent search finds a fixed point on the far side of x0,
     the distance sequence to it must be non-increasing from ||x0 - z||."""
-    fps = fixed_point_oracle(scn.map, scn.space, scn.grid_cfg)
+    fps = _fixed_points(scn)
     if fps is None:
         rep.caveats.append("no bounded search region: converse descent check skipped")
         return
@@ -468,7 +492,7 @@ def verify_norm_convergence(
         return rep
     rep.add("hypothesis_bounded_orbit", True, f"{len(record)} points")
 
-    fps = fixed_point_oracle(scn.map, scn.space, scn.grid_cfg)
+    fps = _fixed_points(scn)
     last = record.points[-1]
     if fps:
         z = min(fps, key=lambda q: norm(scn.space, q - last))
@@ -532,7 +556,7 @@ def verify_cone_convergence(
         return rep
     mono = is_norm_monotonic(scn.cone, scn.space, n_samples=samples, seed=scn.seed)
     rep.add("hypothesis_norm_monotonic", mono.passed, mono.summary())
-    fps = fixed_point_oracle(scn.map, scn.space, scn.grid_cfg)
+    fps = _fixed_points(scn)
     if not fps:
         raise HypothesisError(f"{scn.sid}: empty or unavailable fixed-point set")
     rep.add("hypothesis_fixed_points_exist", True, f"{len(fps)} found")
@@ -708,25 +732,28 @@ def run_suites(
     # t34 builds its own family; the registry is only built when used
     registry = default_scenarios(seed) if set(suites) - {"t34"} else {}
 
-    reports: list[CampaignReport] = []
-    trial_rows: list[TrialRow] = []
-    for suite in suites:
-        if _verbose():
-            print(f"suite {suite}:")
-        if suite == "t34":
-            rep, rows = verify_zero_orbit_equivalence(family_cfg, seed=seed, iter_cfg=iter_cfg)
-            reports.append(rep)
-            trial_rows.extend(rows)
-            continue
-        scenarios = ([] if run.replace_scenarios else registry.get(suite, [])) + extra.get(suite, [])
-        campaign = _CAMPAIGNS[suite]
-        for scn in scenarios:
-            try:
-                reports.append(campaign(scn, iter_cfg, run.samples))
-            except HypothesisError as exc:
-                rep = CampaignReport(suite, scn.sid)
-                rep.add("hypothesis", False, f"aborted: {exc}")
+    global _shared
+    reports, trial_rows, _shared = [], [], {}  # the campaigns of this run share orbits and fixed-point sets
+    try:
+        for suite in suites:
+            if _verbose():
+                print(f"suite {suite}:")
+            if suite == "t34":
+                rep, rows = verify_zero_orbit_equivalence(family_cfg, seed=seed, iter_cfg=iter_cfg)
                 reports.append(rep)
+                trial_rows.extend(rows)
+                continue
+            scenarios = ([] if run.replace_scenarios else registry.get(suite, [])) + extra.get(suite, [])
+            campaign = _CAMPAIGNS[suite]
+            for scn in scenarios:
+                try:
+                    reports.append(campaign(scn, iter_cfg, run.samples))
+                except HypothesisError as exc:
+                    rep = CampaignReport(suite, scn.sid)
+                    rep.add("hypothesis", False, f"aborted: {exc}")
+                    reports.append(rep)
+    finally:
+        _shared = None
     _write_reports(out_dir, suites, reports, trial_rows)
     return reports, trial_rows
 

@@ -103,14 +103,9 @@ def _next_block(k: int, res: np.ndarray, norms: np.ndarray, cfg: IterationConfig
     return max(BLOCK_FIRST, int(min(2 * k, BLOCK_CAP, steps + BLOCK_SLACK)))
 
 
-# the fields a Picard batch stacks: a block of x -> x + shift is one running
-# sum, and one of x -> matrix @ x + offset takes one stacked product a step
+# the fields a Picard batch stacks, each (dim, 1) or (dim, dim): a block of x -> x + shift
+# is one running sum, and one of x -> matrix @ x + offset one stacked product a step
 _STACKED = {TranslationMap: ("shift",), AffineMap: ("matrix", "offset")}
-
-
-def _first(mask: np.ndarray) -> np.ndarray:
-    # per row, the index of its first True, or its length if it has none
-    return np.concatenate((mask, np.ones((len(mask), 1), bool)), axis=1).argmax(axis=1)
 
 
 # A verdict run decides a stopping rule without a root where its side is
@@ -162,10 +157,10 @@ def _verdict_norms(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts) ->
     point at most bound_threshold as -inf (such a row is never the larger
     side of `new > recent` while `new > threshold` holds). The open rows take
     `_row_norms`. Each orbit's last two rows, which size the next block, take
-    s ** (1/p) of their sums s, its bits, or open if s is not normal and finite."""
+    s ** (1/p) of their sums s, its bits (0 for a zero row), or open if s is not normal and finite."""
     (lo, hi, cut, top), inv = cuts, 1.0 / space.p
     s = _power_sums(space, diff)
-    below = (_SUM_MIN <= s) & (s < lo)
+    below = ((_SUM_MIN <= s) | (s == 0.0)) & (s < lo)  # a sum of 0 has its root below a normal lo's
     res = np.where(below, 0.0, hi ** inv)
     res_open = ~below & ~((hi < s) & (s < math.inf))
     if np.abs(pts).max(initial=0.0) < top:  # a nan anywhere leaves the block to its sums
@@ -174,8 +169,9 @@ def _verdict_norms(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts) ->
         t = _power_sums(space, pts)
         pts_open = ~((_SUM_MIN <= t) & (t < cut))
     norms = np.full(pts.shape[:2], -math.inf)
-    for out, sums, rows in ((res, s, res_open), (norms, t, pts_open)):  # each orbit's last two rows
-        out[:, -2:].flat = [v ** inv if _SUM_MIN <= v < math.inf else math.nan for v in sums[:, -2:].ravel().tolist()]
+    for out, sums, rows, v in ((res, s, res_open, diff), (norms, t, pts_open, pts)):  # each orbit's last two rows
+        out[:, -2:] = [[x ** inv if _SUM_MIN <= x < math.inf or x == 0.0 and not v[r, c - len(row)].any() else math.nan
+                        for c, x in enumerate(row)] for r, row in enumerate(sums[:, -2:].tolist())]
         rows[:, -2:] |= np.isnan(out[:, -2:])
     if res_open.any() or pts_open.any():
         exact = _row_norms(space, np.concatenate((diff[res_open], pts[pts_open]))[None])[0]
@@ -193,41 +189,39 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
     first error met is raised. With ``verdicts``, each orbit's verdict stands
     in for its record: no trajectory or last residual is kept. The order
     flags of a record are taken under its map's domain cone."""
-    kinds = {(type(s.op), s.domain.kind, s.domain.cone) for s in spec}
-    if len(spec) != 1 and not (len(kinds) == 1 and spec[0].domain.kind == "cone"
-                               and type(spec[0].op) in _STACKED):
+    if len(spec) != 1 and not (len({(type(s.op), s.domain.kind, s.domain.cone) for s in spec}) == 1
+                               and spec[0].domain.kind == "cone" and type(spec[0].op) in _STACKED):
         raise ValueError("orbits batch only as Picard orbits of one affine or translation kind on one cone")
     domain, op, starts = spec[0].domain, spec[0].op, []
     for s, start in zip(spec, x0):
         starts.append(as_vector(start, dim=s.dim))
         if not _domain_contains_raw(domain, starts[-1], MEMBERSHIP_TOL):
             raise DomainError(f"starting point {starts[-1]} lies outside the mapping domain")
-    live, x = np.arange(len(spec)), np.array(starts)
-    stack = [np.array([getattr(s.op, f) for s in spec]) for f in _STACKED.get(type(op), ())]
-    norms0 = _row_norms(space, x[:, None])
+    live, x = list(range(len(spec))), np.array(starts)
+    stack = [np.array([getattr(s.op, f) for s in spec]).reshape(*x.shape, -1) for f in _STACKED.get(type(op), ())]
     # each orbit's (points, norms, residuals) chunks, and its verdict
-    chunks = [[(x[i][None], norms0[i], norms0[i, :0])] for i in range(len(spec))]
-    verdict = [MAX_ITER_REACHED] * len(spec)
-    # norms of the `window` points before the block, +inf before x_0; a
-    # window longer than the budget could never look back far enough
+    chunks, verdict = [[] for _ in spec], [MAX_ITER_REACHED] * len(spec)
+    # norms of the `window` points before the block's start, +inf before x_0;
+    # a window longer than the budget could never look back far enough
     window = min(cfg.window, cfg.max_iter + 1)
-    recent = np.concatenate((np.full((live.size, window), np.inf), norms0), axis=1)[:, 1:]
+    recent = np.full((len(spec), window), np.inf)
     n0, k, cuts = 0, BLOCK_FIRST, _verdict_cuts(space, cfg) if verdicts else None
     with np.errstate(all="ignore"):
-        while live.size and n0 < cfg.max_iter:
-            # the recurrence alone, k steps at a time and BLOCK_CAP rows in
-            # all; an error is held until the rules below show that no
-            # earlier step ends the orbit
-            k = max(1, min(k, cfg.max_iter - n0, BLOCK_CAP // live.size))
-            xs = np.empty((live.size, k + 1, op.dim))
+        while n0 < cfg.max_iter:
+            # the recurrence alone, k steps at a time and BLOCK_CAP rows in all, as k + 1
+            # slabs (orbits, dim, 1); an error is held until the rules below
+            # show that no earlier step ends the orbit
+            k = max(1, min(k, cfg.max_iter - n0, BLOCK_CAP // len(live)))
+            slabs = np.empty((k + 1, len(live), op.dim, 1))
+            xs = slabs[..., 0].swapaxes(0, 1)  # one row of k + 1 points per orbit
             xs[:, 0] = x
             held, m = None, k  # steps with a next point
             if len(stack) == 1:  # adds in order: the bits of x + shift, step by step
-                xs[:, 1:] = stack[0][:, None]
-                np.add.accumulate(xs, axis=1, out=xs)
+                slabs[1:] = stack[0]
+                np.add.accumulate(slabs, out=slabs)
             elif stack:  # one product per orbit: the bits of matrix @ x + offset
-                for j in range(k):
-                    xs[:, j + 1] = (stack[0] @ xs[:, j, :, None])[..., 0] + stack[1]
+                for y, y1 in zip(slabs, slabs[1:]):
+                    np.add(np.matmul(stack[0], y, out=y1), stack[1], out=y1)
             else:
                 xv = xs[0]
                 for j in range(k):
@@ -237,27 +231,29 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
                         held, m = exc, j
                         break
 
-            # the stopping rules, one row per orbit; an orbit's first step
-            # where one fires ends it, and within a step they rank nonfinite,
-            # escape, converged, growth; each point is the image of the one before
+            # the stopping rules, one row per orbit; an orbit's first step where one fires ends it, and
+            # within a step they rank nonfinite, escape, converged, growth; each point is the image of the
+            # one before. `norms` holds the start's and the points'; a record keeps the start's at n0 = 0
             pts = xs[:, 1 : m + 1]
             diff = pts - xs[:, :m]
             if verdicts:  # roots only for the rows whose side of a cut is open
-                res, new_norms = _verdict_norms(space, diff, pts, cuts)
+                res, norms = _verdict_norms(space, diff, xs[:, : m + 1], cuts)
             else:
-                both = _row_norms(space, np.concatenate((diff, pts), axis=1))
-                res, new_norms = both[:, :m], both[:, m:]
+                both = _row_norms(space, np.concatenate((diff, xs[:, : m + 1]), axis=1))
+                res, norms = both[:, :m], both[:, m:]
             bad = ~(res < np.inf)  # only a residual that is not < inf can come from a non-finite image
-            if bad.any():
+            if np.count_nonzero(bad):
                 bad[bad] = ~np.isfinite(pts[bad]).all(axis=-1)
             esc = ~_domain_contains_raw(domain, pts, 1e-9)
-            recent = np.concatenate((recent, new_norms), axis=1)
-            halt = _first(bad | esc | (res <= cfg.residual_tol))
-            grow = _first((new_norms > cfg.bound_threshold) & (new_norms > recent[:, :m]))
-            whole = (halt == m) & (grow == m) & (held is None)  # ran the block through
+            recent = np.concatenate((recent, norms), axis=1)
+            fires = np.ones((2, len(live), m + 1), bool)  # per orbit, the first step where [halt, grow] fires, or m
+            np.logical_or(bad | esc, res <= cfg.residual_tol, out=fires[0, :, :m])
+            np.logical_and(norms[:, 1:] > cfg.bound_threshold, norms[:, 1:] > recent[:, 1 : m + 1], out=fires[1, :, :m])
+            halt, grow = fires.argmax(axis=2).tolist()
+            on = [r for r, (j, g) in enumerate(zip(halt, grow)) if min(j, g) == m and held is None]
             # a verdict needs only the orbits that stop; a record takes every orbit's chunk
-            visit = np.flatnonzero(~whole) if verdicts else np.arange(live.size)
-            for r, i, j, g in zip(visit.tolist(), live[visit].tolist(), halt[visit].tolist(), grow[visit].tolist()):
+            for r in range(len(live)) if not verdicts else sorted(set(range(len(live))) - set(on)):
+                i, j, g = live[r], halt[r], grow[r]
                 keep = nres = m  # new points and residuals that stay in the record
                 if j < m and j <= g:
                     keep, nres = j, j + 1
@@ -270,13 +266,14 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
                 elif held is not None:
                     raise held
                 if not verdicts:
-                    chunks[i].append((xs[r, 1 : keep + 1], new_norms[r, :keep], res[r, :nres]))
-            whole = slice(None) if whole.all() else whole  # views while no orbit leaves
-            live, x, n0 = live[whole], xs[whole, k], n0 + k
-            if live.size:  # the trend of the orbits that ran through sizes the next block
-                k = _next_block(k, res[whole], new_norms[whole], cfg)
-            recent = recent[whole, recent.shape[1] - window :]
-            stack = [a[whole] for a in stack]
+                    chunks[i].append((xs[r, min(n0, 1) : keep + 1], norms[r, min(n0, 1) : keep + 1], res[r, :nres]))
+            if not on:
+                break
+            if len(on) < len(live):  # the orbits that ran through go on
+                live, xs, res, norms, recent = [live[r] for r in on], xs[on], res[on], norms[on], recent[on]
+                stack = [a[on] for a in stack]
+            # their trend sizes the next block
+            n0, x, k, recent = n0 + k, xs[:, k], _next_block(k, res, norms, cfg), recent[:, k : k + window]
 
         if verdicts:
             return verdict

@@ -636,7 +636,7 @@ def _radius_bounds(matrix: np.ndarray, cut: float) -> np.ndarray:
 def _affine_fixed_points(specs: list) -> list:
     """Exact linear-algebra route for specs of one dimension with finite affine
     views (``as_affine``), stacked: one solve, and one eigvals where ``_radius_bounds``
-    leaves a spectral radius below 1 - 1e-9 open; the first error met is raised.
+    leaves a spectral radius below 1 - 1e-9 open, neither for an identity; the first error met is raised.
 
     Each spec's result is a list (possibly empty, meaning certifiably no
     fixed point anywhere) or None when the linear system is degenerate with
@@ -645,14 +645,16 @@ def _affine_fixed_points(specs: list) -> list:
     """
     matrix, offset = (np.array(v) for v in zip(*(as_affine(s.op) for s in specs)))
     system, cut = np.eye(offset.shape[-1]) - matrix, 1.0 - 1e-9
-    below = _radius_bounds(matrix, cut) < cut
+    below, todo = np.zeros(len(specs), bool), system.any(axis=(1, 2))  # an identity (rho = 1) takes least squares
+    for radius in (lambda m: _radius_bounds(m, cut), lambda m: np.abs(np.linalg.eigvals(m)).max(axis=-1)):
+        if np.count_nonzero(todo):  # eigvals raises for a matrix with an inf or nan, whose bound is inf or nan
+            below[todo] = radius(matrix[todo]) < cut
+            todo &= ~below
     z, maybe = np.zeros(offset.shape), np.zeros(len(specs), bool)  # maybe: a least-squares point
-    if not below.all():  # a matrix with an inf or nan (an inf or nan bound) raises here
-        below[~below] = np.abs(np.linalg.eigvals(matrix[~below])).max(axis=-1) < cut
-        for i, m, b in zip(np.flatnonzero(~below).tolist(), system[~below], offset[~below]):
-            zi, *_ = np.linalg.lstsq(m, b, rcond=None)  # a finite system: no error
-            if not float(np.linalg.norm(m @ zi - b)) > FIXED_POINT_TOL * (1.0 + float(np.linalg.norm(b))):
-                z[i], maybe[i] = zi, True  # else an inconsistent system: no fixed point exists at all
+    for i, m, b in zip(np.flatnonzero(~below).tolist(), system[~below], offset[~below]):
+        zi, *_ = np.linalg.lstsq(m, b, rcond=None)  # a finite system: no error
+        if not float(np.linalg.norm(m @ zi - b)) > FIXED_POINT_TOL * (1.0 + float(np.linalg.norm(b))):
+            z[i], maybe[i] = zi, True  # else an inconsistent system: no fixed point exists at all
     z[below] = np.linalg.solve(system[below], offset[below, :, None])[..., 0]
     as_vector(z.ravel())  # a non-finite point raises as domain_contains would
     inside, domains = below | maybe, {id(s.domain): s.domain for s in specs}

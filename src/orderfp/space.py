@@ -118,10 +118,9 @@ def _row_norms(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
             out[near] = [s**0.5 for s in flat[near].tolist()]
         else:
             out = np.array([s**inv for s in flat.tolist()])
-        redo = ((flat < _SUM_MIN) | (flat == math.inf)).nonzero()[0]
-    if redo.size:  # one test over the flagged rows: a zero row keeps its norm 0
-        rows = v.reshape(-1, v.shape[-1])[redo]
-        for k, row in zip(redo[rows.any(axis=-1)].tolist(), rows[rows.any(axis=-1)].tolist()):
+        redo = ((flat < _SUM_MIN) | (flat == math.inf)).nonzero()[0].tolist()
+    for k, row in zip(redo, v.reshape(-1, v.shape[-1])[redo].tolist() if redo else ()):
+        if any(row):  # a zero row keeps its norm 0
             out[k] = _lp_norm_floats(row, space.p)
     return out.reshape(sums.shape)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderfp import corpus, harness, iterate
+from orderfp import corpus, harness, iterate, mapping
 from orderfp.harness import (
     CAMPAIGN_ITERATION,
     FamilyConfig,
@@ -430,15 +430,18 @@ class TestSpectralCertificate:
                 inside.pop()
 
         monkeypatch.setattr(harness, "_affine_fixed_points", oracle)
+        bounded, bound = [], mapping._radius_bounds
+        monkeypatch.setattr(mapping, "_radius_bounds", lambda matrix, cut: bounded.append(matrix) or bound(matrix, cut))
         rep, rows = verify_zero_orbit_equivalence(seed=0)
         assert rep.passed
-        # one call per translation cell and one for the identity edge, each
-        # on identity matrices: no contractive draw reaches eigvals
+        # the bound certifies every contractive draw, and the identity
+        # matrices (each translation cell's and the identity edge) go straight
+        # to least squares: eigvals never runs in the oracle, and the bound
+        # sees each contractive draw and no identity
         cfg = FamilyConfig()
-        seen = [a for oracle_call, a in calls if oracle_call]
-        assert len(seen) == len(cfg.dims) + 1
-        assert sum(len(a) for a in seen) == cfg.translations_per_dim * len(cfg.dims) + 1
-        assert all(np.array_equal(m, np.eye(len(m))) for a in seen for m in a)
+        assert [a for oracle_call, a in calls if oracle_call] == []
+        assert sum(len(a) for a in bounded) == len(cfg.dims) * len(cfg.rhos) * cfg.n_per_cell
+        assert not any(np.array_equal(m, np.eye(len(m))) for a in bounded for m in a)
 
 
 class TestConvergenceCampaigns:
@@ -716,6 +719,81 @@ def test_the_registry_runs_under_the_tracer(monkeypatch, tmp_path):
     assert harness.fixed_point_oracle is fixed_point_oracle
     spans = [s for s in tracer.spans if s.name == "mapping.fixed_point_oracle"]
     assert len(reports) == 19 and spans and all("points" in s.counts for s in spans)
+
+
+class TestSharedWork:
+    """One `run_suites` call computes each distinct settled orbit (map, start,
+    space, budget) and fixed-point set (map, space, grid) once; nothing of it
+    outlives the call."""
+
+    SCENARIO_SUITES = ["t32", "t33", "t41-44", "c45-46"]
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Counts of the calls that reach `harness.picard_orbit` and `harness.fixed_point_oracle`."""
+        calls = {"picard_orbit": 0, "fixed_point_oracle": 0}
+        for name in calls:
+            plain = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, _n=name, _f=plain, **kw: calls.update({_n: calls[_n] + 1})
+                                or _f(*a, **kw))
+        return calls
+
+    def test_a_run_computes_each_distinct_orbit_and_fixed_point_set_once(self, monkeypatch, tmp_path):
+        calls = self.counted(monkeypatch)
+        first, _ = run_suites(self.SCENARIO_SUITES, {}, 0, tmp_path / "a")
+        assert calls == {"picard_orbit": 23, "fixed_point_oracle": 8}  # 31 and 19 without sharing
+        assert harness._shared is None
+        # a second run in the same process recomputes everything, and writes the same bytes
+        second, _ = run_suites(self.SCENARIO_SUITES, {}, 0, tmp_path / "b")
+        assert calls == {"picard_orbit": 46, "fixed_point_oracle": 16}
+        assert [(tmp_path / d / "summary.txt").read_bytes() for d in "ab"] == [summary_table(first).encode()] * 2
+
+    def test_a_run_that_raises_leaves_nothing_behind(self, monkeypatch, tmp_path):
+        def broken(*args, **kwargs):
+            assert harness._shared  # the orbits of the run so far are kept
+            raise RuntimeError("oracle failed")
+
+        monkeypatch.setattr(harness, "fixed_point_oracle", broken)
+        with pytest.raises(RuntimeError, match="oracle failed"):
+            run_suites(["t32"], {}, 0, tmp_path)
+        assert harness._shared is None
+        # a campaign outside a run computes its own orbit, as before
+        calls = self.counted(monkeypatch)
+        harness._settled_orbit(scenario(corpus.affine_contraction(2)), np.zeros(2), FAST)
+        harness._settled_orbit(scenario(corpus.affine_contraction(2)), np.zeros(2), FAST)
+        assert calls["picard_orbit"] == 2
+
+    def test_shared_records_are_read_only_and_each_caller_gets_its_own_list(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        monkeypatch.setattr(harness, "_shared", {})
+        truncation = corpus.truncation_cap(2)
+        grid = GridSearchConfig(lo=np.zeros(2), hi=np.full(2, 3.0), points_per_axis=7)
+        scns = [scenario(truncation, grid_cfg=GridSearchConfig(grid.lo, grid.hi, 7)) for _ in range(2)]
+        records = [harness._settled_orbit(scn, np.zeros(2), FAST) for scn in scns]
+        found = [harness._fixed_points(scn) for scn in scns]
+        assert calls == {"picard_orbit": 1, "fixed_point_oracle": 1}  # equal grids, one key
+        assert records[0] is records[1] and found[0] is not found[1] and list(map(id, found[0])) == list(map(id, found[1]))
+        for a in (records[0].points, records[0].residuals, records[0].norms, records[0].leq_up, found[0][0]):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        found[0].clear()  # a caller's own list
+        assert len(harness._fixed_points(scns[1])) == len(found[1]) > 0
+        # another start, budget, space or grid is another key
+        harness._settled_orbit(scns[0], np.ones(2), FAST)
+        harness._settled_orbit(scns[0], np.zeros(2), dataclasses.replace(FAST, window=5))
+        harness._settled_orbit(Scenario("s", SpaceSpec(dim=2, p=1.5), truncation), np.zeros(2), FAST)
+        harness._fixed_points(scenario(truncation, grid_cfg=GridSearchConfig(grid.lo, grid.hi, 5)))
+        assert calls == {"picard_orbit": 4, "fixed_point_oracle": 2}
+
+    def test_a_map_built_during_a_run_never_takes_another_maps_answer(self, monkeypatch):
+        # maps made and dropped one after another would reuse ids; each entry
+        # keeps its map alive, so every one gets its own orbit and fixed point
+        monkeypatch.setattr(harness, "_shared", {})
+        for c in np.linspace(0.1, 2.0, 40):
+            spec = MappingSpec(AffineMap(0.5 * np.eye(2), np.full(2, c)), Domain(kind="cone", cone=ORTH2))
+            record = harness._settled_orbit(scenario(spec), np.zeros(2), FAST)
+            fixed = harness._fixed_points(scenario(spec))
+            assert np.allclose(record.points[-1], 2 * c) and np.allclose(fixed, [[2 * c, 2 * c]])
 
 
 def registry_entry(scn: Scenario) -> dict:

@@ -1110,10 +1110,11 @@ class TestLockstepBatches:
         specs = [_random_map(5, 0.95 + i / 1000) for i in range(40)]
         got = _orbit(specs, [np.zeros(5)] * 40, SpaceSpec(dim=5, p=2.0), SMALL)
         assert all(out.verdict == CONVERGED for out in got)
+        # a block's one call takes its k residuals, its start and its k points
         blocks = [s for s in shapes if s[1] > 1]
-        assert max(s[0] * s[1] for s in blocks) <= 2 * BLOCK_CAP
+        assert max(s[0] * (s[1] - 1) for s in blocks) <= 2 * BLOCK_CAP
         # the batch starts with 40 orbits, whose blocks are capped at 1024 // 40 steps
-        assert blocks[0] == (40, 2 * BLOCK_FIRST, 5) and (40, 2 * (BLOCK_CAP // 40), 5) in blocks
+        assert blocks[0] == (40, 2 * BLOCK_FIRST + 1, 5) and (40, 2 * (BLOCK_CAP // 40) + 1, 5) in blocks
 
     @staticmethod
     def verdicts_of(specs, starts, space, cfg, verdicts=False):
@@ -1329,9 +1330,10 @@ class TestVerdictRuns:
     def test_only_a_block_with_an_open_row_takes_row_norms(self, monkeypatch, rhos, zero_blocks):
         # these orbits' residuals are far from the tolerance and their points
         # below the block bound, so a block roots only each orbit's last two
-        # power sums and calls `_row_norms` for no row, unless a residual is
-        # exactly 0 (an orbit that reached its fixed point, while the others
-        # run on in lockstep): a sum of 0 is left open
+        # power sums and calls `_row_norms` for no row; a residual of exactly
+        # 0 (an orbit that reached its fixed point, while the others run on in
+        # lockstep) is decided too: its sum is below a normal cut, and a zero
+        # row among the last two has norm 0
         import orderfp.iterate as iterate
 
         calls, zeros, inside, plain_rows, plain_block = [], [], [], iterate._row_norms, iterate._verdict_norms
@@ -1349,8 +1351,27 @@ class TestVerdictRuns:
         specs = [_random_map(3, rho) for rho in rhos]
         got = _orbit(specs, [np.zeros(3)] * len(specs), SpaceSpec(dim=3, p=2.0), LONG, verdicts=True)
         assert got == [CONVERGED] * len(specs) and len(zeros) > 3
-        # one call for the starting norms, and one for each block with a zero residual
-        assert sum(zeros) == zero_blocks and calls == [False] + [True] * zero_blocks
+        # none at all: the starting norms are a block's rows, and a block with a zero residual takes none
+        assert sum(zeros) == zero_blocks and calls == []
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_a_residual_sum_of_zero_is_decided_and_a_sizing_row_stays_exact(self, monkeypatch, p):
+        # residual rows whose powers underflow to a sum of 0: (1e-300, 0) is
+        # decided as 0 among the middle rows, and taken exactly by
+        # `_row_norms` among the last two, which size the next block; a zero
+        # row there has norm 0 with no call
+        import orderfp.iterate as iterate
+
+        calls, plain = [], iterate._row_norms
+        monkeypatch.setattr(iterate, "_row_norms", lambda space, v: calls.append(v.copy()) or plain(space, v))
+        space = SpaceSpec(dim=2, p=p)
+        cuts = _verdict_cuts(space, IterationConfig())
+        tiny, zero = [1e-300, 0.0], [0.0, 0.0]
+        diff = np.array([[tiny, [1e-3, 0.0], tiny, zero], [zero, tiny, zero, tiny]])
+        res, _ = iterate._verdict_norms(space, diff, np.ones((2, 4, 2)), cuts)
+        assert res[:, :2].tolist() == [[0.0, cuts[1] ** (1 / p)], [0.0, 0.0]]
+        assert res[:, 2:].tolist() == [[norm(space, tiny), 0.0], [0.0, norm(space, tiny)]]
+        assert len(calls) == 1 and calls[0].tolist() == [[tiny, tiny]]
 
     def test_blocks_are_sized_as_in_a_record_run(self, monkeypatch):
         # the last two residuals and points of each orbit take exact norms,

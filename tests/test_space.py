@@ -571,8 +571,9 @@ def test_a_space_of_another_dimension_is_refused(name):
 
 
 def test_import_does_not_load_scipy():
-    # scipy is a test-only dependency; importing the package must not pull it in
-    code = "import sys, orderfp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # scipy is a test-only dependency; importing the package, or the command
+    # line with the campaigns that `orderfp verify` runs, must not pull it in
+    code = "import sys, orderfp, orderfp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env_path = str(Path(orderfp.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=env_path),
                          capture_output=True, text=True, check=True).stdout
