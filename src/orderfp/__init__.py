@@ -19,8 +19,6 @@ from orderfp.order import (
     ConeSpec,
     contains,
     leq,
-    sup_pair,
-    inf_pair,
     project_to_cone,
     normality_constant_estimate,
     is_norm_monotonic,

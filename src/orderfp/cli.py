@@ -27,7 +27,6 @@ from orderfp.order import (
     MEMBERSHIP_TOL,
     is_norm_monotonic,
     normality_constant_estimate,
-    _cone_rows,
     _member_raw,
 )
 from orderfp.space import SpaceSpec, convexity_profile, norm
@@ -53,34 +52,12 @@ def _cmd_order_check(args) -> int:
     space = SpaceSpec(dim=args.dim, p=args.p)
     gamma = normality_constant_estimate(cone, space, args.samples, seed=args.seed)  # refuses a seed < 0
     mono = is_norm_monotonic(cone, space, args.samples, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-
-    # sampled cone points as rows: (x, y) pairs for antisymmetry, then
-    # (x, y, z) triples for the orthant's lattice axioms
-    n, d = args.samples, args.dim
-    x, y = _cone_rows(cone, rng, 2 * n, 1.0).reshape(n, 2, d).transpose(1, 0, 2)
-    both = _member_raw(cone, y - x, MEMBERSHIP_TOL) & _member_raw(cone, x - y, MEMBERSHIP_TOL)
-    antisym_ok = not (both & (np.abs(x - y).max(axis=-1) > 1e-9)).any()
-
-    lattice = "unsupported (not minihedral)"
-    if cone.kind == "orthant":
-        # sup and inf are the componentwise max and min (sup_pair, inf_pair)
-        x, y, z = _cone_rows(cone, rng, 3 * n, 1.0).reshape(n, 3, d).transpose(1, 0, 2)
-        ok = (
-            np.array_equal(np.maximum(x, x), x)
-            and np.array_equal(np.maximum(x, y), np.maximum(y, x))
-            and np.array_equal(np.maximum(x, np.minimum(x, z)), x)
-        )
-        lattice = "pass" if ok else "FAIL"
-
     print(f"cone                 : {cone.kind} (dim={cone.dim}, p={space.p})")
     print(f"normality estimate   : {gamma!r} (sampled lower bound)")
     print(f"monotonic norm       : {mono.verdict}")
     if not mono.passed:
         print(f"  witness: {mono.violations[0].describe()}")
-    print(f"antisymmetry sampled : {'pass' if antisym_ok else 'FAIL'}")
-    print(f"lattice axioms       : {lattice}")
-    return 0 if (mono.passed and antisym_ok) else 1
+    return 0 if mono.passed else 1
 
 
 def _cmd_check_mapping(args) -> int:

@@ -76,10 +76,6 @@ CAMPAIGN_ITERATION = IterationConfig(max_iter=200_000, bound_threshold=1e4)
 X0_TRIES = 400
 
 
-def _verbose() -> bool:
-    return os.environ.get("ORDERFP_VERBOSE", "") not in ("", "0")
-
-
 class HypothesisError(RuntimeError):
     """A scenario violates the hypotheses of the claim under test."""
 
@@ -137,8 +133,6 @@ class CampaignReport:
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name=name, passed=bool(passed), detail=detail))
-        if _verbose():
-            print(f"    [{'ok' if passed else 'FAIL'}] {self.campaign}/{self.scenario_id}/{name} {detail}")
 
     @property
     def passed(self) -> bool:
@@ -734,24 +728,31 @@ def run_suites(
 
     global _shared
     reports, trial_rows, _shared = [], [], {}  # the campaigns of this run share orbits and fixed-point sets
+    verbose = os.environ.get("ORDERFP_VERBOSE", "") not in ("", "0")
+
+    def keep(rep: CampaignReport) -> None:  # with ORDERFP_VERBOSE, a report's checks once its campaign returns
+        reports.append(rep)
+        for c in rep.checks if verbose else ():
+            print(f"    [{'ok' if c.passed else 'FAIL'}] {rep.campaign}/{rep.scenario_id}/{c.name} {c.detail}")
+
     try:
         for suite in suites:
-            if _verbose():
+            if verbose:
                 print(f"suite {suite}:")
             if suite == "t34":
                 rep, rows = verify_zero_orbit_equivalence(family_cfg, seed=seed, iter_cfg=iter_cfg)
-                reports.append(rep)
+                keep(rep)
                 trial_rows.extend(rows)
                 continue
             scenarios = ([] if run.replace_scenarios else registry.get(suite, [])) + extra.get(suite, [])
             campaign = _CAMPAIGNS[suite]
             for scn in scenarios:
                 try:
-                    reports.append(campaign(scn, iter_cfg, run.samples))
+                    rep = campaign(scn, iter_cfg, run.samples)
                 except HypothesisError as exc:
                     rep = CampaignReport(suite, scn.sid)
                     rep.add("hypothesis", False, f"aborted: {exc}")
-                    reports.append(rep)
+                keep(rep)
     finally:
         _shared = None
     _write_reports(out_dir, suites, reports, trial_rows)

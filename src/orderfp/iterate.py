@@ -24,7 +24,7 @@ import numpy as np
 
 from orderfp.mapping import AffineMap, DomainError, MappingSpec, TranslationMap, _domain_contains_raw
 from orderfp.order import MEMBERSHIP_TOL, ConeSpec, _member_raw
-from orderfp.space import _SUM_MIN, SpaceSpec, as_rows, as_vector, _power_sums, _row_norms
+from orderfp.space import _SUM_MIN, SpaceSpec, as_rows, as_vector, _power_sums, _roots, _row_norms
 
 CONVERGED = "converged"
 UNBOUNDED_SUSPECTED = "unbounded_suspected"
@@ -110,16 +110,16 @@ _STACKED = {TranslationMap: ("shift",), AffineMap: ("matrix", "offset")}
 
 # A verdict run decides a stopping rule without a root where its side is
 # certain by KAPPA, a relative margin. A row with power sum s (`_power_sums`:
-# the very bits `_row_norms` roots) has its norm s ** (1/p) at most t if
+# the very bits `_roots` roots) has its norm s ** (1/p) at most t if
 # _SUM_MIN <= s < (t (1 - KAPPA))^p, and above t, and finite, if
 # (t (1 + KAPPA))^p < s < inf. In the root's terms only two things round:
 # the root (libm's pow, at most 0.54 ulp; p = 2's certified np.sqrt has its
 # bits) and the cut (t (1 -+ KAPPA), then its power, about 1.1 ulp once
 # rooted), some 2e-16 against KAPPA = 1e-9. A block whose points all have
-# max |x_i| < bound_threshold (1 - KAPPA) / d^(1/p) takes no sums at all:
-# ||x||_p <= d^(1/p) max |x_i|, and the norm `_row_norms` takes is within
-# (d + 8) ulp of ||x||_p (the sum's d - 1 roundings, a few ulp for numpy's
-# array power, the root, the bound), under 3e-10 for d < 2^20. Every other
+# max |x_i| < bound_threshold (1 - KAPPA) / d^(1/p) sums only each orbit's
+# last two points: ||x||_p <= d^(1/p) max |x_i|, and the norm `_roots` takes
+# is within (d + 8) ulp of ||x||_p (the sum's d - 1 roundings, a few ulp for
+# numpy's array power, the root, the bound), under 3e-10 for d < 2^20. Every other
 # row takes its root: the band around a cut, and a sum that is 0,
 # subnormal, inf or nan.
 KAPPA = 1e-9
@@ -155,29 +155,24 @@ def _verdict_norms(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts) ->
     row stands in for its norm on the same side of every rule: a residual
     at most residual_tol as 0 and one above it as the root of the cut, and a
     point at most bound_threshold as -inf (such a row is never the larger
-    side of `new > recent` while `new > threshold` holds). The open rows take
-    `_row_norms`. Each orbit's last two rows, which size the next block, take
-    s ** (1/p) of their sums s, its bits (0 for a zero row), or open if s is not normal and finite."""
-    (lo, hi, cut, top), inv = cuts, 1.0 / space.p
+    side of `new > recent` while `new > threshold` holds). The open rows,
+    and each orbit's last two rows, which size the next block, take `_roots`
+    of the sums already taken."""
+    lo, hi, cut, top = cuts
     s = _power_sums(space, diff)
     below = ((_SUM_MIN <= s) | (s == 0.0)) & (s < lo)  # a sum of 0 has its root below a normal lo's
-    res = np.where(below, 0.0, hi ** inv)
+    res = np.where(below, 0.0, hi ** (1.0 / space.p))
     res_open = ~below & ~((hi < s) & (s < math.inf))
     if np.abs(pts).max(initial=0.0) < top:  # a nan anywhere leaves the block to its sums
-        t, pts_open = _power_sums(space, pts[:, -2:]), np.zeros(pts.shape[:2], bool)
+        t, pts_open = np.zeros(pts.shape[:2]), np.zeros(pts.shape[:2], bool)
+        t[:, -2:] = _power_sums(space, pts[:, -2:])
     else:
         t = _power_sums(space, pts)
         pts_open = ~((_SUM_MIN <= t) & (t < cut))
+    res_open[:, -2:] = pts_open[:, -2:] = True
     norms = np.full(pts.shape[:2], -math.inf)
-    for out, sums, rows, v in ((res, s, res_open, diff), (norms, t, pts_open, pts)):  # each orbit's last two rows
-        out[:, -2:] = [[x ** inv if _SUM_MIN <= x < math.inf or x == 0.0 and not v[r, c - len(row)].any() else math.nan
-                        for c, x in enumerate(row)] for r, row in enumerate(sums[:, -2:].tolist())]
-        rows[:, -2:] |= np.isnan(out[:, -2:])
-    if res_open.any() or pts_open.any():
-        exact = _row_norms(space, np.concatenate((diff[res_open], pts[pts_open]))[None])[0]
-        n = np.count_nonzero(res_open)
-        res[res_open] = exact[:n]
-        norms[pts_open] = exact[n:]
+    res[res_open] = _roots(space, s[res_open], diff[res_open])
+    norms[pts_open] = _roots(space, t[pts_open], pts[pts_open])
     return res, norms
 
 

@@ -526,21 +526,15 @@ def classify_hilbert_classes(
     spec: MappingSpec,
     space: SpaceSpec,
     cfg: SamplerConfig | None = None,
-    ab: tuple[float, float] | None = None,
 ) -> dict[str, PropertyReport]:
     """Check the inner-product mapping classes on sampled (unordered) pairs.
 
-    Covers the nonspreading, hybrid, and TJ inequalities, plus the
-    (a, b)-monotone inequality when ``ab`` is supplied with a > 1/2, b < a.
-    Requires p = 2, where polarization recovers the inner product
-    <u, v> = (||u + v||^2 - ||u - v||^2) / 4.
+    Covers the nonspreading, hybrid, and TJ inequalities, each failed by a
+    pair with lhs > rhs + slack. Requires p = 2, where polarization recovers
+    the inner product <u, v> = (||u + v||^2 - ||u - v||^2) / 4.
     """
     if space.p != 2.0:
         raise ValueError(f"hilbert-class checks need p=2, got p={space.p}")
-    if ab is not None:
-        a, b = ab
-        if not (a > 0.5 and b < a):
-            raise ValueError(f"(a, b) must satisfy a > 1/2 and b < a, got {ab}")
     cfg = cfg or SamplerConfig()
     n = cfg.n_samples
     rng = np.random.default_rng(cfg.seed)
@@ -548,10 +542,7 @@ def classify_hilbert_classes(
     x, y = pts[:, 0], pts[:, 1]
     tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
     u, v = x - tx, y - ty
-    blocks = [tx - ty, x - y, tx - y, ty - x, u + v, u - v]
-    if ab is not None:
-        blocks += [(x - y) + (tx - ty), (x - y) - (tx - ty), u, v]
-    rows = np.stack(blocks)
+    rows = np.stack([tx - ty, x - y, tx - y, ty - x, u + v, u - v])
     ok = np.isfinite(rows).all(axis=(0, 2))
     if not ok.all():  # the first pair with a non-finite image, or with a row of finite images that overflows
         k = int(np.argmin(ok))
@@ -566,14 +557,8 @@ def classify_hilbert_classes(
         "hybrid": (d_im2, d2 + 0.25 * (sq[4] - sq[5])),
         "tj": (2.0 * d_im2, d2 + cross_xy),
     }
-    if ab is not None:
-        sides["ab_monotone"] = (0.25 * (sq[6] - sq[7]), a * d_im2 + (1.0 - a) * d2 - b * sq[8] - b * sq[9])
-    reports = {}
-    for name, (lhs, rhs) in sides.items():
-        # (a, b)-monotone is a lower bound: lhs >= rhs - slack
-        failed = lhs < rhs - _slack(rhs, s) if name == "ab_monotone" else lhs > rhs + _slack(rhs, s)
-        reports[name] = PropertyReport.from_rows(name, x, y, lhs, rhs, failed, scale=s)
-    return reports
+    return {name: PropertyReport.from_rows(name, x, y, lhs, rhs, lhs > rhs + _slack(rhs, s), scale=s)
+            for name, (lhs, rhs) in sides.items()}
 
 
 # ---------------------------------------------------------------------------

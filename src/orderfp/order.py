@@ -1,4 +1,4 @@
-"""Cone-induced partial orders, lattice suprema, and cone diagnostics; every
+"""Cone-induced partial orders, finite suprema, and cone diagnostics; every
 cone test reads one margin per point (``_cone_margins``)."""
 
 from __future__ import annotations
@@ -79,26 +79,6 @@ def leq(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
 
 def comparable(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
     return leq(cone, x, y, tol=tol) or leq(cone, y, x, tol=tol)
-
-
-def sup_pair(cone: ConeSpec, x, y) -> np.ndarray:
-    """Least upper bound of {x, y}: ``sup_finite`` of the pair.
-
-    The Lorentz cone is not minihedral (pairs can have several incomparable
-    minimal upper bounds), so it is rejected.
-    """
-    xv = as_vector(x, dim=cone.dim)
-    yv = as_vector(y, dim=cone.dim)
-    return sup_finite(cone, [xv, yv])
-
-
-def inf_pair(cone: ConeSpec, x, y) -> np.ndarray:
-    """Greatest lower bound of {x, y}; componentwise min for the orthant."""
-    if cone.kind != ORTHANT:
-        raise UnsupportedConeOperation(f"inf_pair needs a minihedral cone, not {cone.kind}")
-    xv = as_vector(x, dim=cone.dim)
-    yv = as_vector(y, dim=cone.dim)
-    return np.minimum(xv, yv)
 
 
 def sup_finite(cone: ConeSpec, points) -> np.ndarray:

@@ -21,7 +21,7 @@ INEQ_ATOL = 1e-9
 INEQ_RTOL = 1e-9
 CHARACTERISTIC_ZERO_TOL = 1e-8
 _SUM_MIN = sys.float_info.min  # an lp power sum below it, or inf, is rescaled
-_SQRT_ROWS = 128  # fewest rows for which `_row_norms` takes p = 2 roots with np.sqrt
+_SQRT_ROWS = 128  # fewest rows for which `_roots` takes p = 2 roots with np.sqrt
 
 
 def as_vector(coords, dim: int | None = None) -> np.ndarray:
@@ -74,10 +74,10 @@ def norm(space: SpaceSpec, x) -> float:
 
 
 def _power_sums(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
-    # the power sums sum |v_i|^p of the rows of v, the bits `_row_norms`
-    # roots; rows of a width other than the space's are refused. Call it
-    # under np.errstate(over="ignore", invalid="ignore"): a sum past the
-    # float range is inf, and one with a nan is nan.
+    # the power sums sum |v_i|^p of the rows of v, the bits `_roots` roots;
+    # rows of a width other than the space's are refused. Call it under
+    # np.errstate(over="ignore", invalid="ignore"): a sum past the float
+    # range is inf, and one with a nan is nan.
     if v.shape[-1] != space.dim:
         raise ValueError(f"dimension mismatch: expected {space.dim}, got {v.shape[-1]}")
     return (np.abs(v) ** space.p).sum(axis=-1)
@@ -86,40 +86,46 @@ def _power_sums(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
 def _row_norms(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
     # lp norms of the rows of the blocks v[0], v[1], ...; rows of a width other
     # than the space's are refused, and nothing else is checked: a non-finite
-    # row gets an inf or nan norm. A nonzero row whose power sum is out of
-    # range is redone by `_lp_norm_floats` (rescaled, or inf with an inf).
-    # Every root keeps the bits of the scalar `s ** (1/p)`, libm's pow. At
-    # p = 2, in a call of at least _SQRT_ROWS rows, q = np.sqrt(s) is
-    # correctly rounded, and glibc's pow errs by at most 0.54 ulp (the bound
-    # in its source, for any exponent), so the two agree wherever the exact
-    # root lies more than 0.54 ulp from every double but q. Dekker's residual
-    # r = s - q*q over a Veltkamp split of q has two roundings, far below that
-    # margin, and delta = r / 2q is the root's offset from q: q + k*delta == q
-    # puts the root within 0.5/k ulp of q, so, with k = 1.1, more than 0.545
-    # ulp from the other doubles (k = 1.25 would send 20% of rows, not 9%, to
-    # the scalar root). The flagged rows take the scalar root, among them
-    # every sum of 0, inf or nan (its delta is nan) and every sum below
-    # 2**-960, where the split's products underflow. Below _SQRT_ROWS rows the
-    # dozen ufunc calls cost more than one Python root a row (timeit).
-    inv = 1.0 / space.p
+    # row gets an inf or nan norm
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _power_sums(space, v)
-        # one row whose sum is in range, or a zero row: its root, with no refine test
-        if sums.size == 1 and (_SUM_MIN <= sums.item() < math.inf or not v.any()):
-            return np.full(sums.shape, sums.item() ** inv)
-        flat = sums.ravel()
-        if space.p == 2.0 and flat.size >= _SQRT_ROWS:
-            out = np.sqrt(flat)
-            c = 134217729.0 * out  # 2**27 + 1
-            hi = c - (c - out)
-            lo = out - hi
-            r = ((flat - hi * hi) - 2.0 * hi * lo) - lo * lo
-            near = ((out + r * (1.1 / 2.0) / out != out) | (flat < 2.0**-960)).nonzero()[0]
-            out[near] = [s**0.5 for s in flat[near].tolist()]
-        else:
-            out = np.array([s**inv for s in flat.tolist()])
-        redo = ((flat < _SUM_MIN) | (flat == math.inf)).nonzero()[0].tolist()
-    for k, row in zip(redo, v.reshape(-1, v.shape[-1])[redo].tolist() if redo else ()):
+        return _roots(space, _power_sums(space, v), v)
+
+
+def _roots(space: SpaceSpec, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # the lp norms of ``rows`` from their power sums ``sums`` (`_power_sums`,
+    # one per row), under the caller's np.errstate(over="ignore",
+    # invalid="ignore"). A nonzero row whose power sum is out of range is
+    # redone by `_lp_norm_floats` (rescaled, or inf with an inf). Every root
+    # keeps the bits of the scalar `s ** (1/p)`, libm's pow. At p = 2, in a
+    # call of at least _SQRT_ROWS rows, q = np.sqrt(s) is correctly rounded,
+    # and glibc's pow errs by at most 0.54 ulp (the bound in its source, for
+    # any exponent), so the two agree wherever the exact root lies more than
+    # 0.54 ulp from every double but q. Dekker's residual r = s - q*q over a
+    # Veltkamp split of q has two roundings, far below that margin, and
+    # delta = r / 2q is the root's offset from q: q + k*delta == q puts the
+    # root within 0.5/k ulp of q, so, with k = 1.1, more than 0.545 ulp from
+    # the other doubles (k = 1.25 would send 20% of rows, not 9%, to the
+    # scalar root). The flagged rows take the scalar root, among them every
+    # sum of 0, inf or nan (its delta is nan) and every sum below 2**-960,
+    # where the split's products underflow. Below _SQRT_ROWS rows the dozen
+    # ufunc calls cost more than one Python root a row (timeit).
+    inv = 1.0 / space.p
+    # one row whose sum is in range, or a zero row: its root, with no refine test
+    if sums.size == 1 and (_SUM_MIN <= sums.item() < math.inf or not rows.any()):
+        return np.full(sums.shape, sums.item() ** inv)
+    flat = sums.ravel()
+    if space.p == 2.0 and flat.size >= _SQRT_ROWS:
+        out = np.sqrt(flat)
+        c = 134217729.0 * out  # 2**27 + 1
+        hi = c - (c - out)
+        lo = out - hi
+        r = ((flat - hi * hi) - 2.0 * hi * lo) - lo * lo
+        near = ((out + r * (1.1 / 2.0) / out != out) | (flat < 2.0**-960)).nonzero()[0]
+        out[near] = [s**0.5 for s in flat[near].tolist()]
+    else:
+        out = np.array([s**inv for s in flat.tolist()])
+    redo = ((flat < _SUM_MIN) | (flat == math.inf)).nonzero()[0].tolist()
+    for k, row in zip(redo, rows.reshape(-1, rows.shape[-1])[redo].tolist() if redo else ()):
         if any(row):  # a zero row keeps its norm 0
             out[k] = _lp_norm_floats(row, space.p)
     return out.reshape(sums.shape)

@@ -1,5 +1,6 @@
 """Campaign behavior: hypotheses, verdict aggregation, and reproducibility."""
 
+import csv
 import dataclasses
 import hashlib
 import importlib.util
@@ -687,6 +688,26 @@ def test_default_outputs_match_recorded_hashes(seed, tmp_path):
     run_suites(list(harness.SUITES), {}, seed, tmp_path)
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
     assert got == {**DEFAULT_SHA256_SHARED, **DEFAULT_SHA256[seed]}
+
+
+def test_verbose_verify_prints_each_check_of_its_output_files(monkeypatch, tmp_path, capsys):
+    # one [ok] line a row of each *_checks.csv, in their order, after its
+    # suite's header; the output files keep their bytes
+    from orderfp.cli import main
+
+    monkeypatch.setenv("ORDERFP_VERBOSE", "1")
+    assert main(["verify", "--suite", "all", "--seed", "0", "--out", str(tmp_path)]) == 0
+    want = []
+    for suite in harness.SUITES:
+        want.append(f"suite {suite}:")
+        with (tmp_path / f"{suite}_checks.csv").open(newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                assert row["passed"] == "1"
+                want.append(f"    [ok] {row['suite']}/{row['scenario']}/{row['check']} {row['detail']}")
+    summary = (tmp_path / "summary.txt").read_text(encoding="utf-8")
+    assert f"TOTAL: {len(want) - len(harness.SUITES)} checks, 0 failed" in summary
+    assert capsys.readouterr().out == "\n".join(want) + "\n" + summary
+    assert hashlib.sha256(summary.encode()).hexdigest() == DEFAULT_SHA256_SHARED["summary.txt"]
 
 
 def load_tracing(monkeypatch):

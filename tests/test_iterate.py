@@ -1330,40 +1330,43 @@ class TestVerdictRuns:
     def test_only_a_block_with_an_open_row_takes_row_norms(self, monkeypatch, rhos, zero_blocks):
         # these orbits' residuals are far from the tolerance and their points
         # below the block bound, so a block roots only each orbit's last two
-        # power sums and calls `_row_norms` for no row; a residual of exactly
-        # 0 (an orbit that reached its fixed point, while the others run on in
-        # lockstep) is decided too: its sum is below a normal cut, and a zero
-        # row among the last two has norm 0
+        # residuals and points, which size the next block, and calls
+        # `_row_norms` for no row; a residual of exactly 0 (an orbit that
+        # reached its fixed point, while the others run on in lockstep) is
+        # decided too: its sum is below a normal cut
         import orderfp.iterate as iterate
 
-        calls, zeros, inside, plain_rows, plain_block = [], [], [], iterate._row_norms, iterate._verdict_norms
-        monkeypatch.setattr(iterate, "_row_norms", lambda *args: calls.append(bool(inside)) or plain_rows(*args))
+        calls, zeros, rooted, plain_rows, plain_roots, plain_block = (
+            [], [], [], iterate._row_norms, iterate._roots, iterate._verdict_norms)
+        monkeypatch.setattr(iterate, "_row_norms", lambda *args: calls.append(args) or plain_rows(*args))
+        monkeypatch.setattr(iterate, "_roots", lambda space, sums, rows: rooted[-1].append(rows) or
+                            plain_roots(space, sums, rows))
 
         def block(space, diff, pts, cuts):
             zeros.append(bool((diff == 0.0).all(axis=-1).any()))
-            inside.append(True)
-            try:
-                return plain_block(space, diff, pts, cuts)
-            finally:
-                inside.pop()
+            rooted.append([])
+            out = plain_block(space, diff, pts, cuts)
+            # the residual rows, then the point rows, that `_roots` got: each orbit's last two
+            assert [rows.tolist() for rows in rooted[-1]] == [a[:, -2:].reshape(-1, 3).tolist() for a in (diff, pts)]
+            return out
 
         monkeypatch.setattr(iterate, "_verdict_norms", block)
         specs = [_random_map(3, rho) for rho in rhos]
         got = _orbit(specs, [np.zeros(3)] * len(specs), SpaceSpec(dim=3, p=2.0), LONG, verdicts=True)
         assert got == [CONVERGED] * len(specs) and len(zeros) > 3
-        # none at all: the starting norms are a block's rows, and a block with a zero residual takes none
+        # none at all: the starting norms are a block's rows
         assert sum(zeros) == zero_blocks and calls == []
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_a_residual_sum_of_zero_is_decided_and_a_sizing_row_stays_exact(self, monkeypatch, p):
         # residual rows whose powers underflow to a sum of 0: (1e-300, 0) is
-        # decided as 0 among the middle rows, and taken exactly by
-        # `_row_norms` among the last two, which size the next block; a zero
-        # row there has norm 0 with no call
+        # decided as 0 among the middle rows, and taken exactly by `_roots`
+        # among the last two, which size the next block; a zero row there has
+        # norm 0
         import orderfp.iterate as iterate
 
-        calls, plain = [], iterate._row_norms
-        monkeypatch.setattr(iterate, "_row_norms", lambda space, v: calls.append(v.copy()) or plain(space, v))
+        calls, plain = [], iterate._roots
+        monkeypatch.setattr(iterate, "_roots", lambda space, s, v: calls.append(v.copy()) or plain(space, s, v))
         space = SpaceSpec(dim=2, p=p)
         cuts = _verdict_cuts(space, IterationConfig())
         tiny, zero = [1e-300, 0.0], [0.0, 0.0]
@@ -1371,7 +1374,8 @@ class TestVerdictRuns:
         res, _ = iterate._verdict_norms(space, diff, np.ones((2, 4, 2)), cuts)
         assert res[:, :2].tolist() == [[0.0, cuts[1] ** (1 / p)], [0.0, 0.0]]
         assert res[:, 2:].tolist() == [[norm(space, tiny), 0.0], [0.0, norm(space, tiny)]]
-        assert len(calls) == 1 and calls[0].tolist() == [[tiny, tiny]]
+        # each orbit's last two residual rows, then its last two points
+        assert [rows.tolist() for rows in calls] == [[tiny, zero, zero, tiny], [[1.0, 1.0]] * 4]
 
     def test_blocks_are_sized_as_in_a_record_run(self, monkeypatch):
         # the last two residuals and points of each orbit take exact norms,

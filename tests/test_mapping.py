@@ -426,7 +426,7 @@ class TestSquaresPastTheFloatRange:
     def test_hilbert_counts_do_not_depend_on_scale(self):
         counts = [
             {name: len(r.violations) for name, r in
-             classify_hilbert_classes(self.tripling(2, top), P2, SamplerConfig(200, seed=3), ab=(0.75, 0.25)).items()}
+             classify_hilbert_classes(self.tripling(2, top), P2, SamplerConfig(200, seed=3)).items()}
             for top in (None, 1e160)
         ]
         assert counts[0] == counts[1]
@@ -439,10 +439,9 @@ class TestSquaresPastTheFloatRange:
 
 class TestHilbertClasses:
     def test_identity_passes_all(self):
-        reports = classify_hilbert_classes(corpus.identity_map(2), P2,
-                                           SamplerConfig(200, seed=12), ab=(1.0, 0.5))
+        reports = classify_hilbert_classes(corpus.identity_map(2), P2, SamplerConfig(200, seed=12))
         assert all(r.passed for r in reports.values())
-        assert set(reports) == {"nonspreading", "hybrid", "tj", "ab_monotone"}
+        assert set(reports) == {"nonspreading", "hybrid", "tj"}
 
     def test_constant_map_nonspreading(self):
         reports = classify_hilbert_classes(corpus.constant_map([1.0, 1.0]), P2,
@@ -456,10 +455,6 @@ class TestHilbertClasses:
     def test_non_hilbert_exponent_rejected(self):
         with pytest.raises(ValueError):
             classify_hilbert_classes(corpus.identity_map(2), SpaceSpec(dim=2, p=3.0))
-
-    def test_bad_ab_rejected(self):
-        with pytest.raises(ValueError):
-            classify_hilbert_classes(corpus.identity_map(2), P2, ab=(0.4, 0.1))
 
 
 class TestFixedPointOracle:
@@ -937,16 +932,12 @@ def reference_is_alpha_nonexpansive(spec, cone, space, alpha, cfg=None, exhausti
     return report
 
 
-def reference_classify_hilbert_classes(spec, space, cfg=None, ab=None):
+def reference_classify_hilbert_classes(spec, space, cfg=None):
     if space.p != 2.0:
         raise ValueError(f"hilbert-class checks need p=2, got p={space.p}")
-    if ab is not None:
-        a, b = ab
-        if not (a > 0.5 and b < a):
-            raise ValueError(f"(a, b) must satisfy a > 1/2 and b < a, got {ab}")
     cfg = cfg or SamplerConfig()
     rng = np.random.default_rng(cfg.seed)
-    names = ["nonspreading", "hybrid", "tj"] + (["ab_monotone"] if ab is not None else [])
+    names = ["nonspreading", "hybrid", "tj"]
     reports = {n: PropertyReport(name=n, samples=cfg.n_samples) for n in names}
     for _ in range(cfg.n_samples):
         x = sample_domain_point(spec, rng)
@@ -955,8 +946,6 @@ def reference_classify_hilbert_classes(spec, space, cfg=None, ab=None):
         # polarization: <u, v> = (||u + v||^2 - ||u - v||^2) / 4
         u, v = x - tx, y - ty
         vectors = [tx - ty, x - y, tx - y, ty - x, u + v, u - v]
-        if ab is not None:
-            vectors += [(x - y) + (tx - ty), (x - y) - (tx - ty), u, v]
         if not all(np.isfinite(w).all() for w in vectors):
             raise ValueError(f"a row formed from x={x}, y={y} and their finite images {tx}, {ty} overflows")
         sq, s = _ref_squares(space, *vectors)
@@ -971,12 +960,6 @@ def reference_classify_hilbert_classes(spec, space, cfg=None, ab=None):
         rhs = d2 + cross_xy
         if 2.0 * d_im2 > rhs + _ref_slack(rhs, s):
             reports["tj"].violations.append(Violation(x, y, 2.0 * d_im2, rhs, s))
-        if ab is not None:
-            a, b = ab
-            lhs = 0.25 * (sq[6] - sq[7])
-            bound = a * d_im2 + (1.0 - a) * d2 - b * sq[8] - b * sq[9]
-            if lhs < bound - _ref_slack(bound, s):
-                reports["ab_monotone"].violations.append(Violation(x, y, lhs, bound, s))
     return reports
 
 
@@ -1223,13 +1206,12 @@ class TestReferenceVerifiers:
         ids=["identity", "constant", "box_clamp", "contraction", "drift_down", "steep_step",
              "shear", "grid2", "affine5", "lorentz", "lorentz_interval"],
     )
-    @pytest.mark.parametrize("ab", [None, (0.75, 0.25), (1.0, 0.5)])
-    def test_hilbert_classes(self, spec, ab):
+    def test_hilbert_classes(self, spec):
         space = SpaceSpec(dim=spec.dim, p=2.0)
         cfg = SamplerConfig(n_samples=200, seed=8)
-        got = outcome(classify_hilbert_classes, spec, space, cfg, ab)
+        got = outcome(classify_hilbert_classes, spec, space, cfg)
         assert got[0] == "returned"
-        assert same_outcome(got, outcome(reference_classify_hilbert_classes, spec, space, cfg, ab))
+        assert same_outcome(got, outcome(reference_classify_hilbert_classes, spec, space, cfg))
 
     @pytest.mark.parametrize(
         "op",

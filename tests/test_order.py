@@ -13,14 +13,12 @@ from orderfp.order import (
     UnsupportedConeOperation,
     comparable,
     contains,
-    inf_pair,
     is_norm_monotonic,
     leq,
     normality_constant_estimate,
     project_to_cone,
     sample_dominated_pairs,
     sup_finite,
-    sup_pair,
     _cone_margins,
     _cone_rows,
     _member_raw,
@@ -199,30 +197,22 @@ class TestIntervals:
 
 class TestLattice:
     def test_componentwise_extrema(self):
-        assert np.array_equal(sup_pair(ORTH2, [1.0, 0.0], [0.0, 1.0]), [1.0, 1.0])
-        assert np.array_equal(inf_pair(ORTH2, [1.0, 0.0], [0.0, 1.0]), [0.0, 0.0])
+        assert np.array_equal(sup_finite(ORTH2, [[1.0, 0.0], [0.0, 1.0]]), [1.0, 1.0])
 
     def test_comparable_pair_sup_is_upper(self):
         x, y = np.array([0.5, 0.5]), np.array([1.0, 2.0])
-        assert np.array_equal(sup_pair(ORTH2, x, y), y)
+        assert np.array_equal(sup_finite(ORTH2, [x, y]), y)
 
     def test_axioms_sampled(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            x, y, z = (rng.uniform(-1, 1, 2) for _ in range(3))
-            assert np.array_equal(sup_pair(ORTH2, x, x), x)
-            assert np.array_equal(sup_pair(ORTH2, x, y), sup_pair(ORTH2, y, x))
-            assert np.array_equal(inf_pair(ORTH2, x, y), inf_pair(ORTH2, y, x))
-            assert np.array_equal(sup_pair(ORTH2, x, inf_pair(ORTH2, x, z)), x)
-            assert np.array_equal(inf_pair(ORTH2, x, sup_pair(ORTH2, x, z)), x)
-            up = sup_pair(ORTH2, x, y)
+            x, y = (rng.uniform(-1, 1, 2) for _ in range(2))
+            assert np.array_equal(sup_finite(ORTH2, [x, x]), x)
+            assert np.array_equal(sup_finite(ORTH2, [x, y]), sup_finite(ORTH2, [y, x]))
+            up = sup_finite(ORTH2, [x, y])
             assert leq(ORTH2, x, up) and leq(ORTH2, y, up)
 
     def test_lorentz_rejected(self):
-        with pytest.raises(UnsupportedConeOperation):
-            sup_pair(LOR3, np.zeros(3), np.zeros(3))
-        with pytest.raises(UnsupportedConeOperation):
-            inf_pair(LOR3, np.zeros(3), np.zeros(3))
         with pytest.raises(UnsupportedConeOperation):
             sup_finite(LOR3, [np.zeros(3)])
 
