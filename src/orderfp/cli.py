@@ -25,8 +25,7 @@ from orderfp.mapping import (
 from orderfp.order import (
     ConeSpec,
     MEMBERSHIP_TOL,
-    is_norm_monotonic,
-    normality_constant_estimate,
+    _dominated_pair_checks,
     _member_raw,
 )
 from orderfp.space import SpaceSpec, convexity_profile, norm
@@ -50,8 +49,7 @@ def _cmd_modulus(args) -> int:
 def _cmd_order_check(args) -> int:
     cone = ConeSpec(kind=args.cone, dim=args.dim)
     space = SpaceSpec(dim=args.dim, p=args.p)
-    gamma = normality_constant_estimate(cone, space, args.samples, seed=args.seed)  # refuses a seed < 0
-    mono = is_norm_monotonic(cone, space, args.samples, seed=args.seed)
+    gamma, mono = _dominated_pair_checks(cone, space, args.samples, args.seed)  # one draw; refuses a seed < 0
     print(f"cone                 : {cone.kind} (dim={cone.dim}, p={space.p})")
     print(f"normality estimate   : {gamma!r} (sampled lower bound)")
     print(f"monotonic norm       : {mono.verdict}")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from orderfp.mapping import AffineMap, DomainError, MappingSpec, TranslationMap, _domain_contains_raw
-from orderfp.order import MEMBERSHIP_TOL, ConeSpec, _member_raw
+from orderfp.order import MEMBERSHIP_TOL, ORTHANT, ConeSpec, _member_raw
 from orderfp.space import _SUM_MIN, SpaceSpec, as_rows, as_vector, _power_sums, _roots, _row_norms
 
 CONVERGED = "converged"
@@ -118,10 +118,11 @@ _STACKED = {TranslationMap: ("shift",), AffineMap: ("matrix", "offset")}
 # rooted), some 2e-16 against KAPPA = 1e-9. A block whose points all have
 # max |x_i| < bound_threshold (1 - KAPPA) / d^(1/p) sums only each orbit's
 # last two points: ||x||_p <= d^(1/p) max |x_i|, and the norm `_roots` takes
-# is within (d + 8) ulp of ||x||_p (the sum's d - 1 roundings, a few ulp for
-# numpy's array power, the root, the bound), under 3e-10 for d < 2^20. Every other
-# row takes its root: the band around a cut, and a sum that is 0,
-# subnormal, inf or nan.
+# is within (d + 8) ulp of ||x||_p (the sum's d - 1 roundings, each term's:
+# half an ulp for a square at p = 2, a few ulp for numpy's array power at
+# other p, the root, the bound), under 3e-10 for d < 2^20. Every other row
+# takes its root: the band around a cut, and a sum that is 0, subnormal, inf
+# or nan.
 KAPPA = 1e-9
 
 
@@ -155,9 +156,9 @@ def _verdict_norms(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts) ->
     row stands in for its norm on the same side of every rule: a residual
     at most residual_tol as 0 and one above it as the root of the cut, and a
     point at most bound_threshold as -inf (such a row is never the larger
-    side of `new > recent` while `new > threshold` holds). The open rows,
-    and each orbit's last two rows, which size the next block, take `_roots`
-    of the sums already taken."""
+    side of `new > recent` while `new > threshold` holds). Each orbit's last
+    two rows, which size the next block, take `_roots` of the sums already
+    taken, as basic slices, and so do the open rows, if any."""
     lo, hi, cut, top = cuts
     s = _power_sums(space, diff)
     below = ((_SUM_MIN <= s) | (s == 0.0)) & (s < lo)  # a sum of 0 has its root below a normal lo's
@@ -169,10 +170,14 @@ def _verdict_norms(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts) ->
     else:
         t = _power_sums(space, pts)
         pts_open = ~((_SUM_MIN <= t) & (t < cut))
-    res_open[:, -2:] = pts_open[:, -2:] = True
     norms = np.full(pts.shape[:2], -math.inf)
-    res[res_open] = _roots(space, s[res_open], diff[res_open])
-    norms[pts_open] = _roots(space, t[pts_open], pts[pts_open])
+    res[:, -2:] = _roots(space, s[:, -2:], diff[:, -2:])
+    norms[:, -2:] = _roots(space, t[:, -2:], pts[:, -2:])
+    res_open[:, -2:] = pts_open[:, -2:] = False
+    if np.count_nonzero(res_open):
+        res[res_open] = _roots(space, s[res_open], diff[res_open])
+    if np.count_nonzero(pts_open):
+        norms[pts_open] = _roots(space, t[pts_open], pts[pts_open])
     return res, norms
 
 
@@ -194,6 +199,10 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
             raise DomainError(f"starting point {starts[-1]} lies outside the mapping domain")
     live, x = list(range(len(spec))), np.array(starts)
     stack = [np.array([getattr(s.op, f) for s in spec]).reshape(*x.shape, -1) for f in _STACKED.get(type(op), ())]
+    # sums and products of entries >= 0 are >= 0 or nan, and a nan image is `bad`, which ranks
+    # first: a stacked batch on the orthant whose fields and starts are >= 0 cannot escape it
+    closed = (bool(stack) and domain.kind == "cone" and domain.cone.kind == ORTHANT
+              and (x >= 0.0).all() and all((a >= 0.0).all() for a in stack))
     # each orbit's (points, norms, residuals) chunks, and its verdict
     chunks, verdict = [[] for _ in spec], [MAX_ITER_REACHED] * len(spec)
     # norms of the `window` points before the block's start, +inf before x_0;
@@ -239,7 +248,7 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
             bad = ~(res < np.inf)  # only a residual that is not < inf can come from a non-finite image
             if np.count_nonzero(bad):
                 bad[bad] = ~np.isfinite(pts[bad]).all(axis=-1)
-            esc = ~_domain_contains_raw(domain, pts, 1e-9)
+            esc = bad if closed else ~_domain_contains_raw(domain, pts, 1e-9)
             recent = np.concatenate((recent, norms), axis=1)
             fires = np.ones((2, len(live), m + 1), bool)  # per orbit, the first step where [halt, grow] fires, or m
             np.logical_or(bad | esc, res <= cfg.residual_tol, out=fires[0, :, :m])

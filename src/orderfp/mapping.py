@@ -633,14 +633,19 @@ def _affine_fixed_points(specs: list) -> list:
     below, todo = np.zeros(len(specs), bool), system.any(axis=(1, 2))  # an identity (rho = 1) takes least squares
     for radius in (lambda m: _radius_bounds(m, cut), lambda m: np.abs(np.linalg.eigvals(m)).max(axis=-1)):
         if np.count_nonzero(todo):  # eigvals raises for a matrix with an inf or nan, whose bound is inf or nan
-            below[todo] = radius(matrix[todo]) < cut
+            rows = slice(None) if np.count_nonzero(todo) == len(specs) else todo  # no gather while all are open
+            below[rows] = radius(matrix[rows]) < cut
             todo &= ~below
     z, maybe = np.zeros(offset.shape), np.zeros(len(specs), bool)  # maybe: a least-squares point
-    for i, m, b in zip(np.flatnonzero(~below).tolist(), system[~below], offset[~below]):
-        zi, *_ = np.linalg.lstsq(m, b, rcond=None)  # a finite system: no error
-        if not float(np.linalg.norm(m @ zi - b)) > FIXED_POINT_TOL * (1.0 + float(np.linalg.norm(b))):
-            z[i], maybe[i] = zi, True  # else an inconsistent system: no fixed point exists at all
-    z[below] = np.linalg.solve(system[below], offset[below, :, None])[..., 0]
+    if np.count_nonzero(below) == len(specs):  # one solve, with no gather and no least squares
+        z = np.linalg.solve(system, offset[..., None])[..., 0]
+    else:
+        for i, m, b in zip(np.flatnonzero(~below).tolist(), system[~below], offset[~below]):
+            zi, *_ = np.linalg.lstsq(m, b, rcond=None)  # a finite system: no error
+            if not float(np.linalg.norm(m @ zi - b)) > FIXED_POINT_TOL * (1.0 + float(np.linalg.norm(b))):
+                z[i], maybe[i] = zi, True  # else an inconsistent system: no fixed point exists at all
+        if np.count_nonzero(below):
+            z[below] = np.linalg.solve(system[below], offset[below, :, None])[..., 0]
     as_vector(z.ravel())  # a non-finite point raises as domain_contains would
     inside, domains = below | maybe, {id(s.domain): s.domain for s in specs}
     for domain in domains.values():  # one membership call per distinct domain

@@ -128,11 +128,9 @@ def sample_dominated_pairs(
     return u[:, 0], u[:, 0] + u[:, 1]
 
 
-def normality_constant_estimate(
-    cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: int = 0
-) -> float:
-    """Sampled max of ||x||/||y|| over pairs 0 <= x <= y; a lower bound on the
-    normality constant of the cone."""
+def _dominated_pair_checks(cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: int) -> tuple[float, PropertyReport]:
+    """(normality estimate, norm-monotonicity report) of one draw of
+    ``n_samples`` dominated pairs from ``seed``, each pair normed once."""
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if seed < 0:  # numpy refuses it naming no option
@@ -140,16 +138,19 @@ def normality_constant_estimate(
     x, y = sample_dominated_pairs(cone, np.random.default_rng(seed), n_samples)
     nx, ny = _row_norms(space, np.stack([x, y]))
     nonzero = ny != 0.0
-    return float((nx[nonzero] / ny[nonzero]).max(initial=0.0))
+    gamma = float((nx[nonzero] / ny[nonzero]).max(initial=0.0))
+    return gamma, PropertyReport.from_rows("norm_monotonic", x, y, nx, ny, nx > ny + NORM_MONOTONE_TOL)
+
+
+def normality_constant_estimate(
+    cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: int = 0
+) -> float:
+    """Sampled max of ||x||/||y|| over pairs 0 <= x <= y; a lower bound on the
+    normality constant of the cone."""
+    return _dominated_pair_checks(cone, space, n_samples, seed)[0]
 
 
 def is_norm_monotonic(cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: int = 0) -> PropertyReport:
     """Sampled check that 0 <= x <= y implies ||x|| <= ||y||; each violation
     is recorded with the witness pair."""
-    if n_samples <= 0:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
-    if seed < 0:  # numpy refuses it naming no option
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    x, y = sample_dominated_pairs(cone, np.random.default_rng(seed), n_samples)
-    nx, ny = _row_norms(space, np.stack([x, y]))
-    return PropertyReport.from_rows("norm_monotonic", x, y, nx, ny, nx > ny + NORM_MONOTONE_TOL)
+    return _dominated_pair_checks(cone, space, n_samples, seed)[1]

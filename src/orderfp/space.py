@@ -77,10 +77,11 @@ def _power_sums(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
     # the power sums sum |v_i|^p of the rows of v, the bits `_roots` roots;
     # rows of a width other than the space's are refused. Call it under
     # np.errstate(over="ignore", invalid="ignore"): a sum past the float
-    # range is inf, and one with a nan is nan.
+    # range is inf, and one with a nan is nan. At p = 2 each term is one
+    # IEEE product, correctly rounded, and a sign changes no bit of it.
     if v.shape[-1] != space.dim:
         raise ValueError(f"dimension mismatch: expected {space.dim}, got {v.shape[-1]}")
-    return (np.abs(v) ** space.p).sum(axis=-1)
+    return (np.square(v) if space.p == 2.0 else np.abs(v) ** space.p).sum(axis=-1)
 
 
 def _row_norms(space: SpaceSpec, v: np.ndarray) -> np.ndarray:

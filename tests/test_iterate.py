@@ -1183,28 +1183,41 @@ def verdict_batch(kind, d, flavours, rng):
     """(specs, starts) of one batch of affine or translation maps on the
     orthant of R^d, one orbit per flavour: "converge", "grow", "nonfinite"
     (an image past the float range), "escape" (the orbit leaves the orthant)
-    or "tiny" (steps near the underflow range)."""
+    or "tiny" (steps near the underflow range); or one of the EDGES of the
+    escape test: "below_zero" (a start of 0 but for one coordinate of
+    -1e-12, inside the membership tolerance, and a matrix of scale 1e6 with
+    no offset), "signed_zero" (a start coordinate of -0.0), "inf_entry" and
+    "nan_entry" (a matrix entry; a translation, which holds no such entry,
+    shifts by up to 1.7e308 or 1e-12) or "neg_entry" (one negative entry)."""
     domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=d))
     specs, starts = [], []
     for flavour in flavours:
         base = rng.uniform(0.5, 1.5, size=d)
         if kind == "translation":
-            scale = {"converge": 1e-12, "grow": 1.0, "nonfinite": 1e307, "escape": 1.0, "tiny": 1e-305}[flavour]
+            scale = {"converge": 1e-12, "grow": 1.0, "nonfinite": 1e307, "escape": 1.0, "tiny": 1e-305,
+                     "below_zero": 1.0, "signed_zero": 1e-12, "inf_entry": 1.7e308 / 1.5, "nan_entry": 1e-12,
+                     "neg_entry": 1.0}[flavour]
             shift = scale * base
             if flavour == "escape":
                 shift[-1] = -rng.uniform(0.01, 1.0)
+            if flavour == "neg_entry":  # too small a drift to leave the orthant within the budget
+                shift[0] = -1e-300
             op = TranslationMap(shift)
         else:
             m = rng.uniform(0.0, 1.0, size=(d, d))
             m /= np.linalg.norm(m, 2)
             rho = {"converge": rng.uniform(0.1, 0.95), "grow": rng.uniform(1.05, 2.0), "nonfinite": 1e300,
-                   "escape": 0.5, "tiny": 0.5}[flavour]
-            offset = base * (1e-300 if flavour == "tiny" else 1.0)
+                   "escape": 0.5, "tiny": 0.5, "below_zero": 1e6}.get(flavour, 0.5)
+            offset = base * {"tiny": 1e-300, "below_zero": 0.0}.get(flavour, 1.0)
             if flavour == "escape":
                 offset[-1] = -rng.uniform(0.01, 1.0)
+            m[0, -1] = {"inf_entry": math.inf, "nan_entry": math.nan, "neg_entry": -1.0}.get(flavour, m[0, -1])
             op = AffineMap(rho * m, offset)
         specs.append(MappingSpec(op=op, domain=domain))
-        starts.append(np.zeros(d) if flavour == "escape" else rng.uniform(0.0, 2.0, size=d) * (flavour != "tiny"))
+        starts.append(np.zeros(d) if flavour in ("escape", "below_zero")
+                      else rng.uniform(0.0, 2.0, size=d) * (flavour != "tiny"))
+        if flavour in ("below_zero", "signed_zero"):
+            starts[-1][0] = -1e-12 if flavour == "below_zero" else -0.0
     return specs, starts
 
 
@@ -1215,6 +1228,7 @@ def record_and_verdicts(specs, starts, space, cfg):
 
 
 FLAVOURS = ["converge", "grow", "nonfinite", "escape", "tiny"]
+EDGES = ["below_zero", "signed_zero", "inf_entry", "nan_entry", "neg_entry"]
 
 
 @st.composite
@@ -1222,13 +1236,16 @@ def verdict_cases(draw):
     kind = draw(st.sampled_from(["affine", "translation"]))
     d = draw(st.integers(1, 4))
     space = SpaceSpec(dim=d, p=draw(st.sampled_from([1.5, 2.0, 3.0])))
-    flavours = draw(st.lists(st.sampled_from(FLAVOURS), min_size=1, max_size=6))
+    flavours = draw(st.lists(st.sampled_from(FLAVOURS + EDGES), min_size=1, max_size=6))
     specs, starts = verdict_batch(kind, d, flavours, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     tol = draw(st.sampled_from([1e-300, 1e-10, 1e200, "at", "ulp"]))
     if tol in ("at", "ulp"):  # the first orbit's first residual is tol, or one ulp above it
-        first = norm(space, specs[0].op.evaluate(starts[0]) - starts[0])
+        with np.errstate(all="ignore"):
+            step = specs[0].op.evaluate(starts[0]) - starts[0]
+        assume(np.isfinite(step).all())
+        first = norm(space, step)
         tol = first if tol == "at" else math.nextafter(first, 0.0)
-        assume(tol > 0.0)
+        assume(0.0 < tol < math.inf)
     cfg = IterationConfig(
         max_iter=draw(st.integers(1, 600)),
         residual_tol=tol,
@@ -1326,14 +1343,50 @@ class TestVerdictRuns:
         record, verdicts = record_and_verdicts(specs, [np.ones(1)] * 2, LINE2, SMALL)
         assert verdicts == record == [NONFINITE, CONVERGED]
 
+    @pytest.mark.parametrize("matrix, start, want, closed", [
+        # within MEMBERSHIP_TOL of the orthant, times 1e6: the image is -1e-6, an escape
+        ([[1e6, 0.0], [0.0, 0.5]], [-1e-12, 1.0], DomainError, False),
+        # -0.0 >= 0, and its images are signed zeros: as from +0.0
+        ([[0.5, 0.0], [0.0, 0.5]], [-0.0, 1.0], CONVERGED, True),
+        ([[math.inf, 0.0], [0.0, 0.5]], [1.0, 1.0], NONFINITE, True),
+        ([[math.inf, 0.0], [0.0, 0.5]], [0.0, 1.0], NONFINITE, True),  # inf * 0 is nan
+        ([[math.nan, 0.0], [0.0, 0.5]], [1.0, 1.0], NONFINITE, False),  # nan >= 0 fails
+        ([[0.5, -1.0], [0.0, 0.5]], [1.0, 1.0], DomainError, False),
+    ])
+    def test_only_a_batch_that_can_leave_the_orthant_takes_the_escape_test(self, monkeypatch, matrix, start,
+                                                                              want, closed):
+        # sums and products of entries >= 0 stay >= 0 or are nan, and a nan
+        # image is nonfinite before it is an escape: such a batch tests only
+        # its starts for membership, and every other batch tests each image
+        import orderfp.iterate as iterate
+
+        domain = Domain(kind="cone", cone=ORTH2)
+        spec = MappingSpec(AffineMap(np.array(matrix), np.array([0.0, 0.5])), domain)
+        other = MappingSpec(AffineMap(0.5 * np.eye(2), np.full(2, 0.5)), domain)  # fixed at (1, 1)
+        shapes, plain = [], iterate._domain_contains_raw
+        monkeypatch.setattr(iterate, "_domain_contains_raw", lambda dom, v, tol: shapes.append(v.shape) or
+                            plain(dom, v, tol))
+        for specs in ([spec], [spec, other]):
+            record, verdicts = record_and_verdicts(specs, [np.array(start), np.ones(2)][: len(specs)], P2, SMALL)
+            assert verdicts == record
+            if want is DomainError:
+                assert record[0] is DomainError and "escaped its domain at step 0" in record[1]
+            else:
+                assert record == [want, CONVERGED][: len(specs)]
+        # each run tests each start, and the images only where the batch is not closed
+        assert shapes.count((2,)) == 2 * (1 + 2) and all(len(shape) == 1 for shape in shapes) == closed
+        if start[0] == 0.0:  # a start coordinate of -0.0 gives the verdicts of +0.0
+            assert record_and_verdicts([spec], [np.array([0.0, 1.0])], P2, SMALL) == [[want]] * 2
+
     @pytest.mark.parametrize("rhos, zero_blocks", [((0.95, 0.99), 0), ((0.5, 0.8, 0.95, 0.99), 2)])
     def test_only_a_block_with_an_open_row_takes_row_norms(self, monkeypatch, rhos, zero_blocks):
         # these orbits' residuals are far from the tolerance and their points
         # below the block bound, so a block roots only each orbit's last two
-        # residuals and points, which size the next block, and calls
-        # `_row_norms` for no row; a residual of exactly 0 (an orbit that
-        # reached its fixed point, while the others run on in lockstep) is
-        # decided too: its sum is below a normal cut
+        # residuals and points, which size the next block, as two slices,
+        # makes no call for open rows, and calls `_row_norms` for no row; a
+        # residual of exactly 0 (an orbit that reached its fixed point, while
+        # the others run on in lockstep) is decided too: its sum is below a
+        # normal cut
         import orderfp.iterate as iterate
 
         calls, zeros, rooted, plain_rows, plain_roots, plain_block = (
@@ -1347,7 +1400,7 @@ class TestVerdictRuns:
             rooted.append([])
             out = plain_block(space, diff, pts, cuts)
             # the residual rows, then the point rows, that `_roots` got: each orbit's last two
-            assert [rows.tolist() for rows in rooted[-1]] == [a[:, -2:].reshape(-1, 3).tolist() for a in (diff, pts)]
+            assert [rows.tolist() for rows in rooted[-1]] == [a[:, -2:].tolist() for a in (diff, pts)]
             return out
 
         monkeypatch.setattr(iterate, "_verdict_norms", block)
@@ -1362,7 +1415,7 @@ class TestVerdictRuns:
         # residual rows whose powers underflow to a sum of 0: (1e-300, 0) is
         # decided as 0 among the middle rows, and taken exactly by `_roots`
         # among the last two, which size the next block; a zero row there has
-        # norm 0
+        # norm 0. No middle row is open, so `_roots` gets the two slices only
         import orderfp.iterate as iterate
 
         calls, plain = [], iterate._roots
@@ -1375,7 +1428,26 @@ class TestVerdictRuns:
         assert res[:, :2].tolist() == [[0.0, cuts[1] ** (1 / p)], [0.0, 0.0]]
         assert res[:, 2:].tolist() == [[norm(space, tiny), 0.0], [0.0, norm(space, tiny)]]
         # each orbit's last two residual rows, then its last two points
-        assert [rows.tolist() for rows in calls] == [[tiny, zero, zero, tiny], [[1.0, 1.0]] * 4]
+        assert [rows.tolist() for rows in calls] == [[[tiny, zero], [zero, tiny]], [[[1.0, 1.0]] * 2] * 2]
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_an_open_middle_row_alone_takes_a_masked_root(self, monkeypatch, p):
+        # a residual at the tolerance and a point at the threshold are in the
+        # band around their cuts: after the two slices of each orbit's last
+        # rows, `_roots` gets those rows alone, and their norms are exact
+        import orderfp.iterate as iterate
+
+        calls, plain = [], iterate._roots
+        monkeypatch.setattr(iterate, "_roots", lambda space, s, v: calls.append(v.copy()) or plain(space, s, v))
+        space, cfg = SpaceSpec(dim=2, p=p), IterationConfig()
+        diff, pts = np.full((2, 4, 2), 0.5), np.ones((2, 5, 2))
+        diff[1, 1], pts[0, 2] = [cfg.residual_tol, 0.0], [cfg.bound_threshold, 0.0]
+        res, norms = iterate._verdict_norms(space, diff, pts, _verdict_cuts(space, cfg))
+        assert [rows.tolist() for rows in calls[2:]] == [[[cfg.residual_tol, 0.0]], [[cfg.bound_threshold, 0.0]]]
+        assert res[1, 1] == norm(space, diff[1, 1]) and norms[0, 2] == norm(space, pts[0, 2])
+        assert res[:, 2:].tolist() == _row_norms(space, diff[:, 2:]).tolist()
+        assert norms[:, 3:].tolist() == _row_norms(space, pts[:, 3:]).tolist()
+        assert (norms[:, :2] == -math.inf).all() and norms[1, 2] == -math.inf
 
     def test_blocks_are_sized_as_in_a_record_run(self, monkeypatch):
         # the last two residuals and points of each orbit take exact norms,

@@ -31,6 +31,7 @@ from orderfp.space import (
     norm,
     _SQRT_ROWS,
     _lp_norm_floats,
+    _power_sums,
     _row_norms,
 )
 
@@ -527,6 +528,33 @@ class TestSqrtRoots:
         one = _row_norms(P2, np.array([[row]]))[0, 0]
         block = _row_norms(P2, np.array([[row, [1.0, 1.0]]]))[0, 0]
         assert np.array([one]).view(np.int64) == np.array([block]).view(np.int64)
+
+
+def test_p2_power_sums_are_correctly_rounded_squares():
+    # x = k 2^-52 in [1, sqrt 2) has the exact square k^2 2^-104, within a
+    # thousandth of an ulp of the midpoint between two doubles: glibc's pow
+    # misrounded 215 of these 843 on x86-64 (numpy 2.4), and `_power_sums`
+    # at p = 2 must give the correctly rounded square, as np.abs(v) ** 2.0
+    # and v * v do, for either sign and across the exponent range
+    from fractions import Fraction
+
+    rng = np.random.default_rng(57)
+    ks = [k for k in rng.integers(2**52, int(2**52 * math.sqrt(2.0)), 400_000).tolist()
+          if abs(k * k % 2**52 - 2**51) < 2**52 * 1e-3]
+    exact = np.array([float(Fraction(k * k, 2**104)) for k in ks])
+    x = np.array(ks, dtype=float) * 2.0**-52
+    assert len(ks) > 500
+    sign = rng.choice([-1.0, 1.0], x.size)
+    for e in (-500, 0, 500):
+        v = sign * x * 2.0**e
+        got = _power_sums(SpaceSpec(dim=1, p=2.0), v[:, None])
+        want = exact * 2.0 ** (2 * e)
+        for other in (want, np.abs(v) ** 2.0, v * v):
+            assert got.view(np.int64).tolist() == other.view(np.int64).tolist()
+    # rows of several terms sum the same squares in the same order
+    rows = (sign * x)[: x.size // 4 * 4].reshape(-1, 4)
+    got = _power_sums(SpaceSpec(dim=4, p=2.0), rows)
+    assert got.view(np.int64).tolist() == (np.abs(rows) ** 2.0).sum(axis=-1).view(np.int64).tolist()
 
 
 class TestKadecKleeDeskScale:
