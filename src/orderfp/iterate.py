@@ -8,7 +8,9 @@ coordinate) stops with the ``nonfinite`` verdict at its last finite point.
 Orbits are stepped in blocks, a batch of orbits in lockstep: the stopping rules
 run once per block, row-wise, and an orbit's first row where one fires ends
 it, as if checked step by step. Each block is sized from the residual and norm
-trends of the one before, so that the last block ends near the stop. A run
+trends of the one before, so that the last block ends near the stop (a stacked
+batch goes straight there, other orbits double toward it), and holds at most
+max(BLOCK_CAP, BLOCK_COORDS // dim) rows. A run
 that keeps only verdicts roots a row's power sum only where it or a block
 bound leaves a stopping rule open, or where the row's trend sizes a block.
 """
@@ -76,31 +78,37 @@ def _step_flags(points: np.ndarray, cone: ConeSpec) -> tuple[np.ndarray, np.ndar
     return _member_raw(cone, steps, MEMBERSHIP_TOL), _member_raw(cone, -steps, MEMBERSHIP_TOL)
 
 
-BLOCK_FIRST, BLOCK_CAP = 8, 1024  # steps per block: at most doubles from the first to the cap
+BLOCK_FIRST = 8  # steps in the first block of a batch
+BLOCK_CAP, BLOCK_COORDS = 1024, 20 * 1024  # a block holds at most max(BLOCK_CAP, BLOCK_COORDS // dim) rows in all
 BLOCK_SLACK = 8  # steps a block runs past the stop its predecessor's trend predicts
 
 
-def _next_block(k: int, res: np.ndarray, norms: np.ndarray, cfg: IterationConfig) -> int:
+def _next_block(k: int, res: np.ndarray, norms: np.ndarray, cfg: IterationConfig, stacked: bool) -> int:
     """Steps in the block after a block of k steps with residuals ``res`` and
-    point norms ``norms``, one row per orbit (1-D for one orbit): twice k up
-    to BLOCK_CAP, but at most BLOCK_SLACK past the last predicted stop, and
-    never fewer than BLOCK_FIRST. An orbit predicts the nearer of two stops
-    from its last two rows: a geometric residual ratio reaching residual_tol,
-    or a linear norm increment crossing bound_threshold. A trend that is not
-    finite and strictly moving toward its stop (an overflowed norm, a
-    residual of 0 or inf) predicts nothing, nor does a block of one step."""
+    point norms ``norms``, one row per orbit (1-D for one orbit):
+    BLOCK_SLACK past the last predicted stop, but at most twice k unless the
+    batch is ``stacked`` (its steps cost no Python call) and every orbit
+    predicts a stop, and never fewer than BLOCK_FIRST; `_orbit` caps the
+    rows. An orbit predicts the nearer of two stops from its last two rows:
+    a geometric residual ratio reaching residual_tol, or a linear norm
+    increment crossing bound_threshold. A trend that is not finite and
+    strictly moving toward its stop (an overflowed norm, a residual of 0 or
+    inf) predicts nothing, nor does a block of one step."""
     steps = math.inf
     if k > 1:
-        steps, tol, top = -math.inf, cfg.residual_tol, cfg.bound_threshold
-        rows = (a.reshape(-1, a.shape[-1])[:, -2:].tolist() for a in (res, norms))
-        for (res0, res1), (norm0, norm1) in zip(*rows):
-            stop = math.inf
-            if tol < res1 < res0 < math.inf and res1 / res0 > 0.0:  # the ratio can underflow
-                stop = (math.log(tol) - math.log(res1)) / math.log(res1 / res0)
-            if norm0 < norm1 < top:
-                stop = min(stop, (top - norm1) / (norm1 - norm0))
-            steps = max(steps, stop)
-    return max(BLOCK_FIRST, int(min(2 * k, BLOCK_CAP, steps + BLOCK_SLACK)))
+        tol, top = cfg.residual_tol, cfg.bound_threshold
+        (res0, res1), (norm0, norm1) = (a.reshape(-1, a.shape[-1])[:, -2:].T for a in (res, norms))
+        with np.errstate(all="ignore"):  # the ratio can underflow; rows not taken may be 0, inf or nan
+            ratio = res1 / res0
+            stop = np.where((tol < res1) & (res1 < res0) & (res0 < math.inf) & (ratio > 0.0),
+                            (math.log(tol) - np.log(res1)) / np.log(ratio), math.inf)
+            up = (norm0 < norm1) & (norm1 < top)
+            stop = np.where(up, np.minimum(stop, (top - norm1) / (norm1 - norm0)), stop)
+        steps = float(stop.max())
+    limit = steps + BLOCK_SLACK
+    if not (stacked and limit < math.inf):
+        limit = min(limit, 2 * k)
+    return max(BLOCK_FIRST, int(limit))
 
 
 # the fields a Picard batch stacks, each (dim, 1) or (dim, dim): a block of x -> x + shift
@@ -210,12 +218,13 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
     window = min(cfg.window, cfg.max_iter + 1)
     recent = np.full((len(spec), window), np.inf)
     n0, k, cuts = 0, BLOCK_FIRST, _verdict_cuts(space, cfg) if verdicts else None
+    rows = max(BLOCK_CAP, BLOCK_COORDS // op.dim)
     with np.errstate(all="ignore"):
         while n0 < cfg.max_iter:
-            # the recurrence alone, k steps at a time and BLOCK_CAP rows in all, as k + 1
+            # the recurrence alone, k steps at a time and at most `rows` rows in all, as k + 1
             # slabs (orbits, dim, 1); an error is held until the rules below
             # show that no earlier step ends the orbit
-            k = max(1, min(k, cfg.max_iter - n0, BLOCK_CAP // len(live)))
+            k = max(1, min(k, cfg.max_iter - n0, rows // len(live)))
             slabs = np.empty((k + 1, len(live), op.dim, 1))
             xs = slabs[..., 0].swapaxes(0, 1)  # one row of k + 1 points per orbit
             xs[:, 0] = x
@@ -277,7 +286,7 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
                 live, xs, res, norms, recent = [live[r] for r in on], xs[on], res[on], norms[on], recent[on]
                 stack = [a[on] for a in stack]
             # their trend sizes the next block
-            n0, x, k, recent = n0 + k, xs[:, k], _next_block(k, res, norms, cfg), recent[:, k : k + window]
+            n0, x, k, recent = n0 + k, xs[:, k], _next_block(k, res, norms, cfg, bool(stack)), recent[:, k : k + window]
 
         if verdicts:
             return verdict

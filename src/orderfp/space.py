@@ -79,9 +79,13 @@ def _power_sums(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
     # np.errstate(over="ignore", invalid="ignore"): a sum past the float
     # range is inf, and one with a nan is nan. At p = 2 each term is one
     # IEEE product, correctly rounded, and a sign changes no bit of it.
+    # Below 8 terms numpy's sum adds 0 and the terms left to right, as sum()
+    # over the columns does (it compensates Python floats only, from 3.12 on)
+    # at a tenth of the cost; from 8 terms on numpy sums pairwise.
     if v.shape[-1] != space.dim:
         raise ValueError(f"dimension mismatch: expected {space.dim}, got {v.shape[-1]}")
-    return (np.square(v) if space.p == 2.0 else np.abs(v) ** space.p).sum(axis=-1)
+    t = np.square(v) if space.p == 2.0 else np.abs(v) ** space.p
+    return t.sum(axis=-1) if space.dim >= 8 else sum((t[..., i] for i in range(space.dim)), 0.0)
 
 
 def _row_norms(space: SpaceSpec, v: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from orderfp import corpus
 from orderfp.iterate import (
     BLOCK_CAP,
+    BLOCK_COORDS,
     BLOCK_FIRST,
     BLOCK_SLACK,
     CONVERGED,
@@ -632,9 +633,14 @@ def assert_same_outcome(spec, x0, space, cfg):
     return got
 
 
-# steps where the blocks of one orbit end: 8, 24, 56, ..., 1016, 2040; a stop
-# is tried on both sides of the first two and the last two
-BLOCK_ENDS = list(itertools.accumulate(min(BLOCK_FIRST << i, BLOCK_CAP) for i in range(8)))
+def block_rows(dim):
+    """The most rows a block of orbits in R^dim holds."""
+    return max(BLOCK_CAP, BLOCK_COORDS // dim)
+
+
+# steps where the blocks of a 1-D orbit that doubles end: 8, 24, 56, ...,
+# 1016, 2040; a stop is tried on both sides of the first two and the last two
+BLOCK_ENDS = list(itertools.accumulate(min(BLOCK_FIRST << i, block_rows(1)) for i in range(8)))
 STOP_STEPS = sorted(
     {0, 1, 7, 8, 9, 23, 24, 25, 1023, 1024, 1025, 2047}
     | {end + d for end in BLOCK_ENDS[:2] + BLOCK_ENDS[-2:] for d in (-1, 0, 1)}
@@ -824,10 +830,12 @@ class TestTranslationAndTrendBlocks:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_growth_stop(self, p):
-        spec, x0 = translation(self.SHIFT3)
+        # in R^20 a block holds at most 1,024 rows, and this orbit runs
+        # through more than one of them
+        spec, x0 = translation(np.linspace(0.5, 1.5, 20))
         cfg = IterationConfig(max_iter=100_000, bound_threshold=1e4, window=50)
-        got = assert_same_outcome(spec, x0, SpaceSpec(dim=3, p=p), cfg)
-        assert got[1].verdict == UNBOUNDED_SUSPECTED and len(got[1]) > BLOCK_CAP
+        got = assert_same_outcome(spec, x0, SpaceSpec(dim=20, p=p), cfg)
+        assert got[1].verdict == UNBOUNDED_SUSPECTED and len(got[1]) > block_rows(20) == BLOCK_CAP
 
     @pytest.mark.parametrize("start", [0.5, 7.5, 8.5, 600.25])
     def test_domain_escape(self, start):
@@ -899,17 +907,35 @@ class TestTranslationAndTrendBlocks:
         ids=["inf", "zero-residual", "nan", "inf-norms", "flat", "wrong-way", "past-both", "ratio-underflow"],
     )
     def test_a_trend_that_does_not_move_toward_a_stop_predicts_nothing(self, res, norms):
+        # the block doubles, in a stacked batch too; `_orbit` caps its rows
         cfg = IterationConfig(residual_tol=1e-300, bound_threshold=1e12)
-        for k in (8, 512, BLOCK_CAP):
-            assert _next_block(k, np.array(res), np.array(norms), cfg) == min(2 * k, BLOCK_CAP)
+        for k, stacked in itertools.product((8, 512, BLOCK_CAP, 4 * BLOCK_CAP), (False, True)):
+            assert _next_block(k, np.array(res), np.array(norms), cfg, stacked) == 2 * k
 
     def test_blocks_end_near_the_predicted_stop(self):
         cfg = IterationConfig(residual_tol=1e-10, bound_threshold=100.0)
         # residuals halve from 1e-2: 1e-10 is 26.6 steps on; norms rise by 1 to 100
-        assert _next_block(512, np.array([2e-2, 1e-2]), np.array([1.0, 2.0]), cfg) == 26 + BLOCK_SLACK
-        assert _next_block(512, np.array([2e-2, 1e-2]), np.array([80.0, 95.0]), cfg) == BLOCK_FIRST
-        assert _next_block(512, np.array([1.0, 1.0]), np.array([1.0, 2.0]), cfg) == 98 + BLOCK_SLACK
-        assert _next_block(1, np.array([1.0]), np.array([1.0]), cfg) == BLOCK_FIRST
+        for stacked in (False, True):
+            assert _next_block(512, np.array([2e-2, 1e-2]), np.array([1.0, 2.0]), cfg, stacked) == 26 + BLOCK_SLACK
+            assert _next_block(512, np.array([2e-2, 1e-2]), np.array([80.0, 95.0]), cfg, stacked) == BLOCK_FIRST
+            assert _next_block(512, np.array([1.0, 1.0]), np.array([1.0, 2.0]), cfg, stacked) == 98 + BLOCK_SLACK
+            assert _next_block(1, np.array([1.0]), np.array([1.0]), cfg, stacked) == BLOCK_FIRST
+        # past twice k only in a stacked batch, and only when every orbit predicts a stop
+        res, norms = np.array([[2e-2, 1e-2], [2e-2, 1e-2]]), np.array([[1.0, 2.0], [1.0, 1.0]])
+        assert _next_block(8, res, norms, cfg, False) == 16
+        assert _next_block(8, res, norms, cfg, True) == 26 + BLOCK_SLACK
+        assert _next_block(8, np.array([[2e-2, 1e-2], [1.0, 1.0]]), norms, cfg, True) == 16
+
+    def test_a_generic_orbit_doubles_past_a_far_predicted_stop(self):
+        # min(x + 1, 1000) from 0: the norm trend predicts a stop near 1e12,
+        # but a generic map's step is a Python call, so its blocks double
+        # (8, 16, ..., 512 end at step 1016) where a stacked batch's would
+        # take block_rows(1) = 20,480 steps after the first
+        counted = Counted(converges_at(1000).op)
+        spec = MappingSpec(op=counted, domain=CONE1)
+        rec = picard_orbit(spec, [0.0], LINE2, IterationConfig(max_iter=100_000, bound_threshold=1e12))
+        assert rec.verdict == CONVERGED and len(rec) == 1001
+        assert counted.calls == 1016 <= 2 * len(rec) + BLOCK_FIRST
 
     @pytest.mark.parametrize("dim", [1, 5, 20])
     def test_contraction_evaluates_near_its_stop(self, dim):
@@ -1101,6 +1127,21 @@ class TestLockstepBatches:
         monkeypatch.undo()
         assert_batch_matches_alone(list(specs), list(starts), P2, self.CFG)
 
+    def test_a_stacked_translation_batch_reaches_its_stop_in_few_blocks(self, monkeypatch):
+        # the norms rise linearly to the ceiling of 1e4 (steps 6,773 and
+        # 8,945): after the first 8 steps the trend sizes each block
+        # straight to the last stop, at most 10,240 // 2 steps in R^2
+        import orderfp.iterate as iterate
+
+        blocks, plain = [], iterate._verdict_norms
+        monkeypatch.setattr(iterate, "_verdict_norms", lambda *args: blocks.append(args[1].shape) or plain(*args))
+        specs, starts = zip(*(translation(np.array(shift)) for shift in ([0.5, 1.0], [0.7, 1.3])))
+        cfg = IterationConfig(max_iter=100_000, bound_threshold=1e4, window=50)
+        got = _orbit(list(specs), list(starts), P2, cfg, verdicts=True)
+        assert got == [UNBOUNDED_SUSPECTED] * 2 and len(blocks) <= 4
+        monkeypatch.undo()
+        assert_batch_matches_alone(list(specs), list(starts), P2, cfg)
+
     def test_blocks_hold_at_most_block_cap_rows(self, monkeypatch):
         import orderfp.iterate as iterate
 
@@ -1111,10 +1152,10 @@ class TestLockstepBatches:
         got = _orbit(specs, [np.zeros(5)] * 40, SpaceSpec(dim=5, p=2.0), SMALL)
         assert all(out.verdict == CONVERGED for out in got)
         # a block's one call takes its k residuals, its start and its k points
-        blocks = [s for s in shapes if s[1] > 1]
-        assert max(s[0] * (s[1] - 1) for s in blocks) <= 2 * BLOCK_CAP
-        # the batch starts with 40 orbits, whose blocks are capped at 1024 // 40 steps
-        assert blocks[0] == (40, 2 * BLOCK_FIRST + 1, 5) and (40, 2 * (BLOCK_CAP // 40) + 1, 5) in blocks
+        blocks, rows = [s for s in shapes if s[1] > 1], block_rows(5)
+        assert max(s[0] * (s[1] - 1) for s in blocks) <= 2 * rows
+        # the batch starts with 40 orbits, whose blocks are capped at 4096 // 40 steps
+        assert blocks[0] == (40, 2 * BLOCK_FIRST + 1, 5) and (40, 2 * (rows // 40) + 1, 5) in blocks
 
     @staticmethod
     def verdicts_of(specs, starts, space, cfg, verdicts=False):
@@ -1386,7 +1427,8 @@ class TestVerdictRuns:
         # makes no call for open rows, and calls `_row_norms` for no row; a
         # residual of exactly 0 (an orbit that reached its fixed point, while
         # the others run on in lockstep) is decided too: its sum is below a
-        # normal cut
+        # normal cut. In R^20 a block holds at most 1,024 rows, so each batch
+        # takes at least three blocks
         import orderfp.iterate as iterate
 
         calls, zeros, rooted, plain_rows, plain_roots, plain_block = (
@@ -1404,9 +1446,9 @@ class TestVerdictRuns:
             return out
 
         monkeypatch.setattr(iterate, "_verdict_norms", block)
-        specs = [_random_map(3, rho) for rho in rhos]
-        got = _orbit(specs, [np.zeros(3)] * len(specs), SpaceSpec(dim=3, p=2.0), LONG, verdicts=True)
-        assert got == [CONVERGED] * len(specs) and len(zeros) > 3
+        specs = [_random_map(20, rho) for rho in rhos]
+        got = _orbit(specs, [np.zeros(20)] * len(specs), SpaceSpec(dim=20, p=2.0), LONG, verdicts=True)
+        assert got == [CONVERGED] * len(specs) and len(zeros) >= 3
         # none at all: the starting norms are a block's rows
         assert sum(zeros) == zero_blocks and calls == []
 
@@ -1451,7 +1493,8 @@ class TestVerdictRuns:
 
     def test_blocks_are_sized_as_in_a_record_run(self, monkeypatch):
         # the last two residuals and points of each orbit take exact norms,
-        # so a verdict run sizes its blocks from the record run's trends
+        # so a verdict run sizes its blocks from the record run's trends: the
+        # contractions' one prediction, and the translations' capped blocks
         import orderfp.iterate as iterate
 
         plain, sizes = iterate._next_block, []
@@ -1459,10 +1502,12 @@ class TestVerdictRuns:
         space = SpaceSpec(dim=3, p=2.0)
         contractions = [_random_map(3, rho) for rho in (0.5, 0.8, 0.95, 0.99)]
         translations = [translation(np.array([0.5, 1.0, 1.5]) * (1 + i / 10))[0] for i in range(4)]
-        for specs in (contractions, translations):
+        cfg = dataclasses.replace(LONG, max_iter=20_000)
+        # the translations: 8 steps, then blocks of 6,826 // 4 rows up to the budget
+        for specs, blocks in ((contractions, 1), (translations, 1 + math.ceil((20_000 - 8) / (block_rows(3) // 4)))):
             runs = []
             for verdicts in (False, True):
                 sizes.clear()
-                _orbit(specs, [np.zeros(3)] * 4, space, LONG, verdicts=verdicts)
+                _orbit(specs, [np.zeros(3)] * 4, space, cfg, verdicts=verdicts)
                 runs.append(list(sizes))
-            assert runs[0] == runs[1] and len(runs[0]) > 3
+            assert runs[0] == runs[1] and len(runs[0]) == blocks

@@ -557,6 +557,33 @@ def test_p2_power_sums_are_correctly_rounded_squares():
     assert got.view(np.int64).tolist() == (np.abs(rows) ** 2.0).sum(axis=-1).view(np.int64).tolist()
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_power_sums_have_the_bits_of_numpys_sum(d, p):
+    # below 8 terms `_power_sums` adds the columns one by one; it must give
+    # the bits of .sum(axis=-1) over the terms, on a contiguous block and on
+    # the layouts `_orbit` passes: the rows of k + 1 slabs (orbits, d, 1)
+    # seen orbit-major, and their last two steps. Half the orbits mix
+    # scales from 1e-300 to 1e300, and half have terms of one scale a row,
+    # whose sum depends on the order of the adds
+    rng = np.random.default_rng(100 * d + int(10 * p))
+    orbits, steps = 8, 300
+    scale = rng.uniform(-300.0, 300.0, (orbits, steps, d))
+    scale[::2] = scale[::2, :, :1] / p + rng.uniform(0.0, 0.3, (orbits // 2, steps, d))
+    v = rng.choice([-1.0, 1.0], (orbits, steps, d)) * 10.0**scale
+    special = rng.random(v.shape)
+    v[special < 0.2] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], int((special < 0.2).sum()))
+    slabs = np.empty((steps, orbits, d, 1))
+    xs = slabs[..., 0].swapaxes(0, 1)
+    xs[...] = v
+    space = SpaceSpec(dim=d, p=p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in (v, xs, xs[:, -2:], v[0]):
+            want = (np.square(rows) if p == 2.0 else np.abs(rows) ** p).sum(axis=-1)
+            got = _power_sums(space, rows)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestKadecKleeDeskScale:
     def test_coordinate_and_norm_convergence_forces_distance(self):
         # finite-dimensional surrogate: coordinatewise convergence plus norm
