@@ -8,11 +8,11 @@ coordinate) stops with the ``nonfinite`` verdict at its last finite point.
 Orbits are stepped in blocks, a batch of orbits in lockstep: the stopping rules
 run once per block, row-wise, and an orbit's first row where one fires ends
 it, as if checked step by step. Each block is sized from the residual and norm
-trends of the one before, so that the last block ends near the stop (a stacked
-batch goes straight there, other orbits double toward it), and holds at most
-max(BLOCK_CAP, BLOCK_COORDS // dim) rows. A run
-that keeps only verdicts roots a row's power sum only where it or a block
-bound leaves a stopping rule open, or where the row's trend sizes a block.
+trends of the one before, so that the last block ends near the stop: a stacked
+batch goes there at once, in blocks of max(BLOCK_CAP, BLOCK_COORDS // dim)
+rows at most, and any other orbit, a Python call a step, doubles toward it in
+blocks of BLOCK_CAP rows at most. A verdict run roots a row's power sum only
+where it or a block bound leaves a rule open, or where its trend sizes a block.
 """
 
 from __future__ import annotations
@@ -79,21 +79,20 @@ def _step_flags(points: np.ndarray, cone: ConeSpec) -> tuple[np.ndarray, np.ndar
 
 
 BLOCK_FIRST = 8  # steps in the first block of a batch
-BLOCK_CAP, BLOCK_COORDS = 1024, 20 * 1024  # a block holds at most max(BLOCK_CAP, BLOCK_COORDS // dim) rows in all
+BLOCK_CAP, BLOCK_COORDS = 1024, 20 * 1024  # rows in all of a block: BLOCK_CAP, or max(BLOCK_CAP, BLOCK_COORDS // dim) stacked
 BLOCK_SLACK = 8  # steps a block runs past the stop its predecessor's trend predicts
 
 
 def _next_block(k: int, res: np.ndarray, norms: np.ndarray, cfg: IterationConfig, stacked: bool) -> int:
     """Steps in the block after a block of k steps with residuals ``res`` and
-    point norms ``norms``, one row per orbit (1-D for one orbit):
-    BLOCK_SLACK past the last predicted stop, but at most twice k unless the
-    batch is ``stacked`` (its steps cost no Python call) and every orbit
-    predicts a stop, and never fewer than BLOCK_FIRST; `_orbit` caps the
-    rows. An orbit predicts the nearer of two stops from its last two rows:
-    a geometric residual ratio reaching residual_tol, or a linear norm
-    increment crossing bound_threshold. A trend that is not finite and
-    strictly moving toward its stop (an overflowed norm, a residual of 0 or
-    inf) predicts nothing, nor does a block of one step."""
+    point norms ``norms``, one row per orbit (1-D for one orbit): BLOCK_SLACK
+    past the last predicted stop, at most twice k unless the batch is
+    ``stacked`` (no Python call a step) and every orbit predicts a stop, at
+    least BLOCK_FIRST; `_orbit` caps the rows. An orbit predicts the nearer of
+    two stops from its last two rows: a geometric residual ratio reaching
+    residual_tol, or a linear norm increment crossing bound_threshold. A trend
+    that is not finite and strictly moving toward its stop (an overflowed norm,
+    a residual of 0 or inf) predicts nothing, nor does a block of one step."""
     steps = math.inf
     if k > 1:
         tol, top = cfg.residual_tol, cfg.bound_threshold
@@ -105,10 +104,7 @@ def _next_block(k: int, res: np.ndarray, norms: np.ndarray, cfg: IterationConfig
             up = (norm0 < norm1) & (norm1 < top)
             stop = np.where(up, np.minimum(stop, (top - norm1) / (norm1 - norm0)), stop)
         steps = float(stop.max())
-    limit = steps + BLOCK_SLACK
-    if not (stacked and limit < math.inf):
-        limit = min(limit, 2 * k)
-    return max(BLOCK_FIRST, int(limit))
+    return max(BLOCK_FIRST, int(min(steps + BLOCK_SLACK, math.inf if stacked and steps < math.inf else 2 * k)))
 
 
 # the fields a Picard batch stacks, each (dim, 1) or (dim, dim): a block of x -> x + shift
@@ -172,9 +168,9 @@ def _verdict_norms(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts) ->
     below = ((_SUM_MIN <= s) | (s == 0.0)) & (s < lo)  # a sum of 0 has its root below a normal lo's
     res = np.where(below, 0.0, hi ** (1.0 / space.p))
     res_open = ~below & ~((hi < s) & (s < math.inf))
-    if np.abs(pts).max(initial=0.0) < top:  # a nan anywhere leaves the block to its sums
-        t, pts_open = np.zeros(pts.shape[:2]), np.zeros(pts.shape[:2], bool)
-        t[:, -2:] = _power_sums(space, pts[:, -2:])
+    if max(pts.max(initial=0.0), -pts.min(initial=0.0)) < top:  # a nan anywhere leaves the block to its sums
+        t = _power_sums(space, pts[:, -2:])  # the sizing rows' sums alone
+        pts_open = np.zeros(t.shape, bool)
     else:
         t = _power_sums(space, pts)
         pts_open = ~((_SUM_MIN <= t) & (t < cut))
@@ -218,7 +214,7 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
     window = min(cfg.window, cfg.max_iter + 1)
     recent = np.full((len(spec), window), np.inf)
     n0, k, cuts = 0, BLOCK_FIRST, _verdict_cuts(space, cfg) if verdicts else None
-    rows = max(BLOCK_CAP, BLOCK_COORDS // op.dim)
+    rows = max(BLOCK_CAP, BLOCK_COORDS // op.dim) if stack else BLOCK_CAP
     with np.errstate(all="ignore"):
         while n0 < cfg.max_iter:
             # the recurrence alone, k steps at a time and at most `rows` rows in all, as k + 1
@@ -285,8 +281,9 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
             if len(on) < len(live):  # the orbits that ran through go on
                 live, xs, res, norms, recent = [live[r] for r in on], xs[on], res[on], norms[on], recent[on]
                 stack = [a[on] for a in stack]
-            # their trend sizes the next block
-            n0, x, k, recent = n0 + k, xs[:, k], _next_block(k, res, norms, cfg, bool(stack)), recent[:, k : k + window]
+            # their trend sizes the next block, which keeps no array of this one alive
+            n0, x, recent = n0 + k, xs[:, k].copy(), recent[:, k : k + window].copy()
+            k, res, norms = _next_block(k, res, norms, cfg, bool(stack)), None, None
 
         if verdicts:
             return verdict

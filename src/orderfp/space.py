@@ -79,13 +79,17 @@ def _power_sums(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
     # np.errstate(over="ignore", invalid="ignore"): a sum past the float
     # range is inf, and one with a nan is nan. At p = 2 each term is one
     # IEEE product, correctly rounded, and a sign changes no bit of it.
-    # Below 8 terms numpy's sum adds 0 and the terms left to right, as sum()
-    # over the columns does (it compensates Python floats only, from 3.12 on)
-    # at a tenth of the cost; from 8 terms on numpy sums pairwise.
+    # Below 8 terms numpy's sum adds 0 and the terms left to right (pairwise
+    # from 8 on): at p = 2 the squares of the columns, added in place, have
+    # its bits at a tenth of its cost, with no array of all the terms.
     if v.shape[-1] != space.dim:
         raise ValueError(f"dimension mismatch: expected {space.dim}, got {v.shape[-1]}")
-    t = np.square(v) if space.p == 2.0 else np.abs(v) ** space.p
-    return t.sum(axis=-1) if space.dim >= 8 else sum((t[..., i] for i in range(space.dim)), 0.0)
+    if space.p != 2.0 or space.dim >= 8:
+        return (np.square(v) if space.p == 2.0 else np.abs(v) ** space.p).sum(axis=-1)
+    s = np.square(v[..., 0])  # 0 + a square is the square
+    for i in range(1, space.dim):
+        s += np.square(v[..., i])
+    return s
 
 
 def _row_norms(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
@@ -121,10 +125,11 @@ def _roots(space: SpaceSpec, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
     flat = sums.ravel()
     if space.p == 2.0 and flat.size >= _SQRT_ROWS:
         out = np.sqrt(flat)
-        c = 134217729.0 * out  # 2**27 + 1
-        hi = c - (c - out)
+        hi = 134217729.0 * out  # 2**27 + 1; the split c - (c - out), and r, reuse buffers
+        hi -= hi - out
         lo = out - hi
-        r = ((flat - hi * hi) - 2.0 * hi * lo) - lo * lo
+        r = (flat - hi * hi) - 2.0 * hi * lo
+        r -= np.square(lo, out=lo)
         near = ((out + r * (1.1 / 2.0) / out != out) | (flat < 2.0**-960)).nonzero()[0]
         out[near] = [s**0.5 for s in flat[near].tolist()]
     else:

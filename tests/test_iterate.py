@@ -640,7 +640,7 @@ def block_rows(dim):
 
 # steps where the blocks of a 1-D orbit that doubles end: 8, 24, 56, ...,
 # 1016, 2040; a stop is tried on both sides of the first two and the last two
-BLOCK_ENDS = list(itertools.accumulate(min(BLOCK_FIRST << i, block_rows(1)) for i in range(8)))
+BLOCK_ENDS = list(itertools.accumulate(min(BLOCK_FIRST << i, BLOCK_CAP) for i in range(8)))
 STOP_STEPS = sorted(
     {0, 1, 7, 8, 9, 23, 24, 25, 1023, 1024, 1025, 2047}
     | {end + d for end in BLOCK_ENDS[:2] + BLOCK_ENDS[-2:] for d in (-1, 0, 1)}
@@ -734,6 +734,23 @@ class TestBlockEngine:
             assert rec.verdict == want.get(kind, kind)
             assert len(rec.residuals) == len(rec.norms) == len(rec)
             assert len(rec) == step + (2 if rec.verdict == UNBOUNDED_SUSPECTED else 1)
+
+    @pytest.mark.parametrize("step", [BLOCK_FIRST + block_rows(1) + d for d in (-1, 0)])
+    def test_a_stacked_growth_stop_on_the_edges_of_a_capped_block(self, monkeypatch, step):
+        # x -> x + 1, a running sum, with its ceiling more than block_rows(1)
+        # steps on: after the first 8 steps the trend sizes the next block
+        # straight past the row cap, so the stop is on that block's last row
+        # (step 20,487) or on the next block's first (step 20,488)
+        import orderfp.iterate as iterate
+
+        plain, sizes = iterate._next_block, []
+        monkeypatch.setattr(iterate, "_next_block", lambda *args: sizes.append(plain(*args)) or sizes[-1])
+        spec, x0, cfg = stop_case(UNBOUNDED_SUSPECTED, step)
+        cfg = dataclasses.replace(cfg, max_iter=2 * step)
+        rec = assert_same_outcome(spec, x0, LINE2, cfg)[1]
+        assert rec.verdict == UNBOUNDED_SUSPECTED and len(rec) == step + 2
+        assert sizes[0] >= block_rows(1) and len(sizes) == (step >= BLOCK_FIRST + block_rows(1)) + 1
+        assert one_verdict(spec, x0, LINE2, cfg) == UNBOUNDED_SUSPECTED
 
     @pytest.mark.parametrize("max_iter", [1, 7, 8, 9, 100] + BLOCK_ENDS[-2:])
     def test_budget_ends_inside_and_on_block_edges(self, max_iter):
@@ -927,15 +944,17 @@ class TestTranslationAndTrendBlocks:
         assert _next_block(8, np.array([[2e-2, 1e-2], [1.0, 1.0]]), norms, cfg, True) == 16
 
     def test_a_generic_orbit_doubles_past_a_far_predicted_stop(self):
-        # min(x + 1, 1000) from 0: the norm trend predicts a stop near 1e12,
+        # min(x + 1, stop) from 0: the norm trend predicts a stop near 1e12,
         # but a generic map's step is a Python call, so its blocks double
-        # (8, 16, ..., 512 end at step 1016) where a stacked batch's would
-        # take block_rows(1) = 20,480 steps after the first
-        counted = Counted(converges_at(1000).op)
-        spec = MappingSpec(op=counted, domain=CONE1)
-        rec = picard_orbit(spec, [0.0], LINE2, IterationConfig(max_iter=100_000, bound_threshold=1e12))
-        assert rec.verdict == CONVERGED and len(rec) == 1001
-        assert counted.calls == 1016 <= 2 * len(rec) + BLOCK_FIRST
+        # (8, 16, ..., 512 end at step 1016) up to BLOCK_CAP rows (2040,
+        # 3064), where a stacked batch's would take block_rows(1) = 20,480
+        # steps after the first
+        for stop, calls in ((1000, 1016), (3000, 3064)):
+            counted = Counted(converges_at(stop).op)
+            spec = MappingSpec(op=counted, domain=CONE1)
+            rec = picard_orbit(spec, [0.0], LINE2, IterationConfig(max_iter=100_000, bound_threshold=1e12))
+            assert rec.verdict == CONVERGED and len(rec) == stop + 1
+            assert counted.calls == calls <= min(2 * len(rec) + BLOCK_FIRST, len(rec) + BLOCK_CAP)
 
     @pytest.mark.parametrize("dim", [1, 5, 20])
     def test_contraction_evaluates_near_its_stop(self, dim):
@@ -1428,17 +1447,18 @@ class TestVerdictRuns:
         # residual of exactly 0 (an orbit that reached its fixed point, while
         # the others run on in lockstep) is decided too: its sum is below a
         # normal cut. In R^20 a block holds at most 1,024 rows, so each batch
-        # takes at least three blocks
+        # takes at least three blocks, one of them full
         import orderfp.iterate as iterate
 
-        calls, zeros, rooted, plain_rows, plain_roots, plain_block = (
-            [], [], [], iterate._row_norms, iterate._roots, iterate._verdict_norms)
+        calls, zeros, sizes, rooted, plain_rows, plain_roots, plain_block = (
+            [], [], [], [], iterate._row_norms, iterate._roots, iterate._verdict_norms)
         monkeypatch.setattr(iterate, "_row_norms", lambda *args: calls.append(args) or plain_rows(*args))
         monkeypatch.setattr(iterate, "_roots", lambda space, sums, rows: rooted[-1].append(rows) or
                             plain_roots(space, sums, rows))
 
         def block(space, diff, pts, cuts):
             zeros.append(bool((diff == 0.0).all(axis=-1).any()))
+            sizes.append(diff.shape[0] * diff.shape[1])  # rows in all
             rooted.append([])
             out = plain_block(space, diff, pts, cuts)
             # the residual rows, then the point rows, that `_roots` got: each orbit's last two
@@ -1448,7 +1468,7 @@ class TestVerdictRuns:
         monkeypatch.setattr(iterate, "_verdict_norms", block)
         specs = [_random_map(20, rho) for rho in rhos]
         got = _orbit(specs, [np.zeros(20)] * len(specs), SpaceSpec(dim=20, p=2.0), LONG, verdicts=True)
-        assert got == [CONVERGED] * len(specs) and len(zeros) >= 3
+        assert got == [CONVERGED] * len(specs) and len(zeros) >= 3 and block_rows(20) in sizes
         # none at all: the starting norms are a block's rows
         assert sum(zeros) == zero_blocks and calls == []
 
@@ -1491,23 +1511,55 @@ class TestVerdictRuns:
         assert norms[:, 3:].tolist() == _row_norms(space, pts[:, 3:]).tolist()
         assert (norms[:, :2] == -math.inf).all() and norms[1, 2] == -math.inf
 
+    def test_a_verdict_block_holds_no_array_of_the_block_before(self, monkeypatch):
+        # by the time a block takes its norms, the block before's slabs and
+        # its residual and norm arrays are gone: the next block gets copies
+        # of the last points and growth windows, not views into that block
+        import weakref
+
+        import orderfp.iterate as iterate
+
+        refs, plain = [], iterate._verdict_norms
+
+        def block(space, diff, pts, cuts):
+            assert all(ref() is None for ref in refs)
+            res, norms = plain(space, diff, pts, cuts)
+            refs[:] = [weakref.ref(pts.base), weakref.ref(res), weakref.ref(norms)]
+            return res, norms
+
+        monkeypatch.setattr(iterate, "_verdict_norms", block)
+        for specs in ([_random_map(2, rho) for rho in (0.9, 0.99)],
+                      [translation(np.array(shift))[0] for shift in ([0.5, 1.0], [0.7, 1.3])]):
+            refs.clear()
+            cfg = IterationConfig(max_iter=100_000, bound_threshold=1e4, window=50)
+            got = _orbit(specs, [np.zeros(2)] * 2, P2, cfg, verdicts=True)
+            assert got[0] == got[1] != MAX_ITER_REACHED and refs
+
     def test_blocks_are_sized_as_in_a_record_run(self, monkeypatch):
         # the last two residuals and points of each orbit take exact norms,
         # so a verdict run sizes its blocks from the record run's trends: the
-        # contractions' one prediction, and the translations' capped blocks
+        # contractions' one prediction, the tails' three, and the
+        # translations' capped blocks
         import orderfp.iterate as iterate
 
         plain, sizes = iterate._next_block, []
         monkeypatch.setattr(iterate, "_next_block", lambda *args: sizes.append(plain(*args)) or sizes[-1])
-        space = SpaceSpec(dim=3, p=2.0)
         contractions = [_random_map(3, rho) for rho in (0.5, 0.8, 0.95, 0.99)]
+        # residuals whose rate passes from 0.4 to 0.98: each residual ratio
+        # predicts a stop too early, and the next block goes past twice the last
+        domain = Domain(kind="cone", cone=ConeSpec(kind="orthant", dim=5))
+        tails = [MappingSpec(AffineMap(np.diag([0.1, 0.4, 0.7, 0.9, 0.98]), 1e-2 ** np.arange(5.0) * (1 + i / 10)),
+                             domain) for i in range(4)]
         translations = [translation(np.array([0.5, 1.0, 1.5]) * (1 + i / 10))[0] for i in range(4)]
         cfg = dataclasses.replace(LONG, max_iter=20_000)
         # the translations: 8 steps, then blocks of 6,826 // 4 rows up to the budget
-        for specs, blocks in ((contractions, 1), (translations, 1 + math.ceil((20_000 - 8) / (block_rows(3) // 4)))):
-            runs = []
+        for specs, blocks in ((contractions, 1), (tails, 3),
+                              (translations, 1 + math.ceil((20_000 - 8) / (block_rows(3) // 4)))):
+            runs, dim = [], specs[0].dim
             for verdicts in (False, True):
                 sizes.clear()
-                _orbit(specs, [np.zeros(3)] * 4, space, cfg, verdicts=verdicts)
+                _orbit(specs, [np.zeros(dim)] * 4, SpaceSpec(dim=dim, p=2.0), cfg, verdicts=verdicts)
                 runs.append(list(sizes))
             assert runs[0] == runs[1] and len(runs[0]) == blocks
+            if specs is tails:
+                assert all(n > 2 * k for k, n in zip([BLOCK_FIRST] + runs[0], runs[0]))

@@ -560,12 +560,12 @@ def test_p2_power_sums_are_correctly_rounded_squares():
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("d", range(1, 10))
 def test_power_sums_have_the_bits_of_numpys_sum(d, p):
-    # below 8 terms `_power_sums` adds the columns one by one; it must give
-    # the bits of .sum(axis=-1) over the terms, on a contiguous block and on
-    # the layouts `_orbit` passes: the rows of k + 1 slabs (orbits, d, 1)
-    # seen orbit-major, and their last two steps. Half the orbits mix
-    # scales from 1e-300 to 1e300, and half have terms of one scale a row,
-    # whose sum depends on the order of the adds
+    # below 8 terms at p = 2 `_power_sums` adds the columns' squares one by
+    # one; every p must give the bits of .sum(axis=-1) over the terms, on a
+    # contiguous block and on the layouts `_orbit` passes: the rows of k + 1
+    # slabs (orbits, d, 1) seen orbit-major, and their last two steps. Half
+    # the orbits mix scales from 1e-300 to 1e300, and half have terms of one
+    # scale a row, whose sum depends on the order of the adds
     rng = np.random.default_rng(100 * d + int(10 * p))
     orbits, steps = 8, 300
     scale = rng.uniform(-300.0, 300.0, (orbits, steps, d))
