@@ -11,8 +11,11 @@ it, as if checked step by step. Each block is sized from the residual and norm
 trends of the one before, so that the last block ends near the stop: a stacked
 batch goes there at once, in blocks of max(BLOCK_CAP, BLOCK_COORDS // dim)
 rows at most, and any other orbit, a Python call a step, doubles toward it in
-blocks of BLOCK_CAP rows at most. A verdict run roots a row's power sum only
-where it or a block bound leaves a rule open, or where its trend sizes a block.
+blocks of BLOCK_CAP rows at most. A verdict run stops an orbit at its first
+candidate row that fires, a residual whose power sum is not certainly above
+residual_tol, rooted only if a cut leaves it open; only a block in which a
+point can pass bound_threshold takes point norms. Each orbit that goes on
+roots its last two residuals and points, which size the next block.
 """
 
 from __future__ import annotations
@@ -120,13 +123,13 @@ _STACKED = {TranslationMap: ("shift",), AffineMap: ("matrix", "offset")}
 # the root (libm's pow, at most 0.54 ulp; p = 2's certified np.sqrt has its
 # bits) and the cut (t (1 -+ KAPPA), then its power, about 1.1 ulp once
 # rooted), some 2e-16 against KAPPA = 1e-9. A block whose points all have
-# max |x_i| < bound_threshold (1 - KAPPA) / d^(1/p) sums only each orbit's
-# last two points: ||x||_p <= d^(1/p) max |x_i|, and the norm `_roots` takes
+# max |x_i| < bound_threshold (1 - KAPPA) / d^(1/p) takes no point sum:
+# ||x||_p <= d^(1/p) max |x_i|, and the norm `_roots` takes
 # is within (d + 8) ulp of ||x||_p (the sum's d - 1 roundings, each term's:
 # half an ulp for a square at p = 2, a few ulp for numpy's array power at
 # other p, the root, the bound), under 3e-10 for d < 2^20. Every other row
-# takes its root: the band around a cut, and a sum that is 0, subnormal, inf
-# or nan.
+# takes its root: the band around a cut, and a sum that is subnormal, inf or
+# nan, or a point's sum of 0 (a residual's is below a normal cut).
 KAPPA = 1e-9
 
 
@@ -154,35 +157,33 @@ def _verdict_cuts(space: SpaceSpec, cfg: IterationConfig) -> tuple[float, float,
     return lo, hi, cut, (top if _SUM_MIN <= top and d < 2**20 else 0.0)
 
 
-def _verdict_norms(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts) -> tuple[np.ndarray, np.ndarray]:
-    """The residual norms of the rows ``diff`` and the point norms of the
-    rows ``pts`` of a verdict block, one row per orbit, in which a decided
-    row stands in for its norm on the same side of every rule: a residual
-    at most residual_tol as 0 and one above it as the root of the cut, and a
-    point at most bound_threshold as -inf (such a row is never the larger
-    side of `new > recent` while `new > threshold` holds). Each orbit's last
-    two rows, which size the next block, take `_roots` of the sums already
-    taken, as basic slices, and so do the open rows, if any."""
+def _verdict_rules(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts, tol: float, halt, nonneg: bool):
+    """Mark in ``halt`` the residual rows ``diff`` (a row of rows per orbit)
+    where the nonfinite or converged rule fires, and return (norms, bad):
+    ``bad`` where the first fires, and the norms of the points ``pts`` (starts,
+    then images; ``nonneg`` if all are >= 0 or nan) that growth needs, a point
+    at most bound_threshold as -inf, or None if all lie below top. Only a
+    candidate, a sum not certainly above the cut and finite, can fire: one
+    below the cut does; any other is rooted, and tested finite if its root is
+    not."""
     lo, hi, cut, top = cuts
     s = _power_sums(space, diff)
-    below = ((_SUM_MIN <= s) | (s == 0.0)) & (s < lo)  # a sum of 0 has its root below a normal lo's
-    res = np.where(below, 0.0, hi ** (1.0 / space.p))
-    res_open = ~below & ~((hi < s) & (s < math.inf))
-    if max(pts.max(initial=0.0), -pts.min(initial=0.0)) < top:  # a nan anywhere leaves the block to its sums
-        t = _power_sums(space, pts[:, -2:])  # the sizing rows' sums alone
-        pts_open = np.zeros(t.shape, bool)
-    else:
-        t = _power_sums(space, pts)
-        pts_open = ~((_SUM_MIN <= t) & (t < cut))
-    norms = np.full(pts.shape[:2], -math.inf)
-    res[:, -2:] = _roots(space, s[:, -2:], diff[:, -2:])
-    norms[:, -2:] = _roots(space, t[:, -2:], pts[:, -2:])
-    res_open[:, -2:] = pts_open[:, -2:] = False
-    if np.count_nonzero(res_open):
-        res[res_open] = _roots(space, s[res_open], diff[res_open])
-    if np.count_nonzero(pts_open):
-        norms[pts_open] = _roots(space, t[pts_open], pts[pts_open])
-    return res, norms
+    np.logical_not((hi < s) & (s < math.inf), out=halt)
+    bad = np.zeros(s.shape, bool)
+    if np.count_nonzero(halt):
+        opn = halt ^ (((_SUM_MIN <= s) | (s == 0.0)) & (s < lo))  # a sum of 0 has its root below a normal lo's
+        if np.count_nonzero(opn):
+            v = _roots(space, s[opn], diff[opn])
+            bad[opn] = ~(v < math.inf) & ~np.isfinite(pts[:, 1:][opn]).all(axis=-1)
+            halt[opn] = (v <= tol) | bad[opn]
+    # max |x_i| (max x_i if all are >= 0 or nan); a nan anywhere leaves the block to its sums
+    if (pts.max(initial=0.0) if nonneg else max(pts.max(initial=0.0), -pts.min(initial=0.0))) < top:
+        return None, bad
+    t = _power_sums(space, pts)
+    norms, opn = np.full(t.shape, -math.inf), ~((_SUM_MIN <= t) & (t < cut))
+    if np.count_nonzero(opn):
+        norms[opn] = _roots(space, t[opn], pts[opn])
+    return norms, bad
 
 
 def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
@@ -191,17 +192,27 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
     TranslationMaps, on one cone, which step in lockstep as one batch and
     each leave it at its first stop; any other list is a ValueError. The
     first error met is raised. With ``verdicts``, each orbit's verdict stands
-    in for its record: no trajectory or last residual is kept. The order
-    flags of a record are taken under its map's domain cone."""
+    in for its record: no trajectory or last residual is kept, and a block
+    roots only the candidate rows a cut leaves open and takes point norms only
+    where a point can pass bound_threshold (`_verdict_rules`). The order flags
+    of a record are taken under its map's domain cone."""
     if len(spec) != 1 and not (len({(type(s.op), s.domain.kind, s.domain.cone) for s in spec}) == 1
                                and spec[0].domain.kind == "cone" and type(spec[0].op) in _STACKED):
         raise ValueError("orbits batch only as Picard orbits of one affine or translation kind on one cone")
-    domain, op, starts = spec[0].domain, spec[0].op, []
-    for s, start in zip(spec, x0):
-        starts.append(as_vector(start, dim=s.dim))
-        if not _domain_contains_raw(domain, starts[-1], MEMBERSHIP_TOL):
-            raise DomainError(f"starting point {starts[-1]} lies outside the mapping domain")
-    live, x = list(range(len(spec))), np.array(starts)
+    domain, op, live = spec[0].domain, spec[0].op, list(range(len(spec)))
+    try:  # a batch's starts in one check, else one by one, so that the first bad one raises its error
+        x = np.array(x0, dtype=float) if len(spec) > 1 else None
+        one_by_one = x is None or not (x.shape == (len(spec), op.dim) and np.isfinite(x).all()
+                                       and _domain_contains_raw(domain, x, MEMBERSHIP_TOL).all())
+    except (TypeError, ValueError):  # ragged, or not numbers
+        one_by_one = True
+    if one_by_one:
+        starts = []
+        for s, start in zip(spec, x0):
+            starts.append(as_vector(start, dim=s.dim))
+            if not _domain_contains_raw(domain, starts[-1], MEMBERSHIP_TOL):
+                raise DomainError(f"starting point {starts[-1]} lies outside the mapping domain")
+        x = np.array(starts)
     stack = [np.array([getattr(s.op, f) for s in spec]).reshape(*x.shape, -1) for f in _STACKED.get(type(op), ())]
     # sums and products of entries >= 0 are >= 0 or nan, and a nan image is `bad`, which ranks
     # first: a stacked batch on the orthant whose fields and starts are >= 0 cannot escape it
@@ -245,20 +256,25 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
             # one before. `norms` holds the start's and the points'; a record keeps the start's at n0 = 0
             pts = xs[:, 1 : m + 1]
             diff = pts - xs[:, :m]
-            if verdicts:  # roots only for the rows whose side of a cut is open
-                res, norms = _verdict_norms(space, diff, xs[:, : m + 1], cuts)
+            fires = np.ones((len(live), m + 1), bool)  # per orbit, the first step where a rule fires, or m
+            if verdicts:  # from power sums; the point norms only if a point can pass the threshold
+                norms, bad = _verdict_rules(space, diff, xs[:, : m + 1], cuts, cfg.residual_tol, fires[:, :m], closed)
             else:
-                both = _row_norms(space, np.concatenate((diff, xs[:, : m + 1]), axis=1))
-                res, norms = both[:, :m], both[:, m:]
-            bad = ~(res < np.inf)  # only a residual that is not < inf can come from a non-finite image
-            if np.count_nonzero(bad):
-                bad[bad] = ~np.isfinite(pts[bad]).all(axis=-1)
+                res, norms = _row_norms(space, diff), _row_norms(space, xs[:, : m + 1])
+                bad = ~(res < np.inf)  # only a residual that is not < inf can come from a non-finite image
+                if np.count_nonzero(bad):
+                    bad[bad] = ~np.isfinite(pts[bad]).all(axis=-1)
+                np.logical_or(bad, res <= cfg.residual_tol, out=fires[:, :m])
             esc = bad if closed else ~_domain_contains_raw(domain, pts, 1e-9)
-            recent = np.concatenate((recent, norms), axis=1)
-            fires = np.ones((2, len(live), m + 1), bool)  # per orbit, the first step where [halt, grow] fires, or m
-            np.logical_or(bad | esc, res <= cfg.residual_tol, out=fires[0, :, :m])
-            np.logical_and(norms[:, 1:] > cfg.bound_threshold, norms[:, 1:] > recent[:, 1 : m + 1], out=fires[1, :, :m])
-            halt, grow = fires.argmax(axis=2).tolist()
+            if not closed:
+                fires[:, :m] |= esc
+            halt, grow = fires.argmax(axis=1).tolist(), [m] * len(live)
+            if norms is None:  # no growth; the next window: the tail of this one, then -inf for each point
+                recent = np.concatenate((recent[:, k:], np.full((len(live), min(k, window)), -np.inf)), axis=1)
+            else:
+                recent = np.concatenate((recent, norms), axis=1)
+                np.logical_and(norms[:, 1:] > cfg.bound_threshold, norms[:, 1:] > recent[:, 1 : m + 1], out=fires[:, :m])
+                grow, recent = fires.argmax(axis=1).tolist(), recent[:, k : k + window]
             on = [r for r, (j, g) in enumerate(zip(halt, grow)) if min(j, g) == m and held is None]
             # a verdict needs only the orbits that stop; a record takes every orbit's chunk
             for r in range(len(live)) if not verdicts else sorted(set(range(len(live))) - set(on)):
@@ -279,11 +295,13 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
             if not on:
                 break
             if len(on) < len(live):  # the orbits that ran through go on
-                live, xs, res, norms, recent = [live[r] for r in on], xs[on], res[on], norms[on], recent[on]
-                stack = [a[on] for a in stack]
-            # their trend sizes the next block, which keeps no array of this one alive
-            n0, x, recent = n0 + k, xs[:, k].copy(), recent[:, k : k + window].copy()
-            k, res, norms = _next_block(k, res, norms, cfg, bool(stack)), None, None
+                live, stack = [live[r] for r in on], [a[on] for a in stack]
+            # exact norms of their last two residuals and points size the next block, which keeps
+            # no array of this one alive
+            both = _row_norms(space, np.concatenate((diff[on, -2:], xs[on, -2:]), axis=1))
+            n0, x, recent = n0 + k, xs[on, k], recent[on]
+            k = _next_block(k, both[:, :-2], both[:, -2:], cfg, bool(stack))
+            res = norms = both = None
 
         if verdicts:
             return verdict

@@ -1152,8 +1152,8 @@ class TestLockstepBatches:
         # straight to the last stop, at most 10,240 // 2 steps in R^2
         import orderfp.iterate as iterate
 
-        blocks, plain = [], iterate._verdict_norms
-        monkeypatch.setattr(iterate, "_verdict_norms", lambda *args: blocks.append(args[1].shape) or plain(*args))
+        blocks, plain = [], iterate._verdict_rules
+        monkeypatch.setattr(iterate, "_verdict_rules", lambda *args: blocks.append(args[1].shape) or plain(*args))
         specs, starts = zip(*(translation(np.array(shift)) for shift in ([0.5, 1.0], [0.7, 1.3])))
         cfg = IterationConfig(max_iter=100_000, bound_threshold=1e4, window=50)
         got = _orbit(list(specs), list(starts), P2, cfg, verdicts=True)
@@ -1170,11 +1170,13 @@ class TestLockstepBatches:
         specs = [_random_map(5, 0.95 + i / 1000) for i in range(40)]
         got = _orbit(specs, [np.zeros(5)] * 40, SpaceSpec(dim=5, p=2.0), SMALL)
         assert all(out.verdict == CONVERGED for out in got)
-        # a block's one call takes its k residuals, its start and its k points
-        blocks, rows = [s for s in shapes if s[1] > 1], block_rows(5)
-        assert max(s[0] * (s[1] - 1) for s in blocks) <= 2 * rows
+        # a block takes its k residuals in one call and its start and k points in the next; the
+        # orbits that go on then take their last two residuals and points, 4 rows each
+        blocks, rows = [(a, b) for a, b in zip(shapes, shapes[1:]) if b == (a[0], a[1] + 1, 5)], block_rows(5)
+        assert [s for s in shapes if s not in sum(blocks, ())] == [(a[0], 4, 5) for a, _ in blocks[1:]]
+        assert max(a[0] * a[1] for a, _ in blocks) <= rows
         # the batch starts with 40 orbits, whose blocks are capped at 4096 // 40 steps
-        assert blocks[0] == (40, 2 * BLOCK_FIRST + 1, 5) and (40, 2 * (rows // 40) + 1, 5) in blocks
+        assert blocks[0][0] == (40, BLOCK_FIRST, 5) and (40, rows // 40, 5) in [a for a, _ in blocks]
 
     @staticmethod
     def verdicts_of(specs, starts, space, cfg, verdicts=False):
@@ -1233,6 +1235,23 @@ class TestLockstepBatches:
     def test_an_empty_batch(self):
         with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
             _orbit([], [], P2, SMALL)
+
+    @pytest.mark.parametrize("starts, want", [
+        ([[1.0, 1.0], [-1.0, 0.0], [1.0, 2.0]], (DomainError, "starting point [-1.  0.] lies outside the mapping domain")),
+        ([[1.0, 1.0], [math.nan, 0.0], [1.0, 2.0]], (ValueError, "vector has non-finite coordinates")),
+        ([[1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 2.0]], (ValueError, "dimension mismatch: expected 2, got 3")),
+        ([[1.0, 1.0], [[1.0, 2.0]], [1.0, 2.0]], (ValueError, "expected a 1-D coordinate array, got shape (1, 2)")),
+        # the first bad start names the error, whichever kind comes after it
+        ([[1.0, 1.0], [-1.0, 0.0], [1.0, 2.0, 3.0]], (DomainError, "starting point [-1.  0.] lies outside the mapping domain")),
+        ([[1.0, 1.0], [1.0, math.inf], [-1.0, 0.0]], (ValueError, "vector has non-finite coordinates")),
+    ])
+    def test_a_bad_start_raises_its_own_error(self, starts, want):
+        # a batch checks its starts in one call, and one by one only when
+        # that check fails, so that the first bad start raises its error
+        specs = [_random_map(2, rho) for rho in (0.5, 0.8, 0.95)]
+        for verdicts in (False, True):
+            assert TestLockstepBatches.verdicts_of(specs, starts, P2, SMALL, verdicts) == want
+            assert TestLockstepBatches.verdicts_of(specs[1:2], starts[1:2], P2, SMALL, verdicts) == want
 
 
 # ---------------------------------------------------------------------------
@@ -1433,51 +1452,58 @@ class TestVerdictRuns:
                 assert record[0] is DomainError and "escaped its domain at step 0" in record[1]
             else:
                 assert record == [want, CONVERGED][: len(specs)]
-        # each run tests each start, and the images only where the batch is not closed
-        assert shapes.count((2,)) == 2 * (1 + 2) and all(len(shape) == 1 for shape in shapes) == closed
+        # each run tests its start, or a batch's starts in one call, and the images only where the
+        # batch is not closed
+        assert [shape for shape in shapes if len(shape) < 3] == [(2,)] * 2 + [(2, 2)] * 2
+        assert all(len(shape) < 3 for shape in shapes) == closed
         if start[0] == 0.0:  # a start coordinate of -0.0 gives the verdicts of +0.0
             assert record_and_verdicts([spec], [np.array([0.0, 1.0])], P2, SMALL) == [[want]] * 2
 
     @pytest.mark.parametrize("rhos, zero_blocks", [((0.95, 0.99), 0), ((0.5, 0.8, 0.95, 0.99), 2)])
     def test_only_a_block_with_an_open_row_takes_row_norms(self, monkeypatch, rhos, zero_blocks):
         # these orbits' residuals are far from the tolerance and their points
-        # below the block bound, so a block roots only each orbit's last two
-        # residuals and points, which size the next block, as two slices,
-        # makes no call for open rows, and calls `_row_norms` for no row; a
-        # residual of exactly 0 (an orbit that reached its fixed point, while
-        # the others run on in lockstep) is decided too: its sum is below a
-        # normal cut. In R^20 a block holds at most 1,024 rows, so each batch
-        # takes at least three blocks, one of them full
+        # below the block bound, so a block's rules root no row, and the only
+        # norms taken are one `_row_norms` call a block for the last two
+        # residuals and points of the orbits that go on, which size the next
+        # block; a residual of exactly 0 (an orbit that reached its fixed
+        # point, while the others run on in lockstep) is decided too: its sum
+        # is below a normal cut. In R^20 a block holds at most 1,024 rows, so
+        # each batch takes at least three blocks, one of them full
         import orderfp.iterate as iterate
 
-        calls, zeros, sizes, rooted, plain_rows, plain_roots, plain_block = (
-            [], [], [], [], iterate._row_norms, iterate._roots, iterate._verdict_norms)
+        calls, zeros, sizes, lasts, rooted, plain_rows, plain_roots, plain_block = (
+            [], [], [], [], [], iterate._row_norms, iterate._roots, iterate._verdict_rules)
         monkeypatch.setattr(iterate, "_row_norms", lambda *args: calls.append(args) or plain_rows(*args))
-        monkeypatch.setattr(iterate, "_roots", lambda space, sums, rows: rooted[-1].append(rows) or
+        monkeypatch.setattr(iterate, "_roots", lambda space, sums, rows: rooted.append(rows) or
                             plain_roots(space, sums, rows))
 
-        def block(space, diff, pts, cuts):
+        def block(space, diff, pts, *args):
             zeros.append(bool((diff == 0.0).all(axis=-1).any()))
-            sizes.append(diff.shape[0] * diff.shape[1])  # rows in all
-            rooted.append([])
-            out = plain_block(space, diff, pts, cuts)
-            # the residual rows, then the point rows, that `_roots` got: each orbit's last two
-            assert [rows.tolist() for rows in rooted[-1]] == [a[:, -2:].tolist() for a in (diff, pts)]
-            return out
+            sizes.append(diff.shape[:2])
+            lasts.append(np.concatenate((diff[:, -2:], pts[:, -2:]), axis=1).tolist())
+            return plain_block(space, diff, pts, *args)
 
-        monkeypatch.setattr(iterate, "_verdict_norms", block)
+        monkeypatch.setattr(iterate, "_verdict_rules", block)
         specs = [_random_map(20, rho) for rho in rhos]
         got = _orbit(specs, [np.zeros(20)] * len(specs), SpaceSpec(dim=20, p=2.0), LONG, verdicts=True)
-        assert got == [CONVERGED] * len(specs) and len(zeros) >= 3 and block_rows(20) in sizes
+        assert got == [CONVERGED] * len(specs) and len(zeros) >= 3 and block_rows(20) in [n * k for n, k in sizes]
         # none at all: the starting norms are a block's rows
-        assert sum(zeros) == zero_blocks and calls == []
+        assert sum(zeros) == zero_blocks and rooted == []
+        # a call between two blocks takes 4 rows for each orbit of the second, each orbit's last
+        # two residuals and points in the first
+        assert len(calls) == len(sizes) - 1
+        for (_, rows), last, (n, _) in zip(calls, lasts, sizes[1:]):
+            assert len(rows) == n and all(orbit in last for orbit in rows.tolist())
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_a_residual_sum_of_zero_is_decided_and_a_sizing_row_stays_exact(self, monkeypatch, p):
-        # residual rows whose powers underflow to a sum of 0: (1e-300, 0) is
-        # decided as 0 among the middle rows, and taken exactly by `_roots`
-        # among the last two, which size the next block; a zero row there has
-        # norm 0. No middle row is open, so `_roots` gets the two slices only
+        # residual rows whose powers underflow to a sum of 0, (1e-300, 0) or
+        # (0, 0), are decided as converged with no root, and (1e-3, 0) as
+        # not: `_roots` gets no row. An orbit that goes on is sized from the
+        # exact norms of its last rows, also when their sums are 0: x -> x +
+        # (1e-300, 0) under a subnormal tolerance, which decides nothing, runs
+        # out of budget, and each block after the first is sized from the
+        # exact norms of residuals near 1e-300
         import orderfp.iterate as iterate
 
         calls, plain = [], iterate._roots
@@ -1486,48 +1512,129 @@ class TestVerdictRuns:
         cuts = _verdict_cuts(space, IterationConfig())
         tiny, zero = [1e-300, 0.0], [0.0, 0.0]
         diff = np.array([[tiny, [1e-3, 0.0], tiny, zero], [zero, tiny, zero, tiny]])
-        res, _ = iterate._verdict_norms(space, diff, np.ones((2, 4, 2)), cuts)
-        assert res[:, :2].tolist() == [[0.0, cuts[1] ** (1 / p)], [0.0, 0.0]]
-        assert res[:, 2:].tolist() == [[norm(space, tiny), 0.0], [0.0, norm(space, tiny)]]
-        # each orbit's last two residual rows, then its last two points
-        assert [rows.tolist() for rows in calls] == [[[tiny, zero], [zero, tiny]], [[[1.0, 1.0]] * 2] * 2]
+        halt = np.zeros(diff.shape[:2], bool)
+        norms, bad = iterate._verdict_rules(space, diff, np.ones((2, 5, 2)), cuts, 1e-10, halt, True)
+        assert halt.tolist() == [[True, False, True, True], [True] * 4] and not bad.any() and norms is None
+        assert calls == []
+        monkeypatch.undo()
+        sizing, plain_next = [], iterate._next_block
+        monkeypatch.setattr(iterate, "_next_block", lambda *args: sizing.append(args[:3]) or plain_next(*args))
+        spec, x0 = translation(np.array(tiny))
+        cfg = IterationConfig(max_iter=3000, residual_tol=1e-310, bound_threshold=1e4, window=5)
+        assert _orbit([spec], [x0], space, cfg, verdicts=True) == [MAX_ITER_REACHED] and sizing
+        monkeypatch.undo()
+        record, n = picard_orbit(spec, x0, space, cfg), 0
+        assert record.verdict == MAX_ITER_REACHED and (record.residuals > 1e-301).all()
+        for k, res, norms in sizing:  # the record's norms of the last two residuals and points
+            n += k
+            assert res.tolist() == [record.residuals[n - 2 : n].tolist()] and norms.tolist() == [
+                record.norms[n - 1 : n + 1].tolist()]
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_an_open_middle_row_alone_takes_a_masked_root(self, monkeypatch, p):
         # a residual at the tolerance and a point at the threshold are in the
-        # band around their cuts: after the two slices of each orbit's last
-        # rows, `_roots` gets those rows alone, and their norms are exact
+        # band around their cuts: `_roots` gets those rows alone, the
+        # residual's root decides its rule, and the point's norm is exact;
+        # every other point stands in as -inf
         import orderfp.iterate as iterate
 
         calls, plain = [], iterate._roots
-        monkeypatch.setattr(iterate, "_roots", lambda space, s, v: calls.append(v.copy()) or plain(space, s, v))
+        monkeypatch.setattr(iterate, "_roots", lambda space, s, v: calls.append((v.copy(), plain(space, s, v)))
+                            or calls[-1][1])
         space, cfg = SpaceSpec(dim=2, p=p), IterationConfig()
         diff, pts = np.full((2, 4, 2), 0.5), np.ones((2, 5, 2))
         diff[1, 1], pts[0, 2] = [cfg.residual_tol, 0.0], [cfg.bound_threshold, 0.0]
-        res, norms = iterate._verdict_norms(space, diff, pts, _verdict_cuts(space, cfg))
-        assert [rows.tolist() for rows in calls[2:]] == [[[cfg.residual_tol, 0.0]], [[cfg.bound_threshold, 0.0]]]
-        assert res[1, 1] == norm(space, diff[1, 1]) and norms[0, 2] == norm(space, pts[0, 2])
-        assert res[:, 2:].tolist() == _row_norms(space, diff[:, 2:]).tolist()
-        assert norms[:, 3:].tolist() == _row_norms(space, pts[:, 3:]).tolist()
-        assert (norms[:, :2] == -math.inf).all() and norms[1, 2] == -math.inf
+        halt = np.zeros(diff.shape[:2], bool)
+        norms, bad = iterate._verdict_rules(space, diff, pts, _verdict_cuts(space, cfg), cfg.residual_tol, halt, True)
+        assert [rows.tolist() for rows, _ in calls] == [[[cfg.residual_tol, 0.0]], [[cfg.bound_threshold, 0.0]]]
+        assert calls[0][1].tolist() == [norm(space, diff[1, 1])] and norms[0, 2] == norm(space, pts[0, 2])
+        assert halt.tolist() == [[False] * 4, [False, norm(space, diff[1, 1]) <= cfg.residual_tol, False, False]]
+        assert not bad.any() and np.delete(norms.ravel(), 2).tolist() == [-math.inf] * 9
+
+    @pytest.mark.parametrize("threshold, window, want", [
+        # the contraction converges at step 33 and the translation passes the threshold at step 36
+        (50.0, 5, [(CONVERGED, 33), (UNBOUNDED_SUSPECTED, 36)]),
+        # the first block lies below top, and its points stand in as -inf in
+        # the window of the next, whose first point passes the threshold
+        (12.0, 5, [(CONVERGED, 33), (UNBOUNDED_SUSPECTED, 9)]),
+        (30.0, 0, [(CONVERGED, 33), (MAX_ITER_REACHED, 200)]),  # no window, no growth
+        (30.0, 60, [(CONVERGED, 33), (UNBOUNDED_SUSPECTED, 60)]),  # a window longer than the blocks
+    ])
+    def test_one_orbit_converges_while_another_passes_top(self, monkeypatch, threshold, window, want):
+        # x -> x / 2 + 1/2 and x -> x + 1 from 0 in one batch: a block in
+        # which the second orbit's points pass top takes the growth rule, the
+        # first block does not, and both runs stop where the records do
+        import orderfp.iterate as iterate
+
+        domain = Domain(kind="cone", cone=ORTH2)
+        specs = [MappingSpec(AffineMap(a * np.eye(2), np.full(2, b)), domain) for a, b in ((0.5, 0.5), (1.0, 1.0))]
+        cfg = IterationConfig(max_iter=200, residual_tol=1e-10, bound_threshold=threshold, window=window)
+        blocks, plain = [], iterate._verdict_rules
+
+        def block(space, diff, *args):  # each block's steps, and whether it took the growth rule
+            norms, bad = plain(space, diff, *args)
+            blocks.extend([diff.shape[1], norms is not None])
+            return norms, bad
+
+        monkeypatch.setattr(iterate, "_verdict_rules", block)
+        record, verdicts = record_and_verdicts(specs, [np.zeros(2)] * 2, P2, cfg)
+        assert verdicts == record == [v for v, _ in want] and blocks[:2] == [BLOCK_FIRST, False]
+        assert [len(rec) - 1 for rec in _orbit(specs, [np.zeros(2)] * 2, P2, cfg)] == [n for _, n in want]
+        if threshold == 50.0:  # one block holds both stops, and takes the growth rule
+            assert blocks[2:] == [35, True] and BLOCK_FIRST < 33 < 36 <= BLOCK_FIRST + 35
+        # budgets that end at or just before a stop, where a stop found a step late changes the verdict
+        for n in sorted({n + i for _, n in want for i in (-1, 0, 1)} - {0}):
+            record, verdicts = record_and_verdicts(specs, [np.zeros(2)] * 2, P2, dataclasses.replace(cfg, max_iter=n))
+            assert verdicts == record
+
+    @pytest.mark.parametrize("max_iter", [7, 8, 9, 100])
+    def test_points_below_zero_pass_top_by_their_magnitude(self, max_iter):
+        # x -> x - (1, 1) on the box [-1e6, 0]^2 from 0: every coordinate is
+        # at most 0 and its norm passes 10 at step 8; a block takes the growth
+        # rule by the largest |coordinate|, not the largest coordinate
+        domain = Domain(kind="box", cone=ORTH2, lo=np.full(2, -1e6), hi=np.zeros(2))
+        spec = MappingSpec(TranslationMap(np.full(2, -1.0)), domain)
+        cfg = IterationConfig(max_iter=max_iter, residual_tol=1e-10, bound_threshold=10.0, window=5)
+        record, verdicts = record_and_verdicts([spec], [np.zeros(2)], P2, cfg)
+        assert verdicts == record == [UNBOUNDED_SUSPECTED if max_iter >= 8 else MAX_ITER_REACHED]
+
+    @pytest.mark.parametrize("window, want", [(2, CONVERGED), (1, UNBOUNDED_SUSPECTED)])
+    def test_convergence_ranks_before_growth_on_one_row(self, window, want):
+        # x -> (2e4, 0) jumps past the threshold at step 1 and stays there:
+        # with a window of 2, growth fires on row 1, whose residual is 0, and
+        # the orbit converges; with a window of 1 it fires on row 0
+        domain = Domain(kind="cone", cone=ORTH2)
+        jump = MappingSpec(AffineMap(np.zeros((2, 2)), np.array([2e4, 0.0])), domain)
+        other = MappingSpec(AffineMap(0.5 * np.eye(2), np.full(2, 0.5)), domain)
+        cfg = IterationConfig(max_iter=100, residual_tol=1e-10, bound_threshold=1e4, window=window)
+        record, verdicts = record_and_verdicts([jump, other], [np.zeros(2)] * 2, P2, cfg)
+        assert verdicts == record == [want, CONVERGED]
+        assert len(picard_orbit(jump, np.zeros(2), P2, cfg)) == 2
 
     def test_a_verdict_block_holds_no_array_of_the_block_before(self, monkeypatch):
-        # by the time a block takes its norms, the block before's slabs and
-        # its residual and norm arrays are gone: the next block gets copies
-        # of the last points and growth windows, not views into that block
+        # by the time a block takes its norms, the block before's slabs, its
+        # rule flags and its norm and sizing arrays are gone: the next block
+        # gets copies of the last points and growth windows, not views into
+        # that block
         import weakref
 
         import orderfp.iterate as iterate
 
-        refs, plain = [], iterate._verdict_norms
+        refs, plain, plain_next = [], iterate._verdict_rules, iterate._next_block
 
-        def block(space, diff, pts, cuts):
+        def block(space, diff, pts, cuts, tol, halt, nonneg):
             assert all(ref() is None for ref in refs)
-            res, norms = plain(space, diff, pts, cuts)
-            refs[:] = [weakref.ref(pts.base), weakref.ref(res), weakref.ref(norms)]
-            return res, norms
+            norms, bad = plain(space, diff, pts, cuts, tol, halt, nonneg)
+            refs[:] = [weakref.ref(pts.base), weakref.ref(halt.base)] + ([weakref.ref(norms)] if norms is not None
+                                                                          else [])
+            return norms, bad
 
-        monkeypatch.setattr(iterate, "_verdict_norms", block)
+        def sized(k, res, norms, *args):
+            refs.append(weakref.ref(res.base))
+            return plain_next(k, res, norms, *args)
+
+        monkeypatch.setattr(iterate, "_verdict_rules", block)
+        monkeypatch.setattr(iterate, "_next_block", sized)
         for specs in ([_random_map(2, rho) for rho in (0.9, 0.99)],
                       [translation(np.array(shift))[0] for shift in ([0.5, 1.0], [0.7, 1.3])]):
             refs.clear()
