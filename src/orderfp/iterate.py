@@ -102,10 +102,9 @@ def _next_block(k: int, res: np.ndarray, norms: np.ndarray, cfg: IterationConfig
         (res0, res1), (norm0, norm1) = (a.reshape(-1, a.shape[-1])[:, -2:].T for a in (res, norms))
         with np.errstate(all="ignore"):  # the ratio can underflow; rows not taken may be 0, inf or nan
             ratio = res1 / res0
-            stop = np.where((tol < res1) & (res1 < res0) & (res0 < math.inf) & (ratio > 0.0),
+            stop = np.where((tol < res1) & (res1 < res0) & (ratio > 0.0),  # res1 / inf is 0: res0 < inf
                             (math.log(tol) - np.log(res1)) / np.log(ratio), math.inf)
-            up = (norm0 < norm1) & (norm1 < top)
-            stop = np.where(up, np.minimum(stop, (top - norm1) / (norm1 - norm0)), stop)
+            np.minimum(stop, (top - norm1) / (norm1 - norm0), out=stop, where=(norm0 < norm1) & (norm1 < top))
         steps = float(stop.max())
     return max(BLOCK_FIRST, int(min(steps + BLOCK_SLACK, math.inf if stacked and steps < math.inf else 2 * k)))
 
@@ -157,12 +156,12 @@ def _verdict_cuts(space: SpaceSpec, cfg: IterationConfig) -> tuple[float, float,
     return lo, hi, cut, (top if _SUM_MIN <= top and d < 2**20 else 0.0)
 
 
-def _verdict_rules(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts, tol: float, halt, nonneg: bool):
+def _verdict_rules(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts, tol: float, halt):
     """Mark in ``halt`` the residual rows ``diff`` (a row of rows per orbit)
     where the nonfinite or converged rule fires, and return (norms, bad):
     ``bad`` where the first fires, and the norms of the points ``pts`` (starts,
-    then images; ``nonneg`` if all are >= 0 or nan) that growth needs, a point
-    at most bound_threshold as -inf, or None if all lie below top. Only a
+    then images) that growth needs, a point at most bound_threshold as -inf, or
+    None if all lie below top. Only a
     candidate, a sum not certainly above the cut and finite, can fire: one
     below the cut does; any other is rooted, and tested finite if its root is
     not."""
@@ -176,8 +175,7 @@ def _verdict_rules(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts, to
             v = _roots(space, s[opn], diff[opn])
             bad[opn] = ~(v < math.inf) & ~np.isfinite(pts[:, 1:][opn]).all(axis=-1)
             halt[opn] = (v <= tol) | bad[opn]
-    # max |x_i| (max x_i if all are >= 0 or nan); a nan anywhere leaves the block to its sums
-    if (pts.max(initial=0.0) if nonneg else max(pts.max(initial=0.0), -pts.min(initial=0.0))) < top:
+    if max(pts.max(initial=0.0), -pts.min(initial=0.0)) < top:  # a nan anywhere leaves the block to its sums
         return None, bad
     t = _power_sums(space, pts)
     norms, opn = np.full(t.shape, -math.inf), ~((_SUM_MIN <= t) & (t < cut))
@@ -240,8 +238,9 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
                 slabs[1:] = stack[0]
                 np.add.accumulate(slabs, out=slabs)
             elif stack:  # one product per orbit: the bits of matrix @ x + offset
+                (a, b), add, matmul = stack, np.add, np.matmul
                 for y, y1 in zip(slabs, slabs[1:]):
-                    np.add(np.matmul(stack[0], y, out=y1), stack[1], out=y1)
+                    add(matmul(a, y, y1), b, y1)
             else:
                 xv = xs[0]
                 for j in range(k):
@@ -256,9 +255,10 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
             # one before. `norms` holds the start's and the points'; a record keeps the start's at n0 = 0
             pts = xs[:, 1 : m + 1]
             diff = pts - xs[:, :m]
-            fires = np.ones((len(live), m + 1), bool)  # per orbit, the first step where a rule fires, or m
+            fires = np.empty((len(live), m + 1), bool)  # per orbit, the first step where a rule fires, or m
+            fires[:, m] = True
             if verdicts:  # from power sums; the point norms only if a point can pass the threshold
-                norms, bad = _verdict_rules(space, diff, xs[:, : m + 1], cuts, cfg.residual_tol, fires[:, :m], closed)
+                norms, bad = _verdict_rules(space, diff, xs[:, : m + 1], cuts, cfg.residual_tol, fires[:, :m])
             else:
                 res, norms = _row_norms(space, diff), _row_norms(space, xs[:, : m + 1])
                 bad = ~(res < np.inf)  # only a residual that is not < inf can come from a non-finite image
@@ -269,13 +269,14 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
             if not closed:
                 fires[:, :m] |= esc
             halt, grow = fires.argmax(axis=1).tolist(), [m] * len(live)
-            if norms is None:  # no growth; the next window: the tail of this one, then -inf for each point
-                recent = np.concatenate((recent[:, k:], np.full((len(live), min(k, window)), -np.inf)), axis=1)
+            if norms is None:  # no growth; the next window, in place: the tail of this one, then -inf a point
+                recent[:, : max(window - k, 0)] = recent[:, k:]
+                recent[:, max(window - k, 0) :] = -np.inf
             else:
                 recent = np.concatenate((recent, norms), axis=1)
                 np.logical_and(norms[:, 1:] > cfg.bound_threshold, norms[:, 1:] > recent[:, 1 : m + 1], out=fires[:, :m])
                 grow, recent = fires.argmax(axis=1).tolist(), recent[:, k : k + window]
-            on = [r for r, (j, g) in enumerate(zip(halt, grow)) if min(j, g) == m and held is None]
+            on = [r for r, (j, g) in enumerate(zip(halt, grow)) if j == g == m] if held is None else []
             # a verdict needs only the orbits that stop; a record takes every orbit's chunk
             for r in range(len(live)) if not verdicts else sorted(set(range(len(live))) - set(on)):
                 i, j, g = live[r], halt[r], grow[r]
@@ -296,10 +297,11 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
                 break
             if len(on) < len(live):  # the orbits that ran through go on
                 live, stack = [live[r] for r in on], [a[on] for a in stack]
-            # exact norms of their last two residuals and points size the next block, which keeps
-            # no array of this one alive
-            both = _row_norms(space, np.concatenate((diff[on, -2:], xs[on, -2:]), axis=1))
-            n0, x, recent = n0 + k, xs[on, k], recent[on]
+            # exact norms of their last two residuals and points, from a copy of their last three
+            # points, size the next block, which keeps no array of this one alive
+            last = xs[on, max(k - 2, 0) :]
+            both = _row_norms(space, np.concatenate((last[:, 1:] - last[:, :-1], last[:, -2:]), axis=1))
+            n0, x, recent = n0 + k, last[:, -1], recent[on]
             k = _next_block(k, both[:, :-2], both[:, -2:], cfg, bool(stack))
             res = norms = both = None
 

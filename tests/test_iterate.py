@@ -920,8 +920,9 @@ class TestTranslationAndTrendBlocks:
         "res, norms",
         [([1.0, np.inf], [1e300, np.inf]), ([1.0, 0.0], [2.0, 1.0]), ([np.nan, 0.5], [np.nan, 1.0]),
          ([1.0, 1.0], [np.inf, np.inf]), ([1.0, 1.0], [2.0, 2.0]), ([1.0, 2.0], [3.0, 1.0]),
-         ([1e-300, 1e-301], [1.0, 1e13]), ([1e300, 1e-30], [1.0, 1.0])],
-        ids=["inf", "zero-residual", "nan", "inf-norms", "flat", "wrong-way", "past-both", "ratio-underflow"],
+         ([1e-300, 1e-301], [1.0, 1e13]), ([1e300, 1e-30], [1.0, 1.0]), ([np.inf, 1e-3], [1.0, 1.0])],
+        ids=["inf", "zero-residual", "nan", "inf-norms", "flat", "wrong-way", "past-both", "ratio-underflow",
+             "from-inf"],  # from-inf: 1e-3 / inf is a ratio of 0
     )
     def test_a_trend_that_does_not_move_toward_a_stop_predicts_nothing(self, res, norms):
         # the block doubles, in a stacked batch too; `_orbit` caps its rows
@@ -1513,7 +1514,7 @@ class TestVerdictRuns:
         tiny, zero = [1e-300, 0.0], [0.0, 0.0]
         diff = np.array([[tiny, [1e-3, 0.0], tiny, zero], [zero, tiny, zero, tiny]])
         halt = np.zeros(diff.shape[:2], bool)
-        norms, bad = iterate._verdict_rules(space, diff, np.ones((2, 5, 2)), cuts, 1e-10, halt, True)
+        norms, bad = iterate._verdict_rules(space, diff, np.ones((2, 5, 2)), cuts, 1e-10, halt)
         assert halt.tolist() == [[True, False, True, True], [True] * 4] and not bad.any() and norms is None
         assert calls == []
         monkeypatch.undo()
@@ -1545,7 +1546,7 @@ class TestVerdictRuns:
         diff, pts = np.full((2, 4, 2), 0.5), np.ones((2, 5, 2))
         diff[1, 1], pts[0, 2] = [cfg.residual_tol, 0.0], [cfg.bound_threshold, 0.0]
         halt = np.zeros(diff.shape[:2], bool)
-        norms, bad = iterate._verdict_rules(space, diff, pts, _verdict_cuts(space, cfg), cfg.residual_tol, halt, True)
+        norms, bad = iterate._verdict_rules(space, diff, pts, _verdict_cuts(space, cfg), cfg.residual_tol, halt)
         assert [rows.tolist() for rows, _ in calls] == [[[cfg.residual_tol, 0.0]], [[cfg.bound_threshold, 0.0]]]
         assert calls[0][1].tolist() == [norm(space, diff[1, 1])] and norms[0, 2] == norm(space, pts[0, 2])
         assert halt.tolist() == [[False] * 4, [False, norm(space, diff[1, 1]) <= cfg.residual_tol, False, False]]
@@ -1622,9 +1623,9 @@ class TestVerdictRuns:
 
         refs, plain, plain_next = [], iterate._verdict_rules, iterate._next_block
 
-        def block(space, diff, pts, cuts, tol, halt, nonneg):
+        def block(space, diff, pts, cuts, tol, halt):
             assert all(ref() is None for ref in refs)
-            norms, bad = plain(space, diff, pts, cuts, tol, halt, nonneg)
+            norms, bad = plain(space, diff, pts, cuts, tol, halt)
             refs[:] = [weakref.ref(pts.base), weakref.ref(halt.base)] + ([weakref.ref(norms)] if norms is not None
                                                                           else [])
             return norms, bad
