@@ -20,7 +20,6 @@ from orderfp.order import (
     contains,
     leq,
     project_to_cone,
-    normality_constant_estimate,
     is_norm_monotonic,
 )
 from orderfp.report import PropertyReport, Violation

@@ -32,7 +32,7 @@ from orderfp.order import (
     _member_raw,
 )
 from orderfp.report import PropertyReport
-from orderfp.space import INEQ_ATOL, INEQ_RTOL, SpaceSpec, as_rows, as_vector, norm, _row_norms
+from orderfp.space import INEQ_ATOL, INEQ_RTOL, SpaceSpec, as_rows, as_vector, norm, _row_norms, _settle
 
 
 class DomainError(ValueError):
@@ -54,10 +54,10 @@ def _slack(rhs, s=1.0):
 
 
 def _square_scale(norms: np.ndarray):
-    # per pair (axis 0 holds its norms), 1 below 2^500, else 2^e for the binary exponent
-    # e of its largest finite norm: norms / s square without overflow and keep their bits
+    # per pair (axis 0 holds its norms), 1 below 2^500 (one 1.0 for all if all are), else 2^e for
+    # the binary exponent e of its largest finite norm: norms / s square without overflow, same bits
     big = np.where(norms < math.inf, norms, 0.0).max(axis=0)
-    return np.where(big < 2.0**500, 1.0, np.ldexp(1.0, np.frexp(big)[1] - 1))
+    return 1.0 if big.max() < 2.0**500 else np.where(big < 2.0**500, 1.0, np.ldexp(1.0, np.frexp(big)[1] - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +422,28 @@ def _lattice_pairs(spec: MappingSpec) -> tuple[np.ndarray, np.ndarray]:
 # property verifiers
 
 
-def _pair_report(name, spec, x, y, ineq=None, alpha=None) -> PropertyReport:
+def _pair_report(name, spec, x, y, space=None, rows=None, sides=None, alpha=None) -> PropertyReport:
     """Row-wise core of the comparable-pair verifiers (pair k is x[k] <= y[k]).
 
     A pair with T y - T x outside the domain cone is an order violation (lhs
     the negated cone margin, rhs MEMBERSHIP_TOL) and skips the inequality; for
-    the rest, whose images must be finite, ``ineq(tx, ty)`` gives s, their
-    scale, and the sides of lhs <= rhs + slack in units of s^2.
-    """
+    the rest, whose images must be finite, the norms in ``space`` of the row
+    blocks ``rows(tx, ty)`` give the ``sides`` of lhs <= rhs + slack in units
+    of s^2 (`space._settle`). At p = 2 a pair passes unrooted if its sides from
+    np.sqrt of its power sums clear the slack by 1e-12 (mag + slack), mag the
+    size of its terms: a root moves a norm by at most 1.04 ulp (np.sqrt is
+    correctly rounded, pow within 0.54 ulp), so the sides by under 32 u (mag +
+    slack), u = 2^-53, or by 2^-536 sqrt(d) for a sum below 2^-1022. The rest
+    are rooted: near the cut, failing, or with a sum not below 2^999."""
     tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
     margin = _cone_margins(spec.domain.cone, ty - tx)
     failed = margin < -MEMBERSHIP_TOL
-    lhs, rhs, scale = -margin, np.full(len(x), MEMBERSHIP_TOL), 1.0
-    if ineq is not None:
-        ordered = ~failed
-        as_rows(np.concatenate((tx[ordered], ty[ordered])), spec.dim)  # a non-finite image raises
-        ineq_lhs, ineq_rhs, s = ineq(tx, ty)
-        failed = failed | (ordered & (ineq_lhs > ineq_rhs + _slack(ineq_rhs, s)))
-        lhs, rhs, scale = (np.where(ordered, a, b) for a, b in ((ineq_lhs, lhs), (ineq_rhs, rhs), (s, 1.0)))
-    return PropertyReport.from_rows(name, x, y, lhs, rhs, failed, alpha, scale)
+    out = failed, -margin, np.full(len(x), MEMBERSHIP_TOL), np.ones(len(x))
+    if rows is not None:
+        if not (np.isfinite(tx).all() and np.isfinite(ty).all()):
+            as_rows(np.concatenate((tx[~failed], ty[~failed])), spec.dim)  # an ordered pair's non-finite image raises
+        _settle(space, np.array(rows(tx, ty)), sides, _slack, *out)
+    return PropertyReport.from_rows(name, x, y, out[1], out[2], failed, alpha, out[3])
 
 
 def _sampled_pairs(spec: MappingSpec, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -458,11 +461,7 @@ def is_monotone_nonexpansive(
     """Sampled check of monotonicity plus ||Tx - Ty|| <= ||x - y|| on
     comparable pairs."""
     x, y = _sampled_pairs(spec, cfg or SamplerConfig())
-
-    def ineq(tx, ty):
-        return (*_row_norms(space, np.stack([tx - ty, x - y])), 1.0)
-
-    return _pair_report("monotone_nonexpansive", spec, x, y, ineq)
+    return _pair_report("monotone_nonexpansive", spec, x, y, space, lambda tx, ty: [tx - ty, x - y])
 
 
 def is_alpha_nonexpansive(
@@ -487,13 +486,14 @@ def is_alpha_nonexpansive(
     else:
         x, y = _sampled_pairs(spec, cfg or SamplerConfig())
 
-    def ineq(tx, ty):
-        norms = _row_norms(space, np.stack([tx - ty, tx - y, ty - x, x - y]))
+    def sides(norms):
         s = _square_scale(norms)
         im, cross_xy, cross_yx, arg = (norms / s) ** 2
-        return im, alpha * cross_xy + alpha * cross_yx + (1.0 - 2.0 * alpha) * arg, s
+        rhs = alpha * cross_xy + alpha * cross_yx + (1.0 - 2.0 * alpha) * arg
+        return im, rhs, s, im + abs(alpha) * (cross_xy + cross_yx) + abs(1.0 - 2.0 * alpha) * arg
 
-    return _pair_report("alpha_nonexpansive", spec, x, y, ineq, alpha)
+    return _pair_report("alpha_nonexpansive", spec, x, y, space,
+                        lambda tx, ty: [tx - ty, tx - y, ty - x, x - y], sides, alpha)
 
 
 def check_displacement_bound(spec: MappingSpec, space: SpaceSpec, alpha: float, x, y) -> bool:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from orderfp.report import PropertyReport
-from orderfp.space import SpaceSpec, as_rows, as_vector, _row_norms
+from orderfp.space import SpaceSpec, as_rows, as_vector, _row_norms, _settle
 
 # Absolute tolerance on cone boundary tests; boundary points arise from arithmetic.
 MEMBERSHIP_TOL = 1e-12
@@ -128,29 +128,30 @@ def sample_dominated_pairs(
     return u[:, 0], u[:, 0] + u[:, 1]
 
 
-def _dominated_pair_checks(cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: int) -> tuple[float, PropertyReport]:
-    """(normality estimate, norm-monotonicity report) of one draw of
-    ``n_samples`` dominated pairs from ``seed``, each pair normed once."""
+def _dominated_pairs(cone: ConeSpec, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if seed < 0:  # numpy refuses it naming no option
         raise ValueError(f"seed must be >= 0, got {seed}")
-    x, y = sample_dominated_pairs(cone, np.random.default_rng(seed), n_samples)
+    return sample_dominated_pairs(cone, np.random.default_rng(seed), n_samples)
+
+
+def _dominated_pair_checks(cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: int) -> tuple[float, PropertyReport]:
+    """(normality estimate, norm-monotonicity report) of one draw of
+    ``n_samples`` dominated pairs from ``seed``, each pair normed once; the
+    sampled max of ||x||/||y|| is a lower bound on the normality constant."""
+    x, y = _dominated_pairs(cone, n_samples, seed)
     nx, ny = _row_norms(space, np.stack([x, y]))
     nonzero = ny != 0.0
     gamma = float((nx[nonzero] / ny[nonzero]).max(initial=0.0))
     return gamma, PropertyReport.from_rows("norm_monotonic", x, y, nx, ny, nx > ny + NORM_MONOTONE_TOL)
 
 
-def normality_constant_estimate(
-    cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: int = 0
-) -> float:
-    """Sampled max of ||x||/||y|| over pairs 0 <= x <= y; a lower bound on the
-    normality constant of the cone."""
-    return _dominated_pair_checks(cone, space, n_samples, seed)[0]
-
-
 def is_norm_monotonic(cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: int = 0) -> PropertyReport:
     """Sampled check that 0 <= x <= y implies ||x|| <= ||y||; each violation
-    is recorded with the witness pair."""
-    return _dominated_pair_checks(cone, space, n_samples, seed)[1]
+    is recorded with the witness pair. At p = 2 only the pairs that their
+    power sums leave open are rooted (`space._settle`)."""
+    x, y = _dominated_pairs(cone, n_samples, seed)
+    out = np.zeros(len(x), bool), np.zeros(len(x)), np.zeros(len(x)), np.ones(len(x))
+    _settle(space, np.array([x, y]), None, lambda rhs, s: NORM_MONOTONE_TOL, *out)
+    return PropertyReport.from_rows("norm_monotonic", x, y, out[1], out[2], out[0])

@@ -38,6 +38,8 @@ class PropertyReport:
     def from_rows(cls, name, x, y, lhs, rhs, failed, alpha=None, scale=1.0) -> "PropertyReport":
         """Report over pairs given as rows (x[k], y[k]): one violation per
         ``failed`` row, in row order; ``scale`` is one value or one per row."""
+        if not failed.any():
+            return cls(name=name, samples=len(x), alpha=alpha)
         scale = np.broadcast_to(scale, len(x))
         violations = [
             Violation(x=x[k], y=y[k], lhs=float(lhs[k]), rhs=float(rhs[k]), scale=float(scale[k]))

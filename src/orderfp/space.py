@@ -22,6 +22,7 @@ INEQ_RTOL = 1e-9
 CHARACTERISTIC_ZERO_TOL = 1e-8
 _SUM_MIN = sys.float_info.min  # an lp power sum below it, or inf, is rescaled
 _SQRT_ROWS = 128  # fewest rows for which `_roots` takes p = 2 roots with np.sqrt
+_PASS_MARGIN = 1e-12  # relative margin by which `_settle` passes a pair from its power sums
 
 
 def as_vector(coords, dim: int | None = None) -> np.ndarray:
@@ -139,6 +140,28 @@ def _roots(space: SpaceSpec, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
         if any(row):  # a zero row keeps its norm 0
             out[k] = _lp_norm_floats(row, space.p)
     return out.reshape(sums.shape)
+
+
+def _settle(space: SpaceSpec, v: np.ndarray, sides, slack, failed, lhs, rhs, scale) -> None:
+    """Decide lhs <= rhs + slack(rhs, s) for the pairs (pair k's rows are
+    v[:, k]) not yet ``failed``, writing each one it roots into failed, lhs,
+    rhs and scale. ``sides(norms)`` gives lhs, rhs, s and mag, a bound on |lhs|
+    plus the |terms| of rhs (default: ||row 0|| <= ||row 1||). At p = 2 only
+    the pairs their power sums leave open are rooted (`mapping._pair_report`)."""
+    sides = sides or (lambda n: (n[0], n[1], 1.0, n[0] + n[1]))
+    opn = ~failed
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _power_sums(space, v)
+        if space.p == 2.0:
+            lq, rq, s, mag = sides(np.sqrt(sums))
+            room = slack(rq, s)
+            opn &= ~((lq + _PASS_MARGIN * (mag + room) <= rq + room) & (sums.max(axis=0) < 2.0**999))
+        if not opn.any():
+            return
+        norms = _roots(space, sums[:, opn], v[:, opn])  # row by row: a pair's bits among all rows
+    lo, ro, s, _ = sides(norms)
+    failed[opn] = lo > ro + slack(ro, s)
+    lhs[opn], rhs[opn], scale[opn] = lo, ro, s
 
 
 def _lp_norm_floats(vals: list[float], p: float) -> float:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderfp import corpus, mapping
+from orderfp import corpus, mapping, order
+from orderfp import space as lp
 from orderfp.mapping import (
     FIXED_POINT_TOL,
     INEQ_ATOL,
@@ -1252,6 +1253,190 @@ class TestReferenceVerifiers:
         ):
             got = outcome(fn, spec, *args)
             assert got[0] == "raised" and got == outcome(ref, spec, ORTH2, *args)
+
+
+@dataclass
+class KinkMap:
+    """x -> x / 2, plus ``jump`` in every coordinate at the one point with all
+    coordinates ``at``: pairs of other points contract, one with it may not."""
+
+    at: float
+    jump: float
+    dim: int = 2
+
+    def evaluate(self, x):
+        return x / 2.0 + self.jump * (x == self.at).all(axis=-1, keepdims=True)
+
+
+@dataclass
+class PoleMap:
+    """x -> x / 2, but ``value`` in every coordinate where x[0] > ``cut``."""
+
+    cut: float
+    value: float
+    dim: int = 2
+
+    def evaluate(self, x):
+        return np.where(x[..., :1] > self.cut, self.value, x / 2.0)
+
+
+def plant_pairs(monkeypatch, x, y, drawn=True):
+    """Have the sampled verifiers check the pairs (x[k], y[k]), after their
+    own draws when ``drawn``."""
+    draw = mapping.sample_comparable_pairs
+
+    def pairs(spec, rng, n):
+        px, py = np.array(x, dtype=float), np.array(y, dtype=float)
+        if drawn:
+            dx, dy = draw(spec, rng, n)
+            px, py = np.vstack([dx, px]), np.vstack([dy, py])
+        return px, py
+
+    monkeypatch.setattr(mapping, "sample_comparable_pairs", pairs)
+
+
+def report_bits(rep):
+    return (rep.name, rep.samples, rep.alpha, rep.summary(), [
+        (v.x.tobytes(), v.y.tobytes(), float.hex(v.lhs), float.hex(v.rhs), float.hex(v.scale))
+        for v in rep.violations])
+
+
+def settled(monkeypatch, fn, *args, **kwargs):
+    """fn's report and the shapes of the power sums it roots; the report must
+    be, bit for bit, the one that roots every pair (no pair passes from its
+    power sums)."""
+    shapes, roots = [], lp._roots
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_roots", lambda space, sums, rows: shapes.append(sums.shape) or roots(space, sums, rows))
+        got, rooted = fn(*args, **kwargs), list(shapes)
+        m.setattr(lp, "_PASS_MARGIN", math.inf)
+        assert report_bits(got) == report_bits(fn(*args, **kwargs))
+    return got, rooted
+
+
+class TestPairsFromPowerSums:
+    """At p = 2 a pair passes from its power sums, and only the pairs they
+    leave open are rooted; each report is the one of rooting all pairs."""
+
+    CFG = SamplerConfig(n_samples=300, seed=6)
+
+    @staticmethod
+    def verifiers(space, alphas=(0.0, 1.0 / 3.0), cfg=CFG):
+        yield is_monotone_nonexpansive, (space, cfg)
+        for alpha in alphas:
+            yield is_alpha_nonexpansive, (space, alpha, cfg)
+
+    def test_a_contraction_roots_nothing(self, monkeypatch):
+        for fn, args in self.verifiers(P2):
+            rep, shapes = settled(monkeypatch, fn, corpus.affine_contraction(2), *args)
+            assert rep.passed and shapes == []
+        rep, shapes = settled(monkeypatch, order.is_norm_monotonic, ORTH2, P2, 300, 6)
+        assert rep.passed and shapes == []
+
+    def test_one_planted_violation_roots_its_pair_alone(self, monkeypatch):
+        # the pair (0, (3, 3)) maps to (0, (11.5, 11.5)): lhs = ||(11.5, 11.5)||,
+        # rhs = ||(3, 3)||, both squared at alpha = 0
+        spec = MappingSpec(KinkMap(at=3.0, jump=10.0), Domain(kind="cone", cone=ORTH2))
+        plant_pairs(monkeypatch, [[0.0, 0.0]], [[3.0, 3.0]])
+        for fn, args, power, rows in ((is_monotone_nonexpansive, (P2, self.CFG), 1, 2),
+                                      (is_alpha_nonexpansive, (P2, 0.0, self.CFG), 2, 4)):
+            rep, shapes = settled(monkeypatch, fn, spec, *args)
+            assert rep.samples == 301 and shapes == [(rows, 1)]
+            (v,) = rep.violations
+            assert np.array_equal(v.x, [0.0, 0.0]) and np.array_equal(v.y, [3.0, 3.0])
+            assert (v.lhs, v.rhs, v.scale) == (norm(P2, [-11.5, -11.5]) ** power, norm(P2, [-3.0, -3.0]) ** power, 1.0)
+
+    @pytest.mark.parametrize("spec", [corpus.identity_map(2), corpus.unit_translation(2)],
+                             ids=["identity", "translation"])
+    def test_an_isometry_passes_on_the_slack(self, spec, monkeypatch):
+        # lhs equals rhs before the slack (for the identity to the bit, at any alpha)
+        alphas = (-0.5, 0.0, 1.0 / 3.0) if isinstance(spec.op, AffineMap) else (0.0, 1.0 / 3.0)
+        for fn, args in self.verifiers(P2, alphas):
+            rep, shapes = settled(monkeypatch, fn, spec, *args)
+            assert rep.passed and shapes == []
+
+    def test_equal_points(self, monkeypatch):
+        # x = y: the rows x - y and T x - T y are 0, and so are their power sums;
+        # below alpha = 0 a pair fails unless x is fixed
+        x = np.random.default_rng(2).uniform(0.0, 3.0, size=(20, 2))
+        plant_pairs(monkeypatch, x, x.copy(), drawn=False)
+        for spec, moved in ((corpus.affine_contraction(2), 20), (corpus.identity_map(2), 0),
+                            (corpus.unit_translation(2), 20)):
+            for fn, args in self.verifiers(P2, (-0.5, 0.0, 1.0 / 3.0), SamplerConfig(20)):
+                rep, shapes = settled(monkeypatch, fn, spec, *args)
+                assert rep.samples == 20
+                if fn is is_monotone_nonexpansive or args[1] >= 0.0:
+                    assert rep.passed and shapes == []
+                else:
+                    assert len(rep.violations) == moved
+
+    @pytest.mark.parametrize("gain", [0.5, 3.0])
+    def test_subnormal_differences(self, gain, monkeypatch):
+        # coordinates of 1e-150 to 1e-165 square near or below _SUM_MIN, the smallest to 0
+        rng = np.random.default_rng(3)
+        size = 10.0 ** rng.uniform(-165.0, -150.0, size=(60, 1))
+        x = size * rng.uniform(size=(60, 2))
+        y = x + size * rng.uniform(size=(60, 2))
+        sums = ((y - x) ** 2).sum(axis=1)
+        assert (sums == 0.0).any() and ((0.0 < sums) & (sums < lp._SUM_MIN)).any() and (sums >= lp._SUM_MIN).any()
+        plant_pairs(monkeypatch, x, y)
+        spec = MappingSpec(AffineMap(gain * np.eye(2), np.zeros(2)), Domain(kind="cone", cone=ORTH2))
+        for fn, args in self.verifiers(P2):
+            rep, _ = settled(monkeypatch, fn, spec, *args)
+            assert rep.passed == (gain < 1.0)  # the slack's 1e-9 passes every tiny pair
+
+    @pytest.mark.parametrize("gain", [0.5, 3.0])
+    def test_norms_past_2_to_the_500(self, gain, monkeypatch):
+        rng = np.random.default_rng(4)
+        x = 1e160 * rng.uniform(size=(40, 2))
+        y = x + 1e160 * rng.uniform(size=(40, 2))
+        plant_pairs(monkeypatch, x, y)
+        spec = MappingSpec(AffineMap(gain * np.eye(2), np.zeros(2)), Domain(kind="cone", cone=ORTH2))
+        for fn, args in self.verifiers(P2):
+            rep, shapes = settled(monkeypatch, fn, spec, *args)
+            assert rep.passed == (gain < 1.0) and shapes  # the planted pairs' sums are inf
+            scales = [v.scale for v in rep.violations if v.y.max() > 1e150]
+            assert bool(scales) == (gain > 1.0)  # at alpha = 1/3 not every tripled pair fails
+            assert all((s >= 2.0**500) == (fn is is_alpha_nonexpansive) for s in scales)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 4.0 / 19.0, 1.0 / 3.0])
+    def test_steep_step_pairs(self, alpha, monkeypatch):
+        # 4/19 is the least alpha that fits: its pair meets the bound to rounding
+        rep, _ = settled(monkeypatch, is_alpha_nonexpansive, corpus.steep_step_map(), P1, alpha, exhaustive=True)
+        assert rep.samples == 28
+        if alpha != 4.0 / 19.0:
+            assert rep.passed == (alpha > 0.2)
+
+    def test_a_pair_a_few_ulp_from_the_cut(self, monkeypatch):
+        # x -> c x on the half-line. The planted pair (0, 1) has rhs 1 and
+        # slack 2e-9, so its lhs, c (or the square of c), lies a few ulp from
+        # t = 1 + 2e-9, the rounded rhs + slack; the drawn pairs, |x - y| < 1,
+        # pass by about 1e-9 (1 - |x - y|)
+        plant_pairs(monkeypatch, [[0.0]], [[1.0]])
+        t = 1.0 + (INEQ_ATOL + INEQ_RTOL)
+        cone = Domain(kind="cone", cone=ORTH1)
+        for fn, args, root in ((is_monotone_nonexpansive, (P1, self.CFG), t),
+                               (is_alpha_nonexpansive, (P1, 0.0, self.CFG), math.sqrt(t))):
+            passed = []
+            for k in range(-3, 4):
+                c = root + k * math.ulp(root)
+                rep, shapes = settled(monkeypatch, fn, MappingSpec(AffineMap(np.array([[c]]), np.zeros(1)), cone), *args)
+                assert shapes and rep.samples == 301
+                assert rep.passed == (not rep.violations or rep.violations[0].y[0] != 1.0)
+                passed.append(rep.passed)
+            assert passed == sorted(passed, reverse=True) and set(passed) == {True, False}
+            if fn is is_monotone_nonexpansive:
+                assert passed == [k <= 0 for k in range(-3, 4)]
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_non_finite_image_still_raises(self, value, monkeypatch):
+        spec = MappingSpec(PoleMap(cut=0.9, value=value), Domain(kind="cone", cone=ORTH2))
+        for fn, args in self.verifiers(P2, alphas=(0.0,)):
+            for margin in (lp._PASS_MARGIN, math.inf):
+                monkeypatch.setattr(lp, "_PASS_MARGIN", margin)
+                with pytest.raises(ValueError, match=r"^vector has non-finite coordinates$"):
+                    with np.errstate(invalid="ignore"):  # a pair of two poles subtracts inf from inf
+                        fn(spec, *args)
 
 
 class TestBatchedSampling:

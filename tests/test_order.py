@@ -15,15 +15,16 @@ from orderfp.order import (
     contains,
     is_norm_monotonic,
     leq,
-    normality_constant_estimate,
     project_to_cone,
     sample_dominated_pairs,
     sup_finite,
     _cone_margins,
     _cone_rows,
+    _dominated_pair_checks,
     _member_raw,
 )
 from orderfp import order
+from orderfp import space as lp
 from orderfp.report import PropertyReport, Violation
 from orderfp.space import SpaceSpec, as_vector, norm
 
@@ -284,12 +285,12 @@ def inject_pairs(monkeypatch, extra):
 class TestConeDiagnostics:
     def test_orthant_normality_at_most_one(self):
         space = SpaceSpec(dim=3, p=1.5)
-        est = normality_constant_estimate(ORTH3, space, 500, seed=0)
+        est = _dominated_pair_checks(ORTH3, space, 500, 0)[0]
         assert 0.0 < est <= 1.0 + 1e-12
 
     def test_estimate_deterministic(self):
-        a = normality_constant_estimate(ORTH2, P2, 200, seed=9)
-        b = normality_constant_estimate(ORTH2, P2, 200, seed=9)
+        a = _dominated_pair_checks(ORTH2, P2, 200, 9)[0]
+        b = _dominated_pair_checks(ORTH2, P2, 200, 9)[0]
         assert a == b
 
     def test_equal_pair_ratio_is_one(self, monkeypatch):
@@ -301,9 +302,9 @@ class TestConeDiagnostics:
 
     def test_invalid_sample_count(self):
         with pytest.raises(ValueError):
-            normality_constant_estimate(ORTH2, P2, 0)
+            _dominated_pair_checks(ORTH2, P2, 0, 0)
 
-    @pytest.mark.parametrize("estimate", [normality_constant_estimate, is_norm_monotonic])
+    @pytest.mark.parametrize("estimate", [_dominated_pair_checks, is_norm_monotonic])
     def test_a_negative_seed_is_refused_by_name(self, estimate):
         # numpy's own refusal, "expected non-negative integer", names no seed
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
@@ -563,7 +564,7 @@ class TestReferenceDominatedPairs:
     )
     def test_normality_constant_matches_reference(self, cone, p, n, seed):
         space = SpaceSpec(dim=cone.dim, p=p)
-        got = normality_constant_estimate(cone, space, n, seed=seed)
+        got = _dominated_pair_checks(cone, space, n, seed)[0]
         want = reference_normality_constant_estimate(cone, space, n, seed=seed)
         assert isinstance(got, float)
         assert abs(got - want) <= 1e-12 * want
@@ -584,9 +585,33 @@ class TestReferenceDominatedPairs:
         assert_same_report(got, want)
         assert got.passed == (not extra)
 
+    @pytest.mark.parametrize("cone", [ORTH2, LOR2], ids=["orthant", "lorentz"])
+    def test_norm_monotonic_from_power_sums(self, cone, monkeypatch):
+        # at p = 2 a pair passes from its power sums; the report is, bit for
+        # bit, the one that roots every pair, for pairs that are equal, that
+        # square below _SUM_MIN or past the float range, that fail, or that
+        # fail by a few ulp or pass by less
+        x = np.array([2.0, 2.0])
+        extra = [(x, x), (1e-160 * x, 1.5e-160 * x), (1e-163 * x, 2e-163 * x), (1e160 * x, 2e160 * x),
+                 (x, [1.0, 1.0]), (x, np.nextafter(x, 0.0)), ([1.0, 0.0], [1.0 + 1e-12, 0.0]),
+                 ([1.0, 0.0], [1.0 - 2e-12, 0.0])]
+        inject_pairs(monkeypatch, extra)
+        reports, rooted = [], []
+        roots = lp._roots
+        monkeypatch.setattr(lp, "_roots", lambda space, sums, rows: rooted.append(sums.shape) or roots(space, sums, rows))
+        for margin in (lp._PASS_MARGIN, np.inf):
+            monkeypatch.setattr(lp, "_PASS_MARGIN", margin)
+            rep = is_norm_monotonic(cone, P2, 300, seed=4)
+            reports.append((rep.samples, rep.summary(), [
+                (v.x.tobytes(), v.y.tobytes(), v.lhs.hex(), v.rhs.hex(), v.scale) for v in rep.violations]))
+        assert reports[0] == reports[1]
+        assert len(rooted) == 2 and rooted[0][1] < 300 < rooted[1][1]  # some pairs rooted, then all
+        assert [(v.x.tolist(), v.y.tolist()) for v in is_norm_monotonic(cone, P2, 300, seed=4).violations[-2:]] == [
+            ([2.0, 2.0], [1.0, 1.0]), ([1.0, 0.0], [1.0 - 2e-12, 0.0])]
+
     def test_space_of_other_dimension_same_error(self):
         space = SpaceSpec(dim=3, p=2.0)
         for fn, ref in ((is_norm_monotonic, reference_is_norm_monotonic),
-                        (normality_constant_estimate, reference_normality_constant_estimate)):
+                        (lambda *a, **k: _dominated_pair_checks(*a, **k)[0], reference_normality_constant_estimate)):
             got, want = outcome(fn, ORTH2, space, 10, seed=0), outcome(ref, ORTH2, space, 10, seed=0)
             assert got[0] == "raised" and got == want
