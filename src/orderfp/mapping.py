@@ -438,12 +438,12 @@ def _pair_report(name, spec, x, y, space=None, rows=None, sides=None, alpha=None
     tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
     margin = _cone_margins(spec.domain.cone, ty - tx)
     failed = margin < -MEMBERSHIP_TOL
-    out = failed, -margin, np.full(len(x), MEMBERSHIP_TOL), np.ones(len(x))
+    lhs, rhs, scale = -margin, np.full(len(x), MEMBERSHIP_TOL), np.ones(len(x))
     if rows is not None:
         if not (np.isfinite(tx).all() and np.isfinite(ty).all()):
             as_rows(np.concatenate((tx[~failed], ty[~failed])), spec.dim)  # an ordered pair's non-finite image raises
-        _settle(space, np.array(rows(tx, ty)), sides, _slack, *out)
-    return PropertyReport.from_rows(name, x, y, out[1], out[2], failed, alpha, out[3])
+        _settle(space, np.array(rows(tx, ty)), sides, _slack, failed, lhs, rhs, scale)
+    return PropertyReport.from_rows(name, x, y, lhs, rhs, failed, alpha, scale)
 
 
 def _sampled_pairs(spec: MappingSpec, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -152,6 +152,6 @@ def is_norm_monotonic(cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: in
     is recorded with the witness pair. At p = 2 only the pairs that their
     power sums leave open are rooted (`space._settle`)."""
     x, y = _dominated_pairs(cone, n_samples, seed)
-    out = np.zeros(len(x), bool), np.zeros(len(x)), np.zeros(len(x)), np.ones(len(x))
-    _settle(space, np.array([x, y]), None, lambda rhs, s: NORM_MONOTONE_TOL, *out)
-    return PropertyReport.from_rows("norm_monotonic", x, y, out[1], out[2], out[0])
+    failed, lhs, rhs = np.zeros(len(x), bool), np.zeros(len(x)), np.zeros(len(x))
+    _settle(space, np.array([x, y]), None, lambda rhs, s: NORM_MONOTONE_TOL, failed, lhs, rhs, np.ones(len(x)))
+    return PropertyReport.from_rows("norm_monotonic", x, y, lhs, rhs, failed)

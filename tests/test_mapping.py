@@ -1422,7 +1422,7 @@ class TestPairsFromPowerSums:
                 c = root + k * math.ulp(root)
                 rep, shapes = settled(monkeypatch, fn, MappingSpec(AffineMap(np.array([[c]]), np.zeros(1)), cone), *args)
                 assert shapes and rep.samples == 301
-                assert rep.passed == (not rep.violations or rep.violations[0].y[0] != 1.0)
+                assert all(v.y[0] == 1.0 for v in rep.violations)  # only the planted pair may fail
                 passed.append(rep.passed)
             assert passed == sorted(passed, reverse=True) and set(passed) == {True, False}
             if fn is is_monotone_nonexpansive:
