@@ -54,10 +54,10 @@ def _slack(rhs, s=1.0):
 
 
 def _square_scale(norms: np.ndarray):
-    # per pair (axis 0 holds its norms), 1 below 2^500 (one 1.0 for all if all are), else 2^e for
-    # the binary exponent e of its largest finite norm: norms / s square without overflow, same bits
+    # per pair (axis 0 holds its norms), 1 below 2^500, else 2^e for the binary exponent
+    # e of its largest finite norm: norms / s square without overflow and keep their bits
     big = np.where(norms < math.inf, norms, 0.0).max(axis=0)
-    return 1.0 if big.max() < 2.0**500 else np.where(big < 2.0**500, 1.0, np.ldexp(1.0, np.frexp(big)[1] - 1))
+    return np.where(big < 2.0**500, 1.0, np.ldexp(1.0, np.frexp(big)[1] - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -425,23 +425,24 @@ def _lattice_pairs(spec: MappingSpec) -> tuple[np.ndarray, np.ndarray]:
 def _pair_report(name, spec, x, y, space=None, rows=None, sides=None, alpha=None) -> PropertyReport:
     """Row-wise core of the comparable-pair verifiers (pair k is x[k] <= y[k]).
 
-    A pair with T y - T x outside the domain cone is an order violation (lhs
-    the negated cone margin, rhs MEMBERSHIP_TOL) and skips the inequality; for
-    the rest, whose images must be finite, the norms in ``space`` of the row
-    blocks ``rows(tx, ty)`` give the ``sides`` of lhs <= rhs + slack in units
-    of s^2 (`space._settle`). At p = 2 a pair passes unrooted if its sides from
-    np.sqrt of its power sums clear the slack by 1e-12 (mag + slack), mag the
-    size of its terms: a root moves a norm by at most 1.04 ulp (np.sqrt is
-    correctly rounded, pow within 0.54 ulp), so the sides by under 32 u (mag +
-    slack), u = 2^-53, or by 2^-536 sqrt(d) for a sum below 2^-1022. The rest
-    are rooted: near the cut, failing, or with a sum not below 2^999."""
+    A pair with T y - T x outside the domain cone is an order violation (lhs the
+    negated cone margin, rhs MEMBERSHIP_TOL) and skips the inequality; for the rest,
+    whose images must be finite, the norms in ``space`` of the row blocks ``rows(tx,
+    ty)`` give the ``sides`` of lhs <= rhs + slack in units of s^2 (`space._settle`).
+    At p = 2 a pair passes unrooted if its sides from np.sqrt of its power sums clear
+    the slack by 1e-12 (mag + slack), mag the size of its terms. A root moves a norm
+    by at most 1.04 ulp (np.sqrt correctly rounded, pow within 0.54 ulp): the sides by
+    under 32 u (mag + slack), u = 2^-53. A sum below 2^-1022 (d squares, each off by
+    <= 2^-1075, added exactly) moves a norm by under 2^-536 sqrt(d), inside the slack,
+    and a square by under (d + 2) 2^-1075, inside mag's floor of 2^-1000 a term (d < 2^34,
+    any alpha). Every other pair is rooted: near the cut, failing, or a sum >= 2^999."""
     tx, ty = spec.op.evaluate(x), spec.op.evaluate(y)
     margin = _cone_margins(spec.domain.cone, ty - tx)
     failed = margin < -MEMBERSHIP_TOL
     lhs, rhs, scale = -margin, np.full(len(x), MEMBERSHIP_TOL), np.ones(len(x))
     if rows is not None:
-        if not (np.isfinite(tx).all() and np.isfinite(ty).all()):
-            as_rows(np.concatenate((tx[~failed], ty[~failed])), spec.dim)  # an ordered pair's non-finite image raises
+        if not (np.isfinite(tx).all() and np.isfinite(ty).all()):  # then an ordered pair's non-finite image raises
+            as_rows(np.concatenate((tx[~failed], ty[~failed])), spec.dim)
         _settle(space, np.array(rows(tx, ty)), sides, _slack, failed, lhs, rhs, scale)
     return PropertyReport.from_rows(name, x, y, lhs, rhs, failed, alpha, scale)
 
@@ -490,7 +491,8 @@ def is_alpha_nonexpansive(
         s = _square_scale(norms)
         im, cross_xy, cross_yx, arg = (norms / s) ** 2
         rhs = alpha * cross_xy + alpha * cross_yx + (1.0 - 2.0 * alpha) * arg
-        return im, rhs, s, im + abs(alpha) * (cross_xy + cross_yx) + abs(1.0 - 2.0 * alpha) * arg
+        a, b = abs(alpha), abs(1.0 - 2.0 * alpha)  # mag: each term's size, with a floor of 2^-1000
+        return im, rhs, s, im + a * (cross_xy + cross_yx) + b * arg + (1.0 + a + a + b) * 2.0**-1000
 
     return _pair_report("alpha_nonexpansive", spec, x, y, space,
                         lambda tx, ty: [tx - ty, tx - y, ty - x, x - y], sides, alpha)

@@ -136,22 +136,21 @@ def _dominated_pairs(cone: ConeSpec, n_samples: int, seed: int) -> tuple[np.ndar
     return sample_dominated_pairs(cone, np.random.default_rng(seed), n_samples)
 
 
+def _norm_monotone(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> PropertyReport:
+    failed, lhs, rhs = np.zeros(len(x), bool), np.zeros(len(x)), np.zeros(len(x))
+    _settle(space, np.stack([x, y]), None, lambda rhs, s: NORM_MONOTONE_TOL, failed, lhs, rhs, np.ones(len(x)))
+    return PropertyReport.from_rows("norm_monotonic", x, y, lhs, rhs, failed)
+
+
 def _dominated_pair_checks(cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: int) -> tuple[float, PropertyReport]:
-    """(normality estimate, norm-monotonicity report) of one draw of
-    ``n_samples`` dominated pairs from ``seed``, each pair normed once; the
-    sampled max of ||x||/||y|| is a lower bound on the normality constant."""
+    """(normality estimate: sampled max of ||x||/||y|| by exact roots; norm-monotonicity report) of one draw."""
     x, y = _dominated_pairs(cone, n_samples, seed)
     nx, ny = _row_norms(space, np.stack([x, y]))
     nonzero = ny != 0.0
-    gamma = float((nx[nonzero] / ny[nonzero]).max(initial=0.0))
-    return gamma, PropertyReport.from_rows("norm_monotonic", x, y, nx, ny, nx > ny + NORM_MONOTONE_TOL)
+    return float((nx[nonzero] / ny[nonzero]).max(initial=0.0)), _norm_monotone(space, x, y)
 
 
 def is_norm_monotonic(cone: ConeSpec, space: SpaceSpec, n_samples: int, seed: int = 0) -> PropertyReport:
     """Sampled check that 0 <= x <= y implies ||x|| <= ||y||; each violation
-    is recorded with the witness pair. At p = 2 only the pairs that their
-    power sums leave open are rooted (`space._settle`)."""
-    x, y = _dominated_pairs(cone, n_samples, seed)
-    failed, lhs, rhs = np.zeros(len(x), bool), np.zeros(len(x)), np.zeros(len(x))
-    _settle(space, np.array([x, y]), None, lambda rhs, s: NORM_MONOTONE_TOL, failed, lhs, rhs, np.ones(len(x)))
-    return PropertyReport.from_rows("norm_monotonic", x, y, lhs, rhs, failed)
+    is recorded with the witness pair."""
+    return _norm_monotone(space, *_dominated_pairs(cone, n_samples, seed))

@@ -143,11 +143,10 @@ def _roots(space: SpaceSpec, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _settle(space: SpaceSpec, v: np.ndarray, sides, slack, failed, lhs, rhs, scale) -> None:
-    """Decide lhs <= rhs + slack(rhs, s) for the pairs (pair k's rows are
-    v[:, k]) not yet ``failed``, writing each one it roots into failed, lhs,
-    rhs and scale. ``sides(norms)`` gives lhs, rhs, s and mag, a bound on |lhs|
-    plus the |terms| of rhs (default: ||row 0|| <= ||row 1||). At p = 2 only
-    the pairs their power sums leave open are rooted (`mapping._pair_report`)."""
+    """Decide lhs <= rhs + slack(rhs, s) for the pairs not yet ``failed`` (pair k's rows are v[:, k]),
+    writing each one it roots into failed, lhs, rhs and scale; ``sides(norms)`` gives lhs, rhs, s and
+    mag, the size of its terms (default: ||row 0|| <= ||row 1||). At p = 2 only the pairs their
+    power sums leave open are rooted (`mapping._pair_report`)."""
     sides = sides or (lambda n: (n[0], n[1], 1.0, n[0] + n[1]))
     opn = ~failed
     with np.errstate(over="ignore", invalid="ignore"):

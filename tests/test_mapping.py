@@ -1407,6 +1407,29 @@ class TestPairsFromPowerSums:
         if alpha != 4.0 / 19.0:
             assert rep.passed == (alpha > 0.2)
 
+    def test_a_huge_alpha_on_subnormal_sums(self, monkeypatch):
+        # T = 0 on pairs whose squared norms are near 1e-316: their power sums
+        # are subnormal, each a unit of 2^-1074 or so off the squared norm.
+        # Near alpha = -1e306, where rhs = ||x - y||^2 + alpha (||x||^2 +
+        # ||y||^2 - 2 ||x - y||^2) meets -slack, alpha makes that unit about
+        # 5e-18, far past 1e-12 (mag + slack) were mag's floor of 2^-1000 a
+        # term left out. Each pair is checked at alphas about the flip of its
+        # rooted verdict, found by bisection.
+        spec = MappingSpec(AffineMap(np.zeros((2, 2)), np.zeros(2)), Domain(kind="cone", cone=ORTH2))
+        rng = np.random.default_rng(5)
+        for _ in range(20):  # about half of them meet the cut where the two paths differ
+            x = 2e-158 * rng.uniform(0.5, 1.0, size=(1, 2))
+            plant_pairs(monkeypatch, x, x + 2e-158 * rng.uniform(0.0, 0.3, size=(1, 2)), drawn=False)
+            lo, hi = -1.7e308, 0.0  # the pair fails at lo and passes at hi
+            with monkeypatch.context() as m:
+                m.setattr(lp, "_PASS_MARGIN", math.inf)
+                while lo / 2.0 + hi / 2.0 not in (lo, hi):
+                    mid = lo / 2.0 + hi / 2.0
+                    lo, hi = (lo, mid) if is_alpha_nonexpansive(spec, P2, mid, SamplerConfig(1)).passed else (mid, hi)
+            assert -1e307 < hi < -1e305
+            for j in range(-8, 9):
+                settled(monkeypatch, is_alpha_nonexpansive, spec, P2, hi * (1.0 + j * 1e-14), SamplerConfig(1))
+
     def test_a_pair_a_few_ulp_from_the_cut(self, monkeypatch):
         # x -> c x on the half-line. The planted pair (0, 1) has rhs 1 and
         # slack 2e-9, so its lhs, c (or the square of c), lies a few ulp from

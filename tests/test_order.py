@@ -583,6 +583,7 @@ class TestReferenceDominatedPairs:
         got = is_norm_monotonic(cone, space, 300, seed=4)
         want = reference_is_norm_monotonic(cone, space, 300, seed=4, extra_pairs=extra)
         assert_same_report(got, want)
+        assert_same_report(_dominated_pair_checks(cone, space, 300, 4)[1], want)  # the report `order check` prints
         assert got.passed == (not extra)
 
     @pytest.mark.parametrize("cone", [ORTH2, LOR2], ids=["orthant", "lorentz"])
