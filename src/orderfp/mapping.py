@@ -441,7 +441,7 @@ def _pair_report(name, spec, x, y, space=None, rows=None, sides=None, alpha=None
     failed = margin < -MEMBERSHIP_TOL
     lhs, rhs, scale = -margin, np.full(len(x), MEMBERSHIP_TOL), np.ones(len(x))
     if rows is not None:
-        if not (np.isfinite(tx).all() and np.isfinite(ty).all()):  # then an ordered pair's non-finite image raises
+        if not (np.isfinite(tx).all() and np.isfinite(ty).all()):  # an ordered pair's non-finite image raises
             as_rows(np.concatenate((tx[~failed], ty[~failed])), spec.dim)
         _settle(space, np.array(rows(tx, ty)), sides, _slack, failed, lhs, rhs, scale)
     return PropertyReport.from_rows(name, x, y, lhs, rhs, failed, alpha, scale)
