@@ -182,28 +182,39 @@ def _settled(run, n: int, cfg: IterationConfig) -> list:
 _shared: dict | None = None  # in a `run_suites` call, its distinct settled orbits and fixed-point sets
 
 
-def _once(key: tuple, scn: Scenario, compute):
-    # compute(), or in a run this key's first value, its arrays read-only; the entry keeps scn.map, keyed by id, alive
-    if _shared is None:
-        return compute()
-    if key not in _shared:
-        value = compute()
+def _once(keys: list, scn: Scenario, compute) -> list:
+    # each key's value, its arrays read-only: compute(todo) gives those of the distinct keys not yet computed,
+    # in order; a run keeps each key's first value, and the entry keeps scn.map, keyed by id, alive
+    shared = {} if _shared is None else _shared
+    todo = list(dict.fromkeys(k for k in keys if k not in shared))
+    for key, value in zip(todo, compute(todo) if todo else ()):
         for a in vars(value).values() if isinstance(value, OrbitRecord) else value or ():
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
-        _shared[key] = scn.map, value
-    return _shared[key][1]
+        shared[key] = scn.map, value
+    return [shared[k][1] for k in keys]
+
+
+def _settled_orbits(scn: Scenario, starts: list, cfg: IterationConfig) -> list[OrbitRecord]:
+    # the settled orbits of scn.map from ``starts``: those a run has not yet computed as one batch
+    keys = [("orbit", id(scn.map), x0.tobytes(), scn.space, cfg) for x0 in starts]
+
+    def run(todo, c):  # a lone start by picard_orbit, which a traced run counts
+        xs = [starts[keys.index(key)] for key in todo]
+        return ([picard_orbit(scn.map, xs[0], scn.space, cfg=c)] if len(xs) == 1
+                else iterate._orbit([scn.map] * len(xs), xs, scn.space, c))
+
+    return _once(keys, scn, lambda todo: _settled(lambda idx, c: run([todo[i] for i in idx], c), len(todo), cfg))
 
 
 def _settled_orbit(scn: Scenario, x0: np.ndarray, cfg: IterationConfig) -> OrbitRecord:
-    return _once(("orbit", id(scn.map), x0.tobytes(), scn.space, cfg), scn,
-                 lambda: _settled(lambda idx, c: [picard_orbit(scn.map, x0, scn.space, cfg=c)], 1, cfg)[0])
+    return _settled_orbits(scn, [x0], cfg)[0]
 
 
 def _fixed_points(scn: Scenario) -> list | None:
     g = scn.grid_cfg  # fixed_point_oracle(scn.map, scn.space, g), as a list of the caller's own
-    fps = _once(("fixed points", id(scn.map), scn.space, g and (g.lo.tobytes(), g.hi.tobytes(), g.points_per_axis)),
-                scn, lambda: fixed_point_oracle(scn.map, scn.space, g))
+    fps = _once([("fixed points", id(scn.map), scn.space, g and (g.lo.tobytes(), g.hi.tobytes(), g.points_per_axis))],
+                scn, lambda todo: [fixed_point_oracle(scn.map, scn.space, g)])[0]
     return None if fps is None else list(fps)
 
 
@@ -572,15 +583,13 @@ def verify_cone_convergence(
         if not mne.passed:
             return rep
         rng = np.random.default_rng(scn.seed + 101)
-        found = 0
-        tries = 0
-        while found < 4 and tries < 400:
+        starts, tries = [], 0
+        while len(starts) < 4 and tries < 400:
             tries += 1
             x = sample_domain_point(scn.map, rng, scale=1.5)
-            if not leq(scn.cone, x, apply_map(scn.map, x)):
-                continue
-            found += 1
-            recx = _settled_orbit(scn, x, iter_cfg)
+            if leq(scn.cone, x, apply_map(scn.map, x)):
+                starts.append(x)
+        for found, (x, recx) in enumerate(zip(starts, _settled_orbits(scn, starts, iter_cfg)), 1):
             ok_conv = recx.verdict == CONVERGED
             zx = recx.points[-1]
             resx = norm(scn.space, apply_map(scn.map, zx) - zx) if ok_conv else float("inf")
@@ -603,7 +612,7 @@ def verify_cone_convergence(
                 dominated,
                 f"||x||={norm_x!r} over {len(steps)} steps",
             )
-        rep.add("sampled_ascending_starts", found > 0, f"{found} starts in {tries} tries")
+        rep.add("sampled_ascending_starts", bool(starts), f"{len(starts)} starts in {tries} tries")
     return rep
 
 

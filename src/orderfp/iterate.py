@@ -186,17 +186,20 @@ def _verdict_rules(space: SpaceSpec, diff: np.ndarray, pts: np.ndarray, cuts, to
 
 def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
     """The records of the orbits of the list ``spec`` from the list ``x0``:
-    one orbit, or a stack of Picard orbits of AffineMaps, or of
+    starts of one map, or a stack of Picard orbits of AffineMaps, or of
     TranslationMaps, on one cone, which step in lockstep as one batch and
-    each leave it at its first stop; any other list is a ValueError. The
-    first error met is raised. With ``verdicts``, each orbit's verdict stands
+    each leave it at its first stop; any other list is a ValueError. Each
+    orbit gets the record or error it has alone, and the first error met is
+    raised: a generic map's row call that raises ends the block there if an
+    orbit's own 1-D call raises. With ``verdicts``, each orbit's verdict stands
     in for its record: no trajectory or last residual is kept, and a block
     roots only the candidate rows a cut leaves open and takes point norms only
     where a point can pass bound_threshold (`_verdict_rules`). The order flags
     of a record are taken under its map's domain cone."""
-    if len(spec) != 1 and not (len({(type(s.op), s.domain.kind, s.domain.cone) for s in spec}) == 1
-                               and spec[0].domain.kind == "cone" and type(spec[0].op) in _STACKED):
-        raise ValueError("orbits batch only as Picard orbits of one affine or translation kind on one cone")
+    if len({(id(s.op), id(s.domain)) for s in spec}) != 1 and not (
+            len({(type(s.op), s.domain.kind, s.domain.cone) for s in spec}) == 1
+            and spec[0].domain.kind == "cone" and type(spec[0].op) in _STACKED):
+        raise ValueError("orbits batch only as starts of one map, or of one affine or translation kind on one cone")
     domain, op, live = spec[0].domain, spec[0].op, list(range(len(spec)))
     try:  # a batch's starts in one check, else one by one, so that the first bad one raises its error
         x = np.array(x0, dtype=float) if len(spec) > 1 else None
@@ -242,13 +245,19 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
                 for y, y1 in zip(slabs, slabs[1:]):
                     add(matmul(a, y, y1), b, y1)
             else:
-                xv = xs[0]
                 for j in range(k):
-                    try:
-                        xv[j + 1] = op.evaluate(xv[j])
-                    except Exception as exc:
-                        held, m = exc, j
-                        break
+                    try:  # the live rows in one call; a lone orbit's point by the 1-D call, which costs less
+                        xs[:, j + 1] = op.evaluate(xs[:, j] if len(live) > 1 else xs[0, j])
+                    except Exception as exc:  # each orbit's own 1-D call names its error, or gives its image
+                        held = [exc] if len(live) == 1 else [None] * len(live)
+                        for r in range(len(live)) if len(live) > 1 else ():
+                            try:
+                                xs[r, j + 1] = op.evaluate(xs[r, j])
+                            except Exception as own:
+                                held[r] = own
+                        held, m = (held, j) if any(held) else (None, k)
+                        if held:
+                            break
 
             # the stopping rules, one row per orbit; an orbit's first step where one fires ends it, and
             # within a step they rank nonfinite, escape, converged, growth; each point is the image of the
@@ -270,13 +279,13 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
                 fires[:, :m] |= esc
             halt, grow = fires.argmax(axis=1).tolist(), [m] * len(live)
             if norms is None:  # no growth; the next window, in place: the tail of this one, then -inf a point
-                recent[:, : max(window - k, 0)] = recent[:, k:]
-                recent[:, max(window - k, 0) :] = -np.inf
+                recent[:, : max(window - m, 0)] = recent[:, m:]
+                recent[:, max(window - m, 0) :] = -np.inf
             else:
                 recent = np.concatenate((recent, norms), axis=1)
                 np.logical_and(norms[:, 1:] > cfg.bound_threshold, norms[:, 1:] > recent[:, 1 : m + 1], out=fires[:, :m])
-                grow, recent = fires.argmax(axis=1).tolist(), recent[:, k : k + window]
-            on = [r for r, (j, g) in enumerate(zip(halt, grow)) if j == g == m] if held is None else []
+                grow, recent = fires.argmax(axis=1).tolist(), recent[:, m : m + window]
+            on = [r for r, (j, g) in enumerate(zip(halt, grow)) if j == g == m and not (held and held[r])]
             # a verdict needs only the orbits that stop; a record takes every orbit's chunk
             for r in range(len(live)) if not verdicts else sorted(set(range(len(live))) - set(on)):
                 i, j, g = live[r], halt[r], grow[r]
@@ -289,8 +298,8 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
                 elif g < m:  # the last point's residual is taken below
                     keep = nres = g + 1
                     verdict[i] = UNBOUNDED_SUSPECTED
-                elif held is not None:
-                    raise held
+                elif held and held[r]:
+                    raise held[r]
                 if not verdicts:
                     chunks[i].append((xs[r, min(n0, 1) : keep + 1], norms[r, min(n0, 1) : keep + 1], res[r, :nres]))
             if not on:
@@ -299,10 +308,10 @@ def _orbit(spec, x0, space: SpaceSpec, cfg: IterationConfig, verdicts=False):
                 live, stack = [live[r] for r in on], [a[on] for a in stack]
             # exact norms of their last two residuals and points, from a copy of their last three
             # points, size the next block, which keeps no array of this one alive
-            last = xs[on, max(k - 2, 0) :]
+            last = xs[on, max(m - 2, 0) : m + 1]
             both = _row_norms(space, np.concatenate((last[:, 1:] - last[:, :-1], last[:, -2:]), axis=1))
-            n0, x, recent = n0 + k, last[:, -1], recent[on]
-            k = _next_block(k, both[:, :-2], both[:, -2:], cfg, bool(stack))
+            n0, x, recent = n0 + m, last[:, -1], recent[on]
+            k = _next_block(m, both[:, :-2], both[:, -2:], cfg, bool(stack))
             res = norms = both = None
 
         if verdicts:

@@ -71,14 +71,21 @@ def _member_raw(cone: ConeSpec, v: np.ndarray, tol: float):
 
 
 def leq(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
-    """x <= y iff y - x lies in the cone."""
-    xv = as_vector(x, dim=cone.dim)
-    yv = as_vector(y, dim=cone.dim)
-    return contains(cone, yv - xv, tol=tol)
+    """x <= y iff y - x lies in the cone; under the Lorentz cone a y - x that overflows raises a ValueError."""
+    return _leq_raw(cone, as_vector(x, dim=cone.dim), as_vector(y, dim=cone.dim), tol)
+
+
+def _leq_raw(cone: ConeSpec, x: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    with np.errstate(over="ignore"):  # an overflowed coordinate is an infinity of the exact difference's sign
+        v = y - x
+    if cone.kind != ORTHANT and not np.isfinite(v).all():
+        raise ValueError(f"y - x overflows the float range for x = {x}, y = {y}: the {cone.kind} order is undecided")
+    return bool(_member_raw(cone, v, tol))
 
 
 def comparable(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
-    return leq(cone, x, y, tol=tol) or leq(cone, y, x, tol=tol)
+    xv, yv = as_vector(x, dim=cone.dim), as_vector(y, dim=cone.dim)
+    return _leq_raw(cone, xv, yv, tol) or _leq_raw(cone, yv, xv, tol)
 
 
 def sup_finite(cone: ConeSpec, points) -> np.ndarray:

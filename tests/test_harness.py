@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -61,6 +62,24 @@ FAST = IterationConfig(max_iter=50_000, residual_tol=1e-10, bound_threshold=1e4,
 
 def scenario(spec, sid="s", **kw):
     return Scenario(sid=sid, space=P2, map=spec, **kw)
+
+
+@dataclasses.dataclass
+class RaisesOn:
+    """``op``, but a call on a point whose bytes are in ``bad`` raises, for one point or rows."""
+
+    op: object
+    bad: set
+
+    @property
+    def dim(self) -> int:
+        return self.op.dim
+
+    def evaluate(self, x):
+        for row in np.atleast_2d(x):
+            if row.tobytes() in self.bad:
+                raise RuntimeError(f"stepped onto {row}")
+        return self.op.evaluate(x)
 
 
 def corrupted_mapping():
@@ -479,12 +498,10 @@ class TestConvergenceCampaigns:
         # x -> x + 1e307 passes the class hypothesis (an isometry) and its
         # orbit overflows after about 18 steps, long before the growth window
         spec = MappingSpec(TranslationMap(shift=np.full(2, 1e307)), Domain(kind="cone", cone=ORTH2))
-        calls = []
-        picard = harness.picard_orbit
-        monkeypatch.setattr(harness, "picard_orbit", lambda *a, **kw: calls.append(a) or picard(*a, **kw))
+        calls = TestSharedWork.counted(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             rec = harness._settled_orbit(scenario(spec), np.zeros(2), FAST)
-            assert rec.verdict == NONFINITE and len(calls) == 1 and np.isfinite(rec.points).all()
+            assert rec.verdict == NONFINITE and calls["orbits"] == 1 and np.isfinite(rec.points).all()
             rep = verify_ascending_existence(scenario(spec), FAST)
             conv = verify_norm_convergence(scenario(spec), FAST)
         failed = [(c.name, c.detail) for c in rep.checks if not c.passed]
@@ -497,6 +514,45 @@ class TestConvergenceCampaigns:
             scenario(corpus.affine_contraction(2), expected="fixed_point_exists"), FAST)
         assert rep.passed
         assert any(c.name.startswith("ascending_start") for c in rep.checks)
+
+    @staticmethod
+    def batches(monkeypatch) -> list:
+        """The starts of each call that reaches `iterate._orbit`."""
+        batches, engine = [], iterate._orbit
+        monkeypatch.setattr(iterate, "_orbit", lambda spec, x0, *a, **kw: batches.append(list(x0)) or engine(spec, x0, *a, **kw))
+        return batches
+
+    def test_cone_campaign_settles_its_starts_as_one_batch(self, monkeypatch):
+        batches = self.batches(monkeypatch)
+        scn = scenario(corpus.affine_contraction(2), expected="fixed_point_exists")
+        rep = verify_cone_convergence(scn, FAST)
+        assert [len(b) for b in batches] == [1, 4] and rep.passed  # the zero orbit, then the drawn starts
+        names = [c.name for c in rep.checks if c.name.startswith("ascending_start")]
+        assert names == [f"ascending_start_{i}_{what}" for i in range(1, 5) for what in ("converges", "dominated")]
+        # each start gets the record its orbit has alone
+        for x, rec in zip(batches[1], harness._settled_orbits(scn, batches[1], FAST)):
+            alone = picard_orbit(scn.map, x, scn.space, FAST)
+            assert all(getattr(rec, f).tobytes() == getattr(alone, f).tobytes() for f in ("points", "residuals", "norms"))
+            assert rec.verdict == alone.verdict == CONVERGED
+
+    def test_a_raising_map_names_the_first_error_met_in_lockstep(self, monkeypatch):
+        # x -> x/2 + 1/2 made to raise on point 3 of the first start's orbit and on
+        # point 2 of the third's: in lockstep the third's step comes first, so the
+        # campaign raises its error, where orbits run one after another raised the first's
+        op = RaisesOn(AffineMap(0.5 * np.eye(2), np.full(2, 0.5)), set())
+        scn = scenario(MappingSpec(op, Domain(kind="cone", cone=ORTH2)),
+                       grid_cfg=GridSearchConfig(lo=np.zeros(2), hi=np.full(2, 2.0), points_per_axis=3))
+        batches = self.batches(monkeypatch)
+        assert verify_cone_convergence(scn, FAST).passed
+        starts = batches[-1]
+        first, third = (picard_orbit(scn.map, starts[i], scn.space, FAST).points[n] for i, n in ((0, 3), (2, 2)))
+        op.bad.update({first.tobytes(), third.tobytes()})
+        for i, point in ((0, first), (2, third)):
+            with pytest.raises(RuntimeError, match=f"^stepped onto {re.escape(str(point))}$"):
+                picard_orbit(scn.map, starts[i], scn.space, FAST)
+        with pytest.raises(RuntimeError) as raised:
+            verify_cone_convergence(scn, FAST)
+        assert str(raised.value) == f"stepped onto {third}"
 
     def test_cone_campaign_requires_fixed_points(self):
         with pytest.raises(HypothesisError):
@@ -751,22 +807,29 @@ class TestSharedWork:
 
     @staticmethod
     def counted(monkeypatch):
-        """Counts of the calls that reach `harness.picard_orbit` and `harness.fixed_point_oracle`."""
-        calls = {"picard_orbit": 0, "fixed_point_oracle": 0}
-        for name in calls:
-            plain = getattr(harness, name)
-            monkeypatch.setattr(harness, name, lambda *a, _n=name, _f=plain, **kw: calls.update({_n: calls[_n] + 1})
-                                or _f(*a, **kw))
+        """Counts of the orbits that reach `iterate._orbit`, of its calls (`engine`), and of
+        the calls that reach `harness.fixed_point_oracle`."""
+        calls = {"orbits": 0, "engine": 0, "fixed_point_oracle": 0}
+        engine, oracle = iterate._orbit, harness.fixed_point_oracle
+
+        def orbit(spec, *a, **kw):
+            calls.update(orbits=calls["orbits"] + len(spec), engine=calls["engine"] + 1)
+            return engine(spec, *a, **kw)
+
+        monkeypatch.setattr(iterate, "_orbit", orbit)
+        monkeypatch.setattr(harness, "fixed_point_oracle",
+                            lambda *a, **kw: calls.update(fixed_point_oracle=calls["fixed_point_oracle"] + 1) or oracle(*a, **kw))
         return calls
 
     def test_a_run_computes_each_distinct_orbit_and_fixed_point_set_once(self, monkeypatch, tmp_path):
         calls = self.counted(monkeypatch)
         first, _ = run_suites(self.SCENARIO_SUITES, {}, 0, tmp_path / "a")
-        assert calls == {"picard_orbit": 23, "fixed_point_oracle": 8}  # 31 and 19 without sharing
+        # 31 orbits and 19 oracle calls without sharing; c45-46 settles each scenario's 4 starts as one batch
+        assert calls == {"orbits": 23, "engine": 14, "fixed_point_oracle": 8}
         assert harness._shared is None
         # a second run in the same process recomputes everything, and writes the same bytes
         second, _ = run_suites(self.SCENARIO_SUITES, {}, 0, tmp_path / "b")
-        assert calls == {"picard_orbit": 46, "fixed_point_oracle": 16}
+        assert calls == {"orbits": 46, "engine": 28, "fixed_point_oracle": 16}
         assert [(tmp_path / d / "summary.txt").read_bytes() for d in "ab"] == [summary_table(first).encode()] * 2
 
     def test_a_run_that_raises_leaves_nothing_behind(self, monkeypatch, tmp_path):
@@ -782,7 +845,7 @@ class TestSharedWork:
         calls = self.counted(monkeypatch)
         harness._settled_orbit(scenario(corpus.affine_contraction(2)), np.zeros(2), FAST)
         harness._settled_orbit(scenario(corpus.affine_contraction(2)), np.zeros(2), FAST)
-        assert calls["picard_orbit"] == 2
+        assert calls["orbits"] == calls["engine"] == 2
 
     def test_shared_records_are_read_only_and_each_caller_gets_its_own_list(self, monkeypatch):
         calls = self.counted(monkeypatch)
@@ -792,7 +855,7 @@ class TestSharedWork:
         scns = [scenario(truncation, grid_cfg=GridSearchConfig(grid.lo, grid.hi, 7)) for _ in range(2)]
         records = [harness._settled_orbit(scn, np.zeros(2), FAST) for scn in scns]
         found = [harness._fixed_points(scn) for scn in scns]
-        assert calls == {"picard_orbit": 1, "fixed_point_oracle": 1}  # equal grids, one key
+        assert calls == {"orbits": 1, "engine": 1, "fixed_point_oracle": 1}  # equal grids, one key
         assert records[0] is records[1] and found[0] is not found[1] and list(map(id, found[0])) == list(map(id, found[1]))
         for a in (records[0].points, records[0].residuals, records[0].norms, records[0].leq_up, found[0][0]):
             with pytest.raises(ValueError, match="read-only"):
@@ -804,7 +867,36 @@ class TestSharedWork:
         harness._settled_orbit(scns[0], np.zeros(2), dataclasses.replace(FAST, window=5))
         harness._settled_orbit(Scenario("s", SpaceSpec(dim=2, p=1.5), truncation), np.zeros(2), FAST)
         harness._fixed_points(scenario(truncation, grid_cfg=GridSearchConfig(grid.lo, grid.hi, 5)))
-        assert calls == {"picard_orbit": 4, "fixed_point_oracle": 2}
+        assert calls == {"orbits": 4, "engine": 4, "fixed_point_oracle": 2}
+
+    def test_starts_not_yet_computed_step_as_one_batch(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        monkeypatch.setattr(harness, "_shared", {})
+        scn = scenario(corpus.truncation_cap(2))
+        zero = harness._settled_orbit(scn, np.zeros(2), FAST)
+        starts = [np.ones(2), np.zeros(2), np.array([9.0, 1.0]), np.ones(2), np.array([2.0, 7.0])]
+        records = harness._settled_orbits(scn, starts, FAST)
+        # the zero orbit is shared, and the three distinct new starts are one batch
+        assert calls == {"orbits": 4, "engine": 2, "fixed_point_oracle": 0}
+        assert records[1] is zero and records[0] is records[3]
+        again = harness._settled_orbits(scn, starts[::-1], FAST) + harness._settled_orbits(scn, [], FAST)
+        assert all(a is b for a, b in zip(again, records[::-1])) and len(again) == 5 and calls["engine"] == 2
+        for x, rec in zip(starts, records):
+            alone = picard_orbit(scn.map, x, scn.space, FAST)
+            assert all(getattr(rec, f).tobytes() == getattr(alone, f).tobytes() for f in ("points", "residuals", "norms"))
+            with pytest.raises(ValueError, match="read-only"):
+                rec.points[...] = 0
+
+    def test_each_orbit_of_a_batch_that_runs_out_of_budget_is_retried(self, monkeypatch):
+        # min(x + 1, 40) from 0 takes 40 steps, from 35 five: with a budget of 10 only the
+        # first is retried, alone, with a ten-fold budget
+        calls = self.counted(monkeypatch)
+        spec = MappingSpec(mapping.CompositionMap([TranslationMap(np.ones(2)), mapping.TruncationMap(np.full(2, 40.0))]),
+                           Domain(kind="cone", cone=ORTH2))
+        cfg = dataclasses.replace(FAST, max_iter=10)
+        got = harness._settled_orbits(scenario(spec), [np.zeros(2), np.full(2, 35.0)], cfg)
+        assert [(rec.verdict, len(rec)) for rec in got] == [(CONVERGED, 41), (CONVERGED, 6)]
+        assert calls == {"orbits": 3, "engine": 2, "fixed_point_oracle": 0}
 
     def test_a_map_built_during_a_run_never_takes_another_maps_answer(self, monkeypatch):
         # maps made and dropped one after another would reuse ids; each entry

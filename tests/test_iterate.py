@@ -37,6 +37,7 @@ from orderfp.iterate import (
 )
 from orderfp.mapping import (
     AffineMap,
+    BoxProjectionMap,
     CompositionMap,
     Domain,
     DomainError,
@@ -1225,16 +1226,20 @@ class TestLockstepBatches:
         assert got == [UNBOUNDED_SUSPECTED] * 10 and calls == []
 
     def test_mixed_and_other_maps_run_alone(self):
+        # maps of mixed kinds, and two truncations that are not one map, are
+        # refused; starts of one truncation batch, and each map runs alone
         specs = [corpus.affine_contraction(2), corpus.truncation_cap(2), corpus.unit_translation(2)]
         x0 = np.array([3.0, 0.5])
-        for batch in (specs, specs[1:2] * 2):
-            with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
+        for batch in (specs, [specs[1], corpus.truncation_cap(2)]):
+            with pytest.raises(ValueError, match="starts of one map, or of one affine or translation kind on one cone"):
                 _orbit(batch, [x0] * len(batch), P2, SMALL)
+        got = assert_batch_matches_alone(specs[1:2] * 2, [x0, np.array([0.5, 7.0])], P2, SMALL)
+        assert [out.verdict for out in got] == [CONVERGED] * 2
         for spec in specs:
             assert_same_outcome(spec, x0, P2, SMALL)
 
     def test_an_empty_batch(self):
-        with pytest.raises(ValueError, match="one affine or translation kind on one cone"):
+        with pytest.raises(ValueError, match="starts of one map, or of one affine or translation kind on one cone"):
             _orbit([], [], P2, SMALL)
 
     @pytest.mark.parametrize("starts, want", [
@@ -1253,6 +1258,117 @@ class TestLockstepBatches:
         for verdicts in (False, True):
             assert TestLockstepBatches.verdicts_of(specs, starts, P2, SMALL, verdicts) == want
             assert TestLockstepBatches.verdicts_of(specs[1:2], starts[1:2], P2, SMALL, verdicts) == want
+
+
+# ---------------------------------------------------------------------------
+# one-map batches: starts of any one map stepped in lockstep
+
+
+def lattice_map():
+    """x -> values[x] on the lattice 0, 1, ..., 19 of the 1-D orthant: 0 climbs
+    1, 2, 3 to 3.5, off the lattice; 9 descends to the fixed node 5; 10 and 11
+    swap; 19 descends 15, 14, 13, 12, then climbs 16, 17 to the fixed node 18."""
+    values = np.array([1, 2, 3, 3.5, 4, 5, 5, 6, 7, 8, 11, 10, 16, 12, 13, 14, 17, 18, 18, 15], dtype=float)
+    return MappingSpec(GridMap(origin=np.zeros(1), step=1.0, values=values[:, None]), CONE1)
+
+
+ORTH2_CONE = Domain(kind="cone", cone=ORTH2)
+BOX2 = Domain(kind="box", cone=ORTH2, lo=np.zeros(2), hi=np.full(2, 10.0))
+# (spec, starts, cfg) of one map each; the starts converge, escape, overflow or raise
+ONE_MAP_CASES = {
+    "truncation": (MappingSpec(TruncationMap(np.full(2, 2.0)), Domain(kind="interval", cone=ORTH2, lo=np.ones(2),
+                                                                     hi=np.full(2, 3.0))),
+                   [[1.5, 1.5], [2.5, 1.0], [3.0, 3.0], [0.5, 2.0], [math.nan, 2.0], [2.9, 2.1]], SMALL),
+    "box_projection": (MappingSpec(BoxProjectionMap(np.ones(2), np.full(2, 2.0)), BOX2),
+                       [[0.0, 0.0], [1.5, 9.0], [-1.0, 1.0], [10.0, 10.0], [1.0, 2.0]], SMALL),
+    # min(2x - 1, 9): 1 is fixed, above it an orbit climbs to 9, below it falls out of the orthant
+    "composition_escape": (MappingSpec(CompositionMap([AffineMap(2.0 * np.eye(2), -np.ones(2)), TruncationMap(
+        np.full(2, 9.0))]), ORTH2_CONE), [[1.0, 1.0], [1.5, 1.0], [0.5, 1.0], [0.75, 1.0], [0.875, 1.0]], SMALL),
+    "composition_climb": (MappingSpec(CompositionMap([TranslationMap(np.ones(2)), TruncationMap(np.full(2, 40.0))]),
+                                      ORTH2_CONE), [[0.0, 0.0], [39.5, 12.0], [-1.0, 0.0], [40.0, 40.0], [5.0, 33.0]],
+                          SMALL),
+    "composition_overflow": (MappingSpec(CompositionMap([AffineMap(1e200 * np.eye(2), np.ones(2)),
+                                                         TranslationMap(np.zeros(2))]), ORTH2_CONE),
+                             [[0.0, 0.0], [1e-250, 0.0], [-1.0, 0.0], [3.0, 1.0], [0.0, 1e-300]], SMALL),
+    "grid": (lattice_map(), [[0.0], [9.0], [4.0], [3.0], [0.5], [25.0], [6.0], [10.0], [19.0]],
+             IterationConfig(max_iter=20, bound_threshold=2.5, window=2)),
+    "affine_on_a_box": (MappingSpec(AffineMap(np.array([[0.5, 0.25], [0.0, 2.0]]), np.array([1.0, 0.0])), BOX2),
+                        [[0.0, 0.0], [1.0, 1.0], [4.0, 0.0], [11.0, 0.0], [0.0, 9.0]], SMALL),
+}
+
+
+class TestOneMapBatches:
+    """Starts of one map of any kind step as one batch: a stacked map by its
+    stacked step, any other by one evaluate call of the live rows a step (the
+    1-D call once one orbit is left); each orbit gets the record, verdict or
+    error it gets alone."""
+
+    @pytest.mark.parametrize("case", list(ONE_MAP_CASES))
+    def test_every_start_as_run_alone(self, case):
+        spec, starts, cfg = ONE_MAP_CASES[case]
+        space = SpaceSpec(dim=spec.dim, p=2.0)
+        x0s = [np.array(x) for x in starts]
+        got = assert_batch_matches_alone([spec] * len(x0s), x0s, space, cfg)
+        ran = [i for i, out in enumerate(got) if isinstance(out, OrbitRecord)]
+        assert 0 < len(ran) < len(x0s)
+        verdicts = _orbit([spec] * len(ran), [x0s[i] for i in ran], space, cfg, verdicts=True)
+        assert verdicts == [one_verdict(spec, x0s[i], space, cfg) for i in ran]
+
+    def test_the_cases_stop_every_way(self):
+        kinds = set()
+        for spec, starts, cfg in ONE_MAP_CASES.values():
+            space = SpaceSpec(dim=spec.dim, p=2.0)
+            for x0 in starts:
+                out = engine_outcome(one_orbit, spec, np.array(x0), space, cfg)
+                kinds.add(out[1].verdict if out[0] == "returned" else "escape" if "escaped" in out[2] else out[1])
+        assert {CONVERGED, UNBOUNDED_SUSPECTED, NONFINITE, "escape", DomainError, ValueError} <= kinds
+
+    def test_an_image_that_raises_after_an_orbit_stops_fails_no_orbit(self):
+        # from 0 the orbit stops at 3 (growth past 2.5), but its block steps on to
+        # 3.5 and then raises at step 4, which ends the block there; the others
+        # run on from step 4 with the growth window of steps 2 and 3
+        spec, _, cfg = ONE_MAP_CASES["grid"]
+        space = SpaceSpec(dim=1, p=2.0)
+        with pytest.raises(DomainError, match=r"point \[3.5\] is not on the lattice"):
+            spec.op.evaluate(np.array([3.5]))
+        starts = [np.full(1, x) for x in (0.0, 9.0, 10.0, 19.0)]
+        got = assert_batch_matches_alone([spec] * 4, starts, space, cfg)
+        assert [(out.verdict, out.points.ravel().tolist()) for out in got] == [
+            (UNBOUNDED_SUSPECTED, [0.0, 1.0, 2.0, 3.0]), (CONVERGED, [9.0, 8.0, 7.0, 6.0, 5.0]),
+            (MAX_ITER_REACHED, [10.0, 11.0] * 10 + [10.0]), (UNBOUNDED_SUSPECTED, [19.0, 15.0, 14.0, 13.0, 12.0, 16.0])]
+        assert _orbit([spec] * 4, starts, space, cfg, verdicts=True) == [
+            UNBOUNDED_SUSPECTED, CONVERGED, MAX_ITER_REACHED, UNBOUNDED_SUSPECTED]
+
+    def test_the_batch_raises_the_error_of_an_orbit_whose_own_point_raises(self):
+        spec, _, cfg = ONE_MAP_CASES["grid"]
+        space = SpaceSpec(dim=1, p=2.0)
+        # from 2 the orbit reaches 3.5 at step 2 while the others run on: its own error
+        starts = [np.full(1, 9.0), np.zeros(1), np.full(1, 2.0)]
+        for verdicts in (False, True):
+            with pytest.raises(DomainError, match=r"^point \[3.5\] is not on the lattice \(step 1.0\)$"):
+                _orbit([spec] * 3, starts, space, dataclasses.replace(cfg, bound_threshold=50.0), verdicts=verdicts)
+
+    def test_a_row_call_that_raises_takes_each_rows_own_image(self):
+        # NanAbove tests its first coordinate as one point's: a row call raises,
+        # and every row's own call gives its image
+        spec = MappingSpec(op=NanAbove(cut=10.0), domain=ORTH2_CONE)
+        with pytest.raises(ValueError, match="ambiguous"):
+            spec.op.evaluate(np.zeros((2, 2)))
+        got = assert_batch_matches_alone([spec] * 3, [np.zeros(2), np.ones(2), np.full(2, 20.0)], P2, SMALL)
+        assert [out.verdict for out in got] == [NONFINITE] * 3
+
+    def test_a_step_is_one_call_of_the_live_rows(self, monkeypatch):
+        shapes = []
+        plain = TruncationMap.evaluate
+        monkeypatch.setattr(TruncationMap, "evaluate", lambda op, x: shapes.append(x.shape) or plain(op, x))
+        spec = MappingSpec(CompositionMap([TranslationMap(np.ones(1)), TruncationMap(np.full(1, 50.0))]), CONE1)
+        got = _orbit([spec] * 4, [np.full(1, float(x)) for x in (0, 10, 20, 30)], LINE2, LONG)
+        assert [len(out) - 1 for out in got] == [50, 40, 30, 20]
+        # blocks of 8, 16 and 32 steps: the orbit from 30 converges in the second, the others in the third
+        assert shapes == [(4, 1)] * 24 + [(3, 1)] * 32
+        shapes.clear()
+        one_orbit(spec, np.zeros(1), LINE2, LONG)  # a lone orbit takes the 1-D call
+        assert shapes == [(1,)] * 56
 
 
 # ---------------------------------------------------------------------------

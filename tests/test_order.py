@@ -119,6 +119,34 @@ class TestOrderRelations:
             assert leq(ORTH2, xn, yn)
         assert leq(ORTH2, x_lim, y_lim)
 
+    def test_orthant_order_where_the_difference_overflows(self):
+        # y - x overflows, but each overflowed coordinate has the sign of the
+        # exact difference, which decides; no warning (an error under pytest)
+        orth1 = ConeSpec(kind="orthant", dim=1)
+        assert leq(orth1, [-1e308], [1e308]) and not leq(orth1, [1e308], [-1e308])
+        assert comparable(orth1, [1e308], [-1e308]) and comparable(orth1, [-1e308], [1e308])
+        assert leq(ORTH2, [-1e308, 0.0], [1e308, 0.0]) and not leq(ORTH2, [-1e308, 1.0], [1e308, 0.0])
+        assert not leq(ORTH2, [1e308, 0.0], [-1e308, 1.0]) and not comparable(ORTH2, [-1e308, 1.0], [1e308, 0.0])
+        assert not leq(ORTH2, [-1e308, 1e308], [1e308, -1e308])
+        assert leq(ORTH2, [-1.7e308, -1e-300], [1.7e308, 0.0])
+
+    def test_lorentz_order_where_the_difference_overflows_raises(self):
+        x, y = [0.0, 0.0, -1e308], [0.0, 0.0, 1e308]
+        for call in (lambda: leq(LOR3, x, y), lambda: leq(LOR3, y, x), lambda: comparable(LOR3, x, y)):
+            with pytest.raises(ValueError, match="y - x overflows the float range .* the lorentz order is undecided"):
+                call()
+        assert leq(LOR3, [0.0, 0.0, -1e307], [0.0, 0.0, 1e307]) and comparable(LOR3, [0.0, 0.0, 1e307], [0.0, 0.0, 0.0])
+
+    def test_each_argument_is_validated_once(self, monkeypatch):
+        seen = []
+        plain = order.as_vector
+        monkeypatch.setattr(order, "as_vector", lambda v, **kw: seen.append(v) or plain(v, **kw))
+        assert leq(ORTH2, [0.0, 0.0], [1.0, 2.0]) and comparable(ORTH2, [1.0, 2.0], [0.0, 0.0])
+        assert seen == [[0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="non-finite"):
+            leq(ORTH2, [0.0, np.inf], [1.0, 2.0])
+
+
 
 def interval(lo, hi, cone=ORTH2):
     return Domain(kind="interval", cone=cone, lo=lo, hi=hi)
