@@ -76,6 +76,8 @@ def leq(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
 
 
 def _leq_raw(cone: ConeSpec, x: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    if cone.kind == ORTHANT and x.size < 8:  # Python floats: v.min() >= -tol's bits, an overflow to +-inf included
+        return all(b - a >= -tol for a, b in zip(x.tolist(), y.tolist()))
     with np.errstate(over="ignore"):  # an overflowed coordinate is an infinity of the exact difference's sign
         v = y - x
     if cone.kind != ORTHANT and not np.isfinite(v).all():

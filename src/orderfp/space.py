@@ -71,7 +71,10 @@ class SpaceSpec:
 
 def norm(space: SpaceSpec, x) -> float:
     """lp norm (sum |x_i|^p)^(1/p); zero exactly for the zero vector."""
-    return float(_row_norms(space, as_vector(x, dim=space.dim)[None, None])[0, 0])
+    v = as_vector(x, dim=space.dim)
+    if space.p == 2.0 and space.dim < 8:
+        return _small_norm(v.tolist())
+    return float(_row_norms(space, v[None, None])[0, 0])
 
 
 def _power_sums(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
@@ -96,9 +99,30 @@ def _power_sums(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
 def _row_norms(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
     # lp norms of the rows of the blocks v[0], v[1], ...; rows of a width other
     # than the space's are refused, and nothing else is checked: a non-finite
-    # row gets an inf or nan norm
+    # row gets an inf or nan norm. At p = 2, below 8 columns and _SQRT_ROWS
+    # rows, a float64 block is normed row by row in Python floats
+    # (`_small_norm`), with the same bits (a nan's payload aside) at a
+    # fraction of the cost of the ufunc calls.
+    d = space.dim
+    if space.p == 2.0 and d < 8 and v.dtype == np.float64 and v.shape[-1] == d and v.size < _SQRT_ROWS * d:
+        return np.array([_small_norm(row) for row in v.reshape(-1, d).tolist()]).reshape(v.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         return _roots(space, _power_sums(space, v), v)
+
+
+def _small_norm(row: list[float]) -> float:
+    # the p = 2 norm of a row of fewer than 8 Python floats, with the bits of
+    # `_power_sums` and `_roots` below _SQRT_ROWS rows: the sum adds the
+    # products a * a left to right from 0 (numpy's order below 8 terms, and
+    # the bits of np.square; abs(a) ** 2.0 differs on some vectors), the root
+    # is the scalar s ** 0.5, and a row whose sum is out of range, not nan,
+    # is redone by `_lp_norm_floats` (which gives a zero row 0)
+    s = 0.0
+    for a in row:
+        s += a * a
+    if s < _SUM_MIN or s == math.inf:
+        return _lp_norm_floats(row, 2.0)
+    return s**0.5
 
 
 def _roots(space: SpaceSpec, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -118,7 +142,9 @@ def _roots(space: SpaceSpec, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # scalar root). The flagged rows take the scalar root, among them every
     # sum of 0, inf or nan (its delta is nan) and every sum below 2**-960,
     # where the split's products underflow. Below _SQRT_ROWS rows the dozen
-    # ufunc calls cost more than one Python root a row (timeit).
+    # ufunc calls cost more than one Python root a row (timeit). At p = 2 and
+    # below 8 columns `_row_norms` does not call here for such a float64
+    # block: `_small_norm` takes the sums and these roots in Python floats.
     inv = 1.0 / space.p
     # one row whose sum is in range, or a zero row: its root, with no refine test
     if sums.size == 1 and (_SUM_MIN <= sums.item() < math.inf or not rows.any()):

@@ -137,6 +137,27 @@ class TestOrderRelations:
                 call()
         assert leq(LOR3, [0.0, 0.0, -1e307], [0.0, 0.0, 1e307]) and comparable(LOR3, [0.0, 0.0, 1e307], [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_orthant_order_is_the_member_rule_of_the_difference(self, d):
+        # below 8 coordinates `leq` decides in Python floats; at every d it
+        # must give the bool of the cone's membership rule on y - x, an
+        # overflow to +-inf included, at each tolerance
+        cone = ConeSpec(kind="orthant", dim=d)
+        coords = st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1e-12, -1e-12, 1e-9, -1e-9,
+                                  2e-9, 1e308, -1e308, 1.7e308, -1.7e308, 5e-324]) | st.floats(-1e3, 1e3)
+        vec = st.lists(coords, min_size=d, max_size=d)
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(vec, vec, st.sampled_from([0.0, 1e-12, 1e-9]))
+        def check(x, y, tol):
+            with np.errstate(over="ignore"):
+                up = bool(_member_raw(cone, np.array(y) - np.array(x), tol))
+                down = bool(_member_raw(cone, np.array(x) - np.array(y), tol))
+            got = leq(cone, x, y, tol=tol), comparable(cone, x, y, tol=tol)
+            assert got == (up, up or down) and all(type(b) is bool for b in got)
+
+        check()
+
     def test_each_argument_is_validated_once(self, monkeypatch):
         seen = []
         plain = order.as_vector

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq, minimize
 
 import orderfp
 from orderfp import corpus
+from orderfp import space as lp
 from orderfp.asymcenter import asymptotic_radius, make_problem
 from orderfp.iterate import IterationConfig, _orbit, picard_orbit
 from orderfp.mapping import (
@@ -32,6 +34,7 @@ from orderfp.space import (
     _SQRT_ROWS,
     _lp_norm_floats,
     _power_sums,
+    _roots,
     _row_norms,
 )
 
@@ -582,6 +585,55 @@ def test_power_sums_have_the_bits_of_numpys_sum(d, p):
             want = (np.square(rows) if p == 2.0 else np.abs(rows) ** p).sum(axis=-1)
             got = _power_sums(space, rows)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+SMALL_BLOCK_ENTRIES = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300, -1e-300, 1e300, -1e300,
+    math.inf, -math.inf, math.nan, 1e-160, 1.4e154,
+]) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def small_blocks(draw):
+    # a p = 2 space of d = 1-8 and a float64 block of 0, 1, 127 or 128 rows,
+    # as (rows, d) or (k, m, d), filled from a drawn pool of entries
+    d = draw(st.integers(1, 8))
+    rows = draw(st.sampled_from([0, 1, 127, 128]))
+    shape = draw(st.sampled_from([(rows, d), (1, rows, d), (1, 1, d), (2, 3, d), (3, 0, d), (d,)]))
+    pool = draw(st.lists(SMALL_BLOCK_ENTRIES, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SpaceSpec(dim=d, p=2.0), np.array(pool)[rng.integers(0, len(pool), shape)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_blocks())
+def test_small_p2_blocks_have_the_bits_of_the_numpy_path(case):
+    # below 8 columns and _SQRT_ROWS rows `_row_norms` norms a p = 2 block in
+    # Python floats; every block must keep the bits, shape and dtype of the
+    # power sums rooted by `_roots`, and `norm` those of a one-row block. A
+    # nan norm need only be nan: which term's payload an add keeps depends on
+    # the operand order numpy's loop is compiled with, and no output reads it
+    space, v = case
+    got = _row_norms(space, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _roots(space, _power_sums(space, v), v)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.where(np.isnan(got), np.nan, got).tobytes() == np.where(np.isnan(want), np.nan, want).tobytes()
+    for x in v.reshape(-1, space.dim)[:3]:
+        if np.isfinite(x).all():
+            one = float(_row_norms(space, x[None, None])[0, 0])
+            assert np.array([norm(space, x)]).tobytes() == np.array([one]).tobytes()
+
+
+def test_an_int_block_takes_the_numpy_path(monkeypatch):
+    def refuse(row):
+        raise AssertionError("an int block took the float path")
+
+    monkeypatch.setattr(lp, "_small_norm", refuse)
+    v = np.array([[[3, 4], [0, 0], [-5, 12]]])
+    assert _row_norms(P2, v).tolist() == [[5.0, 0.0, 13.0]]
+    with pytest.raises(AssertionError, match="float path"):
+        _row_norms(P2, v.astype(float))
 
 
 class TestKadecKleeDeskScale:
