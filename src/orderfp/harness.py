@@ -768,33 +768,26 @@ def run_suites(
     return reports, trial_rows
 
 
-def _fresh(path: Path) -> Path:
-    # a report file is written new, not truncated: on ext4 (auto_da_alloc) a
-    # file rewritten by truncation is flushed to disk on close
-    path.unlink(missing_ok=True)
-    return path
-
-
 def _write_reports(out_dir, suites, reports: list[CampaignReport], trial_rows: list[TrialRow]) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for suite in suites:
         rows = [r for r in reports if r.campaign == suite]
-        with _fresh(out / f"{suite}_checks.csv").open("w", newline="", encoding="utf-8") as fh:
+        with (out / f"{suite}_checks.csv").open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["suite", "scenario", "check", "passed", "detail"])
             for rep in rows:
                 for c in rep.checks:
                     writer.writerow([suite, rep.scenario_id, c.name, int(c.passed), c.detail])
     if trial_rows:
-        with _fresh(out / "t34_trials.csv").open("w", newline="", encoding="utf-8") as fh:
+        with (out / "t34_trials.csv").open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             names = [f.name for f in dataclasses.fields(TrialRow)]
             writer.writerow(names)
             for t in trial_rows:
                 values = [getattr(t, name) for name in names]
                 writer.writerow([int(v) if isinstance(v, bool) else v for v in values])
-    _fresh(out / "summary.txt").write_text(summary_table(reports), encoding="utf-8")
+    (out / "summary.txt").write_text(summary_table(reports), encoding="utf-8")
 
 
 def summary_table(reports: list[CampaignReport]) -> str:

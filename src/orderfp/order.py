@@ -76,11 +76,13 @@ def leq(cone: ConeSpec, x, y, tol: float = MEMBERSHIP_TOL) -> bool:
 
 
 def _leq_raw(cone: ConeSpec, x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    if cone.kind == ORTHANT and x.size < 8:  # Python floats: v.min() >= -tol's bits, an overflow to +-inf included
+    # the orthant: each coordinate's b - a >= -tol in Python floats, the bits
+    # of (y - x).min() >= -tol at any d (an overflow to +-inf included)
+    if cone.kind == ORTHANT:
         return all(b - a >= -tol for a, b in zip(x.tolist(), y.tolist()))
-    with np.errstate(over="ignore"):  # an overflowed coordinate is an infinity of the exact difference's sign
+    with np.errstate(over="ignore"):  # an overflowed coordinate is refused below, with no RuntimeWarning
         v = y - x
-    if cone.kind != ORTHANT and not np.isfinite(v).all():
+    if not np.isfinite(v).all():
         raise ValueError(f"y - x overflows the float range for x = {x}, y = {y}: the {cone.kind} order is undecided")
     return bool(_member_raw(cone, v, tol))
 

@@ -72,9 +72,17 @@ class SpaceSpec:
 def norm(space: SpaceSpec, x) -> float:
     """lp norm (sum |x_i|^p)^(1/p); zero exactly for the zero vector."""
     v = as_vector(x, dim=space.dim)
-    if space.p == 2.0 and space.dim < 8:
+    if _small_p2(space):
         return _small_norm(v.tolist())
     return float(_row_norms(space, v[None, None])[0, 0])
+
+
+def _small_p2(space: SpaceSpec) -> bool:
+    # p = 2 below 8 coordinates: numpy's sum adds the terms left to right, so
+    # `_power_sums` adds the columns' squares in order and `_small_norm` adds
+    # a * a in Python floats with the same bits; every cut on a small p = 2
+    # block tests this one predicate
+    return space.p == 2.0 and space.dim < 8
 
 
 def _power_sums(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
@@ -88,7 +96,7 @@ def _power_sums(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
     # its bits at a tenth of its cost, with no array of all the terms.
     if v.shape[-1] != space.dim:
         raise ValueError(f"dimension mismatch: expected {space.dim}, got {v.shape[-1]}")
-    if space.p != 2.0 or space.dim >= 8:
+    if not _small_p2(space):
         return (np.square(v) if space.p == 2.0 else np.abs(v) ** space.p).sum(axis=-1)
     s = np.square(v[..., 0])  # 0 + a square is the square
     for i in range(1, space.dim):
@@ -104,7 +112,7 @@ def _row_norms(space: SpaceSpec, v: np.ndarray) -> np.ndarray:
     # (`_small_norm`), with the same bits (a nan's payload aside) at a
     # fraction of the cost of the ufunc calls.
     d = space.dim
-    if space.p == 2.0 and d < 8 and v.dtype == np.float64 and v.shape[-1] == d and v.size < _SQRT_ROWS * d:
+    if _small_p2(space) and v.dtype == np.float64 and v.shape[-1] == d and v.size < _SQRT_ROWS * d:
         return np.array([_small_norm(row) for row in v.reshape(-1, d).tolist()]).reshape(v.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         return _roots(space, _power_sums(space, v), v)

@@ -139,9 +139,9 @@ class TestOrderRelations:
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_orthant_order_is_the_member_rule_of_the_difference(self, d):
-        # below 8 coordinates `leq` decides in Python floats; at every d it
-        # must give the bool of the cone's membership rule on y - x, an
-        # overflow to +-inf included, at each tolerance
+        # `leq` decides an orthant order in Python floats; at every d it must
+        # give the bool of the cone's membership rule on y - x, an overflow
+        # to +-inf included, at each tolerance
         cone = ConeSpec(kind="orthant", dim=d)
         coords = st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1e-12, -1e-12, 1e-9, -1e-9,
                                   2e-9, 1e308, -1e308, 1.7e308, -1.7e308, 5e-324]) | st.floats(-1e3, 1e3)
