@@ -578,8 +578,6 @@ class GridSearchConfig:
     def __post_init__(self):
         object.__setattr__(self, "lo", as_vector(self.lo))
         object.__setattr__(self, "hi", as_vector(self.hi, dim=np.asarray(self.lo).size))
-        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
-            raise ValueError("fixed-point search region must be bounded")
         if self.points_per_axis < 1:  # an empty scan would read as "no fixed point"
             raise ValueError(f"points_per_axis must be >= 1, got {self.points_per_axis}")
 

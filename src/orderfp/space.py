@@ -22,6 +22,7 @@ INEQ_RTOL = 1e-9
 CHARACTERISTIC_ZERO_TOL = 1e-8
 _SUM_MIN = sys.float_info.min  # an lp power sum below it, or inf, is rescaled
 _SQRT_ROWS = 128  # fewest rows for which `_roots` takes p = 2 roots with np.sqrt
+_ISFINITE_SIZE = 32  # fewest coordinates for which `as_vector` tests finiteness with np.isfinite
 _PASS_MARGIN = 1e-12  # relative margin by which `_settle` passes a pair from its power sums
 
 
@@ -32,7 +33,10 @@ def as_vector(coords, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D coordinate array, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("vector must have at least one coordinate")
-    if not np.isfinite(x).all():
+    # below _ISFINITE_SIZE coordinates a test in Python floats costs a
+    # fraction of the ufunc call; both read the same float64 values
+    finite = all(map(math.isfinite, x.tolist())) if x.size < _ISFINITE_SIZE else np.isfinite(x).all()
+    if not finite:
         raise ValueError("vector has non-finite coordinates")
     if dim is not None and x.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {x.size}")

@@ -499,7 +499,7 @@ class TestFixedPointOracle:
         assert [float(z[0]) for z in pts] == [0.0]
 
     def test_unbounded_region_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite"):
             GridSearchConfig(lo=np.zeros(2), hi=np.array([np.inf, 1.0]))
         # with no region to scan, no route decides a map that is not affine
         assert fixed_point_oracle(corpus.box_clamp(2), P2, None) is None

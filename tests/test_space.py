@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -360,6 +361,12 @@ class TestConvexCombinationBound:
             check_convexity_inequality(P2, [0.0, 0.0], [0.0, 0.0], 0.5, 0.0)
         with pytest.raises(ValueError, match="radius precondition failed: r=inf is not positive finite"):
             check_convexity_inequality(P2, [1.7e308, 0.0], [-1.7e308, 0.0], 0.5, math.inf)
+        with pytest.raises(ValueError, match="^vector has non-finite coordinates$"):
+            check_convexity_inequality(P2, [math.nan, 0.0], [0.0, 0.0], 0.5, 1.0)
+        with pytest.raises(ValueError, match="^vector has non-finite coordinates$"):
+            check_convexity_inequality(P2, [0.0, 0.0], [0.0, -math.inf], 0.5, 1.0)
+        with pytest.raises(ValueError, match="^dimension mismatch: expected 2, got 3$"):
+            check_convexity_inequality(P2, [0.0, 0.0], [0.0, 0.0, 0.0], 0.5, 1.0)
 
     def test_extreme_scale_tuples_keep_their_verdict(self):
         # each |a|^2 overflows (or underflows) a float; the check rescales
@@ -634,6 +641,73 @@ def test_an_int_block_takes_the_numpy_path(monkeypatch):
     assert _row_norms(P2, v).tolist() == [[5.0, 0.0, 13.0]]
     with pytest.raises(AssertionError, match="float path"):
         _row_norms(P2, v.astype(float))
+
+
+VECTOR_ENTRIES = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -2.5, 1.7e308, -1.7e308,
+]) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def reference_as_vector(coords, dim=None):
+    """`as_vector`'s numpy rule: the same checks in order, finiteness by np.isfinite."""
+    x = np.asarray(coords, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1-D coordinate array, got shape {x.shape}")
+    if x.size == 0:
+        raise ValueError("vector must have at least one coordinate")
+    if not np.isfinite(x).all():
+        raise ValueError("vector has non-finite coordinates")
+    if dim is not None and x.size != dim:
+        raise ValueError(f"dimension mismatch: expected {dim}, got {x.size}")
+    return x
+
+
+@st.composite
+def vector_inputs(draw):
+    # 0 to _ISFINITE_SIZE + 1 coordinates as a list, a tuple, a list of ints
+    # or a float32 array, with at most one inf or nan planted at any position,
+    # sometimes as one 2-D row, with dim None, the size or one off it
+    n = draw(st.integers(0, lp._ISFINITE_SIZE + 1))
+    kind = draw(st.sampled_from(["list", "tuple", "int", "float32"]))
+    if kind == "int":
+        entries = draw(st.lists(st.integers(-(2**63), 2**63), min_size=n, max_size=n))
+    else:
+        entries = draw(st.lists(VECTOR_ENTRIES, min_size=n, max_size=n))
+        bad = draw(st.none() | st.sampled_from([math.inf, -math.inf, math.nan]))
+        if n and bad is not None:
+            entries[draw(st.integers(0, n - 1))] = bad
+    if draw(st.integers(0, 9)) == 0:
+        entries = [entries]
+    if kind == "float32":
+        with np.errstate(over="ignore"):  # past float32's range is inf
+            coords = np.array(entries, dtype=np.float32)
+    else:
+        coords = tuple(entries) if kind == "tuple" else entries
+    return coords, draw(st.sampled_from([None, n, n + 1, max(n - 1, 1)]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(vector_inputs())
+def test_as_vector_paths_follow_the_numpy_rule(case):
+    # below _ISFINITE_SIZE coordinates `as_vector` tests finiteness in Python
+    # floats. At the module's cut, with the cut at 0 (every vector by numpy)
+    # and at inf (every vector in Python floats), each input gets the numpy
+    # rule's float64 array, signed zeros included, or its ValueError text
+    coords, dim = case
+    try:
+        want = reference_as_vector(coords, dim)
+    except ValueError as exc:
+        want = str(exc)
+    for cut in (lp._ISFINITE_SIZE, 0, math.inf):
+        with mock.patch.object(lp, "_ISFINITE_SIZE", cut):
+            try:
+                got = as_vector(coords, dim)
+            except ValueError as exc:
+                assert str(exc) == want
+            else:
+                assert isinstance(want, np.ndarray)
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestKadecKleeDeskScale:
