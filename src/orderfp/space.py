@@ -274,6 +274,7 @@ class ConvexityProfile:
     The characteristic of lp is 0, but for p >= 2 delta grows like
     (eps/2)^p / p near 0, so with CHARACTERISTIC_ZERO_TOL and the 101-point
     grid the estimate is at most one grid step only up to about p = 4.
+    Its arrays are read once, at construction: ``delta_at`` bisects lists of them.
     """
 
     p: float
@@ -285,22 +286,26 @@ class ConvexityProfile:
     MONOTONE_DIP_TOL = 1e-7  # permitted jitter in deltas computed elsewhere
 
     def __post_init__(self):
-        if self.epsilons.size == 0:
+        eps, deltas, tol = self.epsilons, self.deltas, self.MONOTONE_DIP_TOL
+        if eps.size == 0:
             raise ValueError("empty epsilon grid")
-        if np.any(self.deltas < -self.MONOTONE_DIP_TOL) or np.any(
-            self.deltas > 1.0 + self.MONOTONE_DIP_TOL
-        ):
+        if eps.shape != deltas.shape:
+            raise ValueError(f"profile has {eps.size} epsilons but {deltas.size} deltas")
+        if not np.isfinite(eps).all():
+            raise ValueError("profile epsilons are not all finite")
+        if np.any(np.diff(eps) < 0.0):
+            raise ValueError("profile epsilons are not sorted")
+        if np.any(deltas < -tol) or np.any(deltas > 1.0 + tol):
             raise ValueError("profile deltas escaped [0, 1]")
-        dips = np.diff(self.deltas)
-        if np.any(dips < -self.MONOTONE_DIP_TOL):
+        if np.any(np.diff(deltas) < -tol):
             raise ValueError("profile deltas are not non-decreasing along the grid")
+        self._grid, self._values = eps.tolist(), deltas.astype(float).tolist()
 
     def delta_at(self, eps: float) -> float:
         """Delta at the largest grid node <= eps (a conservative lower value,
         since the profile is non-decreasing)."""
-        eps = min(max(eps, 0.0), 2.0)
-        idx = bisect.bisect_right(self.epsilons, eps) - 1
-        return float(self.deltas[max(idx, 0)])
+        idx = bisect.bisect_right(self._grid, min(max(eps, 0.0), 2.0))
+        return self._values[max(idx - 1, 0)]
 
 
 def convexity_profile(
@@ -340,9 +345,10 @@ def check_convexity_inequality(
     the closed form. Precondition violations raise ``ValueError`` naming the
     failing bound.
 
-    After validating ``x`` and ``y``, the four lp norms (of x, y, x - y and
-    the combination) are formed in Python floats with overflow-safe scaling:
-    the cost is O(dim) in Python, with no numpy arithmetic per tuple.
+    After validating ``x`` and ``y``, one loop adds the four power sums (of
+    x, y, x - y and the combination) with ``_lp_norm_floats``' terms and
+    order, in Python floats; a sum outside [_SUM_MIN, inf) (an overflow,
+    x == y, an underflow) sends all four to ``_lp_norm_floats``.
     """
     xv = as_vector(x, dim=space.dim)
     yv = as_vector(y, dim=space.dim)
@@ -350,13 +356,22 @@ def check_convexity_inequality(
         raise ValueError(f"radius precondition failed: r={r} is not positive finite")
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda precondition failed: lam={lam} outside [0, 1]")
-    p = space.p
+    p, mu = space.p, 1.0 - lam
     xs, ys = xv.tolist(), yv.tolist()
-    nx = _lp_norm_floats(xs, p)
-    ny = _lp_norm_floats(ys, p)
-    nd = _lp_norm_floats([a - b for a, b in zip(xs, ys)], p)
-    mu = 1.0 - lam
-    lhs = _lp_norm_floats([lam * a + mu * b for a, b in zip(xs, ys)], p)
+    sx = sy = sd = sl = 0.0
+    try:
+        for a, b in zip(xs, ys):
+            sx += abs(a) ** p
+            sy += abs(b) ** p
+            sd += abs(a - b) ** p
+            sl += abs(lam * a + mu * b) ** p
+    except OverflowError:
+        sx = math.inf
+    if _SUM_MIN <= min(sx, sy, sd, sl) and max(sx, sy, sd, sl) < math.inf:
+        nx, ny, nd, lhs = sx ** (1.0 / p), sy ** (1.0 / p), sd ** (1.0 / p), sl ** (1.0 / p)
+    else:
+        rows = (xs, ys, [a - b for a, b in zip(xs, ys)], [lam * a + mu * b for a, b in zip(xs, ys)])
+        nx, ny, nd, lhs = [_lp_norm_floats(v, p) for v in rows]
     guard = 1e-12
     if nx > r * (1.0 + guard) + guard:
         raise ValueError(f"ball precondition failed: ||x||={nx} exceeds r={r}")

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq, minimize
 
 import orderfp
@@ -305,6 +305,9 @@ class TestProfileAndCharacteristic:
         assert profile.delta_at(2.5) == profile.deltas[-1]
         mid = 0.5 * (profile.epsilons[7] + profile.epsilons[8])
         assert profile.delta_at(mid) == profile.deltas[7]
+        # the lookup reads lists kept at construction; the arrays stay writable
+        profile.deltas[:] = 0.0
+        assert profile.delta_at(mid) > 0.0
 
     def test_bad_profile_rejected(self):
         eps = np.array([0.0, 1.0, 2.0])
@@ -316,6 +319,17 @@ class TestProfileAndCharacteristic:
                              eps0=0.0, zero_tol=1e-8)
         with pytest.raises(ValueError):
             ConvexityProfile(p=2.0, epsilons=np.array([]), deltas=np.array([]),
+                             eps0=0.0, zero_tol=1e-8)
+        # a grid `delta_at` cannot bisect: a delta short, a non-finite node, an unsorted grid
+        deltas = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="^profile has 2 epsilons but 3 deltas$"):
+            ConvexityProfile(p=2.0, epsilons=eps[:2], deltas=deltas, eps0=0.0, zero_tol=1e-8)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^profile epsilons are not all finite$"):
+                ConvexityProfile(p=2.0, epsilons=np.array([0.0, 1.0, bad]), deltas=deltas,
+                                 eps0=0.0, zero_tol=1e-8)
+        with pytest.raises(ValueError, match="^profile epsilons are not sorted$"):
+            ConvexityProfile(p=2.0, epsilons=np.array([0.0, 2.0, 1.0]), deltas=deltas,
                              eps0=0.0, zero_tol=1e-8)
 
 
@@ -405,6 +419,84 @@ def reference_delta_at(profile, eps):
     return float(profile.deltas[max(idx, 0)])
 
 
+def reference_convexity_check(space, x, y, lam, r, delta_fn=None):
+    """``check_convexity_inequality`` with its four norms from four separate
+    ``_lp_norm_floats`` calls, the form before the fused power-sum loop."""
+    xv = as_vector(x, dim=space.dim)
+    yv = as_vector(y, dim=space.dim)
+    if not (0.0 < r < math.inf):
+        raise ValueError(f"radius precondition failed: r={r} is not positive finite")
+    if not (0.0 <= lam <= 1.0):
+        raise ValueError(f"lambda precondition failed: lam={lam} outside [0, 1]")
+    p = space.p
+    xs, ys = xv.tolist(), yv.tolist()
+    nx = _lp_norm_floats(xs, p)
+    ny = _lp_norm_floats(ys, p)
+    nd = _lp_norm_floats([a - b for a, b in zip(xs, ys)], p)
+    mu = 1.0 - lam
+    lhs = _lp_norm_floats([lam * a + mu * b for a, b in zip(xs, ys)], p)
+    guard = 1e-12
+    if nx > r * (1.0 + guard) + guard:
+        raise ValueError(f"ball precondition failed: ||x||={nx} exceeds r={r}")
+    if ny > r * (1.0 + guard) + guard:
+        raise ValueError(f"ball precondition failed: ||y||={ny} exceeds r={r}")
+    eps_arg = min(nd / r, 2.0)
+    delta = modulus_of_convexity(space, eps_arg) if delta_fn is None else delta_fn(eps_arg)
+    rhs = r * (1.0 - 2.0 * min(lam, mu) * delta)
+    return lhs <= rhs + lp.INEQ_ATOL + lp.INEQ_RTOL * abs(rhs)
+
+
+@st.composite
+def convexity_tuples(draw):
+    # d = 1-20, p in [1.1, 7.5], coordinates of one scale from 1e-200 to
+    # 1e200, one in five +-0.0 (at 1e+-200 the power sums overflow or
+    # underflow for p > 1.54), y == x one time in five, r near the larger
+    # norm so that the ball precondition holds or fails, lam and r now and
+    # then out of range, and deltas from a profile, the closed form or a
+    # constant 1 (too large: the bound then fails)
+    d = draw(st.integers(1, 20))
+    p = draw(st.floats(1.1, 7.5))
+    scale = 10.0 ** draw(st.sampled_from([-200, -160, -100, -20, 0, 20, 100, 154, 200]))
+
+    def coords():
+        kinds = draw(st.lists(st.integers(0, 9), min_size=d, max_size=d))
+        return [(0.0, -0.0)[k - 8] if k > 7 else (-1.0) ** k * scale * draw(st.floats(0.1, 10.0)) for k in kinds]
+
+    x = coords()
+    y = list(x) if draw(st.integers(0, 4)) == 4 else coords()
+    lam = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 1.0))
+    top = max(_lp_norm_floats(x, p), _lp_norm_floats(y, p)) or scale
+    k = draw(st.integers(0, 9))
+    r = (top, 0.0, math.inf)[k - 7] if k > 6 else top * draw(st.floats(0.5, 2.0))
+    return SpaceSpec(dim=d, p=p), x, y, lam, r, draw(st.sampled_from(["profile", "closed", "one"]))
+
+
+def convexity_outcome(check, space, x, y, lam, r, deltas):
+    delta_fn = {
+        "profile": convexity_profile(SpaceSpec(dim=2, p=space.p), n_grid=21).delta_at,
+        "closed": None,
+        "one": lambda eps: 1.0,
+    }[deltas]
+    try:
+        return check(space, x, y, lam, r, delta_fn=delta_fn)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(convexity_tuples())
+@example((P2, [1e200, 0.0], [0.0, 1e200], 0.5, 2e200, "closed"))  # OverflowError in x's sum
+@example((P2, [1e-200, 0.0], [0.0, 1e-200], 0.5, 2e-200, "profile"))  # every sum underflows
+@example((P2, [1.5e308, 0.0], [-1.5e308, 0.0], 0.5, 1.6e308, "closed"))  # x - y is inf
+@example((SpaceSpec(dim=3, p=3.0), [0.5, -0.0, 0.25], [0.5, -0.0, 0.25], 0.3, 1.0, "profile"))  # x == y
+@example((P2, [1e-160, 0.0], [0.0, 1.0], 0.5, 1.0, "one"))  # x's sum is subnormal
+def test_fused_power_sums_keep_the_reference_verdict(case):
+    # the fused loop, and its fall back to `_lp_norm_floats` out of range,
+    # give the verdict, or the error type and text, of four separate calls
+    assert convexity_outcome(check_convexity_inequality, *case) == \
+        convexity_outcome(reference_convexity_check, *case)
+
+
 class TestFloatNormParity:
     """The Python-float norms of the convexity check against its numpy formula."""
 
@@ -461,8 +553,11 @@ class TestFloatNormParity:
         profile = convexity_profile(SpaceSpec(dim=2, p=p), n_grid=101)
         nodes = profile.epsilons.tolist()
         mids = [0.5 * (a + b) for a, b in zip(nodes, nodes[1:])]
-        for eps in nodes + mids + [-1.0, 2.5, math.nan]:
-            assert profile.delta_at(eps) == reference_delta_at(profile, eps)
+        below = np.nextafter(profile.epsilons, -math.inf).tolist()
+        above = np.nextafter(profile.epsilons, math.inf).tolist()
+        for eps in nodes + mids + below + above + [-0.0, -1.0, 2.5, 3.0, math.nan, math.inf, -math.inf]:
+            got = profile.delta_at(eps)
+            assert type(got) is float and got == reference_delta_at(profile, eps)
 
 
 def rescaled_root_norms(rows):
